@@ -71,8 +71,12 @@ class AirtimeScheduler:
         self._membership: Dict[int, Optional[str]] = {}
         self.deficits: Dict[int, float] = {}
 
-        # Telemetry: None when disabled (one identity test per site).
-        self._tr_sched = None
+        # Prebound trace emitters (see set_trace); None when disabled
+        # (one identity test per site).
+        self._em_enter = None
+        self._em_drop = None
+        self._em_charge_tx = None
+        self._em_charge_rx = None
         self._now: Callable[[], float] = lambda: 0.0
 
     # ------------------------------------------------------------------
@@ -80,8 +84,23 @@ class AirtimeScheduler:
     # ------------------------------------------------------------------
     def set_trace(self, trace,
                   now_fn: Optional[Callable[[], float]] = None) -> None:
-        """Attach a trace bus; ``now_fn`` supplies emit timestamps."""
-        self._tr_sched = trace.channel("sched") if trace is not None else None
+        """Attach a trace bus (``None`` detaches); ``now_fn`` supplies
+        emit timestamps."""
+        channel = trace.channel("sched") if trace is not None else None
+        self._em_enter = self._em_drop = None
+        self._em_charge_tx = self._em_charge_rx = None
+        if channel is not None:
+            self._em_enter = channel.emitter("station_enter", (
+                ("station", "q"), ("list", "s"),
+            ))
+            self._em_drop = channel.emitter("station_drop", (
+                ("station", "q"),
+            ))
+            charge = (("station", "q"), ("us", "d"), ("deficit", "d"))
+            self._em_charge_tx = channel.emitter(
+                "deficit_charge", charge + (("dir", "c", "tx"),))
+            self._em_charge_rx = channel.emitter(
+                "deficit_charge", charge + (("dir", "c", "rx"),))
         if now_fn is not None:
             self._now = now_fn
 
@@ -113,11 +132,8 @@ class AirtimeScheduler:
         else:
             self.old_stations.append(station)
             self._membership[station] = "old"
-        if self._tr_sched is not None:
-            self._tr_sched.emit(
-                self._now(), "station_enter", station=station,
-                list=self._membership[station],
-            )
+        if self._em_enter is not None:
+            self._em_enter(self._now(), station, self._membership[station])
 
     def _move_to_old(self, station: int) -> None:
         self._remove(station)
@@ -143,8 +159,8 @@ class AirtimeScheduler:
         self._remove(station)
         self._membership.pop(station, None)
         self.deficits.pop(station, None)
-        if self._tr_sched is not None:
-            self._tr_sched.emit(self._now(), "station_drop", station=station)
+        if self._em_drop is not None:
+            self._em_drop(self._now(), station)
 
     # ------------------------------------------------------------------
     # Airtime accounting
@@ -152,21 +168,17 @@ class AirtimeScheduler:
     def report_tx_airtime(self, station: int, airtime_us: float) -> None:
         """Charge ``station`` for a completed transmission to it."""
         self.deficits[station] = self.deficits.get(station, 0.0) - airtime_us
-        if self._tr_sched is not None:
-            self._tr_sched.emit(
-                self._now(), "deficit_charge", station=station,
-                us=airtime_us, deficit=self.deficits[station], dir="tx",
-            )
+        if self._em_charge_tx is not None:
+            self._em_charge_tx(self._now(), station, airtime_us,
+                               self.deficits[station])
 
     def report_rx_airtime(self, station: int, airtime_us: float) -> None:
         """Charge ``station`` for airtime of frames received *from* it."""
         if self.account_rx:
             self.deficits[station] = self.deficits.get(station, 0.0) - airtime_us
-            if self._tr_sched is not None:
-                self._tr_sched.emit(
-                    self._now(), "deficit_charge", station=station,
-                    us=airtime_us, deficit=self.deficits[station], dir="rx",
-                )
+            if self._em_charge_rx is not None:
+                self._em_charge_rx(self._now(), station, airtime_us,
+                                   self.deficits[station])
 
     # ------------------------------------------------------------------
     # Algorithm 3

@@ -17,6 +17,7 @@ driver's per-TID FIFOs for the FQ-MAC and Airtime configurations (Figure 3):
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from repro.core.codel import PerStationCoDelTuner, codel_dequeue
@@ -84,11 +85,14 @@ class MacFqStructure:
         #: Packets discarded by an explicit flush (station churn).
         self.drops_flushed = 0
 
-        # Telemetry channels; None when tracing is off, so every emit site
-        # is a single identity test.
-        self._layer = "mac"
-        self._tr_queue = None
-        self._tr_codel = None
+        # Prebound trace emitters (see set_trace); None when tracing is
+        # off, so every emit site is a single identity test.
+        self._em_enqueue = None
+        self._em_flow_new = None
+        self._em_dequeue = None
+        self._em_flow_reclaim = None
+        self._em_flush = None
+        self._em_codel_state = None
         self._sojourn_hist = None
 
     # ------------------------------------------------------------------
@@ -99,29 +103,57 @@ class MacFqStructure:
 
         ``layer`` labels the emitted records ('mac' for the integrated
         structure, 'qdisc' when wrapped by
-        :class:`repro.qdisc.fq_codel_qdisc.FqCodelQdisc`).
+        :class:`repro.qdisc.fq_codel_qdisc.FqCodelQdisc`).  ``trace=None``
+        detaches: every emitter, CoDel hook and histogram is reset.
         """
-        self._layer = layer
-        self._tr_queue = trace.channel("queue") if trace is not None else None
-        self._tr_codel = trace.channel("codel") if trace is not None else None
-        if metrics is not None:
-            self._sojourn_hist = metrics.histogram(f"{layer}_sojourn_us")
-        if self._tr_codel is not None:
-            for queue in self._queues:
-                queue.codel.on_transition = self._codel_hook(queue)
-            for tid in self._tids.values():
-                tid.overflow_queue.codel.on_transition = self._codel_hook(
-                    tid.overflow_queue
-                )
+        queue_ch = trace.channel("queue") if trace is not None else None
+        codel_ch = trace.channel("codel") if trace is not None else None
+        self._em_enqueue = self._em_flow_new = self._em_dequeue = None
+        self._em_flow_reclaim = self._em_flush = self._em_codel_state = None
+        if queue_ch is not None:
+            # Record shapes, declared once: ``layer`` is fixed per
+            # structure, ``station`` is None under the qdisc wrapper
+            # (hence 'o'), overflow queues have negative ``q``.
+            layer_c = ("layer", "c", layer)
+            self._em_enqueue = queue_ch.emitter("enqueue", (
+                layer_c, ("station", "o"), ("flow", "q"), ("pid", "q"),
+                ("q", "q"), ("backlog", "q"),
+            ))
+            self._em_flow_new = queue_ch.emitter("flow_new", (
+                layer_c, ("station", "o"), ("flow", "q"), ("q", "q"),
+            ))
+            self._em_dequeue = queue_ch.emitter("dequeue", (
+                layer_c, ("station", "o"), ("pid", "q"), ("q", "q"),
+                ("sojourn_us", "d"),
+            ))
+            self._em_flow_reclaim = queue_ch.emitter("flow_reclaim", (
+                layer_c, ("station", "o"), ("q", "q"),
+            ))
+            self._em_flush = queue_ch.emitter("flush", (
+                layer_c, ("station", "o"), ("n_pkts", "q"),
+            ))
+        if codel_ch is not None:
+            self._em_codel_state = codel_ch.emitter("state", (
+                ("kind", "s"), ("q", "q"), ("station", "o"),
+            ))
+        self._sojourn_hist = (
+            metrics.histogram(f"{layer}_sojourn_us")
+            if metrics is not None else None
+        )
+        traced = self._em_codel_state is not None
+        for queue in chain(self._queues,
+                           (tid.overflow_queue for tid in self._tids.values())):
+            queue.codel.on_transition = (
+                self._codel_hook(queue) if traced else None
+            )
 
     def _codel_hook(self, queue: FlowQueue):
-        channel = self._tr_codel
+        emit = self._em_codel_state
 
         def on_transition(kind: str, now_us: float) -> None:
             tid = queue.tid
             station = tid.station if isinstance(tid, TidState) else None
-            channel.emit(now_us, "state", kind=kind, q=queue.index,
-                         station=station)
+            emit(now_us, kind, queue.index, station)
 
         return on_transition
 
@@ -137,7 +169,7 @@ class MacFqStructure:
             # negative indices so they can't collide with pool queues.
             self._overflow_counter += 1
             overflow = FlowQueue(-self._overflow_counter)
-            if self._tr_codel is not None:
+            if self._em_codel_state is not None:
                 overflow.codel.on_transition = self._codel_hook(overflow)
             state = TidState(station, ac, overflow)
             self._tids[key] = state
@@ -164,12 +196,9 @@ class MacFqStructure:
         tid.backlog += 1
         self.backlog_packets += 1
 
-        if self._tr_queue is not None:
-            self._tr_queue.emit(
-                pkt.enqueue_us, "enqueue", layer=self._layer,
-                station=tid.station, flow=pkt.flow_id, pid=pkt.pid,
-                q=queue.index, backlog=self.backlog_packets,
-            )
+        if self._em_enqueue is not None:
+            self._em_enqueue(pkt.enqueue_us, tid.station, pkt.flow_id,
+                             pkt.pid, queue.index, self.backlog_packets)
 
         if queue.membership is None:
             # A (re)activating queue starts with a fresh quantum, as in
@@ -178,11 +207,9 @@ class MacFqStructure:
             # top-up loop before the queue is ever served.
             queue.deficit = self.quantum
             tid.add_new(queue)
-            if self._tr_queue is not None:
-                self._tr_queue.emit(
-                    pkt.enqueue_us, "flow_new", layer=self._layer,
-                    station=tid.station, flow=pkt.flow_id, q=queue.index,
-                )
+            if self._em_flow_new is not None:
+                self._em_flow_new(pkt.enqueue_us, tid.station, pkt.flow_id,
+                                  queue.index)
 
     def _drop_from_longest_queue(self) -> None:
         """Drop the head packet of the globally longest queue."""
@@ -248,22 +275,16 @@ class MacFqStructure:
                     tid.move_to_old(queue)
                 else:
                     tid.delete_queue(queue)
-                    if self._tr_queue is not None:
-                        self._tr_queue.emit(
-                            now, "flow_reclaim", layer=self._layer,
-                            station=tid.station, q=queue.index,
-                        )
+                    if self._em_flow_reclaim is not None:
+                        self._em_flow_reclaim(now, tid.station, queue.index)
                 continue
 
             queue.deficit -= pkt.size
             tid.backlog -= 1
             self.backlog_packets -= 1
-            if self._tr_queue is not None:
-                self._tr_queue.emit(
-                    now, "dequeue", layer=self._layer, station=tid.station,
-                    pid=pkt.pid, q=queue.index,
-                    sojourn_us=now - pkt.enqueue_us,
-                )
+            if self._em_dequeue is not None:
+                self._em_dequeue(now, tid.station, pkt.pid, queue.index,
+                                 now - pkt.enqueue_us)
             if self._sojourn_hist is not None:
                 self._sojourn_hist.observe(now - pkt.enqueue_us)
             return pkt
@@ -288,11 +309,8 @@ class MacFqStructure:
                 self._account_drop(queue, pkt, reason)
                 flushed += 1
             tid.delete_queue(queue)
-        if self._tr_queue is not None and flushed:
-            self._tr_queue.emit(
-                self._now(), "flush", layer=self._layer,
-                station=tid.station, n_pkts=flushed,
-            )
+        if self._em_flush is not None and flushed:
+            self._em_flush(self._now(), tid.station, flushed)
         return flushed
 
     def flush_station(self, station: int, reason: str = "detach") -> int:

@@ -177,7 +177,8 @@ class AccessPoint:
         self._tr_agg = None
         self._em_built = None
         self._em_tx_done = None
-        self._tr_queue = None
+        self._em_vo_enqueue = None
+        self._em_vo_dequeue = None
         #: Airtime ledger (None when disabled; see set_ledger).
         self._ledger = None
 
@@ -265,21 +266,31 @@ class AccessPoint:
             self.mac_fq.set_trace(trace, metrics=metrics, layer="mac")
         self.scheduler.set_trace(trace, now_fn=now_fn)
         self._hw.set_trace(trace, now_fn=now_fn)
-        if trace is not None:
-            queue_channel = trace.channel("queue")
-            self._tr_queue = queue_channel
-            if queue_channel is not None:
-                em_drop = queue_channel.emitter("drop", (
-                    ("layer", "s"), ("reason", "s"), ("station", "o"),
-                    ("flow", "q"), ("pid", "q"),
+        queue_channel = trace.channel("queue") if trace is not None else None
+        self._em_vo_enqueue = self._em_vo_dequeue = None
+        if queue_channel is not None:
+            if self.mac_fq is None:
+                # The unmanaged VO queue exists only in the qdisc schemes
+                # (under mac_fq, VO is a TID like any other).
+                self._em_vo_enqueue = queue_channel.emitter("enqueue", (
+                    ("layer", "c", "vo"), ("station", "q"), ("flow", "q"),
+                    ("pid", "q"), ("backlog", "q"),
                 ))
+                self._em_vo_dequeue = queue_channel.emitter("dequeue", (
+                    ("layer", "c", "vo"), ("station", "q"), ("pid", "q"),
+                    ("sojourn_us", "d"),
+                ))
+            em_drop = queue_channel.emitter("drop", (
+                ("layer", "s"), ("reason", "s"), ("station", "o"),
+                ("flow", "q"), ("pid", "q"),
+            ))
 
-                def on_drop(pkt: Packet, layer: str, reason: str) -> None:
-                    station = (pkt.dst_station if pkt.dst_station is not None
-                               else pkt.src_station)
-                    em_drop(self.sim.now, layer, reason, station,
-                            pkt.flow_id, pkt.pid)
-                self.drops.add_observer(on_drop)
+            def on_drop(pkt: Packet, layer: str, reason: str) -> None:
+                station = (pkt.dst_station if pkt.dst_station is not None
+                           else pkt.src_station)
+                em_drop(self.sim.now, layer, reason, station,
+                        pkt.flow_id, pkt.pid)
+            self.drops.add_observer(on_drop)
         if metrics is not None:
             def count_drop(pkt: Packet, layer: str, reason: str) -> None:
                 metrics.counter(f"drops_{layer}_{reason}").inc()
@@ -343,11 +354,9 @@ class AccessPoint:
             queue = self._vo_queues.setdefault(station, deque())
             pkt.enqueue_us = self.sim.now
             queue.append(pkt)
-            if self._tr_queue is not None:
-                self._tr_queue.emit(
-                    pkt.enqueue_us, "enqueue", layer="vo", station=station,
-                    flow=pkt.flow_id, pid=pkt.pid, backlog=len(queue),
-                )
+            if self._em_vo_enqueue is not None:
+                self._em_vo_enqueue(pkt.enqueue_us, station, pkt.flow_id,
+                                    pkt.pid, len(queue))
         if station not in self._vo_ring:
             self._vo_ring.append(station)
 
@@ -358,11 +367,9 @@ class AccessPoint:
         if not queue:
             return None
         pkt = queue.popleft()
-        if self._tr_queue is not None:
-            self._tr_queue.emit(
-                self.sim.now, "dequeue", layer="vo", station=station,
-                pid=pkt.pid, sojourn_us=self.sim.now - pkt.enqueue_us,
-            )
+        if self._em_vo_dequeue is not None:
+            self._em_vo_dequeue(self.sim.now, station, pkt.pid,
+                                self.sim.now - pkt.enqueue_us)
         return pkt
 
     def _vo_backlog(self, station: int) -> int:
@@ -510,7 +517,14 @@ class AccessPoint:
             self._em_tx_done(self.sim.now, agg.station, agg.ac.name, agg.seq,
                              agg.n_packets, success, agg.retries)
         if success:
-            self.stations[agg.station].receive_from_ap(agg)
+            node = self.stations.get(agg.station)
+            if node is not None:
+                node.receive_from_ap(agg)
+            else:
+                # The station roamed away (remove_station) while this
+                # frame was on the air: nobody is listening any more.
+                for pkt in agg.packets:
+                    self.drops.report(pkt, "hw", "detach")
         else:
             if not self._hw.requeue_retry(agg):
                 # The funnel is the single source of truth for retry

@@ -292,3 +292,49 @@ class TestConservation:
                 total_out += 1
         assert total_out + fq.total_drops == total_in
         assert fq.backlog_packets == 0
+
+
+class TestTraceDetach:
+    @staticmethod
+    def _codel_cycle(fq, clock, tids):
+        """Enqueue standing backlog on each TID, then dequeue across more
+        than one CoDel interval: every queue enters and leaves dropping."""
+        start = clock.now
+        for tid in tids:
+            for i in range(6):
+                fq.enqueue(mkpkt(1, seq=i), tid)
+        for tid in tids:
+            clock.now = start + 10_000.0
+            fq.dequeue(tid)
+            clock.now = start + 120_000.0
+            while fq.dequeue(tid) is not None:
+                pass
+        clock.now = start + 200_000.0
+
+    def test_set_trace_none_fully_detaches(self, clock):
+        from repro.telemetry import MetricsRegistry, TraceBus
+
+        # One pool queue: the second TID collides into its overflow queue.
+        fq = MacFqStructure(clock, num_queues=1, limit=64)
+        tids = [fq.tid(0, AccessCategory.BE), fq.tid(1, AccessCategory.BE)]
+        bus, metrics = TraceBus(), MetricsRegistry()
+        fq.set_trace(bus, metrics=metrics)
+        self._codel_cycle(fq, clock, tids)
+
+        states = [r for r in bus.records if r["cat"] == "codel"]
+        assert {r["kind"] for r in states} == {"enter_drop", "exit_drop"}
+        assert {r["q"] for r in states} == {0, -2}  # pool + overflow queue
+        assert {r["station"] for r in states} == {0, 1}
+        seen = len(bus)
+        observed = metrics.histogram("mac_sojourn_us").count
+        drops = fq.drops_codel
+        assert drops > 0 and observed > 0
+
+        fq.set_trace(None)
+        self._codel_cycle(fq, clock, tids)
+        tids.append(fq.tid(2, AccessCategory.BE))  # TID born detached
+        self._codel_cycle(fq, clock, tids)
+
+        assert fq.drops_codel > drops  # transitions did happen again
+        assert len(bus) == seen
+        assert metrics.histogram("mac_sojourn_us").count == observed

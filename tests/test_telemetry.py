@@ -214,7 +214,7 @@ class TestRunProfiler:
 class TestZeroCostWhenDisabled:
     def test_untraced_components_hold_none_channels(self):
         fq = MacFqStructure(lambda: 0.0)
-        assert fq._tr_queue is None and fq._tr_codel is None
+        assert fq._em_enqueue is None and fq._em_codel_state is None
         qdisc = PfifoQdisc()
         assert qdisc._tr_queue is None and qdisc._sojourn_hist is None
 

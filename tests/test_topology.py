@@ -300,6 +300,27 @@ class TestRoaming:
         # Conservation holds across the handoff (strict run audits it).
         assert all(r.ok for r in campus.audit_conservation().values())
 
+    def test_roam_while_frame_to_the_station_is_on_the_air(self):
+        """Falsifying example Hypothesis found for
+        ``test_conservation_under_roam_and_churn``: the handoff lands
+        mid-TXOP, so the old AP completes a frame toward a station it no
+        longer has.  The packets go to the drop funnel, not a KeyError."""
+        from repro.experiments.workloads import saturating_udp_download
+
+        topo = Topology(
+            bsses=(BssSpec(bss_id=0, mcs_indices=(15,), channel=0,
+                           station_base=0),
+                   BssSpec(bss_id=1, mcs_indices=(15,), channel=0,
+                           station_base=1)),
+            roam=(RoamEvent(station=0, at_s=0.15000000000000002, to_bss=1),),
+        )
+        campus = CampusTestbed(topo, CampusOptions(scheme=Scheme.AIRTIME,
+                                                   seed=1, strict=False))
+        saturating_udp_download(campus)
+        campus.run(0.25, 0.1)
+        assert campus.serving[0] == 1
+        assert all(r.ok for r in campus.audit_conservation().values())
+
     def test_roam_to_current_cell_is_noop(self):
         topo = campus_topology(n_bss=2, n_channels=1, stations_per_bss=2)
         campus = CampusTestbed(topo, CampusOptions(scheme=Scheme.AIRTIME))

@@ -8,15 +8,21 @@ per run — these tests are the regression net for that.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import airtime_udp
+from repro.core.packet import AccessCategory
+from repro.experiments import airtime_udp, workloads
+from repro.experiments.config import three_station_rates
+from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.faults import BurstLoss, Churn, FaultSchedule, Interference, RateCrash
 from repro.mac.ap import Scheme
 from repro.runner import ResultCache, Runner
 from repro.telemetry import TelemetryConfig
+from repro.traffic.voip import VoipFlow
 
 SCHEMES = (Scheme.FIFO, Scheme.AIRTIME)
 
@@ -186,3 +192,107 @@ def test_traced_and_untraced_runs_use_distinct_cache_entries(tmp_path):
     # The traced specs were not satisfied from the untraced entries.
     assert cache.misses == 2 * len(SCHEMES)
     assert all(result.telemetry is not None for result in results)
+
+
+# ----------------------------------------------------------------------
+# Pinned trace digests
+# ----------------------------------------------------------------------
+# The ring-vs-dict test above runs the same instrumentation-site code on
+# both backends, so it cannot see a site whose declared field order or
+# kind changed.  These digests pin the bytes of the full all-category
+# JSONL per scheme; they were recorded on the tree *before* mac_fq /
+# CoDel / airtime / VO moved to prebound emitters.  Regenerate (only for
+# an intended trace-format change) with:
+#   PYTHONPATH=src python -c "import json, tests.test_trace_determinism \
+#     as t; print(json.dumps(t.pinned_trace_digests(), indent=1))" \
+#     > tests/fixtures/trace_digests.json
+
+ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
+FULL_TRACE = TelemetryConfig(trace=True, spans=True, ledger=True)
+DIGEST_FIXTURE = Path(__file__).parent / "fixtures" / "trace_digests.json"
+
+
+def _udp_scenario(testbed):
+    workloads.saturating_udp_download(testbed)
+    return 0.6, 0.3
+
+
+def _tcp_scenario(testbed):
+    # layer="qdisc" with station=None, flow_new / flow_reclaim and CoDel
+    # state transitions only show up under TCP.
+    workloads.tcp_bidir(testbed)
+    workloads.add_pings(testbed)
+    return 0.7, 0.3
+
+
+def _voip_scenario(testbed):
+    # VO-marked voice over bulk TCP: the AP's unmanaged VO queue
+    # (layer="vo") exists only in the qdisc schemes.
+    workloads.tcp_download(testbed)
+    VoipFlow(testbed.sim, testbed.server, testbed.stations[2],
+             ac=AccessCategory.VO).start()
+    return 0.4, 0.2
+
+
+#: name -> (scenario, schemes, fault schedule)
+PINNED_SCENARIOS = {
+    "udp": (_udp_scenario, ALL_SCHEMES, None),
+    "tcp": (_tcp_scenario, ALL_SCHEMES, None),
+    # Churn flush: mac_fq flush, scheduler station_drop / re-enter.
+    "udp-impaired": (_udp_scenario, (Scheme.AIRTIME,), IMPAIRMENTS),
+    "voip-vo": (_voip_scenario, (Scheme.FIFO,), None),
+}
+
+
+#: Every pinned (scenario name, scheme) run, in fixture order.
+PINNED_RUNS = [
+    (name, scheme)
+    for name, (_, schemes, _) in PINNED_SCENARIOS.items()
+    for scheme in schemes
+]
+
+
+def _digest_key(name: str, scheme: Scheme) -> str:
+    return f"{name}/{scheme.name}"
+
+
+def _traced_run(name: str, scheme: Scheme,
+                duration_scale: float = 1.0) -> Testbed:
+    scenario, _, faults = PINNED_SCENARIOS[name]
+    testbed = Testbed(three_station_rates(), TestbedOptions(
+        scheme=scheme, seed=1, telemetry=FULL_TRACE, faults=faults))
+    duration_s, warmup_s = scenario(testbed)
+    testbed.run(duration_s * duration_scale, warmup_s * duration_scale)
+    return testbed
+
+
+def _trace_digest(name: str, scheme: Scheme) -> str:
+    text = _traced_run(name, scheme).telemetry.trace.dumps()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pinned_trace_digests() -> dict:
+    return {_digest_key(*run): _trace_digest(*run) for run in PINNED_RUNS}
+
+
+@pytest.mark.parametrize("name,scheme", PINNED_RUNS,
+                         ids=[_digest_key(*run) for run in PINNED_RUNS])
+def test_trace_bytes_match_pinned_digest(name, scheme):
+    pinned = json.loads(DIGEST_FIXTURE.read_text())
+    assert _trace_digest(name, scheme) == pinned[_digest_key(name, scheme)]
+
+
+def test_per_packet_records_never_ride_the_generic_path():
+    """Generic ``emit(**fields)`` is for O(1)-per-run markers: doubling
+    the duration of a traced Airtime Fig. 5 run must not add a single
+    record to the ring's generic shapes."""
+    def total_and_generic_records(duration_scale: float):
+        testbed = _traced_run("udp", Scheme.AIRTIME, duration_scale)
+        ring = testbed.telemetry.trace._ring
+        return len(ring), sum(len(shape.times)
+                              for shape in ring._generic_shapes.values())
+
+    total_t, generic_t = total_and_generic_records(0.5)
+    total_2t, generic_2t = total_and_generic_records(1.0)
+    assert total_2t > 1.5 * total_t  # the per-packet volume did scale
+    assert generic_2t == generic_t

@@ -18,7 +18,7 @@ from repro.telemetry.ring import TraceRing
 from repro.telemetry.trace import TraceBus
 
 try:
-    from hypothesis import given, strategies as st
+    from hypothesis import example, given, strategies as st
 
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis is in the dev image
@@ -194,6 +194,8 @@ if HAVE_HYPOTHESIS:
                     max_size=120)
 
     @given(ops=_OPS)
+    # 32 = 2 * capacity: the eviction branch runs on every invocation.
+    @example(ops=[("generic", "enqueue", {})] * 32)
     def test_interleaved_emit_decode_property(ops):
         """Any interleaving of generic emits, prebound emits, and decode
         checkpoints leaves the ring equal to the dict reference — and a
@@ -234,7 +236,15 @@ if HAVE_HYPOTHESIS:
         assert n < 2 * capacity
         if n:
             assert bounded.records == legacy.records[-n:]
-            assert bounded.dumps() == "".join(
+            # Once the ring has evicted, the dump leads with the
+            # ring_overflow marker announcing the truncation.
+            header = (
+                json.dumps({"t": 0.0, "cat": "meta", "ev": "ring_overflow",
+                            "dropped": bounded.dropped},
+                           separators=(",", ":")) + "\n"
+                if bounded.dropped > 0 else ""
+            )
+            assert bounded.dumps() == header + "".join(
                 json.dumps(r, separators=(",", ":")) + "\n"
                 for r in legacy.records[-n:]
             )
