@@ -29,6 +29,7 @@ __all__ = [
     "SegmentStats",
     "StationAttribution",
     "Attribution",
+    "AttributionBuilder",
     "attribute_records",
     "attribute_file",
     "format_waterfall",
@@ -236,10 +237,8 @@ class Attribution:
 # ----------------------------------------------------------------------
 # Building attributions from traces
 # ----------------------------------------------------------------------
-def attribute_records(
-    records: Iterable[Mapping[str, Any]],
-) -> Attribution:
-    """One streaming pass: records -> spans -> attribution.
+class AttributionBuilder(SpanCollector):
+    """A span collector whose sink is a windowed :class:`Attribution`.
 
     When the trace contains a ``measurement_start`` marker only spans
     that *closed* inside the window contribute latency statistics — the
@@ -251,57 +250,65 @@ def attribute_records(
     A windowed trace discards the whole-trace statistics entirely (only
     the open-span / unmatched counters survive into the result), so
     spans that close before the marker status is known are buffered and
-    dropped the moment the marker appears, and post-marker spans feed
-    the windowed aggregation only — identical output to aggregating
-    both views, at roughly half the cost on warm-up-heavy traces.
+    dropped the moment the first marker appears; from then on closed
+    spans feed the windowed aggregation directly.  If no marker ever
+    comes the buffer replays, in order, into the whole-trace result.
+
+    Fed by trace-bus taps in a live run (:meth:`register`, what
+    ``Telemetry`` does for ``spans=True``) or record by record from a
+    file (:meth:`feed`, what :func:`attribute_records` does).
     """
-    collector = SpanCollector()
-    feed = collector.feed
-    t_last: Optional[float] = None
-    bss_of: Dict[int, int] = {}
-    #: Closed spans seen before the marker status is known.  If no
-    #: marker ever appears they replay, in order, into the whole-trace
-    #: result; pre-marker spans always close with ``in_window`` False,
-    #: so once a marker shows up they are pure warm-up history.
-    buffered: List[Span] = []
-    windowed = False
-    iterator = iter(records)
-    for record in iterator:
-        t_last = record["t"]
-        if record.get("cat") == "tx":
-            bss = record.get("bss")
-            if bss is not None:
-                bss_of[record["station"]] = bss
-        spans = feed(record)
-        if spans:
-            buffered.extend(spans)
-        elif collector.window_start_us is not None:
-            # The marker record itself closes no spans, so breaking here
-            # loses nothing; the rest of the trace takes the tight loop.
-            windowed = True
-            break
-    result = Attribution(windowed=windowed)
-    if windowed:
-        observe = result.observe
-        for record in iterator:
-            t_last = record["t"]
-            if record.get("cat") == "tx":
-                bss = record.get("bss")
-                if bss is not None:
-                    bss_of[record["station"]] = bss
-            for span in feed(record):
-                if span.in_window:
-                    observe(span)
-    else:
-        for span in buffered:
+
+    TAPS = SpanCollector.TAPS + (
+        ("tx", "tx", "on_tx", {"station": None, "bss": None}),
+    )
+
+    def __init__(self) -> None:
+        #: Spans closed before the marker status is known.  Pre-marker
+        #: spans always close with ``in_window`` False, so once a marker
+        #: shows up they are pure warm-up history.
+        self._buffered: List[Span] = []
+        super().__init__(sink=self._buffered.append)
+        self._result = Attribution()
+
+    def on_marker(self, t: float) -> None:
+        super().on_marker(t)
+        if not self._result.windowed:
+            self._result.windowed = True
+            self._buffered.clear()
+            self.sink = self._observe_in_window
+
+    def _observe_in_window(self, span: Span) -> None:
+        if span.in_window:
+            self._result.observe(span)
+
+    def on_tx(self, t: float, station: int, bss: Optional[int]) -> None:
+        if bss is not None:  # only multi-BSS tx records carry it
+            self._result.bss_of[station] = bss
+
+    def attribution(self) -> Attribution:
+        """The result so far (idempotent; stitching may continue)."""
+        result = self._result
+        for span in self._buffered:
             result.observe(span)
-    # Open spans are a property of the trace, not of the window (open
-    # spans never carry ``in_window``, so they contribute no stats).
-    result.open_spans = len(collector.finish(t_last))
-    result.unmatched = collector.unmatched
-    result.pre_enqueue_drops = collector.pre_enqueue_drops
-    result.bss_of = bss_of
-    return result
+        self._buffered.clear()
+        # Open spans are a property of the trace, not of the window (open
+        # spans never carry ``in_window``, so they contribute no stats).
+        result.open_spans = self.open_count
+        result.unmatched = self.unmatched
+        result.pre_enqueue_drops = self.pre_enqueue_drops
+        return result
+
+
+def attribute_records(
+    records: Iterable[Mapping[str, Any]],
+) -> Attribution:
+    """One streaming pass: records -> spans -> attribution."""
+    builder = AttributionBuilder()
+    feed = builder.feed
+    for record in records:
+        feed(record)
+    return builder.attribution()
 
 
 def attribute_file(path: str) -> Attribution:

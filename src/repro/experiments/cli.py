@@ -810,14 +810,15 @@ def _telemetry_from_args(args: argparse.Namespace) -> Optional[TelemetryConfig]:
     if (args.trace is None and args.metrics_out is None
             and not args.spans and not args.ledger and not args.streaming):
         return None
-    if args.spans and args.trace is None:
-        raise ValueError("--spans needs a trace to stitch; add --trace DIR")
     categories: tuple = ()
     if args.trace_categories:
         categories = tuple(
             c.strip() for c in args.trace_categories.split(",") if c.strip()
         )
     return TelemetryConfig(
+        # Spans are stitched from live taps, not from a file: without
+        # --trace/--streaming to switch the hooks on, trace in memory.
+        trace=args.spans and args.trace is None and not args.streaming,
         trace_path=args.trace,
         categories=categories,
         metrics_path=args.metrics_out,
@@ -843,8 +844,10 @@ def _run_cost_table(history: list[RunResult], mode: str = "") -> str:
     """Per-run cost table (wall time, events/sec, peak heap) for --profile.
 
     Wall time is split into simulation proper (``sim s``) and post-run
-    finalisation (``post s``: trace decode, summarise, metrics flush) so
-    a run dominated by decode cost is visible at a glance.
+    finalisation (``post s``: the ``--trace`` file write and the metrics
+    flush).  Summary tables and spans are built in-run from taps, so
+    their cost is part of ``sim s`` and ``post s`` is ≈ 0 without a
+    trace file.
     """
     lines = ["Run cost (per spec)"]
     if mode:
@@ -906,8 +909,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="write per-run metrics JSON (counters, "
                              "histograms, sampled time series) under DIR")
     parser.add_argument("--spans", action="store_true",
-                        help="reconstruct per-packet lifecycle spans at the "
-                             "end of each traced run (requires --trace)")
+                        help="stitch per-packet lifecycle spans in-run and "
+                             "fold the latency attribution into each run's "
+                             "telemetry summary (no --trace file needed)")
     parser.add_argument("--ledger", action="store_true",
                         help="keep the per-station airtime ledger and audit "
                              "it against the analytical model at teardown "

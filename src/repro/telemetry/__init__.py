@@ -51,6 +51,7 @@ from repro.telemetry.profiling import (
 )
 from repro.telemetry.streaming import (
     QuantileSketch,
+    RunAccounts,
     StreamingStats,
     WindowedJain,
     format_streaming,
@@ -82,6 +83,7 @@ __all__ = [
     "PeriodicSampler",
     "QuantileSketch",
     "RingTraceChannel",
+    "RunAccounts",
     "RunProfiler",
     "StreamingStats",
     "Telemetry",
@@ -116,9 +118,7 @@ class Telemetry:
 
     def __init__(self, config: TelemetryConfig) -> None:
         self.config = config
-        #: Online accumulators (sketches, windowed Jain, drop counters);
-        #: registered on the bus *before* any channel binds so every
-        #: prebound emitter tees into them.
+        #: Online accumulators (sketches, windowed Jain, drop counters).
         self.streaming: Optional[StreamingStats] = (
             StreamingStats() if config.streaming else None
         )
@@ -127,8 +127,24 @@ class Telemetry:
                      capacity=config.effective_capacity)
             if config.trace_enabled else None
         )
-        if self.streaming is not None and self.trace is not None:
-            self.streaming.register(self.trace)
+        #: The tx/drop/marker accounts behind the summary tables (the
+        #: streaming aggregator carries them when there is one).
+        self.accounts: Optional[RunAccounts] = None
+        #: In-run span stitching + latency attribution (``spans=True``).
+        self.spans = None
+        if self.trace is not None:
+            # Taps go on the bus *before* any channel binds, so every
+            # prebound emitter tees into them.
+            self.accounts = (self.streaming if self.streaming is not None
+                             else RunAccounts())
+            self.accounts.register(self.trace)
+            if config.spans:
+                # Lazy import: analysis.attribution imports telemetry.spans,
+                # keeping the package dependency one-way at module load.
+                from repro.analysis.attribution import AttributionBuilder
+
+                self.spans = AttributionBuilder()
+                self.spans.register(self.trace)
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if config.metrics_enabled else None
         )
@@ -159,11 +175,12 @@ class Telemetry:
         stored inside the run result, so a cache hit reproduces it
         bit-for-bit without re-simulating.
 
-        With streaming stats on, the airtime/drop tables come from the
-        online accumulators and **no trace decode happens** unless a
-        trace file or span reconstruction was explicitly requested —
-        that skipped decode is the wall-time the ``--profile`` run-cost
-        table reports under ``post s``.
+        Nothing here reads the trace ring: the airtime/drop tables come
+        from the tap-fed accounts and the span attribution was stitched
+        while the run emitted, so the only decode left is the streamed
+        ``write_jsonl`` when ``trace_path`` asks for a file.  The
+        ``post s`` column of the ``--profile`` run-cost table is what
+        remains; the stitching cost sits in ``sim s``.
 
         The whole flush is charged to the profiler's *finalize* phase so
         run-cost accounting can split simulation time from post-run
@@ -183,38 +200,14 @@ class Telemetry:
                 summary["trace_dropped"] = self.trace.dropped
             if self.streaming is not None:
                 summary["streaming"] = self.streaming.snapshot()
-                summary["airtime_us"] = {
-                    station: account.airtime_us
-                    for station, account in sorted(
-                        self.streaming.stations.items())
-                }
-                summary["drops"] = {
-                    f"{layer}:{reason}": count
-                    for (layer, reason), count in sorted(
-                        self.streaming.drops.items())
-                }
-            else:
-                trace_summary = summarize_records(self.trace.records)
-                summary["airtime_us"] = {
-                    station: tx.airtime_us
-                    for station, tx in sorted(trace_summary.stations.items())
-                }
-                summary["drops"] = {
-                    f"{layer}:{reason}": count
-                    for (layer, reason), count in sorted(
-                        trace_summary.drops.items())
-                }
+            summary["airtime_us"] = self.accounts.airtime_table()
+            summary["drops"] = self.accounts.drop_table()
             if self.config.trace_path is not None:
                 summary["trace_path"] = str(
                     self.trace.write_jsonl(self.config.trace_path)
                 )
-            if self.config.spans:
-                # Lazy import: analysis.attribution imports telemetry.spans,
-                # keeping the package dependency one-way at module load.
-                from repro.analysis.attribution import attribute_records
-
-                attribution = attribute_records(self.trace.records)
-                summary["spans"] = attribution.to_dict()
+            if self.spans is not None:
+                summary["spans"] = self.spans.attribution().to_dict()
         if self.ledger is not None:
             summary["ledger"] = {
                 "stations": self.ledger.to_dict(),

@@ -75,9 +75,10 @@ class TelemetryConfig:
     sample_interval_ms:
         Periodic sampler interval (simulated milliseconds).
     spans:
-        Reconstruct per-packet lifecycle spans from the trace at the end
-        of the run and fold the latency-attribution summary into the
-        run's telemetry summary.  Requires tracing.
+        Stitch per-packet lifecycle spans in-run from the trace-bus taps
+        and fold the latency-attribution summary into the run's
+        telemetry summary.  Requires tracing (the hooks must be live);
+        the ring itself is never read, so it may be bounded.
     ledger:
         Accumulate the per-station airtime ledger live (AP + medium
         observers) and audit it against the §2.2.1 analytical model at
@@ -91,15 +92,15 @@ class TelemetryConfig:
         :mod:`repro.telemetry.streaming`) by teeing the trace hooks into
         O(1)-memory accumulators.  Implies tracing hooks are live; when
         no full trace retention is otherwise requested (no
-        ``trace_path``, no ``spans``, ``trace`` False) the trace ring is
+        ``trace_path``, ``trace`` False) the trace ring is
         bounded to :data:`DEFAULT_STREAM_CAPACITY` records so memory
         stays flat no matter how long the run — the retained tail feeds
         the flight recorder.
     trace_capacity:
         Explicitly bound the trace ring to the newest N records
         (evictions are counted and surfaced by ``trace summarize``).
-        Incompatible with ``spans``, which needs the whole trace to
-        stitch packet lifecycles.
+        Only the retained file/tail shrinks: the summary tables and
+        ``spans`` are tap-fed and still cover every record.
     """
 
     trace: bool = False
@@ -127,14 +128,8 @@ class TelemetryConfig:
             raise ValueError("spans requires tracing (set trace/trace_path)")
         if self.ledger_tolerance < 0:
             raise ValueError("ledger_tolerance must be non-negative")
-        if self.trace_capacity is not None:
-            if self.trace_capacity <= 0:
-                raise ValueError("trace_capacity must be positive")
-            if self.spans:
-                raise ValueError(
-                    "spans needs the full trace; do not bound it with "
-                    "trace_capacity"
-                )
+        if self.trace_capacity is not None and self.trace_capacity <= 0:
+            raise ValueError("trace_capacity must be positive")
 
     # ------------------------------------------------------------------
     @property
@@ -170,15 +165,15 @@ class TelemetryConfig:
     def effective_capacity(self) -> Optional[int]:
         """Ring bound actually applied by :class:`repro.telemetry.Telemetry`.
 
-        An explicit ``trace_capacity`` wins.  Otherwise streaming-only
-        configs (no file output, no spans, no in-memory retention
-        request) default to a bounded tail — the whole point of the
-        streaming path is that memory stays flat.
+        An explicit ``trace_capacity`` wins.  Otherwise streaming
+        configs with no file output and no in-memory retention request
+        default to a bounded tail — the whole point of the streaming
+        path is that memory stays flat.  ``spans`` does not lift the
+        bound: stitching consumes taps, never evicted records.
         """
         if self.trace_capacity is not None:
             return self.trace_capacity
-        if (self.streaming and not self.trace
-                and self.trace_path is None and not self.spans):
+        if self.streaming and not self.trace and self.trace_path is None:
             return DEFAULT_STREAM_CAPACITY
         return None
 

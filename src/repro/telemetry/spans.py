@@ -1,7 +1,7 @@
-"""Packet-lifecycle span reconstruction from raw trace records.
+"""Packet-lifecycle span stitching, in-run from taps or from a trace file.
 
 A *span* is the causal history of one downlink packet, stitched together
-from the flat JSONL records the TraceBus emits: enqueue into the qdisc or
+from the flat records the TraceBus emits: enqueue into the qdisc or
 the integrated MAC structure, per-layer dequeues, membership in a built
 aggregate, hardware-queue push/pop, and finally TX completion (or a drop
 at any stage).  The join keys are the packet id (``pid``, carried by
@@ -26,17 +26,32 @@ Segments (a scheme uses the subset its stack has):
 ``air``       first hardware pop to final TX completion — transmission
               time plus contention plus every retry
 
-Everything is **streamed**: :func:`iter_spans` consumes any record
-iterable (e.g. :func:`iter_trace_file`, which reads line by line) and
-keeps state only for packets whose span is still open, so multi-GB
-traces never load into memory.
+Everything is **streamed**: state is kept only for packets whose span
+is still open.  A live run stitches as it emits —
+:meth:`SpanCollector.register` taps the bus, so the trace is never
+decoded (or even retained) for spans — and :func:`iter_spans` consumes
+any record iterable (e.g. :func:`iter_trace_file`, which reads line by
+line) through the same handlers, so multi-GB traces never load into
+memory.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+)
+
+from repro.telemetry.trace import bind_positional
 
 __all__ = [
     "SEGMENTS",
@@ -101,10 +116,17 @@ class Span:
 
 
 class SpanCollector:
-    """Streaming join: feed records in emission order, collect spans.
+    """Streaming join: one positional handler per record shape.
 
-    ``feed`` returns the spans the record closed (usually zero or one;
-    a successful aggregate TX closes all of its packets at once).
+    The handlers are the single stitching path.  Two front-ends drive
+    them: :meth:`register` binds them as trace-bus taps, so a live run
+    stitches as it emits (``Telemetry`` never decodes the ring for
+    spans), and :meth:`feed` unpacks one decoded dict record — a trace
+    file line — into the same call.  Each span goes to ``sink`` the
+    moment it closes; without a sink ``feed`` returns the spans its
+    record closed (usually zero or one; a successful aggregate TX closes
+    all of its packets at once).
+
     ``finish`` returns the still-open spans — packets resident in the
     stack (or on the air) when the trace ended; those are *expected* for
     a mid-run snapshot and are counted separately from ``unmatched``,
@@ -113,7 +135,29 @@ class SpanCollector:
     recorded with the required categories enabled.
     """
 
-    def __init__(self) -> None:
+    #: (category, event, handler, wanted fields -> default when the
+    #: record lacks one): the record shapes the join consumes, in
+    #: :func:`~repro.telemetry.trace.bind_positional` terms.  Queue
+    #: bookkeeping records (flow_new / flow_reclaim / flush) and driver
+    #: 'pull' batches carry no pid and are not here.
+    TAPS = (
+        ("queue", "enqueue", "on_enqueue",
+         {"pid": None, "station": None, "flow": None, "layer": "qdisc"}),
+        ("queue", "dequeue", "on_dequeue",
+         {"pid": None, "station": None, "layer": "qdisc"}),
+        ("queue", "drop", "on_drop",
+         {"pid": None, "station": None, "flow": None, "layer": None,
+          "reason": None}),
+        ("driver", "dequeue", "on_dequeue",
+         {"pid": None, "station": None, "layer": "driver"}),
+        ("agg", "built", "on_built",
+         {"agg": None, "station": None, "pids": ()}),
+        ("agg", "tx_done", "on_tx_done", {"agg": None, "ok": None}),
+        ("hw", "pop", "on_pop", {"agg": None}),
+        ("meta", "measurement_start", "on_marker", {}),
+    )
+
+    def __init__(self, sink: Optional[Callable[[Span], None]] = None) -> None:
         self._open: Dict[int, Span] = {}
         #: agg seq -> pids still riding in that aggregate.
         self._aggs: Dict[int, List[int]] = {}
@@ -122,144 +166,121 @@ class SpanCollector:
         #: on entry, uplink client drops) — degenerate zero-length spans.
         self.pre_enqueue_drops = 0
         self.window_start_us: Optional[float] = None
-        # Category dispatch (one dict probe per record on the feed path).
-        self._dispatch = {
-            "queue": self._on_queue,
-            "driver": self._on_driver,
-            "agg": self._on_agg,
-            "hw": self._on_hw,
+        self._closed: List[Span] = []
+        #: Called with each span as it closes.
+        self.sink = sink if sink is not None else self._closed.append
+        #: (category, event) -> (handler, field names, their defaults).
+        self._by_shape = {
+            (category, event): (getattr(self, name), tuple(wanted),
+                                tuple(wanted.values()))
+            for category, event, name, wanted in self.TAPS
         }
 
     # ------------------------------------------------------------------
+    # Front-ends
+    # ------------------------------------------------------------------
+    def register(self, bus) -> None:
+        """Stitch live: tap ``bus`` (before any channel binds)."""
+        for category, event, name, wanted in self.TAPS:
+            bus.add_tap(category, event, partial(
+                bind_positional, getattr(self, name), wanted,
+                filename=__file__))
+
     def feed(self, record: Mapping[str, Any]) -> List[Span]:
-        handler = self._dispatch.get(record["cat"])
-        if handler is not None:
-            return handler(record)
-        if record["cat"] == "meta" and record["ev"] == "measurement_start":
-            self.window_start_us = record["t"]
-        return []
+        """Stitch from a file: unpack one dict record into its handler."""
+        entry = self._by_shape.get((record["cat"], record["ev"]))
+        if entry is not None:
+            handler, names, defaults = entry
+            handler(record["t"], *map(record.get, names, defaults))
+        if not self._closed:
+            return []
+        closed = self._closed[:]
+        self._closed.clear()
+        return closed
 
     # ------------------------------------------------------------------
-    def _on_queue(self, record: Mapping[str, Any]) -> List[Span]:
-        ev = record["ev"]
-        pid = record.get("pid")
-        if pid is None:
-            return []  # flow_new / flow_reclaim / flush bookkeeping
-        t = record["t"]
-        if ev == "enqueue":
-            layer = record.get("layer", "qdisc")
-            span = Span(
-                pid=pid,
-                station=record.get("station"),
-                flow=record.get("flow"),
-                t_start=t,
-                t_end=t,
-                stage="qdisc" if layer == "qdisc" else "mac",
-            )
-            if pid in self._open:
-                # A pid can never be enqueued twice downlink; treat the
-                # earlier span as inconsistent rather than leaking it.
-                self.unmatched += 1
-            self._open[pid] = span
-            return []
-        if ev == "dequeue":
-            span = self._open.get(pid)
-            if span is None:
-                self.unmatched += 1
-                return []
-            if span.station is None:
-                span.station = record.get("station")
-            layer = record.get("layer", "qdisc")
-            if layer == "qdisc":
-                # Legacy path: next wait is the driver FIFO.
-                span._advance("driver", t)
-            else:
-                # MAC/VO dequeue feeds the aggregate builder directly.
-                span._advance("assembly", t)
-            return []
-        if ev == "drop":
-            span = self._open.pop(pid, None)
-            if span is None:
-                # Dropped without ever being enqueued (detached station,
-                # uplink client drop): a legitimate zero-length span.
-                self.pre_enqueue_drops += 1
-                span = Span(
-                    pid=pid,
-                    station=record.get("station"),
-                    flow=record.get("flow"),
-                    t_start=t,
-                    t_end=t,
-                    stage="qdisc",
-                )
-            span.drop_layer = record.get("layer")
-            span.drop_reason = record.get("reason")
-            span._close(t, "dropped")
-            span.in_window = self._in_window(t)
-            self._forget_agg_member(span)
-            return [span]
-        return []
+    # Handlers (positional; shared by taps and feed)
+    # ------------------------------------------------------------------
+    def on_enqueue(self, t: float, pid: int, station: Optional[int],
+                   flow: Optional[int], layer: str) -> None:
+        if pid in self._open:
+            # A pid can never be enqueued twice downlink; treat the
+            # earlier span as inconsistent rather than leaking it.
+            self.unmatched += 1
+        self._open[pid] = Span(
+            pid=pid, station=station, flow=flow, t_start=t, t_end=t,
+            stage="qdisc" if layer == "qdisc" else "mac",
+        )
 
-    def _on_driver(self, record: Mapping[str, Any]) -> List[Span]:
-        if record["ev"] != "dequeue":
-            return []  # 'pull' batches carry no pids
-        pid = record.get("pid")
+    def on_dequeue(self, t: float, pid: int, station: Optional[int],
+                   layer: str) -> None:
         span = self._open.get(pid)
         if span is None:
             self.unmatched += 1
-            return []
+            return
         if span.station is None:
             # The shared qdisc above the driver is stationless (exactly
             # like Linux's mq root); the driver knows the TID's station.
-            span.station = record.get("station")
-        span._advance("assembly", record["t"])
-        return []
+            span.station = station
+        # Legacy path: the qdisc feeds the driver FIFO.  A driver or
+        # MAC/VO dequeue feeds the aggregate builder directly.
+        span._advance("driver" if layer == "qdisc" else "assembly", t)
 
-    def _on_agg(self, record: Mapping[str, Any]) -> List[Span]:
-        ev = record["ev"]
-        seq = record.get("agg")
-        if seq is None:
-            return []
-        t = record["t"]
-        if ev == "built":
-            pids = record.get("pids", ())
-            members: List[int] = []
-            for pid in pids:
-                span = self._open.get(pid)
-                if span is None:
-                    self.unmatched += 1
-                    continue
-                if span.station is None:
-                    span.station = record.get("station")
-                span._advance("hw", t)
-                span.agg_seq = seq
-                members.append(pid)
-            if members:
-                self._aggs[seq] = members
-            return []
-        if ev == "tx_done" and record.get("ok"):
-            closed: List[Span] = []
-            for pid in self._aggs.pop(seq, ()):  # unknown seq: uplink/VO
-                span = self._open.pop(pid, None)
-                if span is None:
-                    continue  # already closed by a drop record
-                span._close(t, "delivered")
-                span.in_window = self._in_window(t)
-                closed.append(span)
-            return closed
-        return []
+    def on_drop(self, t: float, pid: int, station: Optional[int],
+                flow: Optional[int], layer: Optional[str],
+                reason: Optional[str]) -> None:
+        span = self._open.pop(pid, None)
+        if span is None:
+            # Dropped without ever being enqueued (detached station,
+            # uplink client drop): a legitimate zero-length span.
+            self.pre_enqueue_drops += 1
+            span = Span(pid=pid, station=station, flow=flow,
+                        t_start=t, t_end=t, stage="qdisc")
+        span.drop_layer = layer
+        span.drop_reason = reason
+        span._close(t, "dropped")
+        span.in_window = self._in_window(t)
+        self._forget_agg_member(span)
+        self.sink(span)
 
-    def _on_hw(self, record: Mapping[str, Any]) -> List[Span]:
-        if record["ev"] != "pop":
-            return []
-        seq = record.get("agg")
-        t = record["t"]
+    def on_built(self, t: float, seq: int, station: Optional[int],
+                 pids: Iterable[int]) -> None:
+        members: List[int] = []
+        for pid in pids:
+            span = self._open.get(pid)
+            if span is None:
+                self.unmatched += 1
+                continue
+            if span.station is None:
+                span.station = station
+            span._advance("hw", t)
+            span.agg_seq = seq
+            members.append(pid)
+        if members:
+            self._aggs[seq] = members
+
+    def on_tx_done(self, t: float, seq: int, ok: bool) -> None:
+        if not ok:
+            return
+        in_window = self._in_window(t)
+        for pid in self._aggs.pop(seq, ()):  # unknown seq: uplink/VO
+            span = self._open.pop(pid, None)
+            if span is None:
+                continue  # already closed by a drop record
+            span._close(t, "delivered")
+            span.in_window = in_window
+            self.sink(span)
+
+    def on_pop(self, t: float, seq: int) -> None:
         for pid in self._aggs.get(seq, ()):
             span = self._open.get(pid)
             if span is not None and span.stage == "hw":
                 # Only the first pop moves the packet onto the air; retry
                 # pops find it already in the 'air' stage.
                 span._advance("air", t)
-        return []
+
+    def on_marker(self, t: float) -> None:
+        self.window_start_us = t
 
     def _forget_agg_member(self, span: Span) -> None:
         if span.agg_seq is None:

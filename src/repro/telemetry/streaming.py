@@ -461,31 +461,26 @@ def _field_index(fields: Sequence[Tuple[Any, ...]], name: str) -> Optional[int]:
     return None
 
 
-class StreamingStats:
-    """O(1)-memory per-run aggregator fed from the trace-bus taps.
+class RunAccounts:
+    """The tx / drop / marker accounts behind a run's summary tables.
 
-    Registered on a :class:`~repro.telemetry.trace.TraceBus` via
-    :meth:`register`; every shape the aggregator understands is consumed
-    positionally (prebound sites) or from the kwargs dict (generic
-    sites).  Everything is windowed like ``trace summarize``: the
-    per-station airtime table resets at the ``measurement_start`` marker,
-    drop counters and sojourn sketches cover the whole trace.
+    ``Telemetry`` taps these onto every trace bus, so the ``airtime_us``
+    and ``drops`` tables of ``finish()`` never need the ring decoded.
+    Windowed like ``trace summarize``: the per-station table resets at
+    each ``measurement_start`` marker, drop counters cover the whole
+    trace.  :class:`StreamingStats` extends the same three consumers
+    with its sketches rather than tapping the records a second time.
     """
 
-    def __init__(self, max_centroids: int = 200,
-                 jain_window_us: float = 1_000_000.0) -> None:
-        self.max_centroids = max_centroids
+    #: ``fn(t, station, airtime_us)`` called per tx record (a subclass
+    #: hook: the windowed Jain series rides the tx consumer).
+    _on_airtime: Optional[Callable[[float, int, float], None]] = None
+
+    def __init__(self) -> None:
         #: station -> transmission accounting (measurement window).
         self.stations: Dict[int, _StationAccount] = {}
-        #: layer -> sojourn sketch (whole trace; µs).
-        self.sojourn: Dict[str, QuantileSketch] = {}
-        #: station -> RTT sketch (measurement window; µs).
-        self.rtt: Dict[int, QuantileSketch] = {}
         #: (layer, reason) -> drop count.
         self.drops: Dict[Tuple[str, str], int] = {}
-        #: (layer, station) -> [enqueues, dequeues].
-        self.queue_counts: Dict[Tuple[str, Any], List[int]] = {}
-        self.jain = WindowedJain(jain_window_us)
         #: One-cell record counter shared by every bound consumer — a
         #: closure-local list increment is cheaper per record than an
         #: attribute store on ``self``.
@@ -500,11 +495,9 @@ class StreamingStats:
     # Tap protocol
     # ------------------------------------------------------------------
     def register(self, bus) -> None:
-        """Attach this aggregator's taps to ``bus`` (before channels bind)."""
+        """Attach the accounts' taps to ``bus`` (before channels bind)."""
         bus.add_tap("tx", "tx", self._bind_tx)
-        bus.add_tap("queue", "dequeue", self._bind_dequeue)
         bus.add_tap("queue", "drop", self._bind_drop)
-        bus.add_tap("queue", "enqueue", self._bind_enqueue)
         bus.add_tap("meta", "measurement_start", self._bind_measurement_start)
 
     # Each binder receives the site's field declaration and returns a
@@ -517,7 +510,7 @@ class StreamingStats:
         i_bytes = _field_index(fields, "bytes")
         i_ok = _field_index(fields, "ok")
         stations = self.stations
-        jain = self.jain
+        on_airtime = self._on_airtime
         seen = self._seen
 
         def consume(t: float, *values: Any) -> None:
@@ -538,9 +531,87 @@ class StreamingStats:
                     account.payload_bytes += values[i_bytes]
             else:
                 account.uplink_airtime_us += airtime
-            jain.observe(t, station, airtime)
+            if on_airtime is not None:
+                on_airtime(t, station, airtime)
 
         return consume
+
+    def _bind_drop(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
+        i_layer = _field_index(fields, "layer")
+        i_reason = _field_index(fields, "reason")
+        layer_const = next(
+            (spec[2] for spec in fields
+             if spec[0] == "layer" and spec[1] == "c"), None,
+        )
+        drops = self.drops
+        seen = self._seen
+
+        def consume(t: float, *values: Any) -> None:
+            seen[0] += 1
+            layer = layer_const if i_layer is None else values[i_layer]
+            reason = values[i_reason] if i_reason is not None else "?"
+            key = (layer, reason)
+            drops[key] = drops.get(key, 0) + 1
+
+        return consume
+
+    def _bind_measurement_start(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
+        def consume(t: float, *values: Any) -> None:
+            self.reset_window(t)
+
+        return consume
+
+    # ------------------------------------------------------------------
+    def reset_window(self, t_us: float) -> None:
+        """Start the measurement window: discard warm-up accounting.
+
+        Mirrors ``trace summarize``'s windowing (and the
+        ``AirtimeTracker`` reset): station totals restart, drop counters
+        keep whole-trace scope, exactly like the decode path.
+        """
+        self.measurement_start_us = t_us
+        self.stations.clear()
+
+    def airtime_table(self) -> Dict[int, float]:
+        """``summary["airtime_us"]``: station -> windowed airtime."""
+        return {station: account.airtime_us
+                for station, account in sorted(self.stations.items())}
+
+    def drop_table(self) -> Dict[str, int]:
+        """``summary["drops"]``: ``layer:reason`` -> whole-trace count."""
+        return {f"{layer}:{reason}": count
+                for (layer, reason), count in sorted(self.drops.items())}
+
+
+class StreamingStats(RunAccounts):
+    """O(1)-memory per-run aggregator fed from the trace-bus taps.
+
+    Registered on a :class:`~repro.telemetry.trace.TraceBus` via
+    :meth:`register`; every shape the aggregator understands is consumed
+    positionally (prebound sites) or from the kwargs dict (generic
+    sites).  Everything is windowed like ``trace summarize``: the
+    per-station airtime table resets at the ``measurement_start`` marker,
+    drop counters and sojourn sketches cover the whole trace.
+    """
+
+    def __init__(self, max_centroids: int = 200,
+                 jain_window_us: float = 1_000_000.0) -> None:
+        super().__init__()
+        self.max_centroids = max_centroids
+        #: layer -> sojourn sketch (whole trace; µs).
+        self.sojourn: Dict[str, QuantileSketch] = {}
+        #: station -> RTT sketch (measurement window; µs).
+        self.rtt: Dict[int, QuantileSketch] = {}
+        #: (layer, station) -> [enqueues, dequeues].
+        self.queue_counts: Dict[Tuple[str, Any], List[int]] = {}
+        self.jain = WindowedJain(jain_window_us)
+        self._on_airtime = self.jain.observe
+
+    def register(self, bus) -> None:
+        """Attach this aggregator's taps to ``bus`` (before channels bind)."""
+        super().register(bus)
+        bus.add_tap("queue", "dequeue", self._bind_dequeue)
+        bus.add_tap("queue", "enqueue", self._bind_enqueue)
 
     def _bind_dequeue(self, fields: Sequence[Tuple[Any, ...]]) -> Optional[Callable[..., None]]:
         i_layer = _field_index(fields, "layer")
@@ -641,42 +712,11 @@ class StreamingStats:
 
         return consume
 
-    def _bind_drop(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
-        i_layer = _field_index(fields, "layer")
-        i_reason = _field_index(fields, "reason")
-        layer_const = next(
-            (spec[2] for spec in fields
-             if spec[0] == "layer" and spec[1] == "c"), None,
-        )
-        drops = self.drops
-        seen = self._seen
-
-        def consume(t: float, *values: Any) -> None:
-            seen[0] += 1
-            layer = layer_const if i_layer is None else values[i_layer]
-            reason = values[i_reason] if i_reason is not None else "?"
-            key = (layer, reason)
-            drops[key] = drops.get(key, 0) + 1
-
-        return consume
-
-    def _bind_measurement_start(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
-        def consume(t: float, *values: Any) -> None:
-            self.reset_window(t)
-
-        return consume
-
     # ------------------------------------------------------------------
     def reset_window(self, t_us: float) -> None:
-        """Start the measurement window: discard warm-up accounting.
-
-        Mirrors ``trace summarize``'s windowing (and the
-        ``AirtimeTracker`` reset): station totals, RTT sketches, and the
-        Jain series restart; sojourn sketches and drop counters keep
-        whole-trace scope, exactly like the decode path.
-        """
-        self.measurement_start_us = t_us
-        self.stations.clear()
+        """RTT sketches and the Jain series restart with the station
+        totals; sojourn sketches keep whole-trace scope."""
+        super().reset_window(t_us)
         self.rtt.clear()
         self.jain.reset()
 
@@ -715,10 +755,7 @@ class StreamingStats:
                 str(station): sketch.to_dict()
                 for station, sketch in sorted(self.rtt.items())
             },
-            "drops": {
-                f"{layer}:{reason}": count
-                for (layer, reason), count in sorted(self.drops.items())
-            },
+            "drops": self.drop_table(),
             "queues": {
                 f"{layer}:{'-' if station is None else station}": {
                     "enqueues": pair[0], "dequeues": pair[1],

@@ -32,63 +32,69 @@ The category vocabulary lives in
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.telemetry.ring import FieldSpec, TraceRing
 
-__all__ = ["TraceBus", "TraceChannel", "RingTraceChannel", "load_trace"]
+__all__ = ["TraceBus", "TraceChannel", "RingTraceChannel", "load_trace",
+           "bind_positional"]
 
 
-def _tee(emit, consumers, fields=None):
-    """Chain an emitter with tap consumers (rare: only tapped shapes).
+_serial = itertools.count()
 
-    With ``fields`` the single-consumer wrapper is specialised to the
-    shape's positional arity, so the hot path forwards values without
-    packing them into a tuple twice.
+
+def _positional_fn(name, n_values, calls, env, filename):
+    """Compile ``name(t, v0, .., v<n-1>)`` making ``calls`` in order.
+
+    ``calls`` pairs a callee with its argument names, both resolved in
+    ``env`` or among the parameters.  Generating the exact arity (the
+    ``namedtuple`` trick) forwards a record without packing ``*values``
+    on the way in and unpacking them on the way out.  Profiles and
+    tracebacks charge the function to ``filename``; the serial keeps
+    its (file, line, name) key unique, which cProfile needs to count it.
     """
+    name = f"{name}_{next(_serial)}"
+    params = ", ".join(["t"] + [f"v{i}" for i in range(n_values)])
+    body = "; ".join(f"{callee}({', '.join(args)})" for callee, args in calls)
+    exec(compile(f"def {name}({params}): {body}", filename, "exec"), env)
+    return env[name]
+
+
+def bind_positional(handler, wanted, fields, filename=__file__):
+    """An :meth:`TraceBus.add_tap` consumer calling ``handler(t, *wanted)``.
+
+    ``wanted`` maps each field to the default that stands in when the
+    shape lacks it.  Constant fields and defaults are resolved here, at
+    bind time: a tapped record costs one arity-exact call on top of the
+    handler's, charged to ``filename`` (pass the consumer's own module).
+    """
+    positional = [spec[0] for spec in fields if spec[1] != "c"]
+    consts = {spec[0]: spec[2] for spec in fields if spec[1] == "c"}
+    env = {"handler": handler}
+    args = ["t"]
+    for name, default in wanted.items():
+        if name in positional:
+            args.append(f"v{positional.index(name)}")
+            continue
+        env[f"c{len(args)}"] = consts.get(name, default)
+        args.append(f"c{len(args)}")
+    label = getattr(handler, "__name__", "handler")
+    return _positional_fn(f"tap_{label if label.isidentifier() else 'fn'}",
+                          len(positional), [("handler", args)], env, filename)
+
+
+def _tee(emit, consumers, fields):
+    """Chain an emitter with tap consumers (only tapped shapes pay)."""
     if not consumers:
         return emit
-    if len(consumers) == 1:
-        consume = consumers[0]
-        n = (sum(1 for spec in fields if spec[1] != "c")
-             if fields is not None else -1)
-        if n == 3:
-            def emit_tapped3(t: float, v0: Any, v1: Any, v2: Any) -> None:
-                emit(t, v0, v1, v2)
-                consume(t, v0, v1, v2)
-            return emit_tapped3
-        if n == 2:
-            def emit_tapped2(t: float, v0: Any, v1: Any) -> None:
-                emit(t, v0, v1)
-                consume(t, v0, v1)
-            return emit_tapped2
-        if n == 4:
-            def emit_tapped4(t: float, v0: Any, v1: Any, v2: Any,
-                             v3: Any) -> None:
-                emit(t, v0, v1, v2, v3)
-                consume(t, v0, v1, v2, v3)
-            return emit_tapped4
-        if n == 5:
-            def emit_tapped5(t: float, v0: Any, v1: Any, v2: Any,
-                             v3: Any, v4: Any) -> None:
-                emit(t, v0, v1, v2, v3, v4)
-                consume(t, v0, v1, v2, v3, v4)
-            return emit_tapped5
-
-        def emit_tapped(t: float, *values: Any) -> None:
-            emit(t, *values)
-            consume(t, *values)
-
-        return emit_tapped
-    sinks = (emit, *consumers)
-
-    def emit_tapped(t: float, *values: Any) -> None:
-        for sink in sinks:
-            sink(t, *values)
-
-    return emit_tapped
+    n_values = sum(1 for spec in fields if spec[1] != "c")
+    args = ["t"] + [f"v{i}" for i in range(n_values)]
+    sinks = {f"sink{i}": sink for i, sink in enumerate((emit, *consumers))}
+    return _positional_fn("emit_tapped", n_values,
+                          [(name, args) for name in sinks], sinks, __file__)
 
 
 class TraceChannel:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -122,3 +123,28 @@ class TestExitCodeContract:
                         tmp_path)
         assert proc.returncode == 2
         assert "unknown golden" in proc.stderr
+
+
+def test_spans_without_trace_dir_stitches_in_memory(tmp_path):
+    """``--spans`` alone turns on in-memory tracing: spans are stitched
+    from taps, so there is no file to require."""
+    from repro.experiments.cli import _telemetry_from_args
+
+    args = argparse.Namespace(trace=None, trace_categories=None,
+                              metrics_out=None, spans=True, ledger=False,
+                              streaming=False)
+    telemetry = _telemetry_from_args(args)
+    assert telemetry.trace and telemetry.spans
+    assert telemetry.trace_path is None
+    # With --streaming the hooks are already live and the ring stays
+    # bounded.
+    args.streaming = True
+    assert _telemetry_from_args(args).effective_capacity is not None
+
+    done = _run_cli(["fig05", "--duration", "0.4", "--warmup", "0.2",
+                     "--no-cache", "--spans", "--ledger", "--strict"],
+                    tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "needs a trace" not in done.stderr
+    assert "Figure 5" in done.stdout
+    assert not list(tmp_path.glob("**/*.trace.jsonl"))
