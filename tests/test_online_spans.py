@@ -86,9 +86,26 @@ def _canonical_digest(summary: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: Metrics runs also pin the sampler's series in probe (insertion)
+#: order, which the sorted ``snapshot()`` inside the summary hides.
+SERIES_RUNS = [key for key in RUNS if key.startswith("udp-metrics/")]
+
+
+def _series_digest(testbed) -> str:
+    series = testbed.telemetry.metrics.series
+    text = json.dumps([[name, points] for name, points in series.items()],
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def pinned_finish_digests() -> dict:
-    return {key: _canonical_digest(run().finish_telemetry())
-            for key, run in RUNS.items()}
+    out = {}
+    for key, run in RUNS.items():
+        testbed = run()
+        out[key] = _canonical_digest(testbed.finish_telemetry())
+        if key in SERIES_RUNS:
+            out[key + "#series"] = _series_digest(testbed)
+    return out
 
 
 @pytest.mark.parametrize("key", list(RUNS))
@@ -105,6 +122,20 @@ def test_online_summary_matches_pinned_digest_and_offline_stitch(key):
     assert offline.windowed is (key != "udp-no-marker/AIRTIME")
     if key.startswith("campus"):
         assert set(offline.bss_of.values()) == {0, 1}
+
+
+@pytest.mark.parametrize("key", SERIES_RUNS)
+def test_sampler_series_match_pinned_digest(key):
+    testbed = RUNS[key]()
+    testbed.finish_telemetry()
+    series = testbed.telemetry.metrics.series
+    assert "ap_queued_packets" in series
+    assert any(name.startswith("sched_deficit_us.") for name in series) \
+        is key.endswith("/AIRTIME")
+    assert any(name.startswith("driver_occupancy.") for name in series) \
+        is key.endswith("/FIFO")
+    pinned = json.loads(DIGEST_FIXTURE.read_text())
+    assert _series_digest(testbed) == pinned[key + "#series"]
 
 
 # ----------------------------------------------------------------------

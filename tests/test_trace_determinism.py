@@ -8,6 +8,7 @@ per run — these tests are the regression net for that.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -19,7 +20,8 @@ from repro.experiments import airtime_udp, workloads
 from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.faults import BurstLoss, Churn, FaultSchedule, Interference, RateCrash
-from repro.mac.ap import Scheme
+from repro.mac.ap import APConfig, Scheme
+from repro.phy.channel import StationChannel
 from repro.runner import ResultCache, Runner
 from repro.telemetry import TelemetryConfig
 from repro.traffic.voip import VoipFlow
@@ -234,13 +236,32 @@ def _voip_scenario(testbed):
     return 0.4, 0.2
 
 
-#: name -> (scenario, schemes, fault schedule)
+#: name -> (scenario, schemes, TestbedOptions overrides)
 PINNED_SCENARIOS = {
-    "udp": (_udp_scenario, ALL_SCHEMES, None),
-    "tcp": (_tcp_scenario, ALL_SCHEMES, None),
+    "udp": (_udp_scenario, ALL_SCHEMES, {}),
+    "tcp": (_tcp_scenario, ALL_SCHEMES, {}),
     # Churn flush: mac_fq flush, scheduler station_drop / re-enter.
-    "udp-impaired": (_udp_scenario, (Scheme.AIRTIME,), IMPAIRMENTS),
-    "voip-vo": (_voip_scenario, (Scheme.FIFO,), None),
+    "udp-impaired": (_udp_scenario, (Scheme.AIRTIME,),
+                     {"faults": IMPAIRMENTS}),
+    "voip-vo": (_voip_scenario, (Scheme.FIFO,), {}),
+    # Recorded on the tree that still had a separate single-AP testbed,
+    # for what only that testbed did: strict watchdogs over a fault
+    # schedule (passing ``conservation`` / ``ledger_audit`` fault
+    # records), per-station rate-dependent channels under rate control,
+    # and the periodic sampler's probes.
+    "udp-impaired-strict": (_udp_scenario, (Scheme.AIRTIME,), {
+        "faults": IMPAIRMENTS, "strict": True,
+        "telemetry": dataclasses.replace(FULL_TRACE, ledger_tolerance=0.2),
+    }),
+    "udp-ratecontrol": (_udp_scenario, (Scheme.AIRTIME,), {
+        "ap_config": APConfig(rate_control=True),
+        "station_channels": {
+            0: StationChannel(max_reliable_mcs=3, step_error=0.5),
+        },
+    }),
+    "udp-metrics": (_udp_scenario, (Scheme.FIFO, Scheme.AIRTIME), {
+        "telemetry": dataclasses.replace(FULL_TRACE, metrics=True),
+    }),
 }
 
 
@@ -258,9 +279,10 @@ def _digest_key(name: str, scheme: Scheme) -> str:
 
 def _traced_run(name: str, scheme: Scheme,
                 duration_scale: float = 1.0) -> Testbed:
-    scenario, _, faults = PINNED_SCENARIOS[name]
+    scenario, _, overrides = PINNED_SCENARIOS[name]
     testbed = Testbed(three_station_rates(), TestbedOptions(
-        scheme=scheme, seed=1, telemetry=FULL_TRACE, faults=faults))
+        **{"scheme": scheme, "seed": 1, "telemetry": FULL_TRACE,
+           **overrides}))
     duration_s, warmup_s = scenario(testbed)
     testbed.run(duration_s * duration_scale, warmup_s * duration_scale)
     return testbed
