@@ -127,7 +127,8 @@ def campus_metrics(campus: CampusTestbed, flows: Dict, window_us: float) -> Dict
         },
         "roams": len(campus.roam_log),
         "roam_flushed": sum(entry[4] for entry in campus.roam_log),
-        "churn_events": campus.churn_events,
+        "churn_events": (campus.fault_injector.detaches
+                         if campus.fault_injector is not None else 0),
     }
 
 

@@ -1,283 +1,34 @@
-"""Testbed assembly: build the simulated equivalent of the paper's setup.
+"""The paper's testbed: one AP, its stations and the wired server.
 
-A :class:`Testbed` wires together one simulator, the medium, an access
-point under a chosen scheme, a set of client stations with fixed PHY
-rates, and the wired server — the moral equivalent of the five-PC testbed
-(Section 4) or the 30-client third-party testbed (Section 4.1.5).
+:class:`Testbed` is the one-cell entry to
+:class:`~repro.topology.campus.CampusTestbed` — the moral equivalent of
+the five-PC testbed (Section 4) or the 30-client third-party testbed
+(Section 4.1.5), described by a list of PHY rates instead of a
+:class:`~repro.topology.spec.Topology`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Sequence
 
-from repro.analysis.stats import AirtimeTracker
-from repro.core.packet import reset_packet_counters
-from repro.faults import (
-    ConservationReport,
-    FaultInjector,
-    FaultSchedule,
-    InvariantViolation,
-    StallDetector,
-    audit_conservation,
-)
-from repro.mac.ap import APConfig, Scheme
-from repro.mac.station import ClientStation
-from repro.topology.build import (
-    build_bss_stack,
-    build_medium,
-    medium_stream_name,
-)
-from repro.net.wire import DEFAULT_WIRE_DELAY_US, Server, WiredNetwork
 from repro.phy.rates import PhyRate
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngFactory
-from repro.telemetry import PeriodicSampler, Telemetry, TelemetryConfig
-from repro.telemetry import flightrec
+from repro.topology.campus import CampusTestbed, TestbedOptions
+from repro.topology.spec import BssSpec, Topology
 
 __all__ = ["Testbed", "TestbedOptions"]
 
 
-@dataclass(frozen=True)
-class TestbedOptions:
-    """Knobs shared by all experiments."""
-
-    scheme: Scheme = Scheme.AIRTIME
-    seed: int = 1
-    wire_delay_us: float = DEFAULT_WIRE_DELAY_US
-    error_rate: float = 0.0
-    ap_config: Optional[APConfig] = None
-    #: Optional per-station rate-dependent channels (the rate-control
-    #: extension); maps station index -> StationChannel.
-    station_channels: Optional[dict] = None
-    #: Client uplink queueing: 'fq_codel' (Ubuntu 16.04 default) / 'fifo'.
-    client_queueing: str = "fq_codel"
-    #: Telemetry (tracing / metrics); ``None`` or an inactive config keeps
-    #: every instrumentation site on its zero-cost path.
-    telemetry: Optional[TelemetryConfig] = None
-    #: Fault injection (channel impairments, churn); ``None`` runs clean.
-    #: Rides in the cache digest like every other option, so impaired
-    #: runs never collide with clean ones.
-    faults: Optional[FaultSchedule] = None
-    #: Strict mode: invariant-watchdog violations (packet conservation,
-    #: stalls) raise :class:`InvariantViolation` instead of being
-    #: recorded for the report.
-    strict: bool = False
-
-
-class Testbed:
-    """A fully wired simulation: AP + stations + server + measurement."""
+class Testbed(CampusTestbed):
+    """One cell on channel 0; station ``i`` transmits at ``rates[i]``."""
 
     def __init__(self, rates: Sequence[PhyRate], options: TestbedOptions) -> None:
-        self.options = options
-        # Packet/flow ids are process-global counters; restart them per
-        # testbed so a run's trace does not depend on what else ran in
-        # this process (serial vs pool-worker execution).
-        reset_packet_counters()
-        self.sim = Simulator()
-        self.rng = RngFactory(options.seed)
-        error_prob_fn = None
-        if options.station_channels is not None:
-            channels = options.station_channels
-
-            def error_prob_fn(agg, _channels=channels):
-                channel = _channels.get(agg.station)
-                return channel.error_prob(agg.rate) if channel else 0.0
-
-        # Medium + AP + stations come from the shared topology builders
-        # (the campus testbed builds every cell from the same code path).
-        self.medium = build_medium(
-            self.sim,
-            self.rng.stream(medium_stream_name(0)),
-            error_rate=options.error_rate,
-            error_prob_fn=error_prob_fn,
+        # The cell's MCS indices are placeholders: ``rates`` pins every
+        # station, including rates that are not an MCS index.
+        cell = BssSpec(bss_id=0, mcs_indices=(0,) * len(rates))
+        super().__init__(
+            Topology(bsses=(cell,)), options, rates=dict(enumerate(rates))
         )
 
-        if options.ap_config is not None:
-            config = replace(options.ap_config, scheme=options.scheme)
-        else:
-            config = APConfig(scheme=options.scheme)
-        stack = build_bss_stack(
-            self.sim,
-            self.medium,
-            list(enumerate(rates)),
-            config=config,
-            client_queueing=options.client_queueing,
-        )
-        self.ap = stack.ap
-        self.stations: Dict[int, ClientStation] = stack.stations
 
-        self.server = Server()
-        self.network = WiredNetwork(
-            self.sim, self.server, self.ap, delay_us=options.wire_delay_us
-        )
-
-        self.tracker = AirtimeTracker()
-        self.medium.add_observer(self.tracker.on_transmission)
-
-        #: Hooks invoked when the warm-up window ends (flows register
-        #: their ``reset_window`` here).
-        self.warmup_resets: List[Callable[[], None]] = []
-
-        # --- telemetry -------------------------------------------------
-        self.telemetry: Optional[Telemetry] = None
-        self.sampler: Optional[PeriodicSampler] = None
-        if options.telemetry is not None and options.telemetry.active:
-            self.telemetry = Telemetry(options.telemetry)
-            self.ap.set_trace(self.telemetry)
-            tx_channel = self.telemetry.channel("tx")
-            if tx_channel is not None:
-                em_tx = tx_channel.emitter("tx", (
-                    ("station", "q"), ("airtime_us", "d"), ("tx_us", "d"),
-                    ("down", "b"), ("agg", "q"), ("n_pkts", "q"),
-                    ("bytes", "q"), ("ac", "s"), ("ok", "b"),
-                    ("retries", "q"),
-                ))
-
-                def on_tx(rec, _emit=em_tx):
-                    _emit(
-                        rec.start_us + rec.airtime_us,
-                        rec.station, rec.airtime_us, rec.tx_time_us,
-                        rec.downlink, rec.agg_seq, rec.n_packets,
-                        rec.payload_bytes, rec.ac.name, rec.success,
-                        rec.retries,
-                    )
-                self.medium.add_observer(on_tx)
-            if self.telemetry.ledger is not None:
-                self.medium.add_observer(self.telemetry.ledger.on_transmission)
-                self.ap.set_ledger(self.telemetry.ledger)
-            if self.telemetry.metrics is not None:
-                self.sampler = PeriodicSampler(
-                    self.sim, self.telemetry.metrics,
-                    interval_ms=options.telemetry.sample_interval_ms,
-                )
-                self.sampler.add_probe(self._sample_queues)
-                self.sampler.add_probe(self._sample_stations)
-                self.sampler.start()
-
-        # --- fault injection + watchdogs -------------------------------
-        self.fault_injector: Optional[FaultInjector] = None
-        self.stall_detector: Optional[StallDetector] = None
-        #: Filled by :meth:`run` when faults/strict are active.
-        self.conservation: Optional[ConservationReport] = None
-        fault_channel = (
-            self.telemetry.channel("fault")
-            if self.telemetry is not None else None
-        )
-        if options.faults is not None and not options.faults.empty:
-            self.fault_injector = FaultInjector(
-                self, options.faults, trace_channel=fault_channel
-            ).install()
-        if options.strict or self.fault_injector is not None:
-            self.stall_detector = StallDetector(
-                self, strict=options.strict, trace_channel=fault_channel
-            ).start()
-        if options.strict:
-            # Same-timestamp livelock guard on the event engine; one µs of
-            # simulated time never legitimately needs this many events.
-            self.sim.set_stall_guard(1_000_000)
-
-        # Flight recorder: whoever dies while this testbed is the active
-        # simulation can dump its ring tail / watchdog / streaming state.
-        # Weak registration; a no-op unless REPRO_FLIGHT_DIR is set.
-        flightrec.register(self)
-
-    # ------------------------------------------------------------------
-    def _sample_queues(self) -> Dict[str, float]:
-        out: Dict[str, float] = {
-            "ap_queued_packets": self.ap.total_queued_packets(),
-            "hw_occupancy": self.ap._hw.occupancy(),
-            "sim_heap_len": self.sim.heap_len,
-        }
-        if self.ap.driver is not None:
-            out["driver_backlog"] = self.ap.driver.backlog
-        return out
-
-    def _sample_stations(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for station, deficit in self.ap.scheduler.deficit_snapshot().items():
-            out[f"sched_deficit_us.{station}"] = deficit
-        for station, airtime in self.tracker.airtime_us.items():
-            out[f"airtime_us.{station}"] = airtime
-        if self.ap.driver is not None:
-            for station, n in self.ap.driver.occupancy_by_station().items():
-                out[f"driver_occupancy.{station}"] = n
-        return out
-
-    def finish_telemetry(self) -> Optional[Dict]:
-        """Stop sampling, flush trace/metrics, return the summary dict."""
-        if self.telemetry is None:
-            return None
-        if self.sampler is not None:
-            self.sampler.stop()
-        return self.telemetry.finish()
-
-    # ------------------------------------------------------------------
-    def add_warmup_reset(self, reset: Callable[[], None]) -> None:
-        self.warmup_resets.append(reset)
-
-    def run(self, duration_s: float, warmup_s: float = 0.0) -> float:
-        """Run warm-up then the measurement window.
-
-        Returns the measurement window length in µs (the divisor for
-        throughput computations).
-        """
-        ledger = self.telemetry.ledger if self.telemetry is not None else None
-        if warmup_s > 0:
-            self.sim.run(until_us=self.sim.sec(warmup_s))
-            self.tracker.reset()
-            for reset in self.warmup_resets:
-                reset()
-            if ledger is not None:
-                # The ledger windows exactly like the AirtimeTracker:
-                # warm-up traffic is discarded, and the busy/collision
-                # baselines anchor the conservation check.
-                ledger.reset(
-                    busy_baseline_us=self.medium.busy_time_us,
-                    collision_baseline=self.medium.collision_count,
-                )
-        if self.telemetry is not None:
-            # Everything after this marker is the measurement window; the
-            # trace summariser windows its airtime table here, exactly
-            # where the AirtimeTracker resets.
-            self.telemetry.mark(self.sim.now, "measurement_start")
-        start = self.sim.now
-        self.sim.run(until_us=self.sim.sec(warmup_s + duration_s))
-        if self.stall_detector is not None:
-            self.stall_detector.stop()
-        if self.options.strict or self.fault_injector is not None:
-            self.conservation = audit_conservation(self)
-            if self.telemetry is not None:
-                channel = self.telemetry.channel("fault")
-                if channel is not None:
-                    channel.emit(
-                        self.sim.now, "conservation",
-                        ok=self.conservation.ok,
-                        balance=self.conservation.balance,
-                    )
-            if self.options.strict and not self.conservation.ok:
-                raise InvariantViolation(self.conservation.describe())
-        if ledger is not None:
-            audit = ledger.audit(
-                rates={s: st.rate for s, st in self.stations.items()},
-                airtime_fairness=self.options.scheme is Scheme.AIRTIME,
-                tolerance=self.options.telemetry.ledger_tolerance,
-                medium_busy_us=self.medium.busy_time_us,
-                collision_count=self.medium.collision_count,
-            )
-            self.telemetry.ledger_audit = audit
-            channel = self.telemetry.channel("fault")
-            if channel is not None:
-                channel.emit(
-                    self.sim.now, "ledger_audit", ok=audit.ok,
-                    worst_delta=audit.worst_delta,
-                    model_checked=audit.model_checked,
-                )
-            if self.options.strict and not audit.ok:
-                raise InvariantViolation(audit.describe())
-        return self.sim.now - start
-
-
-# These classes start with "Test" but are library code, not test cases.
+# Starts with "Test" but is library code, not a test case.
 Testbed.__test__ = False
-TestbedOptions.__test__ = False

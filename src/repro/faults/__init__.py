@@ -23,6 +23,7 @@ from repro.faults.watchdog import (
     InvariantViolation,
     StallDetector,
     audit_conservation,
+    count_conservation,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "RateCrash",
     "StallDetector",
     "audit_conservation",
+    "count_conservation",
 ]

@@ -1,8 +1,9 @@
 """The fault injector: turns a schedule into live impairments.
 
-The injector composes three mechanisms onto a wired :class:`Testbed`:
+The injector composes three mechanisms onto a wired testbed (any number
+of cells — stations are named by their global index):
 
-* an **error-probability wrapper** around the medium's error model —
+* an **error-probability wrapper** around every medium's error model —
   the base model (uniform ``error_rate`` or per-station channels) is
   combined with whatever impairments are active at query time as
   independent loss processes: ``1 - Π(1 - pᵢ)``, clamped to 0.98 so a
@@ -11,7 +12,8 @@ The injector composes three mechanisms onto a wired :class:`Testbed`:
   burst-loss chains, interference windows, and rate crashes — these are
   scheduled unconditionally (not only when tracing), so enabling
   telemetry never perturbs event ordering;
-* **churn events** that call the AP's detach/re-attach entry points.
+* **churn events** that call the detach/re-attach entry points of the
+  AP serving the station at that moment.
 
 Randomness comes from per-fault streams of the testbed's
 :class:`~repro.sim.rng.RngFactory` (``faults.burst.<n>``), so adding
@@ -21,7 +23,7 @@ impaired runs with the same seed replay identically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.faults.gilbert import GilbertElliott
 from repro.faults.schedule import BurstLoss, Churn, FaultSchedule, RateCrash
@@ -29,7 +31,7 @@ from repro.mac.aggregation import Aggregate
 from repro.phy.channel import StationChannel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.testbed import Testbed
+    from repro.topology.campus import CampusTestbed
 
 __all__ = ["FaultInjector", "MAX_ERROR_PROB"]
 
@@ -43,7 +45,7 @@ class FaultInjector:
 
     def __init__(
         self,
-        testbed: "Testbed",
+        testbed: "CampusTestbed",
         schedule: FaultSchedule,
         trace_channel=None,
     ) -> None:
@@ -67,14 +69,13 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def install(self) -> "FaultInjector":
-        """Wrap the error model and schedule every fault's edge events."""
+        """Wrap the error models and schedule every fault's edge events."""
         testbed = self._testbed
         sim = testbed.sim
-        medium = testbed.medium
-
-        self._base_fn = medium.error_prob_fn
-        self._base_rate = medium.error_rate
-        medium.error_prob_fn = self._error_prob
+        for medium in testbed.mediums.values():
+            medium.error_prob_fn = self._impaired(
+                medium.error_prob_fn, medium.error_rate
+            )
 
         for i, fault in enumerate(self._schedule.burst_loss):
             chain = GilbertElliott(
@@ -124,22 +125,25 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Composed error model
     # ------------------------------------------------------------------
-    def _error_prob(self, agg: Aggregate) -> float:
-        if self._base_fn is not None:
-            prob = self._base_fn(agg)
-        else:
-            prob = self._base_rate
-        chains = self._active_ge.get(agg.station)
-        if chains:
-            now = self._testbed.sim.now
-            for chain in chains:
-                prob = _combine(prob, chain.error_prob(now))
-        for extra in self._active_interference:
-            prob = _combine(prob, extra)
-        crash = self._active_crash.get(agg.station)
-        if crash is not None:
-            prob = _combine(prob, crash.error_prob(agg.rate))
-        return min(prob, MAX_ERROR_PROB)
+    def _impaired(
+        self, base_fn: Optional[Callable], base_rate: float
+    ) -> Callable[[Aggregate], float]:
+        """One medium's own error model composed with the active faults."""
+        def error_prob(agg: Aggregate) -> float:
+            prob = base_fn(agg) if base_fn is not None else base_rate
+            chains = self._active_ge.get(agg.station)
+            if chains:
+                now = self._testbed.sim.now
+                for chain in chains:
+                    prob = _combine(prob, chain.error_prob(now))
+            for extra in self._active_interference:
+                prob = _combine(prob, extra)
+            crash = self._active_crash.get(agg.station)
+            if crash is not None:
+                prob = _combine(prob, crash.error_prob(agg.rate))
+            return min(prob, MAX_ERROR_PROB)
+
+        return error_prob
 
     # ------------------------------------------------------------------
     # Window edges
@@ -183,15 +187,20 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Churn
     # ------------------------------------------------------------------
+    def _serving_ap(self, station: int):
+        testbed = self._testbed
+        return testbed.bss[testbed.serving[station]].ap
+
     def _detach(self, fault: Churn) -> None:
-        flushed = self._testbed.ap.detach_station(fault.station, fault.mode)
+        ap = self._serving_ap(fault.station)
+        flushed = ap.detach_station(fault.station, fault.mode)
         self.detaches += 1
         self.flushed_packets += flushed
         self._emit("detach", station=fault.station, mode=fault.mode,
                    flushed=flushed)
 
     def _reattach(self, fault: Churn) -> None:
-        self._testbed.ap.reattach_station(fault.station)
+        self._serving_ap(fault.station).reattach_station(fault.station)
         self.reattaches += 1
         self._emit("reattach", station=fault.station)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Container, Optional, Tuple, Union
 
 __all__ = [
     "BurstLoss",
@@ -153,6 +153,16 @@ class FaultSchedule:
             self.burst_loss or self.interference
             or self.rate_crash or self.churn
         )
+
+    def check_stations(self, stations: Container[int]) -> None:
+        """Raise unless every per-station fault names one of ``stations``
+        (the testbed calls this before anything is built or scheduled)."""
+        for kind in ("burst_loss", "rate_crash", "churn"):
+            for fault in getattr(self, kind):
+                if fault.station not in stations:
+                    raise ValueError(
+                        f"{kind} references unknown station {fault.station}"
+                    )
 
     # ------------------------------------------------------------------
     # Construction from JSON / dicts (the CLI's --faults flag)

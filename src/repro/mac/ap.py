@@ -40,7 +40,7 @@ from repro.qdisc.pfifo import PfifoQdisc
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.wire import WiredNetwork
+    from repro.net.wire import Network
 
 __all__ = ["AccessPoint", "Scheme", "APConfig"]
 
@@ -109,7 +109,7 @@ class AccessPoint:
 
         self._builder = AggregateBuilder(self.config.aggregation)
         self._hw = HardwareQueue()
-        self.network: Optional["WiredNetwork"] = None
+        self.network: Optional["Network"] = None
 
         self.codel_tuner = PerStationCoDelTuner(
             enabled=self.config.codel_lowrate_tuning
@@ -211,7 +211,7 @@ class AccessPoint:
             )
         self.codel_tuner.update_rate(station.index, station.rate.bps, self.sim.now)
 
-    def set_network(self, network: "WiredNetwork") -> None:
+    def set_network(self, network: "Network") -> None:
         self.network = network
 
     def rate_for(self, station: int):

@@ -26,8 +26,8 @@ The transport is deliberately an environment variable rather than a
 directory is pure observability output, and it must never perturb the
 runner's cache digests.
 
-Registration uses a module-global weak reference: a
-:class:`~repro.experiments.testbed.Testbed` registers itself at
+Registration uses a module-global weak reference: every testbed
+(:class:`~repro.topology.campus.CampusTestbed`) registers itself at
 construction and the executor asks "whoever is active" at exception
 time — no plumbing through the experiment functions, and a dead
 testbed never keeps its simulator alive.

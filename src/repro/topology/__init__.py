@@ -1,31 +1,25 @@
-"""Multi-BSS topology layer: declarative campus scenarios.
+"""Topology layer: declarative scenarios and the testbed that runs them.
 
 ``spec`` describes topologies (BSSes, channels, station placement,
-roaming/churn schedules), ``build`` holds the shared medium/AP/station
-construction helpers both the legacy single-AP testbed and the campus
-testbed are wired from, and ``campus`` realises a topology as a running
-multi-cell simulation.
+roaming/churn schedules) and ``campus`` realises one as a running
+simulation of any number of cells.
 """
 
-from repro.topology.build import (
+from repro.topology.campus import (
     BssStack,
-    build_bss_stack,
-    build_medium,
-    medium_stream_name,
+    CampusOptions,
+    CampusTestbed,
+    TestbedOptions,
 )
-from repro.topology.campus import CampusNetwork, CampusOptions, CampusTestbed
 from repro.topology.spec import BssSpec, RoamEvent, Topology, campus_topology
 
 __all__ = [
     "BssSpec",
     "BssStack",
-    "CampusNetwork",
     "CampusOptions",
     "CampusTestbed",
     "RoamEvent",
+    "TestbedOptions",
     "Topology",
-    "build_bss_stack",
-    "build_medium",
     "campus_topology",
-    "medium_stream_name",
 ]

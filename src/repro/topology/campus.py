@@ -1,17 +1,21 @@
-"""Multi-BSS campus simulation: shared channels, roaming, per-BSS stats.
+"""The testbed: one simulator wiring any number of cells.
 
 A :class:`CampusTestbed` realises a :class:`~repro.topology.spec.Topology`:
 one :class:`~repro.mac.medium.Medium` per channel (co-channel cells
-contend through the existing DCF arbitration), one AP/station/qdisc
-stack per BSS built by :mod:`repro.topology.build`, a routing
-:class:`CampusNetwork` that follows stations as they roam, and per-BSS
-airtime trackers feeding the Jain/tail-latency report.
+contend through the DCF arbitration), one AP + stations stack per BSS,
+the wired :class:`~repro.net.wire.Network` that follows stations as they
+roam, per-BSS airtime trackers, telemetry, fault injection and the
+invariant watchdogs.  The paper's setup (Section 4: one AP, its
+stations, a wired server) is the one-cell case, entered through
+:class:`repro.experiments.testbed.Testbed`.
 
 Determinism contract (tested in ``tests/test_topology*.py``):
 
-* a single-BSS topology on channel 0 replays the legacy
-  :class:`~repro.experiments.testbed.Testbed` byte-for-byte — same RNG
-  stream names, same construction order, same trace records;
+* construction order is load-bearing — component creation draws nothing
+  from the RNG, but the *attach* order fixes each medium's contender
+  iteration order and so the backoff draw order: mediums in ascending
+  channel order, cells in declaration order, the AP before its stations,
+  stations in ascending index order;
 * BSSes on disjoint channels produce identical per-BSS results whether
   simulated jointly or as separate :meth:`Topology.channel_shards`,
   because each channel owns an independent RNG stream and global station
@@ -20,110 +24,130 @@ Determinism contract (tested in ``tests/test_topology*.py``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.stats import AirtimeTracker
-from repro.core.packet import Packet, reset_packet_counters
-from repro.faults import ConservationReport, Churn, InvariantViolation
-from repro.mac.ap import APConfig, Scheme
+from repro.core.packet import reset_packet_counters
+from repro.faults import (
+    ConservationReport,
+    FaultInjector,
+    FaultSchedule,
+    InvariantViolation,
+    StallDetector,
+    audit_conservation,
+    count_conservation,
+)
+from repro.mac.ap import AccessPoint, APConfig, Scheme
+from repro.mac.medium import Medium
 from repro.mac.station import ClientStation
-from repro.net.wire import DEFAULT_WIRE_DELAY_US, Server
+from repro.net.wire import DEFAULT_WIRE_DELAY_US, Network, Server
+from repro.phy.rates import PhyRate
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.telemetry import PeriodicSampler, Telemetry, TelemetryConfig
-from repro.topology.build import (
-    BssStack,
-    build_bss_stack,
-    build_medium,
-    medium_stream_name,
-)
+from repro.telemetry import flightrec
 from repro.topology.spec import RoamEvent, Topology
 
-__all__ = ["CampusNetwork", "CampusOptions", "CampusTestbed"]
-
-#: Downlink drop layers counted by the conservation audit (matches
-#: :mod:`repro.faults.watchdog`).
-_DOWNLINK_LAYERS = ("qdisc", "mac", "hw")
+__all__ = ["BssStack", "CampusOptions", "CampusTestbed", "TestbedOptions"]
 
 
 @dataclass(frozen=True)
-class CampusOptions:
-    """Campus-wide knobs (per-cell shape lives in the Topology)."""
+class TestbedOptions:
+    """Testbed-wide knobs (per-cell shape lives in the Topology)."""
 
     scheme: Scheme = Scheme.AIRTIME
     seed: int = 1
     wire_delay_us: float = DEFAULT_WIRE_DELAY_US
     error_rate: float = 0.0
     ap_config: Optional[APConfig] = None
+    #: Optional per-station rate-dependent channels (the rate-control
+    #: extension); maps station index -> StationChannel.
+    station_channels: Optional[dict] = None
+    #: Client uplink queueing: 'fq_codel' (Ubuntu 16.04 default) / 'fifo'.
     client_queueing: str = "fq_codel"
+    #: Telemetry (tracing / metrics); ``None`` or an inactive config keeps
+    #: every instrumentation site on its zero-cost path.
     telemetry: Optional[TelemetryConfig] = None
-    #: Strict mode: a failed conservation audit raises
-    #: :class:`InvariantViolation` instead of being recorded.
+    #: Fault injection (channel impairments, churn); ``None`` runs clean.
+    #: Rides in the cache digest like every other option, so impaired
+    #: runs never collide with clean ones.
+    faults: Optional[FaultSchedule] = None
+    #: Strict mode: invariant-watchdog violations (packet conservation,
+    #: stalls, a failed ledger audit) raise :class:`InvariantViolation`
+    #: instead of being recorded for the report.
     strict: bool = False
 
 
-class CampusNetwork:
-    """Wired backhaul shared by every AP, with roam-aware routing.
+#: The same dataclass under its campus-side name.
+CampusOptions = TestbedOptions
 
-    Implements the :class:`~repro.net.wire.WiredNetwork` interface the
-    traffic generators cache (``_deliver_down`` + ``delay_us``), but
-    resolves the serving AP *at delivery time*: a packet that was on the
-    wire when its destination roamed is handed to the new cell, exactly
-    like a campus switch re-learning a MAC table entry.
-    """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        server: Server,
-        aps: Dict[int, "object"],
-        serving: Dict[int, int],
-        delay_us: float = DEFAULT_WIRE_DELAY_US,
-    ) -> None:
-        self.sim = sim
-        self.server = server
-        self.delay_us = delay_us
-        self._aps = aps
-        self._serving = serving
-        server.network = self
-        for ap in aps.values():
-            ap.set_network(self)
-        #: Flow-facing entry point (cached by UdpDownloadFlow.start).
-        self._deliver_down = self._route_down
-        self._deliver_up = server.receive
-        self._schedule_call = sim.schedule_call
+@dataclass
+class BssStack:
+    """One built cell: the AP plus its stations, keyed by global index."""
 
-    def _route_down(self, pkt: Packet) -> None:
-        self._aps[self._serving[pkt.dst_station]].send_downstream(pkt)
+    bss_id: int
+    channel: int
+    ap: AccessPoint
+    stations: Dict[int, ClientStation] = field(default_factory=dict)
 
-    def to_ap(self, pkt: Packet) -> None:
-        """Server -> (currently serving) AP, after the wire delay."""
-        pkt.created_us = self.sim.now
-        self._schedule_call(self.delay_us, self._route_down, pkt)
 
-    def to_server(self, pkt: Packet) -> None:
-        """AP -> server, after the wire delay."""
-        self._schedule_call(self.delay_us, self._deliver_up, pkt)
+#: Field shape of a ``tx`` trace record (multi-cell runs append ``bss``).
+_TX_SHAPE = (
+    ("station", "q"), ("airtime_us", "d"), ("tx_us", "d"),
+    ("down", "b"), ("agg", "q"), ("n_pkts", "q"),
+    ("bytes", "q"), ("ac", "s"), ("ok", "b"), ("retries", "q"),
+)
 
 
 class CampusTestbed:
-    """A fully wired multi-BSS simulation."""
+    """A fully wired simulation: APs + stations + server + measurement."""
 
-    def __init__(self, topology: Topology, options: CampusOptions) -> None:
+    def __init__(
+        self,
+        topology: Topology,
+        options: TestbedOptions,
+        rates: Optional[Mapping[int, PhyRate]] = None,
+    ) -> None:
+        """``rates`` pins explicit PHY rates by station index, overriding
+        the topology's MCS-derived ones (the paper's 30-station testbed
+        has a legacy 1 Mbps station, which is not an MCS index)."""
         self.topology = topology
         self.options = options
         single = topology.single_bss
+        # Topology churn rides the fault injector like scheduled churn.
+        faults = options.faults or FaultSchedule()
+        faults = replace(faults, churn=faults.churn + topology.churn)
+        faults.check_stations(
+            {i for spec in topology.bsses for i in spec.station_indices()}
+        )
+        # Packet/flow ids are process-global counters; restart them per
+        # testbed so a run's trace does not depend on what else ran in
+        # this process (serial vs pool-worker execution).
         reset_packet_counters()
         self.sim = Simulator()
         self.rng = RngFactory(options.seed)
 
         # --- one medium per channel, ascending channel order ----------
-        self.mediums = {
-            channel: build_medium(
+        error_prob_fn = None
+        if options.station_channels is not None:
+            channels = options.station_channels
+
+            def error_prob_fn(agg, _channels=channels):
+                channel = _channels.get(agg.station)
+                return channel.error_prob(agg.rate) if channel else 0.0
+
+        # Channel 0 draws from the historical "medium" stream; every
+        # other channel has its own independent one.
+        self.mediums: Dict[int, Medium] = {
+            channel: Medium(
                 self.sim,
-                self.rng.stream(medium_stream_name(channel)),
+                self.rng.stream(
+                    "medium" if channel == 0 else f"medium.ch{channel}"
+                ),
                 error_rate=options.error_rate,
+                error_prob_fn=error_prob_fn,
             )
             for channel in topology.channels()
         }
@@ -138,23 +162,23 @@ class CampusTestbed:
         #: Station -> bss id currently serving it (updated on roam).
         self.serving: Dict[int, int] = {}
         for spec in topology.bsses:
-            stack = build_bss_stack(
-                self.sim,
-                self.mediums[spec.channel],
-                spec.station_rates(),
-                config=config,
-                client_queueing=options.client_queueing,
-                bss_id=spec.bss_id,
-                channel=spec.channel,
-            )
+            ap = AccessPoint(self.sim, self.mediums[spec.channel], config,
+                             bss=spec.bss_id)
+            stack = BssStack(spec.bss_id, spec.channel, ap)
+            for index, rate in spec.station_rates():
+                if rates is not None:
+                    rate = rates.get(index, rate)
+                station = ClientStation(index, rate, self.sim,
+                                        queueing=options.client_queueing)
+                ap.add_station(station)
+                stack.stations[index] = station
+                self.serving[index] = spec.bss_id
             self.bss[spec.bss_id] = stack
             self.stations.update(stack.stations)
-            for index in stack.stations:
-                self.serving[index] = spec.bss_id
 
         # --- shared backhaul ------------------------------------------
         self.server = Server()
-        self.network = CampusNetwork(
+        self.network = Network(
             self.sim,
             self.server,
             {bss_id: stack.ap for bss_id, stack in self.bss.items()},
@@ -165,17 +189,14 @@ class CampusTestbed:
         # --- per-BSS airtime accounting -------------------------------
         self.trackers: Dict[int, AirtimeTracker] = {}
         for spec in topology.bsses:
-            tracker = AirtimeTracker()
-            self.trackers[spec.bss_id] = tracker
-            medium = self.mediums[spec.channel]
-            if single:
-                # Exactly the legacy observer — byte-identical replay.
-                medium.add_observer(tracker.on_transmission)
-            else:
-                medium.add_observer(self._bss_filter(tracker, spec.bss_id))
-        #: Legacy alias: the single-BSS campus quacks like a Testbed.
-        self.tracker = self.trackers[topology.bsses[0].bss_id]
+            tracker = self.trackers[spec.bss_id] = AirtimeTracker()
+            self.mediums[spec.channel].add_observer(
+                tracker.on_transmission if single
+                else self._bss_filter(tracker, spec.bss_id)
+            )
 
+        #: Hooks invoked when the warm-up window ends (flows register
+        #: their ``reset_window`` here).
         self.warmup_resets: List[Callable[[], None]] = []
 
         # --- telemetry -------------------------------------------------
@@ -188,15 +209,10 @@ class CampusTestbed:
             tx_channel = self.telemetry.channel("tx")
             if tx_channel is not None:
                 self._wire_tx_trace(tx_channel, single)
-            if self.telemetry.ledger is not None and single:
-                # The double-entry ledger audits one AP against the
-                # analytical model; multi-BSS runs skip it (per-BSS
-                # conservation is audited channel-by-channel instead).
-                only = self.topology.bsses[0]
-                self.mediums[only.channel].add_observer(
-                    self.telemetry.ledger.on_transmission
-                )
-                self.bss[only.bss_id].ap.set_ledger(self.telemetry.ledger)
+            ledger = self._audited_ledger()
+            if ledger is not None:
+                self.medium.add_observer(ledger.on_transmission)
+                self.ap.set_ledger(ledger)
             if self.telemetry.metrics is not None:
                 self.sampler = PeriodicSampler(
                     self.sim, self.telemetry.metrics,
@@ -206,25 +222,67 @@ class CampusTestbed:
                 self.sampler.add_probe(self._sample_stations)
                 self.sampler.start()
 
-        # --- roaming / churn schedules --------------------------------
+        # --- roaming schedule -----------------------------------------
         #: (time_us, station, from_bss, to_bss, flushed) per completed roam.
         self.roam_log: List[Tuple[float, int, int, int, int]] = []
-        self.churn_events = 0
-        self.conservation: Optional[Dict[str, ConservationReport]] = None
         for event in topology.roam:
             self.sim.schedule_call(
                 self.sim.sec(event.at_s), self._roam_entry, event
             )
-        for event in topology.churn:
-            self.sim.schedule_call(
-                self.sim.sec(event.detach_s), self._churn_detach, event
-            )
-            if event.reattach_s is not None:
-                self.sim.schedule_call(
-                    self.sim.sec(event.reattach_s), self._churn_reattach, event
-                )
         #: Channel busy-time baselines captured when measurement starts.
         self._busy_baseline: Dict[int, float] = {c: 0.0 for c in self.mediums}
+
+        # --- fault injection + watchdogs -------------------------------
+        self.fault_injector: Optional[FaultInjector] = None
+        self.stall_detector: Optional[StallDetector] = None
+        #: Whole-testbed audit, filled by :meth:`run` when faults, roaming
+        #: or strict mode are active.
+        self.conservation: Optional[ConservationReport] = None
+        fault_channel = (
+            self.telemetry.channel("fault")
+            if self.telemetry is not None else None
+        )
+        if not faults.empty:
+            self.fault_injector = FaultInjector(
+                self, faults, trace_channel=fault_channel
+            ).install()
+        if options.strict or self.fault_injector is not None:
+            self.stall_detector = StallDetector(
+                self, strict=options.strict, trace_channel=fault_channel
+            ).start()
+        if options.strict:
+            # Same-timestamp livelock guard on the event engine; one µs of
+            # simulated time never legitimately needs this many events.
+            self.sim.set_stall_guard(1_000_000)
+
+        # Flight recorder: whoever dies while this testbed is the active
+        # simulation can dump its ring tail / watchdog / streaming state.
+        # Weak registration; a no-op unless REPRO_FLIGHT_DIR is set.
+        flightrec.register(self)
+
+    # ------------------------------------------------------------------
+    # One-cell accessors
+    # ------------------------------------------------------------------
+    def _only(self, things: Dict, name: str):
+        if not self.topology.single_bss:
+            raise ValueError(
+                f"testbed has {len(self.bss)} cells: index {name}[...] "
+                "instead of using the one-cell accessor"
+            )
+        (only,) = things.values()
+        return only
+
+    @property
+    def ap(self) -> AccessPoint:
+        return self._only(self.bss, "bss").ap
+
+    @property
+    def medium(self) -> Medium:
+        return self._only(self.mediums, "mediums")
+
+    @property
+    def tracker(self) -> AirtimeTracker:
+        return self._only(self.trackers, "trackers")
 
     # ------------------------------------------------------------------
     # Wiring helpers
@@ -236,16 +294,18 @@ class CampusTestbed:
                 _tracker.on_transmission(record)
         return on_tx
 
+    def _audited_ledger(self):
+        """The double-entry ledger audits one AP against the analytical
+        model; multi-cell runs skip it (conservation is audited channel
+        shard by channel shard instead)."""
+        if self.telemetry is None or not self.topology.single_bss:
+            return None
+        return self.telemetry.ledger
+
     def _wire_tx_trace(self, tx_channel, single: bool) -> None:
-        """Emit tx trace records; the legacy 10-field shape when a single
-        BSS runs (byte-identity), plus a trailing ``bss`` field otherwise."""
-        shape = [
-            ("station", "q"), ("airtime_us", "d"), ("tx_us", "d"),
-            ("down", "b"), ("agg", "q"), ("n_pkts", "q"),
-            ("bytes", "q"), ("ac", "s"), ("ok", "b"), ("retries", "q"),
-        ]
+        """Emit one ``tx`` record per transmission on any medium."""
         if single:
-            em_tx = tx_channel.emitter("tx", tuple(shape))
+            em_tx = tx_channel.emitter("tx", _TX_SHAPE)
 
             def on_tx(rec, _emit=em_tx):
                 _emit(
@@ -256,7 +316,7 @@ class CampusTestbed:
                     rec.retries,
                 )
         else:
-            em_tx = tx_channel.emitter("tx", tuple(shape + [("bss", "q")]))
+            em_tx = tx_channel.emitter("tx", _TX_SHAPE + (("bss", "q"),))
 
             def on_tx(rec, _emit=em_tx):
                 _emit(
@@ -270,30 +330,26 @@ class CampusTestbed:
             medium.add_observer(on_tx)
 
     # ------------------------------------------------------------------
-    # Samplers (legacy keys when single-BSS; bss-prefixed otherwise)
+    # Samplers (bare keys on one cell; ``bssN.``-prefixed otherwise)
     # ------------------------------------------------------------------
+    def _key_prefix(self, bss_id: int) -> str:
+        return "" if self.topology.single_bss else f"bss{bss_id}."
+
     def _sample_queues(self) -> Dict[str, float]:
-        single = self.topology.single_bss
         out: Dict[str, float] = {}
-        for bss_id in self.bss:
-            stack = self.bss[bss_id]
-            prefix = "" if single else f"bss{bss_id}."
+        for bss_id, stack in self.bss.items():
+            prefix = self._key_prefix(bss_id)
             out[f"{prefix}ap_queued_packets"] = stack.ap.total_queued_packets()
             out[f"{prefix}hw_occupancy"] = stack.ap._hw.occupancy()
-            if single:
-                out["sim_heap_len"] = self.sim.heap_len
+            out["sim_heap_len"] = self.sim.heap_len
             if stack.ap.driver is not None:
                 out[f"{prefix}driver_backlog"] = stack.ap.driver.backlog
-        if not single:
-            out["sim_heap_len"] = self.sim.heap_len
         return out
 
     def _sample_stations(self) -> Dict[str, float]:
-        single = self.topology.single_bss
         out: Dict[str, float] = {}
-        for bss_id in self.bss:
-            stack = self.bss[bss_id]
-            prefix = "" if single else f"bss{bss_id}."
+        for bss_id, stack in self.bss.items():
+            prefix = self._key_prefix(bss_id)
             snapshot = stack.ap.scheduler.deficit_snapshot()
             for station, deficit in snapshot.items():
                 out[f"{prefix}sched_deficit_us.{station}"] = deficit
@@ -314,15 +370,15 @@ class CampusTestbed:
         return self.telemetry.finish()
 
     # ------------------------------------------------------------------
-    # Roaming / churn
+    # Roaming
     # ------------------------------------------------------------------
     def roam(self, station: int, to_bss: int) -> int:
         """Move ``station`` to ``to_bss`` now; returns packets flushed.
 
         Disassociation flushes the source cell's queues for the station
-        through the drop funnel (PR-3 ``detach`` semantics), then the
-        station associates with the target cell and its pending uplink
-        backlog re-arms the new channel.
+        through the drop funnel (``detach`` semantics), then the station
+        associates with the target cell and its pending uplink backlog
+        re-arms the new channel.
         """
         from_bss = self.serving[station]
         if to_bss == from_bss:
@@ -344,15 +400,6 @@ class CampusTestbed:
     def _roam_entry(self, event: RoamEvent) -> None:
         self.roam(event.station, event.to_bss)
 
-    def _churn_detach(self, event: Churn) -> None:
-        self.churn_events += 1
-        ap = self.bss[self.serving[event.station]].ap
-        ap.detach_station(event.station, mode=event.mode)
-
-    def _churn_reattach(self, event: Churn) -> None:
-        ap = self.bss[self.serving[event.station]].ap
-        ap.reattach_station(event.station)
-
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
@@ -364,106 +411,87 @@ class CampusTestbed:
         dropped, or resident *inside that shard* — including frames
         mid-flight on its mediums.
         """
-        reports: Dict[str, ConservationReport] = {}
-        for shard in self.topology.channel_shards():
-            bss_ids = [spec.bss_id for spec in shard.bsses]
-            station_ids = [
-                index for spec in shard.bsses
-                for index in spec.station_indices()
-            ]
-            aps = [self.bss[bss_id].ap for bss_id in bss_ids]
-            enqueued = sum(ap.downlink_enqueued for ap in aps)
-            delivered = sum(
-                self.stations[index].rx_packets for index in station_ids
+        return {
+            "ch" + "+".join(str(c) for c in shard.channels()):
+            count_conservation(
+                (self.bss[spec.bss_id].ap for spec in shard.bsses),
+                (self.stations[index] for spec in shard.bsses
+                 for index in spec.station_indices()),
+                (self.mediums[channel] for channel in shard.channels()),
             )
-            dropped = 0
-            for ap in aps:
-                for layer in _DOWNLINK_LAYERS:
-                    for count in ap.drops.counts.get(layer, {}).values():
-                        dropped += count
-            resident = sum(ap.resident_packets() for ap in aps)
-            resident += sum(
-                self.mediums[channel].inflight_downlink_packets()
-                for channel in shard.channels()
-            )
-            label = "ch" + "+".join(str(c) for c in shard.channels())
-            reports[label] = ConservationReport(
-                enqueued=enqueued,
-                delivered=delivered,
-                dropped=dropped,
-                resident=resident,
-            )
-        return reports
+            for shard in self.topology.channel_shards()
+        }
 
     # ------------------------------------------------------------------
     def add_warmup_reset(self, reset: Callable[[], None]) -> None:
         self.warmup_resets.append(reset)
 
     def run(self, duration_s: float, warmup_s: float = 0.0) -> float:
-        """Warm-up then measurement window; returns the window in µs."""
-        ledger = self.telemetry.ledger if self.telemetry is not None else None
-        single = self.topology.single_bss
+        """Run warm-up then the measurement window.
+
+        Returns the measurement window length in µs (the divisor for
+        throughput computations).
+        """
+        ledger = self._audited_ledger()
+        strict = self.options.strict
         if warmup_s > 0:
             self.sim.run(until_us=self.sim.sec(warmup_s))
             for tracker in self.trackers.values():
                 tracker.reset()
             for reset in self.warmup_resets:
                 reset()
-            if ledger is not None and single:
-                only = self.topology.bsses[0]
-                medium = self.mediums[only.channel]
+            if ledger is not None:
+                # The ledger windows exactly like the AirtimeTracker:
+                # warm-up traffic is discarded, and the busy/collision
+                # baselines anchor the conservation check.
                 ledger.reset(
-                    busy_baseline_us=medium.busy_time_us,
-                    collision_baseline=medium.collision_count,
+                    busy_baseline_us=self.medium.busy_time_us,
+                    collision_baseline=self.medium.collision_count,
                 )
         if self.telemetry is not None:
+            # Everything after this marker is the measurement window; the
+            # trace summariser windows its airtime table here, exactly
+            # where the AirtimeTrackers reset.
             self.telemetry.mark(self.sim.now, "measurement_start")
         for channel, medium in self.mediums.items():
             self._busy_baseline[channel] = medium.busy_time_us
         start = self.sim.now
         self.sim.run(until_us=self.sim.sec(warmup_s + duration_s))
         window_us = self.sim.now - start
-        if self.options.strict or self.topology.roam or self.topology.churn:
-            self.conservation = self.audit_conservation()
-            channel = (
-                self.telemetry.channel("fault")
-                if self.telemetry is not None else None
-            )
-            for label, report in self.conservation.items():
-                if channel is not None:
-                    if single:
-                        # Legacy single-BSS record shape (byte-identity).
-                        channel.emit(
-                            self.sim.now, "conservation",
-                            ok=report.ok, balance=report.balance,
-                        )
-                    else:
-                        channel.emit(
-                            self.sim.now, "conservation",
-                            shard=label, ok=report.ok, balance=report.balance,
-                        )
-                if self.options.strict and not report.ok:
+        fault_channel = (
+            self.telemetry.channel("fault")
+            if self.telemetry is not None else None
+        )
+        if self.stall_detector is not None:
+            self.stall_detector.stop()
+        if strict or self.fault_injector is not None or self.topology.roam:
+            self.conservation = audit_conservation(self)
+            for label, report in self.audit_conservation().items():
+                if fault_channel is not None:
+                    # One cell is one shard: the record needs no label.
+                    shard = {} if self.topology.single_bss else {"shard": label}
+                    fault_channel.emit(
+                        self.sim.now, "conservation", **shard,
+                        ok=report.ok, balance=report.balance,
+                    )
+                if strict and not report.ok:
                     raise InvariantViolation(f"[{label}] {report.describe()}")
-        if ledger is not None and single:
-            only = self.topology.bsses[0]
-            stack = self.bss[only.bss_id]
-            medium = self.mediums[only.channel]
+        if ledger is not None:
             audit = ledger.audit(
-                rates={s: st.rate for s, st in stack.stations.items()},
+                rates={s: st.rate for s, st in self.stations.items()},
                 airtime_fairness=self.options.scheme is Scheme.AIRTIME,
                 tolerance=self.options.telemetry.ledger_tolerance,
-                medium_busy_us=medium.busy_time_us,
-                collision_count=medium.collision_count,
+                medium_busy_us=self.medium.busy_time_us,
+                collision_count=self.medium.collision_count,
             )
             self.telemetry.ledger_audit = audit
-            channel = self.telemetry.channel("fault")
-            if channel is not None:
-                channel.emit(
+            if fault_channel is not None:
+                fault_channel.emit(
                     self.sim.now, "ledger_audit", ok=audit.ok,
                     worst_delta=audit.worst_delta,
                     model_checked=audit.model_checked,
                 )
-            if self.options.strict and not audit.ok:
+            if strict and not audit.ok:
                 raise InvariantViolation(audit.describe())
         return window_us
 
@@ -476,6 +504,6 @@ class CampusTestbed:
         return busy / window_us
 
 
-# Library code, not test cases.
+# Library code, not test cases (pytest collects classes named Test*).
 CampusTestbed.__test__ = False
-CampusOptions.__test__ = False
+TestbedOptions.__test__ = False

@@ -226,7 +226,7 @@ def campus_topology(
     trailing slow ones (``stations_per_bss=3, slow_per_bss=1`` is
     exactly the three-station setup of Section 4).  Station indices are
     globally sequential, so a single-BSS campus is index-compatible
-    with the legacy :class:`~repro.experiments.testbed.Testbed`.
+    with a one-cell :class:`~repro.experiments.testbed.Testbed`.
     """
     if n_bss <= 0:
         raise ValueError("n_bss must be positive")

@@ -90,7 +90,7 @@ class UdpDownloadFlow:
         self._source: Optional[BatchSource] = None
         self._send = server.send
         self._dst = station.index
-        # Filled by start() when the server sits behind a WiredNetwork:
+        # Filled by start() when the server sits behind a Network:
         # the wire hop is then inlined into _emit (one schedule_call with
         # a prebound delivery target instead of send -> to_ap frames).
         self._deliver = None
@@ -124,7 +124,7 @@ class UdpDownloadFlow:
         # Positional Packet call (dst_station, src_station, ac, proto,
         # seq, created_us): one packet per arrival makes the keyword
         # binding overhead measurable.  The ctor stamps created_us with
-        # the same clock value WiredNetwork.to_ap would, so the wire hop
+        # the same clock value Network.to_ap would, so the wire hop
         # reduces to scheduling the AP-side delivery directly.
         pkt = Packet(
             self.flow_id, self.packet_size,

@@ -2,8 +2,10 @@
 
 Covers the declarative :class:`Topology` spec (validation, channel
 sharding), per-BSS medium attachment rules, churn/roaming idempotency,
-the single-BSS byte-identity regression against the legacy testbed, and
-the ``bss`` dimension in trace summaries and latency waterfalls.
+the agreement of the one-cell rates entry with the ``Topology`` entry,
+strict watchdogs / fault schedules / conservation counting on multi-cell
+testbeds, and the ``bss`` dimension in trace summaries and latency
+waterfalls.
 """
 
 from __future__ import annotations
@@ -229,7 +231,8 @@ class TestChurnIdempotency:
 
 
 # ----------------------------------------------------------------------
-# Single-BSS equivalence: Topology path == legacy testbed, byte for byte
+# Single-BSS equivalence: the rates entry and the Topology entry build
+# the same testbed, byte for byte
 # ----------------------------------------------------------------------
 class TestSingleBssEquivalence:
     def test_traces_and_results_byte_identical(self, tmp_path):
@@ -270,6 +273,151 @@ class TestSingleBssEquivalence:
         assert campus.tracker.airtime_us == legacy.tracker.airtime_us
         assert campus.tracker.delivered_bytes == legacy.tracker.delivered_bytes
         assert campus_trace.read_bytes() == legacy_trace.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# One testbed: options, validation, watchdogs and faults on any topology
+# ----------------------------------------------------------------------
+class TestOneTestbed:
+    def _two_channels(self, **options):
+        topo = campus_topology(n_bss=2, n_channels=2, stations_per_bss=2)
+        return CampusTestbed(topo, CampusOptions(seed=1, **options))
+
+    def test_one_options_dataclass_and_one_class(self):
+        from repro.experiments.config import thirty_station_rates
+        from repro.experiments.testbed import Testbed, TestbedOptions
+        from repro.phy.rates import RATE_LEGACY_1M
+
+        assert CampusOptions is TestbedOptions
+        testbed = Testbed(thirty_station_rates(), TestbedOptions())
+        assert isinstance(testbed, CampusTestbed)
+        # Explicit PHY rates reach the stations, MCS index or not.
+        assert testbed.stations[0].rate is RATE_LEGACY_1M
+        assert len(testbed.stations) == 30
+
+    def test_negative_wire_delay_rejected_by_both_entries(self):
+        with pytest.raises(ValueError, match="delay must be non-negative"):
+            make_testbed(Scheme.AIRTIME, wire_delay_us=-5)
+        with pytest.raises(ValueError, match="delay must be non-negative"):
+            self._two_channels(wire_delay_us=-5)
+
+    def test_one_cell_accessors_point_at_the_containers(self):
+        campus = self._two_channels()
+        with pytest.raises(ValueError, match=r"2 cells.*bss\[\.\.\.\]"):
+            campus.ap
+        with pytest.raises(ValueError, match=r"mediums\[\.\.\.\]"):
+            campus.medium
+        one = make_testbed(Scheme.AIRTIME)
+        assert one.ap is one.bss[0].ap
+        assert one.medium is one.mediums[0]
+        assert one.tracker is one.trackers[0]
+
+    def test_fault_schedule_stations_checked_at_construction(self):
+        from repro.faults import BurstLoss, FaultSchedule
+
+        churn = FaultSchedule(churn=(Churn(station=7, detach_s=0.1),))
+        burst = FaultSchedule(burst_loss=(
+            BurstLoss(station=7, start_s=0.1, end_s=0.2),))
+        with pytest.raises(ValueError,
+                           match="churn references unknown station 7"):
+            make_testbed(Scheme.AIRTIME, faults=churn)
+        with pytest.raises(ValueError,
+                           match="burst_loss references unknown station 7"):
+            self._two_channels(faults=burst)
+        self._two_channels(faults=FaultSchedule(
+            churn=(Churn(station=3, detach_s=0.1),)))  # station 3 exists
+
+    def test_strict_stall_detector_covers_every_channel(self):
+        """A parked backlog on channel 1 is a stall even while channel 0
+        keeps transmitting."""
+        from repro.experiments.workloads import saturating_udp_download
+        from repro.faults import FaultSchedule, InvariantViolation
+
+        faults = FaultSchedule(churn=(
+            Churn(station=2, detach_s=0.2, mode="park"),
+            Churn(station=3, detach_s=0.2, mode="park"),
+        ))
+        campus = self._two_channels(scheme=Scheme.FQ_CODEL, faults=faults,
+                                    strict=True)
+        saturating_udp_download(campus)
+        with pytest.raises(InvariantViolation, match="stall.*channel 1"):
+            campus.run(4.0)
+
+    def test_strict_livelock_raises_and_leaves_a_flight_bundle(
+            self, tmp_path, monkeypatch):
+        """The ``flightrec.selftest()`` livelock, planted in a 2-BSS strict
+        run: the engine's stall guard ends it and the testbed is the
+        registered flight-recorder subject."""
+        import json
+
+        from repro.experiments.workloads import saturating_udp_download
+        from repro.sim.engine import SimulationError
+        from repro.telemetry import flightrec
+
+        monkeypatch.setenv(flightrec.FLIGHT_ENV, str(tmp_path))
+        campus = self._two_channels(strict=True)
+        assert campus.stall_detector is not None
+        saturating_udp_download(campus)
+
+        def livelock():
+            campus.sim.schedule_call(0.0, livelock)
+
+        campus.sim.schedule_call(50_000.0, livelock)
+        with pytest.raises(SimulationError, match="stall") as excinfo:
+            campus.run(0.2)
+        path = flightrec.dump_active("livelock", excinfo.value)
+        bundle = json.loads(path.read_text())
+        assert bundle["options"] == {"scheme": "AIRTIME", "seed": 1,
+                                     "strict": True, "stations": 4}
+        assert bundle["exception"]["type"] == "SimulationError"
+
+    def test_faults_reach_a_multi_cell_testbed(self):
+        """Churn resolves the serving AP at fire time (after a roam) and
+        interference hits every medium; conservation still balances."""
+        from repro.experiments.workloads import saturating_udp_download
+        from repro.faults import FaultSchedule, Interference
+
+        topo = campus_topology(
+            n_bss=2, n_channels=1, stations_per_bss=2,
+            roam=(RoamEvent(station=0, at_s=0.15, to_bss=1),),
+        )
+        faults = FaultSchedule(
+            interference=(Interference(start_s=0.1, end_s=0.3),),
+            churn=(Churn(station=0, detach_s=0.2, reattach_s=0.3),),
+        )
+        campus = CampusTestbed(topo, CampusOptions(
+            scheme=Scheme.AIRTIME, seed=1, faults=faults, strict=True))
+        saturating_udp_download(campus)
+        failed = []
+        campus.mediums[0].add_observer(
+            lambda rec: failed.append(rec) if not rec.success else None)
+        campus.run(0.4)
+        assert campus.fault_injector.summary()["detaches"] == 1
+        assert campus.bss[1].ap.drops.counts["mac"]["detach"] > 0
+        # The clean medium only ever fails inside the interference window.
+        assert failed and all(
+            0.1e6 <= rec.start_us + rec.airtime_us <= 0.3e6 for rec in failed)
+        assert campus.conservation.ok
+
+    def test_shard_balances_sum_to_the_whole_testbed_balance(self):
+        from repro.experiments.workloads import saturating_udp_download
+        from repro.faults import audit_conservation
+
+        campus = self._two_channels(scheme=Scheme.FIFO)
+        saturating_udp_download(campus)
+        campus.run(0.3)
+        # Cook the books differently per channel: the whole-testbed
+        # count must see exactly what the shards see.
+        campus.bss[0].ap.downlink_enqueued += 3
+        campus.bss[1].ap.downlink_enqueued += 4
+        shards = campus.audit_conservation()
+        assert {k: r.balance for k, r in shards.items()} == \
+            {"ch0": 3, "ch1": 4}
+        whole = audit_conservation(campus)
+        assert whole.balance == 7
+        for field in ("enqueued", "delivered", "dropped", "resident"):
+            assert getattr(whole, field) == sum(
+                getattr(r, field) for r in shards.values())
 
 
 # ----------------------------------------------------------------------
