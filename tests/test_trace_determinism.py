@@ -24,6 +24,8 @@ from repro.mac.ap import APConfig, Scheme
 from repro.phy.channel import StationChannel
 from repro.runner import ResultCache, Runner
 from repro.telemetry import TelemetryConfig
+from repro.topology import CampusOptions, CampusTestbed, RoamEvent, campus_topology
+from repro.traffic.udp import UdpDownloadFlow
 from repro.traffic.voip import VoipFlow
 
 SCHEMES = (Scheme.FIFO, Scheme.AIRTIME)
@@ -236,6 +238,18 @@ def _voip_scenario(testbed):
     return 0.4, 0.2
 
 
+def _qos_scenario(testbed):
+    # Saturating BE to every station plus VI and VO streams to station
+    # 0: the three things that can give the AP's fill pass work while
+    # the BE hardware queue is full -- a station parked on a full VI
+    # hardware queue, a non-empty VO ring, and VI arrivals.
+    workloads.saturating_udp_download(testbed)
+    for ac, rate_bps in ((AccessCategory.VI, 60e6), (AccessCategory.VO, 4e6)):
+        UdpDownloadFlow(testbed.sim, testbed.server, testbed.stations[0],
+                        rate_bps=rate_bps, ac=ac).start(delay_us=10.0 + ac)
+    return 0.5, 0.2
+
+
 #: name -> (scenario, schemes, TestbedOptions overrides)
 PINNED_SCENARIOS = {
     "udp": (_udp_scenario, ALL_SCHEMES, {}),
@@ -262,6 +276,9 @@ PINNED_SCENARIOS = {
     "udp-metrics": (_udp_scenario, (Scheme.FIFO, Scheme.AIRTIME), {
         "telemetry": dataclasses.replace(FULL_TRACE, metrics=True),
     }),
+    # Recorded on the tree whose send_downstream still ran the fill pass
+    # and looked the TID up for every packet.
+    "udp-qos": (_qos_scenario, (Scheme.AIRTIME,), {}),
 }
 
 
@@ -288,13 +305,37 @@ def _traced_run(name: str, scheme: Scheme,
     return testbed
 
 
+def _roam_back_run() -> CampusTestbed:
+    """Station 0 roams to the other co-channel cell and back again:
+    whatever the home AP remembers about it (TIDs, scheduler state) must
+    survive ``remove_station`` + ``add_station``."""
+    topo = campus_topology(
+        n_bss=2, n_channels=1, stations_per_bss=2,
+        roam=(RoamEvent(station=0, at_s=0.25, to_bss=1),
+              RoamEvent(station=0, at_s=0.4, to_bss=0)),
+    )
+    campus = CampusTestbed(topo, CampusOptions(
+        scheme=Scheme.AIRTIME, seed=1, telemetry=FULL_TRACE))
+    workloads.saturating_udp_download(campus)
+    campus.run(0.4, 0.2)
+    return campus
+
+
+ROAM_BACK_KEY = "campus-roam-back/AIRTIME"
+
+
+def _digest(testbed) -> str:
+    return hashlib.sha256(testbed.telemetry.trace.dumps().encode()).hexdigest()
+
+
 def _trace_digest(name: str, scheme: Scheme) -> str:
-    text = _traced_run(name, scheme).telemetry.trace.dumps()
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _digest(_traced_run(name, scheme))
 
 
 def pinned_trace_digests() -> dict:
-    return {_digest_key(*run): _trace_digest(*run) for run in PINNED_RUNS}
+    out = {_digest_key(*run): _trace_digest(*run) for run in PINNED_RUNS}
+    out[ROAM_BACK_KEY] = _digest(_roam_back_run())
+    return out
 
 
 @pytest.mark.parametrize("name,scheme", PINNED_RUNS,
@@ -302,6 +343,14 @@ def pinned_trace_digests() -> dict:
 def test_trace_bytes_match_pinned_digest(name, scheme):
     pinned = json.loads(DIGEST_FIXTURE.read_text())
     assert _trace_digest(name, scheme) == pinned[_digest_key(name, scheme)]
+
+
+def test_roam_away_and_back_trace_matches_pinned_digest():
+    campus = _roam_back_run()
+    assert [(src, dst) for _, _, src, dst, _ in campus.roam_log] == \
+        [(0, 1), (1, 0)]
+    pinned = json.loads(DIGEST_FIXTURE.read_text())
+    assert _digest(campus) == pinned[ROAM_BACK_KEY]
 
 
 def test_per_packet_records_never_ride_the_generic_path():
