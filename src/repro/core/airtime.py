@@ -68,7 +68,10 @@ class AirtimeScheduler:
 
         self.new_stations: Deque[int] = deque()
         self.old_stations: Deque[int] = deque()
-        self._membership: Dict[int, Optional[str]] = {}
+        #: Station -> 'new' / 'old' for exactly the stations on a list.
+        #: :meth:`wake` is a no-op iff the station is in here, so the
+        #: access point tests membership inline before calling it.
+        self.listed: Dict[int, str] = {}
         self.deficits: Dict[int, float] = {}
 
         # Prebound trace emitters (see set_trace); None when disabled
@@ -118,7 +121,7 @@ class AirtimeScheduler:
         priority; with the optimisation disabled they join the old list
         directly.
         """
-        if self._membership.get(station) is not None:
+        if station in self.listed:
             return
         # A (re)activating station starts with a fresh quantum (fq_codel
         # semantics): this is what makes the new-station priority real —
@@ -128,25 +131,24 @@ class AirtimeScheduler:
         self.deficits[station] = self.quantum_us
         if self.sparse_enabled:
             self.new_stations.append(station)
-            self._membership[station] = "new"
+            self.listed[station] = "new"
         else:
             self.old_stations.append(station)
-            self._membership[station] = "old"
+            self.listed[station] = "old"
         if self._em_enter is not None:
-            self._em_enter(self._now(), station, self._membership[station])
+            self._em_enter(self._now(), station, self.listed[station])
 
     def _move_to_old(self, station: int) -> None:
         self._remove(station)
         self.old_stations.append(station)
-        self._membership[station] = "old"
+        self.listed[station] = "old"
 
     def _remove(self, station: int) -> None:
-        member = self._membership.get(station)
+        member = self.listed.pop(station, None)
         if member == "new":
             self.new_stations.remove(station)
         elif member == "old":
             self.old_stations.remove(station)
-        self._membership[station] = None
 
     def drop(self, station: int) -> None:
         """Forget ``station`` entirely (churn detach).
@@ -157,7 +159,6 @@ class AirtimeScheduler:
         resuming a stale debt from before it left.
         """
         self._remove(station)
-        self._membership.pop(station, None)
         self.deficits.pop(station, None)
         if self._em_drop is not None:
             self._em_drop(self._now(), station)
@@ -206,7 +207,7 @@ class AirtimeScheduler:
                 continue
 
             if not has_backlog(station):
-                if self._membership.get(station) == "new":
+                if self.listed[station] == "new":
                     self._move_to_old(station)
                 else:
                     self._remove(station)

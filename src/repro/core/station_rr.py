@@ -14,7 +14,7 @@ the Airtime configuration replaces it with
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict
+from typing import Callable, Deque, Dict, Set
 
 __all__ = ["RoundRobinScheduler"]
 
@@ -38,19 +38,21 @@ class RoundRobinScheduler:
         self._build_aggregate = build_aggregate
         self._hw_full = hw_full
         self._ring: Deque[int] = deque()
-        self._queued: Dict[int, bool] = {}
+        #: The stations on the ring; :meth:`wake` is a no-op iff the
+        #: station is in here (the access point tests that inline).
+        self.listed: Set[int] = set()
 
     def wake(self, station: int) -> None:
         """Add ``station`` to the service ring if not already present."""
-        if not self._queued.get(station, False):
+        if station not in self.listed:
             self._ring.append(station)
-            self._queued[station] = True
+            self.listed.add(station)
 
     def drop(self, station: int) -> None:
         """Forget ``station`` entirely (churn detach)."""
-        if self._queued.get(station, False):
+        if station in self.listed:
             self._ring.remove(station)
-        self._queued.pop(station, None)
+            self.listed.discard(station)
 
     # Airtime hooks: the stock scheduler is airtime-oblivious.
     def report_tx_airtime(self, station: int, airtime_us: float) -> None:
@@ -82,14 +84,14 @@ class RoundRobinScheduler:
             return
         has_backlog = self._has_backlog
         build_aggregate = self._build_aggregate
-        queued = self._queued
+        listed = self.listed
         while True:
             station = ring[0]
             if not has_backlog(station):
                 # hw_full is pure, so skipping its re-check here is
                 # outcome-identical to re-testing the loop condition.
                 ring.popleft()
-                queued[station] = False
+                listed.discard(station)
                 if not ring:
                     return
                 continue
@@ -98,6 +100,6 @@ class RoundRobinScheduler:
             if built <= 0:
                 # Defensive against a disagreeing backlog/build pair.
                 ring.remove(station)
-                queued[station] = False
+                listed.discard(station)
             if not ring or hw_full():
                 return

@@ -326,7 +326,11 @@ class AccessPoint:
         elif self.mac_fq is not None:
             tid = self.mac_fq.tid(station, pkt.ac)
             self.mac_fq.enqueue(pkt, tid)
-            self.scheduler.wake(station)
+            # wake() is a no-op for a station already on a scheduler
+            # list -- at saturation, every arrival.
+            scheduler = self.scheduler
+            if station not in scheduler.listed:
+                scheduler.wake(station)
         else:
             # FIFO / FQ-CoDel: qdisc above the legacy driver.  The pull
             # is guarded inline: at saturation the driver is full for
@@ -336,7 +340,12 @@ class AccessPoint:
             if driver.backlog < driver.limit:
                 self._pull_driver()
 
-        self._fill_hw()
+        # The fill pass can only act on a VO frame, a parked station or
+        # a free BE hardware slot (both schedulers loop "while the
+        # hardware queue is not full"); slots are released in
+        # txop_complete, which always runs it.
+        if self._vo_ring or self._parked or not self._hw.be_full():
+            self._fill_hw()
         # Inlined ``medium.notify_backlog()`` guard: mid-run the channel
         # is nearly always busy, and this path runs once per arrival.
         medium = self.medium

@@ -173,7 +173,7 @@ class TestSparseStationOptimisation:
         # Station 2 overspent: the next service goes to station 1.
         h.scheduler.schedule()
         assert self._charge(h) == [1]
-        assert h.scheduler._membership[2] == "old"
+        assert h.scheduler.listed[2] == "old"
         h.scheduler.wake(2)  # must not re-join new while still listed
         assert 2 not in h.scheduler.new_stations
 

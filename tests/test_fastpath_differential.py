@@ -6,7 +6,9 @@ Hypothesis chooses:
 
 * ``MacFqStructure.enqueue`` / ``dequeue`` against Algorithms 1–2
   spelled out with ``hash_flow``, ``FlowQueue`` / ``TidState`` methods
-  and ``codel_dequeue`` — the single CoDel state machine.
+  and ``codel_dequeue`` — the single CoDel state machine;
+* the access point's fill pass, counted: Algorithm 3 is entered when a
+  hardware slot can be filled, not once per arriving packet.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from repro.core.codel import (
 from repro.core.fq_codel import hash_flow
 from repro.core.mac_fq import MacFqStructure
 from repro.core.packet import AccessCategory, Packet
+from repro.experiments import workloads
+from repro.experiments.config import three_station_rates
+from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.mac.ap import Scheme
 
 
 # ----------------------------------------------------------------------
@@ -186,3 +192,31 @@ def test_mac_fq_matches_the_reference_on_a_standing_queue():
         by_station[station] += 1
     # 5 ms / 100 ms parameters drop sooner and faster than 50 / 300 ms.
     assert by_station[0] > by_station[1] > 3
+
+
+# ----------------------------------------------------------------------
+# Algorithm 3 runs per hardware slot, not per packet
+# ----------------------------------------------------------------------
+def test_schedule_is_entered_at_most_twice_per_aggregate():
+    testbed = Testbed(three_station_rates(),
+                      TestbedOptions(scheme=Scheme.AIRTIME, seed=1))
+    workloads.saturating_udp_download(testbed)
+    scheduler = testbed.ap.scheduler
+    schedule = scheduler.schedule
+    counts = {"schedule": 0, "aggregates": 0, "arrivals": 0}
+
+    def counted_schedule() -> None:
+        counts["schedule"] += 1
+        schedule()
+
+    def on_transmission(record) -> None:
+        counts["aggregates"] += record.downlink
+
+    scheduler.schedule = counted_schedule
+    testbed.medium.add_observer(on_transmission)
+    testbed.run(1.0)
+    counts["arrivals"] = testbed.ap.downlink_enqueued
+    # Saturated: many arrivals per aggregate, yet the scheduler runs once
+    # per completed transmission plus the rare arrival that finds a slot.
+    assert counts["arrivals"] > 10 * counts["aggregates"] > 1000
+    assert counts["schedule"] <= 2 * counts["aggregates"]
