@@ -21,11 +21,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, Optional, TYPE_CHECKING
+from functools import partial
+from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.core.airtime import DEFAULT_AIRTIME_QUANTUM_US, AirtimeScheduler
 from repro.core.codel import PerStationCoDelTuner
 from repro.core.drops import DropHook, DropReporter
+from repro.core.fq_codel import TidState
 from repro.core.mac_fq import MacFqStructure
 from repro.core.packet import AccessCategory, Packet
 from repro.core.station_rr import RoundRobinScheduler
@@ -140,6 +142,15 @@ class AccessPoint:
                 codel_tuner=self.codel_tuner,
                 on_drop=self.drops.callback("mac"),
             )
+
+        #: (station, ac) -> the TID / the builder's dequeue callable, each
+        #: resolved once, at the first use of its key.  Not at
+        #: add_station: mac_fq breaks longest-queue ties by TID creation
+        #: order, so *when* a TID is first asked for decides which packet
+        #: an overlimit drop takes.  Entries outlive remove_station, as
+        #: mac_fq's own TIDs do, so a station that roams back finds them.
+        self._tids: Dict[tuple, TidState] = {}
+        self._dequeues: Dict[tuple, Callable[[], Optional[Packet]]] = {}
 
         # --- station scheduler (BE/BK/VI) ------------------------------
         if self.scheme is Scheme.AIRTIME:
@@ -324,7 +335,10 @@ class AccessPoint:
         if pkt.ac is AccessCategory.VO:
             self._enqueue_vo(pkt, station)
         elif self.mac_fq is not None:
-            tid = self.mac_fq.tid(station, pkt.ac)
+            try:
+                tid = self._tids[station, pkt.ac]
+            except KeyError:
+                tid = self._bind_tid(station, pkt.ac)
             self.mac_fq.enqueue(pkt, tid)
             # wake() is a no-op for a station already on a scheduler
             # list -- at saturation, every arrival.
@@ -352,13 +366,23 @@ class AccessPoint:
         if not medium._busy and not medium._arbitration_scheduled:
             medium.notify_backlog()
 
+    def _bind_tid(self, station: int, ac: AccessCategory) -> TidState:
+        """First use of ``(station, ac)``: create the TID, remember it."""
+        tid = self._tids[station, ac] = self.mac_fq.tid(station, ac)
+        return tid
+
+    def _tid(self, station: int, ac: AccessCategory) -> TidState:
+        try:
+            return self._tids[station, ac]
+        except KeyError:
+            return self._bind_tid(station, ac)
+
     def _enqueue_vo(self, pkt: Packet, station: int) -> None:
         # The VO queue is short and unmanaged in all schemes except the
         # mac_fq ones, where it is a TID like any other; either way the
         # AP-side scheduling is strict-priority round-robin.
         if self.mac_fq is not None:
-            tid = self.mac_fq.tid(station, AccessCategory.VO)
-            self.mac_fq.enqueue(pkt, tid)
+            self.mac_fq.enqueue(pkt, self._tid(station, AccessCategory.VO))
         else:
             queue = self._vo_queues.setdefault(station, deque())
             pkt.enqueue_us = self.sim.now
@@ -371,7 +395,7 @@ class AccessPoint:
 
     def _dequeue_vo(self, station: int) -> Optional[Packet]:
         if self.mac_fq is not None:
-            return self.mac_fq.dequeue(self.mac_fq.tid(station, AccessCategory.VO))
+            return self.mac_fq.dequeue(self._tid(station, AccessCategory.VO))
         queue = self._vo_queues.get(station)
         if not queue:
             return None
@@ -383,7 +407,7 @@ class AccessPoint:
 
     def _vo_backlog(self, station: int) -> int:
         if self.mac_fq is not None:
-            return self.mac_fq.tid(station, AccessCategory.VO).backlog
+            return self._tid(station, AccessCategory.VO).backlog
         queue = self._vo_queues.get(station)
         return len(queue) if queue else 0
 
@@ -396,9 +420,13 @@ class AccessPoint:
     def _ac_backlog(self, station: int, ac: AccessCategory) -> int:
         # Inline of ``builder.holdback_backlog``: this runs up to three
         # times per scheduling decision (one walk over the data ACs).
-        backlog = 1 if (station, ac) in self._builder._holdback else 0
+        key = (station, ac)
+        backlog = 1 if key in self._builder._holdback else 0
         if self.mac_fq is not None:
-            return backlog + self.mac_fq.tid(station, ac).backlog
+            try:
+                return backlog + self._tids[key].backlog
+            except KeyError:
+                return backlog + self._bind_tid(station, ac).backlog
         return backlog + self.driver.station_backlog(station, ac)
 
     def _station_has_backlog(self, station: int) -> bool:
@@ -408,11 +436,14 @@ class AccessPoint:
                 return True
         return False
 
-    def _dequeue(self, station: int, ac: AccessCategory) -> Optional[Packet]:
+    def _bind_dequeue(self, station: int, ac: AccessCategory):
+        """The builder's packet source for ``(station, ac)``, bound once."""
         if self.mac_fq is not None:
-            return self.mac_fq.dequeue(self.mac_fq.tid(station, ac))
-        assert self.driver is not None
-        return self.driver.dequeue(station, ac)
+            dequeue = partial(self.mac_fq.dequeue, self._tid(station, ac))
+        else:
+            dequeue = partial(self.driver.dequeue, station, ac)
+        self._dequeues[station, ac] = dequeue
+        return dequeue
 
     def _build_aggregate_for(self, station: int) -> int:
         """Build one aggregate for ``station`` into the hardware queue.
@@ -432,12 +463,11 @@ class AccessPoint:
         if self._hw.full(ac):
             self._parked.add(station)
             return 0
-        agg = self._builder.build(
-            station,
-            ac,
-            self.rate_for(station),
-            lambda: self._dequeue(station, ac),
-        )
+        try:
+            dequeue = self._dequeues[station, ac]
+        except KeyError:
+            dequeue = self._bind_dequeue(station, ac)
+        agg = self._builder.build(station, ac, self.rate_for(station), dequeue)
         if agg is None:
             return 0
         if self._em_built is not None:
