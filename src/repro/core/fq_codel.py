@@ -24,18 +24,19 @@ from typing import Deque, Optional
 from repro.core.codel import CoDelState
 from repro.core.packet import Packet
 
-__all__ = ["FlowQueue", "TidState", "hash_flow", "DEFAULT_QUANTUM_BYTES"]
+__all__ = ["FlowQueue", "TidState", "hash_flow", "DEFAULT_QUANTUM_BYTES",
+           "HASH_MULT"]
 
 #: DRR quantum in bytes — one MTU-sized frame, as in the Linux defaults.
 DEFAULT_QUANTUM_BYTES = 1514
 
 #: Knuth multiplicative hash constant for flow → queue mapping.
-_HASH_MULT = 0x9E3779B1
+HASH_MULT = 0x9E3779B1
 
 
 def hash_flow(flow_id: int, num_queues: int) -> int:
     """Deterministically map a flow id onto one of ``num_queues`` buckets."""
-    return ((flow_id * _HASH_MULT) & 0xFFFFFFFF) % num_queues
+    return ((flow_id * HASH_MULT) & 0xFFFFFFFF) % num_queues
 
 
 class FlowQueue:

@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Optional
 from repro.core.codel import PerStationCoDelTuner, codel_dequeue
 from repro.core.fq_codel import (
     DEFAULT_QUANTUM_BYTES,
+    HASH_MULT,
     FlowQueue,
     TidState,
-    hash_flow,
 )
 from repro.core.packet import Packet
 
@@ -186,13 +186,18 @@ class MacFqStructure:
         if self.backlog_packets >= self.limit:
             self._drop_from_longest_queue()
 
-        queue = self._queues[hash_flow(pkt.flow_id, len(self._queues))]
+        # ``hash_flow`` and ``FlowQueue.append``, inline: this runs once
+        # per arrival.  (The hash is recomputed, not remembered per flow:
+        # web workloads mint flow ids without bound.)
+        queues = self._queues
+        queue = queues[((pkt.flow_id * HASH_MULT) & 0xFFFFFFFF) % len(queues)]
         if queue.tid is not None and queue.tid is not tid:
             queue = tid.overflow_queue
         queue.tid = tid
 
         pkt.enqueue_us = self._now()
-        queue.append(pkt)
+        queue.pkts.append(pkt)
+        queue.byte_backlog += pkt.size
         tid.backlog += 1
         self.backlog_packets += 1
 
@@ -247,37 +252,81 @@ class MacFqStructure:
     # Algorithm 2: dequeue
     # ------------------------------------------------------------------
     def dequeue(self, tid: TidState) -> Optional[Packet]:
-        """Dequeue one packet from ``tid`` (Algorithm 2), or ``None``."""
+        """Dequeue one packet from ``tid`` (Algorithm 2), or ``None``.
+
+        The DRR walk and CoDel's two steady states are spelled out
+        inline, because a saturated queue spends nearly every dequeue in
+        one of them: *not dropping and not due to start* (RFC 8289
+        ``dodequeue`` says the head may stay), and *dropping, but the
+        next drop is not due yet*.  In both the head packet is simply
+        delivered and no control state other than ``first_above_time``
+        moves.  Everything else -- entering, leaving or acting in the
+        dropping state, an empty queue -- goes through
+        :func:`codel_dequeue`, which remains the one state machine.
+        """
         now = self._now()
         params = self.codel_tuner.params_for(tid.station)
+        target_us = params.target_us
+        new_queues = tid.new_queues
+        old_queues = tid.old_queues
         while True:
-            queue = tid.schedulable_queue()
-            if queue is None:
+            # Algorithm 2 lines 2-7: new queues before old ones.
+            if new_queues:
+                queue = new_queues[0]
+            elif old_queues:
+                queue = old_queues[0]
+            else:
                 return None
 
             if queue.deficit <= 0:
                 queue.deficit += self.quantum
-                tid.move_to_old(queue)
-                continue
-
-            pkt = codel_dequeue(
-                queue,
-                queue.codel,
-                now,
-                params,
-                on_drop=lambda p, q=queue: self._account_drop(q, p, "codel"),
-            )
-            if pkt is None:
-                # Queue emptied: a new queue gets one pass through the old
-                # list before deletion (the anti-gaming rule FQ-CoDel
-                # applies to its sparse-flow optimisation).
-                if queue.membership == "new":
+                if new_queues:
                     tid.move_to_old(queue)
                 else:
-                    tid.delete_queue(queue)
-                    if self._em_flow_reclaim is not None:
-                        self._em_flow_reclaim(now, tid.station, queue.index)
+                    # Head of old to tail of old: a rotation.
+                    old_queues.rotate(-1)
                 continue
+
+            pkts = queue.pkts
+            codel = queue.codel
+            deliver_head = False
+            if pkts:
+                above = now - pkts[0].enqueue_us >= target_us
+                first_above = codel.first_above_time_us
+                if codel.dropping:
+                    deliver_head = (above and first_above != 0.0
+                                    and first_above <= now < codel.drop_next_us)
+                elif not above:
+                    codel.first_above_time_us = 0.0
+                    deliver_head = True
+                elif first_above == 0.0:
+                    codel.first_above_time_us = now + params.interval_us
+                    deliver_head = True
+                else:
+                    deliver_head = now < first_above
+            if deliver_head:
+                pkt = pkts.popleft()
+                queue.byte_backlog -= pkt.size
+            else:
+                pkt = codel_dequeue(
+                    queue,
+                    codel,
+                    now,
+                    params,
+                    on_drop=lambda p, q=queue: self._account_drop(q, p, "codel"),
+                )
+                if pkt is None:
+                    # Queue emptied: a new queue gets one pass through
+                    # the old list before deletion (the anti-gaming rule
+                    # FQ-CoDel applies to its sparse-flow optimisation).
+                    if queue.membership == "new":
+                        tid.move_to_old(queue)
+                    else:
+                        tid.delete_queue(queue)
+                        if self._em_flow_reclaim is not None:
+                            self._em_flow_reclaim(now, tid.station,
+                                                  queue.index)
+                    continue
 
             queue.deficit -= pkt.size
             tid.backlog -= 1

@@ -126,10 +126,11 @@ class _Side:
 # one station.  Arrivals outpace departures on average and the advances
 # straddle target (5 / 50 ms) and interval (100 / 300 ms), so queues
 # stand above target long enough to enter, hold and leave the dropping
-# state -- with both parameter sets (flow % 2 picks the station).
+# state -- with both parameter sets (flow % 2 picks the station, so a
+# station has up to three queues on its DRR lists).
 _ROUNDS = st.lists(
     st.tuples(
-        st.integers(1, 4),                      # flow
+        st.integers(1, 6),                      # flow
         st.integers(0, 8),                      # packets enqueued
         st.sampled_from((60, 576, 1500)),       # their size
         st.sampled_from((0.0, 10.0, 900.0, 4_000.0, 20_000.0, 60_000.0,
@@ -171,8 +172,8 @@ def _run_both(rounds, n_flows: int, num_queues: int, limit: int) -> _Side:
 
 
 @settings(max_examples=150, deadline=None)
-@given(rounds=_ROUNDS, n_flows=st.integers(1, 4),
-       num_queues=st.sampled_from((1, 2, 8)),
+@given(rounds=_ROUNDS, n_flows=st.integers(1, 6),
+       num_queues=st.sampled_from((1, 2, 8, 11)),
        limit=st.sampled_from((6, 24, 1024)))
 def test_mac_fq_matches_the_reference_algorithms(rounds, n_flows, num_queues,
                                                  limit):
@@ -180,18 +181,24 @@ def test_mac_fq_matches_the_reference_algorithms(rounds, n_flows, num_queues,
 
 
 def test_mac_fq_matches_the_reference_on_a_standing_queue():
-    """The state a saturated station lives in: two flows per station,
-    each two packets in and one out per 4 ms for a simulated second: CoDel
-    enters dropping and mostly sits between two scheduled drops."""
-    rounds = [(flow, 2, 1500, 1_000.0, flow % 2, 1)
-              for _ in range(250) for flow in (1, 2, 3, 4)]
-    fast = _run_both(rounds, n_flows=4, num_queues=8, limit=1024)
+    """The states a saturated station lives in.  Three flows per station
+    each take two packets in and give one out per 6 ms for a simulated
+    second: CoDel enters dropping and mostly sits between two scheduled
+    drops.  Then arrivals slow to a trickle and the queues drain, so a
+    fresh head turns up while its queue is still in the dropping state."""
+    flows = (1, 2, 3, 4, 5, 6)
+    build_up = [(flow, 2, 1500, 1_000.0, flow % 2, 1)
+                for _ in range(170) for flow in flows]
+    drain = [(flow, 1, 1500, 1_000.0, flow % 2, 4)
+             for _ in range(120) for flow in flows]
+    fast = _run_both(build_up + drain, n_flows=6, num_queues=8, limit=4096)
     by_station = {0: 0, 1: 0}
     for _pid, station, reason in fast.drops:
         assert reason == "codel"
         by_station[station] += 1
     # 5 ms / 100 ms parameters drop sooner and faster than 50 / 300 ms.
     assert by_station[0] > by_station[1] > 3
+    assert fast.fq.backlog_packets < 12
 
 
 # ----------------------------------------------------------------------
