@@ -16,7 +16,7 @@ received packets to registered flow handlers (the transport sinks).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.packet import AccessCategory, Packet
 from repro.mac.aggregation import Aggregate, AggregateBuilder, AggregationLimits
@@ -37,6 +37,7 @@ __all__ = ["ClientStation", "CLIENT_QUEUE_LIMIT"]
 CLIENT_QUEUE_LIMIT = 1000
 
 PacketHandler = Callable[[Packet], None]
+BurstHandler = Callable[[List[Packet]], None]
 
 
 class ClientStation:
@@ -72,6 +73,7 @@ class ClientStation:
         self._builder = AggregateBuilder(limits)
         self._hw = HardwareQueue()
         self._handlers: Dict[int, PacketHandler] = {}
+        self._burst_handlers: Dict[int, BurstHandler] = {}
         self.medium: Optional["Medium"] = None
         self.ap: Optional["AccessPoint"] = None
 
@@ -92,9 +94,18 @@ class ClientStation:
         self.ap = ap
         medium.attach(self, is_ap=False, bss=getattr(ap, "bss", 0))
 
-    def register_handler(self, flow_id: int, handler: PacketHandler) -> None:
-        """Deliver received packets of ``flow_id`` to ``handler``."""
+    def register_handler(self, flow_id: int, handler: PacketHandler,
+                         burst: Optional[BurstHandler] = None) -> None:
+        """Deliver received packets of ``flow_id`` to ``handler``.
+
+        A flow that can account for many packets at once also registers
+        ``burst(packets)``: it receives, in one call and in order, the
+        packets of an aggregate that carries nothing but this flow, and
+        must leave the same state as ``handler`` called on each.
+        """
         self._handlers[flow_id] = handler
+        if burst is not None:
+            self._burst_handlers[flow_id] = burst
 
     def _on_uplink_drop(self, pkt: Packet, reason: str) -> None:
         self.uplink_drops += 1
@@ -180,6 +191,15 @@ class ClientStation:
         """Deliver a successfully received downlink aggregate."""
         packets = agg.packets
         self.rx_packets += len(packets)
+        flow_id = packets[0].flow_id
+        burst = self._burst_handlers.get(flow_id)
+        if burst is not None:
+            for pkt in packets:
+                if pkt.flow_id != flow_id:
+                    break
+            else:
+                burst(packets)
+                return
         handlers = self._handlers
         for pkt in packets:
             handler = handlers.get(pkt.flow_id)

@@ -178,6 +178,24 @@ class QuantileSketch:
         if len(buffer) >= self._flush_at:
             self._compress()
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Add samples in order: exactly repeated :meth:`observe`.
+
+        The buffer is flushed at the same samples a one-at-a-time feed
+        would flush it at (a burst that straddles the boundary is split
+        there), so centroids, moments and every quantile come out
+        bit-identical however a stream is cut into bursts.
+        """
+        buffer = self._buffer
+        start = 0
+        room = self._flush_at - len(buffer)
+        while len(values) - start >= room:
+            buffer.extend(values[start:start + room])
+            start += room
+            self._compress()
+            room = self._flush_at
+        buffer.extend(values[start:] if start else values)
+
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (returns ``self``).
 

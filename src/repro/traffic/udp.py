@@ -7,7 +7,7 @@ station's achievable share so the AP queues are always backlogged.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.packet import AccessCategory, Packet, flow_id_allocator
 from repro.mac.station import ClientStation
@@ -43,10 +43,16 @@ class UdpSink:
         self._window_bytes = 0
 
     def on_packet(self, pkt: Packet) -> None:
-        self.rx_bytes += pkt.size
-        self._window_bytes += pkt.size
-        self.rx_packets += 1
-        self.delay.observe(self.sim.now - pkt.created_us)
+        self.on_burst((pkt,))
+
+    def on_burst(self, packets: Sequence[Packet]) -> None:
+        """Account for packets received together (one aggregate)."""
+        size = sum([pkt.size for pkt in packets])
+        self.rx_bytes += size
+        self._window_bytes += size
+        self.rx_packets += len(packets)
+        now = self.sim.now
+        self.delay.observe_many([now - pkt.created_us for pkt in packets])
 
     def reset_window(self) -> None:
         """Start a fresh measurement window (drops warm-up samples)."""
@@ -85,7 +91,8 @@ class UdpDownloadFlow:
         self.sink = UdpSink(sim)
         self._seq = 0
 
-        station.register_handler(self.flow_id, self.sink.on_packet)
+        station.register_handler(self.flow_id, self.sink.on_packet,
+                                 burst=self.sink.on_burst)
         self.interval_us = 8 * packet_size / rate_bps * 1e6
         self._source: Optional[BatchSource] = None
         self._send = server.send

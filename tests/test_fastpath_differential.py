@@ -8,7 +8,9 @@ Hypothesis chooses:
   spelled out with ``hash_flow``, ``FlowQueue`` / ``TidState`` methods
   and ``codel_dequeue`` — the single CoDel state machine;
 * the access point's fill pass, counted: Algorithm 3 is entered when a
-  hardware slot can be filled, not once per arriving packet.
+  hardware slot can be filled, not once per arriving packet;
+* ``QuantileSketch.observe_many`` and the station's per-flow burst
+  delivery against one ``observe`` / one handler call per packet.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from repro.core.packet import AccessCategory, Packet
 from repro.experiments import workloads
 from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.mac.aggregation import Aggregate
 from repro.mac.ap import Scheme
+from repro.mac.station import ClientStation
+from repro.phy.rates import HT20_MCS_TABLE
+from repro.sim.engine import Simulator
+from repro.telemetry import QuantileSketch
+from repro.traffic.udp import UdpSink
 
 
 # ----------------------------------------------------------------------
@@ -227,3 +235,83 @@ def test_schedule_is_entered_at_most_twice_per_aggregate():
     # per completed transmission plus the rare arrival that finds a slot.
     assert counts["arrivals"] > 10 * counts["aggregates"] > 1000
     assert counts["schedule"] <= 2 * counts["aggregates"]
+
+
+# ----------------------------------------------------------------------
+# Burst delivery: one call per aggregate, the state of one per packet
+# ----------------------------------------------------------------------
+def _sketch_state(sketch: QuantileSketch) -> tuple:
+    return (sketch._means, sketch._weights, sketch._buffer, sketch._count,
+            sketch._total, sketch._m2, sketch._min, sketch._max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1e7), max_size=400),
+       bursts=st.lists(st.integers(0, 90), min_size=1, max_size=40))
+def test_observe_many_is_exactly_repeated_observe(values, bursts):
+    # max_centroids=8 flushes every 32 samples, so bursts of up to 90
+    # straddle the boundary once, twice, or land exactly on it.
+    one_by_one, in_bursts = QuantileSketch(8), QuantileSketch(8)
+    start = 0
+    for size in bursts:
+        burst = values[start:start + size]
+        start += size
+        for value in burst:
+            one_by_one.observe(value)
+        in_bursts.observe_many(burst)
+        assert _sketch_state(in_bursts) == _sketch_state(one_by_one)
+    assert in_bursts.quantiles((0.5, 0.99)) == one_by_one.quantiles((0.5, 0.99))
+    assert in_bursts.variance == one_by_one.variance
+
+
+@settings(max_examples=100, deadline=None)
+@given(aggregates=st.lists(
+    st.lists(st.tuples(st.sampled_from((1, 1, 1, 2, 3)),   # flow
+                       st.integers(60, 1500),             # size
+                       st.floats(0.0, 5e5)),              # age, us
+             min_size=1, max_size=40),
+    min_size=1, max_size=30))
+def test_burst_delivery_leaves_the_sinks_as_per_packet_delivery(aggregates):
+    """Flow 1 and 2 have sinks (burst handlers), flow 3 has no handler;
+    aggregates mix them or carry a single flow."""
+    sim = Simulator()
+    station = ClientStation(0, HT20_MCS_TABLE[7], sim)
+    sinks = {flow: UdpSink(sim) for flow in (1, 2)}
+    # Per packet, spelled out: bytes, count, one observe() each.
+    reference = {flow: [0, 0, QuantileSketch()] for flow in (1, 2)}
+    calls = {"burst": 0}
+
+    def counting(on_burst):
+        def burst(packets):
+            calls["burst"] += 1
+            on_burst(packets)
+        return burst
+
+    for flow, sink in sinks.items():
+        station.register_handler(flow, sink.on_packet,
+                                 burst=counting(sink.on_burst))
+    expected_bursts = 0
+    for spec in aggregates:
+        sim.now += 1_000.0
+        packets = []
+        for flow, size, age_us in spec:
+            pkt = Packet(flow, size, dst_station=0)
+            pkt.created_us = sim.now - min(age_us, sim.now)
+            packets.append(pkt)
+        for pkt in packets:
+            if pkt.flow_id in reference:
+                ref = reference[pkt.flow_id]
+                ref[0] += pkt.size
+                ref[1] += 1
+                ref[2].observe(sim.now - pkt.created_us)
+        flows = {flow for flow, _, _ in spec}
+        expected_bursts += len(flows) == 1 and flows <= set(sinks)
+        station.receive_from_ap(Aggregate(0, AccessCategory.BE,
+                                          station.rate, packets))
+    assert calls["burst"] == expected_bursts
+    assert station.rx_packets == sum(len(spec) for spec in aggregates)
+    for flow, sink in sinks.items():
+        n_bytes, n_packets, delay = reference[flow]
+        assert (sink.rx_bytes, sink._window_bytes, sink.rx_packets) == \
+            (n_bytes, n_bytes, n_packets)
+        assert _sketch_state(sink.delay) == _sketch_state(delay)
