@@ -127,7 +127,7 @@ def bench_batch_arrivals(n_arrivals: int = 200_000) -> dict:
         sim = Simulator()
         fired = [0]
 
-        def on_arrival() -> None:
+        def on_arrival(stamp_us: float) -> None:
             fired[0] += 1
 
         source = BatchSource(

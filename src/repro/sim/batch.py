@@ -12,6 +12,12 @@ replays them through the :meth:`~repro.sim.engine.Simulator.schedule_call_at`
 fast path: no Event objects, no closures, one chunk-generation step per
 ~thousands of arrivals.
 
+A source can also carry a fixed ``latency_us``: the arrival stamped
+``t`` then fires at ``t + latency_us`` and the callback is told ``t``.
+A traffic source whose packets cross a fixed-delay hop before anything
+can observe them uses that to fold "generate at ``t``" and "deliver at
+``t + delay``" into one heap entry per arrival instead of two.
+
 Scheduling contract (what keeps traces bit-identical to a
 ``PeriodicTimer`` feeding the same callback):
 
@@ -22,14 +28,19 @@ Scheduling contract (what keeps traces bit-identical to a
   are consumed in the same order and same quantity;
 * timestamps are replayed *verbatim* (absolute, no ``now + delay``
   round-trip), so a chunk built by the same left-fold float arithmetic
-  as a repeated ``now + interval`` chain lands on identical floats;
-* :meth:`stop` is a flag, not a cancellation — an already-scheduled
-  fire pops, sees the flag and does nothing.  Sources don't allocate
-  Events, so there is nothing to cancel.
+  as a repeated ``now + interval`` chain lands on identical floats; the
+  entry time ``t + latency_us`` is the one rounded add a
+  ``schedule_call(latency_us, ...)`` made at ``t`` would perform;
+* :meth:`stop` is a timestamp, not a cancellation — arrivals stamped
+  before the stop instant still fire (with a latency they are already
+  under way), the first one stamped at or after it pops inert and ends
+  the chain.  Sources don't allocate Events, so there is nothing to
+  cancel.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.sim.engine import Simulator
@@ -38,7 +49,7 @@ __all__ = ["BatchSource"]
 
 
 class BatchSource:
-    """Fire ``callback`` at each timestamp drawn from ``chunks``.
+    """Fire ``callback(t)`` at ``t + latency_us`` for each ``t`` in ``chunks``.
 
     ``chunks`` is an iterator (or iterable) of non-empty sequences of
     absolute simulation times in microseconds, globally non-decreasing.
@@ -50,10 +61,11 @@ class BatchSource:
     __slots__ = (
         "sim",
         "callback",
+        "latency_us",
         "_chunks",
         "_times",
         "_index",
-        "_stopped",
+        "_stop_at",
         "_schedule_at",
         "_fired_base",
     )
@@ -62,14 +74,20 @@ class BatchSource:
         self,
         sim: Simulator,
         chunks: Iterable[Sequence[float]],
-        callback: Callable[[], None],
+        callback: Callable[[float], None],
+        latency_us: float = 0.0,
     ) -> None:
+        if latency_us < 0:
+            raise ValueError("latency must be non-negative")
         self.sim = sim
         self.callback = callback
+        self.latency_us = latency_us
         self._chunks: Iterator[Sequence[float]] = iter(chunks)
         self._times: Sequence[float] = ()
         self._index = 0
-        self._stopped = True
+        #: Only arrivals stamped before this fire: +inf while running,
+        #: the stop instant after :meth:`stop`, -inf when idle.
+        self._stop_at = -math.inf
         self._schedule_at = sim.schedule_call_at
         #: Arrivals fired in *completed* chunks; see :attr:`fired`.
         self._fired_base = 0
@@ -86,18 +104,18 @@ class BatchSource:
 
     def start(self) -> "BatchSource":
         """Arm the first arrival.  A source with no chunks is a no-op."""
-        self._stopped = False
+        self._stop_at = math.inf
         if not self._next_chunk():
-            self._stopped = True
+            self._stop_at = -math.inf
         return self
 
     def stop(self) -> None:
-        """Stop firing.  The pending wake-up pops inert."""
-        self._stopped = True
+        """Generate nothing more: arrivals stamped from now on never fire."""
+        self._stop_at = min(self._stop_at, self.sim.now)
 
     @property
     def active(self) -> bool:
-        return not self._stopped
+        return self._stop_at == math.inf
 
     # ------------------------------------------------------------------
     def _next_chunk(self) -> bool:
@@ -109,25 +127,25 @@ class BatchSource:
             raise ValueError("BatchSource chunks must be non-empty")
         self._times = times
         self._index = 0
-        self._schedule_at(times[0], self._fire)
+        self._schedule_at(times[0] + self.latency_us, self._fire)
         return True
 
     def _fire(self) -> None:
-        if self._stopped:
+        index = self._index
+        times = self._times
+        stamp = times[index]
+        if stamp >= self._stop_at:
             return
         # Advance before the callback so ``fired`` counts this arrival
         # while the callback runs; ``times[_index]`` is the *next* armed
         # timestamp either way.
-        index = self._index + 1
+        index += 1
         self._index = index
-        self.callback()
-        if self._stopped:
-            return
-        times = self._times
+        self.callback(stamp)
         if index < len(times):
-            self._schedule_at(times[index], self._fire)
+            self._schedule_at(times[index] + self.latency_us, self._fire)
         else:
             self._fired_base += index
             self._index = 0
             if not self._next_chunk():
-                self._stopped = True
+                self._stop_at = -math.inf

@@ -95,50 +95,44 @@ class UdpDownloadFlow:
                                  burst=self.sink.on_burst)
         self.interval_us = 8 * packet_size / rate_bps * 1e6
         self._source: Optional[BatchSource] = None
-        self._send = server.send
         self._dst = station.index
-        # Filled by start() when the server sits behind a Network:
-        # the wire hop is then inlined into _emit (one schedule_call with
-        # a prebound delivery target instead of send -> to_ap frames).
+        #: The network's AP-side delivery target, bound by start().
         self._deliver = None
-        self._wire_delay = 0.0
-        self._sched = sim.schedule_call
 
     @property
     def tx_packets(self) -> int:
-        """Packets generated so far (every emit also bumps the seq)."""
+        """Packets that have left the wire so far (each bumps the seq)."""
         return self._seq
 
     def start(self, delay_us: float = 0.0) -> "UdpDownloadFlow":
+        network = self.server.network
+        if network is None:
+            raise RuntimeError("server not attached to a network")
         # Arrivals replay the exact timestamp chain a PeriodicTimer with
         # the same first delay and interval would walk (left-fold float
         # adds), precomputed in chunks instead of one add per packet.
-        network = self.server.network
-        if network is not None:
-            self._deliver = network._deliver_down
-            self._wire_delay = network.delay_us
+        # Nothing can observe a packet between the server and the far
+        # end of the wire, so the source fires once per arrival, when
+        # the packet stamped ``t`` reaches the AP side at ``t + delay``.
+        self._deliver = network._deliver_down
         chunks = cbr_chunks(self.sim.now + delay_us, self.interval_us)
-        self._source = BatchSource(self.sim, chunks, self._emit).start()
+        self._source = BatchSource(
+            self.sim, chunks, self._emit, latency_us=network.delay_us
+        ).start()
         return self
 
     def stop(self) -> None:
+        """Send nothing more; packets already on the wire still arrive."""
         if self._source is not None:
             self._source.stop()
 
-    def _emit(self) -> None:
+    def _emit(self, sent_us: float) -> None:
         seq = self._seq + 1
         self._seq = seq
         # Positional Packet call (dst_station, src_station, ac, proto,
         # seq, created_us): one packet per arrival makes the keyword
-        # binding overhead measurable.  The ctor stamps created_us with
-        # the same clock value Network.to_ap would, so the wire hop
-        # reduces to scheduling the AP-side delivery directly.
-        pkt = Packet(
+        # binding overhead measurable.
+        self._deliver(Packet(
             self.flow_id, self.packet_size,
-            self._dst, None, self.ac, "udp", seq, self.sim.now,
-        )
-        deliver = self._deliver
-        if deliver is None:
-            self._send(pkt)
-        else:
-            self._sched(self._wire_delay, deliver, pkt)
+            self._dst, None, self.ac, "udp", seq, sent_us,
+        ))

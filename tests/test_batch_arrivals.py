@@ -87,7 +87,7 @@ class TestBatchSource:
     def test_fires_at_exact_timestamps(self, sim):
         times = [[1.0, 2.5, 4.0], [5.5, 9.0]]
         fired = []
-        source = BatchSource(sim, iter(times), lambda: fired.append(sim.now))
+        source = BatchSource(sim, iter(times), lambda t: fired.append(sim.now))
         source.start()
         sim.run()
         assert fired == [1.0, 2.5, 4.0, 5.5, 9.0]
@@ -95,7 +95,7 @@ class TestBatchSource:
         assert not source.active
 
     def test_one_live_heap_entry_per_source(self, sim):
-        source = BatchSource(sim, iter([[1.0, 2.0, 3.0]]), lambda: None)
+        source = BatchSource(sim, iter([[1.0, 2.0, 3.0]]), lambda t: None)
         source.start()
         assert sim.pending_events == 1  # only the next arrival is armed
         sim.run(until_us=1.5)
@@ -104,7 +104,7 @@ class TestBatchSource:
     def test_stop_makes_pending_fire_inert(self, sim):
         fired = []
         source = BatchSource(
-            sim, cbr_chunks(1.0, 1.0), lambda: fired.append(sim.now)
+            sim, cbr_chunks(1.0, 1.0), lambda t: fired.append(sim.now)
         ).start()
         sim.run(until_us=3.5)
         source.stop()
@@ -113,28 +113,57 @@ class TestBatchSource:
         assert source.fired == 3
 
     def test_stop_from_within_callback(self, sim):
-        source = BatchSource(sim, cbr_chunks(1.0, 1.0), lambda: source.stop())
+        source = BatchSource(sim, cbr_chunks(1.0, 1.0), lambda t: source.stop())
         source = source.start()
         sim.run(until_us=10.0)
         assert source.fired == 1
 
     def test_empty_iterator_is_inert(self, sim):
-        source = BatchSource(sim, iter([]), lambda: None).start()
+        source = BatchSource(sim, iter([]), lambda t: None).start()
         assert not source.active
         sim.run()
         assert source.fired == 0
 
     def test_empty_chunk_raises(self, sim):
-        source = BatchSource(sim, iter([[]]), lambda: None)
+        source = BatchSource(sim, iter([[]]), lambda t: None)
         with pytest.raises(ValueError):
             source.start()
 
     def test_fired_counts_across_chunk_boundaries(self, sim):
         source = BatchSource(
-            sim, cbr_chunks(1.0, 1.0, chunk_size=4), lambda: None
+            sim, cbr_chunks(1.0, 1.0, chunk_size=4), lambda t: None
         ).start()
         sim.run(until_us=10.5)
         assert source.fired == 10
+
+    def test_latency_fires_late_and_reports_the_stamp(self, sim):
+        seen = []
+        source = BatchSource(
+            sim, iter([[1.0, 2.5], [4.0]]),
+            lambda t: seen.append((t, sim.now)), latency_us=0.75,
+        ).start()
+        assert sim.pending_events == 1  # still one entry per source
+        sim.run()
+        assert seen == [(1.0, 1.75), (2.5, 3.25), (4.0, 4.75)]
+        assert source.fired == 3 and not source.active
+
+    def test_stop_lets_arrivals_already_under_way_fire(self, sim):
+        """Stamps before the stop instant fire even when their latency
+        carries them past it; stamps at or after it never do."""
+        seen = []
+        source = BatchSource(
+            sim, cbr_chunks(1.0, 1.0), seen.append, latency_us=2.5,
+        ).start()
+        sim.run(until_us=4.0)       # 1.0 fired at 3.5; 2.0 and 3.0 in flight
+        source.stop()
+        assert not source.active
+        sim.run(until_us=20.0)
+        assert seen == [1.0, 2.0, 3.0]
+        assert sim.pending_events == 0
+
+    def test_negative_latency_raises(self, sim):
+        with pytest.raises(ValueError):
+            BatchSource(sim, iter([[1.0]]), lambda t: None, latency_us=-1.0)
 
     def test_equivalent_to_periodic_timer_interleaving(self):
         """A BatchSource and a PeriodicTimer driving the same interval
@@ -155,7 +184,7 @@ class TestBatchSource:
             return log
 
         batch_log = drive(lambda sim, cb: BatchSource(
-            sim, cbr_chunks(1.0, 1.0), cb))
+            sim, cbr_chunks(1.0, 1.0), lambda t: cb()))
         timer_log = drive(lambda sim, cb: PeriodicTimer(sim, 1.0, cb))
         assert batch_log == timer_log
 
