@@ -1,13 +1,20 @@
-"""Performance benchmark: simulator events/sec and report wall time.
+"""Component microbenchmarks and report wall time.
 
-Measures the two costs every experiment pays —
+Measures what ``benchmarks/perf`` has no workload for —
 
 * the **event-loop hot path** (pure dispatch, and dispatch under heavy
   timer cancellation, the TCP/CoDel pattern that motivated lazy heap
   compaction),
-* a **real single run** (one scheme of the Figure 5 UDP scenario), and
+* **trace emission**, **batched arrival generation** and **campaign
+  reduction** in isolation, and
 * the **report fan-out**: wall time of the scaled-down report serial
   (``jobs=1``) vs parallel (``jobs=N``), caching disabled for both.
+
+What a whole simulation costs -- per delivered packet, per layer, with
+and without telemetry -- is ``benchmarks/perf``'s job (``udp3_fifo``,
+``udp3_airtime_spans``, ``udp3_airtime_stream``); events/sec of a run is
+not reported here, because a change that needs fewer events per packet
+makes a faster run read slower.
 
 Results are written to ``BENCH_speed.json`` at the repository root so
 successive PRs can track the perf trajectory.  Run directly::
@@ -30,8 +37,7 @@ from pathlib import Path
 
 from repro import __version__
 from repro.experiments.report import generate_report
-from repro.mac.ap import Scheme
-from repro.runner import RunSpec, Runner, default_jobs
+from repro.runner import Runner, default_jobs
 from repro.sim.engine import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -168,128 +174,8 @@ def bench_batch_arrivals(n_arrivals: int = 200_000) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Workload benchmarks
+# Campaign reduction and report fan-out
 # ----------------------------------------------------------------------
-def bench_single_run(duration_s: float = 3.0) -> dict:
-    """One real scheme run; events/sec comes from the runner's metrics."""
-    spec = RunSpec.make(
-        "repro.experiments.airtime_udp:run_scheme",
-        label="speed/single-run",
-        scheme=Scheme.FIFO,
-        duration_s=duration_s,
-        warmup_s=1.0,
-        seed=1,
-    )
-    result = Runner(jobs=1, cache=None).map([spec])[0]
-    metrics = result.metrics
-    return {
-        "scenario": "airtime_udp/FIFO",
-        "sim_duration_s": duration_s,
-        "events": metrics.events,
-        "wall_s": round(metrics.wall_s, 4),
-        "events_per_sec": round(metrics.events_per_sec),
-    }
-
-
-def bench_telemetry_overhead(duration_s: float = 2.0) -> dict:
-    """Cost of full observability: the same run untraced vs traced with
-    span reconstruction and the airtime ledger enabled."""
-    from repro.telemetry import TelemetryConfig
-
-    def one(label: str, telemetry) -> "RunMetrics":
-        spec = RunSpec.make(
-            "repro.experiments.airtime_udp:run_scheme",
-            label=label,
-            scheme=Scheme.FIFO,
-            duration_s=duration_s,
-            warmup_s=0.5,
-            seed=1,
-            telemetry=telemetry,
-        )
-        return Runner(jobs=1, cache=None).map([spec])[0].metrics
-
-    base = one("speed/untraced", None)
-    traced = one("speed/traced", TelemetryConfig(
-        trace=True,
-        categories=("queue", "agg", "hw", "driver", "tx"),
-        spans=True,
-        ledger=True,
-    ))
-    overhead = (
-        base.events_per_sec / traced.events_per_sec - 1.0
-        if traced.events_per_sec else 0.0
-    )
-    return {
-        "scenario": "airtime_udp/FIFO",
-        "sim_duration_s": duration_s,
-        "untraced_events_per_sec": round(base.events_per_sec),
-        "traced_spans_ledger_events_per_sec": round(traced.events_per_sec),
-        "overhead_pct": round(overhead * 100.0, 1),
-    }
-
-
-def bench_streaming_stats(duration_s: float = 2.0) -> dict:
-    """Streaming observability cost: the same run untraced vs with online
-    statistics (bounded ring + sketches, no post-run decode), plus memory
-    flatness as sim duration scales 10x, and raw sketch ingest speed."""
-    from repro.telemetry import QuantileSketch, TelemetryConfig
-
-    streaming = TelemetryConfig(streaming=True)
-
-    def one(label: str, duration: float, telemetry,
-            profile: bool = False) -> "RunMetrics":
-        spec = RunSpec.make(
-            "repro.experiments.airtime_udp:run_scheme",
-            label=label,
-            scheme=Scheme.FIFO,
-            duration_s=duration,
-            warmup_s=0.5,
-            seed=1,
-            telemetry=telemetry,
-        )
-        runner = Runner(jobs=1, cache=None, profile=profile)
-        return runner.map([spec])[0].metrics
-
-    # Best-of-2 alternating measurements: single-shot rates on a shared
-    # box swing far more than the overhead being measured, and taking
-    # each config's best run rejects the slow-outlier noise.
-    base_rate = 0.0
-    online_rate = 0.0
-    for rep in range(2):
-        base_rate = max(base_rate, one(
-            f"speed/stream-untraced{rep}", duration_s, None).events_per_sec)
-        online_rate = max(online_rate, one(
-            f"speed/streaming{rep}", duration_s, streaming).events_per_sec)
-    overhead = base_rate / online_rate - 1.0 if online_rate else 0.0
-
-    # Memory flatness: with the ring bounded and the stats online, peak
-    # heap must stay ~flat as sim duration scales 10x.
-    heap_short = one("speed/stream-1s", 1.0, streaming,
-                     profile=True).peak_heap_bytes
-    heap_long = one("speed/stream-10s", 10.0, streaming,
-                    profile=True).peak_heap_bytes
-
-    sketch = QuantileSketch()
-    n_samples = 200_000
-    start = time.perf_counter()
-    for i in range(n_samples):
-        sketch.observe(float(i & 1023))
-    sketch_rate = n_samples / (time.perf_counter() - start)
-
-    return {
-        "scenario": "airtime_udp/FIFO",
-        "sim_duration_s": duration_s,
-        "untraced_events_per_sec": round(base_rate),
-        "streaming_events_per_sec": round(online_rate),
-        "overhead_pct": round(overhead * 100.0, 1),
-        "sketch_observe_per_sec": round(sketch_rate),
-        "peak_heap_1s_bytes": heap_short,
-        "peak_heap_10s_bytes": heap_long,
-        "heap_growth_10x": (round(heap_long / heap_short, 2)
-                            if heap_short else None),
-    }
-
-
 def bench_campaign_reduce(n_cells: int = 4000, n_groups: int = 40) -> dict:
     """Campaign reduction throughput: synthetic shard payloads folded
     through the streaming reducer, finalised with the full CI section
@@ -372,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="parallel worker count (default: $REPRO_JOBS "
                              "or the CPU count)")
     parser.add_argument("--skip-report", action="store_true",
-                        help="only run the event-loop and single-run benches")
+                        help="only run the component microbenchmarks")
     parser.add_argument("-o", "--output", default=str(OUTPUT),
                         help="output JSON path (default: repo root)")
     args = parser.parse_args(argv)
@@ -395,23 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  batch {batch['batch_arrivals_per_sec']:,} vs timer "
           f"{batch['periodic_timer_arrivals_per_sec']:,} arrivals/sec "
           f"({batch['speedup']}x)")
-    print("workload: single run ...", flush=True)
-    single = bench_single_run()
-    print(f"  {single['events_per_sec']:,} events/sec "
-          f"({single['events']:,} events in {single['wall_s']}s)")
-    print("workload: tracing + spans + ledger overhead ...", flush=True)
-    overhead = bench_telemetry_overhead()
-    print(f"  {overhead['untraced_events_per_sec']:,} -> "
-          f"{overhead['traced_spans_ledger_events_per_sec']:,} events/sec "
-          f"({overhead['overhead_pct']}% overhead)")
-    print("workload: streaming-stats overhead + memory flatness ...",
-          flush=True)
-    streaming = bench_streaming_stats()
-    print(f"  {streaming['untraced_events_per_sec']:,} -> "
-          f"{streaming['streaming_events_per_sec']:,} events/sec "
-          f"({streaming['overhead_pct']}% overhead); peak heap x"
-          f"{streaming['heap_growth_10x']} over a 10x longer run; "
-          f"sketch {streaming['sketch_observe_per_sec']:,} samples/sec")
     print("campaign: shard reduction with CI sections ...", flush=True)
     campaign_reduce = bench_campaign_reduce()
     print(f"  {campaign_reduce['cells_per_sec']:,} cells/sec with CIs "
@@ -440,9 +309,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "trace_ring": trace_ring,
         "batch_arrivals": batch,
-        "single_run": single,
-        "telemetry_overhead": overhead,
-        "streaming_stats": streaming,
         "campaign_reduce": campaign_reduce,
         "report": report,
     }

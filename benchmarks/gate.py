@@ -1,5 +1,5 @@
 """Latency/airtime regression gate over recorded traces — and the
-throughput perf floor.
+component perf floor.
 
 **Trace mode** compares a candidate trace (or directory of traces)
 against a baseline: per-station mean/P95 latency attribution per segment
@@ -14,7 +14,7 @@ it pins the experiment tables::
 Directories are matched by file name: every ``*.trace.jsonl`` in the
 baseline must exist in the candidate.
 
-**Perf mode** gates the events/sec floors: a candidate
+**Perf mode** gates the component-rate floors: a candidate
 ``bench_speed.py`` result (JSON) must not fall more than a relative
 tolerance below the committed ``BENCH_speed.json`` baseline::
 
@@ -49,16 +49,15 @@ from repro.analysis.attribution import (
 )
 from repro.telemetry import summarize_file
 
-#: events/sec floors gated by ``perf`` mode: (section, key) paths into
-#: the bench_speed payload.  Bigger is better for every one of these.
+#: Component-rate floors gated by ``perf`` mode: (section, key) paths
+#: into the bench_speed payload.  Bigger is better for every one of
+#: these.  (Whole-run speed is ``benchmarks/perf``'s ``host_us_per_pkt``:
+#: a run's events/sec falls when a change needs fewer events.)
 PERF_METRICS: Tuple[Tuple[str, str], ...] = (
     ("engine", "dispatch_events_per_sec"),
     ("engine", "cancel_heavy_rounds_per_sec"),
     ("trace_ring", "ring_emit_events_per_sec"),
     ("batch_arrivals", "batch_arrivals_per_sec"),
-    ("single_run", "events_per_sec"),
-    ("telemetry_overhead", "traced_spans_ledger_events_per_sec"),
-    ("streaming_stats", "streaming_events_per_sec"),
     ("campaign_reduce", "cells_per_sec"),
 )
 
@@ -84,7 +83,7 @@ def perf_main(argv: List[str]) -> int:
     """Gate a bench_speed result against the committed baseline."""
     parser = argparse.ArgumentParser(
         prog="gate.py perf",
-        description="events/sec perf floor with a relative tolerance",
+        description="component perf floor with a relative tolerance",
     )
     parser.add_argument("current", help="candidate bench_speed JSON")
     parser.add_argument(
@@ -94,7 +93,7 @@ def perf_main(argv: List[str]) -> int:
         help="baseline bench_speed JSON (default: committed "
              "BENCH_speed.json)")
     parser.add_argument("--tolerance-pct", type=float, default=40.0,
-                        help="max events/sec drop below baseline "
+                        help="max rate drop below baseline "
                              "(default 40%%)")
     args = parser.parse_args(argv)
 

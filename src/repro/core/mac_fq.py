@@ -186,9 +186,8 @@ class MacFqStructure:
         if self.backlog_packets >= self.limit:
             self._drop_from_longest_queue()
 
-        # ``hash_flow`` and ``FlowQueue.append``, inline: this runs once
-        # per arrival.  (The hash is recomputed, not remembered per flow:
-        # web workloads mint flow ids without bound.)
+        # ``hash_flow`` and ``FlowQueue.append`` inline (once per arrival;
+        # not memoised per flow: web workloads mint flow ids unboundedly).
         queues = self._queues
         queue = queues[((pkt.flow_id * HASH_MULT) & 0xFFFFFFFF) % len(queues)]
         if queue.tid is not None and queue.tid is not tid:
@@ -254,15 +253,12 @@ class MacFqStructure:
     def dequeue(self, tid: TidState) -> Optional[Packet]:
         """Dequeue one packet from ``tid`` (Algorithm 2), or ``None``.
 
-        The DRR walk and CoDel's two steady states are spelled out
-        inline, because a saturated queue spends nearly every dequeue in
-        one of them: *not dropping and not due to start* (RFC 8289
-        ``dodequeue`` says the head may stay), and *dropping, but the
-        next drop is not due yet*.  In both the head packet is simply
-        delivered and no control state other than ``first_above_time``
-        moves.  Everything else -- entering, leaving or acting in the
-        dropping state, an empty queue -- goes through
-        :func:`codel_dequeue`, which remains the one state machine.
+        CoDel's two steady states are evaluated inline, because a
+        saturated queue spends nearly every dequeue in one of them: *not
+        dropping and not due to start* (RFC 8289 ``dodequeue``), and
+        *dropping, next drop not due yet*.  In both the head packet is
+        delivered and only ``first_above_time`` can move.  Everything
+        else goes through :func:`codel_dequeue`, the one state machine.
         """
         now = self._now()
         params = self.codel_tuner.params_for(tid.station)
@@ -309,10 +305,7 @@ class MacFqStructure:
                 queue.byte_backlog -= pkt.size
             else:
                 pkt = codel_dequeue(
-                    queue,
-                    codel,
-                    now,
-                    params,
+                    queue, codel, now, params,
                     on_drop=lambda p, q=queue: self._account_drop(q, p, "codel"),
                 )
                 if pkt is None:

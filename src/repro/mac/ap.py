@@ -88,6 +88,18 @@ class APConfig:
     rate_control: bool = False
 
 
+class _FirstUse(dict):
+    """``d[key]`` computes ``make(*key)`` the first time ``key`` is used."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(*key)
+        return value
+
+
 class AccessPoint:
     """The Linux access point under one of the four configurations."""
 
@@ -142,15 +154,16 @@ class AccessPoint:
                 codel_tuner=self.codel_tuner,
                 on_drop=self.drops.callback("mac"),
             )
+            #: (station, ac) -> TidState, resolved at the first *use* of
+            #: the key, not at add_station: mac_fq breaks longest-queue
+            #: ties by TID creation order, so when a TID is first asked
+            #: for decides which packet an overlimit drop takes.  Entries
+            #: outlive remove_station, as mac_fq's own TIDs do, so a
+            #: station that roams back finds them.
+            self._tids: Dict[tuple, TidState] = _FirstUse(self.mac_fq.tid)
 
-        #: (station, ac) -> the TID / the builder's dequeue callable, each
-        #: resolved once, at the first use of its key.  Not at
-        #: add_station: mac_fq breaks longest-queue ties by TID creation
-        #: order, so *when* a TID is first asked for decides which packet
-        #: an overlimit drop takes.  Entries outlive remove_station, as
-        #: mac_fq's own TIDs do, so a station that roams back finds them.
-        self._tids: Dict[tuple, TidState] = {}
-        self._dequeues: Dict[tuple, Callable[[], Optional[Packet]]] = {}
+        #: (station, ac) -> the builder's dequeue callable, bound once.
+        self._dequeues: Dict[tuple, Callable] = _FirstUse(self._bind_dequeue)
 
         # --- station scheduler (BE/BK/VI) ------------------------------
         if self.scheme is Scheme.AIRTIME:
@@ -335,13 +348,8 @@ class AccessPoint:
         if pkt.ac is AccessCategory.VO:
             self._enqueue_vo(pkt, station)
         elif self.mac_fq is not None:
-            try:
-                tid = self._tids[station, pkt.ac]
-            except KeyError:
-                tid = self._bind_tid(station, pkt.ac)
-            self.mac_fq.enqueue(pkt, tid)
-            # wake() is a no-op for a station already on a scheduler
-            # list -- at saturation, every arrival.
+            self.mac_fq.enqueue(pkt, self._tids[station, pkt.ac])
+            # wake() is a no-op for a station already on a list.
             scheduler = self.scheduler
             if station not in scheduler.listed:
                 scheduler.wake(station)
@@ -356,8 +364,7 @@ class AccessPoint:
 
         # The fill pass can only act on a VO frame, a parked station or
         # a free BE hardware slot (both schedulers loop "while the
-        # hardware queue is not full"); slots are released in
-        # txop_complete, which always runs it.
+        # hardware queue is not full"); txop_complete always runs it.
         if self._vo_ring or self._parked or not self._hw.be_full():
             self._fill_hw()
         # Inlined ``medium.notify_backlog()`` guard: mid-run the channel
@@ -366,23 +373,12 @@ class AccessPoint:
         if not medium._busy and not medium._arbitration_scheduled:
             medium.notify_backlog()
 
-    def _bind_tid(self, station: int, ac: AccessCategory) -> TidState:
-        """First use of ``(station, ac)``: create the TID, remember it."""
-        tid = self._tids[station, ac] = self.mac_fq.tid(station, ac)
-        return tid
-
-    def _tid(self, station: int, ac: AccessCategory) -> TidState:
-        try:
-            return self._tids[station, ac]
-        except KeyError:
-            return self._bind_tid(station, ac)
-
     def _enqueue_vo(self, pkt: Packet, station: int) -> None:
         # The VO queue is short and unmanaged in all schemes except the
         # mac_fq ones, where it is a TID like any other; either way the
         # AP-side scheduling is strict-priority round-robin.
         if self.mac_fq is not None:
-            self.mac_fq.enqueue(pkt, self._tid(station, AccessCategory.VO))
+            self.mac_fq.enqueue(pkt, self._tids[station, AccessCategory.VO])
         else:
             queue = self._vo_queues.setdefault(station, deque())
             pkt.enqueue_us = self.sim.now
@@ -395,7 +391,7 @@ class AccessPoint:
 
     def _dequeue_vo(self, station: int) -> Optional[Packet]:
         if self.mac_fq is not None:
-            return self.mac_fq.dequeue(self._tid(station, AccessCategory.VO))
+            return self.mac_fq.dequeue(self._tids[station, AccessCategory.VO])
         queue = self._vo_queues.get(station)
         if not queue:
             return None
@@ -407,7 +403,7 @@ class AccessPoint:
 
     def _vo_backlog(self, station: int) -> int:
         if self.mac_fq is not None:
-            return self._tid(station, AccessCategory.VO).backlog
+            return self._tids[station, AccessCategory.VO].backlog
         queue = self._vo_queues.get(station)
         return len(queue) if queue else 0
 
@@ -423,10 +419,7 @@ class AccessPoint:
         key = (station, ac)
         backlog = 1 if key in self._builder._holdback else 0
         if self.mac_fq is not None:
-            try:
-                return backlog + self._tids[key].backlog
-            except KeyError:
-                return backlog + self._bind_tid(station, ac).backlog
+            return backlog + self._tids[key].backlog
         return backlog + self.driver.station_backlog(station, ac)
 
     def _station_has_backlog(self, station: int) -> bool:
@@ -437,13 +430,10 @@ class AccessPoint:
         return False
 
     def _bind_dequeue(self, station: int, ac: AccessCategory):
-        """The builder's packet source for ``(station, ac)``, bound once."""
+        """The builder's packet source for ``(station, ac)``."""
         if self.mac_fq is not None:
-            dequeue = partial(self.mac_fq.dequeue, self._tid(station, ac))
-        else:
-            dequeue = partial(self.driver.dequeue, station, ac)
-        self._dequeues[station, ac] = dequeue
-        return dequeue
+            return partial(self.mac_fq.dequeue, self._tids[station, ac])
+        return partial(self.driver.dequeue, station, ac)
 
     def _build_aggregate_for(self, station: int) -> int:
         """Build one aggregate for ``station`` into the hardware queue.
@@ -463,11 +453,8 @@ class AccessPoint:
         if self._hw.full(ac):
             self._parked.add(station)
             return 0
-        try:
-            dequeue = self._dequeues[station, ac]
-        except KeyError:
-            dequeue = self._bind_dequeue(station, ac)
-        agg = self._builder.build(station, ac, self.rate_for(station), dequeue)
+        agg = self._builder.build(station, ac, self.rate_for(station),
+                                  self._dequeues[station, ac])
         if agg is None:
             return 0
         if self._em_built is not None:

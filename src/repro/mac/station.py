@@ -98,10 +98,9 @@ class ClientStation:
                          burst: Optional[BurstHandler] = None) -> None:
         """Deliver received packets of ``flow_id`` to ``handler``.
 
-        A flow that can account for many packets at once also registers
-        ``burst(packets)``: it receives, in one call and in order, the
-        packets of an aggregate that carries nothing but this flow, and
-        must leave the same state as ``handler`` called on each.
+        ``burst(packets)``, if given, receives in one call the packets
+        of an aggregate that carries nothing but this flow; it must
+        leave the same state as ``handler`` called on each in order.
         """
         self._handlers[flow_id] = handler
         if burst is not None:

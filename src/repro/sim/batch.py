@@ -12,10 +12,9 @@ replays them through the :meth:`~repro.sim.engine.Simulator.schedule_call_at`
 fast path: no Event objects, no closures, one chunk-generation step per
 ~thousands of arrivals.
 
-A source can also carry a fixed ``latency_us``: the arrival stamped
-``t`` then fires at ``t + latency_us`` and the callback is told ``t``.
-A traffic source whose packets cross a fixed-delay hop before anything
-can observe them uses that to fold "generate at ``t``" and "deliver at
+The arrival stamped ``t`` fires at ``t + latency_us`` and the callback
+is told ``t``: a source whose packets cross a fixed-delay hop before
+anything can observe them folds "generate at ``t``" and "deliver at
 ``t + delay``" into one heap entry per arrival instead of two.
 
 Scheduling contract (what keeps traces bit-identical to a
@@ -28,14 +27,12 @@ Scheduling contract (what keeps traces bit-identical to a
   are consumed in the same order and same quantity;
 * timestamps are replayed *verbatim* (absolute, no ``now + delay``
   round-trip), so a chunk built by the same left-fold float arithmetic
-  as a repeated ``now + interval`` chain lands on identical floats; the
-  entry time ``t + latency_us`` is the one rounded add a
-  ``schedule_call(latency_us, ...)`` made at ``t`` would perform;
+  as a repeated ``now + interval`` chain lands on identical floats;
+  ``t + latency_us`` is the one rounded add a ``schedule_call(latency_us,
+  ...)`` made at ``t`` would perform;
 * :meth:`stop` is a timestamp, not a cancellation — arrivals stamped
-  before the stop instant still fire (with a latency they are already
-  under way), the first one stamped at or after it pops inert and ends
-  the chain.  Sources don't allocate Events, so there is nothing to
-  cancel.
+  before the stop instant still fire (they are already under way), the
+  first one stamped at or after it pops inert and ends the chain.
 """
 
 from __future__ import annotations
@@ -137,10 +134,8 @@ class BatchSource:
         if stamp >= self._stop_at:
             return
         # Advance before the callback so ``fired`` counts this arrival
-        # while the callback runs; ``times[_index]`` is the *next* armed
-        # timestamp either way.
-        index += 1
-        self._index = index
+        # while the callback runs.
+        self._index = index = index + 1
         self.callback(stamp)
         if index < len(times):
             self._schedule_at(times[index] + self.latency_us, self._fire)

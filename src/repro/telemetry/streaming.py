@@ -181,10 +181,8 @@ class QuantileSketch:
     def observe_many(self, values: Sequence[float]) -> None:
         """Add samples in order: exactly repeated :meth:`observe`.
 
-        The buffer is flushed at the same samples a one-at-a-time feed
-        would flush it at (a burst that straddles the boundary is split
-        there), so centroids, moments and every quantile come out
-        bit-identical however a stream is cut into bursts.
+        A burst that straddles the flush boundary is split there, so
+        the sketch's state is identical however a stream is cut up.
         """
         buffer = self._buffer
         start = 0

@@ -111,9 +111,8 @@ class UdpDownloadFlow:
         # Arrivals replay the exact timestamp chain a PeriodicTimer with
         # the same first delay and interval would walk (left-fold float
         # adds), precomputed in chunks instead of one add per packet.
-        # Nothing can observe a packet between the server and the far
-        # end of the wire, so the source fires once per arrival, when
-        # the packet stamped ``t`` reaches the AP side at ``t + delay``.
+        # Nothing can observe a packet on the wire, so the source fires
+        # once per arrival: when the packet sent at ``t`` leaves it.
         self._deliver = network._deliver_down
         chunks = cbr_chunks(self.sim.now + delay_us, self.interval_us)
         self._source = BatchSource(

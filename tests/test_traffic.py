@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.packet import AccessCategory
 from repro.mac.ap import Scheme
+from repro.net.wire import Server
 from repro.traffic.ping import PingFlow
 from repro.traffic.udp import UdpDownloadFlow
 from repro.traffic.voip import VOIP_INTERVAL_US, VOIP_PACKET_BYTES, VoipFlow
@@ -46,6 +47,36 @@ class TestUdpFlow:
         tb.sim.schedule(200_000.0, flow.stop)
         tb.sim.run(until_us=1_000_000.0)
         assert flow.tx_packets < 250
+
+    def test_stop_between_arrivals_lets_the_wire_drain(self):
+        """Packets sent before the stop instant and still on the wire
+        arrive; nothing stamped after it is ever created."""
+        tb = make_testbed(Scheme.AIRTIME, wire_delay_us=5_000.0)
+        # 1000 pps to the slow station: more than it can carry, so the
+        # AP is still holding packets when the run ends.
+        flow = UdpDownloadFlow(tb.sim, tb.server, tb.stations[2],
+                               rate_bps=12_000_000.0).start()
+        assert flow.interval_us == 1_000.0
+        stop_us = 600_500.0  # between the stamps 600_000 and 601_000
+        tb.sim.run(until_us=stop_us)
+        flow.stop()
+        assert flow.tx_packets == 596  # stamps 0 .. 595_000 have landed
+        tb.sim.run(until_us=700_000.0)
+        assert flow.tx_packets == 601  # + 596_000 .. 600_000, then none
+        resident = (tb.ap.resident_packets()
+                    + tb.medium.inflight_downlink_packets())
+        assert resident > 0 and tb.ap.drops.total > 0
+        assert flow.tx_packets == (flow.sink.rx_packets + tb.ap.drops.total
+                                   + resident)
+
+    def test_start_without_a_network_raises(self):
+        tb = make_testbed(Scheme.AIRTIME)
+        flow = UdpDownloadFlow(tb.sim, Server(), tb.stations[0],
+                               rate_bps=1_000_000.0)
+        with pytest.raises(RuntimeError,
+                           match="server not attached to a network"):
+            flow.start()
+        assert tb.sim.pending_events == 0
 
     def test_invalid_rate(self):
         tb = make_testbed(Scheme.AIRTIME)
