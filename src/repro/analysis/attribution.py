@@ -19,11 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from repro.telemetry.spans import (
-    SEGMENTS,
-    Span,
-    SpanCollector,
-)
+from repro.telemetry.spans import SEGMENTS, Span, SpanCollector
+from repro.telemetry.trace import iter_trace_file
 
 __all__ = [
     "SegmentStats",
@@ -254,14 +251,13 @@ class AttributionBuilder(SpanCollector):
     spans feed the windowed aggregation directly.  If no marker ever
     comes the buffer replays, in order, into the whole-trace result.
 
-    Fed by trace-bus taps in a live run (:meth:`register`, what
+    Fed by trace-bus taps in a live run (``register``, what
     ``Telemetry`` does for ``spans=True``) or record by record from a
-    file (:meth:`feed`, what :func:`attribute_records` does).
+    file (``feed``, what :func:`attribute_records` does).
     """
 
-    TAPS = SpanCollector.TAPS + (
-        ("tx", "tx", "on_tx", {"station": None, "bss": None}),
-    )
+    TAPS = {**SpanCollector.TAPS,
+            ("tx", "tx"): ("on_tx", {"station": None, "bss": None})}
 
     def __init__(self) -> None:
         #: Spans closed before the marker status is known.  Pre-marker
@@ -312,8 +308,6 @@ def attribute_records(
 
 
 def attribute_file(path: str) -> Attribution:
-    from repro.telemetry.spans import iter_trace_file
-
     return attribute_records(iter_trace_file(path))
 
 

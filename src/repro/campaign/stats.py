@@ -36,8 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.analysis.fairness import jain_index
 from repro.analysis.stats import binomial_cdf, student_t_ppf
-from repro.telemetry.streaming import QuantileSketch, jain_index
+from repro.telemetry.streaming import QuantileSketch
 
 __all__ = [
     "CI_QUANTILES",
@@ -180,7 +181,7 @@ def jain_interval(share_rows: Sequence[Sequence[float]],
     """
     if len(share_rows) < 2:
         return None
-    jains = [jain_index(list(row)) for row in share_rows]
+    jains = [jain_index(row) for row in share_rows]
     n = len(jains)
     mean = sum(jains) / n
     var = sum((j - mean) ** 2 for j in jains) / (n - 1)

@@ -68,6 +68,7 @@ from repro.telemetry.trace import (
     RingTraceChannel,
     TraceBus,
     TraceChannel,
+    iter_trace_file,
     load_trace,
 )
 
@@ -99,6 +100,7 @@ __all__ = [
     "format_streaming",
     "format_summary",
     "get_logger",
+    "iter_trace_file",
     "jain_index",
     "load_trace",
     "summarize_file",

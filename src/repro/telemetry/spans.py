@@ -37,9 +37,7 @@ memory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import (
     Any,
     Callable,
@@ -51,7 +49,7 @@ from typing import (
     Optional,
 )
 
-from repro.telemetry.trace import bind_positional
+from repro.telemetry.trace import TapConsumer, iter_trace_file
 
 __all__ = [
     "SEGMENTS",
@@ -115,17 +113,17 @@ class Span:
         self.outcome = outcome
 
 
-class SpanCollector:
+class SpanCollector(TapConsumer):
     """Streaming join: one positional handler per record shape.
 
-    The handlers are the single stitching path.  Two front-ends drive
-    them: :meth:`register` binds them as trace-bus taps, so a live run
-    stitches as it emits (``Telemetry`` never decodes the ring for
-    spans), and :meth:`feed` unpacks one decoded dict record — a trace
-    file line — into the same call.  Each span goes to ``sink`` the
-    moment it closes; without a sink ``feed`` returns the spans its
-    record closed (usually zero or one; a successful aggregate TX closes
-    all of its packets at once).
+    The handlers are the single stitching path, driven by the two
+    :class:`~repro.telemetry.trace.TapConsumer` front-ends: ``register``
+    taps a bus, so a live run stitches as it emits (``Telemetry`` never
+    decodes the ring for spans), and ``feed`` unpacks one decoded dict
+    record — a trace file line — into the same call.  Each span goes to
+    ``sink`` the moment it closes (usually zero or one per record; a
+    successful aggregate TX closes all of its packets at once); without
+    a sink they collect in :attr:`closed`.
 
     ``finish`` returns the still-open spans — packets resident in the
     stack (or on the air) when the trace ended; those are *expected* for
@@ -135,29 +133,28 @@ class SpanCollector:
     recorded with the required categories enabled.
     """
 
-    #: (category, event, handler, wanted fields -> default when the
-    #: record lacks one): the record shapes the join consumes, in
-    #: :func:`~repro.telemetry.trace.bind_positional` terms.  Queue
-    #: bookkeeping records (flow_new / flow_reclaim / flush) and driver
-    #: 'pull' batches carry no pid and are not here.
-    TAPS = (
-        ("queue", "enqueue", "on_enqueue",
-         {"pid": None, "station": None, "flow": None, "layer": "qdisc"}),
-        ("queue", "dequeue", "on_dequeue",
-         {"pid": None, "station": None, "layer": "qdisc"}),
-        ("queue", "drop", "on_drop",
-         {"pid": None, "station": None, "flow": None, "layer": None,
-          "reason": None}),
-        ("driver", "dequeue", "on_dequeue",
-         {"pid": None, "station": None, "layer": "driver"}),
-        ("agg", "built", "on_built",
-         {"agg": None, "station": None, "pids": ()}),
-        ("agg", "tx_done", "on_tx_done", {"agg": None, "ok": None}),
-        ("hw", "pop", "on_pop", {"agg": None}),
-        ("meta", "measurement_start", "on_marker", {}),
-    )
+    #: The record shapes the join consumes.  Queue bookkeeping records
+    #: (flow_new / flow_reclaim / flush) and driver 'pull' batches carry
+    #: no pid and are not here.
+    TAPS = {
+        ("queue", "enqueue"): ("on_enqueue", {
+            "pid": None, "station": None, "flow": None, "layer": "qdisc"}),
+        ("queue", "dequeue"): ("on_dequeue", {
+            "pid": None, "station": None, "layer": "qdisc"}),
+        ("queue", "drop"): ("on_drop", {
+            "pid": None, "station": None, "flow": None, "layer": None,
+            "reason": None}),
+        ("driver", "dequeue"): ("on_dequeue", {
+            "pid": None, "station": None, "layer": "driver"}),
+        ("agg", "built"): ("on_built", {
+            "agg": None, "station": None, "pids": ()}),
+        ("agg", "tx_done"): ("on_tx_done", {"agg": None, "ok": None}),
+        ("hw", "pop"): ("on_pop", {"agg": None}),
+        ("meta", "measurement_start"): ("on_marker", {}),
+    }
 
     def __init__(self, sink: Optional[Callable[[Span], None]] = None) -> None:
+        super().__init__()
         self._open: Dict[int, Span] = {}
         #: agg seq -> pids still riding in that aggregate.
         self._aggs: Dict[int, List[int]] = {}
@@ -166,37 +163,10 @@ class SpanCollector:
         #: on entry, uplink client drops) — degenerate zero-length spans.
         self.pre_enqueue_drops = 0
         self.window_start_us: Optional[float] = None
-        self._closed: List[Span] = []
+        #: Closed spans nobody took (the default sink).
+        self.closed: List[Span] = []
         #: Called with each span as it closes.
-        self.sink = sink if sink is not None else self._closed.append
-        #: (category, event) -> (handler, field names, their defaults).
-        self._by_shape = {
-            (category, event): (getattr(self, name), tuple(wanted),
-                                tuple(wanted.values()))
-            for category, event, name, wanted in self.TAPS
-        }
-
-    # ------------------------------------------------------------------
-    # Front-ends
-    # ------------------------------------------------------------------
-    def register(self, bus) -> None:
-        """Stitch live: tap ``bus`` (before any channel binds)."""
-        for category, event, name, wanted in self.TAPS:
-            bus.add_tap(category, event, partial(
-                bind_positional, getattr(self, name), wanted,
-                filename=__file__))
-
-    def feed(self, record: Mapping[str, Any]) -> List[Span]:
-        """Stitch from a file: unpack one dict record into its handler."""
-        entry = self._by_shape.get((record["cat"], record["ev"]))
-        if entry is not None:
-            handler, names, defaults = entry
-            handler(record["t"], *map(record.get, names, defaults))
-        if not self._closed:
-            return []
-        closed = self._closed[:]
-        self._closed.clear()
-        return closed
+        self.sink = sink if sink is not None else self.closed.append
 
     # ------------------------------------------------------------------
     # Handlers (positional; shared by taps and feed)
@@ -319,15 +289,6 @@ class SpanCollector:
 # ----------------------------------------------------------------------
 # Streaming front-ends
 # ----------------------------------------------------------------------
-def iter_trace_file(path: str) -> Iterator[Dict[str, Any]]:
-    """Yield records from a JSONL trace one line at a time."""
-    with open(path, "r") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
 def iter_spans(
     records: Iterable[Mapping[str, Any]],
     collector: Optional[SpanCollector] = None,
@@ -338,13 +299,15 @@ def iter_spans(
     ``pre_enqueue_drops`` afterwards.
     """
     collector = collector if collector is not None else SpanCollector()
+    closed = collector.closed
     t_last: Optional[float] = None
     for record in records:
         t_last = record["t"]
-        for span in collector.feed(record):
-            yield span
-    for span in collector.finish(t_last):
-        yield span
+        collector.feed(record)
+        if closed:
+            yield from closed
+            closed.clear()
+    yield from collector.finish(t_last)
 
 
 def collect_spans(

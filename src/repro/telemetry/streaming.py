@@ -1,10 +1,8 @@
 """Online statistics: O(1)-memory aggregation fed straight from the trace hooks.
 
-Every observability surface added so far — ``trace summarize``, spans,
-the attribution waterfalls, the airtime ledger — works by *retaining the
-whole trace* and decoding it after the run.  That is the wrong shape for
-campaign-scale fan-out (thousands of runs, each multi-minute): memory
-grows with sim duration and the decode pass costs as much as the
+*Retaining the whole trace* and decoding it after the run is the wrong
+shape for campaign-scale fan-out (thousands of runs, each multi-minute):
+memory grows with sim duration and the decode pass costs as much as the
 simulation.  This module computes the common summary outputs *during*
 the run instead, with flat memory:
 
@@ -19,15 +17,15 @@ the run instead, with flat memory:
 * :class:`WindowedJain` — Jain's fairness index over tumbling
   simulated-time windows of per-station airtime.
 * :class:`StreamingStats` — the per-run aggregator: per-station airtime
-  accounting (windowed to the measurement period exactly like
-  ``trace summarize``), per-layer sojourn sketches, per-station RTT
-  sketches, per-layer drop counters, and the windowed Jain series.
+  accounting (windowed to the measurement period), per-layer sojourn
+  sketches, per-station RTT sketches, per-layer drop counters, and the
+  windowed Jain series.
 
-``StreamingStats`` consumes records by registering *taps* on the
-:class:`~repro.telemetry.trace.TraceBus`: when an instrumentation site
-binds a prebound positional emitter for a shape the aggregator cares
-about, the bus tees the same positional values into a consumer closure —
-no dict is built, no record is retained.  With
+``StreamingStats`` is a :class:`~repro.telemetry.trace.TapConsumer`: a
+table of plain handlers the :class:`~repro.telemetry.trace.TraceBus`
+calls straight from each emit site with the record's positional values
+— no dict is built, no record is retained — and that ``feed`` drives
+from a trace file, so ``trace summarize`` reads the same accounts.  With
 ``TelemetryConfig(streaming=True)`` the trace ring is bounded to a small
 tail (kept for the flight recorder) and the run's summary tables come
 from the sketches, so peak memory no longer scales with sim duration.
@@ -37,6 +35,9 @@ from __future__ import annotations
 
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.analysis.fairness import jain_index
+from repro.telemetry.trace import TapConsumer
 
 __all__ = [
     "QuantileSketch",
@@ -48,18 +49,6 @@ __all__ = [
 
 #: Quantiles reported in every sketch snapshot.
 SNAPSHOT_QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99)
-
-
-def jain_index(values: Sequence[float]) -> float:
-    """Jain's fairness index: ``(sum x)^2 / (n * sum x^2)``; 1.0 is fair."""
-    n = len(values)
-    if n == 0:
-        return 0.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares <= 0.0:
-        return 0.0
-    return (total * total) / (n * squares)
 
 
 class QuantileSketch:
@@ -397,26 +386,29 @@ class WindowedJain:
         self._shares[station] = self._shares.get(station, 0.0) + airtime_us
 
     def _close_window(self) -> None:
-        if self._shares:
-            self.series.append(
-                (self._window_end, jain_index(list(self._shares.values())))
-            )
-            self._shares.clear()
+        self.flush()
         self._window_end += self.window_us
+
+    def _open_window(self) -> List[Tuple[float, float]]:
+        """The partial window as a series entry (none without airtime)."""
+        if not self._shares:
+            return []
+        return [(self._window_end, jain_index(self._shares.values()))]
 
     def flush(self) -> None:
         """Close the current partial window (end of run)."""
-        if self._shares and self._window_end is not None:
-            self.series.append(
-                (self._window_end, jain_index(list(self._shares.values())))
-            )
-            self._shares.clear()
+        self.series.extend(self._open_window())
+        self._shares.clear()
+
+    def snapshot(self) -> List[Tuple[float, float]]:
+        """The series with the partial window rendered, not closed."""
+        return self.series + self._open_window()
 
     def reset(self) -> None:
         """Restart the series in place (measurement-window reset).
 
-        In place because tap consumers close over this object; replacing
-        it would leave them feeding a dead instance.
+        In place because the tx handler holds this object's ``observe``;
+        replacing it would leave the handler feeding a dead instance.
         """
         self.series.clear()
         self._shares.clear()
@@ -428,7 +420,7 @@ class WindowedJain:
 
 
 # ----------------------------------------------------------------------
-# Per-station accumulators (mirrors summarize._StationTx)
+# Per-station accumulators
 # ----------------------------------------------------------------------
 class _StationAccount:
     """Per-station transmission totals within the measurement window."""
@@ -465,128 +457,89 @@ class _StationAccount:
         }
 
 
-def _field_index(fields: Sequence[Tuple[Any, ...]], name: str) -> Optional[int]:
-    """Positional slot of ``name`` among the non-constant fields."""
-    index = 0
-    for spec in fields:
-        if spec[1] == "c":
-            continue
-        if spec[0] == name:
-            return index
-        index += 1
-    return None
-
-
-class RunAccounts:
+class RunAccounts(TapConsumer):
     """The tx / drop / marker accounts behind a run's summary tables.
 
     ``Telemetry`` taps these onto every trace bus, so the ``airtime_us``
-    and ``drops`` tables of ``finish()`` never need the ring decoded.
-    Windowed like ``trace summarize``: the per-station table resets at
-    each ``measurement_start`` marker, drop counters cover the whole
-    trace.  :class:`StreamingStats` extends the same three consumers
-    with its sketches rather than tapping the records a second time.
+    and ``drops`` tables of ``finish()`` never need the ring decoded;
+    ``trace summarize`` and ``trace diff`` feed them a file.  The
+    per-station table restarts at each ``measurement_start`` marker (the
+    measurement window is what follows the *last* one), drop counters
+    cover the whole trace.  :class:`StreamingStats` adds its sketches to
+    the same handlers rather than tapping the records a second time.
     """
 
+    TAPS = {
+        ("tx", "tx"): ("on_tx", {
+            "station": -1, "airtime_us": 0.0, "down": False, "n_pkts": 0,
+            "bytes": 0, "ok": False}),
+        ("queue", "drop"): ("on_drop", {"layer": "?", "reason": "?"}),
+        ("meta", "measurement_start"): ("reset_window", {}),
+    }
+
     #: ``fn(t, station, airtime_us)`` called per tx record (a subclass
-    #: hook: the windowed Jain series rides the tx consumer).
+    #: hook: the windowed Jain series rides the tx handler).
     _on_airtime: Optional[Callable[[float, int, float], None]] = None
 
     def __init__(self) -> None:
+        super().__init__()
         #: station -> transmission accounting (measurement window).
         self.stations: Dict[int, _StationAccount] = {}
         #: (layer, reason) -> drop count.
         self.drops: Dict[Tuple[str, str], int] = {}
-        #: One-cell record counter shared by every bound consumer — a
-        #: closure-local list increment is cheaper per record than an
-        #: attribute store on ``self``.
-        self._seen = [0]
+        #: tx + drop (+ enqueue + dequeue in :class:`StreamingStats`)
+        #: records handled; markers are not counted.
+        self.records_seen = 0
         self.measurement_start_us: Optional[float] = None
 
-    @property
-    def records_seen(self) -> int:
-        return self._seen[0]
-
     # ------------------------------------------------------------------
-    # Tap protocol
+    # Handlers (positional; shared by taps and feed)
     # ------------------------------------------------------------------
-    def register(self, bus) -> None:
-        """Attach the accounts' taps to ``bus`` (before channels bind)."""
-        bus.add_tap("tx", "tx", self._bind_tx)
-        bus.add_tap("queue", "drop", self._bind_drop)
-        bus.add_tap("meta", "measurement_start", self._bind_measurement_start)
+    def on_tx(self, t: float, station: int, airtime_us: float, down: bool,
+              n_pkts: int, n_bytes: int, ok: bool) -> None:
+        self.records_seen += 1
+        try:
+            account = self.stations[station]
+        except KeyError:
+            account = self.stations[station] = _StationAccount()
+        account.transmissions += 1
+        account.airtime_us += airtime_us
+        account.packets += n_pkts
+        if down:
+            account.downlink_airtime_us += airtime_us
+            account.downlink_aggs += 1
+            account.downlink_agg_packets += n_pkts
+            if ok:
+                account.payload_bytes += n_bytes
+        else:
+            account.uplink_airtime_us += airtime_us
+        if self._on_airtime is not None:
+            self._on_airtime(t, station, airtime_us)
 
-    # Each binder receives the site's field declaration and returns a
-    # positional consumer ``fn(t, *values)`` for that shape.
-    def _bind_tx(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
-        i_station = _field_index(fields, "station")
-        i_airtime = _field_index(fields, "airtime_us")
-        i_down = _field_index(fields, "down")
-        i_pkts = _field_index(fields, "n_pkts")
-        i_bytes = _field_index(fields, "bytes")
-        i_ok = _field_index(fields, "ok")
-        stations = self.stations
-        on_airtime = self._on_airtime
-        seen = self._seen
+    def on_drop(self, t: float, layer: str, reason: str) -> None:
+        self.records_seen += 1
+        key = (layer, reason)
+        try:
+            self.drops[key] += 1
+        except KeyError:
+            self.drops[key] = 1
 
-        def consume(t: float, *values: Any) -> None:
-            seen[0] += 1
-            station = values[i_station]
-            airtime = values[i_airtime]
-            account = stations.get(station)
-            if account is None:
-                account = stations[station] = _StationAccount()
-            account.transmissions += 1
-            account.airtime_us += airtime
-            account.packets += values[i_pkts]
-            if values[i_down]:
-                account.downlink_airtime_us += airtime
-                account.downlink_aggs += 1
-                account.downlink_agg_packets += values[i_pkts]
-                if values[i_ok]:
-                    account.payload_bytes += values[i_bytes]
-            else:
-                account.uplink_airtime_us += airtime
-            if on_airtime is not None:
-                on_airtime(t, station, airtime)
-
-        return consume
-
-    def _bind_drop(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
-        i_layer = _field_index(fields, "layer")
-        i_reason = _field_index(fields, "reason")
-        layer_const = next(
-            (spec[2] for spec in fields
-             if spec[0] == "layer" and spec[1] == "c"), None,
-        )
-        drops = self.drops
-        seen = self._seen
-
-        def consume(t: float, *values: Any) -> None:
-            seen[0] += 1
-            layer = layer_const if i_layer is None else values[i_layer]
-            reason = values[i_reason] if i_reason is not None else "?"
-            key = (layer, reason)
-            drops[key] = drops.get(key, 0) + 1
-
-        return consume
-
-    def _bind_measurement_start(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
-        def consume(t: float, *values: Any) -> None:
-            self.reset_window(t)
-
-        return consume
-
-    # ------------------------------------------------------------------
     def reset_window(self, t_us: float) -> None:
         """Start the measurement window: discard warm-up accounting.
 
-        Mirrors ``trace summarize``'s windowing (and the
-        ``AirtimeTracker`` reset): station totals restart, drop counters
-        keep whole-trace scope, exactly like the decode path.
+        Mirrors the ``AirtimeTracker`` reset: station totals restart,
+        drop counters keep whole-trace scope.
         """
         self.measurement_start_us = t_us
         self.stations.clear()
+
+    # ------------------------------------------------------------------
+    def airtime_shares(self) -> Dict[int, float]:
+        """Fraction of summed airtime per station (measurement window)."""
+        total = sum(s.airtime_us for s in self.stations.values())
+        if total <= 0:
+            return {k: 0.0 for k in self.stations}
+        return {k: s.airtime_us / total for k, s in self.stations.items()}
 
     def airtime_table(self) -> Dict[int, float]:
         """``summary["airtime_us"]``: station -> windowed airtime."""
@@ -600,15 +553,21 @@ class RunAccounts:
 
 
 class StreamingStats(RunAccounts):
-    """O(1)-memory per-run aggregator fed from the trace-bus taps.
+    """O(1)-memory per-run aggregator: the accounts plus sketches.
 
-    Registered on a :class:`~repro.telemetry.trace.TraceBus` via
-    :meth:`register`; every shape the aggregator understands is consumed
-    positionally (prebound sites) or from the kwargs dict (generic
-    sites).  Everything is windowed like ``trace summarize``: the
-    per-station airtime table resets at the ``measurement_start`` marker,
-    drop counters and sojourn sketches cover the whole trace.
+    Adds per-layer sojourn sketches and per-(layer, station) enqueue /
+    dequeue counts (whole trace), the windowed Jain series and
+    per-station RTT sketches (measurement window, like the station
+    table).
     """
+
+    TAPS = {
+        **RunAccounts.TAPS,
+        ("queue", "enqueue"): ("on_enqueue", {"layer": "?", "station": None}),
+        # A dequeue shape without a sojourn is not a queueing sample.
+        ("queue", "dequeue"): ("on_dequeue", {
+            "layer": "?", "station": None, "sojourn_us": None}),
+    }
 
     def __init__(self, max_centroids: int = 200,
                  jain_window_us: float = 1_000_000.0) -> None:
@@ -623,110 +582,29 @@ class StreamingStats(RunAccounts):
         self.jain = WindowedJain(jain_window_us)
         self._on_airtime = self.jain.observe
 
-    def register(self, bus) -> None:
-        """Attach this aggregator's taps to ``bus`` (before channels bind)."""
-        super().register(bus)
-        bus.add_tap("queue", "dequeue", self._bind_dequeue)
-        bus.add_tap("queue", "enqueue", self._bind_enqueue)
+    def on_enqueue(self, t: float, layer: str, station: Any) -> None:
+        self.records_seen += 1
+        key = (layer, station)
+        try:
+            self.queue_counts[key][0] += 1
+        except KeyError:
+            self.queue_counts[key] = [1, 0]
 
-    def _bind_dequeue(self, fields: Sequence[Tuple[Any, ...]]) -> Optional[Callable[..., None]]:
-        i_layer = _field_index(fields, "layer")
-        i_station = _field_index(fields, "station")
-        i_sojourn = _field_index(fields, "sojourn_us")
-        layer_const = next(
-            (spec[2] for spec in fields
-             if spec[0] == "layer" and spec[1] == "c"), None,
-        )
-        if i_sojourn is None:
-            return None
-        sojourn = self.sojourn
-        counts = self.queue_counts
-        max_centroids = self.max_centroids
-        seen = self._seen
-
-        if layer_const is not None and i_layer is None:
-            # Constant-layer site: resolve the sketch once at bind time
-            # (``reset_window`` never replaces sojourn sketches, so the
-            # binding stays valid for the life of the run) and cache the
-            # station -> [enq, deq] pair so the hot path does one small
-            # int-keyed dict probe instead of building a tuple key.
-            sketch = sojourn.get(layer_const)
-            if sketch is None:
-                sketch = sojourn[layer_const] = QuantileSketch(max_centroids)
-            # Inline the sketch's observe: append to its sample buffer
-            # directly (the buffer list is never replaced — _compress
-            # clears it in place) and trip the amortised compress here.
-            buffer = sketch._buffer
-            buffer_append = buffer.append
-            flush_at = sketch._flush_at
-            compress = sketch._compress
-            pairs: Dict[Any, List[int]] = {}
-
-            def consume(t: float, *values: Any) -> None:
-                seen[0] += 1
-                buffer_append(values[i_sojourn])
-                if len(buffer) >= flush_at:
-                    compress()
-                station = None if i_station is None else values[i_station]
-                pair = pairs.get(station)
-                if pair is None:
-                    pair = pairs[station] = counts.setdefault(
-                        (layer_const, station), [0, 0])
-                pair[1] += 1
-
-            return consume
-
-        def consume(t: float, *values: Any) -> None:
-            seen[0] += 1
-            layer = layer_const if i_layer is None else values[i_layer]
-            sketch = sojourn.get(layer)
-            if sketch is None:
-                sketch = sojourn[layer] = QuantileSketch(max_centroids)
-            sketch.observe(values[i_sojourn])
-            station = None if i_station is None else values[i_station]
-            key = (layer, station)
-            pair = counts.get(key)
-            if pair is None:
-                pair = counts[key] = [0, 0]
-            pair[1] += 1
-
-        return consume
-
-    def _bind_enqueue(self, fields: Sequence[Tuple[Any, ...]]) -> Callable[..., None]:
-        i_layer = _field_index(fields, "layer")
-        i_station = _field_index(fields, "station")
-        layer_const = next(
-            (spec[2] for spec in fields
-             if spec[0] == "layer" and spec[1] == "c"), None,
-        )
-        counts = self.queue_counts
-        seen = self._seen
-
-        if layer_const is not None and i_layer is None:
-            pairs: Dict[Any, List[int]] = {}
-
-            def consume(t: float, *values: Any) -> None:
-                seen[0] += 1
-                station = None if i_station is None else values[i_station]
-                pair = pairs.get(station)
-                if pair is None:
-                    pair = pairs[station] = counts.setdefault(
-                        (layer_const, station), [0, 0])
-                pair[0] += 1
-
-            return consume
-
-        def consume(t: float, *values: Any) -> None:
-            seen[0] += 1
-            layer = layer_const if i_layer is None else values[i_layer]
-            station = None if i_station is None else values[i_station]
-            key = (layer, station)
-            pair = counts.get(key)
-            if pair is None:
-                pair = counts[key] = [0, 0]
-            pair[0] += 1
-
-        return consume
+    def on_dequeue(self, t: float, layer: str, station: Any,
+                   sojourn_us: Optional[float]) -> None:
+        if sojourn_us is None:
+            return
+        self.records_seen += 1
+        try:
+            sketch = self.sojourn[layer]
+        except KeyError:
+            sketch = self.sojourn[layer] = QuantileSketch(self.max_centroids)
+        sketch.observe(sojourn_us)
+        key = (layer, station)
+        try:
+            self.queue_counts[key][1] += 1
+        except KeyError:
+            self.queue_counts[key] = [0, 1]
 
     # ------------------------------------------------------------------
     def reset_window(self, t_us: float) -> None:
@@ -744,15 +622,11 @@ class StreamingStats(RunAccounts):
         sketch.observe(rtt_us)
 
     # ------------------------------------------------------------------
-    def airtime_shares(self) -> Dict[int, float]:
-        total = sum(s.airtime_us for s in self.stations.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.stations}
-        return {k: s.airtime_us / total for k, s in self.stations.items()}
-
     def snapshot(self) -> Dict[str, Any]:
-        """Deterministic JSON-ready snapshot of every accumulator."""
-        self.jain.flush()
+        """Deterministic JSON-ready snapshot of every accumulator.
+
+        Read-only: the open Jain window is rendered, not closed.
+        """
         shares = self.airtime_shares()
         return {
             "records_seen": self.records_seen,
@@ -783,7 +657,8 @@ class StreamingStats(RunAccounts):
             },
             "jain": {
                 "window_us": self.jain.window_us,
-                "series": [[t, round(j, 6)] for t, j in self.jain.series],
+                "series": [[t, round(j, 6)]
+                           for t, j in self.jain.snapshot()],
             },
         }
 

@@ -35,66 +35,94 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.telemetry.ring import FieldSpec, TraceRing
 
-__all__ = ["TraceBus", "TraceChannel", "RingTraceChannel", "load_trace",
-           "bind_positional"]
+__all__ = ["TraceBus", "TraceChannel", "RingTraceChannel", "TapConsumer",
+           "iter_trace_file", "load_trace"]
 
 
 _serial = itertools.count()
 
 
-def _positional_fn(name, n_values, calls, env, filename):
-    """Compile ``name(t, v0, .., v<n-1>)`` making ``calls`` in order.
+def _fuse(emit, taps, fields):
+    """Compile ``emit`` and its tap handlers into one positional function.
 
-    ``calls`` pairs a callee with its argument names, both resolved in
-    ``env`` or among the parameters.  Generating the exact arity (the
-    ``namedtuple`` trick) forwards a record without packing ``*values``
-    on the way in and unpacking them on the way out.  Profiles and
-    tracebacks charge the function to ``filename``; the serial keeps
-    its (file, line, name) key unique, which cProfile needs to count it.
-    """
-    name = f"{name}_{next(_serial)}"
-    params = ", ".join(["t"] + [f"v{i}" for i in range(n_values)])
-    body = "; ".join(f"{callee}({', '.join(args)})" for callee, args in calls)
-    exec(compile(f"def {name}({params}): {body}", filename, "exec"), env)
-    return env[name]
-
-
-def bind_positional(handler, wanted, fields, filename=__file__):
-    """An :meth:`TraceBus.add_tap` consumer calling ``handler(t, *wanted)``.
-
-    ``wanted`` maps each field to the default that stands in when the
-    shape lacks it.  Constant fields and defaults are resolved here, at
-    bind time: a tapped record costs one arity-exact call on top of the
-    handler's, charged to ``filename`` (pass the consumer's own module).
+    The result is ``fn(t, v0, .., v<n-1>)`` over the shape's non-constant
+    ``fields``, generated for that exact arity (the ``namedtuple``
+    trick, so no ``*values`` is packed or unpacked): it stores the
+    record through ``emit`` (skipped when ``None``), then calls every
+    ``(handler, wanted)`` tap in registration order as
+    ``handler(t, *wanted)`` — a wanted field the shape carries is passed
+    straight through, a constant field or an absent one (its ``wanted``
+    default) is resolved here, at bind time.  The serial keeps the
+    function's (file, line, name) key unique, which cProfile needs to
+    count it.
     """
     positional = [spec[0] for spec in fields if spec[1] != "c"]
     consts = {spec[0]: spec[2] for spec in fields if spec[1] == "c"}
-    env = {"handler": handler}
-    args = ["t"]
-    for name, default in wanted.items():
-        if name in positional:
-            args.append(f"v{positional.index(name)}")
-            continue
-        env[f"c{len(args)}"] = consts.get(name, default)
-        args.append(f"c{len(args)}")
-    label = getattr(handler, "__name__", "handler")
-    return _positional_fn(f"tap_{label if label.isidentifier() else 'fn'}",
-                          len(positional), [("handler", args)], env, filename)
+    params = ", ".join(["t"] + [f"v{i}" for i in range(len(positional))])
+    env = {"emit": emit}
+    calls = [f"emit({params})"] if emit is not None else []
+    for i, (handler, wanted) in enumerate(taps):
+        env[f"h{i}"] = handler
+        args = ["t"]
+        for name, default in wanted.items():
+            if name in positional:
+                args.append(f"v{positional.index(name)}")
+            else:
+                env[f"c{i}_{len(args)}"] = consts.get(name, default)
+                args.append(f"c{i}_{len(args)}")
+        calls.append(f"h{i}({', '.join(args)})")
+    name = f"emit_tapped_{next(_serial)}"
+    exec(compile(f"def {name}({params}): {'; '.join(calls)}",
+                 __file__, "exec"), env)
+    return env[name]
 
 
-def _tee(emit, consumers, fields):
-    """Chain an emitter with tap consumers (only tapped shapes pay)."""
-    if not consumers:
-        return emit
-    n_values = sum(1 for spec in fields if spec[1] != "c")
-    args = ["t"] + [f"v{i}" for i in range(n_values)]
-    sinks = {f"sink{i}": sink for i, sink in enumerate((emit, *consumers))}
-    return _positional_fn("emit_tapped", n_values,
-                          [(name, args) for name in sinks], sinks, __file__)
+class TapConsumer:
+    """A table of record handlers and the two front-ends that drive it.
+
+    ``TAPS`` maps each ``(category, event)`` the consumer reads to
+    ``(handler name, wanted)``, where ``wanted`` maps the fields the
+    handler takes after ``t``, in signature order, to the default that
+    stands in when a record lacks one.  The same handlers serve a live
+    run (:meth:`register`) and a trace file (:meth:`feed`), so a
+    statistic has one implementation wherever its records come from.
+    """
+
+    TAPS: Dict[Tuple[str, str], Tuple[str, Dict[str, Any]]] = {}
+
+    def __init__(self) -> None:
+        #: (category, event) -> (handler, field names, their defaults).
+        self._by_shape = {
+            shape: (getattr(self, name), tuple(wanted),
+                    tuple(wanted.values()))
+            for shape, (name, wanted) in self.TAPS.items()
+        }
+
+    def register(self, bus: "TraceBus") -> None:
+        """Live: tap ``bus`` (before any channel binds)."""
+        for (category, event), (name, wanted) in self.TAPS.items():
+            bus.add_tap(category, event, getattr(self, name), wanted)
+
+    def feed(self, record: Mapping[str, Any]) -> None:
+        """From a file: unpack one dict record into its handler."""
+        entry = self._by_shape.get((record["cat"], record["ev"]))
+        if entry is not None:
+            handler, names, defaults = entry
+            handler(record["t"], *map(record.get, names, defaults))
 
 
 class TraceChannel:
@@ -149,8 +177,7 @@ class TraceChannel:
 
         if self._bus is None:
             return emit
-        return _tee(emit, self._bus.bind_taps(category, event, specs),
-                    specs)
+        return self._bus.tapped(category, event, emit, specs)
 
 
 class RingTraceChannel:
@@ -173,17 +200,15 @@ class RingTraceChannel:
     def emitter(self, event: str, fields: Sequence[FieldSpec]):
         """A prebound positional emitter for one record shape.
 
-        When the bus holds streaming taps for ``(category, event)`` the
-        returned emitter tees the same positional values into each tap's
-        consumer — the online-statistics path pays no dict build and no
+        When the bus holds taps for ``(category, event)`` the returned
+        emitter also calls each tap's handler with the same positional
+        values — the online-statistics path pays no dict build and no
         record decode.
         """
         emit = self._ring.emitter(self.category, event, fields)
         if self._bus is None:
             return emit
-        return _tee(emit,
-                    self._bus.bind_taps(self.category, event, fields),
-                    fields)
+        return self._bus.tapped(self.category, event, emit, fields)
 
 
 class TraceBus:
@@ -200,13 +225,13 @@ class TraceBus:
     records (evictions are counted in :attr:`dropped`); it requires the
     ring backend.
 
-    **Taps.**  :meth:`add_tap` registers a streaming consumer for one
-    ``(category, event)`` pair (see
-    :class:`repro.telemetry.streaming.StreamingStats`).  Channels handed
-    out *after* registration tee emitted records into the tap: prebound
-    positional emitters call the tap's bound consumer with the same
-    positional values (no dict built), generic ``emit(**fields)`` sites
-    dispatch the kwargs dict.  Untapped shapes pay nothing.
+    **Taps.**  :meth:`add_tap` registers a handler for one
+    ``(category, event)`` pair (see :class:`TapConsumer`).  Channels
+    handed out *after* registration call it for every record they emit:
+    a prebound positional emitter is fused with its handlers into one
+    generated function (no dict built), generic ``emit(**fields)`` sites
+    go through the same generated function, bound once per call site.
+    Untapped shapes pay nothing.
     """
 
     __slots__ = ("_records", "_ring", "_filter", "_taps", "_generic_taps")
@@ -225,14 +250,12 @@ class TraceBus:
         else:
             raise ValueError(f"unknown trace backend {backend!r}")
         self._filter = frozenset(categories) if categories else None
-        #: (category, event) -> list of binder callables; a binder takes
-        #: the site's field declaration and returns ``fn(t, *values)``
-        #: (or None to decline that shape).
+        #: (category, event) -> [(handler, wanted)] in registration order.
         self._taps: Dict[tuple, list] = {}
-        #: Bound-consumer cache for generic ``emit(**fields)`` sites,
-        #: keyed by (category, event, field-name tuple) — kwargs order is
-        #: stable per call site, so each site binds once, not per record.
-        self._generic_taps: Dict[tuple, list] = {}
+        #: Fused handlers of generic ``emit(**fields)`` sites, keyed by
+        #: (category, event, field-name tuple) — kwargs order is stable
+        #: per call site, so each site binds once, not per record.
+        self._generic_taps: Dict[tuple, Optional[Callable[..., None]]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -257,48 +280,38 @@ class TraceBus:
     # ------------------------------------------------------------------
     # Streaming taps
     # ------------------------------------------------------------------
-    def add_tap(self, category: str, event: str, binder) -> None:
-        """Register a streaming consumer for ``(category, event)``.
+    def add_tap(self, category: str, event: str,
+                handler: Callable[..., None],
+                wanted: Mapping[str, Any]) -> None:
+        """Call ``handler(t, *wanted)`` for every ``(category, event)``.
 
-        ``binder(fields)`` is called once per instrumentation site that
-        binds an emitter for the pair, with the site's field declaration;
-        it returns a positional consumer ``fn(t, *values)`` or ``None``
-        to decline.  Register taps *before* components bind channels
-        (the Testbed builds Telemetry — and its taps — first).
+        ``wanted`` maps each field the handler takes, in signature
+        order, to the default standing in when a record shape lacks it.
+        Handlers of one pair run in registration order, after the record
+        is stored.  Register taps *before* components bind channels (the
+        testbed builds Telemetry — and its taps — first).
         """
-        self._taps.setdefault((category, event), []).append(binder)
+        self._taps.setdefault((category, event), []).append((handler, wanted))
 
-    def bind_taps(self, category: str, event: str,
-                  fields: Sequence[FieldSpec]) -> List:
-        """Bound consumers for one shape (empty for untapped shapes)."""
-        binders = self._taps.get((category, event))
-        if not binders:
-            return []
-        consumers = []
-        for binder in binders:
-            consumer = binder(tuple(fields))
-            if consumer is not None:
-                consumers.append(consumer)
-        return consumers
+    def tapped(self, category: str, event: str, emit: Callable[..., None],
+               fields: Sequence[FieldSpec]) -> Callable[..., None]:
+        """``emit`` fused with the shape's tap handlers (if any)."""
+        taps = self._taps.get((category, event))
+        return _fuse(emit, taps, fields) if taps else emit
 
     def dispatch_generic(self, category: str, event: str, t_us: float,
                          fields: Dict[str, Any]) -> None:
-        """Tee one generic ``emit(**fields)`` record into the taps."""
+        """Hand one generic ``emit(**fields)`` record to the taps."""
         key = (category, event, tuple(fields))
-        consumers = self._generic_taps.get(key)
-        if consumers is None:
-            binders = self._taps.get((category, event))
-            if binders:
-                specs = tuple((name, "o") for name in fields)
-                consumers = [c for c in (b(specs) for b in binders)
-                             if c is not None]
-            else:
-                consumers = []
-            self._generic_taps[key] = consumers
-        if consumers:
-            values = fields.values()
-            for consumer in consumers:
-                consumer(t_us, *values)
+        try:
+            handlers = self._generic_taps[key]
+        except KeyError:
+            taps = self._taps.get((category, event))
+            handlers = self._generic_taps[key] = _fuse(
+                None, taps, [(name, "o") for name in fields]
+            ) if taps else None
+        if handlers is not None:
+            handlers(t_us, *fields.values())
 
     # ------------------------------------------------------------------
     @property
@@ -373,12 +386,30 @@ class TraceBus:
         return target
 
 
+_RECORD_KEYS = frozenset(("t", "cat", "ev"))
+
+
+def iter_trace_file(path: str) -> Iterator[Dict[str, Any]]:
+    """Yield the records of a JSONL trace, one line at a time.
+
+    The one reader behind every ``trace`` subcommand: a line that is not
+    a JSON object carrying ``t`` / ``cat`` / ``ev`` raises
+    ``ValueError("FILE:LINE: not a trace record")``.
+    """
+    with open(path, "r") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if not isinstance(record, dict) or not _RECORD_KEYS <= record.keys():
+                raise ValueError(f"{path}:{number}: not a trace record")
+            yield record
+
+
 def load_trace(path: str) -> List[Dict[str, Any]]:
     """Read a JSONL trace file back into a list of records."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return list(iter_trace_file(path))

@@ -231,6 +231,18 @@ class TestJainInterval:
         assert interval.lo < 0.75 < interval.hi
         assert jain_interval(rows[:1]) is None
 
+    def test_edge_cases_agree_with_the_cell_index(self):
+        """The interval and ``campaign.cells``' own index are one
+        function: idle and empty replications are vacuously fair, and a
+        NaN share is an error rather than a NaN interval."""
+        for idle in ([[0.0, 0.0]] * 3, [[]] * 3):
+            interval = jain_interval(idle)
+            assert (interval.lo, interval.hi) == (1.0, 1.0)
+        with pytest.raises(ValueError):
+            jain_interval([[1.0, 1.0], [1.0, float("nan")]])
+        with pytest.raises(ValueError):
+            jain_interval([[1.0, 1.0], [1.0, -1.0]])
+
 
 # ----------------------------------------------------------------------
 # Stopping rule

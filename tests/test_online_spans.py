@@ -23,7 +23,7 @@ from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.mac.ap import Scheme
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.ring import TraceRing
-from repro.telemetry.trace import TraceBus, bind_positional
+from repro.telemetry.trace import TraceBus
 from repro.topology import (
     CampusOptions,
     CampusTestbed,
@@ -228,28 +228,30 @@ def test_streaming_with_spans_bounds_the_ring():
 
 
 # ----------------------------------------------------------------------
-# The tap binder both stitching front-ends share
+# The tap binding every consumer shares
 # ----------------------------------------------------------------------
 class TestBindPositional:
     FIELDS = (("layer", "c", "mac"), ("station", "o"), ("flow", "q"),
               ("pid", "q"))
 
     def test_picks_positionals_constants_and_defaults_by_name(self):
+        bus = TraceBus()
         seen = []
-        consume = bind_positional(
-            lambda *args: seen.append(args),
-            {"pid": None, "layer": "qdisc", "station": None, "reason": "?"},
-            self.FIELDS)
-        consume(5.0, 2, 77, 1001)
+        bus.add_tap(
+            "queue", "enqueue", lambda *args: seen.append(args),
+            {"pid": None, "layer": "qdisc", "station": None, "reason": "?"})
+        emit = bus.channel("queue").emitter("enqueue", self.FIELDS)
+        emit(5.0, 2, 77, 1001)
         assert seen == [(5.0, 1001, "mac", 2, "?")]
 
     def test_every_consumer_of_a_shape_sees_every_record_in_order(self):
         bus = TraceBus()
         calls = []
         for tag in ("first", "second"):
-            bus.add_tap("queue", "drop", lambda fields, tag=tag: bind_positional(
-                lambda t, pid: calls.append((tag, t, pid)),
-                {"pid": None}, fields))
+            bus.add_tap(
+                "queue", "drop",
+                lambda t, pid, tag=tag: calls.append((tag, t, pid)),
+                {"pid": None})
         channel = bus.channel("queue")
         emit = channel.emitter("drop", (("layer", "s"), ("pid", "q")))
         emit(1.0, "mac", 7)

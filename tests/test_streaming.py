@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import fairness
 from repro.mac.ap import Scheme
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.streaming import (
@@ -27,6 +28,7 @@ from repro.telemetry.streaming import (
     jain_index,
 )
 from repro.telemetry.summarize import summarize_records
+from repro.telemetry.trace import TraceBus
 
 from tests.conftest import make_testbed
 
@@ -251,11 +253,27 @@ class TestQuantileSketch:
 # ----------------------------------------------------------------------
 class TestWindowedJain:
     def test_jain_index_basics(self):
-        assert jain_index([]) == 0.0
-        assert jain_index([0.0, 0.0]) == 0.0
+        # The one index of ``analysis.fairness``: idle is vacuously fair.
+        assert jain_index is fairness.jain_index
+        assert jain_index([]) == 1.0
+        assert jain_index([0.0, 0.0]) == 1.0
         assert jain_index([5.0, 5.0, 5.0]) == pytest.approx(1.0)
         # One active station out of n gives 1/n.
         assert jain_index([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
+
+    def test_window_edge_cases(self):
+        jain = WindowedJain(window_us=1000.0)
+        jain.observe(100.0, 0, 0.0)       # all-zero window: not "unfair"
+        jain.observe(200.0, 1, 0.0)
+        jain.observe(5500.0, 0, 1.0)      # empty windows emit nothing
+        assert jain.series == [(1000.0, 1.0)]
+        jain.observe(5600.0, 1, float("nan"))
+        with pytest.raises(ValueError):
+            jain.flush()
+        negative = WindowedJain(window_us=1000.0)
+        negative.observe(100.0, 0, -1.0)
+        with pytest.raises(ValueError):
+            negative.snapshot()
 
     def test_windows_close_on_time(self):
         jain = WindowedJain(window_us=1000.0)
@@ -291,7 +309,7 @@ class TestWindowedJain:
 
 
 # ----------------------------------------------------------------------
-# StreamingStats consumers (synthetic taps, no simulator)
+# StreamingStats handlers (driven through a bus, no simulator)
 # ----------------------------------------------------------------------
 class TestStreamingStatsUnits:
     TX_FIELDS = (
@@ -301,7 +319,10 @@ class TestStreamingStatsUnits:
     )
 
     def _tx(self, stats):
-        return stats._bind_tx(self.TX_FIELDS)
+        """The testbed's tx emitter on a bus ``stats`` taps."""
+        bus = TraceBus()
+        stats.register(bus)
+        return bus.channel("tx").emitter("tx", self.TX_FIELDS)
 
     def test_tx_accounting_and_measurement_reset(self):
         stats = StreamingStats()
@@ -332,17 +353,22 @@ class TestStreamingStatsUnits:
 
     def test_drop_and_queue_counters(self):
         stats = StreamingStats()
-        drop = stats._bind_drop((("layer", "c", "qdisc"), ("reason", "s")))
+        bus = TraceBus()
+        stats.register(bus)
+        queue = bus.channel("queue")
+        drop = queue.emitter("drop", (("layer", "c", "qdisc"),
+                                      ("reason", "s")))
         drop(1.0, "overlimit")
         drop(2.0, "overlimit")
         drop(3.0, "codel")
         assert stats.drops == {
             ("qdisc", "overlimit"): 2, ("qdisc", "codel"): 1,
         }
-        enq = stats._bind_enqueue((("layer", "c", "qdisc"), ("station", "q")))
-        deq = stats._bind_dequeue(
-            (("layer", "c", "qdisc"), ("station", "q"), ("sojourn_us", "d"))
-        )
+        enq = queue.emitter("enqueue", (("layer", "c", "qdisc"),
+                                        ("station", "q")))
+        deq = queue.emitter("dequeue", (("layer", "c", "qdisc"),
+                                        ("station", "q"),
+                                        ("sojourn_us", "d")))
         enq(1.0, 7)
         enq(2.0, 7)
         deq(3.0, 7, 1500.0)
@@ -351,7 +377,11 @@ class TestStreamingStatsUnits:
 
     def test_dequeue_without_sojourn_field_is_skipped(self):
         stats = StreamingStats()
-        assert stats._bind_dequeue((("layer", "c", "q"),)) is None
+        bus = TraceBus()
+        stats.register(bus)
+        bus.channel("queue").emitter("dequeue", (("layer", "c", "q"),))(1.0)
+        assert stats.records_seen == 0
+        assert not stats.sojourn and not stats.queue_counts
 
     def test_snapshot_and_format_roundtrip(self):
         stats = StreamingStats()
