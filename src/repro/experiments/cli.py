@@ -43,10 +43,12 @@ from repro.faults import FaultSchedule
 from repro.runner import FailedResult, ResultCache, Runner, RunResult, default_jobs
 from repro.telemetry import (
     TRACE_CATEGORIES,
+    RunAccounts,
     TelemetryConfig,
     configure_logging,
     format_summary,
     get_logger,
+    iter_trace_file,
     summarize_file,
 )
 
@@ -310,7 +312,7 @@ def _trace_spans(files: list[str], check: bool = False) -> int:
     for path in files:
         try:
             attribution = attribute_file(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             log.error("cannot reconstruct spans from %s: %s", path, exc)
             status = 1
             continue
@@ -337,7 +339,7 @@ def _trace_waterfall(files: list[str], plot: str | None = None) -> int:
     for path in files:
         try:
             attribution = attribute_file(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             log.error("cannot build waterfall from %s: %s", path, exc)
             status = 1
             continue
@@ -356,17 +358,23 @@ def _trace_diff(old_path: str, new_path: str, threshold_pct: float,
                 min_us: float, share_threshold: float) -> int:
     """Regression gate: exit 4 when the candidate trace drifted."""
     from repro.analysis.attribution import (
-        attribute_file,
+        AttributionBuilder,
         diff_airtime_shares,
         diff_attributions,
     )
 
+    def read(path: str):
+        """One pass: the file's latency attribution and airtime shares."""
+        builder, accounts = AttributionBuilder(), RunAccounts()
+        for record in iter_trace_file(path):
+            builder.feed(record)
+            accounts.feed(record)
+        return builder.attribution(), accounts.airtime_shares()
+
     try:
-        old_attr = attribute_file(old_path)
-        new_attr = attribute_file(new_path)
-        old_shares = summarize_file(old_path).airtime_shares()
-        new_shares = summarize_file(new_path).airtime_shares()
-    except (OSError, ValueError, KeyError) as exc:
+        old_attr, old_shares = read(old_path)
+        new_attr, new_shares = read(new_path)
+    except (OSError, ValueError) as exc:
         log.error("cannot diff traces: %s", exc)
         return 1
     breaches = diff_attributions(old_attr, new_attr,

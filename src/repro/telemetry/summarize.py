@@ -19,193 +19,177 @@ Exposed on the CLI as ``repro trace summarize FILE...`` (or
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
-from repro.telemetry.trace import load_trace
+from repro.analysis.fairness import jain_index
+from repro.telemetry.streaming import StreamingStats
+from repro.telemetry.trace import iter_trace_file
 
 __all__ = ["TraceSummary", "summarize_records", "summarize_file",
            "format_summary"]
 
 
-@dataclass
-class _StationTx:
-    """Per-station transmission totals within the measurement window."""
-
-    transmissions: int = 0
-    airtime_us: float = 0.0
-    downlink_airtime_us: float = 0.0
-    uplink_airtime_us: float = 0.0
-    payload_bytes: int = 0
-    packets: int = 0
-    downlink_aggs: int = 0
-    downlink_agg_packets: int = 0
-
-    @property
-    def mean_aggregation(self) -> float:
-        if self.downlink_aggs == 0:
-            return 0.0
-        return self.downlink_agg_packets / self.downlink_aggs
-
-
-@dataclass
-class _LayerQueue:
+class _QueueRow(NamedTuple):
     """Per-(layer, station) queue activity over the whole trace."""
 
-    enqueues: int = 0
-    dequeues: int = 0
-    drops: int = 0
-    sojourn_total_us: float = 0.0
-    sojourn_max_us: float = 0.0
+    enqueues: int
+    dequeues: int
+    drops: int
+    sojourn_total_us: float
+    sojourn_max_us: float
 
     @property
     def mean_sojourn_us(self) -> float:
         return self.sojourn_total_us / self.dequeues if self.dequeues else 0.0
 
 
-@dataclass
-class TraceSummary:
-    """Everything ``repro trace summarize`` prints, as plain data."""
+class TraceSummary(StreamingStats):
+    """Everything ``repro trace summarize`` prints, as plain data.
 
-    total_records: int = 0
-    t_first_us: Optional[float] = None
-    t_last_us: Optional[float] = None
-    measurement_start_us: Optional[float] = None
-    #: Records a bounded trace ring evicted before this trace was
-    #: serialised (the ``ring_overflow`` header record) — everything
-    #: below is computed from the *retained tail only*.
-    ring_dropped: int = 0
-    by_category: Dict[str, int] = field(default_factory=dict)
-    #: Station -> transmission totals (measurement window only).
-    stations: Dict[int, _StationTx] = field(default_factory=dict)
-    #: (layer, reason) -> drop count (whole trace).
-    drops: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: (layer, station) -> queue activity (whole trace).
-    queues: Dict[Tuple[str, Any], _LayerQueue] = field(default_factory=dict)
-    #: Station -> CoDel enter/exit-drop transition count.
-    codel_transitions: Dict[Any, int] = field(default_factory=dict)
-    #: Station -> total airtime charged to its deficit (µs), by direction.
-    deficit_charged_us: Dict[Tuple[int, str], float] = field(default_factory=dict)
-    #: Station -> times it (re)entered the scheduler, by list.
-    scheduler_entries: Dict[Tuple[int, str], int] = field(default_factory=dict)
-    #: Fault-injection event counts by event type (PR 3 ``fault`` category).
-    fault_events: Dict[str, int] = field(default_factory=dict)
-    #: Conservation-audit verdicts seen in the trace (ok flags, in order).
-    conservation_ok: List[bool] = field(default_factory=list)
-    #: Station -> BSS id, harvested from multi-BSS ``tx`` records.  Empty
-    #: for single-BSS traces (their tx records carry no ``bss`` field),
-    #: which keeps legacy summaries byte-identical.
-    station_bss: Dict[int, int] = field(default_factory=dict)
+    The station table (``stations``, measurement window), the drop
+    matrix (``drops``) and the enqueue / dequeue counts are the accounts
+    a live run keeps, fed from the file through the same handlers; on
+    top sit the tallies only a full trace is asked for.  Memory is
+    O(stations + layers), whatever the trace size.
+    """
+
+    TAPS = {
+        **StreamingStats.TAPS,
+        ("tx", "tx"): ("on_tx_bss", {
+            **StreamingStats.TAPS["tx", "tx"][1], "bss": None}),
+        ("queue", "drop"): ("on_queue_drop", {
+            "layer": "?", "reason": "?", "station": None}),
+        # Unlike the live sketch, the table counts a sojourn-less dequeue.
+        ("queue", "dequeue"): ("on_queue_dequeue", {
+            "layer": "?", "station": None, "sojourn_us": 0.0}),
+        ("codel", "state"): ("on_codel_state", {"station": None}),
+        ("sched", "deficit_charge"): ("on_deficit_charge", {
+            "station": -1, "dir": "?", "us": 0.0}),
+        ("sched", "station_enter"): ("on_station_enter", {
+            "station": -1, "list": "?"}),
+    }
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.total_records = 0
+        self.t_first_us: Optional[float] = None
+        self.t_last_us: Optional[float] = None
+        #: Records a bounded trace ring evicted before this trace was
+        #: serialised (the ``ring_overflow`` header record) — everything
+        #: below is computed from the *retained tail only*.
+        self.ring_dropped = 0
+        self.by_category: Dict[str, int] = {}
+        #: (layer, station) -> [drops, sojourn total, sojourn max]; any
+        #: ``queue`` record gives its queue a row.
+        self._queue_tallies: Dict[Tuple[str, Any], List[float]] = {}
+        #: Station -> CoDel enter/exit-drop transition count.
+        self.codel_transitions: Dict[Any, int] = {}
+        #: Station -> total airtime charged to its deficit (µs), by direction.
+        self.deficit_charged_us: Dict[Tuple[int, str], float] = {}
+        #: Station -> times it (re)entered the scheduler, by list.
+        self.scheduler_entries: Dict[Tuple[int, str], int] = {}
+        #: Fault-injection event counts by event type (``fault`` category).
+        self.fault_events: Dict[str, int] = {}
+        #: Conservation-audit verdicts seen in the trace (ok flags, in order).
+        self.conservation_ok: List[bool] = []
+        #: Station -> BSS id, harvested from multi-BSS ``tx`` records in
+        #: the measurement window.  Empty for single-BSS traces (their tx
+        #: records carry no ``bss`` field).
+        self.station_bss: Dict[int, int] = {}
+
+    @property
+    def queues(self) -> Dict[Tuple[str, Any], _QueueRow]:
+        """(layer, station) -> queue activity (whole trace)."""
+        return {key: _QueueRow(*self.queue_counts.get(key, (0, 0)), *tally)
+                for key, tally in self._queue_tallies.items()}
+
+    def _tally(self, layer: str, station: Any) -> List[float]:
+        return self._queue_tallies.setdefault((layer, station),
+                                              [0, 0.0, 0.0])
 
     # ------------------------------------------------------------------
-    def airtime_shares(self) -> Dict[int, float]:
-        """Fraction of summed airtime per station (measurement window)."""
-        total = sum(s.airtime_us for s in self.stations.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.stations}
-        return {k: s.airtime_us / total for k, s in self.stations.items()}
-
-
-def summarize_records(records: List[Mapping[str, Any]]) -> TraceSummary:
-    """Aggregate a record list (in emission order) into a summary."""
-    summary = TraceSummary()
-    # A bounded ring serialises its eviction count as a leading
-    # ``ring_overflow`` marker; fold it out so it never skews the
-    # record count or the trace's time span.
-    if records and records[0].get("ev") == "ring_overflow":
-        summary.ring_dropped = int(records[0].get("dropped", 0))
-        records = records[1:]
-    summary.total_records = len(records)
-    if records:
-        summary.t_first_us = records[0]["t"]
-        summary.t_last_us = records[-1]["t"]
-
-    # The airtime table is windowed to the measurement period: records
-    # after the *last* measurement_start marker.  Index-based (not
-    # time-based) so records at exactly the marker timestamp that were
-    # emitted before the warm-up reset stay excluded.
-    meas_index = -1
-    for index, record in enumerate(records):
-        if record["cat"] == "meta" and record["ev"] == "measurement_start":
-            meas_index = index
-            summary.measurement_start_us = record["t"]
-
-    by_cat: Dict[str, int] = defaultdict(int)
-    for index, record in enumerate(records):
+    def observe(self, record: Mapping[str, Any]) -> None:
+        """Count one record, then ``feed`` it to its handler."""
+        self.total_records += 1
+        if self.t_first_us is None:
+            self.t_first_us = record["t"]
+        self.t_last_us = record["t"]
         cat = record["cat"]
-        ev = record["ev"]
-        by_cat[cat] += 1
-
-        if cat == "tx" and index > meas_index:
-            station = record["station"]
-            bss = record.get("bss")
-            if bss is not None:
-                summary.station_bss[station] = bss
-            tx = summary.stations.get(station)
-            if tx is None:
-                tx = summary.stations[station] = _StationTx()
-            tx.transmissions += 1
-            tx.airtime_us += record["airtime_us"]
-            tx.packets += record["n_pkts"]
-            if record["down"]:
-                tx.downlink_airtime_us += record["airtime_us"]
-                tx.downlink_aggs += 1
-                tx.downlink_agg_packets += record["n_pkts"]
-                if record["ok"]:
-                    tx.payload_bytes += record["bytes"]
-            else:
-                tx.uplink_airtime_us += record["airtime_us"]
-
-        elif cat == "queue":
-            layer = record.get("layer", "?")
-            station = record.get("station")
-            key = (layer, station)
-            queue = summary.queues.get(key)
-            if queue is None:
-                queue = summary.queues[key] = _LayerQueue()
-            if ev == "enqueue":
-                queue.enqueues += 1
-            elif ev == "dequeue":
-                queue.dequeues += 1
-                sojourn = record.get("sojourn_us", 0.0)
-                queue.sojourn_total_us += sojourn
-                if sojourn > queue.sojourn_max_us:
-                    queue.sojourn_max_us = sojourn
-            elif ev == "drop":
-                queue.drops += 1
-                drop_key = (layer, record.get("reason", "?"))
-                summary.drops[drop_key] = summary.drops.get(drop_key, 0) + 1
-
-        elif cat == "codel" and ev == "state":
-            station = record.get("station")
-            summary.codel_transitions[station] = (
-                summary.codel_transitions.get(station, 0) + 1
-            )
-
+        self.by_category[cat] = self.by_category.get(cat, 0) + 1
+        if cat == "queue":
+            self._tally(record.get("layer", "?"), record.get("station"))
         elif cat == "fault":
-            summary.fault_events[ev] = summary.fault_events.get(ev, 0) + 1
+            ev = record["ev"]
+            self.fault_events[ev] = self.fault_events.get(ev, 0) + 1
             if ev == "conservation":
-                summary.conservation_ok.append(bool(record.get("ok")))
+                self.conservation_ok.append(bool(record.get("ok")))
+        self.feed(record)
 
-        elif cat == "sched":
-            if ev == "deficit_charge":
-                key = (record["station"], record["dir"])
-                summary.deficit_charged_us[key] = (
-                    summary.deficit_charged_us.get(key, 0.0) + record["us"]
-                )
-            elif ev == "station_enter":
-                key = (record["station"], record["list"])
-                summary.scheduler_entries[key] = (
-                    summary.scheduler_entries.get(key, 0) + 1
-                )
+    def reset_window(self, t_us: float) -> None:
+        super().reset_window(t_us)
+        self.station_bss.clear()
 
-    summary.by_category = dict(sorted(by_cat.items()))
+    def on_tx_bss(self, t: float, station: int, airtime_us: float,
+                  down: bool, n_pkts: int, n_bytes: int, ok: bool,
+                  bss: Optional[int]) -> None:
+        if bss is not None:
+            self.station_bss[station] = bss
+        self.on_tx(t, station, airtime_us, down, n_pkts, n_bytes, ok)
+
+    def on_queue_drop(self, t: float, layer: str, reason: str,
+                      station: Any) -> None:
+        self._tally(layer, station)[0] += 1
+        self.on_drop(t, layer, reason)
+
+    def on_queue_dequeue(self, t: float, layer: str, station: Any,
+                         sojourn_us: float) -> None:
+        tally = self._tally(layer, station)
+        tally[1] += sojourn_us
+        if sojourn_us > tally[2]:
+            tally[2] = sojourn_us
+        self.on_dequeue(t, layer, station, sojourn_us)
+
+    def on_codel_state(self, t: float, station: Any) -> None:
+        self.codel_transitions[station] = (
+            self.codel_transitions.get(station, 0) + 1)
+
+    def on_deficit_charge(self, t: float, station: int, direction: str,
+                          us: float) -> None:
+        key = (station, direction)
+        self.deficit_charged_us[key] = (
+            self.deficit_charged_us.get(key, 0.0) + us)
+
+    def on_station_enter(self, t: float, station: int, lst: str) -> None:
+        key = (station, lst)
+        self.scheduler_entries[key] = self.scheduler_entries.get(key, 0) + 1
+
+
+def summarize_records(records: Iterable[Mapping[str, Any]]) -> TraceSummary:
+    """Aggregate records (in emission order) into a summary, streaming."""
+    summary = TraceSummary()
+    for index, record in enumerate(records):
+        # A bounded ring serialises its eviction count as a leading
+        # ``ring_overflow`` marker; fold it out so it never skews the
+        # record count or the trace's time span.
+        if index == 0 and record.get("ev") == "ring_overflow":
+            summary.ring_dropped = int(record.get("dropped", 0))
+        else:
+            summary.observe(record)
+    summary.by_category = dict(sorted(summary.by_category.items()))
     return summary
 
 
 def summarize_file(path: str) -> TraceSummary:
-    return summarize_records(load_trace(path))
+    return summarize_records(iter_trace_file(path))
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +247,6 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
     # roll the airtime table up per cell; single-BSS traces never reach
     # this branch, so their output is unchanged.
     if summary.station_bss:
-        from repro.analysis.fairness import jain_index
-
         per_bss: Dict[int, List[int]] = {}
         for station, bss in summary.station_bss.items():
             per_bss.setdefault(bss, []).append(station)
@@ -286,7 +268,8 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
                 f"{share:>7.1%} {jain_index(airtimes):>7.3f}"
             )
 
-    if summary.queues:
+    queues = summary.queues
+    if queues:
         lines.append("")
         lines.append("Per-layer queue activity (whole trace):")
         lines.append(
@@ -294,9 +277,9 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
             f"{'drops':>7} {'mean_sojourn_ms':>16} {'max_ms':>8}"
         )
         for (layer, station) in sorted(
-            summary.queues, key=lambda k: (k[0], str(k[1]))
+            queues, key=lambda k: (k[0], str(k[1]))
         ):
-            queue = summary.queues[(layer, station)]
+            queue = queues[(layer, station)]
             lines.append(
                 f"{layer:>8} {_station_label(station):>8} "
                 f"{queue.enqueues:>9} {queue.dequeues:>9} {queue.drops:>7} "
