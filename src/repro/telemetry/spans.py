@@ -154,7 +154,6 @@ class SpanCollector(TapConsumer):
     }
 
     def __init__(self, sink: Optional[Callable[[Span], None]] = None) -> None:
-        super().__init__()
         self._open: Dict[int, Span] = {}
         #: agg seq -> pids still riding in that aggregate.
         self._aggs: Dict[int, List[int]] = {}

@@ -382,12 +382,9 @@ class WindowedJain:
                 math.floor(t_us / self.window_us) + 1
             ) * self.window_us
         while t_us >= self._window_end:
-            self._close_window()
+            self.flush()
+            self._window_end += self.window_us
         self._shares[station] = self._shares.get(station, 0.0) + airtime_us
-
-    def _close_window(self) -> None:
-        self.flush()
-        self._window_end += self.window_us
 
     def _open_window(self) -> List[Tuple[float, float]]:
         """The partial window as a series entry (none without airtime)."""
@@ -396,7 +393,7 @@ class WindowedJain:
         return [(self._window_end, jain_index(self._shares.values()))]
 
     def flush(self) -> None:
-        """Close the current partial window (end of run)."""
+        """Close the current window (its boundary crossed, or end of run)."""
         self.series.extend(self._open_window())
         self._shares.clear()
 
@@ -482,7 +479,6 @@ class RunAccounts(TapConsumer):
     _on_airtime: Optional[Callable[[float, int, float], None]] = None
 
     def __init__(self) -> None:
-        super().__init__()
         #: station -> transmission accounting (measurement window).
         self.stations: Dict[int, _StationAccount] = {}
         #: (layer, reason) -> drop count.

@@ -104,14 +104,6 @@ class TapConsumer:
 
     TAPS: Dict[Tuple[str, str], Tuple[str, Dict[str, Any]]] = {}
 
-    def __init__(self) -> None:
-        #: (category, event) -> (handler, field names, their defaults).
-        self._by_shape = {
-            shape: (getattr(self, name), tuple(wanted),
-                    tuple(wanted.values()))
-            for shape, (name, wanted) in self.TAPS.items()
-        }
-
     def register(self, bus: "TraceBus") -> None:
         """Live: tap ``bus`` (before any channel binds)."""
         for (category, event), (name, wanted) in self.TAPS.items():
@@ -119,10 +111,11 @@ class TapConsumer:
 
     def feed(self, record: Mapping[str, Any]) -> None:
         """From a file: unpack one dict record into its handler."""
-        entry = self._by_shape.get((record["cat"], record["ev"]))
+        entry = self.TAPS.get((record["cat"], record["ev"]))
         if entry is not None:
-            handler, names, defaults = entry
-            handler(record["t"], *map(record.get, names, defaults))
+            name, wanted = entry
+            getattr(self, name)(
+                record["t"], *map(record.get, wanted, wanted.values()))
 
 
 class TraceChannel:
@@ -138,7 +131,7 @@ class TraceChannel:
     __slots__ = ("_records", "_bus", "category")
 
     def __init__(self, records: List[Dict[str, Any]], category: str,
-                 bus: Optional["TraceBus"] = None) -> None:
+                 bus: "TraceBus") -> None:
         self._records = records
         self._bus = bus
         self.category = category
@@ -149,7 +142,7 @@ class TraceChannel:
         if fields:
             record.update(fields)
         self._records.append(record)
-        if self._bus is not None and self._bus._taps:
+        if self._bus._taps:
             self._bus.dispatch_generic(self.category, event, t_us, fields)
 
     def emitter(self, event: str, fields: Sequence[FieldSpec]):
@@ -175,8 +168,6 @@ class TraceChannel:
                     index += 1
             append(record)
 
-        if self._bus is None:
-            return emit
         return self._bus.tapped(category, event, emit, specs)
 
 
@@ -186,7 +177,7 @@ class RingTraceChannel:
     __slots__ = ("_ring", "_bus", "category")
 
     def __init__(self, ring: TraceRing, category: str,
-                 bus: Optional["TraceBus"] = None) -> None:
+                 bus: "TraceBus") -> None:
         self._ring = ring
         self._bus = bus
         self.category = category
@@ -194,7 +185,7 @@ class RingTraceChannel:
     def emit(self, t_us: float, event: str, **fields: Any) -> None:
         """Append one record at simulated time ``t_us``."""
         self._ring.append_generic(self.category, event, t_us, fields)
-        if self._bus is not None and self._bus._taps:
+        if self._bus._taps:
             self._bus.dispatch_generic(self.category, event, t_us, fields)
 
     def emitter(self, event: str, fields: Sequence[FieldSpec]):
@@ -206,8 +197,6 @@ class RingTraceChannel:
         record decode.
         """
         emit = self._ring.emitter(self.category, event, fields)
-        if self._bus is None:
-            return emit
         return self._bus.tapped(self.category, event, emit, fields)
 
 
@@ -405,7 +394,8 @@ def iter_trace_file(path: str) -> Iterator[Dict[str, Any]]:
                 record = json.loads(line)
             except ValueError:
                 record = None
-            if not isinstance(record, dict) or not _RECORD_KEYS <= record.keys():
+            if not (isinstance(record, dict)
+                    and _RECORD_KEYS <= record.keys()):
                 raise ValueError(f"{path}:{number}: not a trace record")
             yield record
 

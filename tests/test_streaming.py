@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import fairness
+from repro.experiments.config import three_station_rates
+from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.mac.ap import Scheme
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.streaming import (
@@ -28,9 +30,10 @@ from repro.telemetry.streaming import (
     jain_index,
 )
 from repro.telemetry.summarize import summarize_records
-from repro.telemetry.trace import TraceBus
+from repro.telemetry.trace import TraceBus, iter_trace_file
 
 from tests.conftest import make_testbed
+from tests.test_trace_determinism import PINNED_SCENARIOS
 
 # ----------------------------------------------------------------------
 # Rank-error helper
@@ -398,6 +401,19 @@ class TestStreamingStatsUnits:
         assert "records consumed online" in text
         assert "Windowed Jain" in text
 
+    def test_snapshot_is_read_only(self):
+        """The open Jain window is rendered, not closed: the flight
+        recorder and tests snapshot mid-run, ``finish()`` at the end."""
+        stats = StreamingStats()
+        consume = self._tx(stats)
+        consume(1e5, 0, 100.0, 90.0, True, 1, 4, 6000, "BE", True, 0)
+        assert stats.snapshot()["jain"]["series"] == [[1e6, 1.0]]
+        assert stats.jain.series == []
+        consume(2e5, 1, 300.0, 270.0, True, 2, 4, 6000, "BE", True, 0)
+        # One entry for the one window, over everything in it so far.
+        assert stats.snapshot()["jain"]["series"] == [[1e6, 0.8]]
+        assert stats.snapshot() == stats.snapshot()
+
 
 # ----------------------------------------------------------------------
 # Streaming vs decode parity on a real run
@@ -434,6 +450,32 @@ class TestStreamingDecodeParity:
             assert account["transmissions"] == tx.transmissions
             assert account["airtime_us"] == tx.airtime_us
             assert account["payload_bytes"] == tx.payload_bytes
+
+    @pytest.mark.parametrize("name,scheme", [
+        ("udp", Scheme.AIRTIME),            # mac layer, marker reset
+        ("udp-impaired", Scheme.AIRTIME),   # churn flush, fault markers
+        ("voip-vo", Scheme.FIFO),           # stationless qdisc, vo layer
+    ])
+    def test_feeding_the_written_trace_reproduces_the_live_snapshot(
+            self, name, scheme, tmp_path):
+        """One set of handlers, two front-ends: taps in the run,
+        ``feed`` over the JSONL the same run wrote."""
+        scenario, _, overrides = PINNED_SCENARIOS[name]
+        trace_path = str(tmp_path / "run.trace.jsonl")
+        testbed = Testbed(three_station_rates(), TestbedOptions(**{
+            "scheme": scheme, "seed": 1, **overrides,
+            "telemetry": TelemetryConfig(streaming=True,
+                                         trace_path=trace_path)}))
+        duration_s, warmup_s = scenario(testbed)
+        testbed.run(duration_s, warmup_s)
+        live = testbed.finish_telemetry()
+        assert "trace_dropped" not in live  # the file is the full trace
+
+        fed = StreamingStats()
+        for record in iter_trace_file(trace_path):
+            fed.feed(record)
+        assert fed.snapshot() == live["streaming"]
+        assert live["streaming"]["records_seen"] > 1000
 
     def test_sketch_quantiles_track_decoded_sojourns(self):
         _, streamed = self._run(streaming=True)
