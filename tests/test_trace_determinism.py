@@ -212,6 +212,8 @@ def test_traced_and_untraced_runs_use_distinct_cache_entries(tmp_path):
 #     > tests/fixtures/trace_digests.json
 
 ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
+#: The two schemes with a qdisc above the legacy driver.
+QDISC_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL)
 FULL_TRACE = TelemetryConfig(trace=True, spans=True, ledger=True)
 DIGEST_FIXTURE = Path(__file__).parent / "fixtures" / "trace_digests.json"
 
@@ -219,6 +221,13 @@ DIGEST_FIXTURE = Path(__file__).parent / "fixtures" / "trace_digests.json"
 def _udp_scenario(testbed):
     workloads.saturating_udp_download(testbed)
     return 0.6, 0.3
+
+
+def _slow_station_churn(mode: str) -> FaultSchedule:
+    """The slow station (the one that owns the driver buffer) leaves at
+    40% of ``_udp_scenario``'s 0.9 s and is back at 70%."""
+    return FaultSchedule(churn=(
+        Churn(station=2, detach_s=0.36, reattach_s=0.63, mode=mode),))
 
 
 def _tcp_scenario(testbed):
@@ -257,7 +266,7 @@ PINNED_SCENARIOS = {
     # Churn flush: mac_fq flush, scheduler station_drop / re-enter.
     "udp-impaired": (_udp_scenario, (Scheme.AIRTIME,),
                      {"faults": IMPAIRMENTS}),
-    "voip-vo": (_voip_scenario, (Scheme.FIFO,), {}),
+    "voip-vo": (_voip_scenario, QDISC_SCHEMES, {}),
     # Recorded on the tree that still had a separate single-AP testbed,
     # for what only that testbed did: strict watchdogs over a fault
     # schedule (passing ``conservation`` / ``ledger_audit`` fault
@@ -279,6 +288,13 @@ PINNED_SCENARIOS = {
     # Recorded on the tree whose send_downstream still ran the fill pass
     # and looked the TID up for every packet.
     "udp-qos": (_qos_scenario, (Scheme.AIRTIME,), {}),
+    # Recorded on the tree whose AP still branched on the scheme: churn
+    # over the qdisc + legacy-driver stack (driver flush, qdisc residue,
+    # the VO deques), which no other key reaches.
+    "udp-churn-flush": (_udp_scenario, QDISC_SCHEMES,
+                        {"faults": _slow_station_churn("flush")}),
+    "udp-churn-park": (_udp_scenario, QDISC_SCHEMES,
+                       {"faults": _slow_station_churn("park")}),
 }
 
 
