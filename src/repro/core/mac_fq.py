@@ -17,8 +17,9 @@ driver's per-TID FIFOs for the FQ-MAC and Airtime configurations (Figure 3):
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.core.codel import PerStationCoDelTuner, codel_dequeue
 from repro.core.fq_codel import (
@@ -29,7 +30,8 @@ from repro.core.fq_codel import (
 )
 from repro.core.packet import Packet
 
-__all__ = ["MacFqStructure", "DEFAULT_GLOBAL_LIMIT", "DEFAULT_NUM_QUEUES"]
+__all__ = ["MacFqStructure", "IntegratedStack", "FirstUse",
+           "DEFAULT_GLOBAL_LIMIT", "DEFAULT_NUM_QUEUES"]
 
 #: Global packet limit of the mac80211 structure (Figure 3: 8192).
 DEFAULT_GLOBAL_LIMIT = 8192
@@ -37,6 +39,18 @@ DEFAULT_GLOBAL_LIMIT = 8192
 DEFAULT_NUM_QUEUES = 4096
 
 DropCallback = Callable[[Packet, str], None]
+
+
+class FirstUse(dict):
+    """``d[key]`` computes ``make(*key)`` the first time ``key`` is used."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(*key)
+        return value
 
 
 class MacFqStructure:
@@ -74,7 +88,12 @@ class MacFqStructure:
         self.on_drop = on_drop
 
         self._queues = [FlowQueue(i) for i in range(num_queues)]
-        self._tids: dict[tuple, TidState] = {}
+        #: (station, ac) -> TidState, created at the first *use* of the
+        #: key: longest-queue ties break by TID creation order, so when a
+        #: TID is first asked for decides which packet an overlimit drop
+        #: takes.  Entries are never deleted, so a station that roams
+        #: back finds its TIDs.
+        self._tids: Dict[tuple, TidState] = FirstUse(self._new_tid)
         self._overflow_counter = 0
 
         #: Total packets queued across every TID (the "global limit" gauge).
@@ -98,13 +117,16 @@ class MacFqStructure:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def set_trace(self, trace, metrics=None, layer: str = "mac") -> None:
+    def set_trace(self, trace, metrics=None, layer: str = "mac",
+                  now_fn=None) -> None:
         """Attach a trace bus / metrics registry to this structure.
 
         ``layer`` labels the emitted records ('mac' for the integrated
         structure, 'qdisc' when wrapped by
         :class:`repro.qdisc.fq_codel_qdisc.FqCodelQdisc`).  ``trace=None``
         detaches: every emitter, CoDel hook and histogram is reset.
+        ``now_fn`` is ignored (the structure has its clock already); it is
+        accepted so every queue stack under the AP takes the same call.
         """
         queue_ch = trace.channel("queue") if trace is not None else None
         codel_ch = trace.channel("codel") if trace is not None else None
@@ -162,18 +184,16 @@ class MacFqStructure:
     # ------------------------------------------------------------------
     def tid(self, station: Optional[int], ac: object) -> TidState:
         """Return (creating on first use) the TID for ``(station, ac)``."""
-        key = (station, ac)
-        state = self._tids.get(key)
-        if state is None:
-            # Overflow queues live outside the hashed pool; give them
-            # negative indices so they can't collide with pool queues.
-            self._overflow_counter += 1
-            overflow = FlowQueue(-self._overflow_counter)
-            if self._em_codel_state is not None:
-                overflow.codel.on_transition = self._codel_hook(overflow)
-            state = TidState(station, ac, overflow)
-            self._tids[key] = state
-        return state
+        return self._tids[station, ac]
+
+    def _new_tid(self, station: Optional[int], ac: object) -> TidState:
+        # Overflow queues live outside the hashed pool; give them
+        # negative indices so they can't collide with pool queues.
+        self._overflow_counter += 1
+        overflow = FlowQueue(-self._overflow_counter)
+        if self._em_codel_state is not None:
+            overflow.codel.on_transition = self._codel_hook(overflow)
+        return TidState(station, ac, overflow)
 
     def tids(self) -> Iterable[TidState]:
         return self._tids.values()
@@ -372,3 +392,41 @@ class MacFqStructure:
     @property
     def total_drops(self) -> int:
         return self.drops_overlimit + self.drops_codel + self.drops_flushed
+
+
+class IntegratedStack(MacFqStructure):
+    """The structure as the access point's queue stack (FQ-MAC, Airtime).
+
+    The stack protocol is :class:`repro.mac.ap.QueueStack`.  Every AC, VO
+    included, is an ordinary TID, and an enqueued packet is schedulable
+    at once: there is no layer above to refill from.
+    """
+
+    #: An arrival is always news for the scheduler (see :meth:`refill`).
+    hungry = True
+
+    def __init__(self, sim, config, drops, codel_tuner) -> None:
+        super().__init__(
+            partial(getattr, sim, "now"),  # C-level clock read: no frame
+            limit=config.mac_fq_limit,
+            codel_tuner=codel_tuner,
+            on_drop=drops.callback("mac"),
+        )
+
+    def enqueue_for(self, station: int, ac: object) -> Callable:
+        return partial(self.enqueue, tid=self._tids[station, ac])
+
+    def dequeue_for(self, station: int, ac: object) -> Callable:
+        return partial(self.dequeue, self._tids[station, ac])
+
+    def station_backlog(self, station: int, ac: object) -> int:
+        return self._tids[station, ac].backlog
+
+    def refill(self, arrival: Optional[int] = None) -> tuple:
+        return () if arrival is None else (arrival,)
+
+    def resident(self) -> int:
+        return self.backlog_packets
+
+    def samples(self, prefix: str, by_station: bool = False) -> dict:
+        return {}

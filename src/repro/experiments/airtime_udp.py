@@ -20,13 +20,11 @@ from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import saturating_udp_download
 from repro.faults import ConservationReport, FaultSchedule
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
 from repro.telemetry import TelemetryConfig
 
 __all__ = ["AirtimeUdpResult", "run", "specs", "format_table", "ALL_SCHEMES"]
-
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,8 @@ __all__ = [
     "specs",
 ]
 
-_SCHEMES = {
-    "fifo": Scheme.FIFO,
-    "fq_codel": Scheme.FQ_CODEL,
-    "fq_mac": Scheme.FQ_MAC,
-    "airtime": Scheme.AIRTIME,
-}
+_SCHEMES = {name.lower(): scheme
+            for name, scheme in Scheme.__members__.items()}
 
 
 def _resolve_scheme(name) -> Scheme:

@@ -21,13 +21,12 @@ from repro.experiments.workloads import (
     tcp_bidir,
     tcp_download,
 )
-from repro.mac.ap import APConfig, Scheme
+from repro.mac.ap import ALL_SCHEMES, APConfig, Scheme
 from repro.runner import RunSpec, Runner, execute
 
 __all__ = ["FairnessResult", "run", "run_one", "specs", "format_table",
            "TRAFFIC_TYPES", "ALL_SCHEMES"]
 
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 TRAFFIC_TYPES = ("udp", "tcp_download", "tcp_bidir")
 
 

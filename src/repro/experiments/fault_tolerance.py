@@ -31,7 +31,7 @@ from repro.faults import (
     Interference,
     RateCrash,
 )
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
 from repro.sim.engine import PeriodicTimer
 from repro.telemetry import TelemetryConfig
@@ -45,8 +45,6 @@ __all__ = [
     "format_table",
     "ALL_SCHEMES",
 ]
-
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 #: Fairness/latency sampling window (simulated seconds).
 SAMPLE_WINDOW_S = 0.5

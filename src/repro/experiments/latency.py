@@ -22,14 +22,12 @@ from repro.analysis.stats import Summary, summarize
 from repro.experiments.config import FAST_STATIONS, SLOW_STATION, three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import add_pings, tcp_bidir, tcp_download
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
 from repro.telemetry import TelemetryConfig
 
 __all__ = ["LatencyResult", "run", "run_scheme", "specs", "format_table",
            "ALL_SCHEMES"]
-
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import tcp_bidir, tcp_download
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
 
 __all__ = ["TcpThroughputResult", "run", "run_scheme", "specs", "format_table",
            "ALL_SCHEMES"]
-
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,13 @@ from repro.core.packet import AccessCategory
 from repro.experiments.config import SLOW_STATION, four_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import tcp_download
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
 from repro.traffic.voip import VoipFlow, VoipStats
 
 __all__ = ["VoipResult", "run", "run_case", "specs", "format_table",
            "ALL_SCHEMES"]
 
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 BASE_DELAYS_MS = (5.0, 50.0)
 
 

@@ -19,14 +19,12 @@ from typing import List, Optional, Sequence
 from repro.experiments.config import FAST_STATIONS, SLOW_STATION, three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import tcp_download
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
 from repro.traffic.web import LARGE_PAGE, SMALL_PAGE, WebFetch, WebPage
 
 __all__ = ["WebResult", "run", "run_case", "specs", "format_table",
            "ALL_SCHEMES"]
-
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,13 @@ The evaluation (Section 4) compares four queue-management setups at the AP:
   station service is still round-robin.
 * **AIRTIME** — FQ-MAC plus the deficit airtime scheduler (Algorithm 3).
 
-This module assembles the right stack per scheme and implements the AP
-side of the medium's contender protocol: building aggregates into the
-two-deep hardware queue, charging airtime on TX *and* RX completion, and
-forwarding uplink traffic to the wired network.
+Each is one row of :data:`SCHEMES`: a queue stack, a station scheduler
+and what the ledger audit should expect.  :class:`AccessPoint` resolves
+the row once and never asks which it got: it speaks
+:class:`QueueStack` to the queues and implements what every scheme
+shares — the VO ring, the two-deep hardware queue, the AP side of the
+medium's contender protocol, airtime charging on TX *and* RX completion,
+station churn, and forwarding uplink traffic to the wired network.
 """
 
 from __future__ import annotations
@@ -21,30 +24,27 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
+from typing import (Callable, Deque, Dict, Iterable, Optional, Protocol,
+                    TYPE_CHECKING)
 
 from repro.core.airtime import DEFAULT_AIRTIME_QUANTUM_US, AirtimeScheduler
 from repro.core.codel import PerStationCoDelTuner
 from repro.core.drops import DropHook, DropReporter
-from repro.core.fq_codel import TidState
-from repro.core.mac_fq import MacFqStructure
+from repro.core.mac_fq import IntegratedStack
 from repro.core.packet import AccessCategory, Packet
 from repro.core.station_rr import RoundRobinScheduler
 from repro.mac.aggregation import Aggregate, AggregateBuilder, AggregationLimits
-from repro.mac.driver import DEFAULT_DRIVER_LIMIT, LegacyDriver
+from repro.mac.driver import DEFAULT_DRIVER_LIMIT, QdiscStack
 from repro.mac.hwqueue import HardwareQueue
 from repro.mac.medium import Medium
 from repro.mac.station import ClientStation
-from repro.qdisc.base import Qdisc
-from repro.qdisc.fq_codel_qdisc import FqCodelQdisc
-from repro.qdisc.pfifo import PfifoQdisc
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.wire import Network
 
-__all__ = ["AccessPoint", "Scheme", "APConfig"]
+__all__ = ["AccessPoint", "Scheme", "ALL_SCHEMES", "APConfig", "QueueStack",
+           "SchemeDescriptor", "SCHEMES", "round_robin", "airtime_drr"]
 
 
 class Scheme(Enum):
@@ -55,9 +55,93 @@ class Scheme(Enum):
     FQ_MAC = "FQ-MAC"
     AIRTIME = "Airtime fair FQ"
 
-    @property
-    def uses_mac_fq(self) -> bool:
-        return self in (Scheme.FQ_MAC, Scheme.AIRTIME)
+
+#: Every scheme, in the paper's order.
+ALL_SCHEMES = tuple(Scheme)
+
+
+class QueueStack(Protocol):
+    """What the access point asks of the queues under it.
+
+    Packet sinks and sources are *bound once* per ``(station, ac)`` and
+    called with no stack frame in between, so the per-packet path costs
+    what the underlying structure costs.  VO is an AC like any other
+    here; that the AP serves it ahead of the station scheduler is the
+    AP's business.
+    """
+
+    #: Whether :meth:`refill` could have news.  A plain attribute, read
+    #: on every data arrival: a full buffer answers without a call.
+    hungry: bool
+
+    def enqueue_for(self, station: int, ac: AccessCategory
+                    ) -> Callable[[Packet], object]:
+        """The sink packets for ``(station, ac)`` are handed to."""
+
+    def dequeue_for(self, station: int, ac: AccessCategory
+                    ) -> Callable[[], Optional[Packet]]:
+        """The aggregate builder's packet source for ``(station, ac)``."""
+
+    def station_backlog(self, station: int, ac: AccessCategory) -> int:
+        """Packets :meth:`dequeue_for`'s source could yield right now."""
+
+    def refill(self, arrival: Optional[int] = None) -> Iterable[int]:
+        """Move what can move toward the sources; the stations that
+        gained schedulable packets.  Called (when ``hungry``) after a
+        data packet for station ``arrival`` was sunk, and with ``None``
+        after the hardware took an aggregate or a station came back."""
+
+    def flush_station(self, station: int) -> int:
+        """Drop everything held for ``station`` through the drop funnel
+        (reason ``detach``); the number of packets dropped."""
+
+    def resident(self) -> int:
+        """Packets held anywhere in the stack (conservation audit)."""
+
+    def samples(self, prefix: str, by_station: bool = False
+                ) -> Dict[str, float]:
+        """Gauges for the periodic sampler, stack-wide or per station."""
+
+    def set_trace(self, trace, now_fn=None, metrics=None) -> None:
+        """Attach (``trace=None``: detach) the trace bus and metrics."""
+
+
+@dataclass(frozen=True)
+class SchemeDescriptor:
+    """A scheme is a row: (queue stack, scheduler, airtime_fair)."""
+
+    #: ``stack(sim, config, drops, codel_tuner)`` -> :class:`QueueStack`.
+    stack: Callable[..., QueueStack]
+    #: ``scheduler(config, has_backlog=, build_aggregate=, hw_full=)`` ->
+    #: the station scheduler for the aggregating ACs.
+    scheduler: Callable[..., object]
+    #: Whether the ledger audit holds the run to equal airtime shares.
+    airtime_fair: bool = False
+
+
+def round_robin(config: "APConfig", **hooks) -> RoundRobinScheduler:
+    return RoundRobinScheduler(**hooks)
+
+
+def airtime_drr(config: "APConfig", **hooks) -> AirtimeScheduler:
+    return AirtimeScheduler(
+        quantum_us=config.airtime_quantum_us,
+        sparse_enabled=config.sparse_enabled,
+        account_rx=config.account_rx_airtime,
+        **hooks,
+    )
+
+
+#: ``APConfig.scheme`` -> its row.  The AP looks the key up and nothing
+#: else, so a further scheme is a further entry
+#: (``tests/test_scheme_seam.py`` adds one out of existing parts).
+SCHEMES: Dict[object, SchemeDescriptor] = {
+    Scheme.FIFO: SchemeDescriptor(QdiscStack.pfifo, round_robin),
+    Scheme.FQ_CODEL: SchemeDescriptor(QdiscStack.fq_codel, round_robin),
+    Scheme.FQ_MAC: SchemeDescriptor(IntegratedStack, round_robin),
+    Scheme.AIRTIME: SchemeDescriptor(IntegratedStack, airtime_drr,
+                                     airtime_fair=True),
+}
 
 
 @dataclass
@@ -86,18 +170,6 @@ class APConfig:
     #: rate is learned from TX reports instead of being fixed, and the
     #: CoDel tuner follows the learned rate estimate (§3.1.1).
     rate_control: bool = False
-
-
-class _FirstUse(dict):
-    """``d[key]`` computes ``make(*key)`` the first time ``key`` is used."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(*key)
-        return value
 
 
 class AccessPoint:
@@ -133,60 +205,28 @@ class AccessPoint:
         #: here; experiment hooks and trace observers attach to it.
         self.drops = DropReporter()
 
-        # --- scheme-specific queueing stack --------------------------
-        self.qdisc: Optional[Qdisc] = None
-        self.driver: Optional[LegacyDriver] = None
-        self.mac_fq: Optional[MacFqStructure] = None
-        if self.scheme is Scheme.FIFO:
-            self.qdisc = PfifoQdisc(
-                self.config.txqueuelen, on_drop=self.drops.callback("qdisc")
-            )
-            self.driver = LegacyDriver(self.qdisc, self.config.driver_limit)
-        elif self.scheme is Scheme.FQ_CODEL:
-            self.qdisc = FqCodelQdisc(
-                lambda: sim.now, on_drop=self.drops.callback("qdisc")
-            )
-            self.driver = LegacyDriver(self.qdisc, self.config.driver_limit)
-        else:
-            self.mac_fq = MacFqStructure(
-                lambda: sim.now,
-                limit=self.config.mac_fq_limit,
-                codel_tuner=self.codel_tuner,
-                on_drop=self.drops.callback("mac"),
-            )
-            #: (station, ac) -> TidState, resolved at the first *use* of
-            #: the key, not at add_station: mac_fq breaks longest-queue
-            #: ties by TID creation order, so when a TID is first asked
-            #: for decides which packet an overlimit drop takes.  Entries
-            #: outlive remove_station, as mac_fq's own TIDs do, so a
-            #: station that roams back finds them.
-            self._tids: Dict[tuple, TidState] = _FirstUse(self.mac_fq.tid)
-
-        #: (station, ac) -> the builder's dequeue callable, bound once.
-        self._dequeues: Dict[tuple, Callable] = _FirstUse(self._bind_dequeue)
-
-        # --- station scheduler (BE/BK/VI) ------------------------------
-        if self.scheme is Scheme.AIRTIME:
-            self.scheduler: object = AirtimeScheduler(
-                has_backlog=self._station_has_backlog,
-                build_aggregate=self._build_aggregate_for,
-                hw_full=self._hw.be_full,
-                quantum_us=self.config.airtime_quantum_us,
-                sparse_enabled=self.config.sparse_enabled,
-                account_rx=self.config.account_rx_airtime,
-            )
-        else:
-            self.scheduler = RoundRobinScheduler(
-                has_backlog=self._station_has_backlog,
-                build_aggregate=self._build_aggregate_for,
-                hw_full=self._hw.be_full,
-            )
+        # --- the scheme's row: queue stack + station scheduler --------
+        self.descriptor = SCHEMES[self.scheme]
+        self.stack: QueueStack = self.descriptor.stack(
+            sim, self.config, self.drops, self.codel_tuner)
+        #: (station, ac) -> the stack's packet sink / the builder's packet
+        #: source, bound at the first use of the key (when a key is first
+        #: used is visible to the stack: see ``MacFqStructure._tids``).
+        #: Entries outlive remove_station, as the stack's own queues do,
+        #: so a station that roams back finds them.
+        self._sinks: Dict[tuple, Callable] = {}
+        self._sources: Dict[tuple, Callable] = {}
+        self.scheduler = self.descriptor.scheduler(
+            self.config,
+            has_backlog=self._station_has_backlog,
+            build_aggregate=self._build_aggregate_for,
+            hw_full=self._hw.be_full,
+        )
 
         # --- VO fast path ---------------------------------------------
         # VO frames are scheduled round-robin per station ahead of all
         # other traffic (802.11e priority); they never aggregate.
         self._vo_ring: Deque[int] = deque()
-        self._vo_queues: Dict[int, Deque[Packet]] = {}
 
         #: Stations currently detached (station churn); they are not
         #: scheduled and new downlink packets for them are dropped.
@@ -201,8 +241,6 @@ class AccessPoint:
         self._tr_agg = None
         self._em_built = None
         self._em_tx_done = None
-        self._em_vo_enqueue = None
-        self._em_vo_dequeue = None
         #: Airtime ledger (None when disabled; see set_ledger).
         self._ledger = None
 
@@ -282,28 +320,11 @@ class AccessPoint:
         else:
             self._em_built = None
             self._em_tx_done = None
-        if self.qdisc is not None:
-            self.qdisc.set_trace(trace, now_fn=now_fn, metrics=metrics)
-        if self.driver is not None:
-            self.driver.set_trace(trace, now_fn=now_fn)
-        if self.mac_fq is not None:
-            self.mac_fq.set_trace(trace, metrics=metrics, layer="mac")
+        self.stack.set_trace(trace, now_fn=now_fn, metrics=metrics)
         self.scheduler.set_trace(trace, now_fn=now_fn)
         self._hw.set_trace(trace, now_fn=now_fn)
         queue_channel = trace.channel("queue") if trace is not None else None
-        self._em_vo_enqueue = self._em_vo_dequeue = None
         if queue_channel is not None:
-            if self.mac_fq is None:
-                # The unmanaged VO queue exists only in the qdisc schemes
-                # (under mac_fq, VO is a TID like any other).
-                self._em_vo_enqueue = queue_channel.emitter("enqueue", (
-                    ("layer", "c", "vo"), ("station", "q"), ("flow", "q"),
-                    ("pid", "q"), ("backlog", "q"),
-                ))
-                self._em_vo_dequeue = queue_channel.emitter("dequeue", (
-                    ("layer", "c", "vo"), ("station", "q"), ("pid", "q"),
-                    ("sojourn_us", "d"),
-                ))
             em_drop = queue_channel.emitter("drop", (
                 ("layer", "s"), ("reason", "s"), ("station", "o"),
                 ("flow", "q"), ("pid", "q"),
@@ -345,22 +366,25 @@ class AccessPoint:
             self.drops.report(pkt, "mac", "detach")
             return
 
+        key = (station, pkt.ac)
+        try:
+            sink = self._sinks[key]
+        except KeyError:
+            sink = self._sinks[key] = self.stack.enqueue_for(*key)
+        sink(pkt)
         if pkt.ac is AccessCategory.VO:
-            self._enqueue_vo(pkt, station)
-        elif self.mac_fq is not None:
-            self.mac_fq.enqueue(pkt, self._tids[station, pkt.ac])
-            # wake() is a no-op for a station already on a list.
+            if station not in self._vo_ring:
+                self._vo_ring.append(station)
+        elif self.stack.hungry:
+            # ``_refill(station)`` inline: once per arrival under the
+            # integrated structure (wake() is a no-op for a listed
+            # station, so it is not called for one).
             scheduler = self.scheduler
-            if station not in scheduler.listed:
-                scheduler.wake(station)
-        else:
-            # FIFO / FQ-CoDel: qdisc above the legacy driver.  The pull
-            # is guarded inline: at saturation the driver is full for
-            # almost every arrival and the call would be a no-op.
-            self.qdisc.enqueue(pkt)
-            driver = self.driver
-            if driver.backlog < driver.limit:
-                self._pull_driver()
+            listed = scheduler.listed
+            detached = self._detached
+            for woken in self.stack.refill(station):
+                if woken not in listed and woken not in detached:
+                    scheduler.wake(woken)
 
         # The fill pass can only act on a VO frame, a parked station or
         # a free BE hardware slot (both schedulers loop "while the
@@ -373,39 +397,14 @@ class AccessPoint:
         if not medium._busy and not medium._arbitration_scheduled:
             medium.notify_backlog()
 
-    def _enqueue_vo(self, pkt: Packet, station: int) -> None:
-        # The VO queue is short and unmanaged in all schemes except the
-        # mac_fq ones, where it is a TID like any other; either way the
-        # AP-side scheduling is strict-priority round-robin.
-        if self.mac_fq is not None:
-            self.mac_fq.enqueue(pkt, self._tids[station, AccessCategory.VO])
-        else:
-            queue = self._vo_queues.setdefault(station, deque())
-            pkt.enqueue_us = self.sim.now
-            queue.append(pkt)
-            if self._em_vo_enqueue is not None:
-                self._em_vo_enqueue(pkt.enqueue_us, station, pkt.flow_id,
-                                    pkt.pid, len(queue))
-        if station not in self._vo_ring:
-            self._vo_ring.append(station)
-
-    def _dequeue_vo(self, station: int) -> Optional[Packet]:
-        if self.mac_fq is not None:
-            return self.mac_fq.dequeue(self._tids[station, AccessCategory.VO])
-        queue = self._vo_queues.get(station)
-        if not queue:
-            return None
-        pkt = queue.popleft()
-        if self._em_vo_dequeue is not None:
-            self._em_vo_dequeue(self.sim.now, station, pkt.pid,
-                                self.sim.now - pkt.enqueue_us)
-        return pkt
-
-    def _vo_backlog(self, station: int) -> int:
-        if self.mac_fq is not None:
-            return self._tids[station, AccessCategory.VO].backlog
-        queue = self._vo_queues.get(station)
-        return len(queue) if queue else 0
+    def _refill(self, arrival: Optional[int] = None) -> None:
+        """Wake the attached stations the stack just made schedulable."""
+        scheduler = self.scheduler
+        listed = scheduler.listed
+        detached = self._detached
+        for woken in self.stack.refill(arrival):
+            if woken not in listed and woken not in detached:
+                scheduler.wake(woken)
 
     # ------------------------------------------------------------------
     # Scheduler hooks (aggregating ACs: VI > BE > BK; VO has its own path)
@@ -413,27 +412,27 @@ class AccessPoint:
     #: Priority order of the ACs the station scheduler serves.
     _DATA_ACS = (AccessCategory.VI, AccessCategory.BE, AccessCategory.BK)
 
-    def _ac_backlog(self, station: int, ac: AccessCategory) -> int:
-        # Inline of ``builder.holdback_backlog``: this runs up to three
-        # times per scheduling decision (one walk over the data ACs).
-        key = (station, ac)
-        backlog = 1 if key in self._builder._holdback else 0
-        if self.mac_fq is not None:
-            return backlog + self._tids[key].backlog
-        return backlog + self.driver.station_backlog(station, ac)
+    def _backlogged_ac(self, station: int) -> Optional[AccessCategory]:
+        """The highest-priority data AC with traffic for ``station``
+        (the builder's holdback slot counts), or ``None``."""
+        holdback = self._builder._holdback
+        backlog = self.stack.station_backlog
+        for ac in self._DATA_ACS:
+            if (station, ac) in holdback or backlog(station, ac) > 0:
+                return ac
+        return None
 
     def _station_has_backlog(self, station: int) -> bool:
-        ac_backlog = self._ac_backlog
-        for ac in self._DATA_ACS:
-            if ac_backlog(station, ac) > 0:
-                return True
-        return False
+        return self._backlogged_ac(station) is not None
 
-    def _bind_dequeue(self, station: int, ac: AccessCategory):
-        """The builder's packet source for ``(station, ac)``."""
-        if self.mac_fq is not None:
-            return partial(self.mac_fq.dequeue, self._tids[station, ac])
-        return partial(self.driver.dequeue, station, ac)
+    def _source(self, station: int, ac: AccessCategory) -> Callable:
+        """The stack's packet source for ``(station, ac)``."""
+        key = (station, ac)
+        try:
+            return self._sources[key]
+        except KeyError:
+            source = self._sources[key] = self.stack.dequeue_for(*key)
+            return source
 
     def _build_aggregate_for(self, station: int) -> int:
         """Build one aggregate for ``station`` into the hardware queue.
@@ -442,19 +441,14 @@ class AccessPoint:
         hardware queue is momentarily full, the station is parked and
         retried on the next fill pass.
         """
-        ac = None
-        ac_backlog = self._ac_backlog
-        for a in self._DATA_ACS:
-            if ac_backlog(station, a) > 0:
-                ac = a
-                break
+        ac = self._backlogged_ac(station)
         if ac is None:
             return 0
         if self._hw.full(ac):
             self._parked.add(station)
             return 0
         agg = self._builder.build(station, ac, self.rate_for(station),
-                                  self._dequeues[station, ac])
+                                  self._source(station, ac))
         if agg is None:
             return 0
         if self._em_built is not None:
@@ -462,20 +456,9 @@ class AccessPoint:
                            [p.pid for p in agg.packets], agg.n_packets,
                            agg.payload_bytes, agg.duration_us)
         self._hw.push(agg)
-        if self.driver is not None:
-            self._pull_driver()
+        if self.stack.hungry:
+            self._refill()
         return agg.n_packets
-
-    def _pull_driver(self) -> None:
-        """Pull the qdisc into the driver, waking attached stations."""
-        driver = self.driver
-        if driver.backlog >= driver.limit:
-            return  # no room: pull() would be a no-op
-        detached = self._detached
-        wake = self.scheduler.wake
-        for woken in driver.pull():
-            if woken not in detached:
-                wake(woken)
 
     # ------------------------------------------------------------------
     # Hardware queue management
@@ -486,7 +469,7 @@ class AccessPoint:
         # loop head costs one truthiness test, not a queue-depth probe.)
         while self._vo_ring and not self._hw.vo_full():
             station = self._vo_ring[0]
-            pkt = self._dequeue_vo(station)
+            pkt = self._source(station, AccessCategory.VO)()
             if pkt is None:
                 self._vo_ring.popleft()
                 continue
@@ -501,7 +484,7 @@ class AccessPoint:
                                agg.seq, [pkt.pid], 1, agg.payload_bytes,
                                agg.duration_us)
             self._hw.push(agg)
-            if self._vo_backlog(station) == 0:
+            if self.stack.station_backlog(station, AccessCategory.VO) == 0:
                 self._vo_ring.popleft()
             else:
                 self._vo_ring.rotate(-1)
@@ -601,18 +584,7 @@ class AccessPoint:
         if mode == "park":
             return 0
 
-        flushed = 0
-        if self.mac_fq is not None:
-            flushed += self.mac_fq.flush_station(station, reason="detach")
-        if self.driver is not None:
-            for pkt in self.driver.flush_station(station):
-                self.drops.report(pkt, "mac", "detach")
-                flushed += 1
-        queue = self._vo_queues.get(station)
-        if queue:
-            while queue:
-                self.drops.report(queue.popleft(), "mac", "detach")
-                flushed += 1
+        flushed = self.stack.flush_station(station)
         for pkt in self._builder.flush_station(station):
             self.drops.report(pkt, "mac", "detach")
             flushed += 1
@@ -630,10 +602,11 @@ class AccessPoint:
         self.stations[station].set_detached(False)
         if self._station_has_backlog(station):
             self.scheduler.wake(station)
-        if self._vo_backlog(station) > 0 and station not in self._vo_ring:
+        if (self.stack.station_backlog(station, AccessCategory.VO) > 0
+                and station not in self._vo_ring):
             self._vo_ring.append(station)
-        if self.driver is not None:
-            self._pull_driver()
+        if self.stack.hungry:
+            self._refill()
         self._fill_hw()
         self.medium.notify_backlog()
 
@@ -659,7 +632,6 @@ class AccessPoint:
         node = self.stations.pop(station)
         self._rates.pop(station, None)
         self._rate_controllers.pop(station, None)
-        self._vo_queues.pop(station, None)
         self._parked.discard(station)
         self.codel_tuner.forget(station)
         self.medium.detach(node)
@@ -684,26 +656,17 @@ class AccessPoint:
     # Diagnostics
     # ------------------------------------------------------------------
     def total_queued_packets(self) -> int:
-        total = 0
-        if self.qdisc is not None:
-            total += self.qdisc.backlog_packets
-        if self.driver is not None:
-            total += self.driver.backlog
-        if self.mac_fq is not None:
-            total += self.mac_fq.backlog_packets
-        return total
+        """Packets in the queue stack (the sampler's ``ap_queued_packets``)."""
+        return self.stack.resident()
 
     def resident_packets(self) -> int:
         """Downlink packets currently resident anywhere inside the AP.
 
         Everything :meth:`send_downstream` accepted that has neither been
-        delivered nor dropped: queueing stack, VO queues, the builder's
-        holdback slots, and the hardware queue.  Frames on the air are
-        tracked by the medium (``inflight_downlink_packets``); the
-        conservation audit sums both.
+        delivered nor dropped: the queue stack, the builder's holdback
+        slots, and the hardware queue.  Frames on the air are tracked by
+        the medium (``inflight_downlink_packets``); the conservation
+        audit sums both.
         """
-        total = self.total_queued_packets()
-        total += sum(len(q) for q in self._vo_queues.values())
-        total += self._builder.holdback_total()
-        total += self._hw.queued_packets()
-        return total
+        return (self.stack.resident() + self._builder.holdback_total()
+                + self._hw.queued_packets())

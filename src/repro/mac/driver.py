@@ -10,20 +10,23 @@ mechanism behind both residual bufferbloat under an FQ-CoDel qdisc
 (Section 4.1.2, "there are not enough packets queued to build sufficiently
 large aggregates").
 
-Only the FIFO and FQ-CoDel configurations use this module; FQ-MAC and
-Airtime replace it (and the qdisc) with
-:class:`repro.core.mac_fq.MacFqStructure`.
+Only the FIFO and FQ-CoDel configurations use this module, as
+:class:`QdiscStack`; FQ-MAC and Airtime replace it (and the qdisc) with
+:class:`repro.core.mac_fq.IntegratedStack`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.packet import AccessCategory, Packet
-from repro.qdisc.base import Qdisc
+from repro.qdisc.base import DropCallback, Qdisc
+from repro.qdisc.fq_codel_qdisc import FqCodelQdisc
+from repro.qdisc.pfifo import PfifoQdisc
 
-__all__ = ["LegacyDriver", "DEFAULT_DRIVER_LIMIT"]
+__all__ = ["LegacyDriver", "QdiscStack", "DEFAULT_DRIVER_LIMIT"]
 
 #: Shared driver buffer space in frames.  Calibrated so the slow station
 #: monopolising it reproduces the paper's lower-layer effects: residual
@@ -37,13 +40,19 @@ DEFAULT_DRIVER_LIMIT = 32
 class LegacyDriver:
     """Per-TID FIFOs with a shared frame limit, fed by a qdisc."""
 
-    def __init__(self, qdisc: Qdisc, limit: int = DEFAULT_DRIVER_LIMIT) -> None:
+    def __init__(self, qdisc: Qdisc, limit: int = DEFAULT_DRIVER_LIMIT,
+                 on_drop: Optional[DropCallback] = None) -> None:
         if limit <= 0:
             raise ValueError("limit must be positive")
         self.qdisc = qdisc
         self.limit = limit
+        self.on_drop = on_drop
         self._queues: Dict[Tuple[int, AccessCategory], Deque[Packet]] = {}
         self.backlog = 0
+        #: ``backlog < limit``, kept current wherever ``backlog`` moves so
+        #: the AP's per-arrival "would a pull do anything?" test is one
+        #: attribute read (at saturation the answer is almost always no).
+        self.hungry = True
 
         # Telemetry (None when disabled).
         self._tr_driver = None
@@ -96,6 +105,7 @@ class LegacyDriver:
             if dst not in woken:
                 woken.append(dst)
         self.backlog = backlog
+        self.hungry = backlog < limit
         if pulled and self._em_pull is not None:
             self._em_pull(self._now() if self._now is not None else 0.0,
                           pulled, backlog)
@@ -106,6 +116,7 @@ class LegacyDriver:
         if not queue:
             return None
         self.backlog -= 1
+        self.hungry = True
         pkt = queue.popleft()
         if self._em_dequeue is not None:
             # Per-packet record: span reconstruction measures the driver
@@ -118,22 +129,25 @@ class LegacyDriver:
         queue = self._queues.get((station, ac))
         return len(queue) if queue else 0
 
-    def flush_station(self, station: int) -> List[Packet]:
-        """Remove (and return) every buffered frame destined to ``station``.
+    def flush_station(self, station: int) -> int:
+        """Drop every buffered frame destined to ``station``; returns how
+        many.
 
-        Station churn: the detaching station's per-TID FIFOs are emptied;
-        the caller accounts the packets through the drop funnel.  Frames
-        still queued for it in the qdisc above are *not* touched — they
-        will be pulled down later and park here until the station
-        re-attaches (or the run ends), which mirrors how in-flight frames
-        behave in a real driver.
+        Station churn: the detaching station's per-TID FIFOs are emptied
+        through ``on_drop`` (reason ``detach``).  Frames still queued for
+        it in the qdisc above are *not* touched — they will be pulled
+        down later and park here until the station re-attaches (or the
+        run ends), which mirrors how in-flight frames behave in a real
+        driver.
         """
-        flushed: List[Packet] = []
+        flushed = 0
         for (st, _ac), queue in self._queues.items():
-            if st == station and queue:
-                flushed.extend(queue)
-                self.backlog -= len(queue)
-                queue.clear()
+            if st == station:
+                flushed += len(queue)
+                while queue:
+                    self.on_drop(queue.popleft(), "detach")
+        self.backlog -= flushed
+        self.hungry = self.backlog < self.limit
         return flushed
 
     def occupancy_by_station(self) -> Dict[int, int]:
@@ -142,3 +156,107 @@ class LegacyDriver:
         for (station, _ac), queue in self._queues.items():
             out[station] = out.get(station, 0) + len(queue)
         return out
+
+
+class QdiscStack(LegacyDriver):
+    """A qdisc above the legacy driver as the access point's queue stack
+    (FIFO, FQ-CoDel).
+
+    The stack protocol is :class:`repro.mac.ap.QueueStack`.  Data ACs
+    enter the qdisc and become schedulable only when :meth:`refill` pulls
+    them into the driver; VO bypasses both through short unmanaged
+    per-station queues (802.11e priority; never aggregated).
+    """
+
+    def __init__(self, sim, qdisc: Qdisc, config, drops) -> None:
+        super().__init__(qdisc, config.driver_limit,
+                         on_drop=drops.callback("mac"))
+        self._sim = sim
+        self._vo: Dict[int, Deque[Packet]] = {}
+        self._em_vo_enqueue = None
+        self._em_vo_dequeue = None
+
+    @classmethod
+    def pfifo(cls, sim, config, drops, codel_tuner) -> "QdiscStack":
+        qdisc = PfifoQdisc(config.txqueuelen, on_drop=drops.callback("qdisc"))
+        return cls(sim, qdisc, config, drops)
+
+    @classmethod
+    def fq_codel(cls, sim, config, drops, codel_tuner) -> "QdiscStack":
+        qdisc = FqCodelQdisc(partial(getattr, sim, "now"),
+                             on_drop=drops.callback("qdisc"))
+        return cls(sim, qdisc, config, drops)
+
+    def set_trace(self, trace, now_fn=None, metrics=None) -> None:
+        self.qdisc.set_trace(trace, now_fn=now_fn, metrics=metrics)
+        super().set_trace(trace, now_fn=now_fn)
+        channel = trace.channel("queue") if trace is not None else None
+        self._em_vo_enqueue = self._em_vo_dequeue = None
+        if channel is not None:
+            self._em_vo_enqueue = channel.emitter("enqueue", (
+                ("layer", "c", "vo"), ("station", "q"), ("flow", "q"),
+                ("pid", "q"), ("backlog", "q"),
+            ))
+            self._em_vo_dequeue = channel.emitter("dequeue", (
+                ("layer", "c", "vo"), ("station", "q"), ("pid", "q"),
+                ("sojourn_us", "d"),
+            ))
+
+    # ------------------------------------------------------------------
+    def enqueue_for(self, station: int, ac: AccessCategory) -> Callable:
+        if ac is AccessCategory.VO:
+            return partial(self._enqueue_vo, station,
+                           self._vo.setdefault(station, deque()))
+        return self.qdisc.enqueue
+
+    def dequeue_for(self, station: int, ac: AccessCategory) -> Callable:
+        if ac is AccessCategory.VO:
+            return partial(self._dequeue_vo, station,
+                           self._vo.setdefault(station, deque()))
+        return partial(self.dequeue, station, ac)
+
+    def _enqueue_vo(self, station: int, queue: Deque[Packet],
+                    pkt: Packet) -> None:
+        pkt.enqueue_us = self._sim.now
+        queue.append(pkt)
+        if self._em_vo_enqueue is not None:
+            self._em_vo_enqueue(pkt.enqueue_us, station, pkt.flow_id,
+                                pkt.pid, len(queue))
+
+    def _dequeue_vo(self, station: int,
+                    queue: Deque[Packet]) -> Optional[Packet]:
+        if not queue:
+            return None
+        pkt = queue.popleft()
+        if self._em_vo_dequeue is not None:
+            now = self._sim.now
+            self._em_vo_dequeue(now, station, pkt.pid, now - pkt.enqueue_us)
+        return pkt
+
+    def station_backlog(self, station: int, ac: AccessCategory) -> int:
+        if ac is AccessCategory.VO:
+            queue = self._vo.get(station)
+        else:
+            queue = self._queues.get((station, ac))
+        return len(queue) if queue else 0
+
+    def refill(self, arrival: Optional[int] = None) -> List[int]:
+        return self.pull()
+
+    def flush_station(self, station: int) -> int:
+        flushed = super().flush_station(station)
+        queue = self._vo.get(station, ())
+        flushed += len(queue)
+        while queue:
+            self.on_drop(queue.popleft(), "detach")
+        return flushed
+
+    def resident(self) -> int:
+        return (self.qdisc.backlog_packets + self.backlog
+                + sum(len(queue) for queue in self._vo.values()))
+
+    def samples(self, prefix: str, by_station: bool = False) -> dict:
+        if not by_station:
+            return {f"{prefix}driver_backlog": self.backlog}
+        return {f"{prefix}driver_occupancy.{station}": n
+                for station, n in self.occupancy_by_station().items()}

@@ -342,8 +342,7 @@ class CampusTestbed:
             out[f"{prefix}ap_queued_packets"] = stack.ap.total_queued_packets()
             out[f"{prefix}hw_occupancy"] = stack.ap._hw.occupancy()
             out["sim_heap_len"] = self.sim.heap_len
-            if stack.ap.driver is not None:
-                out[f"{prefix}driver_backlog"] = stack.ap.driver.backlog
+            out.update(stack.ap.stack.samples(prefix))
         return out
 
     def _sample_stations(self) -> Dict[str, float]:
@@ -355,10 +354,7 @@ class CampusTestbed:
                 out[f"{prefix}sched_deficit_us.{station}"] = deficit
             for station, airtime in self.trackers[bss_id].airtime_us.items():
                 out[f"{prefix}airtime_us.{station}"] = airtime
-            if stack.ap.driver is not None:
-                occupancy = stack.ap.driver.occupancy_by_station()
-                for station, n in occupancy.items():
-                    out[f"{prefix}driver_occupancy.{station}"] = n
+            out.update(stack.ap.stack.samples(prefix, by_station=True))
         return out
 
     def finish_telemetry(self) -> Optional[Dict]:
@@ -479,7 +475,7 @@ class CampusTestbed:
         if ledger is not None:
             audit = ledger.audit(
                 rates={s: st.rate for s, st in self.stations.items()},
-                airtime_fairness=self.options.scheme is Scheme.AIRTIME,
+                airtime_fairness=self.ap.descriptor.airtime_fair,
                 tolerance=self.options.telemetry.ledger_tolerance,
                 medium_busy_us=self.medium.busy_time_us,
                 collision_count=self.medium.collision_count,

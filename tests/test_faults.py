@@ -21,10 +21,9 @@ from repro.faults import (
     RateCrash,
     audit_conservation,
 )
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.sim.engine import SimulationError, Simulator
 
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 
 def _testbed(scheme=Scheme.FQ_CODEL, seed=1, **options) -> Testbed:

@@ -17,10 +17,9 @@ from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import saturating_udp_download
 from repro.faults import InvariantViolation
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.telemetry import AirtimeLedger, TelemetryConfig
 
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 _RUNS: dict = {}
 

@@ -24,11 +24,10 @@ from repro.analysis.attribution import (
 from repro.experiments.config import SLOW_STATION, three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import saturating_udp_download
-from repro.mac.ap import Scheme
+from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.spans import collect_spans, iter_trace_file
 
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
 _RUNS: dict = {}
 

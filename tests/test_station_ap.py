@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.airtime import AirtimeScheduler
+from repro.core.mac_fq import IntegratedStack
 from repro.core.packet import AccessCategory, Packet, flow_id_allocator
-from repro.mac.ap import APConfig, Scheme
+from repro.core.station_rr import RoundRobinScheduler
+from repro.mac.ap import ALL_SCHEMES, SCHEMES, APConfig, Scheme
+from repro.mac.driver import QdiscStack
 from repro.qdisc.fq_codel_qdisc import FqCodelQdisc
 from repro.qdisc.pfifo import PfifoQdisc
 from tests.conftest import make_testbed
@@ -21,31 +25,40 @@ def downstream(testbed, station=0, size=1500, seq=0, flow=None,
 
 
 class TestSchemeAssembly:
+    """Each scheme is its ``SCHEMES`` row: the AP builds exactly the
+    (stack, scheduler) the descriptor names."""
+
+    @staticmethod
+    def _row(scheme):
+        ap = make_testbed(scheme).ap
+        assert ap.descriptor is SCHEMES[scheme]
+        return ap.stack, ap.scheduler, ap.descriptor.airtime_fair
+
     def test_fifo_uses_pfifo_and_driver(self):
-        tb = make_testbed(Scheme.FIFO)
-        assert isinstance(tb.ap.qdisc, PfifoQdisc)
-        assert tb.ap.driver is not None
-        assert tb.ap.mac_fq is None
+        stack, scheduler, fair = self._row(Scheme.FIFO)
+        assert type(stack) is QdiscStack
+        assert type(stack.qdisc) is PfifoQdisc
+        assert type(scheduler) is RoundRobinScheduler and not fair
 
     def test_fq_codel_uses_fq_codel_qdisc(self):
-        tb = make_testbed(Scheme.FQ_CODEL)
-        assert isinstance(tb.ap.qdisc, FqCodelQdisc)
-        assert tb.ap.driver is not None
+        stack, scheduler, fair = self._row(Scheme.FQ_CODEL)
+        assert type(stack) is QdiscStack
+        assert type(stack.qdisc) is FqCodelQdisc
+        assert type(scheduler) is RoundRobinScheduler and not fair
 
     def test_fq_mac_bypasses_qdisc(self):
-        tb = make_testbed(Scheme.FQ_MAC)
-        assert tb.ap.qdisc is None
-        assert tb.ap.driver is None
-        assert tb.ap.mac_fq is not None
+        stack, scheduler, fair = self._row(Scheme.FQ_MAC)
+        assert type(stack) is IntegratedStack
+        assert not hasattr(stack, "qdisc")
+        assert type(scheduler) is RoundRobinScheduler and not fair
 
     def test_airtime_uses_airtime_scheduler(self):
-        from repro.core.airtime import AirtimeScheduler
-        from repro.core.station_rr import RoundRobinScheduler
+        stack, scheduler, fair = self._row(Scheme.AIRTIME)
+        assert type(stack) is IntegratedStack
+        assert type(scheduler) is AirtimeScheduler and fair
 
-        assert isinstance(make_testbed(Scheme.AIRTIME).ap.scheduler,
-                          AirtimeScheduler)
-        assert isinstance(make_testbed(Scheme.FQ_MAC).ap.scheduler,
-                          RoundRobinScheduler)
+    def test_table_has_exactly_the_four_schemes(self):
+        assert tuple(SCHEMES) == ALL_SCHEMES == tuple(Scheme)
 
     def test_duplicate_station_rejected(self):
         tb = make_testbed(Scheme.AIRTIME)

@@ -20,7 +20,7 @@ from repro.experiments import airtime_udp, workloads
 from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.faults import BurstLoss, Churn, FaultSchedule, Interference, RateCrash
-from repro.mac.ap import APConfig, Scheme
+from repro.mac.ap import ALL_SCHEMES, APConfig, Scheme
 from repro.phy.channel import StationChannel
 from repro.runner import ResultCache, Runner
 from repro.telemetry import TelemetryConfig
@@ -211,7 +211,6 @@ def test_traced_and_untraced_runs_use_distinct_cache_entries(tmp_path):
 #     as t; print(json.dumps(t.pinned_trace_digests(), indent=1))" \
 #     > tests/fixtures/trace_digests.json
 
-ALL_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 #: The two schemes with a qdisc above the legacy driver.
 QDISC_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL)
 FULL_TRACE = TelemetryConfig(trace=True, spans=True, ledger=True)
