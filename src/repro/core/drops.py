@@ -89,14 +89,3 @@ class DropReporter:
     @property
     def total(self) -> int:
         return sum(sum(r.values()) for r in self.counts.values())
-
-    def by_layer(self) -> Dict[str, int]:
-        return {layer: sum(reasons.values())
-                for layer, reasons in self.counts.items()}
-
-    def by_reason(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for reasons in self.counts.values():
-            for reason, count in reasons.items():
-                out[reason] = out.get(reason, 0) + count
-        return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.config import three_station_rates
-from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import saturating_udp_download
 from repro.faults import ConservationReport, FaultSchedule
 from repro.mac.ap import ALL_SCHEMES, Scheme
@@ -94,34 +94,16 @@ def specs(
     faults: Optional[FaultSchedule] = None,
     strict: bool = False,
 ) -> List[RunSpec]:
-    """One spec per scheme (the runner's unit of parallelism).
-
-    ``telemetry`` is resolved per run (output paths gain the run label)
-    and travels in the spec kwargs, so it participates in the cache
-    digest: a traced run never collides with an untraced one.  The same
-    holds for ``faults``/``strict``: they enter the kwargs only when
-    set, so clean runs keep their historical digests and impaired runs
-    never collide with them.
-    """
-    out: List[RunSpec] = []
-    for scheme in schemes:
-        label = f"airtime_udp/{scheme.value}"
-        kwargs = dict(
-            scheme=scheme, duration_s=duration_s, warmup_s=warmup_s,
-            seed=seed,
-        )
-        if telemetry is not None:
-            kwargs["telemetry"] = telemetry.for_run(label)
-        if faults is not None:
-            kwargs["faults"] = faults
-        if strict:
-            kwargs["strict"] = strict
-        out.append(RunSpec.make(
-            "repro.experiments.airtime_udp:run_scheme",
-            label=label,
-            **kwargs,
-        ))
-    return out
+    """One spec per scheme.  ``faults``/``strict`` enter the kwargs only
+    when set, so clean runs keep their historical digests and impaired
+    runs never collide with them."""
+    kwargs = dict(duration_s=duration_s, warmup_s=warmup_s, seed=seed)
+    if faults is not None:
+        kwargs["faults"] = faults
+    if strict:
+        kwargs["strict"] = strict
+    return scheme_specs("airtime_udp", "airtime_udp", schemes, telemetry,
+                        **kwargs)
 
 
 def run(

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.fairness import jain_index
 from repro.experiments.config import three_station_rates
-from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import add_pings, saturating_udp_download
 from repro.faults import (
     BurstLoss,
@@ -215,23 +215,12 @@ def specs(
     """One spec per scheme, all under the same (explicit) schedule."""
     if faults is None:
         faults = default_schedule(duration_s, warmup_s)
-    out: List[RunSpec] = []
-    for scheme in schemes:
-        label = f"fault_tolerance/{scheme.value}"
-        kwargs = dict(
-            scheme=scheme, duration_s=duration_s, warmup_s=warmup_s,
-            seed=seed, faults=faults,
-        )
-        if strict:
-            kwargs["strict"] = strict
-        if telemetry is not None:
-            kwargs["telemetry"] = telemetry.for_run(label)
-        out.append(RunSpec.make(
-            "repro.experiments.fault_tolerance:run_scheme",
-            label=label,
-            **kwargs,
-        ))
-    return out
+    kwargs = dict(duration_s=duration_s, warmup_s=warmup_s, seed=seed,
+                  faults=faults)
+    if strict:
+        kwargs["strict"] = strict
+    return scheme_specs("fault_tolerance", "fault_tolerance", schemes,
+                        telemetry, **kwargs)
 
 
 def run(

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.experiments.config import FAST_STATIONS, SLOW_STATION, three_station_rates
-from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import add_pings, tcp_bidir, tcp_download
 from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
@@ -40,9 +40,6 @@ class LatencyResult:
     rtts_ms: Dict[int, List[float]]
     #: Telemetry summary of the run (None for untraced runs).
     telemetry: Optional[Dict] = None
-
-    def station_summary(self, station: int) -> Summary:
-        return summarize(self.rtts_ms.get(station, []))
 
     def fast_summary(self) -> Summary:
         merged: List[float] = []
@@ -88,22 +85,9 @@ def specs(
     bidirectional: bool = False,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> List[RunSpec]:
-    """One spec per scheme (the runner's unit of parallelism)."""
-    out: List[RunSpec] = []
-    for scheme in schemes:
-        label = f"latency/{scheme.value}"
-        kwargs = dict(
-            scheme=scheme, duration_s=duration_s, warmup_s=warmup_s,
-            seed=seed, bidirectional=bidirectional,
-        )
-        if telemetry is not None:
-            kwargs["telemetry"] = telemetry.for_run(label)
-        out.append(RunSpec.make(
-            "repro.experiments.latency:run_scheme",
-            label=label,
-            **kwargs,
-        ))
-    return out
+    return scheme_specs(
+        "latency", "latency", schemes, telemetry, duration_s=duration_s,
+        warmup_s=warmup_s, seed=seed, bidirectional=bidirectional)
 
 
 def run(

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.experiments.config import thirty_station_rates
-from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import add_pings, tcp_download
 from repro.mac.ap import Scheme
 from repro.runner import RunSpec, Runner, execute
@@ -51,10 +51,6 @@ class ScalingResult:
     @property
     def slow_share(self) -> float:
         return self.airtime_shares.get(SLOW, 0.0)
-
-    def mean_latency_ms(self) -> float:
-        merged = self.slow_rtts_ms + self.fast_rtts_ms
-        return sum(merged) / len(merged) if merged else float("nan")
 
     def summaries(self) -> Dict[str, Summary]:
         return {
@@ -98,17 +94,8 @@ def specs(
     seed: int = 1,
 ) -> List[RunSpec]:
     """One spec per scheme; each run simulates all 30 stations."""
-    return [
-        RunSpec.make(
-            "repro.experiments.scaling:run_scheme",
-            label=f"scaling/{scheme.value}",
-            scheme=scheme,
-            duration_s=duration_s,
-            warmup_s=warmup_s,
-            seed=seed,
-        )
-        for scheme in schemes
-    ]
+    return scheme_specs("scaling", "scaling", schemes, duration_s=duration_s,
+                        warmup_s=warmup_s, seed=seed)
 
 
 def run(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.config import three_station_rates
-from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import tcp_bidir, tcp_download
 from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.runner import RunSpec, Runner, execute
@@ -81,19 +81,9 @@ def specs(
     seed: int = 1,
     bidirectional: bool = False,
 ) -> List[RunSpec]:
-    """One spec per scheme (the runner's unit of parallelism)."""
-    return [
-        RunSpec.make(
-            "repro.experiments.tcp_throughput:run_scheme",
-            label=f"tcp/{scheme.value}",
-            scheme=scheme,
-            duration_s=duration_s,
-            warmup_s=warmup_s,
-            seed=seed,
-            bidirectional=bidirectional,
-        )
-        for scheme in schemes
-    ]
+    return scheme_specs(
+        "tcp_throughput", "tcp", schemes, duration_s=duration_s,
+        warmup_s=warmup_s, seed=seed, bidirectional=bidirectional)
 
 
 def run(

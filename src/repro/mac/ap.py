@@ -12,8 +12,8 @@ The evaluation (Section 4) compares four queue-management setups at the AP:
 
 Each is one row of :data:`SCHEMES`: a queue stack, a station scheduler
 and what the ledger audit should expect.  :class:`AccessPoint` resolves
-the row once and never asks which it got: it speaks
-:class:`QueueStack` to the queues and implements what every scheme
+the row once and never asks which it got: it speaks one protocol to the
+queues (:class:`SchemeDescriptor`) and implements what every scheme
 shares — the VO ring, the two-deep hardware queue, the AP side of the
 medium's contender protocol, airtime charging on TX *and* RX completion,
 station churn, and forwarding uplink traffic to the wired network.
@@ -24,8 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import (Callable, Deque, Dict, Iterable, Optional, Protocol,
-                    TYPE_CHECKING)
+from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.core.airtime import DEFAULT_AIRTIME_QUANTUM_US, AirtimeScheduler
 from repro.core.codel import PerStationCoDelTuner
@@ -43,7 +42,7 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.wire import Network
 
-__all__ = ["AccessPoint", "Scheme", "ALL_SCHEMES", "APConfig", "QueueStack",
+__all__ = ["AccessPoint", "Scheme", "ALL_SCHEMES", "APConfig",
            "SchemeDescriptor", "SCHEMES", "round_robin", "airtime_drr"]
 
 
@@ -60,62 +59,34 @@ class Scheme(Enum):
 ALL_SCHEMES = tuple(Scheme)
 
 
-class QueueStack(Protocol):
-    """What the access point asks of the queues under it.
-
-    Packet sinks and sources are *bound once* per ``(station, ac)`` and
-    called with no stack frame in between, so the per-packet path costs
-    what the underlying structure costs.  VO is an AC like any other
-    here; that the AP serves it ahead of the station scheduler is the
-    AP's business.
-    """
-
-    #: Whether :meth:`refill` could have news.  A plain attribute, read
-    #: on every data arrival: a full buffer answers without a call.
-    hungry: bool
-
-    def enqueue_for(self, station: int, ac: AccessCategory
-                    ) -> Callable[[Packet], object]:
-        """The sink packets for ``(station, ac)`` are handed to."""
-
-    def dequeue_for(self, station: int, ac: AccessCategory
-                    ) -> Callable[[], Optional[Packet]]:
-        """The aggregate builder's packet source for ``(station, ac)``."""
-
-    def station_backlog(self, station: int, ac: AccessCategory) -> int:
-        """Packets :meth:`dequeue_for`'s source could yield right now."""
-
-    def refill(self, arrival: Optional[int] = None) -> Iterable[int]:
-        """Move what can move toward the sources; the stations that
-        gained schedulable packets.  Called (when ``hungry``) after a
-        data packet for station ``arrival`` was sunk, and with ``None``
-        after the hardware took an aggregate or a station came back."""
-
-    def flush_station(self, station: int) -> int:
-        """Drop everything held for ``station`` through the drop funnel
-        (reason ``detach``); the number of packets dropped."""
-
-    def resident(self) -> int:
-        """Packets held anywhere in the stack (conservation audit)."""
-
-    def samples(self, prefix: str, by_station: bool = False
-                ) -> Dict[str, float]:
-        """Gauges for the periodic sampler, stack-wide or per station."""
-
-    def set_trace(self, trace, now_fn=None, metrics=None) -> None:
-        """Attach (``trace=None``: detach) the trace bus and metrics."""
-
-
 @dataclass(frozen=True)
 class SchemeDescriptor:
-    """A scheme is a row: (queue stack, scheduler, airtime_fair)."""
+    """A scheme is a row: (queue stack, scheduler, airtime_fair).
 
-    #: ``stack(sim, config, drops, codel_tuner)`` -> :class:`QueueStack`.
-    stack: Callable[..., QueueStack]
-    #: ``scheduler(config, has_backlog=, build_aggregate=, hw_full=)`` ->
-    #: the station scheduler for the aggregating ACs.
-    scheduler: Callable[..., object]
-    #: Whether the ledger audit holds the run to equal airtime shares.
+    ``stack(sim, config, drops, codel_tuner)`` builds the queues under
+    the AP, which asks of them only this (VO is an AC like any other):
+
+    * ``enqueue_for(station, ac)`` / ``dequeue_for(station, ac)`` — the
+      packet sink and the aggregate builder's packet source, bound once
+      per key and then called with no stack frame in between;
+    * ``station_backlog(station, ac)`` — what that source could yield;
+    * ``refill(arrival=None)`` — move what can move toward the sources;
+      returns the stations that gained schedulable packets, the packet
+      just sunk for ``arrival`` included.  ``hungry`` (a plain attribute:
+      a full buffer answers without a call) says whether anything could
+      move; the AP also asks when ``arrival`` is on no scheduler list;
+    * ``flush_station(station)`` — drop what is held for it through the
+      funnel (reason ``detach``); returns how many;
+    * ``resident()``, ``samples(prefix, by_station=False)`` and
+      ``set_trace(trace, now_fn=None, metrics=None)``.
+
+    ``scheduler(config, has_backlog=, build_aggregate=, hw_full=)`` builds
+    the station scheduler; ``airtime_fair``: whether the ledger audit
+    holds the run to equal airtime shares.
+    """
+
+    stack: Callable
+    scheduler: Callable
     airtime_fair: bool = False
 
 
@@ -207,13 +178,12 @@ class AccessPoint:
 
         # --- the scheme's row: queue stack + station scheduler --------
         self.descriptor = SCHEMES[self.scheme]
-        self.stack: QueueStack = self.descriptor.stack(
+        self.stack = self.descriptor.stack(
             sim, self.config, self.drops, self.codel_tuner)
         #: (station, ac) -> the stack's packet sink / the builder's packet
-        #: source, bound at the first use of the key (when a key is first
-        #: used is visible to the stack: see ``MacFqStructure._tids``).
-        #: Entries outlive remove_station, as the stack's own queues do,
-        #: so a station that roams back finds them.
+        #: source, bound at the first use of the key (which the stack can
+        #: see: ``MacFqStructure._tids``) and kept across remove_station,
+        #: as the stack's own queues are, for a station that roams back.
         self._sinks: Dict[tuple, Callable] = {}
         self._sources: Dict[tuple, Callable] = {}
         self.scheduler = self.descriptor.scheduler(
@@ -237,10 +207,7 @@ class AccessPoint:
         self.downlink_enqueued = 0
 
         # Telemetry (None when disabled; see set_trace).
-        self._telemetry = None
-        self._tr_agg = None
-        self._em_built = None
-        self._em_tx_done = None
+        self._em_built = self._em_tx_done = None
         #: Airtime ledger (None when disabled; see set_ledger).
         self._ledger = None
 
@@ -300,13 +267,12 @@ class AccessPoint:
         the scheme's stack; with ``telemetry=None`` (or both halves
         disabled) everything stays on its zero-cost path.
         """
-        self._telemetry = telemetry
         trace = telemetry.trace if telemetry is not None else None
         metrics = telemetry.metrics if telemetry is not None else None
         now_fn = lambda: self.sim.now
 
         agg_channel = trace.channel("agg") if trace is not None else None
-        self._tr_agg = agg_channel
+        self._em_built = self._em_tx_done = None
         if agg_channel is not None:
             # Prebound shapes for the two per-transmission agg records.
             self._em_built = agg_channel.emitter("built", (
@@ -317,9 +283,6 @@ class AccessPoint:
                 ("station", "q"), ("ac", "s"), ("agg", "q"),
                 ("n_pkts", "q"), ("ok", "b"), ("retries", "q"),
             ))
-        else:
-            self._em_built = None
-            self._em_tx_done = None
         self.stack.set_trace(trace, now_fn=now_fn, metrics=metrics)
         self.scheduler.set_trace(trace, now_fn=now_fn)
         self._hw.set_trace(trace, now_fn=now_fn)
@@ -366,25 +329,26 @@ class AccessPoint:
             self.drops.report(pkt, "mac", "detach")
             return
 
-        key = (station, pkt.ac)
+        ac = pkt.ac
+        sinks = self._sinks
         try:
-            sink = self._sinks[key]
+            sink = sinks[station, ac]
         except KeyError:
-            sink = self._sinks[key] = self.stack.enqueue_for(*key)
+            sink = sinks[station, ac] = self.stack.enqueue_for(station, ac)
         sink(pkt)
-        if pkt.ac is AccessCategory.VO:
+        if ac is AccessCategory.VO:
             if station not in self._vo_ring:
                 self._vo_ring.append(station)
-        elif self.stack.hungry:
-            # ``_refill(station)`` inline: once per arrival under the
-            # integrated structure (wake() is a no-op for a listed
-            # station, so it is not called for one).
+        else:
+            # ``_refill(station)`` inline, when it can matter: wake() is a
+            # no-op for a listed station, a sated stack moves nothing.
             scheduler = self.scheduler
             listed = scheduler.listed
-            detached = self._detached
-            for woken in self.stack.refill(station):
-                if woken not in listed and woken not in detached:
-                    scheduler.wake(woken)
+            if station not in listed or self.stack.hungry:
+                detached = self._detached
+                for woken in self.stack.refill(station):
+                    if woken not in listed and woken not in detached:
+                        scheduler.wake(woken)
 
         # The fill pass can only act on a VO frame, a parked station or
         # a free BE hardware slot (both schedulers loop "while the
@@ -426,7 +390,6 @@ class AccessPoint:
         return self._backlogged_ac(station) is not None
 
     def _source(self, station: int, ac: AccessCategory) -> Callable:
-        """The stack's packet source for ``(station, ac)``."""
         key = (station, ac)
         try:
             return self._sources[key]
@@ -664,9 +627,8 @@ class AccessPoint:
 
         Everything :meth:`send_downstream` accepted that has neither been
         delivered nor dropped: the queue stack, the builder's holdback
-        slots, and the hardware queue.  Frames on the air are tracked by
-        the medium (``inflight_downlink_packets``); the conservation
-        audit sums both.
+        slots, and the hardware queue.  Frames on the air are the
+        medium's (``inflight_downlink_packets``); the audit sums both.
         """
         return (self.stack.resident() + self._builder.holdback_total()
                 + self._hw.queued_packets())

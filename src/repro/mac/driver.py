@@ -17,7 +17,7 @@ Only the FIFO and FQ-CoDel configurations use this module, as
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -49,23 +49,20 @@ class LegacyDriver:
         self.on_drop = on_drop
         self._queues: Dict[Tuple[int, AccessCategory], Deque[Packet]] = {}
         self.backlog = 0
-        #: ``backlog < limit``, kept current wherever ``backlog`` moves so
-        #: the AP's per-arrival "would a pull do anything?" test is one
-        #: attribute read (at saturation the answer is almost always no).
+        #: ``backlog < limit``, kept current wherever ``backlog`` moves:
+        #: the AP's per-arrival "would a pull do anything?" is one read.
         self.hungry = True
 
         # Telemetry (None when disabled).
-        self._tr_driver = None
         self._now = None
-        self._em_pull = None
-        self._em_dequeue = None
+        self._em_pull = self._em_dequeue = None
 
     # ------------------------------------------------------------------
     def set_trace(self, trace, now_fn=None) -> None:
         """Attach a trace bus; ``now_fn`` supplies emit timestamps."""
         channel = trace.channel("driver") if trace is not None else None
-        self._tr_driver = channel
         self._now = now_fn
+        self._em_pull = self._em_dequeue = None
         if channel is not None:
             self._em_pull = channel.emitter("pull", (
                 ("pulled", "q"), ("backlog", "q"),
@@ -73,9 +70,6 @@ class LegacyDriver:
             self._em_dequeue = channel.emitter("dequeue", (
                 ("station", "q"), ("pid", "q"),
             ))
-        else:
-            self._em_pull = None
-            self._em_dequeue = None
 
     # ------------------------------------------------------------------
     def pull(self) -> List[int]:
@@ -159,22 +153,20 @@ class LegacyDriver:
 
 
 class QdiscStack(LegacyDriver):
-    """A qdisc above the legacy driver as the access point's queue stack
-    (FIFO, FQ-CoDel).
+    """A qdisc above the legacy driver as the AP's queue stack (FIFO,
+    FQ-CoDel; the protocol is :class:`repro.mac.ap.SchemeDescriptor`).
 
-    The stack protocol is :class:`repro.mac.ap.QueueStack`.  Data ACs
-    enter the qdisc and become schedulable only when :meth:`refill` pulls
-    them into the driver; VO bypasses both through short unmanaged
-    per-station queues (802.11e priority; never aggregated).
+    Data ACs enter the qdisc and become schedulable only when
+    :meth:`refill` pulls them into the driver; VO bypasses both through
+    short unmanaged per-station queues.
     """
 
     def __init__(self, sim, qdisc: Qdisc, config, drops) -> None:
         super().__init__(qdisc, config.driver_limit,
                          on_drop=drops.callback("mac"))
         self._sim = sim
-        self._vo: Dict[int, Deque[Packet]] = {}
-        self._em_vo_enqueue = None
-        self._em_vo_dequeue = None
+        self._vo: Dict[int, Deque[Packet]] = defaultdict(deque)
+        self._em_vo_enqueue = self._em_vo_dequeue = None
 
     @classmethod
     def pfifo(cls, sim, config, drops, codel_tuner) -> "QdiscStack":
@@ -205,14 +197,12 @@ class QdiscStack(LegacyDriver):
     # ------------------------------------------------------------------
     def enqueue_for(self, station: int, ac: AccessCategory) -> Callable:
         if ac is AccessCategory.VO:
-            return partial(self._enqueue_vo, station,
-                           self._vo.setdefault(station, deque()))
+            return partial(self._enqueue_vo, station, self._vo[station])
         return self.qdisc.enqueue
 
     def dequeue_for(self, station: int, ac: AccessCategory) -> Callable:
         if ac is AccessCategory.VO:
-            return partial(self._dequeue_vo, station,
-                           self._vo.setdefault(station, deque()))
+            return partial(self._dequeue_vo, station, self._vo[station])
         return partial(self.dequeue, station, ac)
 
     def _enqueue_vo(self, station: int, queue: Deque[Packet],
@@ -234,10 +224,8 @@ class QdiscStack(LegacyDriver):
         return pkt
 
     def station_backlog(self, station: int, ac: AccessCategory) -> int:
-        if ac is AccessCategory.VO:
-            queue = self._vo.get(station)
-        else:
-            queue = self._queues.get((station, ac))
+        queue = (self._vo[station] if ac is AccessCategory.VO
+                 else self._queues.get((station, ac)))
         return len(queue) if queue else 0
 
     def refill(self, arrival: Optional[int] = None) -> List[int]:
@@ -245,7 +233,7 @@ class QdiscStack(LegacyDriver):
 
     def flush_station(self, station: int) -> int:
         flushed = super().flush_station(station)
-        queue = self._vo.get(station, ())
+        queue = self._vo[station]
         flushed += len(queue)
         while queue:
             self.on_drop(queue.popleft(), "detach")

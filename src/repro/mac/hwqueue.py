@@ -55,7 +55,6 @@ class HardwareQueue:
         self.retry_drops = 0
 
         # Telemetry (None when disabled).
-        self._tr_hw = None
         self._now = None
         self._em_push = None
         self._em_pop = None
@@ -64,7 +63,6 @@ class HardwareQueue:
     def set_trace(self, trace, now_fn=None) -> None:
         """Attach a trace bus; ``now_fn`` supplies emit timestamps."""
         channel = trace.channel("hw") if trace is not None else None
-        self._tr_hw = channel
         self._now = now_fn
         if channel is not None:
             self._em_push = channel.emitter("push", (
@@ -160,6 +158,3 @@ class HardwareQueue:
 
     def has_pending(self) -> bool:
         return bool(self._vo_q or self._vi_q or self._be_q or self._bk_q)
-
-    def pending_aggregates(self, ac: AccessCategory) -> int:
-        return len(self._queues[ac])

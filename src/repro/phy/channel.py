@@ -10,7 +10,6 @@ probability, which is the signal a Minstrel-style controller learns from.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.phy.rates import HT20_MCS_TABLE, PhyRate
@@ -45,14 +44,6 @@ class StationChannel:
             raise ValueError("max_reliable_mcs must be an MCS index (0-15)")
         if not 0.0 <= self.base_error < 1.0:
             raise ValueError("base_error must be in [0, 1)")
-
-    def with_max_mcs(self, max_reliable_mcs: int) -> "StationChannel":
-        """A copy of this channel degraded (or restored) to ``max_reliable_mcs``.
-
-        Fault injection uses this for rate-crash/recovery steps: the
-        channel keeps its error slopes but its reliable ceiling moves.
-        """
-        return dataclasses.replace(self, max_reliable_mcs=max_reliable_mcs)
 
     def error_prob(self, rate: PhyRate) -> float:
         """Per-aggregate failure probability when transmitting at ``rate``."""

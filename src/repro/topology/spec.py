@@ -154,14 +154,6 @@ class Topology:
                 return spec.bss_id
         raise KeyError(station)
 
-    def station_map(self) -> Dict[int, Tuple[int, PhyRate]]:
-        """Global station index -> (initial bss id, PHY rate)."""
-        out: Dict[int, Tuple[int, PhyRate]] = {}
-        for spec in self.bsses:
-            for index, rate in spec.station_rates():
-                out[index] = (spec.bss_id, rate)
-        return out
-
     # ------------------------------------------------------------------
     # Sharding
     # ------------------------------------------------------------------

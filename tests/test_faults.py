@@ -25,7 +25,6 @@ from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.sim.engine import SimulationError, Simulator
 
 
-
 def _testbed(scheme=Scheme.FQ_CODEL, seed=1, **options) -> Testbed:
     return Testbed(
         three_station_rates(),

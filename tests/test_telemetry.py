@@ -224,7 +224,7 @@ class TestZeroCostWhenDisabled:
         assert testbed.telemetry is None
         assert testbed.sampler is None
         assert testbed.finish_telemetry() is None
-        assert testbed.ap._tr_agg is None
+        assert testbed.ap._em_built is None
 
     def test_inactive_config_stays_disabled(self):
         testbed = Testbed(
