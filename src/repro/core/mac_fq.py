@@ -420,6 +420,9 @@ class IntegratedStack(MacFqStructure):
     def refill(self, arrival: Optional[int] = None) -> tuple:
         return () if arrival is None else (arrival,)
 
+    def admit_station(self, station: int) -> None:
+        """Nothing to undo: a flush leaves no residue above the TIDs."""
+
     def resident(self) -> int:
         return self.backlog_packets
 

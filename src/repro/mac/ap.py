@@ -76,7 +76,8 @@ class SchemeDescriptor:
       a full buffer answers without a call) says whether anything could
       move; the AP also asks when ``arrival`` is on no scheduler list;
     * ``flush_station(station)`` — drop what is held for it through the
-      funnel (reason ``detach``); returns how many;
+      funnel (reason ``detach``), now (returns how many) and until
+      ``admit_station(station)``;
     * ``resident()``, ``samples(prefix, by_station=False)`` and
       ``set_trace(trace, now_fn=None, metrics=None)``.
 
@@ -227,6 +228,7 @@ class AccessPoint:
             raise ValueError(f"station {station.index} already attached")
         # A station roaming back clears the remove_station tombstone.
         self._detached.discard(station.index)
+        self.stack.admit_station(station.index)
         self.stations[station.index] = station
         self._rates[station.index] = station.rate
         station.attach(self.medium, self)
@@ -526,11 +528,12 @@ class AccessPoint:
         """Detach ``station`` from the BSS (churn fault).
 
         ``mode="flush"`` drops every packet queued toward the station
-        (qdisc excepted — see :meth:`LegacyDriver.flush_station`) through
-        the drop funnel, like a real AP tearing down the TIDs on
-        disassociation.  ``mode="park"`` keeps the queues resident but
-        stops scheduling them, modelling a powersave doze.  Returns the
-        number of packets flushed.
+        through the drop funnel, like a real AP tearing down the TIDs on
+        disassociation (what a shared qdisc still holds for it follows
+        as it comes down — see :meth:`LegacyDriver.flush_station`).
+        ``mode="park"`` keeps the queues resident but stops scheduling
+        them, modelling a powersave doze.  Returns the number of packets
+        flushed now.
         """
         if mode not in ("flush", "park"):
             raise ValueError("mode must be 'flush' or 'park'")
@@ -562,6 +565,7 @@ class AccessPoint:
         if station not in self._detached:
             return
         self._detached.discard(station)
+        self.stack.admit_station(station)
         self.stations[station].set_detached(False)
         if self._station_has_backlog(station):
             self.scheduler.wake(station)
@@ -580,10 +584,8 @@ class AccessPoint:
         tears down the TIDs on disassociation), detaches the node from
         the medium, and forgets it so the :class:`ClientStation` object
         can be re-added to another AP.  The index stays in the detached
-        set as a tombstone: with the shared FIFO/fq_codel qdiscs, residue
-        destined to the departed station can still drain into the driver
-        later, and the tombstone keeps it from ever being scheduled
-        (:meth:`add_station` clears it if the station roams back).
+        set as a tombstone, so a late arrival for it is dropped, not
+        queued (:meth:`add_station` clears it if the station roams back).
         Returns the number of packets flushed.
         """
         if station not in self.stations:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.packet import AccessCategory, Packet
 from repro.qdisc.base import DropCallback, Qdisc
@@ -52,6 +52,9 @@ class LegacyDriver:
         #: ``backlog < limit``, kept current wherever ``backlog`` moves:
         #: the AP's per-arrival "would a pull do anything?" is one read.
         self.hungry = True
+        #: Stations flushed and not admitted back since: what the qdisc
+        #: still holds for them is dropped on its way down, not buffered.
+        self._gone: Set[int] = set()
 
         # Telemetry (None when disabled).
         self._now = None
@@ -76,7 +79,9 @@ class LegacyDriver:
         """Pull frames from the qdisc while there is room.
 
         Returns the stations that received new frames, so the AP can wake
-        them in the scheduler.
+        them in the scheduler.  Frames for a station that is gone (see
+        :meth:`flush_station`) are dropped: buffered, they would never
+        leave, and ``limit`` of them lock every other station out.
         """
         woken: List[int] = []
         pulled = 0
@@ -84,11 +89,15 @@ class LegacyDriver:
         limit = self.limit
         dequeue = self.qdisc.dequeue
         queues = self._queues
+        gone = self._gone
         while backlog < limit:
             pkt = dequeue()
             if pkt is None:
                 break
             dst = pkt.dst_station
+            if dst in gone:
+                self.on_drop(pkt, "detach")
+                continue
             key = (dst, pkt.ac)
             queue = queues.get(key)
             if queue is None:
@@ -128,12 +137,11 @@ class LegacyDriver:
         many.
 
         Station churn: the detaching station's per-TID FIFOs are emptied
-        through ``on_drop`` (reason ``detach``).  Frames still queued for
-        it in the qdisc above are *not* touched — they will be pulled
-        down later and park here until the station re-attaches (or the
-        run ends), which mirrors how in-flight frames behave in a real
-        driver.
+        through ``on_drop`` (reason ``detach``).  What the qdisc above
+        still holds for it is not searched for: :meth:`pull` drops it the
+        same way as it comes down, until :meth:`admit_station`.
         """
+        self._gone.add(station)
         flushed = 0
         for (st, _ac), queue in self._queues.items():
             if st == station:
@@ -143,6 +151,10 @@ class LegacyDriver:
         self.backlog -= flushed
         self.hungry = self.backlog < self.limit
         return flushed
+
+    def admit_station(self, station: int) -> None:
+        """``station`` (re)joined: buffer its frames again."""
+        self._gone.discard(station)
 
     def occupancy_by_station(self) -> Dict[int, int]:
         """Frames buffered per station (diagnostics for the lock-out)."""

@@ -23,6 +23,12 @@ from repro.faults import (
 )
 from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.sim.engine import SimulationError, Simulator
+from repro.topology import (
+    CampusOptions,
+    CampusTestbed,
+    RoamEvent,
+    campus_topology,
+)
 
 
 def _testbed(scheme=Scheme.FQ_CODEL, seed=1, **options) -> Testbed:
@@ -227,6 +233,45 @@ class TestChurn:
         report = audit_conservation(testbed)
         assert report.ok
         assert testbed.stations[1].rx_packets > 0
+
+
+class TestNoLockOut:
+    """A station that left must not take the shared driver buffer with
+    it.  Its residue in the qdisc used to drain into the 32 frames, where
+    nothing is scheduled for a detached station and nothing leaves: every
+    other station under FIFO / FQ-CoDel froze until it came back, and
+    after a roam for good.  Conservation balances throughout (the frames
+    are resident), so only delivery and the stall detector can tell."""
+
+    @pytest.mark.parametrize("scheme", (Scheme.FIFO, Scheme.FQ_CODEL),
+                             ids=lambda scheme: scheme.name)
+    def test_flush_detach_leaves_the_others_running(self, scheme):
+        testbed = _testbed(scheme=scheme, strict=True)
+        saturating_udp_download(testbed)
+        sim, rx = testbed.sim, {}
+        sim.schedule(sim.sec(1.0), lambda: testbed.ap.detach_station(2))
+        sim.schedule(sim.sec(1.5), lambda: rx.update(
+            (i, testbed.stations[i].rx_packets) for i in (0, 1)))
+        testbed.run(3.2)  # strict: a silent medium raises at t = 3 s
+        assert testbed.conservation.ok
+        for index, at_1_5_s in rx.items():
+            assert testbed.stations[index].rx_packets > at_1_5_s + 1000
+        assert testbed.ap.stack.occupancy_by_station().get(2, 0) == 0
+
+    def test_roam_away_leaves_the_old_cell_running(self):
+        topology = campus_topology(
+            n_bss=2, n_channels=1, stations_per_bss=2,
+            roam=(RoamEvent(station=0, at_s=0.5, to_bss=1),))
+        campus = CampusTestbed(topology, CampusOptions(
+            scheme=Scheme.FIFO, seed=1, strict=True))
+        saturating_udp_download(campus)
+        sim, rx = campus.sim, []
+        sim.schedule(sim.sec(1.0),
+                     lambda: rx.append(campus.stations[1].rx_packets))
+        campus.run(2.0)
+        # Station 1 stayed behind in cell 0 and is still being served.
+        assert campus.stations[1].rx_packets > rx[0] + 200
+        assert campus.bss[0].ap.stack.occupancy_by_station().get(0, 0) == 0
 
 
 # ----------------------------------------------------------------------
