@@ -1,21 +1,16 @@
-"""Dependency-free text plots for experiment results.
+"""Dependency-free text bar charts (the latency waterfall uses them).
 
-The paper presents most results as CDFs and grouped bar charts; this
-module renders both as unicode text so the examples and the CLI can show
-distribution *shapes* without matplotlib (the offline environment has no
-plotting stack).
+The offline environment has no plotting stack, so shapes are rendered as
+unicode text.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
-from repro.analysis.stats import percentile
-
-__all__ = ["text_cdf", "text_bars", "text_timeseries"]
+__all__ = ["text_bars"]
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
-_SPARKS = "▁▂▃▄▅▆▇█"
 
 
 def _bar(fraction: float, width: int) -> str:
@@ -26,94 +21,6 @@ def _bar(fraction: float, width: int) -> str:
     remainder = cells - full
     partial = _BLOCKS[int(remainder * (len(_BLOCKS) - 1))] if full < width else ""
     return "█" * full + partial
-
-
-def text_cdf(
-    samples: Sequence[float],
-    width: int = 50,
-    rows: int = 10,
-    unit: str = "ms",
-    log_x: bool = False,
-) -> str:
-    """Render an empirical CDF as rows of (probability, value, bar).
-
-    With ``log_x`` the bar length is proportional to log10(value), which
-    matches the paper's log-scaled latency CDFs (Figures 1, 4, 10).
-    """
-    if not samples:
-        return "(no samples)"
-    import math
-
-    lines = []
-    lo = min(samples)
-    hi = max(samples)
-    for i in range(1, rows + 1):
-        prob = i / rows * 100.0
-        value = percentile(samples, prob)
-        if log_x and lo > 0 and hi > lo:
-            fraction = (math.log10(value) - math.log10(lo)) / (
-                math.log10(hi) - math.log10(lo)
-            )
-        elif hi > 0:
-            fraction = value / hi
-        else:
-            fraction = 0.0
-        label = f"p{prob:.1f}"
-        lines.append(
-            f"  {label:>6} {value:10.2f} {unit} |{_bar(fraction, width)}"
-        )
-    return "\n".join(lines)
-
-
-def text_timeseries(
-    points: Sequence[Tuple[float, float]],
-    width: int = 60,
-    unit: str = "",
-    label: str = "",
-) -> str:
-    """Render a sampled time series as a one-line sparkline.
-
-    ``points`` is a sequence of ``(t_us, value)`` pairs — the format of
-    :attr:`repro.telemetry.metrics.MetricsRegistry.series` entries (and
-    of the ``series`` arrays in a ``--metrics-out`` JSON file).  Samples
-    are averaged into ``width`` equal time buckets; empty buckets carry
-    the previous value forward, so gaps do not read as dips.
-    """
-    points = [(float(t), float(v)) for t, v in points]
-    if not points:
-        return "(no samples)"
-    t0 = points[0][0]
-    t1 = points[-1][0]
-    values = [v for _, v in points]
-    lo = min(values)
-    hi = max(values)
-    if t1 <= t0 or len(points) == 1:
-        buckets = [values[-1]]
-    else:
-        sums = [0.0] * width
-        counts = [0] * width
-        for t, v in points:
-            index = min(int((t - t0) / (t1 - t0) * width), width - 1)
-            sums[index] += v
-            counts[index] += 1
-        buckets = []
-        last = values[0]
-        for total, n in zip(sums, counts):
-            if n:
-                last = total / n
-            buckets.append(last)
-    span = hi - lo
-    chars = []
-    for value in buckets:
-        fraction = (value - lo) / span if span > 0 else 0.5
-        chars.append(_SPARKS[min(int(fraction * len(_SPARKS)),
-                                 len(_SPARKS) - 1)])
-    window_s = (t1 - t0) / 1e6
-    head = f"  {label} " if label else "  "
-    return (
-        f"{head}[{lo:g}..{hi:g}{unit} over {window_s:g}s, "
-        f"{len(points)} samples]\n  {''.join(chars)}"
-    )
 
 
 def text_bars(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.fairness import jain_index
@@ -22,10 +21,6 @@ __all__ = [
     "percentile",
     "cdf_points",
     "summarize",
-    "betainc",
-    "student_t_cdf",
-    "student_t_ppf",
-    "binomial_cdf",
 ]
 
 
@@ -98,161 +93,6 @@ class AirtimeTracker:
         if window_us <= 0:
             return 0.0
         return 8 * self.delivered_bytes.get(station, 0) / (window_us / 1e6)
-
-
-# ----------------------------------------------------------------------
-# Distribution primitives (pure Python — the campaign stack must run
-# without scipy).  These back the campaign interval estimators:
-# Student-t critical values for mean CIs and the binomial CDF for
-# order-statistic quantile intervals.
-# ----------------------------------------------------------------------
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (NR style).
-
-    Evaluates the Lentz continued fraction that multiplies the prefactor
-    in :func:`betainc`; converges in a few dozen iterations for every
-    ``x`` on the convergent side of ``(a + 1) / (a + b + 2)``.
-    """
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-14:
-            break
-    return h
-
-
-def betainc(a: float, b: float, x: float) -> float:
-    """Regularised incomplete beta function ``I_x(a, b)``."""
-    if a <= 0 or b <= 0:
-        raise ValueError("betainc requires a > 0 and b > 0")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    if t == 0.0:
-        return 0.5
-    # P(|T| > |t|) = I_{df/(df+t^2)}(df/2, 1/2).
-    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + t * t))
-    return 1.0 - tail if t > 0 else tail
-
-
-def student_t_ppf(p: float, df: float) -> float:
-    """Inverse CDF of Student's t (bisection on :func:`student_t_cdf`).
-
-    Intended for critical values (``p`` well inside (0, 1)); results are
-    memoised because campaign reduction asks for the same ``(p, df)``
-    pair once per metric per group.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be within (0, 1)")
-    if df <= 0:
-        raise ValueError("df must be positive")
-    if p == 0.5:
-        return 0.0
-    key = (p, df)
-    cached = _T_PPF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if p < 0.5:
-        value = -student_t_ppf(1.0 - p, df)
-        _T_PPF_CACHE[key] = value
-        return value
-    # Bracket: t grows slowly with p; 1e6 covers df=1 out past p=1-1e-6.
-    lo, hi = 0.0, 64.0
-    while student_t_cdf(hi, df) < p and hi < 1e9:
-        hi *= 32.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    value = 0.5 * (lo + hi)
-    _T_PPF_CACHE[key] = value
-    return value
-
-
-_T_PPF_CACHE: Dict[tuple, float] = {}
-
-
-@lru_cache(maxsize=65536)
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """``P(X <= k)`` for ``X ~ Binomial(n, p)`` — exact summation.
-
-    Used for order-statistic coverage: the probability that the true
-    ``q``-quantile lies below the ``r``-th order statistic of ``n``
-    samples is ``binomial_cdf(r - 1, n, q)``.  Campaign replication
-    counts are small (tens), so the direct sum in log space is both
-    exact enough and fast enough.  Memoised: the rank-interval search
-    re-asks the same ``(k, n, q)`` points for every metric of every
-    grid point, and a campaign uses only a handful of distinct ones.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be within [0, 1]")
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    total = 0.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    for i in range(k + 1):
-        log_term = (
-            math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-            + i * log_p + (n - i) * log_q
-        )
-        total += math.exp(log_term)
-    return min(total, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,11 @@ state made crash-safe end to end:
   deterministic error / invariant violation / checkpoint IO);
 * a **streaming reducer** folding shards through mergeable
   :class:`~repro.telemetry.streaming.QuantileSketch` aggregates, so
-  campaign memory stays flat in the replication count;
-* a **chaos-recovery harness** (``campaign chaos``) that self-injects
-  worker kills, parent SIGKILL/SIGINT, shard corruption, and simulated
-  disk pressure, then asserts resume-to-identical-results.
+  campaign memory stays flat in the replication count.
+
+``tests/chaos_harness.py`` injects worker kills, parent SIGKILL/SIGINT,
+shard corruption and simulated disk pressure against this layer and
+asserts resume-to-identical-results.
 
 Typical use::
 
@@ -38,16 +39,12 @@ or from the CLI::
     python -m repro.experiments.cli campaign run spec.json --dir DIR
     python -m repro.experiments.cli campaign resume --dir DIR
     python -m repro.experiments.cli campaign status --dir DIR
-    python -m repro.experiments.cli campaign report --dir DIR --html out.html
-    python -m repro.experiments.cli campaign compare BASE CAND
-    python -m repro.experiments.cli campaign chaos --dir /tmp/chaos
 
 Statistical layer (PR 9): specs may set a ``precision`` target — the
 engine then schedules replication *rounds* and retires grid points
 whose targeted metrics' relative confidence-interval half-widths are
-tight enough (``repro.campaign.stats``); the merged document carries
-per-group ``ci`` sections, and ``repro.campaign.observatory`` renders
-dashboards and CI-overlap-aware cross-run diffs.
+tight enough (``repro.campaign.stats``); ``merged.json`` carries every
+group's estimates and intervals in its per-group ``ci`` sections.
 """
 
 from repro.campaign.engine import (
@@ -60,20 +57,10 @@ from repro.campaign.engine import (
     format_status,
 )
 from repro.campaign.journal import Journal, read_journal
-from repro.campaign.observatory import (
-    CampaignView,
-    CompareResult,
-    compare_merged,
-    format_compare,
-    load_campaign,
-    render_html,
-    render_report,
-)
 from repro.campaign.reducer import CampaignReducer, flatten_metrics
 from repro.campaign.retry import DEFAULT_BUDGETS, RetryPolicy, classify_failure
 from repro.campaign.shards import (
     ShardCorrupt,
-    iter_shard_values,
     read_shard,
     scan_shards,
     shard_path,
@@ -97,10 +84,8 @@ __all__ = [
     "CampaignReducer",
     "CampaignSpec",
     "CampaignStatus",
-    "CampaignView",
     "CellSpec",
     "CellStatus",
-    "CompareResult",
     "DEFAULT_BUDGETS",
     "Interval",
     "Journal",
@@ -111,20 +96,14 @@ __all__ = [
     "StopDecision",
     "campaign_status",
     "classify_failure",
-    "compare_merged",
     "evaluate_group",
     "flatten_metrics",
-    "format_compare",
     "format_status",
-    "iter_shard_values",
     "jain_interval",
-    "load_campaign",
     "mean_interval",
     "quantile_rank_interval",
     "read_journal",
     "read_shard",
-    "render_html",
-    "render_report",
     "scan_shards",
     "shard_path",
     "sketch_mean_interval",

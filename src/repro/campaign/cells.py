@@ -8,8 +8,7 @@ index, and aggregation state, which the reducer folds into per-grid-
 point distributions across the seed ladder.
 
 :func:`demo_spec` is the built-in small campaign used by the CLI's
-``campaign run demo``, the chaos harness's real-simulation mode, and
-the CI smoke job.
+``campaign run demo`` and the CI smoke job.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ checkpoint with no journal record — which recovery adopts by verifying
 its checksum and re-journaling it.  A crash before step 1 leaves
 nothing, and the cell simply re-runs.  Either way, resume converges on
 the same set of shards an uninterrupted run produces, and the merged
-output is byte-identical (the chaos harness proves it with kills).
+output is byte-identical (``tests/chaos_harness.py`` proves it with kills).
 
 Failures are classified (timeout / crash / error / invariant / io /
 interrupted) and charged against per-class retry budgets with bounded

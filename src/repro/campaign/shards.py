@@ -32,7 +32,6 @@ __all__ = [
     "read_shard",
     "quarantine_shard",
     "scan_shards",
-    "iter_shard_values",
 ]
 
 log = get_logger("repro.campaign")
@@ -151,19 +150,3 @@ def scan_shards(
             quarantine_shard(path)
             continue
         yield payload["cell"], path, payload
-
-
-def iter_shard_values(
-    shard_dir: Union[str, os.PathLike],
-) -> Iterator[Tuple[Dict[str, Any], int, Any]]:
-    """Yield ``(key, rep, value)`` per valid shard, cell-index order.
-
-    Convenience for consumers that want per-replication trajectories by
-    grid point — the observatory's sparklines — without shard
-    bookkeeping.  Within a grid point, cell-index order *is*
-    replication order, so consecutive yields for one key trace the
-    metric's path down the seed ladder.
-    """
-    for _cell, _path, payload in scan_shards(shard_dir):
-        yield payload.get("key") or {}, int(payload.get("rep", 0)), \
-            payload.get("value")

@@ -91,8 +91,8 @@ class CampaignSpec:
     #: Empty means every numeric metric — usually too strict, since
     #: near-zero metrics never tighten in relative terms.
     precision_metrics: Tuple[str, ...] = ()
-    #: Confidence level of every interval (stopping rule, merged ``ci``
-    #: sections, and the observatory's dashboards).
+    #: Confidence level of every interval (stopping rule and merged
+    #: ``ci`` sections).
     confidence: float = 0.95
     #: Replications every grid point must commit before the stopping
     #: rule may retire it (variance estimates below this are noise).

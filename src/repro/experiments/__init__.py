@@ -14,12 +14,13 @@
 
 Each module exposes ``run(...)`` returning dataclasses and
 ``format_table(results)`` printing the same rows/series the paper
-reports.
+reports; :mod:`repro.experiments.registry` is the one index of them
+(ids, descriptions, paper-length windows) that the CLI and the report
+read.
 """
 
 from repro.experiments import (
     airtime_udp,
-    export,
     fairness_index,
     latency,
     paper_data,
@@ -56,7 +57,6 @@ __all__ = [
     "TestbedOptions",
     "add_pings",
     "airtime_udp",
-    "export",
     "fairness_index",
     "paper_data",
     "four_station_rates",

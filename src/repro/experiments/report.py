@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.experiments import (
     airtime_udp,
@@ -37,7 +37,8 @@ from repro.experiments import (
     web,
 )
 from repro.analysis.attribution import Attribution, format_waterfall
-from repro.experiments import paper_data
+from repro.experiments import paper_data, registry
+from repro.experiments.cli import positive_float
 from repro.experiments.config import SLOW_STATION
 from repro.mac.ap import Scheme
 from repro.runner import ResultCache, Runner, default_jobs
@@ -61,6 +62,13 @@ class ShapeCheck:
         return f"| {mark} | {self.claim} | {self.detail} |"
 
 
+def _window(experiment_id: str, scale: float) -> Dict[str, float]:
+    """The registry row's paper-length window, scaled."""
+    row = registry.BY_ID[experiment_id]
+    return {"duration_s": row.duration_s * scale,
+            "warmup_s": row.warmup_s * scale}
+
+
 def _checks_table(checks: List[ShapeCheck]) -> str:
     lines = ["|  | claim (paper) | measured |", "|---|---|---|"]
     lines += [check.row() for check in checks]
@@ -71,8 +79,7 @@ def _checks_table(checks: List[ShapeCheck]) -> str:
 # Per-experiment sections
 # ----------------------------------------------------------------------
 def _section_table1(scale: float, runner: Optional[Runner] = None) -> str:
-    result = table1.run(duration_s=20 * scale, warmup_s=5 * scale,
-                       runner=runner)
+    result = table1.run(**_window("table1", scale), runner=runner)
     checks = [
         ShapeCheck(
             "FIFO: slow station takes ~79% of airtime",
@@ -114,8 +121,7 @@ def _section_table1(scale: float, runner: Optional[Runner] = None) -> str:
 
 
 def _section_latency(scale: float, runner: Optional[Runner] = None) -> str:
-    results = latency.run(duration_s=20 * scale, warmup_s=8 * scale,
-                          runner=runner)
+    results = latency.run(**_window("fig04", scale), runner=runner)
     by_scheme = {r.scheme: r for r in results}
     fifo = by_scheme[Scheme.FIFO].fast_summary().median
     fq_mac = by_scheme[Scheme.FQ_MAC].fast_summary().median
@@ -160,16 +166,14 @@ def _section_waterfall(scale: float, runner: Optional[Runner] = None) -> str:
         categories=("queue", "agg", "hw", "driver", "tx"),
         spans=True,
     )
-    results = [r for r in latency.run(duration_s=20 * scale,
-                                      warmup_s=8 * scale,
+    results = [r for r in latency.run(**_window("fig04", scale),
                                       runner=runner, telemetry=telemetry)
                if r is not None and r.telemetry is not None]
     attributions = {
         r.scheme: Attribution.from_dict(r.telemetry["spans"])
         for r in results
     }
-    ledgered = [r for r in airtime_udp.run(duration_s=20 * scale,
-                                           warmup_s=5 * scale,
+    ledgered = [r for r in airtime_udp.run(**_window("fig05", scale),
                                            runner=runner,
                                            telemetry=TelemetryConfig(
                                                ledger=True))
@@ -254,8 +258,7 @@ def _section_waterfall(scale: float, runner: Optional[Runner] = None) -> str:
 
 
 def _section_airtime_udp(scale: float, runner: Optional[Runner] = None) -> str:
-    results = airtime_udp.run(duration_s=20 * scale, warmup_s=5 * scale,
-                              runner=runner)
+    results = airtime_udp.run(**_window("fig05", scale), runner=runner)
     by_scheme = {r.scheme: r for r in results}
     checks = [
         ShapeCheck(
@@ -287,8 +290,7 @@ def _section_airtime_udp(scale: float, runner: Optional[Runner] = None) -> str:
 
 
 def _section_jain(scale: float, runner: Optional[Runner] = None) -> str:
-    results = fairness_index.run(duration_s=15 * scale, warmup_s=6 * scale,
-                                 runner=runner)
+    results = fairness_index.run(**_window("fig06", scale), runner=runner)
     by_scheme = {r.scheme: r for r in results}
     airtime = by_scheme[Scheme.AIRTIME]
     checks = [
@@ -318,8 +320,7 @@ def _section_jain(scale: float, runner: Optional[Runner] = None) -> str:
 
 
 def _section_tcp_throughput(scale: float, runner: Optional[Runner] = None) -> str:
-    results = tcp_throughput.run(duration_s=20 * scale, warmup_s=8 * scale,
-                                 runner=runner)
+    results = tcp_throughput.run(**_window("fig07", scale), runner=runner)
     by_scheme = {r.scheme: r for r in results}
     fifo = by_scheme[Scheme.FIFO]
     airtime = by_scheme[Scheme.AIRTIME]
@@ -349,8 +350,7 @@ def _section_tcp_throughput(scale: float, runner: Optional[Runner] = None) -> st
 
 
 def _section_sparse(scale: float, runner: Optional[Runner] = None) -> str:
-    results = sparse.run(duration_s=15 * scale, warmup_s=5 * scale,
-                         runner=runner)
+    results = sparse.run(**_window("fig08", scale), runner=runner)
     by_key = {(r.bulk_traffic, r.sparse_enabled): r for r in results}
     gains = {}
     for bulk in ("udp", "tcp"):
@@ -373,8 +373,7 @@ def _section_sparse(scale: float, runner: Optional[Runner] = None) -> str:
 
 
 def _section_scaling(scale: float, runner: Optional[Runner] = None) -> str:
-    results = scaling.run(duration_s=30 * scale, warmup_s=10 * scale,
-                          runner=runner)
+    results = scaling.run(**_window("fig09", scale), runner=runner)
     by_scheme = {r.scheme: r for r in results}
     fq_codel = by_scheme[Scheme.FQ_CODEL]
     airtime = by_scheme[Scheme.AIRTIME]
@@ -416,8 +415,7 @@ def _section_scaling(scale: float, runner: Optional[Runner] = None) -> str:
 
 
 def _section_voip(scale: float, runner: Optional[Runner] = None) -> str:
-    results = voip.run(duration_s=12 * scale, warmup_s=6 * scale,
-                       runner=runner)
+    results = voip.run(**_window("table2", scale), runner=runner)
     by_key = {(r.scheme, r.qos, r.base_delay_ms): r for r in results}
     checks = []
     fifo_be = by_key[(Scheme.FIFO, "BE", 5.0)]
@@ -455,8 +453,7 @@ def _section_voip(scale: float, runner: Optional[Runner] = None) -> str:
 
 
 def _section_web(scale: float, runner: Optional[Runner] = None) -> str:
-    results = web.run(duration_s=40 * scale, warmup_s=5 * scale,
-                      runner=runner)
+    results = web.run(**_window("fig11", scale), runner=runner)
     by_key = {(r.scheme, r.page): r for r in results}
     checks = []
     for page in ("small", "large"):
@@ -477,7 +474,7 @@ def _section_web(scale: float, runner: Optional[Runner] = None) -> str:
 
 def _section_fault_tolerance(scale: float,
                              runner: Optional[Runner] = None) -> str:
-    results = fault_tolerance.run(duration_s=10 * scale, warmup_s=2 * scale,
+    results = fault_tolerance.run(**_window("faults", scale),
                                   runner=runner, strict=True)
     usable = [r for r in results if r is not None]
     by_scheme = {r.scheme: r for r in usable}
@@ -629,7 +626,7 @@ def _failures_section(runner: Runner) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--duration-scale", type=float, default=1.0,
+    parser.add_argument("--duration-scale", type=positive_float, default=1.0,
                         help="scale all experiment durations (0.2 = quick)")
     parser.add_argument("-o", "--output", default=None,
                         help="write the report to this file")

@@ -311,6 +311,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if until_us is not None and until_us != until_us:
+            # Every event time compares False against NaN: the loop would
+            # never reach its bound and saturating sources never drain.
+            raise SimulationError("until_us must not be NaN")
         self._running = True
         self.run_until_us = until_us
         gc_was_enabled = gc.isenabled()

@@ -5,8 +5,7 @@ bus records individual events, the registry accumulates cheap numeric
 state (a counter bump, a histogram observation) and the
 :class:`PeriodicSampler` turns instantaneous state — queue depth,
 hardware-queue occupancy, per-station deficits and airtime — into time
-series on a fixed simulated-time grid, ready for the plots module
-(:func:`repro.analysis.plots.text_timeseries`) or any external tool via
+series on a fixed simulated-time grid, ready for any external tool via
 the JSON snapshot.
 
 Everything is dependency-free and deterministic: series are keyed by

@@ -24,6 +24,7 @@ Determinism contract (tested in ``tests/test_topology*.py``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -428,6 +429,12 @@ class CampusTestbed:
         Returns the measurement window length in µs (the divisor for
         throughput computations).
         """
+        if not (0 < duration_s < math.inf):
+            raise ValueError(
+                f"duration_s must be finite and > 0, got {duration_s!r}")
+        if not (0 <= warmup_s < math.inf):
+            raise ValueError(
+                f"warmup_s must be finite and >= 0, got {warmup_s!r}")
         ledger = self._audited_ledger()
         strict = self.options.strict
         if warmup_s > 0:

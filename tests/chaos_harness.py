@@ -1,5 +1,10 @@
 """Chaos-recovery harness: prove the campaign engine survives violence.
 
+A test harness, not part of the package: ``tests/test_campaign_chaos.py``
+drives it (``pytest tests/test_campaign_chaos.py``), and it reaches the
+engine only through its public surface plus the kept
+:func:`repro.runner.atomicio.set_fault_hook`.
+
 Each chaos mode interrupts a small campaign a different way and asserts
 the same contract: after recovery, ``merged.json`` is **byte-identical**
 to the merged output of an uninterrupted reference run of the same
@@ -58,7 +63,7 @@ __all__ = [
     "ALL_MODES",
 ]
 
-log = get_logger("repro.campaign.chaos")
+log = get_logger("repro.tests.chaos")
 
 #: Environment variable pointing worker processes at the kill-marker spool.
 CHAOS_ENV = "REPRO_CHAOS_DIR"
@@ -104,7 +109,7 @@ def chaos_spec(
     """A toy campaign over :func:`chaos_cell` (fast, fully deterministic)."""
     return CampaignSpec.make(
         name="chaos",
-        fn="repro.campaign.chaos:chaos_cell",
+        fn="tests.chaos_harness:chaos_cell",
         grid={"cell": list(range(cells))},
         fixed={"work_s": float(work_s)},
         replications=replications,
@@ -211,9 +216,12 @@ def _mode_worker_kill(workdir: Path) -> ChaosReport:
 def _spawn_campaign(spec_file: Path, campaign_dir: Path,
                     work_s: float) -> subprocess.Popen:
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    # The spawned campaign resolves ``tests.chaos_harness:chaos_cell``,
+    # so it needs the repository root as well as ``src``.
+    repo = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), str(repo)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.Popen(
         [sys.executable, "-m", "repro.experiments.cli", "campaign", "run",
@@ -417,7 +425,7 @@ def run_chaos(
         log.info("chaos mode %s starting under %s", mode, mode_dir)
         try:
             report = _MODE_FNS[mode](mode_dir)
-        except Exception as exc:  # a chaos mode must never crash the CLI
+        except Exception as exc:  # report the mode, keep running the rest
             report = ChaosReport(mode, ok=False,
                                  detail=f"harness error: "
                                         f"{type(exc).__name__}: {exc}")

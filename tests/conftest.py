@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 
 import pytest
 
@@ -25,6 +26,21 @@ except ImportError:  # pragma: no cover - hypothesis is in the dev image
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture
+def five_second_alarm():
+    """Turn a hang into a failure: SIGALRM raises in the test after 5 s."""
+    def on_alarm(signum, frame):
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(5)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_testbed(scheme, rates=None, seed=1, **option_kwargs):

@@ -494,7 +494,7 @@ def slow_cell(x: int = 0, seed: int = 0) -> dict:
 
 class TestTimeoutBudget:
     def test_timeout_charges_budget_and_surfaces_as_partial(self, tmp_path):
-        from repro.campaign.chaos import _pools_usable
+        from tests.chaos_harness import _pools_usable
 
         if not _pools_usable():  # pragma: no cover
             pytest.skip("process pools unavailable on this platform")

@@ -1,8 +1,7 @@
 """Chaos-recovery harness: kill the campaign, resume, demand identity.
 
-These tests drive :mod:`repro.campaign.chaos` — the same harness
-``campaign chaos`` runs from the CLI — one mode per test so a failure
-names its injection.  The parent-signal modes (SIGINT / SIGKILL against
+These tests drive :mod:`tests.chaos_harness`, one mode per test so a
+failure names its injection.  The parent-signal modes (SIGINT / SIGKILL against
 the whole campaign process) spawn a real subprocess and are marked
 ``slow``-ish but bounded: the chaos spec's cells are ~0.35s each.
 """
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.chaos import (
+from tests.chaos_harness import (
     ALL_MODES,
     _pools_usable,
     chaos_cell,

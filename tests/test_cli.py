@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, main
+from repro.experiments import report
+from repro.experiments.cli import main
+from repro.experiments.registry import EXPERIMENTS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,8 +21,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def test_list_exits_zero(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
-        assert name in out
+    for row in EXPERIMENTS:
+        assert row.id in out
 
 
 def test_unknown_experiment_rejected(capsys):
@@ -28,11 +30,45 @@ def test_unknown_experiment_rejected(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
-def test_registry_covers_every_table_and_figure():
-    assert set(EXPERIMENTS) == {
-        "table1", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
-        "table2", "fig11", "faults", "campus",
-    }
+@pytest.mark.parametrize("flag, value", [
+    ("--duration", "nan"), ("--duration", "inf"), ("--duration", "0"),
+    ("--duration", "-1"), ("--warmup", "-0.5"), ("--warmup", "nan"),
+])
+def test_bad_window_is_a_usage_error_before_any_run(
+        flag, value, capsys, five_second_alarm):
+    """``--duration nan`` used to hang; 0 / negative windows used to
+    print an all-zero table with exit 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig05", flag, value, "--no-cache", "--jobs", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Figure 5" not in captured.out
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_report_rejects_a_bad_duration_scale(scale, capsys, five_second_alarm):
+    """Scale 0 used to write 15 failed checks and exit 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        report.main(["--duration-scale", scale, "--no-cache", "--jobs", "1"])
+    assert exit_info.value.code == 2
+    assert "--duration-scale" in capsys.readouterr().err
+
+
+def test_traces_written_is_logged_only_when_something_was_traced(
+        tmp_path, capsys):
+    short = ["--duration", "0.3", "--warmup", "0.1", "--no-cache",
+             "--jobs", "1"]
+    untraced = tmp_path / "untraced"
+    assert main(["campus", "--trace", str(untraced), *short]) == 0
+    err = capsys.readouterr().err
+    assert "running it untraced" in err
+    assert "traces written" not in err
+    assert not untraced.exists()
+
+    traced = tmp_path / "traced"
+    assert main(["fig05", "--trace", str(traced), *short]) == 0
+    assert f"traces written under {traced}/" in capsys.readouterr().err
+    assert list(traced.glob("*.trace.jsonl"))
 
 
 def test_faults_experiment_runs_scaled_down(capsys, tmp_path, monkeypatch):

@@ -2,38 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.plots import text_bars, text_cdf
-
-
-class TestTextCdf:
-    def test_empty_samples(self):
-        assert text_cdf([]) == "(no samples)"
-
-    def test_rows_and_monotone_values(self):
-        out = text_cdf([1, 5, 2, 9, 3], rows=5)
-        lines = out.splitlines()
-        assert len(lines) == 5
-        values = [float(line.split()[1]) for line in lines]
-        assert values == sorted(values)
-
-    def test_max_sample_gets_full_bar(self):
-        out = text_cdf([1.0, 10.0], rows=2, width=10)
-        last = out.splitlines()[-1]
-        assert "█" * 10 in last
-
-    def test_log_scale_compresses_high_values(self):
-        linear = text_cdf([1.0, 10.0, 100.0, 1000.0], rows=4, width=40)
-        log = text_cdf([1.0, 10.0, 100.0, 1000.0], rows=4, width=40,
-                       log_x=True)
-        # On a log axis the median bar is visibly longer than on linear.
-        linear_mid = linear.splitlines()[1].count("█")
-        log_mid = log.splitlines()[1].count("█")
-        assert log_mid > linear_mid
-
-    def test_unit_appears(self):
-        assert "ms" in text_cdf([1.0], unit="ms")
+from repro.analysis.plots import text_bars
 
 
 class TestTextBars:

@@ -424,7 +424,7 @@ class TestStrictOverflowGate:
         return trace_path
 
     def test_strict_exit_code_on_overflow(self, tmp_path):
-        from repro.experiments.cli import _trace_summarize
+        from repro.experiments.trace_cli import _trace_summarize
 
         trace_path = self._overflowed_trace(tmp_path)
         header = json.loads(

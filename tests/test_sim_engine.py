@@ -208,6 +208,13 @@ class TestRunControl:
         sim.run(until_us=42.0)
         assert sim.now == 42.0
 
+    def test_run_until_nan_is_rejected(self, sim):
+        # No event time compares below NaN: the bound would never bind.
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until_us=float("nan"))
+        assert sim.now == 0.0 and sim.pending_events == 1
+
     def test_step_runs_one_event(self, sim):
         order = []
         sim.schedule(1.0, lambda: order.append("a"))

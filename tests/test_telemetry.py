@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-from repro.analysis.plots import text_timeseries
 from repro.core.mac_fq import MacFqStructure
 from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
@@ -352,20 +351,3 @@ class TestFaultSummary:
         assert "rate_crash" in text
         assert "conservation audit: VIOLATED" in text
         assert "fault=2" in text  # per-category counts line
-
-
-# ----------------------------------------------------------------------
-# text_timeseries
-# ----------------------------------------------------------------------
-class TestTextTimeseries:
-    def test_empty(self):
-        assert text_timeseries([]) == "(no samples)"
-
-    def test_renders_sparkline(self):
-        points = [(float(t) * 1000, float(t % 10)) for t in range(100)]
-        out = text_timeseries(points, width=20, unit="pkts", label="depth")
-        assert "depth" in out and "100 samples" in out
-        assert len(out.splitlines()) == 2
-
-    def test_single_point(self):
-        assert "1 samples" in text_timeseries([(0.0, 5.0)])

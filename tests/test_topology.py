@@ -295,6 +295,28 @@ class TestOneTestbed:
         assert testbed.stations[0].rate is RATE_LEGACY_1M
         assert len(testbed.stations) == 30
 
+    def test_nan_window_is_rejected_not_run_forever(self, five_second_alarm):
+        """``Simulator.run(until_us=nan)`` never reached its bound while
+        the saturating source kept the queue full: the run hung."""
+        from repro.experiments.workloads import saturating_udp_download
+
+        testbed = make_testbed(Scheme.AIRTIME)
+        saturating_udp_download(testbed)
+        with pytest.raises(ValueError, match="duration_s"):
+            testbed.run(float("nan"))
+
+    @pytest.mark.parametrize("duration_s, warmup_s, named", [
+        (0.0, 0.0, "duration_s"), (-1.0, 0.0, "duration_s"),
+        (float("inf"), 0.0, "duration_s"), (1.0, -0.5, "warmup_s"),
+        (1.0, float("nan"), "warmup_s"), (1.0, float("inf"), "warmup_s"),
+    ])
+    def test_empty_or_unbounded_window_rejected(self, duration_s, warmup_s,
+                                                named):
+        testbed = make_testbed(Scheme.AIRTIME)
+        with pytest.raises(ValueError, match=named):
+            testbed.run(duration_s, warmup_s)
+        assert testbed.sim.now == 0.0
+
     def test_negative_wire_delay_rejected_by_both_entries(self):
         with pytest.raises(ValueError, match="delay must be non-negative"):
             make_testbed(Scheme.AIRTIME, wire_delay_us=-5)
