@@ -14,7 +14,6 @@ PHY frame, acknowledged with a legacy ACK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, List, Optional
 
 from repro.core.packet import AccessCategory, Packet, agg_seq_allocator
@@ -51,6 +50,28 @@ def amsdu_subframe_length(payload_bytes: int) -> int:
     """One A-MSDU subframe: 14-byte header + payload, padded to 4 bytes."""
     raw = AMSDU_SUBFRAME_HEADER + payload_bytes
     return raw + (-raw) % 4
+
+
+class _computed:
+    """A value computed on first read, then stored on the instance.
+
+    The standard library's cached property minus the lock it takes on
+    every first read (through Python 3.11).  :meth:`AggregateBuilder.build`
+    stores the values its loop already has, so only aggregates built
+    elsewhere (a VO frame, an A-MSDU, an unaggregated frame) compute
+    them here.
+    """
+
+    def __init__(self, func: Callable) -> None:
+        self._func = func
+        self._name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -106,16 +127,16 @@ class Aggregate:
             return len(self.mpdu_payload_sizes)
         return len(self.packets)
 
-    # The byte/time properties below are cached: an aggregate is only
+    # The byte/time values below are computed once: an aggregate is only
     # mutated while ``AggregateBuilder.build`` assembles it, and the
     # first timing query happens after build — from then on the values
     # are fixed, while the medium and the airtime scheduler each re-read
     # ``duration_us`` per transmission.
-    @cached_property
+    @_computed
     def payload_bytes(self) -> int:
         return sum(p.size for p in self.packets)
 
-    @cached_property
+    @_computed
     def mpdu_bytes(self) -> int:
         if self.mpdu_payload_sizes is not None:
             return sum(mpdu_length(s) for s in self.mpdu_payload_sizes)
@@ -125,12 +146,12 @@ class Aggregate:
     def aggregated(self) -> bool:
         return self.rate.ht and self.ac.aggregates
 
-    @cached_property
+    @_computed
     def data_time_us(self) -> float:
         """PHY header + MPDU payload time (eq. 2 for uniform packets)."""
         return T_PHY_US + 8 * self.mpdu_bytes / self.rate.bps * 1e6
 
-    @cached_property
+    @_computed
     def duration_us(self) -> float:
         """Data time plus SIFS + (block) ack."""
         if self.aggregated:
@@ -211,6 +232,8 @@ class AggregateBuilder:
         max_bytes = limits.max_bytes
         max_txop_us = limits.max_txop_us
         mpdu_total = 0
+        payload = 0
+        data_time_us = 0.0
         n_packets = 0
         pkt = held
         while n_packets < max_subframes:
@@ -218,7 +241,8 @@ class AggregateBuilder:
                 pkt = dequeue()
                 if pkt is None:
                     break
-            new_total = mpdu_total + mpdu_len(pkt.size)
+            size = pkt.size
+            new_total = mpdu_total + mpdu_len(size)
             data_us = T_PHY_US + 8 * new_total / rate_bps * 1e6
             over = new_total > max_bytes or data_us > max_txop_us
             if over and n_packets > 0:
@@ -226,14 +250,24 @@ class AggregateBuilder:
                 break
             packets.append(pkt)
             n_packets += 1
+            payload += size
             mpdu_total = new_total
+            data_time_us = data_us
             pkt = None
             if over:
                 # A single packet already exceeds the caps (possible only
                 # at very low rates); send it alone rather than stalling.
                 break
 
-        return agg if packets else None
+        if not packets:
+            return None
+        # The loop's own totals, by the expressions the lazy properties
+        # would evaluate: the same floats, computed once.
+        agg.payload_bytes = payload
+        agg.mpdu_bytes = mpdu_total
+        agg.data_time_us = data_time_us
+        agg.duration_us = data_time_us + block_ack_time_us(rate)
+        return agg
 
     # ------------------------------------------------------------------
     # Two-level (A-MSDU inside A-MPDU) aggregation

@@ -218,7 +218,7 @@ class AccessPoint:
         #: hardware queue; re-woken on the next fill pass.
         self._parked: set[int] = set()
 
-        medium.attach(self, is_ap=True, bss=bss)
+        self._hw.on_ready = medium.attach(self, is_ap=True, bss=bss)
 
     # ------------------------------------------------------------------
     # Topology

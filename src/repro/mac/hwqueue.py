@@ -9,12 +9,15 @@ the air.
 
 The retry chain also lives here: a failed aggregate re-enters at the head
 (``retry_q`` in the figures) until it exceeds the retry limit.
+
+A queue going from empty to non-empty calls ``on_ready``, the owner's
+readiness hook on the medium (:meth:`repro.mac.medium.Medium.attach`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from repro.core.packet import AccessCategory
 from repro.mac.aggregation import Aggregate
@@ -53,6 +56,8 @@ class HardwareQueue:
         self._bk_q = self._queues[AccessCategory.BK]
         #: Aggregates dropped after exceeding the retry limit.
         self.retry_drops = 0
+        #: Called when the queue goes from empty to non-empty.
+        self.on_ready: Optional[Callable[[], None]] = None
 
         # Telemetry (None when disabled).
         self._now = None
@@ -116,13 +121,17 @@ class HardwareQueue:
         return len(self._vo_q) >= self.depth
 
     def push(self, agg: Aggregate) -> None:
-        if self.full(agg.ac):
+        queue = self._queues[agg.ac]
+        if len(queue) >= self.depth:
             raise RuntimeError(f"hardware queue {agg.ac.name} is full")
-        self._queues[agg.ac].append(agg)
+        idle = not (self._vo_q or self._vi_q or self._be_q or self._bk_q)
+        queue.append(agg)
+        if idle and self.on_ready is not None:
+            self.on_ready()
         if self._em_push is not None:
             self._em_push(self._now() if self._now is not None else 0.0,
                           agg.ac.name, agg.station, agg.seq,
-                          len(agg.packets), len(self._queues[agg.ac]))
+                          len(agg.packets), len(queue))
 
     def requeue_retry(self, agg: Aggregate) -> bool:
         """Re-insert a failed aggregate at the head (the retry queue).
@@ -135,7 +144,10 @@ class HardwareQueue:
         if agg.retries > MAX_RETRIES:
             self.retry_drops += 1
             return False
+        idle = not (self._vo_q or self._vi_q or self._be_q or self._bk_q)
         self._queues[agg.ac].appendleft(agg)
+        if idle and self.on_ready is not None:
+            self.on_ready()
         return True
 
     def pop(self) -> Optional[Aggregate]:

@@ -8,6 +8,10 @@ much shorter contention window, which in this model translates to
 near-strict priority plus lower access latency — the effect Table 2's VO
 rows depend on.
 
+Only contenders that may have frames are visited: the medium keeps a
+*ready set* in registration order, and a contender re-enters it through
+the hook :meth:`Medium.attach` returns (see :class:`Contender`).
+
 Simplifications, matching the paper's analytical model (Section 2.2.1):
 
 * no collisions by default — ties are broken randomly instead of
@@ -31,13 +35,12 @@ to within 1.5%.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, List, Optional, Protocol
+from operator import attrgetter, itemgetter
+from typing import Callable, List, NamedTuple, Optional, Protocol
 
 from repro.core.packet import AccessCategory
 from repro.mac.aggregation import Aggregate
-from repro.phy.constants import CW_MIN, CW_MIN_VO, T_DIFS_US, T_SLOT_US
+from repro.phy.constants import CW_MAX, CW_MIN, CW_MIN_VO, T_DIFS_US, T_SLOT_US
 from repro.sim.engine import Simulator
 
 __all__ = ["Medium", "Contender", "TransmissionRecord"]
@@ -45,10 +48,20 @@ __all__ = ["Medium", "Contender", "TransmissionRecord"]
 #: Backoff winner order: fewest slots first, RNG tiebreak second
 #: (C-level key — this sort runs once per arbitration).
 _DRAW_KEY = itemgetter(0, 1)
+#: Ready-set order: registration order, the order draws are made in.
+_ORDER = attrgetter("order")
 
 
 class Contender(Protocol):
-    """What the medium needs from a node that wants to transmit."""
+    """What the medium needs from a node that wants to transmit.
+
+    Readiness obligation: :meth:`Medium.attach` returns a hook, and the
+    contender calls it whenever :meth:`has_frames_pending` may have gone
+    from false to true — its hardware queue going from empty to
+    non-empty, a detached station re-attaching with frames queued.  The
+    medium only polls contenders that called it since it last found them
+    idle (and every contender once, at attach); extra calls are free.
+    """
 
     def has_frames_pending(self) -> bool:
         """True if the node would transmit, were it granted the channel."""
@@ -67,9 +80,12 @@ class Contender(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
-    """Accounting record for one completed transmission."""
+class TransmissionRecord(NamedTuple):
+    """Accounting record for one completed transmission.
+
+    A named tuple: one is built per transmission, and a tuple is the
+    cheapest immutable record to build (a frozen dataclass pays an
+    ``object.__setattr__`` per field)."""
 
     start_us: float
     #: Channel occupancy including DIFS+backoff spent by the transmitter.
@@ -97,6 +113,29 @@ class TransmissionRecord:
 Observer = Callable[[TransmissionRecord], None]
 
 
+class _Slot:
+    """One attached contender: its place in registration order and
+    whether it is in the medium's ready set."""
+
+    __slots__ = ("contender", "is_ap", "bss", "order", "ready", "medium")
+
+    def __init__(self, medium: "Medium", contender: Contender, is_ap: bool,
+                 bss: int, order: int) -> None:
+        self.contender = contender
+        self.is_ap = is_ap
+        self.bss = bss
+        self.order = order
+        self.ready = False
+        #: ``None`` once detached: the hook is then a no-op.
+        self.medium: Optional[Medium] = medium
+
+    def mark_ready(self) -> None:
+        """The readiness hook :meth:`Medium.attach` hands out."""
+        if not self.ready and self.medium is not None:
+            self.ready = True
+            self.medium._ready.append(self)
+
+
 class Medium:
     """Serialises transmissions from registered contenders."""
 
@@ -118,7 +157,11 @@ class Medium:
         #: ``error_rate`` when set.
         self.error_prob_fn = error_prob_fn
         self.collisions = collisions
-        self._contenders: List[tuple[Contender, bool, int]] = []
+        self._contenders: List[_Slot] = []
+        self._next_order = 0
+        #: Contenders that may have frames pending: a superset of those
+        #: that do, pruned lazily by :meth:`_arbitrate`.
+        self._ready: List[_Slot] = []
         self._observers: List[Observer] = []
         self._busy = False
         self._arbitration_scheduled = False
@@ -135,32 +178,44 @@ class Medium:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def attach(self, contender: Contender, is_ap: bool, bss: int = 0) -> None:
-        """Register a transmitter on this channel.
+    def attach(self, contender: Contender, is_ap: bool,
+               bss: int = 0) -> Callable[[], None]:
+        """Register a transmitter on this channel; returns its readiness
+        hook (the :class:`Contender` obligation).
 
         Co-channel BSSes share one medium, so several ``is_ap=True``
         contenders are legal — but only one per BSS id: two APs claiming
         the same cell would double-count downlink airtime and break the
         per-BSS conservation audit.
         """
-        for existing, existing_is_ap, existing_bss in self._contenders:
-            if existing is contender:
+        for slot in self._contenders:
+            if slot.contender is contender:
                 raise ValueError("contender is already attached to this medium")
-            if is_ap and existing_is_ap and existing_bss == bss:
+            if is_ap and slot.is_ap and slot.bss == bss:
                 raise ValueError(
                     f"BSS {bss} already has an AP attached to this medium"
                 )
-        self._contenders.append((contender, is_ap, bss))
+        slot = _Slot(self, contender, is_ap, bss, self._next_order)
+        self._next_order += 1
+        self._contenders.append(slot)
+        slot.mark_ready()
+        return slot.mark_ready
 
     def detach(self, contender: Contender) -> bool:
         """Unregister a transmitter (roaming handoff). Idempotent.
 
         Returns ``True`` when the contender was attached.  BEB state is
-        discarded so a station re-attaching elsewhere starts from CWmin.
+        discarded so a station re-attaching elsewhere starts from CWmin,
+        and the readiness hook goes dead: a station that roamed away can
+        never put itself back into this medium's draws.
         """
-        for i, (existing, _is_ap, _bss) in enumerate(self._contenders):
-            if existing is contender:
+        for i, slot in enumerate(self._contenders):
+            if slot.contender is contender:
                 del self._contenders[i]
+                slot.medium = None
+                if slot.ready:
+                    slot.ready = False
+                    self._ready.remove(slot)
                 self._cw.pop(id(contender), None)
                 return True
         return False
@@ -201,11 +256,8 @@ class Medium:
         self._arbitration_scheduled = True
         self.sim.schedule_call(0.0, self._arbitrate)
 
-    def _base_cw(self, ac: Optional[AccessCategory]) -> int:
-        return CW_MIN_VO if ac is AccessCategory.VO else CW_MIN
-
     def _cw_for(self, contender: Contender, ac: Optional[AccessCategory]) -> int:
-        base = self._base_cw(ac)
+        base = CW_MIN_VO if ac is AccessCategory.VO else CW_MIN
         if not self.collisions:
             return base
         return max(base, self._cw.get(id(contender), base))
@@ -213,8 +265,6 @@ class Medium:
     def _beb_on_collision(self, contender: Contender,
                           ac: Optional[AccessCategory]) -> None:
         """Binary exponential backoff: double CW up to CWmax."""
-        from repro.phy.constants import CW_MAX
-
         current = self._cw_for(contender, ac)
         self._cw[id(contender)] = min(CW_MAX, 2 * current + 1)
 
@@ -225,15 +275,27 @@ class Medium:
         self._arbitration_scheduled = False
         if self._busy:
             return
+        # Every contender with frames is in the ready set, visited in
+        # registration order, so the draws are those of a poll over every
+        # attached contender; an idle one leaves the set (lazy pruning).
+        ready = self._ready
+        ready.sort(key=_ORDER)
+        rng = self.rng
         draws: List[tuple[float, float, Contender, bool, int]] = []
-        for contender, is_ap, bss in self._contenders:
+        pruned = False
+        for slot in ready:
+            contender = slot.contender
             if not contender.has_frames_pending():
+                slot.ready = False
+                pruned = True
                 continue
             ac = contender.pending_access_category()
-            slots = self.rng.randint(0, self._cw_for(contender, ac))
+            slots = rng.randint(0, self._cw_for(contender, ac))
             draws.append(
-                (float(slots), self.rng.random(), contender, is_ap, bss)
+                (float(slots), rng.random(), contender, slot.is_ap, slot.bss)
             )
+        if pruned:
+            self._ready = [slot for slot in ready if slot.ready]
         if not draws:
             return
 

@@ -16,6 +16,7 @@ received packets to registered flow handlers (the transport sinks).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.packet import AccessCategory, Packet
@@ -60,7 +61,7 @@ class ClientStation:
         self.queueing = queueing
 
         if queueing == "fq_codel":
-            be_queue: Qdisc = FqCodelQdisc(lambda: sim.now,
+            be_queue: Qdisc = FqCodelQdisc(partial(getattr, sim, "now"),
                                            on_drop=self._on_uplink_drop)
         else:
             be_queue = PfifoQdisc(queue_limit, on_drop=self._on_uplink_drop)
@@ -92,7 +93,8 @@ class ClientStation:
     def attach(self, medium: "Medium", ap: "AccessPoint") -> None:
         self.medium = medium
         self.ap = ap
-        medium.attach(self, is_ap=False, bss=getattr(ap, "bss", 0))
+        self._hw.on_ready = medium.attach(self, is_ap=False,
+                                          bss=getattr(ap, "bss", 0))
 
     def register_handler(self, flow_id: int, handler: PacketHandler,
                          burst: Optional[BurstHandler] = None) -> None:
@@ -128,19 +130,14 @@ class ClientStation:
         self.medium.notify_backlog()
         return accepted
 
-    def _dequeue_uplink(self, ac: AccessCategory) -> Optional[Packet]:
-        return self._uplink[ac].dequeue()
-
     def _fill_hw(self) -> None:
         for ac in (AccessCategory.VO, AccessCategory.BE):
             while not self._hw.full(ac):
                 has_held = self._builder.holdback_backlog(self.index, ac) > 0
                 if not self._uplink[ac].has_backlog() and not has_held:
                     break
-                agg = self._builder.build(
-                    self.index, ac, self.rate,
-                    lambda ac=ac: self._dequeue_uplink(ac),
-                )
+                agg = self._builder.build(self.index, ac, self.rate,
+                                          self._uplink[ac].dequeue)
                 if agg is None:
                     break
                 self._hw.push(agg)
@@ -151,6 +148,7 @@ class ClientStation:
         if not detached:
             self._fill_hw()
             if self.medium is not None and self._hw.has_pending():
+                self._hw.on_ready()
                 self.medium.notify_backlog()
 
     # ------------------------------------------------------------------
@@ -167,9 +165,13 @@ class ClientStation:
 
     def txop_complete(self, agg: Aggregate, success: bool) -> None:
         if success:
-            self.tx_packets += agg.n_packets
-            assert self.ap is not None
-            self.ap.receive_uplink(agg)
+            if self.ap is not None:
+                self.tx_packets += agg.n_packets
+                self.ap.receive_uplink(agg)
+            else:
+                # Removed from its BSS (remove_station) while this frame
+                # was on the air: no AP is listening any more.
+                self.uplink_drops += agg.n_packets
         else:
             if not self._hw.requeue_retry(agg):
                 # Retry limit hit: the packets are gone — report them to
@@ -180,8 +182,8 @@ class ClientStation:
                     if self.ap is not None:
                         self.ap.drops.report(pkt, "client", "retry")
         self._fill_hw()
-        assert self.medium is not None
-        self.medium.notify_backlog()
+        if self.medium is not None:
+            self.medium.notify_backlog()
 
     # ------------------------------------------------------------------
     # Downlink (AP -> client)

@@ -10,11 +10,17 @@ Hypothesis chooses:
 * the access point's fill pass, counted: Algorithm 3 is entered when a
   hardware slot can be filled, not once per arriving packet;
 * ``QuantileSketch.observe_many`` and the station's per-flow burst
-  delivery against one ``observe`` / one handler call per packet.
+  delivery against one ``observe`` / one handler call per packet;
+* ``AggregateBuilder.build``'s stored timing against the properties an
+  aggregate computes from its packets;
+* the medium's ready-set arbitration against a poll of every attached
+  contender, on whole testbeds under churn, roaming, collisions and
+  frame errors.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,14 +34,19 @@ from repro.core.fq_codel import hash_flow
 from repro.core.mac_fq import MacFqStructure
 from repro.core.packet import AccessCategory, Packet
 from repro.experiments import workloads
-from repro.experiments.config import three_station_rates
+from repro.experiments.config import thirty_station_rates, three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
-from repro.mac.aggregation import Aggregate
+from repro.faults import Churn, FaultSchedule
+from repro.mac.aggregation import Aggregate, AggregateBuilder, AggregationLimits
 from repro.mac.ap import Scheme
+from repro.mac.medium import Medium
 from repro.mac.station import ClientStation
-from repro.phy.rates import HT20_MCS_TABLE
+from repro.phy.constants import T_DIFS_US, T_SLOT_US
+from repro.phy.rates import HT20_MCS_TABLE, RATE_LEGACY_1M
 from repro.sim.engine import Simulator
 from repro.telemetry import QuantileSketch
+from repro.topology import CampusOptions, CampusTestbed, campus_topology
+from repro.topology.spec import RoamEvent
 from repro.traffic.udp import UdpSink
 
 
@@ -315,3 +326,164 @@ def test_burst_delivery_leaves_the_sinks_as_per_packet_delivery(aggregates):
         assert (sink.rx_bytes, sink._window_bytes, sink.rx_packets) == \
             (n_bytes, n_bytes, n_packets)
         assert _sketch_state(sink.delay) == _sketch_state(delay)
+
+
+# ----------------------------------------------------------------------
+# Aggregate timing: computed once in the build loop
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(40, 1500), min_size=1, max_size=80),
+       rate=st.sampled_from((*HT20_MCS_TABLE.values(), RATE_LEGACY_1M)),
+       ac=st.sampled_from(tuple(AccessCategory)),
+       amsdu=st.booleans())
+def test_built_timing_is_what_the_packets_give(sizes, rate, ac, amsdu):
+    """Whatever path built it, an aggregate reports the bytes and times
+    a fresh aggregate of the same packets computes, to the last bit."""
+    queue = [Packet(1, size) for size in sizes]
+    builder = AggregateBuilder(AggregationLimits(amsdu_enabled=amsdu))
+    built = 0
+    while True:
+        agg = builder.build(0, ac, rate,
+                            lambda: queue.pop(0) if queue else None)
+        if agg is None:
+            break
+        built += agg.n_packets
+        fresh = Aggregate(0, ac, rate, list(agg.packets),
+                          mpdu_payload_sizes=agg.mpdu_payload_sizes)
+        assert (agg.payload_bytes, agg.mpdu_bytes, agg.data_time_us,
+                agg.duration_us) == (fresh.payload_bytes, fresh.mpdu_bytes,
+                                     fresh.data_time_us, fresh.duration_us)
+    assert built == len(sizes)
+
+
+# ----------------------------------------------------------------------
+# DCF arbitration: the ready set against a poll of every contender
+# ----------------------------------------------------------------------
+class PollEveryContender(Medium):
+    """The arbitration the ready set replaced: every attached contender
+    is asked, in registration order, whether it has frames."""
+
+    def _arbitrate(self) -> None:
+        self._arbitration_scheduled = False
+        if self._busy:
+            return
+        draws = []
+        for slot in self._contenders:
+            contender = slot.contender
+            if not contender.has_frames_pending():
+                continue
+            ac = contender.pending_access_category()
+            slots = self.rng.randint(0, self._cw_for(contender, ac))
+            draws.append((float(slots), self.rng.random(), contender,
+                          slot.is_ap, slot.bss))
+        if not draws:
+            return
+        draws.sort(key=lambda draw: (draw[0], draw[1]))
+        first = draws[0]
+        min_slots = first[0]
+        wait_us = T_DIFS_US + min_slots * T_SLOT_US
+        self._busy = True
+        if self.collisions:
+            tied = [d for d in draws if d[0] == min_slots]
+            if len(tied) > 1:
+                participants = [(d[2], d[3], d[4]) for d in tied]
+                self.sim.schedule(
+                    wait_us,
+                    lambda: self._start_collision(participants, wait_us))
+                return
+        self.sim.schedule_call(
+            wait_us, self._start_entry, (first[2], first[3], first[4], wait_us))
+
+
+def _tcp_with_pings(testbed) -> None:
+    """Downloads, uploads and pings: every station contends for uplink."""
+    workloads.tcp_bidir(testbed)
+    workloads.add_pings(testbed, interval_us=20_000.0)
+
+
+def _churn():
+    faults = FaultSchedule(churn=(
+        Churn(station=1, detach_s=0.3, reattach_s=0.6, mode="flush"),
+        Churn(station=2, detach_s=0.4, reattach_s=0.8, mode="park"),
+    ))
+    return Testbed(three_station_rates(),
+                   TestbedOptions(seed=1, faults=faults))
+
+
+def _cross_channel_roam():
+    # Station 0 leaves channel 0 for channel 1 and comes back; station 3
+    # (channel 1) crosses the other way.  Frame errors put retries on
+    # both channels around the handoffs.
+    topology = campus_topology(
+        n_bss=2, n_channels=2, stations_per_bss=2,
+        roam=(RoamEvent(station=0, at_s=0.3, to_bss=1),
+              RoamEvent(station=3, at_s=0.45, to_bss=0),
+              RoamEvent(station=0, at_s=0.7, to_bss=0)),
+    )
+    return CampusTestbed(topology, CampusOptions(seed=2, error_rate=0.1))
+
+
+def _collisions():
+    testbed = Testbed(three_station_rates(), TestbedOptions(seed=3))
+    testbed.medium.collisions = True
+    return testbed
+
+
+def _frame_errors():
+    return Testbed(three_station_rates(),
+                   TestbedOptions(seed=4, error_rate=0.2))
+
+
+def _thirty_stations():
+    return Testbed(thirty_station_rates(), TestbedOptions(seed=5))
+
+
+def _observed_run(build, monkeypatch, medium_class, duration_s: float):
+    """Build a testbed on ``medium_class``, run it, return what it did."""
+    monkeypatch.setattr("repro.topology.campus.Medium", medium_class)
+    testbed = build()
+    records = {channel: [] for channel in testbed.mediums}
+    for channel, medium in testbed.mediums.items():
+        assert type(medium) is medium_class
+        medium.add_observer(records[channel].append)
+    _tcp_with_pings(testbed)
+    testbed.run(duration_s)
+    stations = {
+        index: (node.rx_packets, node.tx_packets, node.uplink_drops,
+                node.uplink_backlog)
+        for index, node in testbed.stations.items()
+    }
+    cells = {
+        bss: (stack.ap.downlink_enqueued, stack.ap.drops.counts,
+              testbed.trackers[bss].airtime_us,
+              testbed.trackers[bss].delivered_bytes)
+        for bss, stack in testbed.bss.items()
+    }
+    collisions = {channel: medium.collision_count
+                  for channel, medium in testbed.mediums.items()}
+    return records, stations, cells, collisions
+
+
+@pytest.mark.parametrize("build, duration_s", [
+    (_churn, 1.2),
+    (_cross_channel_roam, 1.0),
+    (_collisions, 0.8),
+    (_frame_errors, 0.8),
+    (_thirty_stations, 1.0),
+], ids=["churn", "cross-channel-roam", "collisions", "frame-errors",
+        "thirty-stations"])
+def test_ready_set_draws_as_a_poll_of_every_contender(build, duration_s,
+                                                      monkeypatch):
+    fast = _observed_run(build, monkeypatch, Medium, duration_s)
+    reference = _observed_run(build, monkeypatch, PollEveryContender,
+                              duration_s)
+    records, stations, cells, collisions = fast
+    assert all(records.values())
+    assert records == reference[0]
+    assert stations == reference[1]
+    assert cells == reference[2]
+    assert collisions == reference[3]
+    if build is _collisions:
+        assert collisions[0] > 0
+    if build is _frame_errors:
+        assert not all(rec.success for rec in records[0])

@@ -92,3 +92,42 @@ class TestRetryChain:
         assert not hw.requeue_retry(a)
         assert hw.retry_drops == 1
         assert not hw.has_pending()
+
+
+class TestReadinessHook:
+    """``on_ready`` fires exactly on the empty -> non-empty transitions
+    (the medium's ready set relies on it, DESIGN.md §11 invariant 7)."""
+
+    def test_push_onto_an_empty_queue_fires(self):
+        hw = HardwareQueue()
+        calls = []
+        hw.on_ready = lambda: calls.append(hw.has_pending())
+        hw.push(agg(ac=AccessCategory.BE))
+        hw.push(agg(ac=AccessCategory.VO))  # another AC, still not idle
+        hw.push(agg(ac=AccessCategory.BE))
+        assert calls == [True]
+        while hw.pop() is not None:
+            pass
+        hw.push(agg(ac=AccessCategory.VO))
+        assert calls == [True, True]
+
+    def test_retry_onto_an_empty_queue_fires(self):
+        hw = HardwareQueue()
+        calls = []
+        a, b = agg(station=1), agg(station=2)
+        hw.push(a)
+        hw.on_ready = lambda: calls.append(hw.head_ac())
+        hw.push(b)  # not idle: no call
+        assert hw.pop() is a and hw.pop() is b
+        assert hw.requeue_retry(b)  # idle -> backlogged
+        assert hw.requeue_retry(a)  # already backlogged
+        assert calls == [AccessCategory.BE]
+
+    def test_a_retry_drop_does_not_fire(self):
+        hw = HardwareQueue()
+        calls = []
+        hw.on_ready = lambda: calls.append(1)
+        a = agg()
+        a.retries = MAX_RETRIES
+        assert not hw.requeue_retry(a)
+        assert calls == []

@@ -3,8 +3,8 @@ its invariants under churn whichever row it was built from.
 
 Two things live here.  A fifth scheme assembled, in this file only, out
 of parts no shipped scheme combines; and a Hypothesis state machine
-over one access point — arrivals, clock, churn and roaming with frames
-in flight — run against the four shipped rows and the fifth.
+over one access point — arrivals both ways, clock, churn and roaming
+with frames in flight — run against the four shipped rows and the fifth.
 """
 
 from __future__ import annotations
@@ -133,6 +133,18 @@ class AccessPointMachine(RuleBasedStateMachine):
                 1 + station, 1500, dst_station=station, seq=self.seq, ac=ac,
                 created_us=self.sim.now))
 
+    @rule(station=st.sampled_from(STATIONS),
+          ac=st.sampled_from((AccessCategory.BE, AccessCategory.VO)),
+          count=st.integers(1, 40))
+    def uplink(self, station, ac, count):
+        """The station's own queues and hardware queue contend too."""
+        if station not in self.ap.stations:
+            return
+        node = self.nodes[station]
+        for _ in range(count):
+            self.seq += 1
+            node.send(Packet(100 + station, 1500, seq=self.seq, ac=ac))
+
     @rule(dt_us=st.sampled_from((50.0, 500.0, 5_000.0, 50_000.0)))
     def advance(self, dt_us):
         """Let TXOPs start and complete (or stop mid-flight)."""
@@ -180,6 +192,21 @@ class AccessPointMachine(RuleBasedStateMachine):
                     or station in in_hw), station
 
     @invariant()
+    def every_backlogged_contender_is_ready(self):
+        """The medium polls only its ready set (DESIGN.md §11, invariant
+        7): whoever has frames must be in it, and only attached
+        contenders may be."""
+        medium = self.testbed.medium
+        ready = [slot.contender for slot in medium._ready]
+        attached = [slot.contender for slot in medium._contenders]
+        assert len({id(c) for c in ready}) == len(ready)
+        assert all(slot.ready for slot in medium._ready)
+        assert {id(c) for c in ready} <= {id(c) for c in attached}
+        for contender in attached:
+            if contender.has_frames_pending():
+                assert any(c is contender for c in ready), contender
+
+    @invariant()
     def resident_matches_the_containers(self):
         stack = self.ap.stack
         assert stack.resident() == recount(stack)
@@ -220,4 +247,22 @@ def test_finding_roam_back_does_not_forget_qdisc_residue(name):
     state.nobody_backlogged_is_forgotten()
     state.packets_are_conserved()
     state.resident_matches_the_containers()
+    state.teardown()
+
+
+def test_finding_uplink_frame_lands_after_its_station_left():
+    """Found by the machine once it could send uplink.  Station 1's
+    frame is on the air when ``remove_station`` takes it out of the BSS;
+    the completion reached a station with no AP and no medium and
+    tripped its asserts.  Nobody is listening any more: the packet is an
+    uplink drop, and the channel carries on."""
+    state = MACHINES["AIRTIME"]()
+    state.uplink(station=1, ac=AccessCategory.BE, count=1)
+    state.advance(dt_us=50.0)
+    state.remove(station=1)
+    state.advance(dt_us=500.0)
+    node = state.nodes[1]
+    assert (node.tx_packets, node.uplink_drops) == (0, 1)
+    state.every_backlogged_contender_is_ready()
+    state.packets_are_conserved()
     state.teardown()

@@ -159,6 +159,27 @@ class TestMediumAttach:
         with pytest.raises(ValueError, match="already attached"):
             medium.attach(node, is_ap=False)
 
+    def test_attach_hands_out_a_readiness_hook_detach_kills_it(self, sim):
+        medium = Medium(sim, random.Random(1))
+        a, b = FakeNode(station=0), FakeNode(station=1)
+        hook_a = medium.attach(a, is_ap=False)
+        hook_b = medium.attach(b, is_ap=False)
+        # Attached contenders start ready; an arbitration prunes idle ones.
+        assert [slot.contender for slot in medium._ready] == [a, b]
+        medium._arbitrate()
+        assert medium._ready == []
+        # Marked out of order, drawn in registration order.
+        b.give()
+        hook_b()
+        a.give()
+        hook_a()
+        hook_a()  # a second call is free
+        medium._arbitrate()
+        assert [slot.contender for slot in medium._ready] == [a, b]
+        medium.detach(b)
+        hook_b()
+        assert [slot.contender for slot in medium._ready] == [a]
+
     def test_detach_is_idempotent(self, sim):
         medium = Medium(sim, random.Random(1))
         node = FakeNode()
@@ -490,6 +511,52 @@ class TestRoaming:
         campus.run(0.25, 0.1)
         assert campus.serving[0] == 1
         assert all(r.ok for r in campus.audit_conservation().values())
+
+    def test_roamed_station_cannot_mark_itself_ready_on_the_old_channel(self):
+        """The readiness hook a medium hands out dies with the attachment.
+        Station 0 leaves channel 0 for channel 1 with its uplink hardware
+        queue full; a late call of the old hook (what a frame completing
+        on the old channel would make) must not put it back into channel
+        0's draws, and channel 1 — otherwise idle — must serve it at its
+        first arbitration."""
+        topo = campus_topology(n_bss=2, n_channels=2, stations_per_bss=2)
+        campus = CampusTestbed(topo, CampusOptions(scheme=Scheme.AIRTIME,
+                                                   seed=1))
+        old, new = campus.mediums[0], campus.mediums[1]
+        records = {0: [], 1: []}
+        old.add_observer(records[0].append)
+        new.add_observer(records[1].append)
+        arbitrations = []
+        arbitrate = new._arbitrate
+
+        def counted_arbitrate():
+            arbitrations.append(campus.sim.now)
+            arbitrate()
+        new._arbitrate = counted_arbitrate
+
+        node = campus.stations[0]
+        for seq in range(6):
+            node.send(Packet(50, 1500, seq=seq))
+        assert node._hw.has_pending()
+        stale_hook = node._hw.on_ready
+        campus.roam(0, 1)
+        assert node.medium is new and node._hw.on_ready is not stale_hook
+
+        stale_hook()
+        old.notify_backlog()
+        for seq in range(6, 12):
+            node.send(Packet(50, 1500, seq=seq))
+        assert all(slot.contender is not node for slot in old._ready)
+        campus.sim.run(until_us=20_000.0)
+
+        assert records[0] == []
+        first = records[1][0]
+        assert (first.station, first.downlink, first.bss) == (0, False, 1)
+        assert arbitrations[0] == 0.0
+        assert first.start_us == arbitrations[0]
+        # Every frame the station queued left on the new channel.
+        assert sum(rec.n_packets for rec in records[1]) == 12
+        assert node.uplink_backlog == 0 and not node._hw.has_pending()
 
     def test_roam_to_current_cell_is_noop(self):
         topo = campus_topology(n_bss=2, n_channels=1, stations_per_bss=2)
