@@ -67,7 +67,7 @@ KEPT: Dict[str, str] = {
 }
 
 #: Never-entered lines outside ``KEPT`` on the tree this was recorded on.
-BUDGET_OUTSIDE_KEPT = 887
+BUDGET_OUTSIDE_KEPT = 850
 
 #: Moved under ``tests/`` or deleted by the scope PR; must not come back.
 GONE = ("campaign/observatory.py", "campaign/chaos.py", "experiments/export.py")

@@ -15,9 +15,9 @@ trace size and identical inputs always produce identical quantiles
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from math import log2
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.telemetry.spans import SEGMENTS, Span, SpanCollector
 from repro.telemetry.trace import iter_trace_file
@@ -39,13 +39,6 @@ _BINS_PER_OCTAVE = 8
 _SPARKS = "▁▂▃▄▅▆▇█"
 
 
-def _bin_index(value_us: float) -> int:
-    """Histogram bin for a (non-negative) duration in µs."""
-    if value_us < 1.0:
-        return -1  # sub-microsecond (including exactly zero)
-    return int(math.floor(math.log2(value_us) * _BINS_PER_OCTAVE))
-
-
 def _bin_value(index: int) -> float:
     """Representative duration (µs) of bin ``index`` (its midpoint)."""
     if index < 0:
@@ -63,15 +56,43 @@ class SegmentStats:
     max_us: float = 0.0
     bins: Dict[int, int] = field(default_factory=dict)
 
-    def observe(self, value_us: float) -> None:
-        if self.count == 0 or value_us < self.min_us:
-            self.min_us = value_us
-        if value_us > self.max_us:
-            self.max_us = value_us
-        self.count += 1
-        self.total_us += value_us
-        index = _bin_index(value_us)
-        self.bins[index] = self.bins.get(index, 0) + 1
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Add ``values`` in order, exactly as one-at-a-time observation.
+
+        The sum is the same sequential float sum; ``min_us`` starts at
+        the first value ever seen and ``max_us`` at 0.  A value's bin is
+        ``-1`` below 1 µs (zero included), else ``int(log2(v) * 8)``.
+        The bin, min and max checks run once per run of equal values —
+        the members of one aggregate share their ``hw`` and ``air``
+        floats.
+        """
+        if not values:
+            return
+        bins = self.bins
+        total = self.total_us
+        low = values[0] if self.count == 0 else self.min_us
+        high = self.max_us
+        last = None
+        index = run = 0
+        for value in values:
+            total += value
+            if value != last:
+                if run:
+                    bins[index] = bins.get(index, 0) + run
+                    run = 0
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+                index = (-1 if value < 1.0
+                         else int(log2(value) * _BINS_PER_OCTAVE))
+                last = value
+            run += 1
+        bins[index] = bins.get(index, 0) + run
+        self.count += len(values)
+        self.total_us = total
+        self.min_us = low
+        self.max_us = high
 
     @property
     def mean_us(self) -> float:
@@ -125,17 +146,26 @@ class StationAttribution:
     total: SegmentStats = field(default_factory=SegmentStats)
     segments: Dict[str, SegmentStats] = field(default_factory=dict)
 
-    def observe(self, span: Span) -> None:
-        self.delivered += 1
-        self.total.observe(span.total_us)
-        for name in SEGMENTS:
-            value = span.segments.get(name)
-            if value is None:
-                continue
-            stats = self.segments.get(name)
+    def fold(self, spans: Sequence[Span]) -> None:
+        """Fold delivered spans of this station, in order: one
+        ``observe_many`` per series."""
+        self.delivered += len(spans)
+        self.total.observe_many([span.t_end - span.t_start
+                                 for span in spans])
+        columns: Dict[str, List[float]] = {}
+        for span in spans:
+            for name, value in span.segments.items():
+                column = columns.get(name)
+                if column is None:
+                    columns[name] = [value]
+                else:
+                    column.append(value)
+        segments = self.segments
+        for name, values in columns.items():
+            stats = segments.get(name)
             if stats is None:
-                stats = self.segments[name] = SegmentStats()
-            stats.observe(value)
+                stats = segments[name] = SegmentStats()
+            stats.observe_many(values)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -184,15 +214,23 @@ class Attribution:
             entry = self.stations[key] = StationAttribution()
         return entry
 
-    def observe(self, span: Span) -> None:
-        if span.outcome == "delivered":
-            self.delivered += 1
-            self._station(span.station).observe(span)
-        elif span.outcome == "dropped":
-            self.dropped += 1
-            self._station(span.station).dropped += 1
-        else:
-            self.open_spans += 1
+    def fold(self, batch: Sequence[Span]) -> None:
+        """Fold one record's batch of closed spans (one outcome)."""
+        first = batch[0]
+        if first.outcome == "dropped":
+            self.dropped += len(batch)
+            for span in batch:
+                self._station(span.station).dropped += 1
+            return
+        self.delivered += len(batch)
+        # An aggregate's members share a station; a hand-made trace may
+        # mix them, so fold each run of one station in order.
+        station, start = first.station, 0
+        for index, span in enumerate(batch):
+            if span.station != station:
+                self._station(station).fold(batch[start:index])
+                station, start = span.station, index
+        self._station(station).fold(batch[start:] if start else batch)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -260,10 +298,10 @@ class AttributionBuilder(SpanCollector):
             ("tx", "tx"): ("on_tx", {"station": None, "bss": None})}
 
     def __init__(self) -> None:
-        #: Spans closed before the marker status is known.  Pre-marker
+        #: Batches closed before the marker status is known.  Pre-marker
         #: spans always close with ``in_window`` False, so once a marker
         #: shows up they are pure warm-up history.
-        self._buffered: List[Span] = []
+        self._buffered: List[List[Span]] = []
         super().__init__(sink=self._buffered.append)
         self._result = Attribution()
 
@@ -272,11 +310,12 @@ class AttributionBuilder(SpanCollector):
         if not self._result.windowed:
             self._result.windowed = True
             self._buffered.clear()
-            self.sink = self._observe_in_window
+            self.sink = self._fold_in_window
 
-    def _observe_in_window(self, span: Span) -> None:
-        if span.in_window:
-            self._result.observe(span)
+    def _fold_in_window(self, batch: List[Span]) -> None:
+        # One close time per batch, so one window test.
+        if batch[0].in_window:
+            self._result.fold(batch)
 
     def on_tx(self, t: float, station: int, bss: Optional[int]) -> None:
         if bss is not None:  # only multi-BSS tx records carry it
@@ -285,8 +324,8 @@ class AttributionBuilder(SpanCollector):
     def attribution(self) -> Attribution:
         """The result so far (idempotent; stitching may continue)."""
         result = self._result
-        for span in self._buffered:
-            result.observe(span)
+        for batch in self._buffered:
+            result.fold(batch)
         self._buffered.clear()
         # Open spans are a property of the trace, not of the window (open
         # spans never carry ``in_window``, so they contribute no stats).

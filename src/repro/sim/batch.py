@@ -7,7 +7,7 @@ lives in :mod:`repro.traffic.arrivals`).  A conventional
 :class:`~repro.sim.engine.Event` allocation, a re-arm ``schedule`` call
 and a ``now + interval`` float add inside the callback chain.
 ``BatchSource`` instead consumes an iterator of *chunks* — monotonically
-increasing absolute timestamps, precomputed in bulk (numpy) — and
+increasing absolute timestamps, precomputed in bulk — and
 replays them through the :meth:`~repro.sim.engine.Simulator.schedule_call_at`
 fast path: no Event objects, no closures, one chunk-generation step per
 ~thousands of arrivals.

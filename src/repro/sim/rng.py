@@ -30,7 +30,6 @@ class RngFactory:
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._streams: dict[str, random.Random] = {}
-        self._numpy_streams: dict[str, object] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it deterministically."""
@@ -38,21 +37,6 @@ class RngFactory:
             derived = self.seed ^ zlib.crc32(name.encode("utf-8"))
             self._streams[name] = random.Random(derived)
         return self._streams[name]
-
-    def numpy_stream(self, name: str):
-        """A seeded numpy ``Generator`` for ``name``.
-
-        Derived like :meth:`stream` (same seed, independent namespace),
-        for consumers that draw variates in bulk — e.g. the batched
-        Poisson arrival generator.  Lazy import keeps numpy off the
-        critical path for experiments that never touch it.
-        """
-        if name not in self._numpy_streams:
-            from numpy.random import default_rng
-
-            derived = self.seed ^ zlib.crc32(name.encode("utf-8"))
-            self._numpy_streams[name] = default_rng(derived)
-        return self._numpy_streams[name]
 
     def fork(self, salt: int) -> "RngFactory":
         """Return a new factory for a sub-experiment (e.g. one repetition)."""

@@ -33,11 +33,16 @@ decoded (or even retained) for spans — and :func:`iter_spans` consumes
 any record iterable (e.g. :func:`iter_trace_file`, which reads line by
 line) through the same handlers, so multi-GB traces never load into
 memory.
+
+Closed spans leave the collector in **batches**, one per closing
+record: a drop closes one span, a successful aggregate TX closes every
+member still riding in it.  The spans of one batch share their outcome,
+close time and window membership, so a consumer pays per close event,
+not per packet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -69,48 +74,45 @@ SEGMENTS = ("qdisc", "driver", "mac", "assembly", "hw", "air")
 REQUIRED_CATEGORIES = ("queue", "agg", "hw", "driver")
 
 
-@dataclass(slots=True)
 class Span:
-    """The reconstructed lifecycle of one downlink packet."""
+    """The reconstructed lifecycle of one downlink packet.
 
-    pid: int
-    station: Optional[int] = None
-    flow: Optional[int] = None
-    t_start: float = 0.0
-    t_end: float = 0.0
-    #: 'delivered', 'dropped', or 'open' (resident at end of trace).
-    outcome: str = "open"
-    #: Segment name -> time spent waiting in it (µs); telescoping.
-    segments: Dict[str, float] = field(default_factory=dict)
-    #: Stage the packet is currently waiting in (open spans) or was
-    #: waiting in when it closed.
-    stage: str = "qdisc"
-    #: Aggregate sequence the packet was transmitted in (if it got there).
-    agg_seq: Optional[int] = None
-    drop_layer: Optional[str] = None
-    drop_reason: Optional[str] = None
-    #: True when the span *closed* inside the measurement window — i.e.
-    #: its latency was experienced during the window (steady state),
-    #: even if the packet was enqueued during warm-up.
-    in_window: bool = False
+    Built positionally by the record that first names the packet and
+    advanced in place by the join's handlers until it closes.
+    """
+
+    __slots__ = ("pid", "station", "flow", "t_start", "t_end", "outcome",
+                 "segments", "stage", "agg_seq", "drop_layer",
+                 "drop_reason", "in_window")
+
+    def __init__(self, pid: int, station: Optional[int],
+                 flow: Optional[int], t: float, stage: str) -> None:
+        self.pid = pid
+        self.station = station
+        self.flow = flow
+        self.t_start = t
+        #: Time of the latest checkpoint; the close time once closed.
+        self.t_end = t
+        #: 'delivered', 'dropped', or 'open' (resident at end of trace).
+        self.outcome = "open"
+        #: Segment name -> time spent waiting in it (µs); telescoping.
+        self.segments: Dict[str, float] = {}
+        #: Stage the packet is currently waiting in (open spans) or was
+        #: waiting in when it closed.
+        self.stage = stage
+        #: Aggregate sequence the packet was transmitted in (if it got
+        #: there).
+        self.agg_seq: Optional[int] = None
+        self.drop_layer: Optional[str] = None
+        self.drop_reason: Optional[str] = None
+        #: True when the span *closed* inside the measurement window —
+        #: i.e. its latency was experienced during the window (steady
+        #: state), even if the packet was enqueued during warm-up.
+        self.in_window = False
 
     @property
     def total_us(self) -> float:
         return self.t_end - self.t_start
-
-    def _advance(self, stage: str, t: float) -> None:
-        """Close the current waiting segment at ``t``; wait in ``stage``."""
-        elapsed = t - self.t_end
-        if elapsed:
-            self.segments[self.stage] = (
-                self.segments.get(self.stage, 0.0) + elapsed
-            )
-        self.t_end = t
-        self.stage = stage
-
-    def _close(self, t: float, outcome: str) -> None:
-        self._advance(self.stage, t)
-        self.outcome = outcome
 
 
 class SpanCollector(TapConsumer):
@@ -120,10 +122,15 @@ class SpanCollector(TapConsumer):
     :class:`~repro.telemetry.trace.TapConsumer` front-ends: ``register``
     taps a bus, so a live run stitches as it emits (``Telemetry`` never
     decodes the ring for spans), and ``feed`` unpacks one decoded dict
-    record — a trace file line — into the same call.  Each span goes to
-    ``sink`` the moment it closes (usually zero or one per record; a
-    successful aggregate TX closes all of its packets at once); without
-    a sink they collect in :attr:`closed`.
+    record — a trace file line — into the same call.  Every record that
+    closes spans hands them to ``sink`` as one non-empty list, the
+    moment they close: a drop closes one span, a successful aggregate TX
+    all of its members still riding in it, in ``built`` order.  Without
+    a sink the batches collect in :attr:`closed`.
+
+    Each checkpoint *advances* a span: the time since its previous
+    checkpoint is added to the segment it was waiting in (when nonzero)
+    and the span moves to the next stage.  The handlers do this inline.
 
     ``finish`` returns the still-open spans — packets resident in the
     stack (or on the air) when the trace ended; those are *expected* for
@@ -153,7 +160,9 @@ class SpanCollector(TapConsumer):
         ("meta", "measurement_start"): ("on_marker", {}),
     }
 
-    def __init__(self, sink: Optional[Callable[[Span], None]] = None) -> None:
+    def __init__(
+        self, sink: Optional[Callable[[List[Span]], None]] = None,
+    ) -> None:
         self._open: Dict[int, Span] = {}
         #: agg seq -> pids still riding in that aggregate.
         self._aggs: Dict[int, List[int]] = {}
@@ -162,9 +171,9 @@ class SpanCollector(TapConsumer):
         #: on entry, uplink client drops) — degenerate zero-length spans.
         self.pre_enqueue_drops = 0
         self.window_start_us: Optional[float] = None
-        #: Closed spans nobody took (the default sink).
-        self.closed: List[Span] = []
-        #: Called with each span as it closes.
+        #: Batches of closed spans nobody took (the default sink).
+        self.closed: List[List[Span]] = []
+        #: Called with each record's batch of closed spans.
         self.sink = sink if sink is not None else self.closed.append
 
     # ------------------------------------------------------------------
@@ -176,10 +185,8 @@ class SpanCollector(TapConsumer):
             # A pid can never be enqueued twice downlink; treat the
             # earlier span as inconsistent rather than leaking it.
             self.unmatched += 1
-        self._open[pid] = Span(
-            pid=pid, station=station, flow=flow, t_start=t, t_end=t,
-            stage="qdisc" if layer == "qdisc" else "mac",
-        )
+        self._open[pid] = Span(pid, station, flow, t,
+                               "qdisc" if layer == "qdisc" else "mac")
 
     def on_dequeue(self, t: float, pid: int, station: Optional[int],
                    layer: str) -> None:
@@ -191,9 +198,14 @@ class SpanCollector(TapConsumer):
             # The shared qdisc above the driver is stationless (exactly
             # like Linux's mq root); the driver knows the TID's station.
             span.station = station
+        elapsed = t - span.t_end
+        if elapsed:
+            segments, stage = span.segments, span.stage
+            segments[stage] = segments.get(stage, 0.0) + elapsed
+        span.t_end = t
         # Legacy path: the qdisc feeds the driver FIFO.  A driver or
         # MAC/VO dequeue feeds the aggregate builder directly.
-        span._advance("driver" if layer == "qdisc" else "assembly", t)
+        span.stage = "driver" if layer == "qdisc" else "assembly"
 
     def on_drop(self, t: float, pid: int, station: Optional[int],
                 flow: Optional[int], layer: Optional[str],
@@ -203,26 +215,47 @@ class SpanCollector(TapConsumer):
             # Dropped without ever being enqueued (detached station,
             # uplink client drop): a legitimate zero-length span.
             self.pre_enqueue_drops += 1
-            span = Span(pid=pid, station=station, flow=flow,
-                        t_start=t, t_end=t, stage="qdisc")
+            span = Span(pid, station, flow, t, "qdisc")
+        else:
+            elapsed = t - span.t_end
+            if elapsed:
+                segments, stage = span.segments, span.stage
+                segments[stage] = segments.get(stage, 0.0) + elapsed
+            span.t_end = t
+            seq = span.agg_seq
+            if seq is not None:  # dropped between build and TX done
+                members = self._aggs.get(seq)
+                if members is not None:
+                    try:
+                        members.remove(pid)
+                    except ValueError:
+                        pass
+                    if not members:
+                        del self._aggs[seq]
+        span.outcome = "dropped"
         span.drop_layer = layer
         span.drop_reason = reason
-        span._close(t, "dropped")
-        span.in_window = self._in_window(t)
-        self._forget_agg_member(span)
-        self.sink(span)
+        start = self.window_start_us
+        span.in_window = start is not None and t >= start
+        self.sink([span])
 
     def on_built(self, t: float, seq: int, station: Optional[int],
                  pids: Iterable[int]) -> None:
+        get = self._open.get
         members: List[int] = []
         for pid in pids:
-            span = self._open.get(pid)
+            span = get(pid)
             if span is None:
                 self.unmatched += 1
                 continue
             if span.station is None:
                 span.station = station
-            span._advance("hw", t)
+            elapsed = t - span.t_end
+            if elapsed:
+                segments, stage = span.segments, span.stage
+                segments[stage] = segments.get(stage, 0.0) + elapsed
+            span.t_end = t
+            span.stage = "hw"
             span.agg_seq = seq
             members.append(pid)
         if members:
@@ -231,40 +264,47 @@ class SpanCollector(TapConsumer):
     def on_tx_done(self, t: float, seq: int, ok: bool) -> None:
         if not ok:
             return
-        in_window = self._in_window(t)
-        for pid in self._aggs.pop(seq, ()):  # unknown seq: uplink/VO
-            span = self._open.pop(pid, None)
+        members = self._aggs.pop(seq, None)
+        if members is None:
+            return  # unknown seq: uplink/VO
+        start = self.window_start_us
+        in_window = start is not None and t >= start
+        pop = self._open.pop
+        batch: List[Span] = []
+        for pid in members:
+            span = pop(pid, None)
             if span is None:
                 continue  # already closed by a drop record
-            span._close(t, "delivered")
+            elapsed = t - span.t_end
+            if elapsed:
+                segments, stage = span.segments, span.stage
+                segments[stage] = segments.get(stage, 0.0) + elapsed
+            span.t_end = t
+            span.outcome = "delivered"
             span.in_window = in_window
-            self.sink(span)
+            batch.append(span)
+        if batch:
+            self.sink(batch)
 
     def on_pop(self, t: float, seq: int) -> None:
-        for pid in self._aggs.get(seq, ()):
-            span = self._open.get(pid)
+        members = self._aggs.get(seq)
+        if members is None:
+            return
+        get = self._open.get
+        for pid in members:
+            span = get(pid)
             if span is not None and span.stage == "hw":
                 # Only the first pop moves the packet onto the air; retry
                 # pops find it already in the 'air' stage.
-                span._advance("air", t)
+                elapsed = t - span.t_end
+                if elapsed:
+                    segments = span.segments
+                    segments["hw"] = segments.get("hw", 0.0) + elapsed
+                span.t_end = t
+                span.stage = "air"
 
     def on_marker(self, t: float) -> None:
         self.window_start_us = t
-
-    def _forget_agg_member(self, span: Span) -> None:
-        if span.agg_seq is None:
-            return
-        members = self._aggs.get(span.agg_seq)
-        if members is not None:
-            try:
-                members.remove(span.pid)
-            except ValueError:
-                pass
-            if not members:
-                del self._aggs[span.agg_seq]
-
-    def _in_window(self, t: float) -> bool:
-        return self.window_start_us is not None and t >= self.window_start_us
 
     # ------------------------------------------------------------------
     def finish(self, t_end: Optional[float] = None) -> List[Span]:
@@ -273,7 +313,11 @@ class SpanCollector(TapConsumer):
         for pid in sorted(self._open):
             span = self._open[pid]
             if t_end is not None:
-                span._advance(span.stage, t_end)
+                elapsed = t_end - span.t_end
+                if elapsed:
+                    segments, stage = span.segments, span.stage
+                    segments[stage] = segments.get(stage, 0.0) + elapsed
+                span.t_end = t_end
             span.outcome = "open"
             residual.append(span)
         self._open.clear()
@@ -304,7 +348,8 @@ def iter_spans(
         t_last = record["t"]
         collector.feed(record)
         if closed:
-            yield from closed
+            for batch in closed:
+                yield from batch
             closed.clear()
     yield from collector.finish(t_last)
 

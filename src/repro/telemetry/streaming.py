@@ -34,6 +34,8 @@ from the sketches, so peak memory no longer scales with sim duration.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.fairness import jain_index
@@ -230,9 +232,9 @@ class QuantileSketch:
             n_b = len(buffer)
             batch_total = sum(buffer)
             batch_mean = batch_total / n_b
-            batch_m2 = math.fsum(
+            batch_m2 = math.fsum([
                 (v - batch_mean) * (v - batch_mean) for v in buffer
-            )
+            ])
             # Chan parallel combination of (existing, batch) moments.
             n_a = self._count
             if n_a == 0:
@@ -248,14 +250,14 @@ class QuantileSketch:
                 self._min = lo
             if hi > self._max:
                 self._max = hi
-            points.extend((float(v), 1.0) for v in buffer)
+            points.extend(zip(map(float, buffer), repeat(1.0)))
             buffer.clear()
         if extra:
             points.extend(extra)
         if not points:
             return
-        points.sort(key=lambda p: p[0])
-        total_weight = sum(w for _, w in points)
+        points.sort(key=itemgetter(0))
+        total_weight = sum(map(itemgetter(1), points))
         cap = max(1.0, math.ceil(total_weight / self.max_centroids))
         means: List[float] = []
         weights: List[float] = []

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import (
     Any,
@@ -382,7 +383,8 @@ def iter_trace_file(path: str) -> Iterator[Dict[str, Any]]:
     """Yield the records of a JSONL trace, one line at a time.
 
     The one reader behind every ``trace`` subcommand: a line that is not
-    a JSON object carrying ``t`` / ``cat`` / ``ev`` raises
+    a JSON object carrying ``t`` / ``cat`` / ``ev``, with ``t`` a finite
+    number (``Infinity`` and ``NaN`` parse as floats), raises
     ``ValueError("FILE:LINE: not a trace record")``.
     """
     with open(path, "r") as handle:
@@ -392,10 +394,13 @@ def iter_trace_file(path: str) -> Iterator[Dict[str, Any]]:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError:
-                record = None
-            if not (isinstance(record, dict)
-                    and _RECORD_KEYS <= record.keys()):
+                valid = (isinstance(record, dict)
+                         and _RECORD_KEYS <= record.keys()
+                         and type(record["t"]) in (int, float)
+                         and math.isfinite(record["t"]))
+            except (ValueError, OverflowError):  # an int past float range
+                valid = False
+            if not valid:
                 raise ValueError(f"{path}:{number}: not a trace record")
             yield record
 

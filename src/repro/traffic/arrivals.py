@@ -1,35 +1,29 @@
 """Chunked arrival-timestamp generation for batched traffic sources.
 
-These generators are the traffic-side half of batched arrival generation
-(:class:`repro.sim.batch.BatchSource` is the engine-side half).  Each
+This generator is the traffic-side half of batched arrival generation
+(:class:`repro.sim.batch.BatchSource` is the engine-side half).  It
 yields *chunks* — plain lists of absolute simulation times (µs) — that a
-``BatchSource`` replays one wake-up at a time; generation itself is
-vectorised (numpy) and amortised over ``chunk_size`` arrivals, so a
-10-minute CBR flow costs a few hundred array operations instead of a few
-hundred thousand Python float adds.
+``BatchSource`` replays one wake-up at a time; generation is amortised
+over ``chunk_size`` arrivals, one C-level ``itertools.accumulate`` per
+chunk instead of a Python float add per packet.
 
 Bit-equivalence contract: a legacy ``PeriodicTimer`` produces the
 timestamp chain ``t0, t0 + i, (t0 + i) + i, ...`` — a *left fold* of
-double additions, where each step rounds.  ``np.add.accumulate`` on a
-float64 array performs the identical left fold, and chunking carries the
-last timestamp into the next chunk's fold, so the generated floats are
-bit-identical to the legacy chain (covered by
-``tests/test_batch_arrivals.py``).  Timestamps are converted to Python
-floats (``ndarray.tolist``) before leaving this module so that no numpy
-scalar ever reaches the event heap, packet fields, or trace records.
+double additions, where each step rounds.  ``accumulate`` performs the
+identical left fold, and chunking carries the last timestamp into the
+next chunk's fold, so the generated floats are bit-identical to the
+legacy chain (covered by ``tests/test_batch_arrivals.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Union
+from itertools import accumulate, repeat
+from typing import Iterator, List
 
-import numpy as np
-from numpy.random import Generator, default_rng
+__all__ = ["cbr_chunks", "DEFAULT_CHUNK_SIZE"]
 
-__all__ = ["cbr_chunks", "poisson_chunks", "DEFAULT_CHUNK_SIZE"]
-
-#: Arrivals precomputed per chunk.  4096 float64 timestamps are 32 KiB —
-#: memory stays flat however long the flow runs.
+#: Arrivals precomputed per chunk: memory stays flat however long the
+#: flow runs.
 DEFAULT_CHUNK_SIZE = 4096
 
 
@@ -46,43 +40,11 @@ def cbr_chunks(
         raise ValueError("interval must be positive")
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    steps = np.empty(chunk_size, dtype=np.float64)
+    interval = float(interval_us)
     base = float(start_us)
     while True:
-        steps[0] = base
-        steps[1:] = interval_us
-        times = np.add.accumulate(steps)
-        yield times.tolist()
+        times = list(accumulate(repeat(interval, chunk_size - 1),
+                                initial=base))
+        yield times
         # Same left fold as an unchunked chain: one more rounded add.
-        base = float(times[-1]) + interval_us
-
-
-def poisson_chunks(
-    start_us: float,
-    mean_interval_us: float,
-    seed: Union[int, Generator],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[List[float]]:
-    """Poisson arrivals: i.i.d. exponential gaps with the given mean.
-
-    The first arrival is ``start_us`` plus one exponential gap; every
-    later arrival adds another gap, left-folded exactly like
-    :func:`cbr_chunks`.  ``seed`` is an explicit integer seed or a
-    seeded generator (``RngFactory.numpy_stream``); a given stream
-    always produces the identical chain regardless of ``chunk_size``,
-    because gaps are drawn ``chunk_size`` at a time in arrival order and
-    the fold carries the last timestamp across chunks.
-    """
-    if mean_interval_us <= 0:
-        raise ValueError("mean interval must be positive")
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    rng = seed if isinstance(seed, Generator) else default_rng(seed)
-    fold = np.empty(chunk_size + 1, dtype=np.float64)
-    base = float(start_us)
-    while True:
-        fold[0] = base
-        fold[1:] = rng.exponential(mean_interval_us, chunk_size)
-        times = np.add.accumulate(fold)
-        base = float(times[-1])
-        yield times[1:].tolist()
+        base = times[-1] + interval

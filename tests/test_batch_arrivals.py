@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from numpy.random import default_rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.batch import BatchSource
 from repro.sim.engine import PeriodicTimer, SimulationError, Simulator
-from repro.traffic.arrivals import cbr_chunks, poisson_chunks
+from repro.traffic.arrivals import cbr_chunks
 
 
 def _take(iterator, n_chunks):
@@ -49,6 +50,20 @@ class TestCbrChunks:
              for t in c]
         assert a[:1024] == b
 
+    @given(start=st.floats(0.0, 1e9), interval=st.floats(1e-3, 1e6),
+           chunk_size=st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_any_start_interval_and_chunk_size_is_the_left_fold(
+            self, start, interval, chunk_size):
+        legacy = []
+        t = start
+        for _ in range(4 * chunk_size):
+            legacy.append(t)
+            t = t + interval
+        chunked = [t for c in _take(cbr_chunks(start, interval, chunk_size),
+                                    4) for t in c]
+        assert chunked == legacy
+
     def test_yields_python_floats(self):
         chunk = next(cbr_chunks(5.0, 5.0, 8))
         assert all(type(t) is float for t in chunk)
@@ -58,29 +73,6 @@ class TestCbrChunks:
             next(cbr_chunks(0.0, 0.0))
         with pytest.raises(ValueError):
             next(cbr_chunks(0.0, 1.0, chunk_size=0))
-
-
-class TestPoissonChunks:
-    def test_chunk_size_invariant_for_fixed_stream(self):
-        a = [t for c in _take(poisson_chunks(0.0, 100.0, 42, 32), 32)
-             for t in c]
-        b = [t for c in _take(poisson_chunks(0.0, 100.0, 42, 1024), 1)
-             for t in c]
-        assert a[:1024] == b
-
-    def test_accepts_prebuilt_generator(self):
-        a = [t for c in _take(poisson_chunks(0.0, 50.0, default_rng(7), 64),
-                              4) for t in c]
-        b = [t for c in _take(poisson_chunks(0.0, 50.0, default_rng(7), 64),
-                              4) for t in c]
-        assert a == b
-        assert all(t2 > t1 for t1, t2 in zip(a, a[1:]))
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            next(poisson_chunks(0.0, 0.0, 1))
-        with pytest.raises(ValueError):
-            next(poisson_chunks(0.0, 1.0, 1, chunk_size=-4))
 
 
 class TestBatchSource:

@@ -178,6 +178,27 @@ class TestExitCodeContract:
         assert "unknown golden" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["fig05", "--duration", "0.3", "--warmup", "0.1", "--no-cache",
+     "--jobs", "1"],
+], ids=["list", "fig05"])
+def test_runs_on_the_declared_dependencies(argv, tmp_path):
+    """``pyproject.toml`` declares no dependencies, so nothing a user
+    runs may import numpy."""
+    blocked = ("import sys; sys.modules['numpy'] = None; "
+               "from repro.experiments.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    proc = subprocess.run(
+        [sys.executable, "-c", blocked, *argv], cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert ("fig05" if argv == ["list"] else "Figure 5") in proc.stdout
+
+
 def test_spans_without_trace_dir_stitches_in_memory(tmp_path):
     """``--spans`` alone turns on in-memory tracing: spans are stitched
     from taps, so there is no file to require."""

@@ -26,7 +26,11 @@ from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import saturating_udp_download
 from repro.mac.ap import ALL_SCHEMES, Scheme
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.spans import collect_spans, iter_trace_file
+from repro.telemetry.spans import (
+    SpanCollector,
+    collect_spans,
+    iter_trace_file,
+)
 
 
 _RUNS: dict = {}
@@ -200,6 +204,47 @@ class TestSpanJoin:
         attribution = attribute_records(records)
         assert attribution.windowed
         assert attribution.delivered == 1  # only the in-window delivery
+
+    def test_dropping_every_member_forgets_the_aggregate(self):
+        """An aggregate whose members are all dropped may never see a
+        ``tx_done`` (a flushed hardware queue): the join must not keep
+        it."""
+        records = [
+            _rec(0.0, "queue", "enqueue", layer="mac", station=0, pid=1),
+            _rec(0.0, "queue", "enqueue", layer="mac", station=0, pid=2),
+            _rec(1.0, "queue", "dequeue", layer="mac", station=0, pid=1),
+            _rec(1.0, "queue", "dequeue", layer="mac", station=0, pid=2),
+            _rec(2.0, "agg", "built", agg=4, station=0, pids=[1, 2]),
+            _rec(3.0, "queue", "drop", layer="mac", station=0, pid=2,
+                 reason="flush"),
+            _rec(3.0, "queue", "drop", layer="mac", station=0, pid=1,
+                 reason="flush"),
+        ]
+        batches = []
+        collector = SpanCollector(sink=batches.append)
+        for record in records:
+            collector.feed(record)
+        assert [[s.pid for s in batch] for batch in batches] == [[2], [1]]
+        assert collector._aggs == {}
+
+    def test_one_batch_per_closing_record(self):
+        records = [
+            _rec(0.0, "queue", "enqueue", layer="mac", station=0, pid=1),
+            _rec(0.0, "queue", "enqueue", layer="mac", station=0, pid=2),
+            _rec(1.0, "queue", "dequeue", layer="mac", station=0, pid=1),
+            _rec(1.0, "queue", "dequeue", layer="mac", station=0, pid=2),
+            _rec(2.0, "agg", "built", agg=5, station=0, pids=[1, 2]),
+            _rec(3.0, "hw", "pop", agg=5),
+            _rec(4.0, "queue", "drop", layer="mac", station=0, pid=9,
+                 reason="tail"),
+            _rec(5.0, "agg", "tx_done", agg=5, station=0, ok=True),
+        ]
+        batches = []
+        collector = SpanCollector(sink=batches.append)
+        for record in records:
+            collector.feed(record)
+        assert [[(s.pid, s.outcome) for s in batch] for batch in batches] \
+            == [[(9, "dropped")], [(1, "delivered"), (2, "delivered")]]
 
     def test_duplicate_enqueue_flags_unmatched(self):
         records = [

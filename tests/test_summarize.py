@@ -152,6 +152,32 @@ def test_reader_names_file_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("bad_t", ["Infinity", "-Infinity", "NaN", "true",
+                                   '"40.0"', "1" + "0" * 400],
+                         ids=["inf", "-inf", "nan", "bool", "string",
+                              "int-past-float-range"])
+def test_a_time_that_is_not_a_finite_number_is_not_a_trace_record(
+        command, bad_t, tmp_path, capsys):
+    """Infinity used to escape as an ``OverflowError`` traceback from the
+    waterfall's bins, and NaN to drop the delivered packet silently
+    ("0 delivered" and exit 0)."""
+    lines = [
+        '{"t":0.0,"cat":"queue","ev":"enqueue","layer":"mac","station":0,'
+        '"flow":1,"pid":1}',
+        '{"t":1.0,"cat":"queue","ev":"dequeue","layer":"mac","station":0,'
+        '"pid":1}',
+        '{"t":2.0,"cat":"agg","ev":"built","agg":5,"station":0,"pids":[1]}',
+        '{"t":3.0,"cat":"hw","ev":"pop","agg":5}',
+        '{"t":%s,"cat":"agg","ev":"tx_done","agg":5,"station":0,"ok":true}'
+        % bad_t,
+    ]
+    path = tmp_path / "bad_t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert _trace_cli(command, path) == 1
+    assert f"{path}:5: not a trace record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_known_shapes_with_missing_fields_take_the_defaults(
         command, tmp_path, capsys):
     path = tmp_path / "sparse.jsonl"
