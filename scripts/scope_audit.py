@@ -49,28 +49,19 @@ SRC = ROOT / "src" / "repro"
 #: durability code behind live CLI flags, which no short healthy flow
 #: can enter.  Every file above 100 never-entered lines must be here.
 KEPT: Dict[str, str] = {
-    "campaign/engine.py": "crash-safe sweep engine behind `campaign run|resume|status`: journal replay, retry budgets, SIGINT checkpointing",
-    "campaign/journal.py": "write-ahead journal: checksummed append, torn-tail recovery",
-    "campaign/shards.py": "checksummed shard checkpoints, quarantine of corrupt ones",
-    "campaign/retry.py": "per-failure-class retry budgets and seeded backoff",
-    "campaign/spec.py": "campaign spec validation (outside input) and the seed ladder",
-    "campaign/reducer.py": "streaming shard reducer; ROADMAP item 1a consumes it",
-    "campaign/stats.py": "interval estimators, their distribution functions, the stopping rule; ROADMAP item 1a consumes `mean_interval`",
-    "campaign/cells.py": "cell functions of `campaign run demo|campus`",
-    "experiments/campaign_cli.py": "`campaign run|resume|status` argument handling and exit codes",
     "runner/executor.py": "pool pass, timeouts, crash containment, canary probe, SIGTERM drain",
     "runner/cache.py": "result cache: corrupt-entry quarantine, atomic writes",
-    "runner/atomicio.py": "fsync'd atomic writes and the fault hook the chaos harness drives",
     "runner/progress.py": "`--progress` heartbeats and the `--manifest-out` writer",
     "telemetry/flightrec.py": "`--flight-dir` failure bundles",
-    "telemetry/streaming.py": "sketch merge and serialisation, entered by the campaign reducer",
+    "telemetry/streaming.py": "`format_streaming`, the text view of a `StreamingStats` snapshot in the `repro.telemetry` API that no CLI flow prints",
 }
 
 #: Never-entered lines outside ``KEPT`` on the tree this was recorded on.
 BUDGET_OUTSIDE_KEPT = 850
 
-#: Moved under ``tests/`` or deleted by the scope PR; must not come back.
-GONE = ("campaign/observatory.py", "campaign/chaos.py", "experiments/export.py")
+#: Moved under ``tests/`` or deleted; must not come back.  The report is
+#: the one replication path (``--replications``), so no campaign engine.
+GONE = ("campaign", "experiments/campaign_cli.py", "experiments/export.py")
 
 _seen: Set = set()
 
@@ -98,8 +89,8 @@ def _report() -> None:
     from repro.experiments import report
 
     with tempfile.TemporaryDirectory() as tmp:
-        code = report.main(["--duration-scale", "0.02", "--no-cache",
-                            "--jobs", "1", "-q",
+        code = report.main(["--duration-scale", "0.02", "--replications",
+                            "2", "--no-cache", "--jobs", "1", "-q",
                             "-o", os.path.join(tmp, "report.md")])
     if code != 0:
         raise RuntimeError(f"report exited {code}")
@@ -163,7 +154,7 @@ def _cached_pool_pass() -> None:
 
 
 FLOWS: List[Tuple[str, Callable[[], None]]] = [
-    ("report --duration-scale 0.02", _report),
+    ("report --duration-scale 0.02 --replications 2", _report),
     ("validate matrix --smoke | oracles | check", _validate),
     ("benchmarks/perf workloads", _perf_workloads),
     ("examples/", _examples),

@@ -1,9 +1,13 @@
-"""Measurement utilities: airtime accounting, aggregation stats, CDFs.
+"""Measurement utilities: airtime accounting, aggregation stats, CDFs,
+and confidence intervals over replications.
 
 :class:`AirtimeTracker` observes the medium and maintains per-station
 airtime totals (downlink + uplink, as the paper's accounting does),
 per-station aggregation-size averages, and delivered-payload counters —
 everything Figures 5–7, 9 and Table 1 are computed from.
+:func:`mean_interval` is the Student-t interval the report judges a
+claim on when it runs several seeds; its distribution functions are
+pure Python, because nothing a user runs may import scipy.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.fairness import jain_index
@@ -18,8 +23,13 @@ from repro.mac.medium import TransmissionRecord
 
 __all__ = [
     "AirtimeTracker",
-    "percentile",
+    "Interval",
+    "betainc",
     "cdf_points",
+    "mean_interval",
+    "percentile",
+    "student_t_cdf",
+    "student_t_ppf",
     "summarize",
 ]
 
@@ -151,3 +161,140 @@ def summarize(samples: Sequence[float]) -> Summary:
         p90=percentile(samples, 90),
         p99=percentile(samples, 99),
     )
+
+
+# ----------------------------------------------------------------------
+# Confidence intervals over replications
+# ----------------------------------------------------------------------
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta function (NR style).
+
+    Evaluates the Lentz continued fraction that multiplies the prefactor
+    in :func:`betainc`; converges in a few dozen iterations for every
+    ``x`` on the convergent side of ``(a + 1) / (a + b + 2)``.
+    """
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 200):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-14:
+            break
+    return h
+
+
+def betainc(a: float, b: float, x: float) -> float:
+    """Regularised incomplete beta function ``I_x(a, b)``."""
+    if a <= 0 or b <= 0:
+        raise ValueError("betainc requires a > 0 and b > 0")
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def student_t_cdf(t: float, df: float) -> float:
+    """CDF of Student's t distribution with ``df`` degrees of freedom."""
+    if df <= 0:
+        raise ValueError("df must be positive")
+    if t == 0.0:
+        return 0.5
+    # P(|T| > |t|) = I_{df/(df+t^2)}(df/2, 1/2).
+    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + t * t))
+    return 1.0 - tail if t > 0 else tail
+
+
+@lru_cache(maxsize=256)
+def student_t_ppf(p: float, df: float) -> float:
+    """Inverse CDF of Student's t (bisection on :func:`student_t_cdf`).
+
+    Intended for critical values (``p`` well inside (0, 1)); memoised,
+    since a report asks for the same ``(p, df)`` once per quantity.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must be within (0, 1)")
+    if df <= 0:
+        raise ValueError("df must be positive")
+    if p == 0.5:
+        return 0.0
+    if p < 0.5:
+        return -student_t_ppf(1.0 - p, df)
+    # Bracket: t grows slowly with p; 1e6 covers df=1 out past p=1-1e-6.
+    lo, hi = 0.0, 64.0
+    while student_t_cdf(hi, df) < p and hi < 1e9:
+        hi *= 32.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if student_t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A two-sided confidence interval around a mean."""
+
+    lo: float
+    hi: float
+    confidence: float
+
+    @property
+    def half_width(self) -> float:
+        return (self.hi - self.lo) / 2.0
+
+
+def mean_interval(count: int, mean: float, variance: float,
+                  confidence: float = 0.95) -> Optional[Interval]:
+    """Student-t interval for the mean of ``count`` replications.
+
+    Returns ``None`` below two replications (no variance estimate).  A
+    zero sample variance yields a zero-width interval: replications that
+    agree exactly are infinitely precise.
+    """
+    if count < 2:
+        return None
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be within (0, 1)")
+    if variance <= 0.0:
+        return Interval(mean, mean, confidence)
+    t_crit = student_t_ppf(0.5 + confidence / 2.0, count - 1)
+    hw = t_crit * math.sqrt(variance / count)
+    return Interval(mean - hw, mean + hw, confidence)

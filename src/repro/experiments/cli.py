@@ -37,14 +37,15 @@ from repro.telemetry import (
     get_logger,
 )
 
-__all__ = ["main", "failure_table", "positive_float", "non_negative_float"]
+__all__ = ["main", "failure_table", "run_cost_table", "positive_float",
+           "positive_int", "non_negative_float"]
 
 log = get_logger("repro.cli")
 
 #: Subcommand families: dispatched before the experiment parser (so
 #: ``repro trace summarize ...`` never fights the positional experiment
 #: argument) and imported only when asked for.
-SUBCOMMANDS = ("trace", "validate", "campaign")
+SUBCOMMANDS = ("trace", "validate")
 
 
 def positive_float(text: str) -> float:
@@ -52,6 +53,14 @@ def positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (``nan``/``1.5``/0 are exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
     return value
 
 
@@ -97,7 +106,7 @@ def failure_table(failures: list[FailedResult]) -> str:
     return "\n".join(lines)
 
 
-def _run_cost_table(history: list[RunResult], mode: str = "") -> str:
+def run_cost_table(history: list[RunResult], mode: str = "") -> str:
     """Per-run cost table (wall time, events/sec, peak heap) for --profile.
 
     Wall time is split into simulation proper (``sim s``) and post-run
@@ -135,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("experiment",
-                        help="experiment id, 'all', 'list', 'trace', "
-                             "'validate', or 'campaign'")
+                        help="experiment id, 'all', 'list', 'trace' or "
+                             "'validate'")
     parser.add_argument("--duration", type=positive_float, default=None,
                         help="measurement window in simulated seconds")
     parser.add_argument("--warmup", type=non_negative_float, default=None,
@@ -292,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
                  telemetry.trace_path)
     if args.profile and runner.history:
         print()
-        print(_run_cost_table(runner.history, mode=runner.execution_mode))
+        print(run_cost_table(runner.history, mode=runner.execution_mode))
     failures = runner.failures
     if runner.interrupted:
         if failures:

@@ -50,6 +50,9 @@ class LatencyResult:
     def slow_summary(self) -> Summary:
         return summarize(self.rtts_ms.get(SLOW_STATION, []))
 
+    def summaries(self) -> Dict[str, Summary]:
+        return {"fast": self.fast_summary(), "slow": self.slow_summary()}
+
 
 def run_scheme(
     scheme: Scheme,
@@ -114,10 +117,7 @@ def format_table(results: Sequence[LatencyResult]) -> str:
         f"{'Scheme':>16} {'class':>6} {'p10':>8} {'median':>8} {'p90':>8} {'p99':>8}"
     )
     for result in results:
-        for label, summary in (
-            ("fast", result.fast_summary()),
-            ("slow", result.slow_summary()),
-        ):
+        for label, summary in result.summaries().items():
             lines.append(
                 f"{result.scheme.value:>16} {label:>6} "
                 f"{summary.p10:8.1f} {summary.median:8.1f} "

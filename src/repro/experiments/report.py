@@ -1,89 +1,146 @@
 """Generate a paper-vs-measured markdown report (EXPERIMENTS.md).
 
-Runs every experiment, places the simulator's measurements next to the
-paper's reported values (:mod:`repro.experiments.paper_data`), and
-evaluates the *shape checks* — the qualitative claims each table/figure
-makes — marking each as reproduced or not.
+Runs every experiment, places its measurements next to the paper's
+values (:mod:`repro.experiments.paper_data`), and judges the *claims* —
+the qualitative shapes each table or figure shows.
 
-The independent simulation runs behind each section fan out through
-:mod:`repro.runner`: ``--jobs N`` parallelises across worker processes
-(default: all CPUs) and completed runs are cached under ``.repro-cache/``
-so a re-run only simulates what changed.  Tables are bit-identical for
-any worker count.
+A claim is a row of data: its text, a formatter for the measured cell,
+and the named quantities it reads off one run of its section, each with
+the side of a threshold it must fall on.  ``--replications N`` runs
+every section over seeds 1..N and renders the tables from seed 1.  At
+N=1 a claim is judged on its point values; at N≥2 the measured cell
+adds ``n=N`` and each quantity's mean ± 95% Student-t half-width, and
+the claim holds only if every interval lies on its passing side.
+
+Runs go through :mod:`repro.runner`: ``--jobs N`` worker processes,
+and a cache under ``.repro-cache/``, so a re-run — or a killed report
+started again — simulates only what is not cached.  The report is
+bit-identical for any worker count.
 
 Usage::
 
     python -m repro.experiments.report [--duration-scale 1.0] [-o FILE]
-        [--jobs N] [--no-cache]
+        [--replications N] [--jobs N] [--no-cache]
 
 Exit codes: 0 clean, 2 usage error, 3 partial (a run failed or a
-section could not be rendered).  A ✗ shape check is a finding, not an
-error: it exits 0.
+section could not be rendered).  A ✗ claim is a finding, not an error:
+it exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    airtime_udp,
-    fairness_index,
-    fault_tolerance,
-    latency,
-    scaling,
-    sparse,
-    table1,
-    tcp_throughput,
-    voip,
-    web,
-)
 from repro.analysis.attribution import Attribution, format_waterfall
-from repro.analysis.stats import Summary
-from repro.experiments import paper_data, registry
-from repro.experiments.cli import positive_float
+from repro.analysis.stats import mean_interval
+from repro.experiments import airtime_udp, latency, paper_data, registry, table1
+from repro.experiments.cli import run_cost_table, positive_float, positive_int
 from repro.experiments.config import SLOW_STATION
 from repro.mac.ap import Scheme
 from repro.runner import ResultCache, Runner, default_jobs
 from repro.telemetry import TelemetryConfig, configure_logging, get_logger
 
-__all__ = ["generate_report", "main"]
+__all__ = ["Claim", "Quantity", "Section", "SECTIONS", "generate_report", "main"]
 
 log = get_logger("repro.report")
 
+FIFO, FQ_CODEL, FQ_MAC, AIRTIME = (
+    Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
 
-@dataclass
-class ShapeCheck:
-    """One qualitative claim and whether the measurement reproduces it."""
-
-    claim: str
-    passed: bool
-    detail: str
-
-    def row(self) -> str:
-        mark = "✓" if self.passed else "✗"
-        return f"| {mark} | {self.claim} | {self.detail} |"
+#: The passing side of a threshold.
+_SIDES = {">": operator.gt, ">=": operator.ge,
+          "<": operator.lt, "<=": operator.le}
 
 
-def _needs(check: ShapeCheck,
-           *inputs: Tuple[str, Scheme, int]) -> ShapeCheck:
-    """``check``, unless one of its ``(what, scheme, count)`` inputs has
-    no samples: then ✗ "no <what> completed under <scheme>" instead of
-    a verdict on a NaN median or mean."""
-    for what, scheme, count in inputs:
-        if not count:
-            return ShapeCheck(check.claim, False,
-                              f"no {what} completed under {scheme.value}")
-    return check
+class NoSamples(Exception):
+    """A quantity has nothing to read in some seed's run: its claim is ✗
+    with this message instead of a verdict on a NaN."""
 
 
-def _pings(station_class: str, pings: Dict[Scheme, Dict[str, Summary]],
-           *schemes: Scheme) -> List[Tuple[str, Scheme, int]]:
-    """:func:`_needs` inputs: one station class's pings per scheme."""
-    return [(f"{station_class}-station ping", s,
-             pings[s][station_class].count) for s in schemes]
+@dataclass(frozen=True)
+class Quantity:
+    """A number read off one run, and the side of ``threshold`` it must
+    fall on for its claim to hold."""
+
+    name: str
+    read: Callable[[Any], float]
+    side: str
+    threshold: float
+
+    def holds(self, lo: float, hi: float) -> bool:
+        """Does all of ``[lo, hi]`` lie on the passing side?"""
+        edge = lo if self.side.startswith(">") else hi
+        return _SIDES[self.side](edge, self.threshold)
+
+
+class Claim:
+    """One qualitative claim of the paper: ✓ when every quantity holds.
+
+    ``detail`` formats the measured cell from seed 1's run; ``applies``
+    (on seed 1's run) leaves the claim out altogether.
+    """
+
+    def __init__(self, text: str, detail: Callable[[Any], str],
+                 *quantities: Quantity,
+                 applies: Callable[[Any], bool] = lambda run: True) -> None:
+        self.text, self.detail = text, detail
+        self.quantities, self.applies = quantities, applies
+
+    def judge(self, runs: Sequence[Any]) -> Tuple[bool, str]:
+        """The verdict and the measured cell, over one run per seed."""
+        try:
+            columns = [[q.read(run) for run in runs] for q in self.quantities]
+        except NoSamples as missing:
+            return False, str(missing)
+        intervals = [_t_interval(column) for column in columns]
+        passed = all(q.holds(mean - half, mean + half)
+                     for q, (mean, half) in zip(self.quantities, intervals))
+        detail = self.detail(runs[0])
+        if len(runs) == 1:
+            return passed, detail
+        shown: Dict[str, str] = {}
+        for q, (mean, half) in zip(self.quantities, intervals):
+            shown.setdefault(q.name, f"{q.name} {mean:.3g} ± {half:.3g}")
+        return passed, f"{detail}; n={len(runs)}: {', '.join(shown.values())}"
+
+
+def _t_interval(values: Sequence[float]) -> Tuple[float, float]:
+    """Mean and 95% Student-t half-width (0 for a single value)."""
+    n = len(values)
+    mean = sum(values) / n
+    if n < 2:
+        return mean, 0.0
+    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, mean_interval(n, mean, variance).half_width
+
+
+@dataclass(frozen=True)
+class Section:
+    """One table or figure: its run for one seed, the body rendered from
+    seed 1's run, and the claims judged over every seed's."""
+
+    title: str
+    run: Callable[[float, Optional[Runner], int], Any]
+    body: Callable[[Any], str]
+    claims: Tuple[Claim, ...]
+
+    def render(self, scale: float, runner: Optional[Runner] = None,
+               replications: int = 1) -> str:
+        runs = [self.run(scale, runner, seed)
+                for seed in range(1, replications + 1)]
+        lines = [f"## {self.title}", "", self.body(runs[0]), "",
+                 "|  | claim (paper) | measured |", "|---|---|---|"]
+        for claim in self.claims:
+            if claim.applies(runs[0]):
+                passed, detail = claim.judge(runs)
+                lines.append(f"| {'✓' if passed else '✗'} | {claim.text} "
+                             f"| {detail} |")
+        return "\n".join(lines)
 
 
 def _window(experiment_id: str, scale: float) -> Dict[str, float]:
@@ -93,555 +150,492 @@ def _window(experiment_id: str, scale: float) -> Dict[str, float]:
             "warmup_s": row.warmup_s * scale}
 
 
-def _checks_table(checks: List[ShapeCheck]) -> str:
-    lines = ["|  | claim (paper) | measured |", "|---|---|---|"]
-    lines += [check.row() for check in checks]
-    return "\n".join(lines)
+def _runs(experiment_id: str,
+          key: Callable[[Any], Any] = operator.attrgetter("scheme"),
+          **kwargs: Any) -> Callable[[float, Optional[Runner], int], Dict]:
+    """A section's run: the registry row's experiment over its scaled
+    window for one seed, results keyed by ``key`` (failed runs left out)."""
+    def run(scale: float, runner: Optional[Runner], seed: int) -> Dict:
+        results = registry.BY_ID[experiment_id].module.run(
+            **_window(experiment_id, scale), seed=seed, runner=runner,
+            **kwargs)
+        return {key(r): r for r in results if r is not None}
+    return run
 
 
-# ----------------------------------------------------------------------
-# Per-experiment sections
-# ----------------------------------------------------------------------
-def _section_table1(scale: float, runner: Optional[Runner] = None) -> str:
-    result = table1.run(**_window("table1", scale), runner=runner)
-    checks = [
-        ShapeCheck(
-            "FIFO: slow station takes ~79% of airtime",
-            result.baseline_airtime_shares[2] > 0.6,
-            f"{result.baseline_airtime_shares[2]:.0%}",
-        ),
-        ShapeCheck(
-            "Airtime: equal 33% shares",
-            all(abs(s - 1 / 3) < 0.05 for s in result.fair_airtime_shares),
-            ", ".join(f"{s:.1%}" for s in result.fair_airtime_shares),
-        ),
-        ShapeCheck(
-            "model positions within ~15% of simulator measurements (fair half)",
-            all(
-                abs(m - p.rate_mbps) / max(p.rate_mbps, 0.1) < 0.15
-                for p, m in zip(result.fair_predictions, result.fair_measured_mbps)
-            ),
-            "predicted "
-            + "/".join(f"{p.rate_mbps:.1f}" for p in result.fair_predictions)
-            + " vs measured "
-            + "/".join(f"{m:.1f}" for m in result.fair_measured_mbps),
-        ),
-        ShapeCheck(
-            "total gain from fixing the anomaly is a multiple (paper ~4x measured)",
-            sum(result.fair_measured_mbps) > 2.5 * sum(result.baseline_measured_mbps),
-            f"{sum(result.fair_measured_mbps) / sum(result.baseline_measured_mbps):.1f}x",
-        ),
-    ]
-    paper_rows = "paper baseline R(i): " + "/".join(
+def _table(experiment_id: str) -> Callable[[Dict], str]:
+    """A section's body: the experiment's own table of keyed results."""
+    def body(run: Dict) -> str:
+        module = registry.BY_ID[experiment_id].module
+        return f"```\n{module.format_table(list(run.values()))}\n```"
+    return body
+
+
+def _ratio(a: float, b: float) -> float:
+    """``a / b`` for a claim ``a > k·b`` or ``a < k·b``; a zero ``b`` gives
+    +inf if ``a > 0``, else NaN, so verdicts stay the product form's."""
+    if b:
+        return a / b
+    return math.inf if a > 0 else math.nan
+
+
+def _ping(run: Dict, scheme: Scheme, station_class: str) -> float:
+    """Median ping of one station class under ``scheme``."""
+    summary = run[scheme].summaries()[station_class]
+    if not summary.count:
+        raise NoSamples(f"no {station_class}-station ping completed "
+                        f"under {scheme.value}")
+    return summary.median
+
+
+def _table1_body(result) -> str:
+    paper = "paper baseline R(i): " + "/".join(
         f"{r.predicted_mbps:g}" for r in paper_data.TABLE1_BASELINE
     ) + " — paper fair R(i): " + "/".join(
-        f"{r.predicted_mbps:g}" for r in paper_data.TABLE1_FAIR
-    )
-    return "\n".join([
-        "## Table 1 — analytical model vs measured UDP throughput", "",
-        "```", table1.format_table(result), "```", "",
-        paper_rows, "", _checks_table(checks),
-    ])
+        f"{r.predicted_mbps:g}" for r in paper_data.TABLE1_FAIR)
+    return f"```\n{table1.format_table(result)}\n```\n\n{paper}"
 
 
-def _section_latency(scale: float, runner: Optional[Runner] = None) -> str:
-    results = latency.run(**_window("fig04", scale), runner=runner)
-    by_scheme = {r.scheme: r for r in results}
-    pings = {s: {"fast": r.fast_summary(), "slow": r.slow_summary()}
-             for s, r in by_scheme.items()}
-    fifo = pings[Scheme.FIFO]["fast"].median
-    fq_mac = pings[Scheme.FQ_MAC]["fast"].median
-    airtime = pings[Scheme.AIRTIME]["fast"].median
-    fq_codel_slow = pings[Scheme.FQ_CODEL]["slow"].median
-    fq_mac_slow = pings[Scheme.FQ_MAC]["slow"].median
-    checks = [
-        _needs(ShapeCheck(
-            "FIFO sits at several hundred ms (paper ~600 ms median)",
-            fifo > 150,
-            f"{fifo:.0f} ms median",
-        ), *_pings("fast", pings, Scheme.FIFO)),
-        _needs(ShapeCheck(
-            "order-of-magnitude reduction FIFO → FQ-MAC",
-            fifo > 5 * fq_mac,
-            f"{fifo:.0f} ms → {fq_mac:.1f} ms ({fifo / fq_mac:.0f}x)",
-        ), *_pings("fast", pings, Scheme.FIFO, Scheme.FQ_MAC)),
-        _needs(ShapeCheck(
-            "Airtime adds nothing over FQ-MAC here: fast-station median "
-            "within 3x of FQ-MAC's (the paper omits it from Fig. 4)",
-            airtime < 3 * fq_mac,
-            f"{airtime:.1f} ms vs FQ-MAC {fq_mac:.1f} ms",
-        ), *_pings("fast", pings, Scheme.AIRTIME, Scheme.FQ_MAC)),
-        _needs(ShapeCheck(
-            "slow station keeps large residual latency under FQ-CoDel, "
-            "fixed by FQ-MAC (paper 215 ms → ~35 ms)",
-            fq_codel_slow > 2 * fq_mac_slow,
-            f"{fq_codel_slow:.0f} ms → {fq_mac_slow:.1f} ms",
-        ), *_pings("slow", pings, Scheme.FQ_CODEL, Scheme.FQ_MAC)),
-    ]
-    return "\n".join([
-        "## Figures 1 and 4 — latency under load", "",
-        "```", latency.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+def _model_error(r) -> float:
+    return max(abs(m - p.rate_mbps) / max(p.rate_mbps, 0.1)
+               for p, m in zip(r.fair_predictions, r.fair_measured_mbps))
 
 
-def _section_waterfall(scale: float, runner: Optional[Runner] = None) -> str:
-    """Latency waterfall + airtime-ledger audit (observability layer).
+def _table1_gain(r) -> float:
+    return _ratio(sum(r.fair_measured_mbps), sum(r.baseline_measured_mbps))
 
-    Re-runs the Figure 4 scenario traced with span reconstruction and
-    shows *where* each scheme's latency lives — the per-layer
-    attribution behind the paper's Figure 2 story.  The airtime ledger
-    is audited on the Table-1 scenario (saturating UDP download), the
-    traffic pattern eqs. (1)–(5) actually model.
-    """
-    telemetry = TelemetryConfig(
-        trace=True,
-        categories=("queue", "agg", "hw", "driver", "tx"),
-        spans=True,
-    )
-    results = [r for r in latency.run(**_window("fig04", scale),
-                                      runner=runner, telemetry=telemetry)
-               if r is not None and r.telemetry is not None]
-    attributions = {
-        r.scheme: Attribution.from_dict(r.telemetry["spans"])
-        for r in results
+
+TABLE1 = Section(
+    "Table 1 — analytical model vs measured UDP throughput",
+    lambda scale, runner, seed: table1.run(
+        **_window("table1", scale), seed=seed, runner=runner),
+    _table1_body, (
+        Claim("FIFO: slow station takes ~79% of airtime",
+              lambda r: f"{r.baseline_airtime_shares[2]:.0%}",
+              Quantity("slow share", lambda r: r.baseline_airtime_shares[2],
+                       ">", 0.6)),
+        Claim("Airtime: equal 33% shares",
+              lambda r: ", ".join(f"{s:.1%}" for s in r.fair_airtime_shares),
+              Quantity("max deviation from 1/3", lambda r: max(
+                  abs(s - 1 / 3) for s in r.fair_airtime_shares), "<", 0.05)),
+        Claim("model positions within ~15% of simulator measurements "
+              "(fair half)",
+              lambda r: "predicted "
+              + "/".join(f"{p.rate_mbps:.1f}" for p in r.fair_predictions)
+              + " vs measured "
+              + "/".join(f"{m:.1f}" for m in r.fair_measured_mbps),
+              Quantity("max model error", _model_error, "<", 0.15)),
+        Claim("total gain from fixing the anomaly is a multiple (paper ~4x "
+              "measured)", lambda r: f"{_table1_gain(r):.1f}x",
+              Quantity("gain", _table1_gain, ">", 2.5)),
+    ))
+
+
+LATENCY = Section(
+    "Figures 1 and 4 — latency under load", _runs("fig04"), _table("fig04"), (
+        Claim("FIFO sits at several hundred ms (paper ~600 ms median)",
+              lambda r: f"{_ping(r, FIFO, 'fast'):.0f} ms median",
+              Quantity("FIFO fast ms", lambda r: _ping(r, FIFO, "fast"),
+                       ">", 150)),
+        Claim("order-of-magnitude reduction FIFO → FQ-MAC",
+              lambda r: f"{_ping(r, FIFO, 'fast'):.0f} ms → "
+              f"{_ping(r, FQ_MAC, 'fast'):.1f} ms "
+              f"({_ping(r, FIFO, 'fast') / _ping(r, FQ_MAC, 'fast'):.0f}x)",
+              Quantity("FIFO/FQ-MAC", lambda r: _ratio(
+                  _ping(r, FIFO, "fast"), _ping(r, FQ_MAC, "fast")), ">", 5)),
+        Claim("Airtime adds nothing over FQ-MAC here: fast-station median "
+              "within 3x of FQ-MAC's (the paper omits it from Fig. 4)",
+              lambda r: f"{_ping(r, AIRTIME, 'fast'):.1f} ms vs FQ-MAC "
+              f"{_ping(r, FQ_MAC, 'fast'):.1f} ms",
+              Quantity("Airtime/FQ-MAC", lambda r: _ratio(
+                  _ping(r, AIRTIME, "fast"), _ping(r, FQ_MAC, "fast")),
+                  "<", 3)),
+        Claim("slow station keeps large residual latency under FQ-CoDel, "
+              "fixed by FQ-MAC (paper 215 ms → ~35 ms)",
+              lambda r: f"{_ping(r, FQ_CODEL, 'slow'):.0f} ms → "
+              f"{_ping(r, FQ_MAC, 'slow'):.1f} ms",
+              Quantity("FQ-CoDel/FQ-MAC slow", lambda r: _ratio(
+                  _ping(r, FQ_CODEL, "slow"), _ping(r, FQ_MAC, "slow")),
+                  ">", 2)),
+    ))
+
+
+def _waterfall_run(scale: float, runner: Optional[Runner], seed: int) -> Dict:
+    """The Figure 4 scenario traced with span reconstruction — *where*
+    each scheme's latency lives, the per-layer attribution behind the
+    paper's Figure 2 story — and the airtime ledger audited on the
+    Table 1 scenario, the traffic eqs. (1)–(5) actually model."""
+    spans = TelemetryConfig(trace=True, spans=True,
+                            categories=("queue", "agg", "hw", "driver", "tx"))
+    traced = latency.run(**_window("fig04", scale), seed=seed, runner=runner,
+                         telemetry=spans)
+    ledgered = airtime_udp.run(**_window("fig05", scale), seed=seed,
+                               runner=runner,
+                               telemetry=TelemetryConfig(ledger=True))
+    return {
+        "spans": {r.scheme: Attribution.from_dict(r.telemetry["spans"])
+                  for r in traced if r is not None and r.telemetry is not None},
+        "audits": {r.scheme: (r.telemetry.get("ledger") or {}).get("audit")
+                   for r in ledgered
+                   if r is not None and r.telemetry is not None},
     }
-    ledgered = [r for r in airtime_udp.run(**_window("fig05", scale),
-                                           runner=runner,
-                                           telemetry=TelemetryConfig(
-                                               ledger=True))
-                if r is not None and r.telemetry is not None]
-    audits = {
-        r.scheme: (r.telemetry.get("ledger") or {}).get("audit")
-        for r in ledgered
-    }
 
-    # Segment *sums* telescope against the total sum over the same span
-    # set (a zero-length segment is skipped, so segment means cover
-    # fewer spans than the total mean and the two are not comparable).
-    def _seg_sum(scheme: Scheme, station: int, segment: str) -> float:
-        entry = attributions[scheme].stations.get(station)
-        if entry is None or segment not in entry.segments:
-            return 0.0
-        return entry.segments[segment].total_us
 
-    def _total_sum(scheme: Scheme, station: int) -> float:
-        entry = attributions[scheme].stations.get(station)
-        return entry.total.total_us if entry is not None else 0.0
+def _waterfall_body(run: Dict) -> str:
+    waterfalls = "\n\n".join(format_waterfall(a, title=scheme.value)
+                             for scheme, a in run["spans"].items())
+    return f"```\n{waterfalls}\n```"
 
-    def _seg_mean(scheme: Scheme, station: int, segment: str) -> float:
-        entry = attributions[scheme].stations.get(station)
-        if entry is None or segment not in entry.segments:
-            return 0.0
-        return entry.segments[segment].mean_us
 
-    fifo_fast_total = _total_sum(Scheme.FIFO, 0)
-    fifo_fast_qdisc = _seg_sum(Scheme.FIFO, 0, "qdisc")
-    codel_slow_driver = _seg_mean(Scheme.FQ_CODEL, SLOW_STATION, "driver")
-    codel_fast_driver = _seg_mean(Scheme.FQ_CODEL, 0, "driver")
-    fq_mac_has_driver = any(
-        "driver" in entry.segments
-        for entry in attributions[Scheme.FQ_MAC].stations.values()
+def _segment(run: Dict, scheme: Scheme, station: int, segment: str,
+             stat: str = "total_us") -> float:
+    """A station's span statistic for one segment (or ``"total"``), 0 when
+    absent.  Segment *sums* telescope against the total sum over the same
+    spans; a zero-length segment is skipped, so segment means cover fewer
+    spans than the total mean and the two are not comparable."""
+    entry = run["spans"][scheme].stations.get(station)
+    stats = None if entry is None else (
+        entry.total if segment == "total" else entry.segments.get(segment))
+    return 0.0 if stats is None else getattr(stats, stat)
+
+
+def _qdisc_share(run: Dict) -> float:
+    total = _segment(run, FIFO, 0, "total")
+    if total <= 0:
+        raise NoSamples("no spans")
+    return _segment(run, FIFO, 0, "qdisc") / total
+
+
+def _driver_ms(run: Dict, station: int) -> float:
+    return _segment(run, FQ_CODEL, station, "driver", "mean_us") / 1e3
+
+
+def _driver_stages(run: Dict) -> int:
+    return sum("driver" in entry.segments
+               for entry in run["spans"][FQ_MAC].stations.values())
+
+
+def _audit(scheme: Scheme, audit: Optional[Dict]) -> str:
+    if not audit:
+        return f"{scheme.value}: missing"
+    verdict = "ok" if audit.get("ok") else "FAILED"
+    return f"{scheme.value}: {verdict} (Δ{audit['worst_delta']:.3f})"
+
+
+WATERFALL = Section(
+    "Latency waterfall and airtime ledger (beyond the paper)",
+    _waterfall_run, _waterfall_body, (
+        Claim("every span stitches: zero unmatched join records in all "
+              "schemes",
+              lambda r: ", ".join(f"{s.value}: {a.unmatched}"
+                                  for s, a in r["spans"].items()),
+              Quantity("unmatched", lambda r: sum(
+                  a.unmatched for a in r["spans"].values()), "<=", 0)),
+        Claim("FIFO's latency lives in the qdisc (the bloated FIFO, Fig. 2)",
+              lambda r: f"qdisc holds {_qdisc_share(r):.0%} of delivered "
+              "latency", Quantity("qdisc share", _qdisc_share, ">", 0.8)),
+        Claim("the unmanaged driver FIFO penalises the slow station "
+              "rate-proportionally under FQ-CoDel; the integrated MAC has "
+              "no driver stage at all",
+              lambda r: f"driver wait {_driver_ms(r, SLOW_STATION):.1f} ms "
+              f"slow vs {_driver_ms(r, 0):.1f} ms fast; FQ-MAC driver "
+              f"segment {'present' if _driver_stages(r) else 'absent'}",
+              Quantity("slow/fast driver wait", lambda r: _ratio(
+                  _driver_ms(r, SLOW_STATION), _driver_ms(r, 0)), ">", 3),
+              Quantity("fast driver ms", lambda r: _driver_ms(r, 0), ">", 0),
+              Quantity("FQ-MAC driver stages", _driver_stages, "<=", 0)),
+        Claim("airtime ledger audits against the §2.2.1 analytical model "
+              "in every scheme",
+              lambda r: ", ".join(_audit(s, a) for s, a in r["audits"].items()),
+              Quantity("failed audits", lambda r: sum(
+                  not (a and a.get("ok")) for a in r["audits"].values()),
+                  "<=", 0)),
+    ))
+
+
+def _share(run: Dict, scheme: Scheme, station: int = 2) -> float:
+    return run[scheme].airtime_shares[station]
+
+
+AIRTIME_UDP = Section(
+    "Figure 5 — airtime shares, one-way UDP", _runs("fig05"),
+    _table("fig05"), (
+        Claim("FIFO/FQ-CoDel: slow station ~80% of airtime",
+              lambda r: f"{_share(r, FIFO):.0%} / {_share(r, FQ_CODEL):.0%}",
+              Quantity("FIFO slow share", lambda r: _share(r, FIFO), ">", 0.6),
+              Quantity("FQ-CoDel slow share", lambda r: _share(r, FQ_CODEL),
+                       ">", 0.6)),
+        Claim("FQ-MAC improves aggregation and moves shares toward the "
+              "Tdata ratio, but is not airtime-fair",
+              lambda r: f"slow share {_share(r, FQ_MAC):.0%}",
+              Quantity("slow share", lambda r: _share(r, FQ_MAC), ">", 0.38),
+              Quantity("slow share", lambda r: _share(r, FQ_MAC), "<", 0.6)),
+        Claim("Airtime scheduler: exactly equal shares",
+              lambda r: ", ".join(
+                  f"{s:.1%}" for s in r[AIRTIME].airtime_shares.values()),
+              Quantity("max deviation from 1/3", lambda r: max(
+                  abs(s - 1 / 3) for s in r[AIRTIME].airtime_shares.values()),
+                  "<", 0.03)),
+    ))
+
+
+def _jain(run: Dict, scheme: Scheme, traffic: str) -> float:
+    return run[scheme].jain[traffic]
+
+
+JAIN = Section(
+    "Figure 6 — Jain's fairness index of airtime", _runs("fig06"),
+    _table("fig06"), (
+        Claim("Airtime: near-perfect index for unidirectional traffic",
+              lambda r: f"udp {_jain(r, AIRTIME, 'udp'):.3f}, "
+              f"tcp {_jain(r, AIRTIME, 'tcp_download'):.3f}",
+              Quantity("udp", lambda r: _jain(r, AIRTIME, "udp"), ">", 0.98),
+              Quantity("tcp", lambda r: _jain(r, AIRTIME, "tcp_download"),
+                       ">", 0.9)),
+        Claim("Airtime: slight dip for bidirectional traffic (indirect "
+              "uplink control)",
+              lambda r: f"bidir {_jain(r, AIRTIME, 'tcp_bidir'):.3f}",
+              Quantity("udp − bidir", lambda r: _jain(r, AIRTIME, "udp")
+                       - _jain(r, AIRTIME, "tcp_bidir"), ">", 0),
+              Quantity("bidir", lambda r: _jain(r, AIRTIME, "tcp_bidir"),
+                       ">", 0.8)),
+        Claim("FIFO far from fair for UDP",
+              lambda r: f"{_jain(r, FIFO, 'udp'):.3f}",
+              Quantity("FIFO udp", lambda r: _jain(r, FIFO, "udp"), "<", 0.7)),
+        Claim("Airtime beats FIFO for UDP and for TCP download",
+              lambda r: ", ".join(
+                  f"{t[:3]} {_jain(r, AIRTIME, t):.3f} vs "
+                  f"{_jain(r, FIFO, t):.3f}" for t in ("udp", "tcp_download")),
+              *(Quantity(f"Airtime − FIFO {t}", lambda r, t=t:
+                         _jain(r, AIRTIME, t) - _jain(r, FIFO, t), ">", 0)
+                for t in ("udp", "tcp_download"))),
+    ))
+
+
+def _mbps(run: Dict, scheme: Scheme, station: int) -> float:
+    return run[scheme].download_mbps[station]
+
+
+def _total_gain(run: Dict, baseline: Scheme = FIFO) -> float:
+    return _ratio(run[AIRTIME].total_mbps, run[baseline].total_mbps)
+
+
+def _totals(run: Dict, baseline: Scheme = FIFO) -> str:
+    return (f"{run[baseline].total_mbps:.1f} → {run[AIRTIME].total_mbps:.1f} "
+            f"Mbps ({_total_gain(run, baseline):.1f}x)")
+
+
+TCP_THROUGHPUT = Section(
+    "Figure 7 — TCP download throughput", _runs("fig07"), _table("fig07"), (
+        Claim("fast stations gain as fairness goes up (paper ~10 → ~36 Mbps)",
+              lambda r: f"{_mbps(r, FIFO, 0):.1f} → "
+              f"{_mbps(r, AIRTIME, 0):.1f} Mbps",
+              Quantity("Airtime/FIFO fast", lambda r: _ratio(
+                  _mbps(r, AIRTIME, 0), _mbps(r, FIFO, 0)), ">", 2)),
+        Claim("slow station loses some throughput",
+              lambda r: f"{_mbps(r, FIFO, 2):.1f} → "
+              f"{_mbps(r, AIRTIME, 2):.1f} Mbps",
+              Quantity("Airtime − FIFO slow Mbps", lambda r:
+                       _mbps(r, AIRTIME, 2) - _mbps(r, FIFO, 2), "<", 0)),
+        Claim("net total increase", _totals,
+              Quantity("gain", _total_gain, ">", 1.5)),
+    ))
+
+
+def _sparse_gain(run: Dict, bulk: str) -> float:
+    return 1 - (run[(bulk, True)].summary().median
+                / run[(bulk, False)].summary().median)
+
+
+SPARSE = Section(
+    "Figure 8 — the sparse-station optimisation",
+    _runs("fig08", key=lambda r: (r.bulk_traffic, r.sparse_enabled)),
+    _table("fig08"), (
+        Claim("small but consistent median improvement with the "
+              "optimisation (paper 10–15%)",
+              lambda r: ", ".join(f"{bulk}: {_sparse_gain(r, bulk):.0%}"
+                                  for bulk in ("udp", "tcp")),
+              *(Quantity(f"{bulk} gain", lambda r, bulk=bulk:
+                         _sparse_gain(r, bulk), ">", 0)
+                for bulk in ("udp", "tcp"))),
+    ))
+
+
+SCALING = Section(
+    "Figures 9–10 and §4.1.5 — scaling to 30 stations", _runs("fig09"),
+    _table("fig09"), (
+        Claim("slow 1 Mbps station grabs a dominant share under FQ-CoDel "
+              "(paper ~2/3)", lambda r: f"{r[FQ_CODEL].slow_share:.0%}",
+              Quantity("FQ-CoDel slow share", lambda r: r[FQ_CODEL].slow_share,
+                       ">", 0.3)),
+        Claim("airtime scheduler: fully fair sharing across 29 stations",
+              lambda r: f"slow {r[AIRTIME].slow_share:.1%}, max fast "
+              f"{max(r[AIRTIME].airtime_shares.values()):.1%} (fair = 3.4%)",
+              Quantity("slow share", lambda r: r[AIRTIME].slow_share,
+                       "<", 0.08),
+              Quantity("max share", lambda r: max(
+                  r[AIRTIME].airtime_shares.values()), "<", 0.08)),
+        Claim("total throughput multiplies (paper 5.4x)",
+              lambda r: _totals(r, FQ_CODEL),
+              Quantity("gain", lambda r: _total_gain(r, FQ_CODEL), ">", 2)),
+        Claim("sparse station's ping improves further at 30 stations "
+              "(paper ~2x)",
+              lambda r: f"{_ping(r, FQ_CODEL, 'sparse'):.1f} → "
+              f"{_ping(r, AIRTIME, 'sparse'):.1f} ms",
+              Quantity("FQ-CoDel/Airtime sparse", lambda r: _ratio(
+                  _ping(r, FQ_CODEL, "sparse"), _ping(r, AIRTIME, "sparse")),
+                  ">", 1)),
+        Claim("Airtime: the 1 Mbps station, held to 1/29 of the air, pays "
+              "with latency (median ping > 2x the fast stations')",
+              lambda r: f"{_ping(r, AIRTIME, 'slow'):.0f} ms vs "
+              f"{_ping(r, AIRTIME, 'fast'):.0f} ms",
+              Quantity("slow/fast", lambda r: _ratio(
+                  _ping(r, AIRTIME, "slow"), _ping(r, AIRTIME, "fast")),
+                  ">", 2)),
+    ))
+
+
+def _voip_claims(delay: float) -> Tuple[Claim, ...]:
+    def mos(r, scheme, qos="BE"):
+        return r[(scheme, qos, delay)].voip.mos
+
+    def mbps(r, scheme, qos="BE"):
+        return r[(scheme, qos, delay)].total_throughput_mbps
+
+    paper_vo = paper_data.TABLE2[("FIFO", "VO", delay)]
+    paper_be = paper_data.TABLE2[("FIFO", "BE", delay)]
+    paper_air = paper_data.TABLE2[("Airtime fair FQ", "BE", delay)]
+    return (
+        Claim(f"{delay:g} ms: FIFO needs the VO queue (paper: BE MOS "
+              f"{paper_be.mos:.2f} vs VO {paper_vo.mos:.2f})",
+              lambda r: f"BE {mos(r, FIFO):.2f} vs VO {mos(r, FIFO, 'VO'):.2f}",
+              Quantity("VO − BE MOS", lambda r: mos(r, FIFO, "VO")
+                       - mos(r, FIFO), ">", 1.0)),
+        Claim(f"{delay:g} ms: FQ-MAC/Airtime best-effort voice ≈ VO voice on "
+              "the stock kernel (paper's headline)",
+              lambda r: f"FQ-MAC BE {mos(r, FQ_MAC):.2f}, Airtime BE "
+              f"{mos(r, AIRTIME):.2f} vs FIFO VO {mos(r, FIFO, 'VO'):.2f}",
+              *(Quantity(f"{name} BE − FIFO VO MOS", lambda r, s=s:
+                         mos(r, s) - mos(r, FIFO, "VO"), ">=", -0.15)
+                for s, name in ((FQ_MAC, "FQ-MAC"), (AIRTIME, "Airtime")))),
+        Claim(f"{delay:g} ms: and at much higher total throughput (paper "
+              f"{paper_vo.throughput_mbps:.0f} → "
+              f"{paper_air.throughput_mbps:.0f} Mbps)",
+              lambda r: f"FIFO VO {mbps(r, FIFO, 'VO'):.1f} → FQ-MAC BE "
+              f"{mbps(r, FQ_MAC):.1f}, Airtime BE {mbps(r, AIRTIME):.1f} Mbps",
+              Quantity("min BE / FIFO VO", lambda r: _ratio(
+                  min(mbps(r, FQ_MAC), mbps(r, AIRTIME)),
+                  mbps(r, FIFO, "VO")), ">", 1.5)),
     )
-    checks = [
-        ShapeCheck(
-            "every span stitches: zero unmatched join records in all schemes",
-            all(a.unmatched == 0 for a in attributions.values()),
-            ", ".join(f"{s.value}: {a.unmatched}"
-                      for s, a in attributions.items()),
-        ),
-        ShapeCheck(
-            "FIFO's latency lives in the qdisc (the bloated FIFO, Fig. 2)",
-            fifo_fast_total > 0
-            and fifo_fast_qdisc > 0.8 * fifo_fast_total,
-            f"qdisc holds {fifo_fast_qdisc / fifo_fast_total:.0%} of "
-            "delivered latency" if fifo_fast_total > 0 else "no spans",
-        ),
-        ShapeCheck(
-            "the unmanaged driver FIFO penalises the slow station "
-            "rate-proportionally under FQ-CoDel; the integrated MAC has "
-            "no driver stage at all",
-            codel_slow_driver > 3 * codel_fast_driver > 0
-            and not fq_mac_has_driver,
-            f"driver wait {codel_slow_driver / 1e3:.1f} ms slow vs "
-            f"{codel_fast_driver / 1e3:.1f} ms fast; FQ-MAC driver "
-            f"segment {'present' if fq_mac_has_driver else 'absent'}",
-        ),
-        ShapeCheck(
-            "airtime ledger audits against the §2.2.1 analytical model "
-            "in every scheme",
-            all(a is not None and a.get("ok") for a in audits.values()),
-            ", ".join(
-                f"{s.value}: "
-                f"{'ok' if a and a.get('ok') else 'FAILED'}"
-                f" (Δ{a['worst_delta']:.3f})" if a else f"{s.value}: missing"
-                for s, a in audits.items()
-            ),
-        ),
-    ]
-    waterfalls = "\n\n".join(
-        format_waterfall(attributions[r.scheme], title=r.scheme.value)
-        for r in results
-    )
-    return "\n".join([
-        "## Latency waterfall and airtime ledger (beyond the paper)", "",
-        "```", waterfalls, "```", "",
-        _checks_table(checks),
-    ])
 
 
-def _section_airtime_udp(scale: float, runner: Optional[Runner] = None) -> str:
-    results = airtime_udp.run(**_window("fig05", scale), runner=runner)
-    by_scheme = {r.scheme: r for r in results}
-    checks = [
-        ShapeCheck(
-            "FIFO/FQ-CoDel: slow station ~80% of airtime",
-            by_scheme[Scheme.FIFO].airtime_shares[2] > 0.6
-            and by_scheme[Scheme.FQ_CODEL].airtime_shares[2] > 0.6,
-            f"{by_scheme[Scheme.FIFO].airtime_shares[2]:.0%} / "
-            f"{by_scheme[Scheme.FQ_CODEL].airtime_shares[2]:.0%}",
-        ),
-        ShapeCheck(
-            "FQ-MAC improves aggregation and moves shares toward the "
-            "Tdata ratio, but is not airtime-fair",
-            0.38 < by_scheme[Scheme.FQ_MAC].airtime_shares[2] < 0.6,
-            f"slow share {by_scheme[Scheme.FQ_MAC].airtime_shares[2]:.0%}",
-        ),
-        ShapeCheck(
-            "Airtime scheduler: exactly equal shares",
-            all(abs(s - 1 / 3) < 0.03
-                for s in by_scheme[Scheme.AIRTIME].airtime_shares.values()),
-            ", ".join(f"{s:.1%}"
-                      for s in by_scheme[Scheme.AIRTIME].airtime_shares.values()),
-        ),
-    ]
-    return "\n".join([
-        "## Figure 5 — airtime shares, one-way UDP", "",
-        "```", airtime_udp.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+def _voip_body(run: Dict) -> str:
+    paper = ", ".join(f"{k[0]}/{k[1]}/{k[2]:g}ms: MOS {v.mos:g}"
+                      for k, v in list(paper_data.TABLE2.items())[:4])
+    return f"{_table('table2')(run)}\n\n(paper, first rows: {paper} …)"
 
 
-def _section_jain(scale: float, runner: Optional[Runner] = None) -> str:
-    results = fairness_index.run(**_window("fig06", scale), runner=runner)
-    by_scheme = {r.scheme: r for r in results}
-    airtime = by_scheme[Scheme.AIRTIME]
-    fifo = by_scheme[Scheme.FIFO]
-    checks = [
-        ShapeCheck(
-            "Airtime: near-perfect index for unidirectional traffic",
-            airtime.jain["udp"] > 0.98 and airtime.jain["tcp_download"] > 0.9,
-            f"udp {airtime.jain['udp']:.3f}, tcp {airtime.jain['tcp_download']:.3f}",
-        ),
-        ShapeCheck(
-            "Airtime: slight dip for bidirectional traffic (indirect "
-            "uplink control)",
-            airtime.jain["tcp_bidir"] < airtime.jain["udp"]
-            and airtime.jain["tcp_bidir"] > 0.8,
-            f"bidir {airtime.jain['tcp_bidir']:.3f}",
-        ),
-        ShapeCheck(
-            "FIFO far from fair for UDP",
-            fifo.jain["udp"] < 0.7,
-            f"{fifo.jain['udp']:.3f}",
-        ),
-        ShapeCheck(
-            "Airtime beats FIFO for UDP and for TCP download",
-            all(airtime.jain[t] > fifo.jain[t]
-                for t in ("udp", "tcp_download")),
-            f"udp {airtime.jain['udp']:.3f} vs {fifo.jain['udp']:.3f}, "
-            f"tcp {airtime.jain['tcp_download']:.3f} vs "
-            f"{fifo.jain['tcp_download']:.3f}",
-        ),
-    ]
-    return "\n".join([
-        "## Figure 6 — Jain's fairness index of airtime", "",
-        "```", fairness_index.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+VOIP = Section(
+    "Table 2 — VoIP MOS and throughput",
+    _runs("table2", key=lambda r: (r.scheme, r.qos, r.base_delay_ms)),
+    _voip_body, _voip_claims(5.0) + _voip_claims(50.0))
 
 
-def _section_tcp_throughput(scale: float, runner: Optional[Runner] = None) -> str:
-    results = tcp_throughput.run(**_window("fig07", scale), runner=runner)
-    by_scheme = {r.scheme: r for r in results}
-    fifo = by_scheme[Scheme.FIFO]
-    airtime = by_scheme[Scheme.AIRTIME]
-    checks = [
-        ShapeCheck(
-            "fast stations gain as fairness goes up (paper ~10 → ~36 Mbps)",
-            airtime.download_mbps[0] > 2 * fifo.download_mbps[0],
-            f"{fifo.download_mbps[0]:.1f} → {airtime.download_mbps[0]:.1f} Mbps",
-        ),
-        ShapeCheck(
-            "slow station loses some throughput",
-            airtime.download_mbps[2] < fifo.download_mbps[2],
-            f"{fifo.download_mbps[2]:.1f} → {airtime.download_mbps[2]:.1f} Mbps",
-        ),
-        ShapeCheck(
-            "net total increase",
-            airtime.total_mbps > 1.5 * fifo.total_mbps,
-            f"{fifo.total_mbps:.1f} → {airtime.total_mbps:.1f} Mbps "
-            f"({airtime.total_mbps / fifo.total_mbps:.1f}x)",
-        ),
-    ]
-    return "\n".join([
-        "## Figure 7 — TCP download throughput", "",
-        "```", tcp_throughput.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+def _plt(run: Dict, scheme: Scheme, page: str) -> float:
+    """Mean page-load time of ``page`` under ``scheme``."""
+    result = run[(scheme, page)]
+    if not result.plts_s:
+        raise NoSamples(f"no {page}-page fetch completed under {scheme.value}")
+    return result.mean_plt_s
 
 
-def _section_sparse(scale: float, runner: Optional[Runner] = None) -> str:
-    results = sparse.run(**_window("fig08", scale), runner=runner)
-    by_key = {(r.bulk_traffic, r.sparse_enabled): r for r in results}
-    gains = {}
-    for bulk in ("udp", "tcp"):
-        on = by_key[(bulk, True)].summary().median
-        off = by_key[(bulk, False)].summary().median
-        gains[bulk] = 1 - on / off
-    checks = [
-        ShapeCheck(
-            "small but consistent median improvement with the "
-            "optimisation (paper 10–15%)",
-            all(g > 0 for g in gains.values()),
-            ", ".join(f"{b}: {g:.0%}" for b, g in gains.items()),
-        ),
-    ]
-    return "\n".join([
-        "## Figure 8 — the sparse-station optimisation", "",
-        "```", sparse.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+def _web_claim(page: str) -> Claim:
+    return Claim(
+        f"{page} page: large FIFO → FQ-CoDel improvement, Airtime fastest",
+        lambda r: " → ".join(f"{_plt(r, s, page):.2f}"
+                             for s in (FIFO, FQ_CODEL, AIRTIME)) + " s",
+        Quantity("FIFO/FQ-CoDel", lambda r: _ratio(
+            _plt(r, FIFO, page), _plt(r, FQ_CODEL, page)), ">", 1),
+        Quantity("Airtime/FQ-CoDel", lambda r: _ratio(
+            _plt(r, AIRTIME, page), _plt(r, FQ_CODEL, page)), "<=", 1.25))
 
 
-def _section_scaling(scale: float, runner: Optional[Runner] = None) -> str:
-    results = scaling.run(**_window("fig09", scale), runner=runner)
-    by_scheme = {r.scheme: r for r in results}
-    fq_codel = by_scheme[Scheme.FQ_CODEL]
-    airtime = by_scheme[Scheme.AIRTIME]
-    gain = airtime.total_mbps / fq_codel.total_mbps
-    pings = {s: r.summaries() for s, r in by_scheme.items()}
-    air_slow = pings[Scheme.AIRTIME]["slow"].median
-    air_fast = pings[Scheme.AIRTIME]["fast"].median
-    codel_sparse = pings[Scheme.FQ_CODEL]["sparse"].median
-    air_sparse = pings[Scheme.AIRTIME]["sparse"].median
-    checks = [
-        ShapeCheck(
-            "slow 1 Mbps station grabs a dominant share under FQ-CoDel "
-            "(paper ~2/3)",
-            fq_codel.slow_share > 0.3,
-            f"{fq_codel.slow_share:.0%}",
-        ),
-        ShapeCheck(
-            "airtime scheduler: fully fair sharing across 29 stations",
-            airtime.slow_share < 0.08
-            and max(airtime.airtime_shares.values()) < 0.08,
-            f"slow {airtime.slow_share:.1%}, max fast "
-            f"{max(airtime.airtime_shares.values()):.1%} (fair = 3.4%)",
-        ),
-        ShapeCheck(
-            "total throughput multiplies (paper 5.4x)",
-            gain > 2,
-            f"{fq_codel.total_mbps:.1f} → {airtime.total_mbps:.1f} Mbps "
-            f"({gain:.1f}x)",
-        ),
-        _needs(ShapeCheck(
-            "sparse station's ping improves further at 30 stations "
-            "(paper ~2x)",
-            air_sparse < codel_sparse,
-            f"{codel_sparse:.1f} → {air_sparse:.1f} ms",
-        ), *_pings("sparse", pings, Scheme.FQ_CODEL, Scheme.AIRTIME)),
-        _needs(ShapeCheck(
-            "Airtime: the 1 Mbps station, held to 1/29 of the air, pays "
-            "with latency (median ping > 2x the fast stations')",
-            air_slow > 2 * air_fast,
-            f"{air_slow:.0f} ms vs {air_fast:.0f} ms",
-        ), *_pings("slow", pings, Scheme.AIRTIME),
-           *_pings("fast", pings, Scheme.AIRTIME)),
-    ]
-    return "\n".join([
-        "## Figures 9–10 and §4.1.5 — scaling to 30 stations", "",
-        "```", scaling.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+WEB = Section(
+    "Figure 11 — web page-load times",
+    _runs("fig11", key=lambda r: (r.scheme, r.page)), _table("fig11"), (
+        _web_claim("small"), _web_claim("large"),
+        Claim("FIFO's large page is dramatically slow (paper 35 s): above 3 s",
+              lambda r: f"{_plt(r, FIFO, 'large'):.2f} s",
+              Quantity("FIFO large s", lambda r: _plt(r, FIFO, "large"),
+                       ">", 3.0)),
+    ))
 
 
-def _section_voip(scale: float, runner: Optional[Runner] = None) -> str:
-    results = voip.run(**_window("table2", scale), runner=runner)
-    by_key = {(r.scheme, r.qos, r.base_delay_ms): r for r in results}
-    checks = []
-    for delay in (5.0, 50.0):
-        fifo_be = by_key[(Scheme.FIFO, "BE", delay)]
-        fifo_vo = by_key[(Scheme.FIFO, "VO", delay)]
-        fq_be = by_key[(Scheme.FQ_MAC, "BE", delay)]
-        air_be = by_key[(Scheme.AIRTIME, "BE", delay)]
-        paper_vo = paper_data.TABLE2[("FIFO", "VO", delay)]
-        paper_be = paper_data.TABLE2[("FIFO", "BE", delay)]
-        paper_air = paper_data.TABLE2[("Airtime fair FQ", "BE", delay)]
-        checks.append(ShapeCheck(
-            f"{delay:g} ms: FIFO needs the VO queue (paper: BE MOS "
-            f"{paper_be.mos:.2f} vs VO {paper_vo.mos:.2f})",
-            fifo_be.voip.mos < fifo_vo.voip.mos - 1.0,
-            f"BE {fifo_be.voip.mos:.2f} vs VO {fifo_vo.voip.mos:.2f}",
-        ))
-        checks.append(ShapeCheck(
-            f"{delay:g} ms: FQ-MAC/Airtime best-effort voice ≈ VO voice on "
-            "the stock kernel (paper's headline)",
-            fq_be.voip.mos >= fifo_vo.voip.mos - 0.15
-            and air_be.voip.mos >= fifo_vo.voip.mos - 0.15,
-            f"FQ-MAC BE {fq_be.voip.mos:.2f}, Airtime BE "
-            f"{air_be.voip.mos:.2f} vs FIFO VO {fifo_vo.voip.mos:.2f}",
-        ))
-        checks.append(ShapeCheck(
-            f"{delay:g} ms: and at much higher total throughput (paper "
-            f"{paper_vo.throughput_mbps:.0f} → "
-            f"{paper_air.throughput_mbps:.0f} Mbps)",
-            min(fq_be.total_throughput_mbps, air_be.total_throughput_mbps)
-            > 1.5 * fifo_vo.total_throughput_mbps,
-            f"FIFO VO {fifo_vo.total_throughput_mbps:.1f} → FQ-MAC BE "
-            f"{fq_be.total_throughput_mbps:.1f}, Airtime BE "
-            f"{air_be.total_throughput_mbps:.1f} Mbps",
-        ))
-    paper = ", ".join(
-        f"{k[0]}/{k[1]}/{k[2]:g}ms: MOS {v.mos:g}"
-        for k, v in list(paper_data.TABLE2.items())[:4]
-    )
-    return "\n".join([
-        "## Table 2 — VoIP MOS and throughput", "",
-        "```", voip.format_table(results), "```", "",
-        f"(paper, first rows: {paper} …)", "", _checks_table(checks),
-    ])
+def _sampled(run: Dict, scheme: Scheme, series: str):
+    """``scheme``'s result, provided ``series`` sampled a window (very
+    short runs end before the first sampling window does)."""
+    result = run[scheme]
+    if not getattr(result, series):
+        raise NoSamples(f"no {series} window completed under {scheme.value}")
+    return result
 
 
-def _section_web(scale: float, runner: Optional[Runner] = None) -> str:
-    results = web.run(**_window("fig11", scale), runner=runner)
-    by_key = {(r.scheme, r.page): r for r in results}
-
-    def fetches(page: str, *schemes: Scheme) -> List[Tuple[str, Scheme, int]]:
-        return [(f"{page}-page fetch", s, len(by_key[(s, page)].plts_s))
-                for s in schemes]
-
-    checks = []
-    for page in ("small", "large"):
-        fifo = by_key[(Scheme.FIFO, page)].mean_plt_s
-        fq_codel = by_key[(Scheme.FQ_CODEL, page)].mean_plt_s
-        airtime = by_key[(Scheme.AIRTIME, page)].mean_plt_s
-        checks.append(_needs(ShapeCheck(
-            f"{page} page: large FIFO → FQ-CoDel improvement, Airtime fastest",
-            fq_codel < fifo and airtime <= fq_codel * 1.25,
-            f"{fifo:.2f} → {fq_codel:.2f} → {airtime:.2f} s",
-        ), *fetches(page, Scheme.FIFO, Scheme.FQ_CODEL, Scheme.AIRTIME)))
-    fifo_large = by_key[(Scheme.FIFO, "large")].mean_plt_s
-    checks.append(_needs(ShapeCheck(
-        "FIFO's large page is dramatically slow (paper 35 s): above 3 s",
-        fifo_large > 3.0,
-        f"{fifo_large:.2f} s",
-    ), *fetches("large", Scheme.FIFO)))
-    return "\n".join([
-        "## Figure 11 — web page-load times", "",
-        "```", web.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+def _sampled_both(series: str) -> Callable[[Dict], bool]:
+    return lambda r: all(s in r and getattr(r[s], series)
+                         for s in (AIRTIME, FIFO))
 
 
-def _section_fault_tolerance(scale: float,
-                             runner: Optional[Runner] = None) -> str:
-    results = fault_tolerance.run(**_window("faults", scale),
-                                  runner=runner, strict=True)
-    usable = [r for r in results if r is not None]
-    by_scheme = {r.scheme: r for r in usable}
-    checks = []
-    if usable:
-        checks.append(ShapeCheck(
-            "packet conservation holds under impairment for every scheme",
-            all(r.conservation is not None and r.conservation.ok
-                for r in usable),
-            ", ".join(
-                f"{r.scheme.value}: "
-                f"{'ok' if r.conservation and r.conservation.ok else 'VIOLATED'}"
-                for r in usable
-            ),
-        ))
-    if Scheme.AIRTIME in by_scheme and Scheme.FIFO in by_scheme:
-        air = by_scheme[Scheme.AIRTIME]
-        fifo = by_scheme[Scheme.FIFO]
-        # The comparative checks need actual sample windows; very short
-        # smoke runs (duration below the sampling window) have none.
-        if air.jain_series and fifo.jain_series:
-            checks.append(ShapeCheck(
-                "airtime fairness degrades most gracefully under faults "
-                "(worst-window Jain above FIFO's)",
-                air.min_jain() > fifo.min_jain(),
-                f"FIFO {fifo.min_jain():.3f} vs Airtime {air.min_jain():.3f}",
-            ))
-        if air.rtt_series and fifo.rtt_series:
-            checks.append(ShapeCheck(
-                "worst-window ping latency stays well below FIFO's "
-                "while impaired",
-                air.worst_rtt_ms() < fifo.worst_rtt_ms(),
-                f"FIFO {fifo.worst_rtt_ms():.0f} ms vs "
-                f"Airtime {air.worst_rtt_ms():.0f} ms",
-            ))
-    return "\n".join([
-        "## Fault tolerance — impairment schedule (beyond the paper)", "",
-        "```", fault_tolerance.format_table(results), "```", "",
-        _checks_table(checks),
-    ])
+def _conserved(result) -> bool:
+    return result.conservation is not None and result.conservation.ok
 
 
-SECTIONS: List[Callable[[float, Optional[Runner]], str]] = [
-    _section_table1,
-    _section_latency,
-    _section_waterfall,
-    _section_airtime_udp,
-    _section_jain,
-    _section_tcp_throughput,
-    _section_sparse,
-    _section_scaling,
-    _section_voip,
-    _section_web,
-    _section_fault_tolerance,
+FAULT_TOLERANCE = Section(
+    "Fault tolerance — impairment schedule (beyond the paper)",
+    _runs("faults", strict=True), _table("faults"), (
+        Claim("packet conservation holds under impairment for every scheme",
+              lambda r: ", ".join(
+                  f"{x.scheme.value}: {'ok' if _conserved(x) else 'VIOLATED'}"
+                  for x in r.values()),
+              Quantity("violations", lambda r: sum(
+                  not _conserved(x) for x in r.values()), "<=", 0),
+              applies=bool),
+        Claim("airtime fairness degrades most gracefully under faults "
+              "(worst-window Jain above FIFO's)",
+              lambda r: f"FIFO {r[FIFO].min_jain():.3f} vs Airtime "
+              f"{r[AIRTIME].min_jain():.3f}",
+              Quantity("Airtime − FIFO", lambda r:
+                       _sampled(r, AIRTIME, "jain_series").min_jain()
+                       - _sampled(r, FIFO, "jain_series").min_jain(), ">", 0),
+              applies=_sampled_both("jain_series")),
+        Claim("worst-window ping latency stays well below FIFO's while "
+              "impaired",
+              lambda r: f"FIFO {r[FIFO].worst_rtt_ms():.0f} ms vs "
+              f"Airtime {r[AIRTIME].worst_rtt_ms():.0f} ms",
+              Quantity("FIFO − Airtime ms", lambda r:
+                       _sampled(r, FIFO, "rtt_series").worst_rtt_ms()
+                       - _sampled(r, AIRTIME, "rtt_series").worst_rtt_ms(),
+                       ">", 0),
+              applies=_sampled_both("rtt_series")),
+    ))
+
+
+SECTIONS: List[Section] = [
+    TABLE1, LATENCY, WATERFALL, AIRTIME_UDP, JAIN, TCP_THROUGHPUT, SPARSE,
+    SCALING, VOIP, WEB, FAULT_TOLERANCE,
 ]
-
-
-def _run_cost_section(runner: Runner) -> str:
-    """Markdown run-cost table from the runner's history (``--profile``).
-
-    Never emitted by default: its wall times differ run to run, and the
-    CI smoke job diffs serial vs parallel reports line for line.
-    """
-    lines = [
-        "## Run cost (profiled)", "",
-        f"Execution mode: {runner.execution_mode} "
-        f"(requested jobs: {runner.requested_jobs}).", "",
-        "| spec | wall s | sim s | post s | events | ev/s "
-        "| peak heap | cached |",
-        "|---|---:|---:|---:|---:|---:|---:|---|",
-    ]
-    for result in runner.history:
-        m = result.metrics
-        heap = f"{m.peak_heap_bytes / 1e6:.1f} MB" if m.peak_heap_bytes else "—"
-        lines.append(
-            f"| {result.spec.label} | {m.wall_s:.2f} | {m.sim_wall_s:.2f} "
-            f"| {m.finalize_s:.2f} | {m.events} "
-            f"| {m.events_per_sec:.0f} | {heap} "
-            f"| {'yes' if m.cached else 'no'} |"
-        )
-    return "\n".join(lines)
 
 
 def generate_report(
     duration_scale: float = 1.0,
     runner: Optional[Runner] = None,
     include_run_costs: bool = False,
+    replications: int = 1,
 ) -> Tuple[str, List[str]]:
-    """Run everything; return the markdown report and the names of the
-    sections that could not be rendered.
+    """Run everything over seeds 1..``replications``; return the markdown
+    report and the titles of the sections that could not be rendered.
 
-    ``runner`` controls parallelism and caching; ``None`` preserves the
-    historical serial in-process behaviour.  Section tables are identical
-    for any worker count (runs are deterministic and collected in
-    submission order); only the wall-time footnotes vary.
+    ``runner`` controls parallelism and caching (``None``: serial,
+    in-process); only the wall-time footnotes vary with it.
     """
     parts = [
         "# EXPERIMENTS — paper vs measured",
@@ -655,18 +649,17 @@ def generate_report(
     ]
     failed: List[str] = []
     for section in SECTIONS:
-        name = section.__name__.lstrip("_")
         start = time.time()
-        log.info("running %s ...", name)
+        log.info("running %s ...", section.title)
         try:
-            parts.append(section(duration_scale, runner))
+            parts.append(section.render(duration_scale, runner, replications))
         except Exception as exc:
             # A failed run leaves holes a section may not tolerate; render
             # the gap as a note so the rest of the report still lands.
-            log.error("section %s failed: %s", name, exc)
-            failed.append(name)
+            log.error("section %s failed: %s", section.title, exc)
+            failed.append(section.title)
             parts.append(
-                f"## {name}\n\n"
+                f"## {section.title}\n\n"
                 f"*Section could not be rendered ({type(exc).__name__}: "
                 f"{exc}); see the failed-runs table below.*"
             )
@@ -675,8 +668,9 @@ def generate_report(
         parts.append(_failures_section(runner))
         parts.append("")
     if include_run_costs and runner is not None and runner.history:
-        parts.append(_run_cost_section(runner))
-        parts.append("")
+        # Never emitted by default: its wall times differ run to run.
+        table = run_cost_table(runner.history, mode=runner.execution_mode)
+        parts.append(f"## Run cost (profiled)\n\n```\n{table}\n```\n")
     return "\n".join(parts), failed
 
 
@@ -703,6 +697,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration-scale", type=positive_float, default=1.0,
                         help="scale all experiment durations (0.2 = quick)")
+    parser.add_argument("--replications", type=positive_int, default=1,
+                        metavar="N",
+                        help="run every section over seeds 1..N and judge "
+                             "each claim on the 95%% t-interval of its "
+                             "quantities (default 1: seed 1's values)")
     parser.add_argument("-o", "--output", default=None,
                         help="write the report to this file")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -729,7 +728,8 @@ def main(argv: list[str] | None = None) -> int:
     runner = Runner(jobs=jobs, cache=cache, profile=args.profile,
                     timeout_s=args.run_timeout, auto_serial=True)
     report, failed_sections = generate_report(
-        args.duration_scale, runner=runner, include_run_costs=args.profile)
+        args.duration_scale, runner=runner, include_run_costs=args.profile,
+        replications=args.replications)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(report + "\n")

@@ -16,7 +16,7 @@ Typical use::
     results = latency.run(runner=runner)   # 4 schemes, fanned out
 """
 
-from repro.runner.atomicio import atomic_write_bytes, atomic_write_text
+from repro.runner.atomicio import atomic_write_bytes
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.executor import (
     FailedResult,
@@ -34,7 +34,7 @@ from repro.runner.progress import (
     read_heartbeats,
     read_manifest,
 )
-from repro.runner.spec import RunSpec, canonical, derive_seed, spec_digest
+from repro.runner.spec import RunSpec, canonical, spec_digest
 
 __all__ = [
     "FailedResult",
@@ -48,11 +48,9 @@ __all__ = [
     "RunSpec",
     "Runner",
     "atomic_write_bytes",
-    "atomic_write_text",
     "canonical",
     "default_cache_dir",
     "default_jobs",
-    "derive_seed",
     "execute",
     "read_heartbeats",
     "read_manifest",

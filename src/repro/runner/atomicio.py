@@ -1,16 +1,9 @@
-"""Durable file primitives shared by the cache, journal, and shards.
+"""Durable file writes for the result cache.
 
-Crash-safety in this repository always reduces to the same three-step
-dance — write to a temp file, ``fsync`` it, ``os.replace`` into place —
-plus a directory fsync so the rename itself survives a power cut.  This
-module is the single implementation of that dance, used by the result
-cache, the campaign write-ahead journal, and shard checkpoints, so the
-chaos harness only has to prove one writer correct.
-
-A process-wide *fault hook* lets the chaos harness simulate disk
-pressure (``ENOSPC``) without touching a real filesystem quota: when
-installed, the hook runs before every durable write and may raise.
-Production code never installs one.
+Crash-safety reduces to a three-step dance — write to a temp file,
+``fsync`` it, ``os.replace`` into place — plus a directory fsync so the
+rename itself survives a power cut.  A report killed mid-run therefore
+leaves whole cache entries or none, and resumes from the ones it wrote.
 """
 
 from __future__ import annotations
@@ -18,27 +11,9 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Union
 
-__all__ = [
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "fsync_dir",
-    "set_fault_hook",
-]
-
-#: Test-only hook raised before durable writes (chaos disk-full mode).
-_fault_hook: Optional[Callable[[str], None]] = None
-
-
-def set_fault_hook(hook: Optional[Callable[[str], None]]) -> None:
-    """Install (or clear, with ``None``) the durable-write fault hook.
-
-    The hook receives the destination path and may raise ``OSError`` to
-    simulate a failed write.  Used only by the chaos-recovery harness.
-    """
-    global _fault_hook
-    _fault_hook = hook
+__all__ = ["atomic_write_bytes", "fsync_dir"]
 
 
 def fsync_dir(path: Union[str, os.PathLike]) -> None:
@@ -71,8 +46,6 @@ def atomic_write_bytes(
     Raises ``OSError`` on failure; the temp file is cleaned up.
     """
     target = Path(path)
-    if _fault_hook is not None:
-        _fault_hook(str(target))
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -90,9 +63,3 @@ def atomic_write_bytes(
     if durable:
         fsync_dir(target.parent)
 
-
-def atomic_write_text(
-    path: Union[str, os.PathLike], text: str, durable: bool = True
-) -> None:
-    """UTF-8 text variant of :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode("utf-8"), durable=durable)

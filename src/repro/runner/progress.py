@@ -1,6 +1,6 @@
 """Live run progress: worker heartbeats, a status line, and run manifests.
 
-A campaign-scale sweep is opaque while it runs: the runner fans specs out
+A long sweep is opaque while it runs: the runner fans specs out
 to worker processes and nothing surfaces until each run's final value
 comes back, which for multi-minute simulations means minutes of silence.
 This module adds the three observability surfaces around that gap:
@@ -373,7 +373,7 @@ class ManifestWriter:
     parseable by CI jobs and dashboards.  The final line is an ``end``
     footer with outcome counts: a manifest without one was cut short
     (crashed or killed writer) and its tail cannot be trusted to be
-    complete — ``campaign status`` and ``trace summarize`` warn on it.
+    complete — ``trace summarize`` warns on it.
     """
 
     def __init__(self, path: str) -> None:

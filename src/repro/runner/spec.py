@@ -11,11 +11,6 @@ identity for the on-disk result cache, so they must be
   arguments to JSON and digest with SHA-256), and
 * **self-contained** (the target is a dotted ``module:function`` path,
   resolved inside the worker, never a closure).
-
-Seed derivation lives here too: :func:`derive_seed` maps a base seed plus
-any hashable labels to a deterministic child seed, so sweeps that need
-per-repetition seeds get the same stream regardless of execution order or
-worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from typing import Any, Callable, Dict, Tuple
 
 import repro
 
-__all__ = ["RunSpec", "canonical", "derive_seed", "spec_digest"]
+__all__ = ["RunSpec", "canonical", "spec_digest"]
 
 
 def canonical(obj: Any) -> Any:
@@ -75,22 +70,6 @@ def spec_digest(fn: str, kwargs: Dict[str, Any], version: str) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def derive_seed(base_seed: int, *labels: Any) -> int:
-    """Derive a deterministic child seed from ``base_seed`` and labels.
-
-    The derivation is order-sensitive in the labels but independent of
-    execution order, worker count, and Python hash randomisation, so a
-    sweep's repetition *k* always simulates the same run.
-    """
-    blob = json.dumps(
-        [int(base_seed), [canonical(label) for label in labels]],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    digest = hashlib.sha256(blob.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (2**31 - 1)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Online statistics: O(1)-memory aggregation fed straight from the trace hooks.
 
 *Retaining the whole trace* and decoding it after the run is the wrong
-shape for campaign-scale fan-out (thousands of runs, each multi-minute):
-memory grows with sim duration and the decode pass costs as much as the
-simulation.  This module computes the common summary outputs *during*
-the run instead, with flat memory:
+shape for long runs: memory grows with sim duration and the decode pass
+costs as much as the simulation.  This module computes the common
+summary outputs *during* the run instead, with flat memory:
 
 * :class:`QuantileSketch` — a mergeable streaming quantile sketch
   (t-digest-style weighted centroids with a uniform weight cap).  Memory
@@ -13,7 +12,8 @@ the run instead, with flat memory:
   Hypothesis property suite in ``tests/test_streaming.py``).  Sketches
   built over two halves of a stream can be :meth:`QuantileSketch.merge`\\ d
   and answer within the same bound as a single-pass sketch, which is what
-  lets campaign shards reduce without ever exchanging raw samples.
+  lets the campus experiment fold its stations' delay sketches into
+  per-BSS and aggregate tails without keeping raw samples.
 * :class:`WindowedJain` — Jain's fairness index over tumbling
   simulated-time windows of per-station airtime.
 * :class:`StreamingStats` — the per-run aggregator: per-station airtime
@@ -314,29 +314,6 @@ class QuantileSketch:
 
     def quantiles(self, qs: Sequence[float]) -> List[float]:
         return [self.quantile(q) for q in qs]
-
-    def value_at_rank(self, rank: int) -> float:
-        """Estimate the value of the 1-based ``rank``-th order statistic.
-
-        This is the hook rank-based quantile intervals are built on: an
-        order-statistic interval ``[X_(lo), X_(hi)]`` maps its ranks to
-        values through this method.  While the sample count stays within
-        the centroid budget (the campaign case — tens of replications),
-        every centroid holds exactly one sample and the returned value
-        is the *exact* order statistic; beyond that it inherits the
-        sketch's documented rank error bound.
-        """
-        n = self.count
-        if n == 0:
-            raise ValueError("value_at_rank on an empty sketch")
-        if rank <= 1:
-            return self.quantile(0.0)
-        if rank >= n:
-            return self.quantile(1.0)
-        # Centroid midpoint-rank interpolation puts the i-th unit-weight
-        # centroid exactly at rank i - 0.5 of n, so this query returns
-        # the i-th sample verbatim in the uncompressed regime.
-        return self.quantile((rank - 0.5) / n)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analysis.fairness import jain_index
-from repro.analysis.stats import AirtimeTracker, cdf_points, percentile, summarize
+from repro.analysis.stats import (
+    AirtimeTracker,
+    betainc,
+    cdf_points,
+    mean_interval,
+    percentile,
+    student_t_cdf,
+    student_t_ppf,
+    summarize,
+)
+from repro.telemetry.streaming import QuantileSketch
 from repro.core.packet import AccessCategory
 from repro.mac.medium import TransmissionRecord
 
@@ -157,3 +169,82 @@ class TestAirtimeTracker:
         tracker.on_transmission(record(0, 100.0))
         # Station 1 never transmitted: counted as zero.
         assert tracker.jain_airtime([0, 1]) == pytest.approx(0.5)
+
+
+class TestDistributionPrimitives:
+    """The pure-Python distribution functions against published tables."""
+
+    def test_betainc_known_values(self):
+        assert betainc(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-12)
+        # I_x(a, b) symmetry: I_x(a,b) = 1 - I_{1-x}(b,a).
+        assert betainc(2.0, 5.0, 0.4) == pytest.approx(
+            1.0 - betainc(5.0, 2.0, 0.6), abs=1e-12
+        )
+        assert betainc(2.0, 3.0, 0.0) == 0.0
+        assert betainc(2.0, 3.0, 1.0) == 1.0
+
+    def test_t_cdf_symmetry_and_known_values(self):
+        assert student_t_cdf(0.0, 7) == pytest.approx(0.5, abs=1e-12)
+        # df=1 is Cauchy: F(1) = 3/4 exactly.
+        assert student_t_cdf(1.0, 1) == pytest.approx(0.75, abs=1e-9)
+        for t, df in [(1.3, 4), (2.1, 17)]:
+            assert student_t_cdf(-t, df) == pytest.approx(
+                1.0 - student_t_cdf(t, df), abs=1e-12
+            )
+
+    def test_t_ppf_matches_t_tables(self):
+        # Standard two-sided 95% critical values.
+        for df, expect in [(1, 12.7062), (2, 4.3027), (10, 2.2281),
+                           (30, 2.0423)]:
+            assert student_t_ppf(0.975, df) == pytest.approx(
+                expect, abs=2e-4
+            )
+        # Round-trips through the CDF, and is odd about the median.
+        t = student_t_ppf(0.9, 6)
+        assert student_t_cdf(t, 6) == pytest.approx(0.9, abs=1e-9)
+        assert student_t_ppf(0.1, 6) == -t
+
+
+class TestMeanInterval:
+    def test_below_two_samples_is_unbounded(self):
+        assert mean_interval(0, 0.0, 0.0) is None
+        assert mean_interval(1, 5.0, 0.0) is None
+
+    def test_zero_variance_is_zero_width(self):
+        interval = mean_interval(5, 3.0, 0.0)
+        assert (interval.lo, interval.hi) == (3.0, 3.0)
+        assert interval.half_width == 0.0
+
+    def test_half_width_formula(self):
+        # n=4, s^2=1: hw = t_{0.975,3} / 2.
+        interval = mean_interval(4, 10.0, 1.0, confidence=0.95)
+        expect = student_t_ppf(0.975, 3) / 2.0
+        assert interval.half_width == pytest.approx(expect, rel=1e-9)
+        assert interval.lo == pytest.approx(10.0 - expect, rel=1e-9)
+
+    def test_sketch_interval_equals_direct(self):
+        """A sketch's exact moments give the interval of the raw values."""
+        values = [9.5, 10.2, 10.0, 10.8, 9.9]
+        sketch = QuantileSketch(64)
+        sketch.observe_many(values)
+        via_sketch = mean_interval(sketch.count, sketch.mean,
+                                   sketch.variance)
+        mean = sum(values) / len(values)
+        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+        direct = mean_interval(len(values), mean, var)
+        assert via_sketch.lo == pytest.approx(direct.lo, rel=1e-9)
+        assert via_sketch.hi == pytest.approx(direct.hi, rel=1e-9)
+
+    def test_t_interval_coverage_on_normal(self):
+        """Monte-Carlo: nominal 95% coverage on Normal data, n=8."""
+        rng = random.Random(1234)
+        trials, hits = 800, 0
+        for _ in range(trials):
+            xs = [rng.gauss(5.0, 2.0) for _ in range(8)]
+            mean = sum(xs) / len(xs)
+            var = sum((v - mean) ** 2 for v in xs) / (len(xs) - 1)
+            interval = mean_interval(len(xs), mean, var, 0.95)
+            if interval.lo <= 5.0 <= interval.hi:
+                hits += 1
+        coverage = hits / trials
+        assert 0.91 <= coverage <= 0.985, coverage

@@ -30,6 +30,12 @@ def test_unknown_experiment_rejected(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_the_campaign_subcommand_is_gone(capsys):
+    """The report replicates over seeds; there is no second sweep path."""
+    assert main(["campaign"]) == 2
+    assert "unknown experiment(s): campaign" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--duration", "nan"), ("--duration", "inf"), ("--duration", "0"),
     ("--duration", "-1"), ("--warmup", "-0.5"), ("--warmup", "nan"),
@@ -45,26 +51,31 @@ def test_bad_window_is_a_usage_error_before_any_run(
     assert flag in captured.err and "Figure 5" not in captured.out
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
-def test_report_rejects_a_bad_duration_scale(scale, capsys, five_second_alarm):
-    """Scale 0 used to write 15 failed checks and exit 0."""
+@pytest.mark.parametrize("flag, value", [
+    *(pytest.param("--duration-scale", v, id=v)
+      for v in ("0", "-1", "nan", "inf")),
+    *(pytest.param("--replications", v, id=f"replications={v}")
+      for v in ("0", "-1", "nan", "1.5")),
+])
+def test_report_rejects_a_bad_duration_scale(flag, value, capsys,
+                                             five_second_alarm):
+    """Scale 0 used to write 15 failed checks and exit 0; a replication
+    count must be a whole number of seeds, at least one."""
     with pytest.raises(SystemExit) as exit_info:
-        report.main(["--duration-scale", scale, "--no-cache", "--jobs", "1"])
+        report.main([flag, value, "--no-cache", "--jobs", "1"])
     assert exit_info.value.code == 2
-    assert "--duration-scale" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry, argv", [
     (main, ["fig05", "--no-cache", "--jobs", "2"]),
     (report.main, ["--duration-scale", "0.005", "--no-cache", "--jobs", "2"]),
-    (main, ["campaign", "run", "demo", "--dir", "{tmp}", "--no-cache"]),
-], ids=["experiment", "report", "campaign"])
+], ids=["experiment", "report"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan"])
 def test_bad_run_timeout_is_a_usage_error_before_any_run(
-        entry, argv, value, tmp_path, capsys, five_second_alarm):
+        entry, argv, value, capsys, five_second_alarm):
     """A zero, negative or NaN budget used to start every run in the pool
     and kill it at once as a timeout, then exit 3."""
-    argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         entry([*argv, "--run-timeout", value])
     assert exit_info.value.code == 2

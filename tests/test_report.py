@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import paper_data, report, scaling, web
-from repro.experiments.report import ShapeCheck, _checks_table, _needs
+from repro.experiments.latency import LatencyResult
+from repro.experiments.report import Claim, Quantity, Section
 from repro.mac.ap import Scheme
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPaperData:
@@ -41,27 +52,105 @@ class TestPaperData:
         assert paper_data.FIGURE_HEADLINES["fig9_throughput_gain"] == 5.4
 
 
+def _latency_run(**rtts_ms):
+    """A Figure 4 run keyed by scheme: ``FIFO=(fast, slow)`` ping lists."""
+    run = {}
+    for scheme in Scheme:
+        fast, slow = rtts_ms.get(scheme.name, ([10.0], [20.0]))
+        run[scheme] = LatencyResult(scheme, False, {0: fast, 1: [], 2: slow})
+    return run
+
+
+def _constant_section(*claims: Claim, values=(42,)) -> Section:
+    """A section whose run for seed k is ``values[k - 1]``."""
+    return Section("T", lambda scale, runner, seed: values[seed - 1],
+                   lambda run: f"table of {run}", claims)
+
+
 class TestShapeChecks:
     def test_check_rendering(self):
-        table = _checks_table([
-            ShapeCheck("claim A", True, "42"),
-            ShapeCheck("claim B", False, "0"),
-        ])
-        assert "✓" in table and "✗" in table
-        assert "claim A" in table
-
+        table = _constant_section(
+            Claim("claim A", str, Quantity("x", lambda r: r, ">", 0)),
+            Claim("claim B", str, Quantity("x", lambda r: r, "<", 0)),
+        ).render(1.0)
+        assert table.splitlines()[:3] == ["## T", "", "table of 42"]
+        assert "| ✓ | claim A | 42 |" in table
+        assert "| ✗ | claim B | 42 |" in table
 
     def test_claim_on_missing_samples_fails_with_what_is_missing(self):
-        check = _needs(ShapeCheck("claim", True, "nan ms"),
-                       ("fast-station ping", Scheme.FQ_MAC, 12),
-                       ("slow-station ping", Scheme.AIRTIME, 0))
-        assert not check.passed
-        assert check.detail == (
-            "no slow-station ping completed under Airtime fair FQ")
+        """The first quantity the claim reads with no samples names it."""
+        claim = report.LATENCY.claims[3]  # FQ-CoDel slow vs FQ-MAC slow
+        run = _latency_run(FQ_CODEL=([10.0], [80.0]), FQ_MAC=([10.0], []))
+        assert claim.judge([run]) == (
+            False, "no slow-station ping completed under FQ-MAC")
+        # A seed that completed no ping fails the claim at any N.
+        full = _latency_run(FQ_CODEL=([10.0], [80.0]), FQ_MAC=([9.0], [9.0]))
+        assert claim.judge([full, run])[0] is False
 
     def test_claim_with_all_samples_is_unchanged(self):
-        check = ShapeCheck("claim", True, "3 ms")
-        assert _needs(check, ("fast-station ping", Scheme.FIFO, 1)) is check
+        """At one seed the verdict and the cell are the point values'."""
+        claim = report.LATENCY.claims[1]  # FIFO → FQ-MAC, > 5x
+        run = _latency_run(FIFO=([106.2], [200.0]), FQ_MAC=([15.9], [16.0]))
+        assert claim.judge([run]) == (True, "106 ms → 15.9 ms (7x)")
+        run = _latency_run(FIFO=([60.0], [200.0]), FQ_MAC=([15.0], [16.0]))
+        assert claim.judge([run]) == (False, "60 ms → 15.0 ms (4x)")
+
+
+class TestReplications:
+    """At N >= 2 a claim holds only if each quantity's 95% t-interval
+    over the seeds lies on its passing side."""
+
+    def test_the_interval_must_clear_the_threshold(self):
+        claim = Claim("c", lambda r: "seed 1", Quantity("x", float, ">", 1))
+        assert claim.judge([1.5]) == (True, "seed 1")
+        # Mean 2, half-width t(0.975, 1) * 0.5 = 6.35: straddles 1.
+        passed, detail = claim.judge([1.5, 2.5])
+        assert not passed
+        assert detail == "seed 1; n=2: x 2 ± 6.35"
+        assert claim.judge([2.0, 2.0, 2.0]) == (True, "seed 1; n=3: x 2 ± 0")
+
+    @pytest.mark.parametrize("side, passes", [
+        (">", False), (">=", True), ("<", False), ("<=", True)])
+    def test_a_zero_width_interval_on_the_threshold(self, side, passes):
+        claim = Claim("c", str, Quantity("x", float, side, 3.0))
+        assert claim.judge([3.0, 3.0])[0] is passes
+
+    def test_upper_bounds_read_the_top_of_the_interval(self):
+        claim = Claim("c", str, Quantity("x", float, "<", 10.0))
+        assert claim.judge([9.0, 9.5])[0] is False      # 9.25 ± 3.18
+        assert claim.judge([9.0, 9.0001, 9.0])[0] is True
+
+    def test_a_quantity_bounded_twice_is_shown_once(self):
+        claim = Claim("c", str, Quantity("share", float, ">", 0.38),
+                      Quantity("share", float, "<", 0.6))
+        passed, detail = claim.judge([0.5, 0.5])
+        assert passed and detail.endswith("; n=2: share 0.5 ± 0")
+        assert not claim.judge([0.7, 0.7])[0]
+
+    def test_every_section_runs_seeds_one_to_n(self, monkeypatch):
+        asked = []
+
+        def run(scale, runner, seed):
+            asked.append(seed)
+            return 10 * seed
+
+        section = Section("S", run, lambda r: f"body {r}", (
+            Claim("c", lambda r: f"seed-1 {r}", Quantity("v", float, ">", 0)),
+        ))
+        monkeypatch.setattr(report, "SECTIONS", [section])
+        text, failed = report.generate_report(replications=3)
+        assert asked == [1, 2, 3] and failed == []
+        assert "body 10" in text
+        assert "| ✗ | c | seed-1 10; n=3: v 20 ± 24.8 |" in text
+
+    def test_claims_left_out_on_seed_1_stay_out(self):
+        section = _constant_section(
+            Claim("kept", str, Quantity("x", float, ">", 0)),
+            Claim("dropped", str, Quantity("x", float, ">", 0),
+                  applies=lambda run: run > 100),
+            values=(1, 200))
+        table = section.render(1.0, replications=2)
+        assert "kept" in table and "dropped" not in table
 
 
 class TestEmptyResultsRender:
@@ -94,13 +183,13 @@ class TestExitCodes:
     def test_a_section_that_cannot_render_exits_3(self, monkeypatch,
                                                   tmp_path):
         """A crashing claim used to leave a note in the report and exit 0."""
-        def fine(scale, runner=None):
-            return "## fine"
-
-        def broken(scale, runner=None):
+        def broken(scale, runner, seed):
             raise KeyError("fifo")
 
-        monkeypatch.setattr(report, "SECTIONS", [fine, broken])
+        fine = Section("fine", lambda scale, runner, seed: None,
+                       lambda run: "", ())
+        monkeypatch.setattr(report, "SECTIONS",
+                            [fine, Section("broken", broken, str, ())])
         out = tmp_path / "report.md"
         argv = ["--no-cache", "--jobs", "1", "-o", str(out)]
         assert report.main(argv) == 3
@@ -128,3 +217,51 @@ class TestFailureSection:
         assert "latency/FIFO" in text
         assert "timeout" in text
         assert "exceeded \\| budget" in text  # pipes escaped for markdown
+
+
+def _report(out: Path, cache: Path, *argv: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["REPRO_CACHE_DIR"] = str(cache)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.report",
+         "--duration-scale", "0.005", "-o", str(out), *argv],
+        cwd=REPO_ROOT, env=env, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+
+
+def _without_wall_times(path: Path) -> str:
+    return "".join(line for line in path.read_text().splitlines(True)
+                   if "section wall time" not in line)
+
+
+class TestResume:
+    def test_a_killed_report_resumes_from_the_cache(self, tmp_path):
+        """SIGKILL a parallel report once its first run is cached: the
+        rerun takes what was cached and writes the uninterrupted bytes."""
+        cache = tmp_path / "cache"
+        killed = _report(tmp_path / "killed.md", cache, "--jobs", "2")
+        try:
+            deadline = time.monotonic() + 120.0
+            while not list(cache.glob("*.pkl")):
+                assert killed.poll() is None, "report ended before the kill"
+                assert time.monotonic() < deadline, "no run was ever cached"
+                time.sleep(0.01)
+            os.killpg(killed.pid, signal.SIGKILL)
+        finally:
+            killed.communicate(timeout=60)
+        assert killed.returncode == -signal.SIGKILL
+        assert not (tmp_path / "killed.md").exists()
+
+        resumed = _report(tmp_path / "resumed.md", cache, "--jobs", "2")
+        _, err = resumed.communicate(timeout=600)
+        assert resumed.returncode == 0, err
+        hits = re.search(r"\[cache: (\d+) hits", err)
+        assert hits and int(hits.group(1)) >= 1, err
+
+        fresh = _report(tmp_path / "fresh.md", tmp_path / "unused",
+                        "--jobs", "1", "--no-cache")
+        _, err = fresh.communicate(timeout=600)
+        assert fresh.returncode == 0, err
+        assert (_without_wall_times(tmp_path / "resumed.md")
+                == _without_wall_times(tmp_path / "fresh.md"))

@@ -12,7 +12,6 @@ from repro.runner import (
     RunSpec,
     Runner,
     canonical,
-    derive_seed,
     execute,
 )
 from repro.runner import executor as executor_mod
@@ -107,24 +106,6 @@ class TestRunSpec:
     def test_bad_fn_path_rejected(self):
         with pytest.raises(ValueError):
             RunSpec.make("no_colon_here", x=1).resolve()
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(1, "latency", 3) == derive_seed(1, "latency", 3)
-
-    def test_sensitive_to_base_and_labels(self):
-        seeds = {
-            derive_seed(1, "latency", 0),
-            derive_seed(2, "latency", 0),
-            derive_seed(1, "voip", 0),
-            derive_seed(1, "latency", 1),
-        }
-        assert len(seeds) == 4
-
-    def test_in_rng_range(self):
-        for rep in range(50):
-            assert 0 <= derive_seed(1, rep) < 2**31 - 1
 
 
 # ----------------------------------------------------------------------

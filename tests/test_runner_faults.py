@@ -1,4 +1,5 @@
-"""Runner fault tolerance: failed workers, timeouts, and cache integrity.
+"""Runner fault tolerance: failed workers, timeouts, signals, and cache
+integrity.
 
 Helper functions live at module top level so pool workers (forked with
 this module already imported) can unpickle references to them.
@@ -9,8 +10,11 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
-
+from pathlib import Path
 
 from repro.runner import FailedResult, ResultCache, RunSpec, Runner
 from repro.runner import executor as executor_mod
@@ -32,6 +36,14 @@ def die(delay_s: float = 0.2) -> None:
 def sleep_for(seconds: float = 60.0) -> str:
     time.sleep(seconds)
     return "woke up"
+
+
+def touch_then_sleep(sentinel: str = "", seconds: float = 60.0) -> str:
+    """Prove the worker started, then block."""
+    with open(sentinel, "a") as handle:
+        handle.write("started\n")
+    time.sleep(seconds)
+    return "woke"
 
 
 def _spec(fn: str, **kwargs) -> RunSpec:
@@ -244,3 +256,68 @@ class TestCacheQuarantine:
         cache.put(spec, 14)  # fresh entry next to the quarantined one
         assert cache.clear() == 2
         assert not list(cache.root.glob("*"))
+
+
+# ----------------------------------------------------------------------
+# Graceful interruption: SIGTERM mid-sweep drains in-flight runs,
+# flushes the manifest (with its footer) and exits 130.
+# ----------------------------------------------------------------------
+_DRIVER = """
+import sys
+from repro.runner import Runner, RunSpec
+
+manifest, sentinel = sys.argv[1], sys.argv[2]
+runner = Runner(jobs=2, cache=None, graceful_signals=True,
+                manifest_path=manifest)
+specs = [
+    RunSpec.make("tests.test_runner_faults:touch_then_sleep",
+                 sentinel=sentinel, seconds=60.0, label=f"s{i}")
+    for i in range(4)
+]
+results = runner.map(specs)
+phases = [r.error.phase for r in results if not r.ok]
+assert runner.interrupted, "runner should report interruption"
+assert "interrupted" in phases, phases
+sys.exit(130 if runner.interrupted else 0)
+"""
+
+
+class TestRunnerGracefulSignals:
+    def test_sigterm_drains_flushes_manifest_and_exits_130(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        sentinel = tmp_path / "started"
+        env = dict(os.environ)
+        repo = Path(__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(repo / "src"), str(repo)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _DRIVER, str(manifest), str(sentinel)],
+            env=env, cwd=str(repo), start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not sentinel.exists():
+                if proc.poll() is not None:
+                    raise AssertionError(
+                        f"driver exited early: rc={proc.returncode}")
+                time.sleep(0.02)
+            assert sentinel.exists(), "workers never started"
+            os.kill(proc.pid, signal.SIGTERM)
+            rc = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert rc == 130
+
+        from repro.runner import read_manifest
+
+        records, complete = read_manifest(str(manifest))
+        assert complete, "manifest should carry its terminal footer"
+        footer = records[-1]
+        assert footer["ev"] == "end"
+        assert footer["interrupted"] >= 1
+        runs = [r for r in records if r.get("ev") == "run"]
+        assert len(runs) == 4  # every spec accounted for, none lost

@@ -238,18 +238,6 @@ class TestQuantileSketch:
         sketch.observe(3.0)
         assert sketch.variance == 0.0    # constant data: exactly zero
 
-    def test_value_at_rank_is_exact_below_capacity(self):
-        data = [9.0, 1.0, 5.0, 3.0, 7.0]
-        sketch = QuantileSketch(64)
-        for value in data:
-            sketch.observe(value)
-        expect = sorted(data)
-        for rank in range(1, len(data) + 1):
-            assert sketch.value_at_rank(rank) == expect[rank - 1]
-        # Out-of-range ranks clamp to the exact tails.
-        assert sketch.value_at_rank(0) == 1.0
-        assert sketch.value_at_rank(99) == 9.0
-
 
 # ----------------------------------------------------------------------
 # Jain index + windows
