@@ -73,6 +73,13 @@ class ClientStation:
         }
         self._builder = AggregateBuilder(limits)
         self._hw = HardwareQueue()
+        # The uplink fill walks this plan, VO first: per AC, the builder's
+        # holdback key, the qdisc and the hardware queue's deque, bound
+        # once so a queued ack pays no backlog or depth probe call.
+        self._fill_plan = tuple(
+            (ac, (index, ac), self._uplink[ac], self._hw._queues[ac])
+            for ac in (AccessCategory.VO, AccessCategory.BE)
+        )
         self._handlers: Dict[int, PacketHandler] = {}
         self._burst_handlers: Dict[int, BurstHandler] = {}
         self.medium: Optional["Medium"] = None
@@ -131,16 +138,18 @@ class ClientStation:
         return accepted
 
     def _fill_hw(self) -> None:
-        for ac in (AccessCategory.VO, AccessCategory.BE):
-            while not self._hw.full(ac):
-                has_held = self._builder.holdback_backlog(self.index, ac) > 0
-                if not self._uplink[ac].has_backlog() and not has_held:
+        hw = self._hw
+        depth = hw.depth
+        build = self._builder.build
+        holdback = self._builder._holdback
+        for ac, key, qdisc, hw_queue in self._fill_plan:
+            while len(hw_queue) < depth:
+                if not qdisc.backlog_packets and key not in holdback:
                     break
-                agg = self._builder.build(self.index, ac, self.rate,
-                                          self._uplink[ac].dequeue)
+                agg = build(self.index, ac, self.rate, qdisc.dequeue)
                 if agg is None:
                     break
-                self._hw.push(agg)
+                hw.push(agg)
 
     def set_detached(self, detached: bool) -> None:
         """Mark the station as (de)tached from the BSS (churn)."""

@@ -36,7 +36,11 @@ class Server:
         self._handlers[flow_id] = handler
 
     def send(self, pkt: Packet) -> None:
-        """Send a packet toward its destination station."""
+        """Send a packet toward its destination station.
+
+        The sender stamps ``created_us`` when it builds the packet; the
+        wire does not restamp it.
+        """
         assert self.network is not None, "server not attached to a network"
         self.network.to_ap(pkt)
 
@@ -93,7 +97,6 @@ class Network:
 
     def to_ap(self, pkt: Packet) -> None:
         """Server -> serving AP direction (downstream)."""
-        pkt.created_us = self.sim.now
         self._schedule_call(self.delay_us, self._deliver_down, pkt)
 
     def to_server(self, pkt: Packet) -> None:

@@ -4,21 +4,21 @@ from repro.sim.batch import BatchSource
 from repro.sim.engine import (
     US_PER_MS,
     US_PER_SEC,
-    Event,
     PeriodicTimer,
     SimulationError,
     Simulator,
+    Timer,
     events_processed_total,
 )
 from repro.sim.rng import RngFactory
 
 __all__ = [
     "BatchSource",
-    "Event",
     "PeriodicTimer",
     "RngFactory",
     "SimulationError",
     "Simulator",
+    "Timer",
     "US_PER_MS",
     "US_PER_SEC",
     "events_processed_total",

@@ -3,13 +3,13 @@
 :class:`BatchSource` is the engine-side half of batched arrival
 generation (the traffic-side half — the chunked timestamp generators —
 lives in :mod:`repro.traffic.arrivals`).  A conventional
-:class:`~repro.sim.engine.PeriodicTimer` pays, per arrival, for an
-:class:`~repro.sim.engine.Event` allocation, a re-arm ``schedule`` call
-and a ``now + interval`` float add inside the callback chain.
+:class:`~repro.sim.engine.PeriodicTimer` pays, per arrival, for a
+:class:`~repro.sim.engine.Timer` re-arm and a ``now + interval`` float
+add inside the callback chain.
 ``BatchSource`` instead consumes an iterator of *chunks* — monotonically
 increasing absolute timestamps, precomputed in bulk — and
 replays them through the :meth:`~repro.sim.engine.Simulator.schedule_call_at`
-fast path: no Event objects, no closures, one chunk-generation step per
+fast path: no Timer objects, no closures, one chunk-generation step per
 ~thousands of arrivals.
 
 The arrival stamped ``t`` fires at ``t + latency_us`` and the callback

@@ -11,17 +11,16 @@ microseconds, which keeps arithmetic readable and avoids sub-nanosecond
 float noise dominating comparisons.
 
 The event loop is the hot path of every experiment: a 30-second TCP run
-executes millions of callbacks, and TCP/CoDel timers cancel events
-constantly.  The heap therefore holds plain ``(time, priority, seq,
-item, arg)`` tuples — tuple comparison stops at the unique ``seq``
-tie-breaker, so Python never calls a comparison method on an
-:class:`Event` during sifting.  ``item`` is either an :class:`Event`
-(the cancellable API returned by :meth:`Simulator.schedule`) or a bare
-callable pushed by the :meth:`Simulator.schedule_call` fast path, which
-skips the Event allocation entirely for fire-and-forget work (packet
-deliveries, timer ticks, TX completions).  The loop binds the queue and
-``heappop`` to locals inside :meth:`Simulator.run` and compacts the heap
-lazily once cancelled entries outnumber live ones.
+executes millions of callbacks.  The heap therefore holds plain
+``(time, priority, seq, callback, arg)`` tuples — tuple comparison stops
+at the unique ``seq`` tie-breaker, so Python never compares payloads
+during sifting, and the loop calls ``callback(arg)`` for every entry
+with no per-kind branch.  Fire-and-forget work (packet deliveries, TX
+completions) goes through :meth:`Simulator.schedule_call`; anything that
+can be cancelled or re-armed (TCP's retransmission and delayed-ack
+timers, :class:`PeriodicTimer`) is a :class:`Timer`, whose re-arm costs
+a heap push only when it moves the timer *earlier*, so the heap never
+holds a cancelled entry that nothing will pop.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ import gc
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
-__all__ = ["Event", "Simulator", "SimulationError"]
+__all__ = ["Simulator", "SimulationError", "Timer"]
 
 #: Microseconds per second, for conversions at API boundaries.
 US_PER_SEC = 1_000_000.0
@@ -42,10 +41,6 @@ US_PER_MS = 1_000.0
 #: reads deltas of this around a run to report events/sec without needing
 #: a handle on the simulators an experiment creates internally.
 _EVENTS_TOTAL = 0
-
-#: Compact the heap only once it holds at least this many dead entries
-#: (and they outnumber the live ones) — tiny queues never pay for it.
-_COMPACT_MIN_CANCELLED = 64
 
 #: Process-wide progress hook, set by the runner's heartbeat machinery
 #: (:func:`set_default_progress`).  Module-level rather than per
@@ -96,43 +91,87 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulator (e.g. scheduling in the past)."""
 
 
-@dataclass(slots=True)
-class Event:
-    """A scheduled callback.
+class Timer:
+    """A callback that can be armed, re-armed and cancelled.
 
-    Heap entries order by ``(time, priority, seq)``; ``seq`` is a
-    monotonically increasing tie-breaker so that events scheduled earlier
-    run earlier, giving deterministic replay for a fixed RNG seed.  The
-    Event object itself rides in the entry's payload slot and is never
-    compared.
+    :meth:`arm` gives the timer the key ``(now + delay, priority, seq)``,
+    taking ``seq`` from the simulator's tie-break counter exactly as
+    :meth:`Simulator.schedule_call` would, and the callback runs at that
+    key's position in the event order.  Re-arming replaces the key and
+    :meth:`cancel` clears it; neither touches the heap.  A heap entry is
+    pushed only when the new key is earlier than every entry the timer
+    already has queued, so a timer re-armed later on every ACK (TCP's
+    RTO) costs one heap entry per expiry, not one per ACK.
+
+    Invariant (what keeps runs bit-identical to an eager cancel +
+    reschedule): while the timer is armed, its key or an earlier entry of
+    its own is in the heap.  An entry that pops before the armed key is
+    stale; it runs nothing and re-pushes the armed key verbatim (no new
+    seq) when that key is earlier than the timer's remaining entries.
+    So the callback runs at the same ``(time, priority, seq)`` position,
+    seqs are consumed in the same number and order, and each stale pop
+    re-pushes at most once.  A stale pop is not counted as an executed
+    event, but it does count towards the stall guard.
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None]
-    cancelled: bool = field(default=False)
-    #: Owning simulator while the event sits in the heap; cleared when the
-    #: event is popped so that late cancels don't corrupt the counters.
-    sim: Optional["Simulator"] = field(default=None, repr=False)
+    __slots__ = ("_sim", "callback", "_priority", "when", "_seq", "_queued")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        callback: Callable[[], None],
+        priority: int = 0,
+    ) -> None:
+        self._sim = sim
+        self.callback = callback
+        self._priority = priority  # fixed: arm() relies on it
+        #: Firing time of the armed key, or ``None`` when disarmed.
+        self.when: Optional[float] = None
+        self._seq = -1
+        #: Times of this timer's heap entries, latest first: each push is
+        #: earlier than all queued ones, so ``_queued[-1]`` pops next.
+        self._queued: List[float] = []
+
+    def arm(self, delay_us: float) -> None:
+        """(Re-)arm to fire ``delay_us`` from now, replacing any key."""
+        if delay_us < 0:
+            raise SimulationError(f"cannot schedule {delay_us}us in the past")
+        sim = self._sim
+        time = sim.now + delay_us
+        seq = next(sim._seq)
+        self.when = time
+        self._seq = seq
+        queued = self._queued
+        # A later seq never sorts first at an equal (time, priority), so
+        # the new key is earlier than a queued entry iff its time is.
+        if not queued or time < queued[-1]:
+            queued.append(time)
+            heapq.heappush(sim._queue,
+                           (time, self._priority, seq, self._expire, seq))
 
     def cancel(self) -> None:
-        """Mark the event so the loop skips it.
+        """Disarm; a no-op when the timer is not armed."""
+        self.when = None
+        self._seq = -1
 
-        Cancellation is O(1); the dead entry stays in the heap until it is
-        popped or the simulator decides to compact.
-        """
-        if self.cancelled:
+    def _expire(self, seq: int) -> None:
+        queued = self._queued
+        queued.pop()
+        if seq == self._seq:
+            self.when = None
+            self._seq = -1
+            self.callback()
             return
-        self.cancelled = True
-        if self.sim is not None:
-            self.sim._on_cancel()
-
-
-def _entry_live(entry: tuple) -> bool:
-    """True unless the entry wraps a cancelled :class:`Event`."""
-    item = entry[3]
-    return item.__class__ is not Event or not item.cancelled
+        global _EVENTS_TOTAL
+        sim = self._sim
+        sim.events_processed -= 1
+        _EVENTS_TOTAL -= 1
+        when = self.when
+        if when is not None and (not queued or when < queued[-1]):
+            queued.append(when)
+            heapq.heappush(sim._queue,
+                           (when, self._priority, self._seq, self._expire,
+                            self._seq))
 
 
 class Simulator:
@@ -149,18 +188,13 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        #: Heap of ``(time, priority, seq, Event-or-callable, arg)``.
+        #: Heap of ``(time, priority, seq, callback, arg)``.
         self._queue: list[tuple] = []
         self._seq = itertools.count()
         self.now: float = 0.0
         self._running = False
-        self._pending = 0
-        self._cancelled = 0
-        #: Events executed by this simulator (cancelled pops excluded).
+        #: Events executed by this simulator (stale timer pops excluded).
         self.events_processed = 0
-        #: Lazy heap compactions performed (telemetry: how often the
-        #: cancel-heavy workload actually pays the rebuild cost).
-        self.compactions = 0
         #: No-progress watchdog: maximum events executed at one timestamp
         #: before the loop declares a livelock (None = disabled).
         self._stall_limit: Optional[int] = None
@@ -176,23 +210,16 @@ class Simulator:
         delay_us: float,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> Event:
+    ) -> Timer:
         """Schedule ``callback`` to run ``delay_us`` microseconds from now.
 
         ``priority`` breaks ties among events at the same timestamp
-        (lower runs first).  Returns the :class:`Event`, which can be
-        cancelled.
+        (lower runs first).  Returns the armed :class:`Timer`, which can
+        be cancelled or re-armed.
         """
-        if delay_us < 0:
-            raise SimulationError(f"cannot schedule {delay_us}us in the past")
-        event = Event(
-            self.now + delay_us, priority, next(self._seq), callback, False, self
-        )
-        heapq.heappush(
-            self._queue, (event.time, priority, event.seq, event, _NO_ARG)
-        )
-        self._pending += 1
-        return event
+        timer = Timer(self, callback, priority)
+        timer.arm(delay_us)
+        return timer
 
     def schedule_call(
         self,
@@ -201,13 +228,13 @@ class Simulator:
         arg: Any = _NO_ARG,
         priority: int = 0,
     ) -> None:
-        """Fire-and-forget fast path: schedule without an :class:`Event`.
+        """Fire-and-forget fast path: schedule without a :class:`Timer`.
 
         Same ordering semantics as :meth:`schedule` (one seq is consumed
-        from the same tie-break counter), but no Event object is
-        allocated, so the entry cannot be cancelled.  ``arg``, when
-        given, is passed to ``callback`` at fire time — hot paths use it
-        to avoid allocating a closure per scheduled call.
+        from the same tie-break counter), but no Timer is allocated, so
+        the entry cannot be cancelled.  ``arg``, when given, is passed to
+        ``callback`` at fire time — hot paths use it to avoid allocating
+        a closure per scheduled call.
         """
         if delay_us < 0:
             raise SimulationError(f"cannot schedule {delay_us}us in the past")
@@ -215,7 +242,6 @@ class Simulator:
             self._queue,
             (self.now + delay_us, priority, next(self._seq), callback, arg),
         )
-        self._pending += 1
 
     def schedule_call_at(
         self,
@@ -236,45 +262,19 @@ class Simulator:
         heapq.heappush(
             self._queue, (time_us, priority, next(self._seq), callback, arg)
         )
-        self._pending += 1
 
     def schedule_at(
         self,
         time_us: float,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> Event:
+    ) -> Timer:
         """Schedule ``callback`` at absolute simulation time ``time_us``."""
         return self.schedule(time_us - self.now, callback, priority)
 
-    def call_soon(self, callback: Callable[[], None]) -> Event:
+    def call_soon(self, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` at the current time (after pending events)."""
         return self.schedule(0.0, callback)
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _on_cancel(self) -> None:
-        """A heap-resident event was cancelled: fix counters, maybe compact."""
-        self._pending -= 1
-        self._cancelled += 1
-        if (
-            self._cancelled >= _COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 >= len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place.
-
-        In-place (slice assignment) so that a ``queue`` local bound inside
-        :meth:`run` stays valid across a compaction triggered by a callback.
-        """
-        queue = self._queue
-        queue[:] = [entry for entry in queue if _entry_live(entry)]
-        heapq.heapify(queue)
-        self._cancelled = 0
-        self.compactions += 1
 
     # ------------------------------------------------------------------
     # Watchdog
@@ -323,7 +323,6 @@ class Simulator:
         global _EVENTS_TOTAL
         queue = self._queue
         heappop = heapq.heappop
-        event_cls = Event
         no_arg = _NO_ARG
         until = float("inf") if until_us is None else until_us
         executed = 0
@@ -340,16 +339,7 @@ class Simulator:
             while queue:
                 if queue[0][0] > until:
                     break
-                time, _prio, _seq, item, arg = heappop(queue)
-                if item.__class__ is event_cls:
-                    if item.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    item.sim = None
-                    callback = item.callback
-                else:
-                    callback = item
-                self._pending -= 1
+                time, _prio, _seq, callback, arg = heappop(queue)
                 if time < now:  # pragma: no cover - defensive
                     raise SimulationError("event queue went backwards")
                 self.now = now = time
@@ -389,39 +379,31 @@ class Simulator:
                 progress_hook(self, executed)
 
     def step(self) -> bool:
-        """Run a single event.  Returns False if the queue is empty."""
+        """Pop and run one heap entry.  Returns False if the queue is empty.
+
+        A stale :class:`Timer` entry runs nothing (it may re-push its
+        timer's armed key), but still counts as the step.
+        """
         global _EVENTS_TOTAL
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            item = entry[3]
-            if item.__class__ is Event:
-                if item.cancelled:
-                    self._cancelled -= 1
-                    continue
-                item.sim = None
-                callback = item.callback
-            else:
-                callback = item
-            self._pending -= 1
-            self.now = entry[0]
-            self.events_processed += 1
-            _EVENTS_TOTAL += 1
-            arg = entry[4]
-            if arg is _NO_ARG:
-                callback()
-            else:
-                callback(arg)
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _prio, _seq, callback, arg = heapq.heappop(self._queue)
+        self.now = time
+        self.events_processed += 1
+        _EVENTS_TOTAL += 1
+        if arg is _NO_ARG:
+            callback()
+        else:
+            callback(arg)
+        return True
 
     @property
     def pending_events(self) -> int:
-        """Number of live (scheduled and not cancelled) events."""
-        return self._pending
+        """Entries in the heap.
 
-    @property
-    def heap_len(self) -> int:
-        """Heap entries including dead ones (telemetry: compaction debt)."""
+        A cancelled or re-armed :class:`Timer` keeps its queued entry
+        until it pops, so this counts that entry too.
+        """
         return len(self._queue)
 
     # ------------------------------------------------------------------
@@ -445,7 +427,7 @@ class Simulator:
 
 @dataclass
 class PeriodicTimer:
-    """Re-arming timer built on :class:`Simulator`.
+    """Re-arming timer built on :class:`Timer`.
 
     Calls ``callback`` every ``interval_us`` until :meth:`stop`.  The first
     call fires after ``first_delay_us`` (defaults to one interval).
@@ -454,27 +436,26 @@ class PeriodicTimer:
     sim: Simulator
     interval_us: float
     callback: Callable[[], None]
-    _event: Optional[Event] = None
+    _timer: Timer = field(init=False, repr=False)
     _stopped: bool = False
+
+    def __post_init__(self) -> None:
+        self._timer = Timer(self.sim, self._fire)
 
     def start(self, first_delay_us: Optional[float] = None) -> "PeriodicTimer":
         delay = self.interval_us if first_delay_us is None else first_delay_us
         self._stopped = False
-        self._event = self.sim.schedule(delay, self._fire)
+        self._timer.arm(delay)
         return self
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self.callback()
         if not self._stopped:
-            self._event = self.sim.schedule(self.interval_us, self._fire)
+            self._timer.arm(self.interval_us)
 
     def stop(self) -> None:
         self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._timer.cancel()
 
 
 __all__.append("PeriodicTimer")

@@ -150,7 +150,6 @@ def _build_bundle(
             "run_until_us": sim.run_until_us,
             "events_processed": sim.events_processed,
             "pending_events": sim.pending_events,
-            "heap_len": sim.heap_len,
         },
     }
     if exc is not None:

@@ -342,7 +342,7 @@ class CampusTestbed:
             prefix = self._key_prefix(bss_id)
             out[f"{prefix}ap_queued_packets"] = stack.ap.total_queued_packets()
             out[f"{prefix}hw_occupancy"] = stack.ap._hw.occupancy()
-            out["sim_heap_len"] = self.sim.heap_len
+            out["sim_heap_len"] = self.sim.pending_events
             out.update(stack.ap.stack.samples(prefix))
         return out
 

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.core.packet import AccessCategory, Packet, flow_id_allocator
 from repro.mac.station import ClientStation
 from repro.net.wire import Server
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator, Timer
 
 __all__ = ["TcpConnection", "TCP_MSS", "TCP_SEGMENT_BYTES", "TCP_ACK_BYTES"]
 
@@ -79,31 +79,36 @@ class _Receiver:
         self.rcv_nxt = 0
         self._ooo: List[List[int]] = []  # sorted disjoint [start, end)
         self._pending_acks = 0
-        self._delack_event: Optional[Event] = None
+        self._delack = Timer(sim, self._delack_fire)
         self.rx_bytes = 0
         self._window_bytes = 0
         self._window_start_us = 0.0
 
     # ------------------------------------------------------------------
     def on_data(self, pkt: Packet) -> None:
+        """Handle one data segment (the flow's receive handler)."""
         seq = pkt.seq
-        if seq == self.rcv_nxt:
-            filled_gap = bool(self._ooo)
-            self.rcv_nxt += 1
-            self._deliver(pkt.size)
+        rcv_nxt = self.rcv_nxt
+        if seq == rcv_nxt:
+            ooo = self._ooo
+            filled_gap = bool(ooo)
+            rcv_nxt += 1
+            size = pkt.size
             # Pull any now-contiguous out-of-order data.
-            if self._ooo and self._ooo[0][0] == self.rcv_nxt:
-                start, end = self._ooo.pop(0)
-                self._deliver(TCP_SEGMENT_BYTES * (end - start))
-                self.rcv_nxt = end
+            if ooo and ooo[0][0] == rcv_nxt:
+                start, rcv_nxt = ooo.pop(0)
+                size += TCP_SEGMENT_BYTES * (rcv_nxt - start)
+            self.rcv_nxt = rcv_nxt
+            self.rx_bytes += size
+            self._window_bytes += size
             self._pending_acks += 1
             # RFC 5681: ack immediately when the segment fills (part of)
             # a gap, so the sender's recovery is not delayed.
             if self._pending_acks >= 2 or filled_gap:
                 self._ack_now()
-            else:
-                self._arm_delack()
-        elif seq > self.rcv_nxt:
+            elif self._delack.when is None:
+                self._delack.arm(DELACK_TIMEOUT_US)
+        elif seq > rcv_nxt:
             self._insert_ooo(seq)
             self._ack_now()  # dupack signalling the gap (with SACK info)
         else:
@@ -129,30 +134,18 @@ class _Receiver:
                 return
         ranges.append([seq, seq + 1])
 
-    def _deliver(self, size: int) -> None:
-        self.rx_bytes += size
-        self._window_bytes += size
-
     def _sack_ranges(self) -> SackRanges:
         # Report the highest ranges (closest to the frontier of loss).
-        tail = self._ooo[-MAX_SACK_RANGES:]
-        return tuple((start, end) for start, end in tail)
+        return tuple(map(tuple, self._ooo[-MAX_SACK_RANGES:]))
 
     def _ack_now(self) -> None:
         self._pending_acks = 0
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
-        self._send_ack(self.rcv_nxt, self._sack_ranges())
-
-    def _arm_delack(self) -> None:
-        if self._delack_event is None:
-            self._delack_event = self.sim.schedule(
-                DELACK_TIMEOUT_US, self._delack_fire
-            )
+        if self._delack.when is not None:
+            self._delack.cancel()
+        # Fast path: in-order data (almost every ack) reports no SACK.
+        self._send_ack(self.rcv_nxt, self._sack_ranges() if self._ooo else ())
 
     def _delack_fire(self) -> None:
-        self._delack_event = None
         if self._pending_acks > 0:
             self._ack_now()
 
@@ -196,7 +189,11 @@ class _Sender:
 
         # SACK scoreboard: segments in [snd_una, snd_nxt) known received,
         # plus the segments retransmitted during the current recovery.
+        # ``_sack_floor`` bounds ``_sacked`` from below (the last
+        # cumulative ack, or the lowest seq added since), so a new ack
+        # prunes ``range(floor, ack)`` instead of rebuilding the set.
         self._sacked: set[int] = set()
+        self._sack_floor = 0
         self._rtx_done: set[int] = set()
         self._rtx_out = 0
 
@@ -208,7 +205,7 @@ class _Sender:
         self.srtt_us: Optional[float] = None
         self.rttvar_us = 0.0
         self.rto_us = 1_000_000.0
-        self._rto_event: Optional[Event] = None
+        self._rto = Timer(sim, self._on_rto)
         self._rtt_seq: Optional[int] = None
         self._rtt_sent_us = 0.0
 
@@ -239,15 +236,29 @@ class _Sender:
         if self._in_recovery:
             self._recovery_send()
         else:
-            while self.snd_nxt < self.snd_una + int(self.cwnd):
-                if not self._has_data(self.snd_nxt):
-                    break
-                self._transmit(self.snd_nxt, fresh=True)
-                self.snd_nxt += 1
-        self._manage_rto_timer()
-
-    def _has_data(self, seq: int) -> bool:
-        return self.total_segments is None or seq < self.total_segments
+            seq = self.snd_nxt
+            limit = self.snd_una + int(self.cwnd)
+            total = self.total_segments
+            if total is not None and total < limit:
+                limit = total
+            if seq < limit:
+                # Fresh data only: the first segment may start an RTT
+                # sample, and nothing here is a retransmission.
+                if self._rtt_seq is None:
+                    self._rtt_seq = seq
+                    self._rtt_sent_us = self.sim.now
+                send = self._send_segment
+                while seq < limit:
+                    send(seq)
+                    seq += 1
+                self.snd_nxt = seq
+        # The RTO runs while data is outstanding (armed once, not re-armed).
+        rto = self._rto
+        if self.snd_nxt > self.snd_una:
+            if rto.when is None:
+                rto.arm(self.rto_us)
+        elif rto.when is not None:
+            rto.cancel()
 
     def _pipe(self) -> int:
         """RFC 6675 pipe estimate: data outstanding in the network."""
@@ -287,7 +298,8 @@ class _Sender:
                 self._rtx_done.add(hole)
                 self._rtx_out += 1
                 scan = hole + 1
-            elif self._has_data(self.snd_nxt):
+            elif (self.total_segments is None
+                  or self.snd_nxt < self.total_segments):
                 self._transmit(self.snd_nxt, fresh=True)
                 self.snd_nxt += 1
             else:
@@ -305,26 +317,51 @@ class _Sender:
 
     # ------------------------------------------------------------------
     def on_ack(self, ack: int, sack: SackRanges = ()) -> None:
-        self._process_sack(ack, sack)
-        if ack > self.snd_una:
+        """Process cumulative ack ``ack`` carrying SACK blocks ``sack``.
+
+        The same as receiving the ack packet (:meth:`on_ack_packet`).
+        """
+        self.on_ack_packet(Packet(
+            0, TCP_ACK_BYTES, None, None, AccessCategory.BE, "tcp-ack", ack,
+            self.sim.now, {"sack": sack} if sack else None,
+        ))
+
+    def on_ack_packet(self, pkt: Packet) -> None:
+        """Handle one ack packet (the flow's sender-side handler)."""
+        ack = pkt.seq
+        if pkt.meta is not None:
+            self._process_sack(ack, pkt.meta["sack"])
+        snd_una = self.snd_una
+        if ack > snd_una:
             self._on_new_ack(ack)
-        elif ack == self.snd_una and self.snd_nxt > self.snd_una:
+        elif ack == snd_una and self.snd_nxt > snd_una:
             self._on_dupack()
         self.try_send()
-        self._check_complete()
+        if self.total_segments is not None:
+            self._check_complete()
 
     def _process_sack(self, ack: int, sack: SackRanges) -> None:
+        sacked = self._sacked
+        floor = self._sack_floor
         for start, end in sack:
-            for seq in range(max(start, ack), end):
-                self._sacked.add(seq)
+            if start < ack:
+                start = ack
+            if start < end:
+                sacked.update(range(start, end))
+                if start < floor:
+                    floor = start  # a stale ack can sack below snd_una
+        self._sack_floor = floor
 
     def _on_new_ack(self, ack: int) -> None:
-        newly_acked = ack - self.snd_una
+        snd_una = self.snd_una
+        newly_acked = ack - snd_una
         self.snd_una = ack
-        if self._sacked:
-            self._sacked = {s for s in self._sacked if s >= ack}
+        if self._sacked and self._sack_floor < ack:
+            self._sacked.difference_update(range(self._sack_floor, ack))
+        self._sack_floor = ack
         if self._rtx_done:
-            self._rtx_done = {s for s in self._rtx_done if s >= ack}
+            # Retransmitted holes all lie at or above the old snd_una.
+            self._rtx_done.difference_update(range(snd_una, ack))
         self._rtx_out = max(0, self._rtx_out - newly_acked)
 
         if self._rtt_seq is not None and ack > self._rtt_seq:
@@ -338,15 +375,17 @@ class _Sender:
                 self._dupacks = 0
                 self._rtx_done.clear()
                 self._rtx_out = 0
-            self._manage_rto_timer(rearm=True)
-            return
-
-        self._dupacks = 0
-        if self.cwnd < self.ssthresh:
-            self.cwnd += newly_acked  # slow start
         else:
-            self._avoidance_growth(newly_acked)
-        self._manage_rto_timer(rearm=True)
+            self._dupacks = 0
+            if self.cwnd < self.ssthresh:
+                self.cwnd += newly_acked  # slow start
+            else:
+                self._avoidance_growth(newly_acked)
+        # New data acked: restart the RTO, or stop it if nothing is left.
+        if self.snd_nxt > ack:
+            self._rto.arm(self.rto_us)
+        elif self._rto.when is not None:
+            self._rto.cancel()
 
     def _on_dupack(self) -> None:
         self._dupacks += 1
@@ -409,21 +448,7 @@ class _Sender:
             MAX_RTO_US, max(MIN_RTO_US, self.srtt_us + 4 * self.rttvar_us)
         )
 
-    def _manage_rto_timer(self, rearm: bool = False) -> None:
-        outstanding = self.snd_nxt > self.snd_una
-        if not outstanding:
-            if self._rto_event is not None:
-                self._rto_event.cancel()
-                self._rto_event = None
-            return
-        if rearm and self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
-        if self._rto_event is None:
-            self._rto_event = self.sim.schedule(self.rto_us, self._on_rto)
-
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self.snd_nxt <= self.snd_una:
             return
         self.timeouts += 1
@@ -490,16 +515,24 @@ class TcpConnection:
             if total_bytes is None
             else max(1, -(-total_bytes // TCP_MSS))
         )
+        # Data and acks leave through the endpoint they start from; the
+        # packet that crosses the wireless hop downstream names its station.
+        if direction == "down":
+            self._data_out, self._data_dst = server.send, station.index
+            self._ack_out, self._ack_dst = station.send, None
+        else:
+            self._data_out, self._data_dst = station.send, None
+            self._ack_out, self._ack_dst = server.send, station.index
         self.sender = _Sender(sim, self._send_data_segment, total_segments, cc=cc)
         self.receiver = _Receiver(sim, self._send_ack)
 
         if direction == "down":
             # Data arrives at the station; acks arrive at the server.
-            station.register_handler(self.flow_id, self._on_data)
-            server.register_handler(self.flow_id, self._on_ack)
+            station.register_handler(self.flow_id, self.receiver.on_data)
+            server.register_handler(self.flow_id, self.sender.on_ack_packet)
         else:
-            server.register_handler(self.flow_id, self._on_data)
-            station.register_handler(self.flow_id, self._on_ack)
+            server.register_handler(self.flow_id, self.receiver.on_data)
+            station.register_handler(self.flow_id, self.sender.on_ack_packet)
 
     # ------------------------------------------------------------------
     def start(self, delay_us: float = 0.0) -> "TcpConnection":
@@ -510,51 +543,16 @@ class TcpConnection:
         return self
 
     # ------------------------------------------------------------------
+    # Positional Packet calls (dst_station, src_station, ac, proto, seq,
+    # created_us, meta): one per segment and one per ack.
     def _send_data_segment(self, seq: int) -> None:
-        pkt_kwargs = dict(
-            ac=self.ac, proto="tcp", seq=seq, created_us=self.sim.now
-        )
-        if self.direction == "down":
-            pkt = Packet(
-                self.flow_id,
-                TCP_SEGMENT_BYTES,
-                dst_station=self.station.index,
-                **pkt_kwargs,
-            )
-            self.server.send(pkt)
-        else:
-            pkt = Packet(self.flow_id, TCP_SEGMENT_BYTES, **pkt_kwargs)
-            self.station.send(pkt)
+        self._data_out(Packet(self.flow_id, TCP_SEGMENT_BYTES, self._data_dst,
+                              None, self.ac, "tcp", seq, self.sim.now))
 
     def _send_ack(self, ack_seq: int, sack: SackRanges) -> None:
-        meta = {"sack": sack} if sack else None
-        pkt_kwargs = dict(
-            ac=self.ac,
-            proto="tcp-ack",
-            seq=ack_seq,
-            created_us=self.sim.now,
-            meta=meta,
-        )
-        if self.direction == "down":
-            pkt = Packet(self.flow_id, TCP_ACK_BYTES, **pkt_kwargs)
-            self.station.send(pkt)
-        else:
-            pkt = Packet(
-                self.flow_id,
-                TCP_ACK_BYTES,
-                dst_station=self.station.index,
-                **pkt_kwargs,
-            )
-            self.server.send(pkt)
-
-    def _on_data(self, pkt: Packet) -> None:
-        self.receiver.on_data(pkt)
-
-    def _on_ack(self, pkt: Packet) -> None:
-        sack: SackRanges = ()
-        if pkt.meta is not None:
-            sack = pkt.meta.get("sack", ())
-        self.sender.on_ack(pkt.seq, sack)
+        self._ack_out(Packet(self.flow_id, TCP_ACK_BYTES, self._ack_dst, None,
+                             self.ac, "tcp-ack", ack_seq, self.sim.now,
+                             {"sack": sack} if sack else None))
 
     # ------------------------------------------------------------------
     # Measurement passthroughs

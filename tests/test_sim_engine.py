@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim import engine
 from repro.sim.engine import (
     US_PER_MS,
     US_PER_SEC,
     PeriodicTimer,
     SimulationError,
     Simulator,
+    Timer,
     events_processed_total,
 )
+from tests.reference_engine import EagerSimulator, EagerTimer
 
 
 class TestScheduling:
@@ -94,15 +96,19 @@ class TestCancellation:
         sim.run()
         assert fired == []
 
-    def test_cancel_decrements_pending_events(self, sim):
-        """Regression: cancelled events must not count as pending."""
-        events = [sim.schedule(10.0 + i, lambda: None) for i in range(4)]
+    def test_cancelled_entry_stays_pending_until_popped(self, sim):
+        """``pending_events`` counts heap entries, cancelled ones too."""
+        fired = []
+        events = [sim.schedule(10.0 + i, lambda i=i: fired.append(i))
+                  for i in range(4)]
         assert sim.pending_events == 4
         events[0].cancel()
         events[2].cancel()
-        assert sim.pending_events == 2
+        assert sim.pending_events == 4
         sim.run()
+        assert fired == [1, 3]
         assert sim.pending_events == 0
+        assert sim.events_processed == 2
 
     def test_cancel_after_firing_does_not_corrupt_counts(self, sim):
         """Cancelling an event that already ran must be a no-op."""
@@ -114,31 +120,35 @@ class TestCancellation:
         sim.run()
         assert sim.pending_events == 0
 
-    def test_pending_consistent_with_step(self, sim):
-        live = sim.schedule(1.0, lambda: None)
-        dead = sim.schedule(2.0, lambda: None)
+    def test_step_pops_a_cancelled_entry_without_firing(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("live"))
+        dead = sim.schedule(2.0, lambda: fired.append("dead"))
         dead.cancel()
-        assert sim.pending_events == 1
+        assert sim.pending_events == 2
         assert sim.step() is True
+        assert sim.step() is True  # the cancelled entry: runs nothing
         assert sim.step() is False
+        assert fired == ["live"]
         assert sim.pending_events == 0
-        assert live.cancelled is False
+        assert sim.events_processed == 1
 
 
 class TestHeapCompaction:
-    def test_compaction_drops_dead_entries(self, sim):
-        events = [sim.schedule(1000.0 + i, lambda: None) for i in range(200)]
-        for event in events[:150]:
-            event.cancel()
-        # Lazy compaction kicks in once dead entries dominate: the heap
-        # must have shed most of the 150 corpses without being run.
-        assert sim.pending_events == 50
-        assert len(sim._queue) <= 100
+    """What compaction used to buy, without it: cancel and re-arm churn
+    neither grows the heap nor reorders what runs."""
+
+    def test_rearm_churn_leaves_one_entry(self, sim):
         fired = []
-        for event in events[150:]:
-            event.callback = lambda: fired.append(1)  # type: ignore[misc]
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        for i in range(1000):
+            timer.arm(1000.0 + i)  # re-armed later every time
+            if i % 3 == 1:
+                timer.cancel()
+        assert sim.pending_events == 1
         sim.run()
-        assert sim.pending_events == 0
+        assert fired == [1999.0]
+        assert sim.events_processed == 1
 
     def test_compaction_preserves_execution_order(self, sim):
         order = []
@@ -152,15 +162,6 @@ class TestHeapCompaction:
         sim.run()
         expected = [i for _, i in sorted(keep)]
         assert order == expected
-
-    def test_small_queues_never_compact(self, sim):
-        events = [sim.schedule(10.0 + i, lambda: None) for i in range(10)]
-        for event in events:
-            event.cancel()
-        # Below the threshold the corpses stay until popped — that's fine.
-        assert sim.pending_events == 0
-        sim.run()
-        assert len(sim._queue) == 0
 
 
 class TestEventCounters:
@@ -184,9 +185,6 @@ class TestEventCounters:
         assert not hasattr(event, "__dict__")
         with pytest.raises(AttributeError):
             event.arbitrary_attribute = 1
-
-    def test_compact_threshold_constant_sane(self):
-        assert engine._COMPACT_MIN_CANCELLED >= 2
 
 
 class TestRunControl:
@@ -282,3 +280,124 @@ class TestPeriodicTimer:
         timer.start()
         sim.run(until_us=100.0)
         assert times == [10.0]
+
+
+class TestTimer:
+    def test_rearm_later_fires_once_at_the_last_key(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.arm(10.0)
+        sim.schedule_call(5.0, timer.arm, 20.0)
+        sim.run()
+        assert fired == [25.0]
+        assert sim.events_processed == 2  # the stale pop at 10 is no event
+
+    def test_rearm_earlier_pushes_and_the_stale_entry_runs_nothing(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.arm(100.0)
+        sim.schedule_call(10.0, timer.arm, 20.0)  # an RTO shrinking
+        sim.run()
+        assert fired == [30.0]
+        assert sim.now == 100.0 and sim.pending_events == 0
+
+    def test_rearm_from_own_callback(self, sim):
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if len(fired) < 3:
+                timer.arm(5.0)
+
+        timer = Timer(sim, tick)
+        timer.arm(5.0)
+        sim.run()
+        assert fired == [5.0, 10.0, 15.0]
+        assert timer.when is None
+
+    def test_run_until_stops_between_stale_entry_and_rearmed_key(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.arm(10.0)
+        sim.schedule_call(5.0, timer.arm, 25.0)  # now armed for t=30
+        sim.run(until_us=20.0)  # pops the stale t=10 entry, re-pushes t=30
+        assert fired == [] and sim.now == 20.0
+        assert timer.when == 30.0 and sim.pending_events == 1
+        sim.run(until_us=40.0)
+        assert fired == [30.0]
+
+    def test_stall_guard_trips_on_a_zero_delay_rearm_loop(self, sim):
+        timer = Timer(sim, lambda: timer.arm(0.0))
+        timer.arm(1.0)
+        sim.set_stall_guard(50)
+        with pytest.raises(SimulationError, match="no-progress stall"):
+            sim.run(until_us=10.0)
+        assert sim.now == 1.0
+
+    def test_negative_delay_raises(self, sim):
+        with pytest.raises(SimulationError):
+            Timer(sim, lambda: None).arm(-1.0)
+
+
+# ----------------------------------------------------------------------
+# Timer against eager cancel + reschedule (tests/reference_engine.py)
+# ----------------------------------------------------------------------
+#: Few distinct delays, so keys collide on time (and then on priority).
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.1, 0.2])
+_N_TIMERS = 3
+_OPS = st.one_of(
+    st.tuples(st.just("arm"), st.integers(0, _N_TIMERS - 1), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, _N_TIMERS - 1)),
+    st.tuples(st.just("call"), _DELAYS, st.integers(0, 1)),
+)
+
+
+def _replay(sim, timer_cls, priorities, batches, untils):
+    """Run one program; return what ran, when, and the seqs consumed.
+
+    Every firing (a timer's or a plain ``schedule_call`` entry's) logs
+    ``(now, label)`` and runs the next batch of ops, so timers get
+    re-armed, earlier or later, and cancelled from inside callbacks,
+    their own included.
+    """
+    log = []
+    feed = iter(batches)
+    calls = iter(range(10**9))
+
+    def run_batch():
+        for op in next(feed, ()):
+            if op[0] == "arm":
+                timers[op[1]].arm(op[2])
+            elif op[0] == "cancel":
+                timers[op[1]].cancel()
+            else:
+                sim.schedule_call(op[1], fire, ("call", next(calls)),
+                                  priority=op[2])
+
+    def fire(label):
+        log.append((sim.now, label))
+        run_batch()
+
+    timers = [timer_cls(sim, lambda i=i: fire(("timer", i)), priority)
+              for i, priority in enumerate(priorities)]
+    run_batch()
+    for until in sorted(untils):
+        sim.run(until_us=until)
+        log.append(("until", sim.now, tuple(t.when for t in timers)))
+    sim.run()
+    return log, sim.events_processed, repr(sim._seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    priorities=st.lists(st.integers(0, 1), min_size=_N_TIMERS,
+                        max_size=_N_TIMERS),
+    batches=st.lists(st.lists(_OPS, max_size=4), min_size=1, max_size=40),
+    untils=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.7, 2.0, 2.6, 4.0, 9.0]),
+                    max_size=3),
+)
+def test_timer_matches_eager_cancel_and_reschedule(priorities, batches,
+                                                   untils):
+    got = _replay(Simulator(), Timer, priorities, batches, untils)
+    want = _replay(EagerSimulator(), EagerTimer, priorities, batches, untils)
+    assert got == want

@@ -198,6 +198,19 @@ class TestRto:
         h.sim.run()
         assert h.sender.timeouts == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: after an RTO's go-back-N, a late cumulative ack for "
+        "the pre-timeout flight moves snd_una past snd_nxt and try_send "
+        "resends the acked segments as fresh data (ROADMAP item 2(a))"))
+    def test_late_ack_after_rto_resends_nothing_acked(self):
+        h = SenderHarness()
+        h.sender.try_send()  # 0..9 in flight
+        h.sim.run(until_us=1_100_000.0)  # RTO: go-back-N resends 0
+        assert h.sender.timeouts == 1 and h.sender.snd_nxt == 1
+        h.sent.clear()
+        h.sender.on_ack(10)  # the whole pre-timeout flight was delivered
+        assert [seq for seq in h.sent if seq < 10] == []
+
     def test_rtt_sample_sets_rto(self):
         h = SenderHarness()
         h.sender.try_send()
