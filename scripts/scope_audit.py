@@ -53,7 +53,6 @@ KEPT: Dict[str, str] = {
     "runner/cache.py": "result cache: corrupt-entry quarantine, atomic writes",
     "runner/progress.py": "`--progress` heartbeats and the `--manifest-out` writer",
     "telemetry/flightrec.py": "`--flight-dir` failure bundles",
-    "telemetry/streaming.py": "`format_streaming`, the text view of a `StreamingStats` snapshot in the `repro.telemetry` API that no CLI flow prints",
 }
 
 #: Never-entered lines outside ``KEPT`` on the tree this was recorded on.

@@ -31,7 +31,7 @@ from repro.model import StationModel, predict
 from repro.phy import PhyRate, RATE_FAST, RATE_LEGACY_1M, RATE_SLOW, mcs
 from repro.sim import RngFactory, Simulator
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "AccessCategory",

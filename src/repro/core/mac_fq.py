@@ -111,19 +111,17 @@ class MacFqStructure:
         self._em_flow_reclaim = None
         self._em_flush = None
         self._em_codel_state = None
-        self._sojourn_hist = None
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def set_trace(self, trace, metrics=None, layer: str = "mac",
-                  now_fn=None) -> None:
-        """Attach a trace bus / metrics registry to this structure.
+    def set_trace(self, trace, layer: str = "mac", now_fn=None) -> None:
+        """Attach a trace bus to this structure.
 
         ``layer`` labels the emitted records ('mac' for the integrated
         structure, 'qdisc' when wrapped by
         :class:`repro.qdisc.fq_codel_qdisc.FqCodelQdisc`).  ``trace=None``
-        detaches: every emitter, CoDel hook and histogram is reset.
+        detaches: every emitter and CoDel hook is reset.
         ``now_fn`` is ignored (the structure has its clock already); it is
         accepted so every queue stack under the AP takes the same call.
         """
@@ -157,10 +155,6 @@ class MacFqStructure:
             self._em_codel_state = codel_ch.emitter("state", (
                 ("kind", "s"), ("q", "q"), ("station", "o"),
             ))
-        self._sojourn_hist = (
-            metrics.histogram(f"{layer}_sojourn_us")
-            if metrics is not None else None
-        )
         traced = self._em_codel_state is not None
         for queue in chain(self._queues,
                            (tid.overflow_queue for tid in self._tids.values())):
@@ -346,8 +340,6 @@ class MacFqStructure:
             if self._em_dequeue is not None:
                 self._em_dequeue(now, tid.station, pkt.pid, queue.index,
                                  now - pkt.enqueue_us)
-            if self._sojourn_hist is not None:
-                self._sojourn_hist.observe(now - pkt.enqueue_us)
             return pkt
 
     # ------------------------------------------------------------------

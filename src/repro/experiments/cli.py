@@ -110,8 +110,8 @@ def run_cost_table(history: list[RunResult], mode: str = "") -> str:
     """Per-run cost table (wall time, events/sec, peak heap) for --profile.
 
     Wall time is split into simulation proper (``sim s``) and post-run
-    finalisation (``post s``: the ``--trace`` file write and the metrics
-    flush).  Summary tables and spans are built in-run from taps, so
+    finalisation (``post s``: the ``--trace`` and ``--metrics-out`` file
+    writes).  Summary tables and spans are built in-run from taps, so
     their cost is part of ``sim s`` and ``post s`` is ≈ 0 without a
     trace file.
     """
@@ -166,8 +166,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated trace categories "
                              f"({','.join(TRACE_CATEGORIES)}); default all")
     parser.add_argument("--metrics-out", default=None, metavar="DIR",
-                        help="write per-run metrics JSON (counters, "
-                             "histograms, sampled time series) under DIR")
+                        help="write per-run metrics JSON (sampled time "
+                             "series, sojourn sketches, drop funnel) "
+                             "under DIR")
     parser.add_argument("--spans", action="store_true",
                         help="stitch per-packet lifecycle spans in-run and "
                              "fold the latency attribution into each run's "
@@ -247,9 +248,15 @@ def main(argv: list[str] | None = None) -> int:
         # is pure observability output and must not perturb cache keys.
         os.environ["REPRO_FLIGHT_DIR"] = args.flight_dir
 
+    # A cache hit never runs Telemetry.finish(), so a run asked to write
+    # trace or metrics files must run even when its result is cached.
+    writes_files = telemetry is not None and (
+        telemetry.trace_path is not None
+        or telemetry.metrics_path is not None)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     runner = Runner(jobs=jobs,
-                    cache=None if args.no_cache else ResultCache(),
+                    cache=(None if args.no_cache or writes_files
+                           else ResultCache()),
                     profile=args.profile,
                     timeout_s=args.run_timeout,
                     auto_serial=True,

@@ -79,7 +79,7 @@ class SchemeDescriptor:
       funnel (reason ``detach``), now (returns how many) and until
       ``admit_station(station)``;
     * ``resident()``, ``samples(prefix, by_station=False)`` and
-      ``set_trace(trace, now_fn=None, metrics=None)``.
+      ``set_trace(trace, now_fn=None)``.
 
     ``scheduler(config, has_backlog=, build_aggregate=, hw_full=)`` builds
     the station scheduler; ``airtime_fair``: whether the ledger audit
@@ -265,12 +265,11 @@ class AccessPoint:
     def set_trace(self, telemetry) -> None:
         """Attach a :class:`repro.telemetry.Telemetry` context to the AP.
 
-        Fans the trace bus and metrics registry out to every component of
-        the scheme's stack; with ``telemetry=None`` (or both halves
-        disabled) everything stays on its zero-cost path.
+        Fans the trace bus out to every component of the scheme's stack;
+        with ``telemetry=None`` (or tracing disabled) everything stays on
+        its zero-cost path.
         """
         trace = telemetry.trace if telemetry is not None else None
-        metrics = telemetry.metrics if telemetry is not None else None
         now_fn = lambda: self.sim.now
 
         agg_channel = trace.channel("agg") if trace is not None else None
@@ -285,7 +284,7 @@ class AccessPoint:
                 ("station", "q"), ("ac", "s"), ("agg", "q"),
                 ("n_pkts", "q"), ("ok", "b"), ("retries", "q"),
             ))
-        self.stack.set_trace(trace, now_fn=now_fn, metrics=metrics)
+        self.stack.set_trace(trace, now_fn=now_fn)
         self.scheduler.set_trace(trace, now_fn=now_fn)
         self._hw.set_trace(trace, now_fn=now_fn)
         queue_channel = trace.channel("queue") if trace is not None else None
@@ -301,10 +300,6 @@ class AccessPoint:
                 em_drop(self.sim.now, layer, reason, station,
                         pkt.flow_id, pkt.pid)
             self.drops.add_observer(on_drop)
-        if metrics is not None:
-            def count_drop(pkt: Packet, layer: str, reason: str) -> None:
-                metrics.counter(f"drops_{layer}_{reason}").inc()
-            self.drops.add_observer(count_drop)
 
     def set_ledger(self, ledger) -> None:
         """Attach an :class:`repro.telemetry.ledger.AirtimeLedger`.

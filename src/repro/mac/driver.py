@@ -191,8 +191,8 @@ class QdiscStack(LegacyDriver):
                              on_drop=drops.callback("qdisc"))
         return cls(sim, qdisc, config, drops)
 
-    def set_trace(self, trace, now_fn=None, metrics=None) -> None:
-        self.qdisc.set_trace(trace, now_fn=now_fn, metrics=metrics)
+    def set_trace(self, trace, now_fn=None) -> None:
+        self.qdisc.set_trace(trace, now_fn=now_fn)
         super().set_trace(trace, now_fn=now_fn)
         channel = trace.channel("queue") if trace is not None else None
         self._em_vo_enqueue = self._em_vo_dequeue = None

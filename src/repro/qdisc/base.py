@@ -33,16 +33,13 @@ class Qdisc(abc.ABC):
         # Telemetry (None when disabled).
         self._tr_queue = None
         self._trace_now: Callable[[], float] = lambda: 0.0
-        self._sojourn_hist = None
 
-    def set_trace(self, trace, now_fn: Optional[Callable[[], float]] = None,
-                  metrics=None) -> None:
+    def set_trace(self, trace,
+                  now_fn: Optional[Callable[[], float]] = None) -> None:
         """Attach a trace bus; emitted records carry ``layer='qdisc'``."""
         self._tr_queue = trace.channel("queue") if trace is not None else None
         if now_fn is not None:
             self._trace_now = now_fn
-        if metrics is not None:
-            self._sojourn_hist = metrics.histogram("qdisc_sojourn_us")
 
     @abc.abstractmethod
     def enqueue(self, pkt: Packet) -> bool:

@@ -46,12 +46,12 @@ class FqCodelQdisc(Qdisc):
         )
         self._tid = self._fq.tid(None, "qdisc")
 
-    def set_trace(self, trace, now_fn: Callable[[], float] | None = None,
-                  metrics=None) -> None:
+    def set_trace(self, trace,
+                  now_fn: Callable[[], float] | None = None) -> None:
         # The wrapped structure emits the queue/codel records itself,
         # labelled with the qdisc layer; the base-class channel stays off
         # so drops are not double-counted.
-        self._fq.set_trace(trace, metrics=metrics, layer="qdisc")
+        self._fq.set_trace(trace, layer="qdisc")
 
     def _on_fq_drop(self, pkt: Packet, reason: str) -> None:
         self._drop(pkt, reason)

@@ -37,8 +37,8 @@ class PfifoQdisc(Qdisc):
         self._em_enqueue = None
         self._em_dequeue = None
 
-    def set_trace(self, trace, now_fn=None, metrics=None) -> None:
-        super().set_trace(trace, now_fn=now_fn, metrics=metrics)
+    def set_trace(self, trace, now_fn=None) -> None:
+        super().set_trace(trace, now_fn=now_fn)
         channel = self._tr_queue
         if channel is not None:
             # Monomorphic record shapes, registered once: the enqueue and
@@ -76,11 +76,8 @@ class PfifoQdisc(Qdisc):
             return None
         self.backlog_packets -= 1
         pkt = self._pkts.popleft()
-        if self._em_dequeue is not None or self._sojourn_hist is not None:
+        if self._em_dequeue is not None:
             now = self._trace_now()
-            if self._em_dequeue is not None:
-                self._em_dequeue(now, pkt.dst_station, pkt.pid,
-                                 now - pkt.enqueue_us)
-            if self._sojourn_hist is not None:
-                self._sojourn_hist.observe(now - pkt.enqueue_us)
+            self._em_dequeue(now, pkt.dst_station, pkt.pid,
+                             now - pkt.enqueue_us)
         return pkt

@@ -7,10 +7,11 @@ and the kernel's tracepoints do, without ad-hoc prints:
 
 * :class:`~repro.telemetry.trace.TraceBus` — typed, timestamped event
   records with per-category filtering, written as JSONL;
-* :class:`~repro.telemetry.metrics.MetricsRegistry` +
-  :class:`~repro.telemetry.metrics.PeriodicSampler` — counters, gauges,
-  histograms, and sampled time series (queue depth, hardware-queue
-  occupancy, per-station deficits and airtime);
+* :class:`~repro.telemetry.streaming.StreamingStats` — sojourn and RTT
+  sketches, the drop funnel and windowed Jain, fed by taps on the bus;
+* :class:`~repro.telemetry.metrics.PeriodicSampler` — sampled time
+  series (queue depth, hardware-queue occupancy, per-station deficits
+  and airtime);
 * :class:`~repro.telemetry.profiling.RunProfiler` — per-run wall time,
   events/sec, peak heap;
 * :func:`~repro.telemetry.summarize.summarize_records` — trace file →
@@ -26,6 +27,7 @@ digest, so traced and untraced runs never share cache entries.
 
 from __future__ import annotations
 
+import json
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -37,13 +39,7 @@ from repro.telemetry.config import (
 )
 from repro.telemetry.ledger import AirtimeLedger, LedgerAudit
 from repro.telemetry.logutil import configure_logging, get_logger
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PeriodicSampler,
-)
+from repro.telemetry.metrics import PeriodicSampler
 from repro.telemetry.profiling import (
     RunProfiler,
     add_finalize_wall,
@@ -54,7 +50,6 @@ from repro.telemetry.streaming import (
     RunAccounts,
     StreamingStats,
     WindowedJain,
-    format_streaming,
     jain_index,
 )
 from repro.telemetry.summarize import (
@@ -76,11 +71,7 @@ __all__ = [
     "DEFAULT_STREAM_CAPACITY",
     "TRACE_CATEGORIES",
     "AirtimeLedger",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "LedgerAudit",
-    "MetricsRegistry",
     "PeriodicSampler",
     "QuantileSketch",
     "RingTraceChannel",
@@ -97,7 +88,6 @@ __all__ = [
     "add_finalize_wall",
     "configure_logging",
     "finalize_wall_total",
-    "format_streaming",
     "format_summary",
     "get_logger",
     "iter_trace_file",
@@ -111,18 +101,18 @@ __all__ = [
 class Telemetry:
     """The live telemetry context for one simulation run.
 
-    Built from a :class:`TelemetryConfig`; owns the trace bus and the
-    metrics registry (each ``None`` when its half is disabled) and knows
-    how to flush both to disk and fold them into a summary dict that
-    travels with the run's result (so cached runs replay the same
-    telemetry summary a fresh run produces).
+    Built from a :class:`TelemetryConfig`; owns the trace bus, the
+    tap-fed accounts and the periodic sampler (each ``None`` when
+    disabled) and knows how to flush them to disk and fold them into a
+    summary dict that travels with the run's result (so cached runs
+    replay the same telemetry summary a fresh run produces).
     """
 
     def __init__(self, config: TelemetryConfig) -> None:
         self.config = config
         #: Online accumulators (sketches, windowed Jain, drop counters).
         self.streaming: Optional[StreamingStats] = (
-            StreamingStats() if config.streaming else None
+            StreamingStats() if config.streaming_enabled else None
         )
         self.trace: Optional[TraceBus] = (
             TraceBus(config.effective_categories,
@@ -147,8 +137,10 @@ class Telemetry:
 
                 self.spans = AttributionBuilder()
                 self.spans.register(self.trace)
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if config.metrics_enabled else None
+        #: Time series of instantaneous state; the testbed adds the
+        #: probes and starts it.
+        self.metrics: Optional[PeriodicSampler] = (
+            PeriodicSampler() if config.metrics_enabled else None
         )
         self.ledger: Optional[AirtimeLedger] = (
             AirtimeLedger() if config.ledger else None
@@ -217,9 +209,15 @@ class Telemetry:
                           if self.ledger_audit is not None else None),
             }
         if self.metrics is not None:
+            self.metrics.stop()
             summary["metrics"] = self.metrics.snapshot()
             if self.config.metrics_path is not None:
-                summary["metrics_path"] = str(
-                    self.metrics.write_json(self.config.metrics_path)
-                )
+                # The file carries every number of the run's metrics:
+                # the series and the sketches / drop funnel beside them.
+                target = Path(self.config.metrics_path)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(json.dumps(
+                    {**summary["metrics"], "streaming": summary["streaming"]},
+                    sort_keys=True, indent=1) + "\n")
+                summary["metrics_path"] = str(target)
         return summary

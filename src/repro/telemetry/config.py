@@ -7,8 +7,8 @@ changing any telemetry knob) yields a different cache key* than the same
 run without it.  A traced run can therefore never be satisfied from an
 untraced run's cache entry, and vice versa.
 
-The config is pure data; the live objects (trace bus, metrics registry,
-sampler) are built from it by :class:`repro.telemetry.Telemetry`.
+The config is pure data; the live objects (trace bus, streaming
+accounts, sampler) are built from it by :class:`repro.telemetry.Telemetry`.
 """
 
 from __future__ import annotations
@@ -67,13 +67,14 @@ class TelemetryConfig:
         Trace categories to record; empty means all of
         :data:`TRACE_CATEGORIES`.
     metrics:
-        Enable the metrics registry + periodic sampler without an
-        output file.
+        Enable the periodic sampler's time series without an output
+        file.  A metrics run is also a streaming run (see
+        :attr:`streaming_enabled`): its sojourn quantiles and drop
+        counts are the tap-fed sketches and drop funnel.
     metrics_path:
-        JSON output file for the metrics snapshot and time series.
-        Setting it implies ``metrics``; a directory in fan-outs.
-    sample_interval_ms:
-        Periodic sampler interval (simulated milliseconds).
+        JSON output file for the time series plus the streaming
+        snapshot.  Setting it implies ``metrics``; a directory in
+        fan-outs.
     spans:
         Stitch per-packet lifecycle spans in-run from the trace-bus taps
         and fold the latency-attribution summary into the run's
@@ -108,7 +109,6 @@ class TelemetryConfig:
     categories: Tuple[str, ...] = ()
     metrics: bool = False
     metrics_path: Optional[str] = None
-    sample_interval_ms: float = 100.0
     spans: bool = False
     ledger: bool = False
     ledger_tolerance: float = 0.05
@@ -122,8 +122,6 @@ class TelemetryConfig:
                 f"unknown trace categories {unknown!r}; "
                 f"valid: {', '.join(TRACE_CATEGORIES)}"
             )
-        if self.sample_interval_ms <= 0:
-            raise ValueError("sample_interval_ms must be positive")
         if self.spans and not self.trace_enabled:
             raise ValueError("spans requires tracing (set trace/trace_path)")
         if self.ledger_tolerance < 0:
@@ -135,15 +133,21 @@ class TelemetryConfig:
     @property
     def trace_enabled(self) -> bool:
         return (self.trace or self.trace_path is not None
-                or self.streaming)
+                or self.streaming_enabled)
 
     @property
     def metrics_enabled(self) -> bool:
         return self.metrics or self.metrics_path is not None
 
     @property
+    def streaming_enabled(self) -> bool:
+        """Online accumulators run: ``streaming``, or a metrics run,
+        whose sojourn and drop numbers are the streaming ones."""
+        return self.streaming or self.metrics_enabled
+
+    @property
     def active(self) -> bool:
-        return self.trace_enabled or self.metrics_enabled or self.ledger
+        return self.trace_enabled or self.ledger
 
     @property
     def effective_categories(self) -> Tuple[str, ...]:
@@ -156,8 +160,9 @@ class TelemetryConfig:
         per-packet sites in the other categories (hw, driver, agg,
         sched, codel) stay on their zero-cost path.
         """
-        if (self.streaming and not self.categories and not self.trace
-                and self.trace_path is None and not self.spans):
+        if (self.streaming_enabled and not self.categories
+                and not self.trace and self.trace_path is None
+                and not self.spans):
             return STREAMING_CATEGORIES
         return self.categories
 
@@ -173,7 +178,8 @@ class TelemetryConfig:
         """
         if self.trace_capacity is not None:
             return self.trace_capacity
-        if self.streaming and not self.trace and self.trace_path is None:
+        if (self.streaming_enabled and not self.trace
+                and self.trace_path is None):
             return DEFAULT_STREAM_CAPACITY
         return None
 

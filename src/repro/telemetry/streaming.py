@@ -46,7 +46,6 @@ __all__ = [
     "WindowedJain",
     "StreamingStats",
     "jain_index",
-    "format_streaming",
 ]
 
 #: Quantiles reported in every sketch snapshot.
@@ -636,77 +635,3 @@ class StreamingStats(RunAccounts):
                            for t, j in self.jain.snapshot()],
             },
         }
-
-
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
-def format_streaming(snapshot: Dict[str, Any], title: str = "") -> str:
-    """Render a :meth:`StreamingStats.snapshot` as CLI text tables."""
-    lines: List[str] = []
-    if title:
-        lines.append(f"# {title}")
-    lines.append(
-        f"{snapshot.get('records_seen', 0)} records consumed online "
-        f"(rank error bound ±{snapshot.get('rank_error_bound', 0.0):.1%})"
-    )
-    stations = snapshot.get("stations") or {}
-    if stations:
-        lines.append("")
-        lines.append("Per-station transmissions (measurement window):")
-        lines.append(
-            f"{'station':>8} {'tx':>7} {'airtime_ms':>11} {'share':>7} "
-            f"{'bytes':>12} {'mean_agg':>9}"
-        )
-        for station, acc in stations.items():
-            lines.append(
-                f"{station:>8} {acc['transmissions']:>7} "
-                f"{acc['airtime_us'] / 1e3:>11.2f} "
-                f"{acc['airtime_share']:>7.1%} "
-                f"{acc['payload_bytes']:>12} {acc['mean_aggregation']:>9.1f}"
-            )
-    sojourn = snapshot.get("sojourn_us") or {}
-    if sojourn:
-        lines.append("")
-        lines.append("Sojourn quantiles by layer (ms, streaming sketch):")
-        lines.append(f"{'layer':>8} {'count':>9} {'p50':>9} {'p90':>9} "
-                     f"{'p95':>9} {'p99':>9} {'max':>9}")
-        for layer, sk in sojourn.items():
-            if not sk.get("count"):
-                continue
-            lines.append(
-                f"{layer:>8} {sk['count']:>9} "
-                f"{sk['p50'] / 1e3:>9.2f} {sk['p90'] / 1e3:>9.2f} "
-                f"{sk['p95'] / 1e3:>9.2f} {sk['p99'] / 1e3:>9.2f} "
-                f"{sk['max'] / 1e3:>9.2f}"
-            )
-    rtt = snapshot.get("rtt_us") or {}
-    if rtt:
-        lines.append("")
-        lines.append("RTT quantiles by station (ms, streaming sketch):")
-        lines.append(f"{'station':>8} {'count':>9} {'p50':>9} {'p95':>9} "
-                     f"{'p99':>9}")
-        for station, sk in rtt.items():
-            if not sk.get("count"):
-                continue
-            lines.append(
-                f"{station:>8} {sk['count']:>9} {sk['p50'] / 1e3:>9.2f} "
-                f"{sk['p95'] / 1e3:>9.2f} {sk['p99'] / 1e3:>9.2f}"
-            )
-    drops = snapshot.get("drops") or {}
-    if drops:
-        lines.append("")
-        lines.append("Drops by layer and reason:")
-        for key, count in drops.items():
-            lines.append(f"  {key:<20} {count}")
-    jain = snapshot.get("jain") or {}
-    series = jain.get("series") or []
-    if series:
-        values = [j for _, j in series]
-        lines.append("")
-        lines.append(
-            f"Windowed Jain ({jain['window_us'] / 1e6:g}s windows): "
-            f"min {min(values):.3f}, mean {sum(values) / len(values):.3f}, "
-            f"last {values[-1]:.3f} over {len(values)} windows"
-        )
-    return "\n".join(lines)

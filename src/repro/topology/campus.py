@@ -46,7 +46,7 @@ from repro.net.wire import DEFAULT_WIRE_DELAY_US, Network, Server
 from repro.phy.rates import PhyRate
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
-from repro.telemetry import PeriodicSampler, Telemetry, TelemetryConfig
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry import flightrec
 from repro.topology.spec import RoamEvent, Topology
 
@@ -202,7 +202,6 @@ class CampusTestbed:
 
         # --- telemetry -------------------------------------------------
         self.telemetry: Optional[Telemetry] = None
-        self.sampler: Optional[PeriodicSampler] = None
         if options.telemetry is not None and options.telemetry.active:
             self.telemetry = Telemetry(options.telemetry)
             for stack in self.bss.values():
@@ -214,14 +213,11 @@ class CampusTestbed:
             if ledger is not None:
                 self.medium.add_observer(ledger.on_transmission)
                 self.ap.set_ledger(ledger)
-            if self.telemetry.metrics is not None:
-                self.sampler = PeriodicSampler(
-                    self.sim, self.telemetry.metrics,
-                    interval_ms=options.telemetry.sample_interval_ms,
-                )
-                self.sampler.add_probe(self._sample_queues)
-                self.sampler.add_probe(self._sample_stations)
-                self.sampler.start()
+            sampler = self.telemetry.metrics
+            if sampler is not None:
+                sampler.add_probe(self._sample_queues)
+                sampler.add_probe(self._sample_stations)
+                sampler.start(self.sim)
 
         # --- roaming schedule -----------------------------------------
         #: (time_us, station, from_bss, to_bss, flushed) per completed roam.
@@ -362,8 +358,6 @@ class CampusTestbed:
         """Stop sampling, flush trace/metrics, return the summary dict."""
         if self.telemetry is None:
             return None
-        if self.sampler is not None:
-            self.sampler.stop()
         return self.telemetry.finish()
 
     # ------------------------------------------------------------------

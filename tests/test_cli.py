@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,24 @@ def test_traces_written_is_logged_only_when_something_was_traced(
     assert main(["fig05", "--trace", str(traced), *short]) == 0
     assert f"traces written under {traced}/" in capsys.readouterr().err
     assert list(traced.glob("*.trace.jsonl"))
+
+
+def test_a_warm_cache_still_writes_trace_and_metrics_files(
+        tmp_path, monkeypatch):
+    """A cache hit never runs the telemetry flush, so runs asked to
+    write files bypass the cache: deleting the output directory and
+    rerunning writes it again."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    argv = ["fig05", "-q", "--duration", "0.3", "--warmup", "0.1",
+            "--jobs", "1", "--trace", str(out), "--metrics-out", str(out)]
+    assert main(argv) == 0
+    written = sorted(path.name for path in out.iterdir())
+    assert any(name.endswith(".trace.jsonl") for name in written)
+    assert any(name.endswith(".metrics.json") for name in written)
+    shutil.rmtree(out)
+    assert main(argv) == 0
+    assert sorted(path.name for path in out.iterdir()) == written
 
 
 def test_faults_experiment_runs_scaled_down(capsys, tmp_path, monkeypatch):

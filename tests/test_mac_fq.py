@@ -312,13 +312,14 @@ class TestTraceDetach:
         clock.now = start + 200_000.0
 
     def test_set_trace_none_fully_detaches(self, clock):
-        from repro.telemetry import MetricsRegistry, TraceBus
+        from repro.telemetry import StreamingStats, TraceBus
 
         # One pool queue: the second TID collides into its overflow queue.
         fq = MacFqStructure(clock, num_queues=1, limit=64)
         tids = [fq.tid(0, AccessCategory.BE), fq.tid(1, AccessCategory.BE)]
-        bus, metrics = TraceBus(), MetricsRegistry()
-        fq.set_trace(bus, metrics=metrics)
+        bus, stats = TraceBus(), StreamingStats()
+        stats.register(bus)
+        fq.set_trace(bus)
         self._codel_cycle(fq, clock, tids)
 
         states = [r for r in bus.records if r["cat"] == "codel"]
@@ -326,7 +327,7 @@ class TestTraceDetach:
         assert {r["q"] for r in states} == {0, -2}  # pool + overflow queue
         assert {r["station"] for r in states} == {0, 1}
         seen = len(bus)
-        observed = metrics.histogram("mac_sojourn_us").count
+        observed = stats.sojourn["mac"].count
         drops = fq.drops_codel
         assert drops > 0 and observed > 0
 
@@ -337,4 +338,4 @@ class TestTraceDetach:
 
         assert fq.drops_codel > drops  # transitions did happen again
         assert len(bus) == seen
-        assert metrics.histogram("mac_sojourn_us").count == observed
+        assert stats.sojourn["mac"].count == observed

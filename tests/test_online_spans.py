@@ -40,8 +40,11 @@ from .test_trace_determinism import (
     _traced_run,
 )
 
-# Recorded on the parent of the online-stitching change.  Regenerate
-# (only for an intended summary-format change) with:
+# Recorded on the parent of the online-stitching change; the two
+# ``udp-metrics/*`` summaries re-recorded when metrics runs began to
+# carry the streaming snapshot in place of the counter/histogram
+# registry (their ``#series`` keys did not move).  Regenerate (only for
+# an intended summary-format change) with:
 #   PYTHONPATH=src python -c "import json, tests.test_online_spans as t; \
 #     print(json.dumps(t.pinned_finish_digests(), indent=1))" \
 #     > tests/fixtures/finish_digests.json

@@ -26,7 +26,6 @@ from repro.telemetry.streaming import (
     QuantileSketch,
     StreamingStats,
     WindowedJain,
-    format_streaming,
     jain_index,
 )
 from repro.telemetry.summarize import summarize_records
@@ -385,9 +384,7 @@ class TestStreamingStatsUnits:
         assert snap["records_seen"] == 10
         assert set(snap["stations"]) == {"0", "1"}
         assert snap["rtt_us"]["0"]["count"] == 1
-        text = format_streaming(snap, title="unit")
-        assert "records consumed online" in text
-        assert "Windowed Jain" in text
+        assert snap["jain"]["series"] == [[1e6, 1.0]]
 
     def test_snapshot_is_read_only(self):
         """The open Jain window is rendered, not closed: the flight

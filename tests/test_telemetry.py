@@ -13,10 +13,10 @@ from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import saturating_udp_download
 from repro.mac.ap import Scheme
 from repro.qdisc.pfifo import PfifoQdisc
+from repro.sim.engine import Simulator
 from repro.telemetry import (
+    DEFAULT_STREAM_CAPACITY,
     TRACE_CATEGORIES,
-    Histogram,
-    MetricsRegistry,
     RunProfiler,
     Telemetry,
     TelemetryConfig,
@@ -106,83 +106,44 @@ class TestTelemetryConfig:
 
 
 # ----------------------------------------------------------------------
-# Metrics
+# Metrics: the sampler's series and the --metrics-out file
 # ----------------------------------------------------------------------
+def _sampled(until_ms: float, **config_kwargs) -> Telemetry:
+    """A bare sampler run: one probe counting its own calls."""
+    telemetry = Telemetry(TelemetryConfig(**config_kwargs))
+    calls = iter(range(1, 1000))
+    telemetry.metrics.add_probe(lambda: {"depth": float(next(calls))})
+    sim = Simulator()
+    telemetry.metrics.start(sim)
+    sim.run(until_us=until_ms * 1000.0)
+    return telemetry
+
+
 class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.counter("c").inc(4)
-        registry.gauge("g").set(2.5)
-        for value in (1.0, 2.0, 4.0, 100.0):
-            registry.histogram("h").observe(value)
-        snap = registry.snapshot()
-        assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 2.5
-        assert snap["histograms"]["h"]["count"] == 4
-        assert snap["histograms"]["h"]["max"] == 100.0
-
-    def test_histogram_quantiles_bracket_samples(self):
-        hist = Histogram("h")
-        for value in range(1, 101):
-            hist.observe(float(value))
-        assert hist.quantile(0.0) <= hist.quantile(0.5) <= hist.quantile(1.0)
-        assert hist.quantile(1.0) == 100.0
-
-    def test_histogram_empty_quantile_is_zero(self):
-        hist = Histogram("h")
-        assert hist.quantile(0.0) == 0.0
-        assert hist.quantile(0.5) == 0.0
-        assert hist.quantile(1.0) == 0.0
-        assert hist.summary() == {"count": 0}
-
-    def test_histogram_single_sample_exact_at_endpoints(self):
-        hist = Histogram("h")
-        hist.observe(7.0)
-        assert hist.quantile(0.0) == 7.0
-        assert hist.quantile(1.0) == 7.0
-        assert hist.quantile(0.5) <= 8.0  # bucket upper bound, clamped
-
-    def test_histogram_quantile_rejects_out_of_range(self):
-        hist = Histogram("h")
-        hist.observe(1.0)
-        with pytest.raises(ValueError, match="within"):
-            hist.quantile(-0.1)
-        with pytest.raises(ValueError, match="within"):
-            hist.quantile(1.1)
-
-    def test_histogram_q0_returns_min_not_bucket_bound(self):
-        hist = Histogram("h")
-        for value in (3.0, 100.0):
-            hist.observe(value)
-        assert hist.quantile(0.0) == 3.0
-
-    def test_write_json_roundtrip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("runs").inc(3)
-        registry.gauge("depth").set(4.5)
-        for value in (1.0, 8.0, 64.0):
-            registry.histogram("sojourn").observe(value)
-        registry.record_sample("depth", 10.0, 2.0)
-        path = registry.write_json(str(tmp_path / "metrics.json"))
-        restored = json.loads(path.read_text())
-        assert restored == json.loads(json.dumps(registry.snapshot()))
-        assert restored["counters"]["runs"] == 3
-        assert restored["histograms"]["sojourn"]["count"] == 3
-        assert restored["series"]["depth"] == [[10.0, 2.0]]
-
     def test_series_recording(self):
-        registry = MetricsRegistry()
-        registry.record_sample("depth", 0.0, 1.0)
-        registry.record_sample("depth", 100.0, 3.0)
-        assert registry.snapshot()["series"]["depth"] == [[0.0, 1.0],
-                                                          [100.0, 3.0]]
+        telemetry = _sampled(250.0, metrics=True)
+        assert telemetry.metrics.snapshot() == {"series": {
+            "depth": [[0.0, 1.0], [100_000.0, 2.0], [200_000.0, 3.0]]}}
+        summary = telemetry.finish()
+        assert summary["metrics"] == telemetry.metrics.snapshot()
+        assert "metrics_path" not in summary
 
     def test_write_json(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        path = registry.write_json(str(tmp_path / "m" / "out.json"))
-        assert json.loads(path.read_text())["counters"]["c"] == 1
+        path = tmp_path / "m" / "out.json"
+        summary = _sampled(50.0, metrics_path=str(path)).finish()
+        assert summary["metrics_path"] == str(path)
+        assert json.loads(path.read_text())["series"] == {
+            "depth": [[0.0, 1.0]]}
+
+    def test_write_json_roundtrip(self, tmp_path):
+        """The file is the summary's series plus its streaming snapshot,
+        and holds nothing of the removed counter/histogram registry."""
+        path = tmp_path / "metrics.json"
+        summary = _sampled(150.0, metrics_path=str(path)).finish()
+        restored = json.loads(path.read_text())
+        assert restored == json.loads(json.dumps(
+            {**summary["metrics"], "streaming": summary["streaming"]}))
+        assert not {"counters", "gauges", "histograms"} & set(restored)
 
 
 # ----------------------------------------------------------------------
@@ -215,13 +176,12 @@ class TestZeroCostWhenDisabled:
         fq = MacFqStructure(lambda: 0.0)
         assert fq._em_enqueue is None and fq._em_codel_state is None
         qdisc = PfifoQdisc()
-        assert qdisc._tr_queue is None and qdisc._sojourn_hist is None
+        assert qdisc._tr_queue is None and qdisc._em_dequeue is None
 
     def test_untraced_testbed_has_no_telemetry(self):
         testbed = Testbed(three_station_rates(),
                           TestbedOptions(scheme=Scheme.AIRTIME))
         assert testbed.telemetry is None
-        assert testbed.sampler is None
         assert testbed.finish_telemetry() is None
         assert testbed.ap._em_built is None
 
@@ -296,12 +256,36 @@ class TestTracedRun:
     def test_metrics_sampler_produces_series(self):
         testbed = _traced_testbed(metrics=True)
         testbed.run(duration_s=1.0, warmup_s=0.0)
-        registry = testbed.telemetry.metrics
-        assert testbed.sampler.samples_taken > 5
-        assert "ap_queued_packets" in registry.series
-        assert "airtime_us.0" in registry.series
+        sampler = testbed.telemetry.metrics
+        assert sampler.samples_taken > 5
+        assert "ap_queued_packets" in sampler.series
+        assert "airtime_us.0" in sampler.series
         summary = testbed.finish_telemetry()
         assert summary["metrics"]["series"]
+
+    @pytest.mark.parametrize("scheme", [Scheme.FIFO, Scheme.AIRTIME])
+    def test_metrics_run_streams_what_a_streaming_run_streams(self, scheme):
+        """One path from event to statistic: a metrics run's sojourn
+        sketches, drop funnel and queue counts are the streaming run's,
+        on the same bounded ring."""
+        runs = {}
+        for name, config in (("metrics", {"metrics": True}),
+                             ("streaming", {"streaming": True})):
+            testbed = _traced_testbed(scheme=scheme, **config)
+            testbed.run(duration_s=0.4, warmup_s=0.2)
+            runs[name] = testbed
+        metrics, streaming = (runs[k].finish_telemetry()
+                              for k in ("metrics", "streaming"))
+        for key in ("sojourn_us", "drops", "queues"):
+            assert metrics["streaming"][key] == streaming["streaming"][key]
+        assert metrics["streaming"]["sojourn_us"]
+        assert set(metrics["metrics"]) == {"series"}
+        assert "metrics" not in streaming
+        for name in ("effective_categories", "effective_capacity"):
+            assert (getattr(runs["metrics"].telemetry.config, name)
+                    == getattr(runs["streaming"].telemetry.config, name))
+        assert (runs["metrics"].telemetry.config.effective_capacity
+                == DEFAULT_STREAM_CAPACITY)
 
     def test_finish_writes_files(self, tmp_path):
         testbed = _traced_testbed(
