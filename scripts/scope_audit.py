@@ -13,9 +13,8 @@ file.
     python scripts/scope_audit.py            # run the flows, print the tables
     python scripts/scope_audit.py --check    # also gate (CI): exit 1 on growth
 
-A never-entered function is not dead code: error paths, crash
-containment and the code behind ``--progress`` / ``--manifest-out`` /
-``--flight-dir`` are entered by no flow below and stay on purpose.
+A never-entered function is not dead code: error paths and crash
+containment are entered by no flow below and stay on purpose.
 ``KEPT`` names those files with the reason; ``--check`` fails when a
 file that was moved out of ``src`` reappears or when the never-entered
 lines *outside* ``KEPT`` grow past ``BUDGET_OUTSIDE_KEPT``.
@@ -51,8 +50,6 @@ SRC = ROOT / "src" / "repro"
 KEPT: Dict[str, str] = {
     "runner/executor.py": "pool pass, timeouts, crash containment, canary probe, SIGTERM drain",
     "runner/cache.py": "result cache: corrupt-entry quarantine, atomic writes",
-    "runner/progress.py": "`--progress` heartbeats and the `--manifest-out` writer",
-    "telemetry/flightrec.py": "`--flight-dir` failure bundles",
 }
 
 #: Never-entered lines outside ``KEPT`` on the tree this was recorded on.
@@ -152,6 +149,24 @@ def _cached_pool_pass() -> None:
             _cli("fig05", "-q", *SHORT, "--jobs", "2")
 
 
+def _run_record() -> None:
+    """``--manifest-out --progress``, then a sweep whose run trips the
+    engine's stall guard and leaves its evidence in the record."""
+    from repro.runner import Runner, RunSpec, read_manifest
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()):
+        manifest = os.path.join(tmp, "runs.jsonl")
+        _cli("fig05", "-q", *SHORT, "--no-cache", "--jobs", "1",
+             "--manifest-out", manifest, "--progress")
+        runner = Runner(jobs=1, manifest_path=manifest)
+        (result,) = runner.map(
+            [RunSpec.make("tests.conftest:stall_guard_livelock")])
+        records, complete = read_manifest(manifest)
+    if result.ok or "evidence" not in records[-2] or not complete:
+        raise RuntimeError("the stall-guard run left no evidence")
+
+
 FLOWS: List[Tuple[str, Callable[[], None]]] = [
     ("report --duration-scale 0.02 --replications 2", _report),
     ("validate matrix --smoke | oracles | check", _validate),
@@ -160,6 +175,7 @@ FLOWS: List[Tuple[str, Callable[[], None]]] = [
     ("the CLI experiments", _experiments),
     ("telemetry modes + trace subcommands", _telemetry_and_trace),
     ("cached --jobs 2 pass", _cached_pool_pass),
+    ("--manifest-out --progress + a stall-guard failure", _run_record),
 ]
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
-import os
 import sys
 import time
 from typing import Optional
@@ -199,17 +198,14 @@ def main(argv: list[str] | None = None) -> int:
                              "(parallel runs only); it is retried once, "
                              "then reported as failed")
     parser.add_argument("--progress", action="store_true",
-                        help="live status line on stderr while runs execute "
-                             "(sim-time, events/sec, ETA, RSS from worker "
-                             "heartbeats)")
+                        help="redraw one stderr status line as each run "
+                             "finishes: [done/total, failed] label wall")
     parser.add_argument("--manifest-out", default=None, metavar="FILE",
-                        help="append a machine-readable JSONL run manifest "
-                             "(one record per run: outcome + cost "
-                             "accounting) to FILE")
-    parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="write failure flight-recorder bundles (trace "
-                             "ring tail, watchdog state, streaming-stat "
-                             "snapshot) under DIR when a run dies")
+                        help="append the JSONL run record to FILE: one line "
+                             "per run as it finishes (outcome, cost, spec "
+                             "digest and seed; on failure the traceback and "
+                             "the run's ring tail, watchdog and streaming "
+                             "state)")
     args = parser.parse_args(argv)
 
     configure_logging(args.verbose - args.quiet)
@@ -242,11 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             log.error("cannot load fault schedule %s: %s", args.faults, exc)
             return 2
-
-    if args.flight_dir is not None:
-        # Env-var transport (not TelemetryConfig): the flight directory
-        # is pure observability output and must not perturb cache keys.
-        os.environ["REPRO_FLIGHT_DIR"] = args.flight_dir
 
     # A cache hit never runs Telemetry.finish(), so a run asked to write
     # trace or metrics files must run even when its result is cached.
@@ -314,8 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         if failures:
             print()
             print(failure_table(failures))
-        log.warning("interrupted; manifest and heartbeats were flushed "
-                    "before exit")
+        log.warning("interrupted; the manifest was flushed before exit")
         return 130
     if failures:
         print()

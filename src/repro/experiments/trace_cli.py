@@ -15,7 +15,7 @@ from repro.analysis.attribution import (
     diff_attributions,
     format_waterfall,
 )
-from repro.runner.progress import read_manifest
+from repro.runner.record import read_manifest
 from repro.telemetry import (
     RunAccounts,
     configure_logging,

@@ -26,22 +26,12 @@ from repro.runner.executor import (
     default_jobs,
     execute,
 )
-from repro.runner.progress import (
-    Heartbeat,
-    HeartbeatWriter,
-    ManifestWriter,
-    ProgressAggregator,
-    read_heartbeats,
-    read_manifest,
-)
+from repro.runner.record import ManifestWriter, read_manifest
 from repro.runner.spec import RunSpec, canonical, spec_digest
 
 __all__ = [
     "FailedResult",
-    "Heartbeat",
-    "HeartbeatWriter",
     "ManifestWriter",
-    "ProgressAggregator",
     "ResultCache",
     "RunMetrics",
     "RunResult",
@@ -52,7 +42,6 @@ __all__ = [
     "default_cache_dir",
     "default_jobs",
     "execute",
-    "read_heartbeats",
     "read_manifest",
     "spec_digest",
 ]

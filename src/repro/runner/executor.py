@@ -20,6 +20,10 @@ number of retries (deterministic errors get none — rerunning the same
 seed reproduces the same exception), and every surviving run completes
 normally.  Failures are never cached.
 
+Every settled run is passed on in spec order, as soon as it and every
+run before it are final, to the run-record sinks of
+:mod:`repro.runner.record` (``--manifest-out``, ``--progress``).
+
 Each result carries :class:`RunMetrics` — wall time, events executed, and
 events/sec — measured via the engine's process-wide event counter, so
 perf regressions in the simulator hot path surface in every report run.
@@ -27,6 +31,7 @@ perf regressions in the simulator hot path surface in every report run.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import signal as signal_module
@@ -36,7 +41,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.runner.cache import ResultCache
 from repro.runner.spec import RunSpec
@@ -113,6 +119,10 @@ class FailedResult:
     error: str
     traceback: str = ""
     attempts: int = 1
+    #: What the run knew when it raised (phase ``"error"`` only), from
+    #: :func:`repro.telemetry.flightrec.evidence` in the process that
+    #: raised; ``None`` when no testbed was registered.
+    evidence: Optional[Dict[str, Any]] = None
 
     def describe(self) -> str:
         return f"[{self.phase}] {self.spec.label}: {self.error}"
@@ -140,7 +150,7 @@ class RunResult:
 _Outcome = Union[Tuple[Any, RunMetrics], FailedResult]
 
 
-def _execute_spec(
+def _run_spec(
     spec: RunSpec, profile: bool = False
 ) -> Tuple[Any, RunMetrics]:
     """Run one spec in this process, measuring wall time and events.
@@ -148,45 +158,60 @@ def _execute_spec(
     With ``profile=True`` the run also records its peak heap (via
     :class:`repro.telemetry.profiling.RunProfiler` / tracemalloc), at the
     cost of slower allocation — so profiling is opt-in per runner.
-
-    When the parent exported a heartbeat spool (``REPRO_PROGRESS_DIR``),
-    the run arms a :class:`~repro.runner.progress.HeartbeatWriter` so
-    its live progress is visible from outside the process — identically
-    on the pool path (the env travels to workers) and the in-process
-    fallback.
     """
     from repro.telemetry.profiling import RunProfiler
 
-    writer = None
-    spool = os.environ.get("REPRO_PROGRESS_DIR")
-    if spool:
-        from repro.runner.progress import HeartbeatWriter
-
-        writer = HeartbeatWriter(spool, spec.label).arm()
-    failed = True
-    try:
-        with RunProfiler(track_heap=profile) as profiler:
-            value = spec.call()
-        failed = False
-    except BaseException as exc:
-        # Flight recorder: capture the dying run's evidence (ring tail,
-        # watchdog state, streaming snapshot) before the exception
-        # propagates.  No-op unless REPRO_FLIGHT_DIR is configured.
-        from repro.telemetry import flightrec
-
-        flightrec.dump_active(
-            reason=type(exc).__name__, exc=exc, label=spec.label
-        )
-        raise
-    finally:
-        if writer is not None:
-            writer.finish(failed=failed)
+    with RunProfiler(track_heap=profile) as profiler:
+        value = spec.call()
     return value, RunMetrics(
         wall_s=profiler.wall_s,
         events=profiler.events,
         peak_heap_bytes=profiler.peak_heap_bytes or 0,
         finalize_s=profiler.finalize_s,
     )
+
+
+def _execute_spec(spec: RunSpec, profile: bool = False) -> _Outcome:
+    """:func:`_run_spec`, with an exception turned into its post-mortem.
+
+    The failure is built here, in the process that raised — a pool
+    worker or the runner's own — so the evidence the dying run's testbed
+    holds (ring tail, watchdog and streaming state) travels with it,
+    across the pool boundary by pickling.
+    """
+    from repro.telemetry import flightrec
+
+    flightrec.register(None)  # an earlier run's testbed is not evidence
+    try:
+        return _run_spec(spec, profile)
+    except Exception as exc:
+        return _error_result(spec, exc, flightrec.evidence())
+
+
+def _error_result(
+    spec: RunSpec, exc: BaseException, evidence: Optional[Dict[str, Any]]
+) -> FailedResult:
+    """The phase ``"error"`` post-mortem of a run that raised ``exc``."""
+    return FailedResult(
+        spec=spec,
+        phase="error",
+        error=f"{type(exc).__name__}: {exc}",
+        traceback="".join(
+            tb_module.format_exception(type(exc), exc, exc.__traceback__)),
+        evidence=evidence,
+    )
+
+
+class _Settled(dict):
+    """Batch outcomes by index, each passed on as it becomes final."""
+
+    def __init__(self, settle: Callable[[int, _Outcome], None]) -> None:
+        super().__init__()
+        self._settle = settle
+
+    def __setitem__(self, index: int, outcome: _Outcome) -> None:
+        super().__setitem__(index, outcome)
+        self._settle(index, outcome)
 
 
 def _canary() -> int:
@@ -258,11 +283,9 @@ class Runner:
     #: checks :attr:`interrupted` and exits 130.  SIGTERM is mapped onto
     #: the same path so ``kill <pid>`` drains identically to Ctrl-C.
     graceful_signals: bool = False
-    #: Live status line on stderr while specs execute (``--progress``):
-    #: workers heartbeat into a spool directory; a parent-side thread
-    #: aggregates them.  See :mod:`repro.runner.progress`.
+    #: Redraw one stderr status line as each run settles (``--progress``).
     progress: bool = False
-    #: JSONL run manifest written per map() call (``--manifest-out``).
+    #: JSONL run record appended per map() call (``--manifest-out``).
     manifest_path: Optional[str] = None
     #: The job count asked for, before any auto-serial fallback.
     requested_jobs: int = field(default=0, init=False)
@@ -275,13 +298,6 @@ class Runner:
     history: List[RunResult] = field(default_factory=list, init=False)
     #: Cached canary-probe verdict (None until first needed).
     _pools_usable: Optional[bool] = field(default=None, init=False)
-    #: Heartbeat spool of the most recent progress-enabled map() — where
-    #: the flight recorder finds the last known state of a run that
-    #: timed out or crashed its worker.
-    last_spool: Optional[str] = field(default=None, init=False)
-    _spool_tmp: Any = field(default=None, init=False, repr=False)
-    _prev_progress_env: Optional[str] = field(default=None, init=False,
-                                              repr=False)
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
@@ -326,51 +342,43 @@ class Runner:
 
         Failed runs yield a :class:`RunResult` with ``value=None`` and
         ``error`` set; they are never written to the cache, so a later
-        invocation retries them from scratch.
+        invocation retries them from scratch.  Each result reaches the
+        cache and the run-record sinks as soon as it and every earlier
+        spec's result are final, so a killed sweep keeps what finished.
         """
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
-
         pending: List[Tuple[int, RunSpec]] = []
         for index, spec in enumerate(specs):
-            if self.cache is not None:
-                hit, payload = self.cache.get(spec)
-                if hit:
-                    stored = payload.get("metrics")
-                    metrics = RunMetrics(
-                        wall_s=getattr(stored, "wall_s", 0.0),
-                        events=getattr(stored, "events", 0),
-                        cached=True,
-                        peak_heap_bytes=getattr(stored, "peak_heap_bytes", 0),
-                        finalize_s=getattr(stored, "finalize_s", 0.0),
-                    )
-                    results[index] = RunResult(spec, payload["value"], metrics)
-                    continue
-            pending.append((index, spec))
+            results[index] = self._cached(spec)
+            if results[index] is None:
+                pending.append((index, spec))
+        sinks = self._open_sinks(len(specs), len(specs) - len(pending))
+        written = 0
 
-        session = self._progress_start(len(specs), len(specs) - len(pending))
+        def flush() -> None:
+            nonlocal written
+            while written < len(results) and results[written] is not None:
+                for sink in sinks:
+                    sink.record_result(results[written])
+                written += 1
+
+        def settle(k: int, outcome: _Outcome) -> None:
+            index, spec = pending[k]
+            results[index] = self._result(spec, outcome)
+            flush()
+
+        complete = False
         restore_term = self._install_sigterm_handler()
         try:
-            outcomes = self._execute_batch([spec for _, spec in pending])
+            flush()
+            self._execute_batch([spec for _, spec in pending], settle)
+            complete = True
         finally:
             restore_term()
-            self._progress_stop(session)
-        for (index, spec), outcome in zip(pending, outcomes):
-            if isinstance(outcome, FailedResult):
-                log.warning("run failed %s", outcome.describe())
-                if outcome.phase in ("timeout", "crash"):
-                    self._dump_flight_bundle(outcome)
-                results[index] = RunResult(
-                    spec, None, RunMetrics(wall_s=0.0, events=0),
-                    error=outcome,
-                )
-                continue
-            value, metrics = outcome
-            if self.cache is not None:
-                self.cache.put(spec, value, metrics)
-            results[index] = RunResult(spec, value, metrics)
+            for sink in sinks:
+                sink.close(footer=complete)
         self.history.extend(results)  # type: ignore[arg-type]
-        self._write_manifest(results)  # type: ignore[arg-type]
         return results  # type: ignore[return-value]
 
     def run_values(self, specs: Iterable[RunSpec]) -> List[Any]:
@@ -381,90 +389,43 @@ class Runner:
         """
         return [result.value for result in self.map(specs)]
 
-    # ------------------------------------------------------------------
-    # Progress session (spool + aggregator) around one batch
-    # ------------------------------------------------------------------
-    def _progress_start(self, total: int, cached: int):
-        """Open the heartbeat spool and start the status-line thread.
-
-        A pre-existing ``REPRO_PROGRESS_DIR`` is honoured (and kept
-        afterwards) so CI jobs can point workers at a directory they
-        inspect after the run; otherwise a temp spool is created and
-        exported for the duration of the batch.
-        """
-        if not self.progress:
+    def _cached(self, spec: RunSpec) -> Optional[RunResult]:
+        if self.cache is None:
             return None
-        import tempfile
-
-        from repro.runner.progress import PROGRESS_ENV, ProgressAggregator
-
-        self._prev_progress_env = os.environ.get(PROGRESS_ENV)
-        if self._prev_progress_env:
-            self.last_spool = self._prev_progress_env
-        else:
-            self._spool_tmp = tempfile.TemporaryDirectory(
-                prefix="repro-progress-"
-            )
-            self.last_spool = self._spool_tmp.name
-            os.environ[PROGRESS_ENV] = self.last_spool
-        aggregator = ProgressAggregator(self.last_spool, total)
-        aggregator.note_finished(cached)
-        return aggregator.start()
-
-    def _progress_stop(self, aggregator) -> None:
-        if aggregator is None:
-            return
-        from repro.runner.progress import PROGRESS_ENV
-
-        aggregator.stop()
-        if not self._prev_progress_env:
-            os.environ.pop(PROGRESS_ENV, None)
-        # The spool itself stays on disk (self.last_spool) until the
-        # next progress batch or interpreter exit: the flight recorder
-        # reads final heartbeats from it after failures are processed.
-
-    def _dump_flight_bundle(self, failure: FailedResult) -> None:
-        """Parent-side flight bundle for a run that died without one.
-
-        A timed-out or crashed worker never reaches its own dump hook;
-        reconstruct what we know from the run's last heartbeat (when a
-        progress spool was active).  No-op unless REPRO_FLIGHT_DIR is
-        configured.
-        """
-        from repro.telemetry import flightrec
-
-        if flightrec.flight_dir() is None:
-            return
-        heartbeat = None
-        if self.last_spool is not None:
-            from dataclasses import asdict
-
-            from repro.runner.progress import read_heartbeats
-
-            for beat in read_heartbeats(self.last_spool):
-                if beat.label == failure.spec.label:
-                    heartbeat = asdict(beat)
-                    break
-        flightrec.dump_parent_bundle(
-            label=failure.spec.label,
-            phase=failure.phase,
-            error=failure.error,
-            heartbeat=heartbeat,
+        hit, payload = self.cache.get(spec)
+        if not hit:
+            return None
+        stored = payload.get("metrics")
+        metrics = RunMetrics(
+            wall_s=getattr(stored, "wall_s", 0.0),
+            events=getattr(stored, "events", 0),
+            cached=True,
+            peak_heap_bytes=getattr(stored, "peak_heap_bytes", 0),
+            finalize_s=getattr(stored, "finalize_s", 0.0),
         )
+        return RunResult(spec, payload["value"], metrics)
 
-    def _write_manifest(self, results: List[RunResult]) -> None:
-        if self.manifest_path is None or not results:
-            return
-        from repro.runner.progress import ManifestWriter
+    def _result(self, spec: RunSpec, outcome: _Outcome) -> RunResult:
+        if isinstance(outcome, FailedResult):
+            log.warning("run failed %s", outcome.describe())
+            return RunResult(spec, None, RunMetrics(wall_s=0.0, events=0),
+                             error=outcome)
+        value, metrics = outcome
+        if self.cache is not None:
+            self.cache.put(spec, value, metrics)
+        return RunResult(spec, value, metrics)
 
-        writer = ManifestWriter(self.manifest_path).open(
-            specs=len(results), mode=self.execution_mode, jobs=self.jobs
-        )
-        try:
-            for result in results:
-                writer.record_result(result)
-        finally:
-            writer.close()
+    def _open_sinks(self, total: int, cached: int) -> list:
+        """The run-record consumers of one map() call (none when empty)."""
+        from repro.runner.record import ManifestWriter, ProgressLine
+
+        sinks: list = []
+        if total and self.manifest_path is not None:
+            sinks.append(ManifestWriter(self.manifest_path).open(
+                specs=total, mode=self.execution_mode, jobs=self.jobs))
+        if total and self.progress:
+            sinks.append(ProgressLine(total, cached))
+        return sinks
 
     # ------------------------------------------------------------------
     # Graceful interruption (SIGINT / SIGTERM)
@@ -499,48 +460,44 @@ class Runner:
         )
 
     # ------------------------------------------------------------------
-    def _execute_batch(self, specs: Sequence[RunSpec]) -> List[_Outcome]:
+    def _execute_batch(
+        self,
+        specs: Sequence[RunSpec],
+        settle: Callable[[int, _Outcome], None],
+    ) -> None:
+        """Run ``specs``, passing each final outcome to ``settle``."""
         if not specs:
-            return []
+            return
+        outcomes = _Settled(settle)
         self.used_pool = False
         if self.jobs > 1 and len(specs) > 1:
             try:
-                return self._execute_pool(specs)
+                self._execute_pool(specs, outcomes)
+                return
             except (BrokenProcessPool, OSError, ImportError, NotImplementedError):
                 # Pools need working fork/spawn + shared semaphores; fall
                 # back to in-process execution rather than failing the run.
                 self.used_pool = False
-        outcomes: List[_Outcome] = []
         for index, spec in enumerate(specs):
+            if index in outcomes:
+                continue
             try:
-                outcomes.append(self._execute_one_inprocess(spec))
+                outcome = _execute_spec(spec, self.profile)
             except KeyboardInterrupt:
                 if not self.graceful_signals:
                     raise
                 log.warning("interrupted; draining %d unfinished run(s)",
                             len(specs) - index)
                 self.interrupted = True
-                outcomes.extend(
-                    self._interrupted_result(s) for s in specs[index:]
-                )
-                break
-        return outcomes
-
-    def _execute_one_inprocess(self, spec: RunSpec) -> _Outcome:
-        try:
-            return _execute_spec(spec, self.profile)
-        except Exception as exc:
-            return FailedResult(
-                spec=spec,
-                phase="error",
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=tb_module.format_exc(),
-            )
+                for k in range(index, len(specs)):
+                    outcomes[k] = self._interrupted_result(specs[k])
+                return
+            outcomes[index] = outcome
 
     # ------------------------------------------------------------------
     # Pool execution with per-run timeouts and crash containment
     # ------------------------------------------------------------------
-    def _execute_pool(self, specs: Sequence[RunSpec]) -> List[_Outcome]:
+    def _execute_pool(self, specs: Sequence[RunSpec], outcomes: dict) -> None:
         """Run ``specs`` on a process pool, absorbing per-run casualties.
 
         Timed-out and crashed runs are retried (up to ``retries`` times
@@ -551,7 +508,6 @@ class Runner:
         that pools simply do not work on this platform, which the caller
         turns into the in-process fallback.
         """
-        outcomes: dict = {}
         attempts = [0] * len(specs)
         items = list(range(len(specs)))
         first_pass = True
@@ -570,7 +526,6 @@ class Runner:
             for i in unfinished:
                 outcomes[i] = self._interrupted_result(specs[i])
         self.used_pool = True
-        return [outcomes[i] for i in range(len(specs))]
 
     def _pool_pass(
         self,
@@ -623,16 +578,16 @@ class Runner:
         first_pass: bool,
     ) -> List[int]:
         resubmit: List[int] = []
-        #: Futures that round-tripped through a worker (a returned value
-        #: or a pickled exception both prove the pool machinery works).
-        completed = 0
         pool_broken = False
         stuck_workers = False
         for i in items:
             spec = specs[i]
             try:
-                outcomes[i] = futures[i].result(timeout=self.timeout_s)
-                completed += 1
+                outcome = futures[i].result(timeout=self.timeout_s)
+                if isinstance(outcome, FailedResult):
+                    outcome = dataclasses.replace(
+                        outcome, attempts=attempts[i] + 1)
+                outcomes[i] = outcome
             except FutureTimeoutError:
                 stuck_workers = True
                 futures[i].cancel()
@@ -642,9 +597,9 @@ class Runner:
                     error=f"run exceeded the {self.timeout_s}s budget",
                 )
             except BrokenProcessPool:
-                if (first_pass and completed == 0 and not pool_broken
+                if (first_pass and not outcomes and not pool_broken
                         and not self._probe_pool()):
-                    # Nothing worked yet AND a trivial canary task cannot
+                    # Nothing settled yet AND a trivial canary task cannot
                     # run either: pools are unusable on this platform.
                     # Re-raise so the caller falls back to in-process
                     # execution.  (If the canary passes, the dead worker
@@ -667,18 +622,9 @@ class Runner:
                         error="worker process died while running this spec",
                     )
             except Exception as exc:
-                # The spec itself raised (pickled back from the worker):
-                # deterministic, so never retried.
-                completed += 1
-                outcomes[i] = FailedResult(
-                    spec=spec,
-                    phase="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback="".join(
-                        tb_module.format_exception(type(exc), exc, exc.__traceback__)
-                    ),
-                    attempts=attempts[i] + 1,
-                )
+                # The worker could not send its outcome back (e.g. an
+                # unpicklable value): deterministic, so never retried.
+                outcomes[i] = _error_result(spec, exc, None)
 
         # Snapshot worker handles first: shutdown() clears the attribute.
         workers_alive = list((getattr(pool, "_processes", None) or {}).values())
@@ -745,5 +691,5 @@ def execute(specs: Iterable[RunSpec], runner: Optional[Runner] = None) -> List[A
     exception propagates instead of becoming a :class:`FailedResult`.
     """
     if runner is None:
-        return [_execute_spec(spec)[0] for spec in specs]
+        return [_run_spec(spec)[0] for spec in specs]
     return runner.run_values(specs)

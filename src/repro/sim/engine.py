@@ -42,34 +42,6 @@ US_PER_MS = 1_000.0
 #: a handle on the simulators an experiment creates internally.
 _EVENTS_TOTAL = 0
 
-#: Process-wide progress hook, set by the runner's heartbeat machinery
-#: (:func:`set_default_progress`).  Module-level rather than per
-#: Simulator because experiments create simulators internally — the
-#: runner has no handle on them, exactly like the events counter above.
-_PROGRESS_HOOK: Optional[Callable[["Simulator", int], None]] = None
-_PROGRESS_INTERVAL = 0
-
-
-def set_default_progress(
-    hook: Optional[Callable[["Simulator", int], None]],
-    interval_events: int = 200_000,
-) -> None:
-    """Install (or clear, with ``None``) the process-wide progress hook.
-
-    Every :meth:`Simulator.run` loop entered afterwards calls
-    ``hook(sim, executed)`` once per ``interval_events`` executed events.
-    Cost when armed is one integer equality per event; when unarmed the
-    loop carries a never-matching sentinel, so the hot path is unchanged.
-    The hook runs inside the event loop — it must be fast and must not
-    touch the simulation state.
-    """
-    global _PROGRESS_HOOK, _PROGRESS_INTERVAL
-    if hook is not None and interval_events <= 0:
-        raise ValueError("interval_events must be positive")
-    _PROGRESS_HOOK = hook
-    _PROGRESS_INTERVAL = interval_events if hook is not None else 0
-
-
 class _NoArg:
     """Sentinel: a heap entry whose callback takes no argument."""
 
@@ -198,8 +170,8 @@ class Simulator:
         #: No-progress watchdog: maximum events executed at one timestamp
         #: before the loop declares a livelock (None = disabled).
         self._stall_limit: Optional[int] = None
-        #: The ``until_us`` of the current/last :meth:`run` call — lets
-        #: progress hooks report completion and extrapolate an ETA.
+        #: The ``until_us`` of the current/last :meth:`run` call — a
+        #: failed run's evidence says how far short of it the clock got.
         self.run_until_us: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -329,11 +301,6 @@ class Simulator:
         stall_limit = self._stall_limit
         stall_ts = -1.0
         stall_count = 0
-        progress_hook = _PROGRESS_HOOK
-        progress_interval = _PROGRESS_INTERVAL
-        # Sentinel -1 never equals executed (which starts at 1), so the
-        # unarmed loop pays one always-false int compare per event.
-        next_progress = progress_interval if progress_hook is not None else -1
         now = self.now
         try:
             while queue:
@@ -344,9 +311,6 @@ class Simulator:
                     raise SimulationError("event queue went backwards")
                 self.now = now = time
                 executed += 1
-                if executed == next_progress:
-                    progress_hook(self, executed)
-                    next_progress += progress_interval
                 if stall_limit is not None:
                     if time == stall_ts:
                         stall_count += 1
@@ -371,12 +335,6 @@ class Simulator:
             _EVENTS_TOTAL += executed
             if gc_was_enabled:
                 gc.enable()
-            if progress_hook is not None:
-                # One terminal sample per run() call — short runs that
-                # never reach the event interval still report their
-                # final sim state, and a run dying mid-loop leaves its
-                # last position for the post-mortem.
-                progress_hook(self, executed)
 
     def step(self) -> bool:
         """Pop and run one heap entry.  Returns False if the queue is empty.
@@ -462,4 +420,3 @@ __all__.append("PeriodicTimer")
 __all__.append("US_PER_SEC")
 __all__.append("US_PER_MS")
 __all__.append("events_processed_total")
-__all__.append("set_default_progress")

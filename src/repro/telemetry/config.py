@@ -23,11 +23,11 @@ __all__ = ["TelemetryConfig", "TRACE_CATEGORIES", "STREAMING_CATEGORIES",
            "DEFAULT_STREAM_CAPACITY"]
 
 #: Bounded-ring tail kept by streaming-only configs: enough context for
-#: a flight-recorder dump, small enough that memory stays flat.
+#: a failed run's evidence, small enough that memory stays flat.
 DEFAULT_STREAM_CAPACITY = 8192
 
 #: Categories emitted by streaming-only configs: what the online
-#: accumulators consume (queue, tx) plus markers the flight recorder
+#: accumulators consume (queue, tx) plus markers the failure evidence
 #: and windowing need (meta, fault).
 STREAMING_CATEGORIES = ("queue", "tx", "fault", "meta")
 
@@ -96,7 +96,7 @@ class TelemetryConfig:
         ``trace_path``, ``trace`` False) the trace ring is
         bounded to :data:`DEFAULT_STREAM_CAPACITY` records so memory
         stays flat no matter how long the run — the retained tail feeds
-        the flight recorder.
+        a failed run's evidence.
     trace_capacity:
         Explicitly bound the trace ring to the newest N records
         (evictions are counted and surfaced by ``trace summarize``).

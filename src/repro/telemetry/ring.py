@@ -403,7 +403,7 @@ class TraceRing:
         return decoded
 
     def tail(self, n: int) -> List[Dict[str, Any]]:
-        """Decode only the newest ``n`` records (flight-recorder dumps).
+        """Decode only the newest ``n`` records (failure evidence).
 
         Skipping the prefix costs one pass over the order array to
         position each shape's cursor — no prefix records are decoded.

@@ -27,7 +27,7 @@ calls straight from each emit site with the record's positional values
 — no dict is built, no record is retained — and that ``feed`` drives
 from a trace file, so ``trace summarize`` reads the same accounts.  With
 ``TelemetryConfig(streaming=True)`` the trace ring is bounded to a small
-tail (kept for the flight recorder) and the run's summary tables come
+tail (kept for failure evidence) and the run's summary tables come
 from the sketches, so peak memory no longer scales with sim duration.
 """
 

@@ -327,7 +327,7 @@ class TraceBus:
         return iter(self._records)
 
     def tail(self, n: int) -> List[Dict[str, Any]]:
-        """The newest ``n`` records as dicts (flight-recorder dumps)."""
+        """The newest ``n`` records as dicts (failure evidence)."""
         if self._ring is not None:
             return self._ring.tail(n)
         return list(self._records[-n:]) if n > 0 else []

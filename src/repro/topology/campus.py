@@ -252,9 +252,8 @@ class CampusTestbed:
             # simulated time never legitimately needs this many events.
             self.sim.set_stall_guard(1_000_000)
 
-        # Flight recorder: whoever dies while this testbed is the active
-        # simulation can dump its ring tail / watchdog / streaming state.
-        # Weak registration; a no-op unless REPRO_FLIGHT_DIR is set.
+        # A run that raises while this testbed is the active simulation
+        # reports its ring tail / watchdog / streaming state (weak ref).
         flightrec.register(self)
 
     # ------------------------------------------------------------------

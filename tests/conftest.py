@@ -50,3 +50,27 @@ def make_testbed(scheme, rates=None, seed=1, **option_kwargs):
 
     rates = rates if rates is not None else three_station_rates()
     return Testbed(rates, TestbedOptions(scheme=scheme, seed=seed, **option_kwargs))
+
+
+def plant_livelock(testbed, at_us=50_000.0):
+    """Schedule a zero-delay callback that reschedules itself without the
+    clock advancing — the livelock the engine's stall guard exists for."""
+    def livelock():
+        testbed.sim.schedule_call(0.0, livelock)
+
+    testbed.sim.schedule_call(at_us, livelock)
+
+
+def stall_guard_livelock(seed=1):
+    """RunSpec target: a strict streaming run whose planted livelock trips
+    a tight stall guard within microseconds (raises ``SimulationError``)."""
+    from repro.experiments.workloads import saturating_udp_download
+    from repro.mac.ap import Scheme
+    from repro.telemetry.config import TelemetryConfig
+
+    testbed = make_testbed(Scheme.AIRTIME, seed=seed, strict=True,
+                           telemetry=TelemetryConfig(streaming=True))
+    saturating_udp_download(testbed)
+    plant_livelock(testbed)
+    testbed.sim.set_stall_guard(100)
+    testbed.run(duration_s=0.2)

@@ -33,6 +33,20 @@ from repro.topology import (
 from .conftest import make_testbed
 
 
+def livelocked_campus() -> None:
+    """RunSpec target: a strict 2-BSS run with a livelock planted."""
+    from repro.experiments.workloads import saturating_udp_download
+
+    from .conftest import plant_livelock
+
+    campus = CampusTestbed(
+        campus_topology(n_bss=2, n_channels=2, stations_per_bss=2),
+        CampusOptions(seed=1, strict=True))
+    saturating_udp_download(campus)
+    plant_livelock(campus)
+    campus.run(0.2)
+
+
 class FakeNode:
     """Minimal medium contender for attach/detach unit tests."""
 
@@ -386,33 +400,21 @@ class TestOneTestbed:
         with pytest.raises(InvariantViolation, match="stall.*channel 1"):
             campus.run(4.0)
 
-    def test_strict_livelock_raises_and_leaves_a_flight_bundle(
-            self, tmp_path, monkeypatch):
-        """The ``flightrec.selftest()`` livelock, planted in a 2-BSS strict
-        run: the engine's stall guard ends it and the testbed is the
-        registered flight-recorder subject."""
-        import json
+    def test_strict_livelock_raises_and_leaves_a_flight_bundle(self):
+        """The stall-guard livelock, planted in a 2-BSS strict run: the
+        engine's stall guard ends it, and the run's ``FailedResult``
+        carries the registered testbed's state as its evidence."""
+        from repro.runner import Runner, RunSpec
 
-        from repro.experiments.workloads import saturating_udp_download
-        from repro.sim.engine import SimulationError
-        from repro.telemetry import flightrec
-
-        monkeypatch.setenv(flightrec.FLIGHT_ENV, str(tmp_path))
-        campus = self._two_channels(strict=True)
-        assert campus.stall_detector is not None
-        saturating_udp_download(campus)
-
-        def livelock():
-            campus.sim.schedule_call(0.0, livelock)
-
-        campus.sim.schedule_call(50_000.0, livelock)
-        with pytest.raises(SimulationError, match="stall") as excinfo:
-            campus.run(0.2)
-        path = flightrec.dump_active("livelock", excinfo.value)
-        bundle = json.loads(path.read_text())
-        assert bundle["options"] == {"scheme": "AIRTIME", "seed": 1,
-                                     "strict": True, "stations": 4}
-        assert bundle["exception"]["type"] == "SimulationError"
+        (result,) = Runner(jobs=1).map(
+            [RunSpec.make("tests.test_topology:livelocked_campus")])
+        failure = result.error
+        assert failure.phase == "error"
+        assert failure.error.startswith("SimulationError")
+        assert "stall" in failure.error
+        assert failure.evidence["options"] == {"scheme": "AIRTIME", "seed": 1,
+                                               "strict": True, "stations": 4}
+        assert "stall_violations" in failure.evidence["watchdog"]
 
     def test_faults_reach_a_multi_cell_testbed(self):
         """Churn resolves the serving AP at fire time (after a roam) and
