@@ -178,8 +178,18 @@ class TestRunRecord:
 # --progress
 # ----------------------------------------------------------------------
 class TestProgressLine:
-    def test_status_line_reaches_the_stream_and_counts_cache_hits(
-            self, tmp_path, capsys):
+    def test_status_line_reaches_the_stream(self, capsys):
+        Runner(jobs=1, progress=True).map([_quick(1), _quick(2)])
+        err = capsys.readouterr().err
+        draws = err.split("\r")[1:]
+        # One draw up front, then one per finished run; the final state
+        # is left on its own line.
+        assert len(draws) == 3 and err.endswith("\n")
+        assert draws[0].startswith("[0/2 done, 0 failed]")
+        assert draws[1].startswith("[1/2 done, 0 failed] quick-1 ")
+        assert draws[-1].startswith("[2/2 done, 0 failed] quick-2 ")
+
+    def test_status_line_counts_cache_hits(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
         Runner(jobs=1, cache=cache).map([_quick(1)])
         capsys.readouterr()
