@@ -95,7 +95,7 @@ def _report() -> None:
 def _validate() -> None:
     _cli("validate", "matrix", "--smoke", "--no-cache", "--jobs", "1", "-q")
     _cli("validate", "oracles", "--no-cache", "--jobs", "1", "-q")
-    _cli("validate", "check", "--no-cache", "--jobs", "1", "-q")
+    _cli("validate", "check", "--jobs", "1", "-q")
 
 
 def _perf_workloads() -> None:

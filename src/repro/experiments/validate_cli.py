@@ -2,8 +2,8 @@
 
 Exit codes: 0 clean, 2 usage error, 3 partial failure (some runs
 produced no value), 4 gate breach (matrix non-conformance, oracle
-failure, or golden drift).  Imported by :mod:`repro.experiments.cli` on
-dispatch only.
+failure, or a pin that moved).  Imported by :mod:`repro.experiments.cli`
+on dispatch only.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 from repro.experiments.cli import failure_table
 from repro.runner import ResultCache, Runner, default_jobs
 from repro.telemetry import configure_logging, get_logger
-from repro.validation import golden as golden_mod
+from repro.validation import catalogue
 from repro.validation import matrix as matrix_mod
 from repro.validation import oracles as oracles_mod
 
@@ -28,17 +28,19 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro validate",
         description="Cross-validate the simulator against the analytical "
-                    "model, the metamorphic oracles, and the golden corpus.",
+                    "model, the metamorphic oracles, and the pinned "
+                    "scenario catalogue.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p: argparse.ArgumentParser) -> None:
+    def _common(p: argparse.ArgumentParser, cache: bool = True) -> None:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes (default: $REPRO_JOBS or "
                             "the CPU count)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore and do not write .repro-cache/")
+        if cache:  # pins are always re-run: the cache key is not the code
+            p.add_argument("--no-cache", action="store_true",
+                           help="ignore and do not write .repro-cache/")
         p.add_argument("-v", "--verbose", action="count", default=0)
         p.add_argument("-q", "--quiet", action="count", default=0)
 
@@ -59,7 +61,7 @@ def main(argv: list[str]) -> int:
     _common(oracles_p)
 
     run_p = sub.add_parser(
-        "run", help="full battery: matrix + oracles + golden check"
+        "run", help="full battery: matrix + oracles + pin check"
     )
     run_p.add_argument("--full", action="store_true",
                        help="sweep the full matrix grid (default: the "
@@ -67,34 +69,27 @@ def main(argv: list[str]) -> int:
     run_p.add_argument("--report", default=None, metavar="FILE",
                        help="write the matrix conformance report to FILE")
     run_p.add_argument("--golden", default=None, metavar="DIR",
-                       help="golden snapshot directory "
-                            "(default tests/golden/)")
+                       help="pin directory (default tests/golden/)")
     _common(run_p)
 
-    check_p = sub.add_parser(
-        "check", help="re-run the golden corpus and diff the snapshots"
-    )
-    check_p.add_argument("--golden", default=None, metavar="DIR",
-                         help="golden snapshot directory "
-                              "(default tests/golden/)")
-    check_p.add_argument("--only", default=None, metavar="CSV",
-                         help="comma-separated scenario names "
-                              "(default: all)")
-    _common(check_p)
-
-    refresh_p = sub.add_parser(
-        "refresh", help="re-run the golden corpus and overwrite snapshots"
-    )
-    refresh_p.add_argument("--golden", default=None, metavar="DIR")
-    refresh_p.add_argument("--only", default=None, metavar="CSV")
-    _common(refresh_p)
+    for name, text in (("check", "re-run scenarios and compare their pins"),
+                       ("refresh", "re-run scenarios and overwrite their "
+                                   "pins")):
+        pin_p = sub.add_parser(name, help=text)
+        pin_p.add_argument("--golden", default=None, metavar="DIR",
+                           help="pin directory (default tests/golden/)")
+        pin_p.add_argument("--only", default=None, metavar="CSV",
+                           help="comma-separated scenario names "
+                                "(default: all)")
+        _common(pin_p, cache=False)
 
     args = parser.parse_args(argv)
     configure_logging(args.verbose - args.quiet)
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     runner = Runner(jobs=jobs,
-                    cache=None if args.no_cache else ResultCache(),
+                    cache=None if getattr(args, "no_cache", True)
+                    else ResultCache(),
                     auto_serial=True)
 
     def _parse_only() -> Optional[list[str]]:
@@ -135,22 +130,20 @@ def main(argv: list[str]) -> int:
             print()
             oracles_ok = _run_oracles()
             print()
-            golden_report = golden_mod.check(runner=runner,
-                                             golden_dir=_golden_dir())
-            print(golden_report.format())
-            breached = not (matrix_ok and oracles_ok and golden_report.clean)
+            pin_report = catalogue.check(jobs=jobs, golden_dir=_golden_dir())
+            print(pin_report.format())
+            breached = not (matrix_ok and oracles_ok and pin_report.clean)
         elif args.command == "check":
-            golden_report = golden_mod.check(only=_parse_only(),
-                                             runner=runner,
-                                             golden_dir=_golden_dir())
-            print(golden_report.format())
-            breached = not golden_report.clean
+            pin_report = catalogue.check(only=_parse_only(), jobs=jobs,
+                                         golden_dir=_golden_dir())
+            print(pin_report.format())
+            breached = not pin_report.clean
         elif args.command == "refresh":
-            names = golden_mod.refresh(only=_parse_only(), runner=runner,
-                                       golden_dir=_golden_dir())
-            target = _golden_dir() or golden_mod.default_golden_dir()
-            print(f"refreshed {len(names)} golden snapshot(s) "
-                  f"under {target}: {', '.join(names)}")
+            names = catalogue.refresh(only=_parse_only(), jobs=jobs,
+                                      golden_dir=_golden_dir())
+            target = _golden_dir() or catalogue.default_golden_dir()
+            print(f"refreshed {len(names)} pin(s) under {target}: "
+                  f"{', '.join(names)}")
     except (ValueError, RuntimeError) as exc:
         log.error("%s", exc)
         return 2

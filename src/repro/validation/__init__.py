@@ -1,4 +1,4 @@
-"""Validation subsystem: differential, metamorphic, and golden testing.
+"""Validation subsystem: differential, metamorphic, and pinned-scenario testing.
 
 Three legs, one goal — evidence that the simulator agrees with the
 paper's §2.2.1 analytical model and with itself:
@@ -9,22 +9,13 @@ paper's §2.2.1 analytical model and with itself:
 * :mod:`repro.validation.oracles` — scheme-independent metamorphic and
   dominance properties (conservation, scale invariance, rate
   monotonicity, Jain/latency dominance) plus a fuzzing entry point;
-* :mod:`repro.validation.golden` — a pinned-snapshot regression corpus
-  gated with the ``repro trace diff`` clamp-then-relative semantics.
+* :mod:`repro.validation.catalogue` — the one list of pinned scenarios,
+  each with one JSON pin under ``tests/golden/`` (headline metrics plus
+  exact telemetry digests), gated on exact equality.
 
 All three are driven by the ``validate`` CLI subcommand family.
 """
 
-from repro.validation.golden import (
-    GoldenBreach,
-    GoldenReport,
-    check,
-    corpus,
-    corpus_names,
-    default_golden_dir,
-    diff_snapshot,
-    refresh,
-)
 from repro.validation.matrix import (
     CellMetrics,
     CellOutcome,
@@ -58,28 +49,20 @@ __all__ = [
     "CellOutcome",
     "CellSpec",
     "ConformanceReport",
-    "GoldenBreach",
-    "GoldenReport",
     "OracleVerdict",
     "Tolerance",
     "WAIVED_CELLS",
-    "check",
     "check_conservation",
     "check_jain_dominance",
     "check_latency_dominance",
     "check_rate_monotonicity",
     "check_scale_invariance",
     "check_share_normalisation",
-    "corpus",
-    "corpus_names",
-    "default_golden_dir",
     "default_grid",
-    "diff_snapshot",
     "dominance_verdicts",
     "evaluate_cell",
     "fuzz_verdicts",
     "rate_monotonicity_verdict",
-    "refresh",
     "run_cell",
     "run_matrix",
     "scale_invariance_verdict",

@@ -1,4 +1,4 @@
-"""Tests for the golden regression corpus."""
+"""Tests for the scenario catalogue and its exact pin gate."""
 
 from __future__ import annotations
 
@@ -6,115 +6,121 @@ import json
 
 import pytest
 
-from repro.runner import ResultCache, Runner
-from repro.validation import golden
+from repro.core.airtime import AirtimeScheduler
+from repro.experiments import cli
+from repro.validation import catalogue
 
 
 class TestCorpus:
     def test_names_are_unique_and_stable(self):
-        names = golden.corpus_names()
-        assert len(names) == len(set(names))
+        names = catalogue.names()
+        assert len(names) == len(set(names)) == 36
         assert "udp-airtime" in names
         assert "cell-n5-ladder" in names
-        assert len(names) >= 10
+        assert "udp-metrics/AIRTIME" in names
 
     def test_unknown_selection_rejected(self):
         with pytest.raises(ValueError, match="unknown golden"):
-            golden.check(only=["no-such-scenario"])
+            catalogue.check(only=["no-such-scenario"])
 
     def test_default_dir_is_tests_golden(self):
-        path = golden.default_golden_dir()
+        path = catalogue.default_golden_dir()
         assert path.parts[-2:] == ("tests", "golden")
 
 
 class TestDiffSnapshot:
     def test_identical_snapshots_are_clean(self):
         snap = {"total_mbps": 89.2, "airtime_share": {"0": 0.33}}
-        assert golden.diff_snapshot("s", snap, dict(snap)) == []
-
-    def test_within_band_change_is_clean(self):
-        old = {"total_mbps": 89.2}
-        new = {"total_mbps": 91.0}  # ~2% < 10% rel
-        assert golden.diff_snapshot("s", old, new) == []
-
-    def test_noise_floor_clamps_small_values(self):
-        # 0.1 -> 0.3 Mbps is a 200% relative change but sits inside the
-        # 0.3 Mbps absolute floor, so it must not breach.
-        assert golden.diff_snapshot("s", {"x_mbps": 0.1},
-                                    {"x_mbps": 0.3}) == []
+        assert catalogue.diff_pin("s", snap, dict(snap)) == []
 
     def test_relative_breach_detected(self):
-        breaches = golden.diff_snapshot("s", {"total_mbps": 89.2},
-                                        {"total_mbps": 60.0})
+        breaches = catalogue.diff_pin("s", {"total_mbps": 89.2},
+                                      {"total_mbps": 60.0})
         assert len(breaches) == 1
         assert breaches[0].key == "total_mbps"
 
-    def test_share_uses_absolute_band(self):
-        old = {"airtime_share": {"0": 0.333}}
-        assert golden.diff_snapshot(
-            "s", old, {"airtime_share": {"0": 0.345}}) == []
-        breaches = golden.diff_snapshot(
-            "s", old, {"airtime_share": {"0": 0.40}})
-        assert breaches and breaches[0].key == "airtime_share.0"
-
-    def test_latency_band(self):
-        assert golden.diff_snapshot("s", {"p95_ms": 17.0},
-                                    {"p95_ms": 17.4}) == []
-        assert golden.diff_snapshot("s", {"p95_ms": 17.0},
-                                    {"p95_ms": 30.0})
+    def test_one_rounding_step_breaches(self):
+        breaches = catalogue.diff_pin(
+            "s", {"airtime_share": {"0": 0.338}},
+            {"airtime_share": {"0": 0.3381}})
+        assert [str(b) for b in breaches] == \
+            ["s: airtime_share.0: 0.338 → 0.3381"]
 
     def test_missing_and_extra_keys_breach(self):
-        breaches = golden.diff_snapshot("s", {"a_mbps": 1.0},
-                                        {"b_mbps": 1.0})
+        breaches = catalogue.diff_pin("s", {"a_mbps": 1.0},
+                                      {"b_mbps": 1.0})
         assert {b.key for b in breaches} == {"a_mbps", "b_mbps"}
 
     def test_non_numeric_change_breaches(self):
-        assert golden.diff_snapshot("s", {"scheme": "FIFO"},
-                                    {"scheme": "Airtime"})
+        assert catalogue.diff_pin("s", {"scheme": "FIFO"},
+                                  {"scheme": "Airtime"})
 
 
 @pytest.mark.validation
 @pytest.mark.slow
 class TestRefreshCheckCycle:
-    def test_refresh_then_check_then_perturb(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_refresh_then_check_then_perturb(self, tmp_path):
         golden_dir = tmp_path / "golden"
-        runner = Runner(jobs=1, cache=ResultCache(), auto_serial=True)
-        only = ["udp-airtime"]
+        only = ["udp-airtime", "udp-ring512/AIRTIME"]
 
-        names = golden.refresh(only=only, runner=runner,
-                               golden_dir=golden_dir)
-        assert names == ["udp-airtime"]
-        path = golden_dir / "udp-airtime.json"
-        assert path.exists()
+        assert catalogue.refresh(only=only, golden_dir=golden_dir) == only
+        for name in only:  # re-recorded byte for byte
+            assert (golden_dir / f"{name}.json").read_bytes() == \
+                (catalogue.default_golden_dir() / f"{name}.json").read_bytes()
 
-        # The cached result makes the re-check cheap and byte-identical.
-        report = golden.check(only=only, runner=runner,
-                              golden_dir=golden_dir)
+        report = catalogue.check(only=only, golden_dir=golden_dir)
         assert report.clean, report.format()
-        assert report.checked == ["udp-airtime"]
+        assert report.checked == only
 
-        snap = json.loads(path.read_text())
-        snap["throughput_mbps"]["0"] = snap["throughput_mbps"]["0"] * 2
-        path.write_text(json.dumps(snap))
-        report = golden.check(only=only, runner=runner,
-                              golden_dir=golden_dir)
-        assert not report.clean
-        assert any(b.key == "throughput_mbps.0" for b in report.breaches)
+        golden_path, traced_path = (golden_dir / f"{name}.json"
+                                    for name in only)
+        golden = json.loads(golden_path.read_text())
+        golden["total_mbps"] *= 2
+        golden_path.write_text(json.dumps(golden))
+        traced = json.loads(traced_path.read_text())
+        traced["digests"]["trace"] = "0" * 64
+        traced_path.write_text(json.dumps(traced))
+        report = catalogue.check(only=only, golden_dir=golden_dir)
+        assert [b.key for b in report.breaches] == \
+            ["total_mbps", "digests.trace"]
+        assert "BREACH udp-ring512/AIRTIME: digests moved: trace" in \
+            report.format()
 
     def test_missing_snapshot_is_reported(self, tmp_path):
-        report = golden.check(only=["udp-fifo"],
-                              golden_dir=tmp_path / "empty")
+        report = catalogue.check(only=["udp-fifo"],
+                                 golden_dir=tmp_path / "empty")
         assert not report.clean
         assert report.missing == ["udp-fifo"]
         assert "MISSING" in report.format()
 
+    def test_a_warm_result_cache_does_not_hide_a_scheduler_change(
+            self, tmp_path, monkeypatch, capsys):
+        """The result cache is keyed by spec and package version, not by
+        code, so a gate that read it would pass a changed scheduler."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["validate", "check", "--only", "cell-n5-ladder",
+                "--jobs", "1"]
+        assert cli.main(argv) == 0
+
+        init = AirtimeScheduler.__init__
+
+        def coarse_quantum(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.quantum_us *= 50
+
+        monkeypatch.setattr(AirtimeScheduler, "__init__", coarse_quantum)
+        assert cli.main(argv) == 4
+        assert "BREACH cell-n5-ladder: jain_airtime" in capsys.readouterr().out
+
 
 @pytest.mark.validation
-def test_committed_corpus_files_exist_and_parse():
-    golden_dir = golden.default_golden_dir()
-    for name in golden.corpus_names():
-        path = golden_dir / f"{name}.json"
-        assert path.exists(), f"missing committed golden {name}"
-        data = json.loads(path.read_text())
-        assert isinstance(data, dict) and data
+def test_catalogue_and_pin_files_map_one_to_one():
+    golden_dir = catalogue.default_golden_dir()
+    files = {path.relative_to(golden_dir).with_suffix("").as_posix()
+             for path in golden_dir.rglob("*.json")}
+    assert files == set(catalogue.names())
+    for name in catalogue.names():
+        pin = catalogue.load(name)
+        assert set(pin.get("digests", {})) == \
+            set(catalogue.digest_names(name)), name
+        assert set(pin) - {"digests"}, f"{name} pins no headline metric"

@@ -1,18 +1,16 @@
 """Online span stitching: ``Telemetry.finish()`` never decodes the ring.
 
 Spans and the airtime/drop tables are built in-run from trace-bus taps;
-these tests pin the ``finish()`` summary bytes recorded on the tree that
-still stitched post-run from ``trace.records``, hold the online result
-equal to the offline ``attribute_records`` of the same run's decoded
-ring, and guard against a consumer quietly re-materialising the records.
+these tests hold every traced catalogue entry's ``finish()`` summary to
+its pinned digest (recorded on the tree that still stitched post-run
+from ``trace.records``) and equal to the offline ``attribute_records``
+of the same run's decoded ring, and guard against a consumer quietly
+re-materialising the records.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
@@ -24,116 +22,22 @@ from repro.mac.ap import Scheme
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.ring import TraceRing
 from repro.telemetry.trace import TraceBus
-from repro.topology import (
-    CampusOptions,
-    CampusTestbed,
-    RoamEvent,
-    campus_topology,
-)
+from repro.validation import catalogue
+from repro.validation.catalogue import ENGINE_PROBE, FULL_TRACE
 
-from .test_trace_determinism import (
-    FULL_TRACE,
-    PINNED_RUNS,
-    ROAM_BACK_KEY,
-    _digest_key,
-    _roam_back_run,
-    _traced_run,
-)
-
-# Recorded on the parent of the online-stitching change; the two
-# ``udp-metrics/*`` summaries re-recorded when metrics runs began to
-# carry the streaming snapshot in place of the counter/histogram
-# registry (their ``#series`` keys did not move).  Regenerate (only for
-# an intended summary-format change) with:
-#   PYTHONPATH=src python -c "import json, tests.test_online_spans as t; \
-#     print(json.dumps(t.pinned_finish_digests(), indent=1))" \
-#     > tests/fixtures/finish_digests.json
-DIGEST_FIXTURE = Path(__file__).parent / "fixtures" / "finish_digests.json"
+#: The offline stitch needs the whole trace, which a bounded ring drops.
+STITCHED = [name for name in catalogue.traced_names()
+            if name != "udp-ring512/AIRTIME"]
+SERIES_RUNS = [name for name in catalogue.traced_names()
+               if "series" in catalogue.digest_names(name)]
 
 
-def _campus_roam_run() -> CampusTestbed:
-    """Two co-channel cells, station 0 roams mid-window (``bss_of``)."""
-    topo = campus_topology(
-        n_bss=2, n_channels=1, stations_per_bss=2,
-        roam=(RoamEvent(station=0, at_s=0.3, to_bss=1),),
-    )
-    campus = CampusTestbed(topo, CampusOptions(
-        scheme=Scheme.AIRTIME, seed=1,
-        telemetry=TelemetryConfig(trace=True, spans=True)))
-    workloads.saturating_udp_download(campus)
-    campus.run(0.4, 0.2)
-    return campus
-
-
-def _no_marker_run() -> Testbed:
-    """The engine driven directly: no warm-up and no
-    ``measurement_start`` marker, so every closed span is buffered and
-    replayed into the whole-trace result at ``finish()``."""
-    testbed = Testbed(three_station_rates(), TestbedOptions(
-        scheme=Scheme.AIRTIME, seed=1, telemetry=FULL_TRACE))
-    workloads.saturating_udp_download(testbed)
-    testbed.sim.run(until_us=testbed.sim.sec(0.4))
-    return testbed
-
-
-#: fixture key -> zero-argument run factory.
-RUNS = {
-    **{_digest_key(name, scheme):
-       (lambda name=name, scheme=scheme: _traced_run(name, scheme))
-       for name, scheme in PINNED_RUNS},
-    "campus-2bss-roam/AIRTIME": _campus_roam_run,
-    "udp-no-marker/AIRTIME": _no_marker_run,
-    ROAM_BACK_KEY: _roam_back_run,
-}
-
-#: The engine's heap depth is sampled like any probe but is not a
-#: simulated quantity: a change that needs fewer events per packet moves
-#: it without changing the model (``sim_digest`` leaves event counts out
-#: for the same reason).  The digests skip it; it is asserted on its own.
-ENGINE_PROBE = "sim_heap_len"
-
-
-def _canonical_digest(summary: dict) -> str:
-    metrics = summary.get("metrics")
-    if metrics is not None:
-        summary = {**summary, "metrics": {
-            kind: {name: value for name, value in table.items()
-                   if name != ENGINE_PROBE}
-            for kind, table in metrics.items()
-        }}
-    text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-#: Metrics runs also pin the sampler's series in probe (insertion)
-#: order, which the sorted ``snapshot()`` inside the summary hides.
-SERIES_RUNS = [key for key in RUNS if key.startswith("udp-metrics/")]
-
-
-def _series_digest(testbed) -> str:
-    series = testbed.telemetry.metrics.series
-    text = json.dumps([[name, points] for name, points in series.items()
-                       if name != ENGINE_PROBE],
-                      separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def pinned_finish_digests() -> dict:
-    out = {}
-    for key, run in RUNS.items():
-        testbed = run()
-        out[key] = _canonical_digest(testbed.finish_telemetry())
-        if key in SERIES_RUNS:
-            out[key + "#series"] = _series_digest(testbed)
-    return out
-
-
-@pytest.mark.parametrize("key", list(RUNS))
+@pytest.mark.parametrize("key", STITCHED)
 def test_online_summary_matches_pinned_digest_and_offline_stitch(key):
-    testbed = RUNS[key]()
+    testbed = catalogue.run_traced(key)
     summary = testbed.finish_telemetry()
-    pinned = json.loads(DIGEST_FIXTURE.read_text())
-    assert _canonical_digest(summary) == pinned[key]
+    assert catalogue.finish_digest(summary) == \
+        catalogue.load(key)["digests"]["finish"]
     # Same run, stitched offline from the decoded ring: one join, one
     # windowing rule, two front-ends.
     offline = attribute_records(testbed.telemetry.trace.records)
@@ -146,7 +50,7 @@ def test_online_summary_matches_pinned_digest_and_offline_stitch(key):
 
 @pytest.mark.parametrize("key", SERIES_RUNS)
 def test_sampler_series_match_pinned_digest(key):
-    testbed = RUNS[key]()
+    testbed = catalogue.run_traced(key)
     testbed.finish_telemetry()
     series = testbed.telemetry.metrics.series
     assert "ap_queued_packets" in series
@@ -155,8 +59,8 @@ def test_sampler_series_match_pinned_digest(key):
         is key.endswith("/AIRTIME")
     assert any(name.startswith("driver_occupancy.") for name in series) \
         is key.endswith("/FIFO")
-    pinned = json.loads(DIGEST_FIXTURE.read_text())
-    assert _series_digest(testbed) == pinned[key + "#series"]
+    assert catalogue.series_digest(testbed) == \
+        catalogue.load(key)["digests"]["series"]
 
 
 # ----------------------------------------------------------------------

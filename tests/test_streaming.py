@@ -30,9 +30,9 @@ from repro.telemetry.streaming import (
 )
 from repro.telemetry.summarize import summarize_records
 from repro.telemetry.trace import TraceBus, iter_trace_file
+from repro.validation import catalogue
 
 from tests.conftest import make_testbed
-from tests.test_trace_determinism import PINNED_SCENARIOS
 
 # ----------------------------------------------------------------------
 # Rank-error helper
@@ -445,14 +445,14 @@ class TestStreamingDecodeParity:
             self, name, scheme, tmp_path):
         """One set of handlers, two front-ends: taps in the run,
         ``feed`` over the JSONL the same run wrote."""
-        scenario, _, overrides = PINNED_SCENARIOS[name]
+        runs = catalogue.TRACED[name]
         trace_path = str(tmp_path / "run.trace.jsonl")
         testbed = Testbed(three_station_rates(), TestbedOptions(**{
-            "scheme": scheme, "seed": 1, **overrides,
+            "scheme": scheme, "seed": 1, **runs.options,
             "telemetry": TelemetryConfig(streaming=True,
                                          trace_path=trace_path)}))
-        duration_s, warmup_s = scenario(testbed)
-        testbed.run(duration_s, warmup_s)
+        runs.traffic(testbed)
+        testbed.run(*runs.run_s)
         live = testbed.finish_telemetry()
         assert "trace_dropped" not in live  # the file is the full trace
 

@@ -8,37 +8,17 @@ per run — these tests are the regression net for that.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.core.packet import AccessCategory
-from repro.experiments import airtime_udp, workloads
-from repro.experiments.config import three_station_rates
-from repro.experiments.testbed import Testbed, TestbedOptions
-from repro.faults import BurstLoss, Churn, FaultSchedule, Interference, RateCrash
-from repro.mac.ap import ALL_SCHEMES, APConfig, Scheme
-from repro.phy.channel import StationChannel
+from repro.experiments import airtime_udp
+from repro.mac.ap import Scheme
 from repro.runner import ResultCache, Runner
 from repro.telemetry import TelemetryConfig
-from repro.topology import CampusOptions, CampusTestbed, RoamEvent, campus_topology
-from repro.traffic.udp import UdpDownloadFlow
-from repro.traffic.voip import VoipFlow
+from repro.validation import catalogue
 
 SCHEMES = (Scheme.FIFO, Scheme.AIRTIME)
-
-#: Every fault type at sub-second scale, inside the measurement window.
-IMPAIRMENTS = FaultSchedule(
-    burst_loss=(BurstLoss(station=2, start_s=0.35, end_s=0.55,
-                          mean_good_s=0.05, mean_bad_s=0.02),),
-    interference=(Interference(start_s=0.45, end_s=0.55),),
-    rate_crash=(RateCrash(station=0, start_s=0.4, end_s=0.6,
-                          max_reliable_mcs=1),),
-    churn=(Churn(station=1, detach_s=0.55, reattach_s=0.7, mode="flush"),),
-)
 
 
 def _specs(out_dir: Path):
@@ -108,7 +88,8 @@ def _impaired_specs(out_dir: Path):
     telemetry = TelemetryConfig(trace_path=str(out_dir),
                                 metrics_path=str(out_dir))
     return airtime_udp.specs(SCHEMES, duration_s=0.6, warmup_s=0.3,
-                             telemetry=telemetry, faults=IMPAIRMENTS,
+                             telemetry=telemetry,
+                             faults=catalogue.IMPAIRMENTS,
                              strict=True)
 
 
@@ -203,169 +184,26 @@ def test_traced_and_untraced_runs_use_distinct_cache_entries(tmp_path):
 # ----------------------------------------------------------------------
 # The ring-vs-dict test above runs the same instrumentation-site code on
 # both backends, so it cannot see a site whose declared field order or
-# kind changed.  These digests pin the bytes of the full all-category
-# JSONL per scheme; they were recorded on the tree *before* mac_fq /
-# CoDel / airtime / VO moved to prebound emitters.  Regenerate (only for
-# an intended trace-format change) with:
-#   PYTHONPATH=src python -c "import json, tests.test_trace_determinism \
-#     as t; print(json.dumps(t.pinned_trace_digests(), indent=1))" \
-#     > tests/fixtures/trace_digests.json
-
-#: The two schemes with a qdisc above the legacy driver.
-QDISC_SCHEMES = (Scheme.FIFO, Scheme.FQ_CODEL)
-FULL_TRACE = TelemetryConfig(trace=True, spans=True, ledger=True)
-DIGEST_FIXTURE = Path(__file__).parent / "fixtures" / "trace_digests.json"
+# kind changed.  Each traced catalogue entry's pin holds the sha256 of
+# its full all-category JSONL; re-record one with
+# ``validate refresh --only NAME``.
+ROAM_BACK = "campus-roam-back/AIRTIME"
+TRACE_PINNED = [name for name in catalogue.traced_names()
+                if name != ROAM_BACK]  # checked with its roam log below
 
 
-def _udp_scenario(testbed):
-    workloads.saturating_udp_download(testbed)
-    return 0.6, 0.3
-
-
-def _slow_station_churn(mode: str) -> FaultSchedule:
-    """The slow station (the one that owns the driver buffer) leaves at
-    40% of ``_udp_scenario``'s 0.9 s and is back at 70%."""
-    return FaultSchedule(churn=(
-        Churn(station=2, detach_s=0.36, reattach_s=0.63, mode=mode),))
-
-
-def _tcp_scenario(testbed):
-    # layer="qdisc" with station=None, flow_new / flow_reclaim and CoDel
-    # state transitions only show up under TCP.
-    workloads.tcp_bidir(testbed)
-    workloads.add_pings(testbed)
-    return 0.7, 0.3
-
-
-def _voip_scenario(testbed):
-    # VO-marked voice over bulk TCP: the AP's unmanaged VO queue
-    # (layer="vo") exists only in the qdisc schemes.
-    workloads.tcp_download(testbed)
-    VoipFlow(testbed.sim, testbed.server, testbed.stations[2],
-             ac=AccessCategory.VO).start()
-    return 0.4, 0.2
-
-
-def _qos_scenario(testbed):
-    # Saturating BE to every station plus VI and VO streams to station
-    # 0: the three things that can give the AP's fill pass work while
-    # the BE hardware queue is full -- a station parked on a full VI
-    # hardware queue, a non-empty VO ring, and VI arrivals.
-    workloads.saturating_udp_download(testbed)
-    for ac, rate_bps in ((AccessCategory.VI, 60e6), (AccessCategory.VO, 4e6)):
-        UdpDownloadFlow(testbed.sim, testbed.server, testbed.stations[0],
-                        rate_bps=rate_bps, ac=ac).start(delay_us=10.0 + ac)
-    return 0.5, 0.2
-
-
-#: name -> (scenario, schemes, TestbedOptions overrides)
-PINNED_SCENARIOS = {
-    "udp": (_udp_scenario, ALL_SCHEMES, {}),
-    "tcp": (_tcp_scenario, ALL_SCHEMES, {}),
-    # Churn flush: mac_fq flush, scheduler station_drop / re-enter.
-    "udp-impaired": (_udp_scenario, (Scheme.AIRTIME,),
-                     {"faults": IMPAIRMENTS}),
-    "voip-vo": (_voip_scenario, QDISC_SCHEMES, {}),
-    # Recorded on the tree that still had a separate single-AP testbed,
-    # for what only that testbed did: strict watchdogs over a fault
-    # schedule (passing ``conservation`` / ``ledger_audit`` fault
-    # records), per-station rate-dependent channels under rate control,
-    # and the periodic sampler's probes.
-    "udp-impaired-strict": (_udp_scenario, (Scheme.AIRTIME,), {
-        "faults": IMPAIRMENTS, "strict": True,
-        "telemetry": dataclasses.replace(FULL_TRACE, ledger_tolerance=0.2),
-    }),
-    "udp-ratecontrol": (_udp_scenario, (Scheme.AIRTIME,), {
-        "ap_config": APConfig(rate_control=True),
-        "station_channels": {
-            0: StationChannel(max_reliable_mcs=3, step_error=0.5),
-        },
-    }),
-    "udp-metrics": (_udp_scenario, (Scheme.FIFO, Scheme.AIRTIME), {
-        "telemetry": dataclasses.replace(FULL_TRACE, metrics=True),
-    }),
-    # Recorded on the tree whose send_downstream still ran the fill pass
-    # and looked the TID up for every packet.
-    "udp-qos": (_qos_scenario, (Scheme.AIRTIME,), {}),
-    # Recorded on the tree whose AP still branched on the scheme: churn
-    # over the qdisc + legacy-driver stack (driver flush, qdisc residue,
-    # the VO deques), which no other key reaches.
-    "udp-churn-flush": (_udp_scenario, QDISC_SCHEMES,
-                        {"faults": _slow_station_churn("flush")}),
-    "udp-churn-park": (_udp_scenario, QDISC_SCHEMES,
-                       {"faults": _slow_station_churn("park")}),
-}
-
-
-#: Every pinned (scenario name, scheme) run, in fixture order.
-PINNED_RUNS = [
-    (name, scheme)
-    for name, (_, schemes, _) in PINNED_SCENARIOS.items()
-    for scheme in schemes
-]
-
-
-def _digest_key(name: str, scheme: Scheme) -> str:
-    return f"{name}/{scheme.name}"
-
-
-def _traced_run(name: str, scheme: Scheme,
-                duration_scale: float = 1.0) -> Testbed:
-    scenario, _, overrides = PINNED_SCENARIOS[name]
-    testbed = Testbed(three_station_rates(), TestbedOptions(
-        **{"scheme": scheme, "seed": 1, "telemetry": FULL_TRACE,
-           **overrides}))
-    duration_s, warmup_s = scenario(testbed)
-    testbed.run(duration_s * duration_scale, warmup_s * duration_scale)
-    return testbed
-
-
-def _roam_back_run() -> CampusTestbed:
-    """Station 0 roams to the other co-channel cell and back again:
-    whatever the home AP remembers about it (TIDs, scheduler state) must
-    survive ``remove_station`` + ``add_station``."""
-    topo = campus_topology(
-        n_bss=2, n_channels=1, stations_per_bss=2,
-        roam=(RoamEvent(station=0, at_s=0.25, to_bss=1),
-              RoamEvent(station=0, at_s=0.4, to_bss=0)),
-    )
-    campus = CampusTestbed(topo, CampusOptions(
-        scheme=Scheme.AIRTIME, seed=1, telemetry=FULL_TRACE))
-    workloads.saturating_udp_download(campus)
-    campus.run(0.4, 0.2)
-    return campus
-
-
-ROAM_BACK_KEY = "campus-roam-back/AIRTIME"
-
-
-def _digest(testbed) -> str:
-    return hashlib.sha256(testbed.telemetry.trace.dumps().encode()).hexdigest()
-
-
-def _trace_digest(name: str, scheme: Scheme) -> str:
-    return _digest(_traced_run(name, scheme))
-
-
-def pinned_trace_digests() -> dict:
-    out = {_digest_key(*run): _trace_digest(*run) for run in PINNED_RUNS}
-    out[ROAM_BACK_KEY] = _digest(_roam_back_run())
-    return out
-
-
-@pytest.mark.parametrize("name,scheme", PINNED_RUNS,
-                         ids=[_digest_key(*run) for run in PINNED_RUNS])
-def test_trace_bytes_match_pinned_digest(name, scheme):
-    pinned = json.loads(DIGEST_FIXTURE.read_text())
-    assert _trace_digest(name, scheme) == pinned[_digest_key(name, scheme)]
+@pytest.mark.parametrize("name", TRACE_PINNED)
+def test_trace_bytes_match_pinned_digest(name):
+    assert catalogue.trace_digest(catalogue.run_traced(name)) == \
+        catalogue.load(name)["digests"]["trace"]
 
 
 def test_roam_away_and_back_trace_matches_pinned_digest():
-    campus = _roam_back_run()
+    campus = catalogue.run_traced(ROAM_BACK)
     assert [(src, dst) for _, _, src, dst, _ in campus.roam_log] == \
         [(0, 1), (1, 0)]
-    pinned = json.loads(DIGEST_FIXTURE.read_text())
-    assert _digest(campus) == pinned[ROAM_BACK_KEY]
+    assert catalogue.trace_digest(campus) == \
+        catalogue.load(ROAM_BACK)["digests"]["trace"]
 
 
 def test_per_packet_records_never_ride_the_generic_path():
@@ -373,7 +211,7 @@ def test_per_packet_records_never_ride_the_generic_path():
     the duration of a traced Airtime Fig. 5 run must not add a single
     record to the ring's generic shapes."""
     def total_and_generic_records(duration_scale: float):
-        testbed = _traced_run("udp", Scheme.AIRTIME, duration_scale)
+        testbed = catalogue.run_traced("udp/AIRTIME", duration_scale)
         ring = testbed.telemetry.trace._ring
         return len(ring), sum(len(shape.times)
                               for shape in ring._generic_shapes.values())
