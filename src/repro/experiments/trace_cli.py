@@ -15,6 +15,7 @@ from repro.analysis.attribution import (
     diff_attributions,
     format_waterfall,
 )
+from repro.experiments.cli import non_negative_float, positive_float
 from repro.runner.record import read_manifest
 from repro.telemetry import (
     RunAccounts,
@@ -67,13 +68,15 @@ def main(argv: list[str]) -> int:
     )
     diff.add_argument("old", metavar="OLD", help="baseline trace file")
     diff.add_argument("new", metavar="NEW", help="candidate trace file")
-    diff.add_argument("--threshold-pct", type=float, default=25.0,
+    diff.add_argument("--threshold-pct", type=non_negative_float,
+                      default=25.0,
                       help="max per-station mean/P95 change per segment "
                            "(default 25%%)")
-    diff.add_argument("--min-us", type=float, default=500.0,
+    diff.add_argument("--min-us", type=positive_float, default=500.0,
                       help="noise floor: durations below this are clamped "
                            "before the relative change (default 500)")
-    diff.add_argument("--share-threshold", type=float, default=0.05,
+    diff.add_argument("--share-threshold", type=non_negative_float,
+                      default=0.05,
                       help="max absolute airtime-share change (default 0.05)")
     args = parser.parse_args(argv)
 

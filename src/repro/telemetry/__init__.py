@@ -6,7 +6,9 @@ this package makes the simulator observable the way ns-3 trace sources
 and the kernel's tracepoints do, without ad-hoc prints:
 
 * :class:`~repro.telemetry.trace.TraceBus` — typed, timestamped event
-  records with per-category filtering, written as JSONL;
+  records with per-category filtering, written as JSONL; each record
+  shape is stored (columnar :class:`~repro.telemetry.ring.TraceRing` or
+  the dict reference) and handed to its taps by one generated function;
 * :class:`~repro.telemetry.streaming.StreamingStats` — sojourn and RTT
   sketches, the drop funnel and windowed Jain, fed by taps on the bus;
 * :class:`~repro.telemetry.metrics.PeriodicSampler` — sampled time
@@ -60,7 +62,6 @@ from repro.telemetry.summarize import (
 )
 from repro.telemetry.ring import TraceRing
 from repro.telemetry.trace import (
-    RingTraceChannel,
     TraceBus,
     TraceChannel,
     iter_trace_file,
@@ -74,7 +75,6 @@ __all__ = [
     "LedgerAudit",
     "PeriodicSampler",
     "QuantileSketch",
-    "RingTraceChannel",
     "RunAccounts",
     "RunProfiler",
     "StreamingStats",

@@ -14,17 +14,23 @@ Design goals, in order:
 3. **Greppable JSONL.**  One JSON object per line:
    ``{"t": <µs>, "cat": <category>, "ev": <event>, ...fields}``.
 
-Two storage backends share the bus API (see DESIGN.md §11):
+One emission path serves both kinds of site (see DESIGN.md §11).  Each
+record shape — (category, event, fields) — gets one generated function
+of its exact arity that stores the record and calls the shape's taps.
+A hot site binds it once through :meth:`TraceChannel.emitter`; a
+generic ``emit(**fields)`` site infers the field kinds and reuses the
+function cached for its (category, event, names, kinds).
+
+Two stores supply the storage statements (``store(category, event,
+fields) -> (lines, env)``):
 
 * ``"ring"`` (default) — the binary columnar store of
   :class:`repro.telemetry.ring.TraceRing`: typed per-shape columns with
-  interned strings, decoded into dicts lazily (and cached) only when a
-  consumer asks.  Hot instrumentation sites can additionally register a
-  prebound positional emitter via :meth:`TraceChannel.emitter`, skipping
-  the per-record kwargs dict entirely.
-* ``"dict"`` — the legacy list-of-dicts backend, kept as the semantic
-  reference; the ring's decoded records must compare equal to it
-  (``tests/test_trace_ring.py`` holds the equivalence suite).
+  interned strings, decoded into dicts only when a consumer asks.
+* ``"dict"`` — :class:`RecordList`, one dict literal per record, kept
+  as the semantic reference; the ring's decoded records must compare
+  equal to it (``tests/test_trace_ring.py`` holds the equivalence
+  suite).
 
 The category vocabulary lives in
 :data:`repro.telemetry.config.TRACE_CATEGORIES`.
@@ -50,20 +56,24 @@ from typing import (
 
 from repro.telemetry.ring import FieldSpec, TraceRing
 
-__all__ = ["TraceBus", "TraceChannel", "RingTraceChannel", "TapConsumer",
+__all__ = ["TraceBus", "TraceChannel", "RecordList", "TapConsumer",
            "iter_trace_file", "load_trace"]
 
 
 _serial = itertools.count()
 
+#: Column kind of a generic ``emit(**fields)`` value, by exact type.
+_KIND_OF_TYPE = {bool: "b", int: "q", float: "d", str: "s"}
 
-def _fuse(emit, taps, fields):
-    """Compile ``emit`` and its tap handlers into one positional function.
+
+def _compile_emitter(lines: List[str], env: Dict[str, Any], taps,
+                     fields: Sequence[FieldSpec]) -> Callable[..., None]:
+    """Compile a store's ``lines`` and the shape's taps into one function.
 
     The result is ``fn(t, v0, .., v<n-1>)`` over the shape's non-constant
     ``fields``, generated for that exact arity (the ``namedtuple``
-    trick, so no ``*values`` is packed or unpacked): it stores the
-    record through ``emit`` (skipped when ``None``), then calls every
+    trick, so no ``*values`` is packed or unpacked), with ``env`` as its
+    globals: it runs ``lines``, which store the record, then calls every
     ``(handler, wanted)`` tap in registration order as
     ``handler(t, *wanted)`` — a wanted field the shape carries is passed
     straight through, a constant field or an absent one (its ``wanted``
@@ -74,8 +84,7 @@ def _fuse(emit, taps, fields):
     positional = [spec[0] for spec in fields if spec[1] != "c"]
     consts = {spec[0]: spec[2] for spec in fields if spec[1] == "c"}
     params = ", ".join(["t"] + [f"v{i}" for i in range(len(positional))])
-    env = {"emit": emit}
-    calls = [f"emit({params})"] if emit is not None else []
+    body = list(lines)
     for i, (handler, wanted) in enumerate(taps):
         env[f"h{i}"] = handler
         args = ["t"]
@@ -83,12 +92,13 @@ def _fuse(emit, taps, fields):
             if name in positional:
                 args.append(f"v{positional.index(name)}")
             else:
-                env[f"c{i}_{len(args)}"] = consts.get(name, default)
-                args.append(f"c{i}_{len(args)}")
-        calls.append(f"h{i}({', '.join(args)})")
-    name = f"emit_tapped_{next(_serial)}"
-    exec(compile(f"def {name}({params}): {'; '.join(calls)}",
-                 __file__, "exec"), env)
+                env[f"h{i}_{len(args)}"] = consts.get(name, default)
+                args.append(f"h{i}_{len(args)}")
+        body.append(f"h{i}({', '.join(args)})")
+    name = f"emit_{next(_serial)}"
+    source = f"def {name}({params}):" + "".join(f"\n    {line}"
+                                                 for line in body)
+    exec(compile(source, __file__, "exec"), env)
     return env[name]
 
 
@@ -119,86 +129,80 @@ class TapConsumer:
                 record["t"], *map(record.get, wanted, wanted.values()))
 
 
+class RecordList:
+    """The dict reference store: one dict per record, in a list.
+
+    Its storage statement is a single dict literal, so it never touches
+    columns; the ring's decoded records must equal these dicts.
+    """
+
+    dropped = 0
+
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is not None:
+            raise ValueError("capacity requires the ring backend")
+        self._records: List[Dict[str, Any]] = []
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def store(self, category: str, event: str, fields: Sequence[FieldSpec]
+              ) -> Tuple[List[str], Dict[str, Any]]:
+        """``(lines, env)`` appending one record of this shape as a dict."""
+        env: Dict[str, Any] = {"append": self._records.append,
+                               "cat": category, "ev": event}
+        items = ['"t": t', '"cat": cat', '"ev": ev']
+        index = 0
+        for j, spec in enumerate(fields):
+            if spec[1] == "c":
+                env[f"k{j}"] = spec[2]
+                items.append(f"{spec[0]!r}: k{j}")
+            else:
+                items.append(f"{spec[0]!r}: v{index}")
+                index += 1
+        return [f"append({{{', '.join(items)}}})"], env
+
+    def records(self) -> List[Dict[str, Any]]:
+        return self._records
+
+    def iter_records(self, skip: int = 0) -> Iterator[Dict[str, Any]]:
+        return itertools.islice(self._records, skip, None)
+
+    def tail(self, n: int) -> List[Dict[str, Any]]:
+        return self._records[-n:] if n > 0 else []
+
+
+_STORES = {"ring": TraceRing, "dict": RecordList}
+
+
 class TraceChannel:
     """A category-bound emitter handed to one instrumentation site.
 
-    Channels are cheap cursors over the bus's record list; components
-    cache them once (``self._tr_queue = bus.channel("queue")``) so the
-    per-event cost is a single method call.  This is the legacy dict
-    backend's channel; the ring backend hands out
-    :class:`RingTraceChannel` with the same API.
+    Components cache one per category (``self._tr_queue =
+    bus.channel("queue")``) and either bind a positional emitter per
+    shape once (:meth:`emitter`, the per-packet sites) or call
+    :meth:`emit` with keyword fields (markers and other rare records).
     """
 
-    __slots__ = ("_records", "_bus", "category")
+    __slots__ = ("_bus", "category")
 
-    def __init__(self, records: List[Dict[str, Any]], category: str,
-                 bus: "TraceBus") -> None:
-        self._records = records
+    def __init__(self, category: str, bus: "TraceBus") -> None:
         self._bus = bus
         self.category = category
 
     def emit(self, t_us: float, event: str, **fields: Any) -> None:
         """Append one record at simulated time ``t_us``."""
-        record: Dict[str, Any] = {"t": t_us, "cat": self.category, "ev": event}
-        if fields:
-            record.update(fields)
-        self._records.append(record)
-        if self._bus._taps:
-            self._bus.dispatch_generic(self.category, event, t_us, fields)
+        self._bus.generic_emitter(self.category, event, fields)(
+            t_us, *fields.values())
 
     def emitter(self, event: str, fields: Sequence[FieldSpec]):
-        """A positional emitter ``fn(t, *values)`` building dict records.
+        """A positional emitter ``fn(t, *values)`` for one record shape.
 
-        Mirrors :meth:`RingTraceChannel.emitter` so instrumentation sites
-        are backend-agnostic: ``values`` bind to the non-constant fields
-        in declaration order; ``(name, 'c', value)`` fields are injected
-        without occupying a positional slot.
+        ``values`` bind to the non-constant fields in declaration order;
+        ``(name, 'c', value)`` fields are injected without occupying a
+        positional slot.
         """
-        append = self._records.append
-        category = self.category
-        specs = tuple(fields)
-
-        def emit(t: float, *values: Any) -> None:
-            record: Dict[str, Any] = {"t": t, "cat": category, "ev": event}
-            index = 0
-            for spec in specs:
-                if spec[1] == "c":
-                    record[spec[0]] = spec[2]
-                else:
-                    record[spec[0]] = values[index]
-                    index += 1
-            append(record)
-
-        return self._bus.tapped(category, event, emit, specs)
-
-
-class RingTraceChannel:
-    """Ring-backed trace channel: same API, columnar storage."""
-
-    __slots__ = ("_ring", "_bus", "category")
-
-    def __init__(self, ring: TraceRing, category: str,
-                 bus: "TraceBus") -> None:
-        self._ring = ring
-        self._bus = bus
-        self.category = category
-
-    def emit(self, t_us: float, event: str, **fields: Any) -> None:
-        """Append one record at simulated time ``t_us``."""
-        self._ring.append_generic(self.category, event, t_us, fields)
-        if self._bus._taps:
-            self._bus.dispatch_generic(self.category, event, t_us, fields)
-
-    def emitter(self, event: str, fields: Sequence[FieldSpec]):
-        """A prebound positional emitter for one record shape.
-
-        When the bus holds taps for ``(category, event)`` the returned
-        emitter also calls each tap's handler with the same positional
-        values — the online-statistics path pays no dict build and no
-        record decode.
-        """
-        emit = self._ring.emitter(self.category, event, fields)
-        return self._bus.tapped(self.category, event, emit, fields)
+        return self._bus.emitter(self.category, event, tuple(fields))
 
 
 class TraceBus:
@@ -211,47 +215,34 @@ class TraceBus:
     is never filtered — summaries need it to window their tables.
 
     ``backend`` selects the storage: ``"ring"`` (columnar, default) or
-    ``"dict"`` (legacy).  ``capacity`` bounds the ring to the newest N
-    records (evictions are counted in :attr:`dropped`); it requires the
-    ring backend.
+    ``"dict"`` (reference).  ``capacity`` bounds the ring to the newest
+    N records (evictions are counted in :attr:`dropped`); it requires
+    the ring backend.
 
     **Taps.**  :meth:`add_tap` registers a handler for one
-    ``(category, event)`` pair (see :class:`TapConsumer`).  Channels
-    handed out *after* registration call it for every record they emit:
-    a prebound positional emitter is fused with its handlers into one
-    generated function (no dict built), generic ``emit(**fields)`` sites
-    go through the same generated function, bound once per call site.
+    ``(category, event)`` pair (see :class:`TapConsumer`).  Every shape
+    bound *after* registration calls it from the shape's generated
+    emitter, right after the record is stored (no dict built).
     Untapped shapes pay nothing.
     """
 
-    __slots__ = ("_records", "_ring", "_filter", "_taps", "_generic_taps")
+    __slots__ = ("backend", "_store", "_filter", "_taps", "_generic")
 
     def __init__(self, categories: Sequence[str] = (),
                  backend: str = "ring",
                  capacity: Optional[int] = None) -> None:
-        if backend == "ring":
-            self._ring: Optional[TraceRing] = TraceRing(capacity=capacity)
-            self._records: Optional[List[Dict[str, Any]]] = None
-        elif backend == "dict":
-            if capacity is not None:
-                raise ValueError("capacity requires the ring backend")
-            self._ring = None
-            self._records = []
-        else:
+        if backend not in _STORES:
             raise ValueError(f"unknown trace backend {backend!r}")
+        self.backend = backend
+        self._store = _STORES[backend](capacity)
         self._filter = frozenset(categories) if categories else None
         #: (category, event) -> [(handler, wanted)] in registration order.
         self._taps: Dict[tuple, list] = {}
-        #: Fused handlers of generic ``emit(**fields)`` sites, keyed by
-        #: (category, event, field-name tuple) — kwargs order is stable
-        #: per call site, so each site binds once, not per record.
-        self._generic_taps: Dict[tuple, Optional[Callable[..., None]]] = {}
+        #: Emitters of generic ``emit(**fields)`` shapes, keyed by
+        #: (category, event, field names, field kinds).
+        self._generic: Dict[tuple, Callable[..., None]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        return "dict" if self._ring is None else "ring"
-
     def wants(self, category: str) -> bool:
         return (
             category == "meta"
@@ -259,17 +250,12 @@ class TraceBus:
             or category in self._filter
         )
 
-    def channel(self, category: str):
+    def channel(self, category: str) -> Optional[TraceChannel]:
         """An emitter for ``category``, or ``None`` when filtered out."""
         if not self.wants(category):
             return None
-        if self._ring is not None:
-            return RingTraceChannel(self._ring, category, self)
-        return TraceChannel(self._records, category, self)
+        return TraceChannel(category, self)
 
-    # ------------------------------------------------------------------
-    # Streaming taps
-    # ------------------------------------------------------------------
     def add_tap(self, category: str, event: str,
                 handler: Callable[..., None],
                 wanted: Mapping[str, Any]) -> None:
@@ -283,54 +269,54 @@ class TraceBus:
         """
         self._taps.setdefault((category, event), []).append((handler, wanted))
 
-    def tapped(self, category: str, event: str, emit: Callable[..., None],
-               fields: Sequence[FieldSpec]) -> Callable[..., None]:
-        """``emit`` fused with the shape's tap handlers (if any)."""
-        taps = self._taps.get((category, event))
-        return _fuse(emit, taps, fields) if taps else emit
+    # ------------------------------------------------------------------
+    # Emission: one generated function per shape
+    # ------------------------------------------------------------------
+    def emitter(self, category: str, event: str,
+                fields: Sequence[FieldSpec]) -> Callable[..., None]:
+        """The function that stores one record of a new shape and calls
+        its taps: ``fn(t, *values)`` over the non-constant ``fields``."""
+        lines, env = self._store.store(category, event, fields)
+        return _compile_emitter(lines, env,
+                                self._taps.get((category, event), ()), fields)
 
-    def dispatch_generic(self, category: str, event: str, t_us: float,
-                         fields: Dict[str, Any]) -> None:
-        """Hand one generic ``emit(**fields)`` record to the taps."""
-        key = (category, event, tuple(fields))
-        try:
-            handlers = self._generic_taps[key]
-        except KeyError:
-            taps = self._taps.get((category, event))
-            handlers = self._generic_taps[key] = _fuse(
-                None, taps, [(name, "o") for name in fields]
-            ) if taps else None
-        if handlers is not None:
-            handlers(t_us, *fields.values())
+    def generic_emitter(self, category: str, event: str,
+                        fields: Mapping[str, Any]) -> Callable[..., None]:
+        """The emitter for ``emit(**fields)``, bound once per shape.
+
+        Kinds are inferred from the values' exact types, so a site whose
+        value types change gets one shape per combination.
+        """
+        names = tuple(fields)
+        kinds = tuple([_KIND_OF_TYPE.get(type(value), "o")
+                       for value in fields.values()])
+        key = (category, event, names, kinds)
+        emit = self._generic.get(key)
+        if emit is None:
+            emit = self._generic[key] = self.emitter(
+                category, event, tuple(zip(names, kinds)))
+        return emit
 
     # ------------------------------------------------------------------
     @property
     def records(self) -> List[Dict[str, Any]]:
-        if self._ring is not None:
-            return self._ring.records()
-        return self._records
+        return self._store.records()
 
     @property
     def dropped(self) -> int:
         """Records evicted by a bounded ring (0 for unbounded/dict)."""
-        return self._ring.dropped if self._ring is not None else 0
+        return self._store.dropped
 
     def __len__(self) -> int:
-        if self._ring is not None:
-            return len(self._ring)
-        return len(self._records)
+        return len(self._store)
 
     def iter_records(self) -> Iterator[Dict[str, Any]]:
-        """Records in emission order, decoding lazily on the ring."""
-        if self._ring is not None:
-            return self._ring.iter_records()
-        return iter(self._records)
+        """Records in emission order, decoding one at a time on the ring."""
+        return self._store.iter_records()
 
     def tail(self, n: int) -> List[Dict[str, Any]]:
         """The newest ``n`` records as dicts (failure evidence)."""
-        if self._ring is not None:
-            return self._ring.tail(n)
-        return list(self._records[-n:]) if n > 0 else []
+        return self._store.tail(n)
 
     def _overflow_header(self) -> Optional[Dict[str, Any]]:
         """Marker record announcing bounded-ring evictions, or ``None``.

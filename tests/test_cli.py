@@ -83,6 +83,23 @@ def test_bad_run_timeout_is_a_usage_error_before_any_run(
     assert "--run-timeout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--threshold-pct", "nan"), ("--share-threshold", "nan"),
+    ("--threshold-pct", "-1"), ("--min-us", "0"),
+])
+def test_trace_diff_rejects_a_gate_that_cannot_judge(flag, value, tmp_path,
+                                                     capsys):
+    """A NaN threshold compares false against every change, so the
+    regression gate passed 43-point share moves; ``--min-us 0`` died
+    dividing by zero."""
+    trace = tmp_path / "run.trace.jsonl"
+    trace.write_text('{"t":0.0,"cat":"meta","ev":"measurement_start"}\n')
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace", "diff", str(trace), str(trace), flag, value])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_traces_written_is_logged_only_when_something_was_traced(
         tmp_path, capsys):
     short = ["--duration", "0.3", "--warmup", "0.1", "--no-cache",

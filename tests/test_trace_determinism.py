@@ -209,12 +209,17 @@ def test_roam_away_and_back_trace_matches_pinned_digest():
 def test_per_packet_records_never_ride_the_generic_path():
     """Generic ``emit(**fields)`` is for O(1)-per-run markers: doubling
     the duration of a traced Airtime Fig. 5 run must not add a single
-    record to the ring's generic shapes."""
+    record to the shapes bound through ``emit(**fields)``, read from the
+    bus's generic-emitter cache."""
     def total_and_generic_records(duration_scale: float):
         testbed = catalogue.run_traced("udp/AIRTIME", duration_scale)
-        ring = testbed.telemetry.trace._ring
-        return len(ring), sum(len(shape.times)
-                              for shape in ring._generic_shapes.values())
+        bus = testbed.telemetry.trace
+        generic = {(category, event, tuple(zip(names, kinds)))
+                   for category, event, names, kinds in bus._generic}
+        ring = bus._store
+        return len(ring), sum(len(shape.times) for shape in ring._shapes
+                              if (shape.category, shape.event,
+                                  shape.fields) in generic)
 
     total_t, generic_t = total_and_generic_records(0.5)
     total_2t, generic_2t = total_and_generic_records(1.0)

@@ -1,7 +1,7 @@
 """Ring trace backend: decode equivalence, wraparound, streamed writes.
 
 The columnar ring (`repro.telemetry.ring.TraceRing`) must be
-observationally identical to the legacy dict backend: decoded records
+observationally identical to the dict reference backend: decoded records
 compare equal — key order, value types, and JSONL bytes included — for
 both the generic ``emit(**fields)`` path and the prebound positional
 emitters.  Bounded mode must keep exactly the newest ``capacity``
@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.telemetry.ring import TraceRing
 from repro.telemetry.trace import TraceBus
 
 try:
@@ -61,7 +60,7 @@ class TestDecodeEquivalence:
     def test_prebound_emitter_matches_dict_backend(self):
         fields = (("layer", "c", "qdisc"), ("station", "o"), ("flow", "q"),
                   ("pid", "q"), ("backlog", "q"))
-        wide = tuple((f"f{i}", "q") for i in range(8))  # >6: emit_n path
+        wide = tuple((f"f{i}", "q") for i in range(8))
 
         def drive(bus: TraceBus) -> None:
             channel = bus.channel("queue")
@@ -86,20 +85,17 @@ class TestDecodeEquivalence:
                 assert type(got[key]) is type(want[key]), key
         assert ring.dumps() == legacy.dumps()
 
-    def test_interleaved_decode_reuses_and_invalidates_cache(self):
+    def test_emit_after_decode_shows_in_the_next_decode(self):
         bus = TraceBus(backend="ring")
         channel = bus.channel("queue")
         channel.emit(1.0, "enqueue", pid=0)
-        first = bus.records
-        assert bus.records is first  # cached
+        assert [r["pid"] for r in bus.records] == [0]
         channel.emit(2.0, "enqueue", pid=1)
-        second = bus.records
-        assert second is not first  # emit invalidated the cache
-        assert [r["pid"] for r in second] == [0, 1]
+        assert [r["pid"] for r in bus.records] == [0, 1]
 
     def test_int_column_rejects_floats_loudly(self):
-        ring = TraceRing()
-        emit = ring.emitter("queue", "enqueue", (("pid", "q"),))
+        emit = TraceBus().channel("queue").emitter(
+            "enqueue", (("pid", "q"),))
         with pytest.raises(TypeError):
             emit(1.0, 2.5)
 
@@ -193,18 +189,37 @@ if HAVE_HYPOTHESIS:
     _OPS = st.lists(st.one_of(_GENERIC, _PRE0, _PRE1, st.just("decode")),
                     max_size=120)
 
+    #: A tap per event: ``wanted`` reads carried fields, the constant
+    #: ``ac`` and fields no record of the event carries (``absent``).
+    _TAPS = (
+        ("queue", "enqueue", {"a": None, "absent": "dflt", "b": 0}),
+        ("queue", "dequeue", {"c": -1, "absent": None}),
+        ("queue", "drop", {"d": "none", "a": 1.5}),
+        ("queue", "pulled", {"ok": None, "absent": 7, "station": None}),
+        ("tx", "tx", {"name": None, "ac": "VI", "absent": (),
+                      "airtime_us": None}),
+    )
+
     @given(ops=_OPS)
     # 32 = 2 * capacity: the eviction branch runs on every invocation.
     @example(ops=[("generic", "enqueue", {})] * 32)
     def test_interleaved_emit_decode_property(ops):
         """Any interleaving of generic emits, prebound emits, and decode
         checkpoints leaves the ring equal to the dict reference — and a
-        bounded ring equal to the newest suffix of it."""
+        bounded ring equal to the newest suffix of it — and calls every
+        backend's taps with the same arguments."""
         capacity = 16
         ring = TraceBus(backend="ring")
         bounded = TraceBus(backend="ring", capacity=capacity)
         legacy = TraceBus(backend="dict")
         buses = (ring, bounded, legacy)
+        logs = ([], [], [])
+        for bus, log in zip(buses, logs):
+            for category, event, wanted in _TAPS:
+                bus.add_tap(category, event,
+                            lambda *args, ev=event, log=log:
+                            log.append((ev, args)),
+                            wanted)
         pre0 = [bus.channel("queue").emitter(
             "pulled", (("station", "q"), ("ok", "b"))) for bus in buses]
         pre1 = [bus.channel("tx").emitter(
@@ -231,6 +246,12 @@ if HAVE_HYPOTHESIS:
 
         assert ring.records == legacy.records
         assert ring.dumps() == legacy.dumps()
+        assert logs[0] == logs[1] == logs[2]
+        assert len(logs[2]) == len(legacy.records)  # every event is tapped
+        # The constant is resolved from the shape, the absent field
+        # from its default: (t, name, ac, absent, airtime_us).
+        assert all(args[2:4] == ("BE", ()) for ev, args in logs[2]
+                   if ev == "tx")
         n = len(bounded)
         assert n + bounded.dropped == len(legacy.records)
         assert n < 2 * capacity
