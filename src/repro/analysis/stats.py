@@ -1,10 +1,11 @@
 """Measurement utilities: airtime accounting, aggregation stats, CDFs,
 and confidence intervals over replications.
 
-:class:`AirtimeTracker` observes the medium and maintains per-station
-airtime totals (downlink + uplink, as the paper's accounting does),
-per-station aggregation-size averages, and delivered-payload counters —
-everything Figures 5–7, 9 and Table 1 are computed from.
+:class:`AirtimeTracker` is the run's one per-station airtime account
+(downlink + uplink, as the paper's accounting does, with the ledger's
+tx / retry / contention split), aggregation sizes and delivered payload
+— everything Figures 5–7, 9 and Table 1 are computed from, and what the
+telemetry tables, ``trace summarize`` and the ledger audit read.
 :func:`mean_interval` is the Student-t interval the report judges a
 claim on when it runs several seeds; its distribution functions are
 pure Python, because nothing a user runs may import scipy.
@@ -16,10 +17,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.fairness import jain_index
-from repro.mac.medium import TransmissionRecord
 
 __all__ = [
     "AirtimeTracker",
@@ -35,55 +35,82 @@ __all__ = [
 
 
 class AirtimeTracker:
-    """Medium observer accumulating per-station airtime and aggregation.
+    """The run's one airtime account: per-station totals over the
+    measurement window, all times in µs.
 
-    Attach via ``medium.add_observer(tracker.on_transmission)``.  Call
-    :meth:`reset` after the warm-up period so measurements cover only the
-    steady-state window, like the paper's test harness does.
+    :meth:`on_tx` takes the ``tx`` trace record's positional fields, so
+    one handler serves both feeds: the testbed calls it from a medium
+    observer per :class:`~repro.mac.medium.TransmissionRecord`, and
+    ``trace summarize`` / ``trace diff`` call it per ``tx`` record of a
+    file.  Every table is a running sum kept in record order (none is
+    derived from another), so both feeds reproduce the same floats bit
+    for bit.  :meth:`reset` ends the warm-up.
+
+    Downlink airtime splits into ``tx_us`` (successful attempts),
+    ``retry_us`` (failed ones) and ``contention_us`` (DIFS + backoff);
+    uplink into the ``rx_*`` sums.  Aggregation counts cover downlink
+    attempts, delivery covers successful downlink.
     """
 
-    def __init__(self, count_uplink: bool = True) -> None:
-        self.count_uplink = count_uplink
+    def __init__(self) -> None:
         self.airtime_us: Dict[int, float] = defaultdict(float)
         self.downlink_airtime_us: Dict[int, float] = defaultdict(float)
         self.uplink_airtime_us: Dict[int, float] = defaultdict(float)
+        self.tx_us: Dict[int, float] = defaultdict(float)
+        self.retry_us: Dict[int, float] = defaultdict(float)
+        self.contention_us: Dict[int, float] = defaultdict(float)
+        self.rx_us: Dict[int, float] = defaultdict(float)
+        self.rx_retry_us: Dict[int, float] = defaultdict(float)
+        self.rx_contention_us: Dict[int, float] = defaultdict(float)
+        self.transmissions: Dict[int, int] = defaultdict(int)
+        self.packets: Dict[int, int] = defaultdict(int)
+        self.aggs: Dict[int, int] = defaultdict(int)
+        self.agg_packets: Dict[int, int] = defaultdict(int)
+        self.delivered_packets: Dict[int, int] = defaultdict(int)
         self.delivered_bytes: Dict[int, int] = defaultdict(int)
-        self._agg_packets: Dict[int, int] = defaultdict(int)
-        self._agg_count: Dict[int, int] = defaultdict(int)
-        self.records = 0
 
-    def on_transmission(self, record: TransmissionRecord) -> None:
-        self.records += 1
-        station = record.station
-        if record.downlink:
-            self.downlink_airtime_us[station] += record.airtime_us
-            self.airtime_us[station] += record.airtime_us
-            if record.success:
-                self.delivered_bytes[station] += record.payload_bytes
-            # Aggregation statistics follow the paper: mean A-MPDU size of
-            # downlink data transmissions.
-            self._agg_packets[station] += record.n_packets
-            self._agg_count[station] += 1
+    def on_tx(self, t: float, station: int, airtime_us: float, tx_us: float,
+              down: bool, n_pkts: int, n_bytes: int, ok: bool) -> None:
+        """Book one transmission (``t`` is the ``tx`` record's time)."""
+        self.transmissions[station] += 1
+        self.packets[station] += n_pkts
+        self.airtime_us[station] += airtime_us
+        if down:
+            self.downlink_airtime_us[station] += airtime_us
+            self.contention_us[station] += airtime_us - tx_us
+            # The paper's aggregation statistic: mean A-MPDU size of
+            # downlink attempts.
+            self.aggs[station] += 1
+            self.agg_packets[station] += n_pkts
+            if ok:
+                self.tx_us[station] += tx_us
+                self.delivered_packets[station] += n_pkts
+                self.delivered_bytes[station] += n_bytes
+            else:
+                self.retry_us[station] += tx_us
         else:
-            self.uplink_airtime_us[station] += record.airtime_us
-            if self.count_uplink:
-                self.airtime_us[station] += record.airtime_us
+            self.uplink_airtime_us[station] += airtime_us
+            self.rx_contention_us[station] += airtime_us - tx_us
+            if ok:
+                self.rx_us[station] += tx_us
+            else:
+                self.rx_retry_us[station] += tx_us
 
-    # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Zero all counters (end of warm-up)."""
-        self.airtime_us.clear()
-        self.downlink_airtime_us.clear()
-        self.uplink_airtime_us.clear()
-        self.delivered_bytes.clear()
-        self._agg_packets.clear()
-        self._agg_count.clear()
-        self.records = 0
+        """Zero every table (end of warm-up)."""
+        for table in vars(self).values():
+            table.clear()
+
+    def station(self, station: int) -> Dict[str, Any]:
+        """Every table's entry for ``station`` (zero where it has none)."""
+        return {name: table.get(station, table.default_factory())
+                for name, table in vars(self).items()}
 
     # ------------------------------------------------------------------
     def airtime_shares(self, stations: Optional[Sequence[int]] = None) -> Dict[int, float]:
-        """Fraction of the summed airtime used by each station."""
-        keys = list(stations) if stations is not None else sorted(self.airtime_us)
+        """Fraction of the summed airtime used by each of ``stations``
+        (default: every station, in order of first transmission)."""
+        keys = list(stations) if stations is not None else list(self.airtime_us)
         total = sum(self.airtime_us.get(k, 0.0) for k in keys)
         if total <= 0:
             return {k: 0.0 for k in keys}
@@ -94,10 +121,10 @@ class AirtimeTracker:
         return jain_index(self.airtime_us.get(k, 0.0) for k in keys)
 
     def mean_aggregation(self, station: int) -> float:
-        count = self._agg_count.get(station, 0)
+        count = self.aggs.get(station, 0)
         if count == 0:
             return 0.0
-        return self._agg_packets[station] / count
+        return self.agg_packets[station] / count
 
     def throughput_bps(self, station: int, window_us: float) -> float:
         if window_us <= 0:

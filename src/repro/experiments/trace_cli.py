@@ -18,7 +18,7 @@ from repro.analysis.attribution import (
 from repro.experiments.cli import non_negative_float, positive_float
 from repro.runner.record import read_manifest
 from repro.telemetry import (
-    RunAccounts,
+    TraceSummary,
     configure_logging,
     format_summary,
     get_logger,
@@ -201,11 +201,11 @@ def _trace_diff(old_path: str, new_path: str, threshold_pct: float,
     """Regression gate: exit 4 when the candidate trace drifted."""
     def read(path: str):
         """One pass: the file's latency attribution and airtime shares."""
-        builder, accounts = AttributionBuilder(), RunAccounts()
+        builder, summary = AttributionBuilder(), TraceSummary()
         for record in iter_trace_file(path):
             builder.feed(record)
-            accounts.feed(record)
-        return builder.attribution(), accounts.airtime_shares()
+            summary.feed(record)
+        return builder.attribution(), summary.account.airtime_shares()
 
     try:
         old_attr, old_shares = read(old_path)

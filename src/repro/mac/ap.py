@@ -304,9 +304,9 @@ class AccessPoint:
     def set_ledger(self, ledger) -> None:
         """Attach an :class:`repro.telemetry.ledger.AirtimeLedger`.
 
-        The ledger's primary accumulation is a medium observer; the AP
-        additionally charges its own TX/RX completions so the two books
-        can be cross-checked (double-entry accounting).
+        The ledger's medium book is the run's airtime account; the AP
+        charges its own TX/RX completions so the two books can be
+        cross-checked (double-entry accounting).
         """
         self._ledger = ledger
 

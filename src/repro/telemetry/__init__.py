@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.analysis.stats import AirtimeTracker
 from repro.telemetry.config import (
     DEFAULT_STREAM_CAPACITY,
     TRACE_CATEGORIES,
@@ -106,20 +107,26 @@ class Telemetry:
     disabled) and knows how to flush them to disk and fold them into a
     summary dict that travels with the run's result (so cached runs
     replay the same telemetry summary a fresh run produces).
+    ``account`` is the run's airtime account, fed by the testbed's
+    medium observer: the ``airtime_us`` table and the streaming
+    snapshot's ``stations`` read it.
     """
 
-    def __init__(self, config: TelemetryConfig) -> None:
+    def __init__(self, config: TelemetryConfig,
+                 account: Optional[AirtimeTracker] = None) -> None:
         self.config = config
+        self.account = account if account is not None else AirtimeTracker()
         #: Online accumulators (sketches, windowed Jain, drop counters).
         self.streaming: Optional[StreamingStats] = (
-            StreamingStats() if config.streaming_enabled else None
+            StreamingStats(account=self.account)
+            if config.streaming_enabled else None
         )
         self.trace: Optional[TraceBus] = (
             TraceBus(config.effective_categories,
                      capacity=config.effective_capacity)
             if config.trace_enabled else None
         )
-        #: The tx/drop/marker accounts behind the summary tables (the
+        #: The drop/marker accounts behind the drops table (the
         #: streaming aggregator carries them when there is one).
         self.accounts: Optional[RunAccounts] = None
         #: In-run span stitching + latency attribution (``spans=True``).
@@ -169,8 +176,9 @@ class Telemetry:
         stored inside the run result, so a cache hit reproduces it
         bit-for-bit without re-simulating.
 
-        Nothing here reads the trace ring: the airtime/drop tables come
-        from the tap-fed accounts and the span attribution was stitched
+        Nothing here reads the trace ring: the airtime table comes from
+        the medium-fed account, the drop table from the tap-fed one, and
+        the span attribution was stitched
         while the run emitted, so the only decode left is the streamed
         ``write_jsonl`` when ``trace_path`` asks for a file.  The
         ``post s`` column of the ``--profile`` run-cost table is what
@@ -194,7 +202,8 @@ class Telemetry:
                 summary["trace_dropped"] = self.trace.dropped
             if self.streaming is not None:
                 summary["streaming"] = self.streaming.snapshot()
-            summary["airtime_us"] = self.accounts.airtime_table()
+            summary["airtime_us"] = dict(
+                sorted(self.account.airtime_us.items()))
             summary["drops"] = self.accounts.drop_table()
             if self.config.trace_path is not None:
                 summary["trace_path"] = str(

@@ -5,9 +5,10 @@ each station's share of the channel follows eqs. (1)–(5) from its
 aggregation level, packet size and PHY rate.  This module keeps the
 simulator honest about it with double-entry bookkeeping:
 
-* the **medium book** — an observer accumulates every
-  :class:`~repro.mac.medium.TransmissionRecord` into per-station TX,
-  retry and contention time (downlink and uplink separately);
+* the **medium book** is the run's one airtime account, the testbed's
+  :class:`~repro.analysis.stats.AirtimeTracker`, which splits every
+  transmission into per-station TX, retry and contention time
+  (downlink and uplink separately);
 * the **AP book** — :meth:`AccessPoint.txop_complete` /
   :meth:`~repro.mac.ap.AccessPoint.receive_uplink` charge the same
   completions from the AP's side (via
@@ -15,20 +16,23 @@ simulator honest about it with double-entry bookkeeping:
 
 At teardown :meth:`AirtimeLedger.audit` cross-checks the two books
 (they see the identical floats, so they must agree exactly), checks
-busy-time conservation against the medium's own counter, and compares
-the measured airtime shares against :func:`repro.model.analytical.predict`
-fed with the *measured* mean aggregation — the same validation loop the
-paper ran between its in-kernel accounting and monitor-mode captures.
-With ``--strict`` a failed audit raises
-:class:`~repro.faults.watchdog.InvariantViolation`.
+busy-time conservation against the medium's own counter over the
+measurement window, and compares the measured airtime shares against
+:func:`repro.model.analytical.predict` fed with the *measured* mean
+aggregation — the same validation loop the paper ran between its
+in-kernel accounting and monitor-mode captures.  With ``--strict`` a
+failed audit raises :class:`~repro.faults.watchdog.InvariantViolation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-__all__ = ["AirtimeLedger", "LedgerAudit", "StationBook"]
+from repro.analysis.stats import AirtimeTracker
+
+__all__ = ["AirtimeLedger", "LedgerAudit"]
 
 #: Absolute float tolerance for the AP-book vs medium-book cross-check.
 #: Both books add the identical floats in the identical order, so any
@@ -36,65 +40,21 @@ __all__ = ["AirtimeLedger", "LedgerAudit", "StationBook"]
 _BOOKS_EPS_US = 1e-6
 #: Relative tolerance for busy-time conservation vs the medium counter.
 _BUSY_REL_EPS = 1e-9
+#: The account's tables each ledger row carries.
+_ROW_FIELDS = ("tx_us", "retry_us", "contention_us", "rx_us", "rx_retry_us",
+               "rx_contention_us", "aggs", "agg_packets",
+               "delivered_packets", "delivered_bytes")
 
 
-@dataclass
-class StationBook:
-    """One station's airtime account (all times in µs)."""
+def _downlink_us(row: Mapping[str, Any]) -> float:
+    return row["tx_us"] + row["retry_us"] + row["contention_us"]
 
-    # Downlink (AP -> station), from the medium book.
-    tx_us: float = 0.0           # successful transmission time
-    retry_us: float = 0.0        # failed-attempt transmission time
-    contention_us: float = 0.0   # DIFS + backoff overhead (all attempts)
-    aggs: int = 0                # downlink TX attempts
-    agg_packets: int = 0         # packets across those attempts
-    delivered_packets: int = 0
-    delivered_bytes: int = 0
-    # Uplink (station -> AP), from the medium book.
-    rx_us: float = 0.0
-    rx_retry_us: float = 0.0
-    rx_contention_us: float = 0.0
-    rx_bytes: int = 0
-    # The AP's own books (cross-check).
-    ap_tx_us: float = 0.0        # txop_complete charges (all attempts)
-    ap_rx_us: float = 0.0        # receive_uplink charges (successes)
 
-    @property
-    def downlink_airtime_us(self) -> float:
-        return self.tx_us + self.retry_us + self.contention_us
-
-    @property
-    def uplink_airtime_us(self) -> float:
-        return self.rx_us + self.rx_retry_us + self.rx_contention_us
-
-    @property
-    def total_airtime_us(self) -> float:
-        return self.downlink_airtime_us + self.uplink_airtime_us
-
-    @property
-    def mean_aggregation(self) -> float:
-        return self.agg_packets / self.aggs if self.aggs else 0.0
-
-    @property
-    def mean_payload_bytes(self) -> float:
-        if self.delivered_packets == 0:
-            return 0.0
-        return self.delivered_bytes / self.delivered_packets
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tx_us": self.tx_us,
-            "retry_us": self.retry_us,
-            "contention_us": self.contention_us,
-            "rx_us": self.rx_us,
-            "rx_retry_us": self.rx_retry_us,
-            "rx_contention_us": self.rx_contention_us,
-            "aggs": self.aggs,
-            "agg_packets": self.agg_packets,
-            "delivered_packets": self.delivered_packets,
-            "delivered_bytes": self.delivered_bytes,
-            "total_airtime_us": self.total_airtime_us,
-        }
+def _booked_us(row: Mapping[str, Any]) -> float:
+    """Total booked airtime, summed from the split (not the account's
+    own ``airtime_us``, whose float sum runs in another order)."""
+    return _downlink_us(row) + (
+        row["rx_us"] + row["rx_retry_us"] + row["rx_contention_us"])
 
 
 @dataclass
@@ -137,98 +97,50 @@ class LedgerAudit:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "tolerance": self.tolerance,
-            "rows": self.rows,
-            "worst_delta": self.worst_delta,
-            "books_ok": self.books_ok,
-            "books_errors": self.books_errors,
-            "conservation_ok": self.conservation_ok,
-            "conservation_detail": self.conservation_detail,
-            "model_checked": self.model_checked,
-        }
+        return asdict(self)
 
 
 class AirtimeLedger:
-    """Live per-station airtime accounting for one run."""
+    """The AP's airtime book for one run, audited against the account."""
 
     def __init__(self) -> None:
-        self.entries: Dict[int, StationBook] = {}
-        #: ``medium.busy_time_us`` at the last reset (warm-up boundary).
-        self.busy_baseline_us = 0.0
-        #: ``medium.collision_count`` at the last reset.
-        self.collision_baseline = 0
+        #: The medium book; the testbed sets its tracker on the one cell
+        #: it audits, multi-cell runs leave it empty.
+        self.account = AirtimeTracker()
+        #: station -> the AP's own charges (µs): TX attempts, RX successes.
+        self.ap_tx_us: Dict[int, float] = defaultdict(float)
+        self.ap_rx_us: Dict[int, float] = defaultdict(float)
 
-    def book(self, station: int) -> StationBook:
-        entry = self.entries.get(station)
-        if entry is None:
-            entry = self.entries[station] = StationBook()
-        return entry
-
-    def reset(self, busy_baseline_us: float = 0.0,
-              collision_baseline: int = 0) -> None:
+    def reset(self) -> None:
         """Start the measurement window (warm-up reset)."""
-        self.entries.clear()
-        self.busy_baseline_us = busy_baseline_us
-        self.collision_baseline = collision_baseline
+        self.ap_tx_us.clear()
+        self.ap_rx_us.clear()
 
-    # ------------------------------------------------------------------
-    # The medium book (primary accumulation)
-    # ------------------------------------------------------------------
-    def on_transmission(self, rec) -> None:
-        """Medium observer: fold one TransmissionRecord into the books."""
-        entry = self.book(rec.station)
-        overhead = rec.airtime_us - rec.tx_time_us
-        if rec.downlink:
-            entry.contention_us += overhead
-            entry.aggs += 1
-            entry.agg_packets += rec.n_packets
-            if rec.success:
-                entry.tx_us += rec.tx_time_us
-                entry.delivered_packets += rec.n_packets
-                entry.delivered_bytes += rec.payload_bytes
-            else:
-                entry.retry_us += rec.tx_time_us
-        else:
-            entry.rx_contention_us += overhead
-            if rec.success:
-                entry.rx_us += rec.tx_time_us
-                entry.rx_bytes += rec.payload_bytes
-            else:
-                entry.rx_retry_us += rec.tx_time_us
-
-    # ------------------------------------------------------------------
-    # The AP book (double-entry cross-check)
-    # ------------------------------------------------------------------
     def charge_ap_tx(self, station: int, duration_us: float,
                      success: bool) -> None:
-        self.book(station).ap_tx_us += duration_us
+        self.ap_tx_us[station] += duration_us
 
     def charge_ap_rx(self, station: int, duration_us: float) -> None:
-        self.book(station).ap_rx_us += duration_us
+        self.ap_rx_us[station] += duration_us
 
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
-    def total_airtime_us(self) -> float:
-        return sum(e.total_airtime_us for e in self.entries.values())
-
-    def shares(self) -> Dict[int, float]:
-        total = self.total_airtime_us()
-        if total <= 0:
-            return {station: 0.0 for station in self.entries}
-        return {
-            station: entry.total_airtime_us / total
-            for station, entry in self.entries.items()
-        }
+    def _rows(self) -> Dict[int, Dict[str, Any]]:
+        """Station -> its medium-book row, in first-transmission order."""
+        rows = {}
+        for station in self.account.airtime_us:
+            row = self.account.station(station)
+            rows[station] = {name: row[name] for name in _ROW_FIELDS}
+        return rows
 
     def to_dict(self) -> Dict[str, Any]:
-        shares = self.shares()
+        rows = self._rows()
+        booked = {station: _booked_us(row) for station, row in rows.items()}
+        total = sum(booked.values())
         return {
-            str(station): dict(self.entries[station].to_dict(),
-                               share=shares[station])
-            for station in sorted(self.entries)
+            str(station): dict(rows[station],
+                               total_airtime_us=booked[station],
+                               share=(booked[station] / total
+                                      if total > 0 else 0.0))
+            for station in sorted(rows)
         }
 
     # ------------------------------------------------------------------
@@ -237,18 +149,23 @@ class AirtimeLedger:
     def cross_check(self) -> List[str]:
         """Compare the AP book against the medium book (must be exact)."""
         errors: List[str] = []
-        for station in sorted(self.entries):
-            entry = self.entries[station]
-            medium_tx = entry.tx_us + entry.retry_us
-            if abs(entry.ap_tx_us - medium_tx) > _BOOKS_EPS_US:
+        account = self.account
+        for station in sorted({*account.airtime_us, *self.ap_tx_us,
+                               *self.ap_rx_us}):
+            medium_tx = (account.tx_us.get(station, 0.0)
+                         + account.retry_us.get(station, 0.0))
+            medium_rx = account.rx_us.get(station, 0.0)
+            ap_tx = self.ap_tx_us.get(station, 0.0)
+            ap_rx = self.ap_rx_us.get(station, 0.0)
+            if abs(ap_tx - medium_tx) > _BOOKS_EPS_US:
                 errors.append(
-                    f"station {station}: AP tx book {entry.ap_tx_us:.3f}µs "
+                    f"station {station}: AP tx book {ap_tx:.3f}µs "
                     f"!= medium {medium_tx:.3f}µs"
                 )
-            if abs(entry.ap_rx_us - entry.rx_us) > _BOOKS_EPS_US:
+            if abs(ap_rx - medium_rx) > _BOOKS_EPS_US:
                 errors.append(
-                    f"station {station}: AP rx book {entry.ap_rx_us:.3f}µs "
-                    f"!= medium {entry.rx_us:.3f}µs"
+                    f"station {station}: AP rx book {ap_rx:.3f}µs "
+                    f"!= medium {medium_rx:.3f}µs"
                 )
         return errors
 
@@ -257,15 +174,17 @@ class AirtimeLedger:
         rates: Mapping[int, Any],
         airtime_fairness: bool,
         tolerance: float = 0.05,
-        medium_busy_us: Optional[float] = None,
-        collision_count: int = 0,
+        busy_us: Optional[float] = None,
+        collisions: int = 0,
     ) -> LedgerAudit:
         """Audit the ledger against §2.2.1 and the conservation laws.
 
         ``rates`` maps station -> :class:`~repro.phy.rates.PhyRate` (the
-        pinned testbed rates).  The model comparison runs over stations
-        that actually carried downlink traffic, feeding it the measured
-        mean aggregation and payload size, exactly as Table 1 does.
+        pinned testbed rates); ``busy_us`` and ``collisions`` are the
+        medium's counts over the measurement window.  The model
+        comparison runs over stations that actually carried downlink
+        traffic, feeding it the measured mean aggregation and payload
+        size, exactly as Table 1 does.
         """
         from repro.model.analytical import StationModel, predict
 
@@ -273,57 +192,54 @@ class AirtimeLedger:
 
         audit.books_errors = self.cross_check()
         audit.books_ok = not audit.books_errors
+        rows = self._rows()
 
         # Busy-time conservation: everything the ledger booked must equal
         # the channel occupancy the medium itself counted.  Collisions
         # are excluded — the medium adds a collision's occupancy once but
         # emits one record per participant.
-        if medium_busy_us is not None:
-            booked = self.total_airtime_us()
-            expected = medium_busy_us - self.busy_baseline_us
-            collided = collision_count - self.collision_baseline
-            if collided == 0:
-                scale = max(abs(expected), 1.0)
+        if busy_us is not None:
+            booked = sum(_booked_us(row) for row in rows.values())
+            if collisions == 0:
+                scale = max(abs(busy_us), 1.0)
                 audit.conservation_ok = (
-                    abs(booked - expected) <= _BUSY_REL_EPS * scale + 1e-6
+                    abs(booked - busy_us) <= _BUSY_REL_EPS * scale + 1e-6
                 )
                 audit.conservation_detail = (
                     f"busy-time conservation: booked {booked / 1e3:.3f}ms "
-                    f"vs medium {expected / 1e3:.3f}ms "
+                    f"vs medium {busy_us / 1e3:.3f}ms "
                     f"({'ok' if audit.conservation_ok else 'VIOLATED'})"
                 )
             else:
                 audit.conservation_detail = (
                     f"busy-time conservation: skipped "
-                    f"({collided} collisions double-book per participant)"
+                    f"({collisions} collisions double-book per participant)"
                 )
 
         # Model comparison (measured shares vs eqs. 1–5).
         downlink = {
-            station: entry
-            for station, entry in self.entries.items()
-            if entry.aggs > 0 and station in rates
+            station: row for station, row in rows.items()
+            if row["aggs"] > 0 and station in rates
         }
         if len(downlink) >= 2:
             audit.model_checked = True
             models = []
             for station in sorted(downlink):
-                entry = downlink[station]
+                row = downlink[station]
+                payload = (row["delivered_bytes"] / row["delivered_packets"]
+                           if row["delivered_packets"] else 0.0)
                 models.append(StationModel(
-                    aggregation=max(1.0, entry.mean_aggregation),
-                    payload_bytes=int(round(entry.mean_payload_bytes)) or 1,
+                    aggregation=max(1.0, self.account.mean_aggregation(station)),
+                    payload_bytes=int(round(payload)) or 1,
                     rate=rates[station],
                     label=str(station),
                 ))
             predictions = predict(models, airtime_fairness=airtime_fairness)
-            total_down = sum(
-                entry.downlink_airtime_us for entry in downlink.values()
-            )
+            total_down = sum(_downlink_us(row) for row in downlink.values())
             for model, prediction in zip(models, predictions):
                 station = int(model.label)
-                entry = downlink[station]
                 measured = (
-                    entry.downlink_airtime_us / total_down
+                    _downlink_us(downlink[station]) / total_down
                     if total_down > 0 else 0.0
                 )
                 delta = abs(measured - prediction.airtime_share)
@@ -332,7 +248,7 @@ class AirtimeLedger:
                     "measured_share": measured,
                     "model_share": prediction.airtime_share,
                     "delta": delta,
-                    "mean_aggregation": entry.mean_aggregation,
+                    "mean_aggregation": self.account.mean_aggregation(station),
                     "payload_bytes": model.payload_bytes,
                 })
                 if delta > audit.worst_delta:

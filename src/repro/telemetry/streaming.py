@@ -16,16 +16,17 @@ summary outputs *during* the run instead, with flat memory:
   per-BSS and aggregate tails without keeping raw samples.
 * :class:`WindowedJain` — Jain's fairness index over tumbling
   simulated-time windows of per-station airtime.
-* :class:`StreamingStats` — the per-run aggregator: per-station airtime
-  accounting (windowed to the measurement period), per-layer sojourn
-  sketches, per-station RTT sketches, per-layer drop counters, and the
-  windowed Jain series.
+* :class:`StreamingStats` — the per-run aggregator: per-layer sojourn
+  sketches, per-station RTT sketches, per-layer drop counters and the
+  windowed Jain series; its snapshot reports the per-station totals of
+  the run's one airtime account,
+  :class:`~repro.analysis.stats.AirtimeTracker`, which the medium feeds.
 
 ``StreamingStats`` is a :class:`~repro.telemetry.trace.TapConsumer`: a
 table of plain handlers the :class:`~repro.telemetry.trace.TraceBus`
 calls straight from each emit site with the record's positional values
 — no dict is built, no record is retained — and that ``feed`` drives
-from a trace file, so ``trace summarize`` reads the same accounts.  With
+from a trace file, so ``trace summarize`` reads the same sketches.  With
 ``TelemetryConfig(streaming=True)`` the trace ring is bounded to a small
 tail (kept for failure evidence) and the run's summary tables come
 from the sketches, so peak memory no longer scales with sim duration.
@@ -36,9 +37,10 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.fairness import jain_index
+from repro.analysis.stats import AirtimeTracker
 from repro.telemetry.trace import TapConsumer
 
 __all__ = [
@@ -380,11 +382,7 @@ class WindowedJain:
         return self.series + self._open_window()
 
     def reset(self) -> None:
-        """Restart the series in place (measurement-window reset).
-
-        In place because the tx handler holds this object's ``observe``;
-        replacing it would leave the handler feeding a dead instance.
-        """
+        """Restart the series in place (measurement-window reset)."""
         self.series.clear()
         self._shares.clear()
         self._window_end = None
@@ -394,101 +392,28 @@ class WindowedJain:
         return self.series[-1][1] if self.series else None
 
 
-# ----------------------------------------------------------------------
-# Per-station accumulators
-# ----------------------------------------------------------------------
-class _StationAccount:
-    """Per-station transmission totals within the measurement window."""
-
-    __slots__ = ("transmissions", "airtime_us", "downlink_airtime_us",
-                 "uplink_airtime_us", "payload_bytes", "packets",
-                 "downlink_aggs", "downlink_agg_packets")
-
-    def __init__(self) -> None:
-        self.transmissions = 0
-        self.airtime_us = 0.0
-        self.downlink_airtime_us = 0.0
-        self.uplink_airtime_us = 0.0
-        self.payload_bytes = 0
-        self.packets = 0
-        self.downlink_aggs = 0
-        self.downlink_agg_packets = 0
-
-    @property
-    def mean_aggregation(self) -> float:
-        if self.downlink_aggs == 0:
-            return 0.0
-        return self.downlink_agg_packets / self.downlink_aggs
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "transmissions": self.transmissions,
-            "airtime_us": self.airtime_us,
-            "downlink_airtime_us": self.downlink_airtime_us,
-            "uplink_airtime_us": self.uplink_airtime_us,
-            "payload_bytes": self.payload_bytes,
-            "packets": self.packets,
-            "mean_aggregation": self.mean_aggregation,
-        }
-
-
 class RunAccounts(TapConsumer):
-    """The tx / drop / marker accounts behind a run's summary tables.
+    """The drop and marker accounts behind a run's ``drops`` table.
 
-    ``Telemetry`` taps these onto every trace bus, so the ``airtime_us``
-    and ``drops`` tables of ``finish()`` never need the ring decoded;
-    ``trace summarize`` and ``trace diff`` feed them a file.  The
-    per-station table restarts at each ``measurement_start`` marker (the
-    measurement window is what follows the *last* one), drop counters
-    cover the whole trace.  :class:`StreamingStats` adds its sketches to
-    the same handlers rather than tapping the records a second time.
+    ``Telemetry`` taps these onto every trace bus, so ``finish()`` never
+    needs the ring decoded; ``trace summarize`` feeds them a file.  Drop
+    counters cover the whole trace; the per-station tables are the run's
+    :class:`~repro.analysis.stats.AirtimeTracker`, fed by the medium.
+    :class:`StreamingStats` adds its handlers to the same table.
     """
 
     TAPS = {
-        ("tx", "tx"): ("on_tx", {
-            "station": -1, "airtime_us": 0.0, "down": False, "n_pkts": 0,
-            "bytes": 0, "ok": False}),
         ("queue", "drop"): ("on_drop", {"layer": "?", "reason": "?"}),
         ("meta", "measurement_start"): ("reset_window", {}),
     }
 
-    #: ``fn(t, station, airtime_us)`` called per tx record (a subclass
-    #: hook: the windowed Jain series rides the tx handler).
-    _on_airtime: Optional[Callable[[float, int, float], None]] = None
-
     def __init__(self) -> None:
-        #: station -> transmission accounting (measurement window).
-        self.stations: Dict[int, _StationAccount] = {}
         #: (layer, reason) -> drop count.
         self.drops: Dict[Tuple[str, str], int] = {}
-        #: tx + drop (+ enqueue + dequeue in :class:`StreamingStats`)
-        #: records handled; markers are not counted.
+        #: Records handled (drops here; tx, enqueue and dequeue in
+        #: :class:`StreamingStats`); markers are not counted.
         self.records_seen = 0
         self.measurement_start_us: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Handlers (positional; shared by taps and feed)
-    # ------------------------------------------------------------------
-    def on_tx(self, t: float, station: int, airtime_us: float, down: bool,
-              n_pkts: int, n_bytes: int, ok: bool) -> None:
-        self.records_seen += 1
-        try:
-            account = self.stations[station]
-        except KeyError:
-            account = self.stations[station] = _StationAccount()
-        account.transmissions += 1
-        account.airtime_us += airtime_us
-        account.packets += n_pkts
-        if down:
-            account.downlink_airtime_us += airtime_us
-            account.downlink_aggs += 1
-            account.downlink_agg_packets += n_pkts
-            if ok:
-                account.payload_bytes += n_bytes
-        else:
-            account.uplink_airtime_us += airtime_us
-        if self._on_airtime is not None:
-            self._on_airtime(t, station, airtime_us)
 
     def on_drop(self, t: float, layer: str, reason: str) -> None:
         self.records_seen += 1
@@ -499,26 +424,9 @@ class RunAccounts(TapConsumer):
             self.drops[key] = 1
 
     def reset_window(self, t_us: float) -> None:
-        """Start the measurement window: discard warm-up accounting.
-
-        Mirrors the ``AirtimeTracker`` reset: station totals restart,
-        drop counters keep whole-trace scope.
-        """
+        """Mark the measurement window's start (drops keep whole-trace
+        scope)."""
         self.measurement_start_us = t_us
-        self.stations.clear()
-
-    # ------------------------------------------------------------------
-    def airtime_shares(self) -> Dict[int, float]:
-        """Fraction of summed airtime per station (measurement window)."""
-        total = sum(s.airtime_us for s in self.stations.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.stations}
-        return {k: s.airtime_us / total for k, s in self.stations.items()}
-
-    def airtime_table(self) -> Dict[int, float]:
-        """``summary["airtime_us"]``: station -> windowed airtime."""
-        return {station: account.airtime_us
-                for station, account in sorted(self.stations.items())}
 
     def drop_table(self) -> Dict[str, int]:
         """``summary["drops"]``: ``layer:reason`` -> whole-trace count."""
@@ -530,13 +438,14 @@ class StreamingStats(RunAccounts):
     """O(1)-memory per-run aggregator: the accounts plus sketches.
 
     Adds per-layer sojourn sketches and per-(layer, station) enqueue /
-    dequeue counts (whole trace), the windowed Jain series and
-    per-station RTT sketches (measurement window, like the station
-    table).
+    dequeue counts (whole trace), and the windowed Jain series and
+    per-station RTT sketches (measurement window).  ``account`` is the
+    run's airtime account, whose per-station totals the snapshot reports.
     """
 
     TAPS = {
         **RunAccounts.TAPS,
+        ("tx", "tx"): ("on_tx", {"station": -1, "airtime_us": 0.0}),
         ("queue", "enqueue"): ("on_enqueue", {"layer": "?", "station": None}),
         # A dequeue shape without a sojourn is not a queueing sample.
         ("queue", "dequeue"): ("on_dequeue", {
@@ -544,8 +453,10 @@ class StreamingStats(RunAccounts):
     }
 
     def __init__(self, max_centroids: int = 200,
-                 jain_window_us: float = 1_000_000.0) -> None:
+                 jain_window_us: float = 1_000_000.0,
+                 account: Optional[AirtimeTracker] = None) -> None:
         super().__init__()
+        self.account = account if account is not None else AirtimeTracker()
         self.max_centroids = max_centroids
         #: layer -> sojourn sketch (whole trace; µs).
         self.sojourn: Dict[str, QuantileSketch] = {}
@@ -554,7 +465,10 @@ class StreamingStats(RunAccounts):
         #: (layer, station) -> [enqueues, dequeues].
         self.queue_counts: Dict[Tuple[str, Any], List[int]] = {}
         self.jain = WindowedJain(jain_window_us)
-        self._on_airtime = self.jain.observe
+
+    def on_tx(self, t: float, station: int, airtime_us: float) -> None:
+        self.records_seen += 1
+        self.jain.observe(t, station, airtime_us)
 
     def on_enqueue(self, t: float, layer: str, station: Any) -> None:
         self.records_seen += 1
@@ -582,8 +496,8 @@ class StreamingStats(RunAccounts):
 
     # ------------------------------------------------------------------
     def reset_window(self, t_us: float) -> None:
-        """RTT sketches and the Jain series restart with the station
-        totals; sojourn sketches keep whole-trace scope."""
+        """RTT sketches and the Jain series restart with the window;
+        sojourn sketches keep whole-trace scope."""
         super().reset_window(t_us)
         self.rtt.clear()
         self.jain.reset()
@@ -601,16 +515,26 @@ class StreamingStats(RunAccounts):
 
         Read-only: the open Jain window is rendered, not closed.
         """
-        shares = self.airtime_shares()
+        account = self.account
+        shares = account.airtime_shares()
+        stations = {}
+        for station in sorted(account.airtime_us):
+            row = account.station(station)
+            stations[str(station)] = {
+                "transmissions": row["transmissions"],
+                "airtime_us": row["airtime_us"],
+                "downlink_airtime_us": row["downlink_airtime_us"],
+                "uplink_airtime_us": row["uplink_airtime_us"],
+                "payload_bytes": row["delivered_bytes"],
+                "packets": row["packets"],
+                "mean_aggregation": account.mean_aggregation(station),
+                "airtime_share": shares[station],
+            }
         return {
             "records_seen": self.records_seen,
             "measurement_start_us": self.measurement_start_us,
             "rank_error_bound": 4.0 / self.max_centroids,
-            "stations": {
-                str(station): {**account.to_dict(),
-                               "airtime_share": shares[station]}
-                for station, account in sorted(self.stations.items())
-            },
+            "stations": stations,
             "sojourn_us": {
                 layer: sketch.to_dict()
                 for layer, sketch in sorted(self.sojourn.items())

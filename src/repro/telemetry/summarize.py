@@ -4,11 +4,11 @@ This is the analysis half of the trace bus: given the records one traced
 run emitted (from a file or in memory), compute
 
 * per-station transmission totals — airtime, share of the summed
-  airtime, delivered payload, mean aggregation — windowed to the
-  measurement period (records after the last ``measurement_start``
-  marker), exactly as the experiments' own
-  :class:`~repro.analysis.stats.AirtimeTracker` windows its accounting,
-  so the two agree to float precision;
+  airtime, delivered payload, mean aggregation — in an
+  :class:`~repro.analysis.stats.AirtimeTracker` fed each ``tx`` record
+  through the handler the live run's medium observer calls, and reset
+  at the ``measurement_start`` marker, where the live run resets its
+  own: the file's account equals the live one field for field;
 * drop accounting by layer and reason (the unified drop funnel);
 * per-layer queue activity (enqueues/dequeues, mean sojourn);
 * CoDel state transitions and scheduler deficit charges per station.
@@ -55,7 +55,7 @@ class _QueueRow(NamedTuple):
 class TraceSummary(StreamingStats):
     """Everything ``repro trace summarize`` prints, as plain data.
 
-    The station table (``stations``, measurement window), the drop
+    The airtime account (``account``, measurement window), the drop
     matrix (``drops``) and the enqueue / dequeue counts are the accounts
     a live run keeps, fed from the file through the same handlers; on
     top sit the tallies only a full trace is asked for.  Memory is
@@ -64,8 +64,9 @@ class TraceSummary(StreamingStats):
 
     TAPS = {
         **StreamingStats.TAPS,
-        ("tx", "tx"): ("on_tx_bss", {
-            **StreamingStats.TAPS["tx", "tx"][1], "bss": None}),
+        ("tx", "tx"): ("on_tx_record", {
+            "station": -1, "airtime_us": 0.0, "tx_us": 0.0, "down": False,
+            "n_pkts": 0, "bytes": 0, "ok": False, "bss": None}),
         ("queue", "drop"): ("on_queue_drop", {
             "layer": "?", "reason": "?", "station": None}),
         # Unlike the live sketch, the table counts a sojourn-less dequeue.
@@ -136,14 +137,17 @@ class TraceSummary(StreamingStats):
 
     def reset_window(self, t_us: float) -> None:
         super().reset_window(t_us)
+        self.account.reset()
         self.station_bss.clear()
 
-    def on_tx_bss(self, t: float, station: int, airtime_us: float,
-                  down: bool, n_pkts: int, n_bytes: int, ok: bool,
-                  bss: Optional[int]) -> None:
+    def on_tx_record(self, t: float, station: int, airtime_us: float,
+                     tx_us: float, down: bool, n_pkts: int, n_bytes: int,
+                     ok: bool, bss: Optional[int]) -> None:
+        self.account.on_tx(t, station, airtime_us, tx_us, down, n_pkts,
+                           n_bytes, ok)
         if bss is not None:
             self.station_bss[station] = bss
-        self.on_tx(t, station, airtime_us, down, n_pkts, n_bytes, ok)
+        self.on_tx(t, station, airtime_us)
 
     def on_queue_drop(self, t: float, layer: str, reason: str,
                       station: Any) -> None:
@@ -219,7 +223,8 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
             f"{cat}={count}" for cat, count in summary.by_category.items()
         ))
 
-    if summary.stations:
+    account = summary.account
+    if account.airtime_us:
         window = ("measurement window"
                   if summary.measurement_start_us is not None
                   else "whole trace")
@@ -229,15 +234,16 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
             f"{'station':>8} {'tx':>7} {'airtime_ms':>11} {'share':>7} "
             f"{'down_ms':>9} {'up_ms':>9} {'bytes':>12} {'mean_agg':>9}"
         )
-        shares = summary.airtime_shares()
-        for station in sorted(summary.stations):
-            tx = summary.stations[station]
+        shares = account.airtime_shares()
+        for station in sorted(account.airtime_us):
+            tx = account.station(station)
             row = (
-                f"{station:>8} {tx.transmissions:>7} "
-                f"{tx.airtime_us / 1e3:>11.2f} {shares[station]:>7.1%} "
-                f"{tx.downlink_airtime_us / 1e3:>9.2f} "
-                f"{tx.uplink_airtime_us / 1e3:>9.2f} "
-                f"{tx.payload_bytes:>12} {tx.mean_aggregation:>9.1f}"
+                f"{station:>8} {tx['transmissions']:>7} "
+                f"{tx['airtime_us'] / 1e3:>11.2f} {shares[station]:>7.1%} "
+                f"{tx['downlink_airtime_us'] / 1e3:>9.2f} "
+                f"{tx['uplink_airtime_us'] / 1e3:>9.2f} "
+                f"{tx['delivered_bytes']:>12} "
+                f"{account.mean_aggregation(station):>9.1f}"
             )
             if summary.station_bss:
                 row += f"  bss={summary.station_bss.get(station, '?')}"
@@ -250,7 +256,7 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
         per_bss: Dict[int, List[int]] = {}
         for station, bss in summary.station_bss.items():
             per_bss.setdefault(bss, []).append(station)
-        total_airtime = sum(s.airtime_us for s in summary.stations.values())
+        total_airtime = sum(account.airtime_us.values())
         lines.append("")
         lines.append("Per-BSS rollup (measurement window):")
         lines.append(
@@ -259,8 +265,8 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
         )
         for bss in sorted(per_bss):
             members = sorted(per_bss[bss])
-            airtimes = [summary.stations[s].airtime_us for s in members
-                        if s in summary.stations]
+            airtimes = [account.airtime_us[s] for s in members
+                        if s in account.airtime_us]
             bss_airtime = sum(airtimes)
             share = bss_airtime / total_airtime if total_airtime > 0 else 0.0
             lines.append(

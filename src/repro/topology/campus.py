@@ -187,37 +187,51 @@ class CampusTestbed:
             delay_us=options.wire_delay_us,
         )
 
-        # --- per-BSS airtime accounting -------------------------------
-        self.trackers: Dict[int, AirtimeTracker] = {}
-        for spec in topology.bsses:
-            tracker = self.trackers[spec.bss_id] = AirtimeTracker()
-            self.mediums[spec.channel].add_observer(
-                tracker.on_transmission if single
-                else self._bss_filter(tracker, spec.bss_id)
-            )
-
-        #: Hooks invoked when the warm-up window ends (flows register
-        #: their ``reset_window`` here).
-        self.warmup_resets: List[Callable[[], None]] = []
+        # --- airtime accounting, one account per BSS ------------------
+        self.trackers: Dict[int, AirtimeTracker] = {
+            spec.bss_id: AirtimeTracker() for spec in topology.bsses
+        }
+        # BSS -> the ``on_tx`` of every account its transmissions feed.
+        feeds = {bss_id: [tracker.on_tx]
+                 for bss_id, tracker in self.trackers.items()}
+        #: Hooks the end of warm-up calls: the accounts' resets, then
+        #: each flow's ``reset_window``.
+        self.warmup_resets: List[Callable[[], None]] = [
+            tracker.reset for tracker in self.trackers.values()
+        ]
 
         # --- telemetry -------------------------------------------------
         self.telemetry: Optional[Telemetry] = None
+        emit_tx = None
         if options.telemetry is not None and options.telemetry.active:
-            self.telemetry = Telemetry(options.telemetry)
+            # The run's account: the tracker on one cell.  A multi-cell
+            # traced run keeps an unfiltered one beside the per-BSS
+            # trackers, since a roamer's whole-run total is its
+            # interleaved sum, not the sum of its per-BSS totals.
+            account = self.tracker if single else None
+            if not single and options.telemetry.trace_enabled:
+                account = AirtimeTracker()
+                for bss_feeds in feeds.values():
+                    bss_feeds.append(account.on_tx)
+                self.warmup_resets.append(account.reset)
+            self.telemetry = Telemetry(options.telemetry, account)
             for stack in self.bss.values():
                 stack.ap.set_trace(self.telemetry)
             tx_channel = self.telemetry.channel("tx")
             if tx_channel is not None:
-                self._wire_tx_trace(tx_channel, single)
+                emit_tx = tx_channel.emitter(
+                    "tx", _TX_SHAPE if single else _TX_SHAPE + (("bss", "q"),))
             ledger = self._audited_ledger()
             if ledger is not None:
-                self.medium.add_observer(ledger.on_transmission)
+                ledger.account = self.tracker
                 self.ap.set_ledger(ledger)
+                self.warmup_resets.append(ledger.reset)
             sampler = self.telemetry.metrics
             if sampler is not None:
                 sampler.add_probe(self._sample_queues)
                 sampler.add_probe(self._sample_stations)
                 sampler.start(self.sim)
+        self._observe_mediums(feeds, emit_tx)
 
         # --- roaming schedule -----------------------------------------
         #: (time_us, station, from_bss, to_bss, flushed) per completed roam.
@@ -226,8 +240,10 @@ class CampusTestbed:
             self.sim.schedule_call(
                 self.sim.sec(event.at_s), self._roam_entry, event
             )
-        #: Channel busy-time baselines captured when measurement starts.
+        #: Channel busy-time and collision-count baselines captured when
+        #: measurement starts.
         self._busy_baseline: Dict[int, float] = {c: 0.0 for c in self.mediums}
+        self._collision_baseline: Dict[int, int] = {c: 0 for c in self.mediums}
 
         # --- fault injection + watchdogs -------------------------------
         self.fault_injector: Optional[FaultInjector] = None
@@ -283,13 +299,6 @@ class CampusTestbed:
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bss_filter(tracker: AirtimeTracker, bss_id: int):
-        def on_tx(record, _tracker=tracker, _bss=bss_id):
-            if record.bss == _bss:
-                _tracker.on_transmission(record)
-        return on_tx
-
     def _audited_ledger(self):
         """The double-entry ledger audits one AP against the analytical
         model; multi-cell runs skip it (conservation is audited channel
@@ -298,30 +307,29 @@ class CampusTestbed:
             return None
         return self.telemetry.ledger
 
-    def _wire_tx_trace(self, tx_channel, single: bool) -> None:
-        """Emit one ``tx`` record per transmission on any medium."""
-        if single:
-            em_tx = tx_channel.emitter("tx", _TX_SHAPE)
+    def _observe_mediums(self, feeds, emit_tx) -> None:
+        """One observer per medium books every transmission in the
+        accounts of its BSS, then emits its ``tx`` record (if traced)."""
+        single = self.topology.single_bss
 
-            def on_tx(rec, _emit=em_tx):
-                _emit(
-                    rec.start_us + rec.airtime_us,
-                    rec.station, rec.airtime_us, rec.tx_time_us,
-                    rec.downlink, rec.agg_seq, rec.n_packets,
-                    rec.payload_bytes, rec.ac.name, rec.success,
-                    rec.retries,
-                )
-        else:
-            em_tx = tx_channel.emitter("tx", _TX_SHAPE + (("bss", "q"),))
-
-            def on_tx(rec, _emit=em_tx):
-                _emit(
-                    rec.start_us + rec.airtime_us,
-                    rec.station, rec.airtime_us, rec.tx_time_us,
-                    rec.downlink, rec.agg_seq, rec.n_packets,
-                    rec.payload_bytes, rec.ac.name, rec.success,
-                    rec.retries, rec.bss,
-                )
+        def on_tx(rec):
+            t = rec.start_us + rec.airtime_us
+            for feed in feeds[rec.bss]:
+                feed(t, rec.station, rec.airtime_us, rec.tx_time_us,
+                     rec.downlink, rec.n_packets, rec.payload_bytes,
+                     rec.success)
+            if emit_tx is None:
+                return
+            if single:
+                emit_tx(t, rec.station, rec.airtime_us, rec.tx_time_us,
+                        rec.downlink, rec.agg_seq, rec.n_packets,
+                        rec.payload_bytes, rec.ac.name, rec.success,
+                        rec.retries)
+            else:
+                emit_tx(t, rec.station, rec.airtime_us, rec.tx_time_us,
+                        rec.downlink, rec.agg_seq, rec.n_packets,
+                        rec.payload_bytes, rec.ac.name, rec.success,
+                        rec.retries, rec.bss)
         for medium in self.mediums.values():
             medium.add_observer(on_tx)
 
@@ -432,25 +440,16 @@ class CampusTestbed:
         strict = self.options.strict
         if warmup_s > 0:
             self.sim.run(until_us=self.sim.sec(warmup_s))
-            for tracker in self.trackers.values():
-                tracker.reset()
             for reset in self.warmup_resets:
                 reset()
-            if ledger is not None:
-                # The ledger windows exactly like the AirtimeTracker:
-                # warm-up traffic is discarded, and the busy/collision
-                # baselines anchor the conservation check.
-                ledger.reset(
-                    busy_baseline_us=self.medium.busy_time_us,
-                    collision_baseline=self.medium.collision_count,
-                )
         if self.telemetry is not None:
             # Everything after this marker is the measurement window; the
-            # trace summariser windows its airtime table here, exactly
-            # where the AirtimeTrackers reset.
+            # trace summariser resets its account here, exactly where the
+            # live accounts reset.
             self.telemetry.mark(self.sim.now, "measurement_start")
         for channel, medium in self.mediums.items():
             self._busy_baseline[channel] = medium.busy_time_us
+            self._collision_baseline[channel] = medium.collision_count
         start = self.sim.now
         self.sim.run(until_us=self.sim.sec(warmup_s + duration_s))
         window_us = self.sim.now - start
@@ -473,12 +472,14 @@ class CampusTestbed:
                 if strict and not report.ok:
                     raise InvariantViolation(f"[{label}] {report.describe()}")
         if ledger is not None:
+            (channel,) = self.mediums
             audit = ledger.audit(
                 rates={s: st.rate for s, st in self.stations.items()},
                 airtime_fairness=self.ap.descriptor.airtime_fair,
                 tolerance=self.options.telemetry.ledger_tolerance,
-                medium_busy_us=self.medium.busy_time_us,
-                collision_count=self.medium.collision_count,
+                busy_us=self.medium.busy_time_us - self._busy_baseline[channel],
+                collisions=(self.medium.collision_count
+                            - self._collision_baseline[channel]),
             )
             self.telemetry.ledger_audit = audit
             if fault_channel is not None:

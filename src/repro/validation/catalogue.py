@@ -365,7 +365,8 @@ def _label(station) -> str:
 
 def _summary_fields(summary) -> dict:
     """Every ``TraceSummary`` field as plain JSON, dict order included."""
-    shares = summary.airtime_shares()
+    account = summary.account
+    shares = account.airtime_shares()
     return {
         "total_records": summary.total_records,
         "t_first_us": summary.t_first_us,
@@ -374,11 +375,11 @@ def _summary_fields(summary) -> dict:
         "ring_dropped": summary.ring_dropped,
         "by_category": list(summary.by_category.items()),
         "stations": {
-            str(station): [tx.transmissions, tx.airtime_us,
-                           tx.downlink_airtime_us, tx.uplink_airtime_us,
-                           tx.payload_bytes, tx.packets, tx.mean_aggregation,
-                           shares[station]]
-            for station, tx in sorted(summary.stations.items())
+            str(station): [*map(account.station(station).get, (
+                "transmissions", "airtime_us", "downlink_airtime_us",
+                "uplink_airtime_us", "delivered_bytes", "packets")),
+                account.mean_aggregation(station), shares[station]]
+            for station in sorted(account.airtime_us)
         },
         "drops": {f"{layer}:{reason}": count for (layer, reason), count
                   in sorted(summary.drops.items())},

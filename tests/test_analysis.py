@@ -18,8 +18,6 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.telemetry.streaming import QuantileSketch
-from repro.core.packet import AccessCategory
-from repro.mac.medium import TransmissionRecord
 
 
 class TestJainIndex:
@@ -109,64 +107,58 @@ class TestCdfAndSummary:
         assert s.mean == s.median == s.p10 == s.p99 == 3.5
 
 
-def record(station, airtime, downlink=True, n=1, payload=1500, success=True):
-    return TransmissionRecord(
-        start_us=0.0, airtime_us=airtime, tx_time_us=airtime, station=station,
-        downlink=downlink, n_packets=n, payload_bytes=payload,
-        ac=AccessCategory.BE, success=success, retries=0,
-    )
+def book(tracker, station, airtime, downlink=True, n=1, payload=1500,
+         success=True):
+    """One transmission, as the testbed's medium observer books it."""
+    tracker.on_tx(0.0, station, airtime, airtime, downlink, n, payload,
+                  success)
 
 
 class TestAirtimeTracker:
     def test_downlink_and_uplink_both_counted(self):
         tracker = AirtimeTracker()
-        tracker.on_transmission(record(0, 100.0, downlink=True))
-        tracker.on_transmission(record(0, 50.0, downlink=False))
+        book(tracker, 0, 100.0, downlink=True)
+        book(tracker, 0, 50.0, downlink=False)
         assert tracker.airtime_us[0] == 150.0
         assert tracker.downlink_airtime_us[0] == 100.0
         assert tracker.uplink_airtime_us[0] == 50.0
 
-    def test_uplink_excluded_when_configured(self):
-        tracker = AirtimeTracker(count_uplink=False)
-        tracker.on_transmission(record(0, 50.0, downlink=False))
-        assert tracker.airtime_us[0] == 0.0
-
     def test_shares_sum_to_one(self):
         tracker = AirtimeTracker()
-        tracker.on_transmission(record(0, 300.0))
-        tracker.on_transmission(record(1, 100.0))
+        book(tracker, 0, 300.0)
+        book(tracker, 1, 100.0)
         shares = tracker.airtime_shares([0, 1])
         assert sum(shares.values()) == pytest.approx(1.0)
         assert shares[0] == pytest.approx(0.75)
 
     def test_failed_tx_costs_airtime_but_delivers_nothing(self):
         tracker = AirtimeTracker()
-        tracker.on_transmission(record(0, 100.0, success=False))
+        book(tracker, 0, 100.0, success=False)
         assert tracker.airtime_us[0] == 100.0
         assert tracker.delivered_bytes[0] == 0
 
     def test_mean_aggregation(self):
         tracker = AirtimeTracker()
-        tracker.on_transmission(record(0, 100.0, n=10))
-        tracker.on_transmission(record(0, 100.0, n=20))
+        book(tracker, 0, 100.0, n=10)
+        book(tracker, 0, 100.0, n=20)
         assert tracker.mean_aggregation(0) == 15.0
         assert tracker.mean_aggregation(9) == 0.0
 
     def test_throughput_computation(self):
         tracker = AirtimeTracker()
-        tracker.on_transmission(record(0, 100.0, payload=125_000))
+        book(tracker, 0, 100.0, payload=125_000)
         assert tracker.throughput_bps(0, 1_000_000.0) == pytest.approx(1e6)
 
     def test_reset_zeroes_everything(self):
         tracker = AirtimeTracker()
-        tracker.on_transmission(record(0, 100.0))
+        book(tracker, 0, 100.0)
         tracker.reset()
         assert tracker.airtime_us == {}
-        assert tracker.records == 0
+        assert not any(vars(tracker).values())
 
     def test_jain_over_requested_stations(self):
         tracker = AirtimeTracker()
-        tracker.on_transmission(record(0, 100.0))
+        book(tracker, 0, 100.0)
         # Station 1 never transmitted: counted as zero.
         assert tracker.jain_airtime([0, 1]) == pytest.approx(0.5)
 

@@ -1,15 +1,14 @@
 """Airtime-ledger accounting and the analytical-model audit.
 
-Unit tests drive :class:`AirtimeLedger` with synthetic transmission
-records; integration tests run the Table-1 scenario (saturating UDP
+Unit tests drive :class:`AirtimeLedger` and its medium book, the
+:class:`~repro.analysis.stats.AirtimeTracker`, with synthetic
+transmissions; integration tests run the Table-1 scenario (saturating UDP
 download) per scheme and require the teardown audit to pass — books
 exact, busy time conserved, measured shares within tolerance of the
 §2.2.1 model fed with the measured aggregation.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import pytest
 
@@ -40,78 +39,75 @@ def _ledgered_run(scheme):
     return _RUNS[scheme]
 
 
-def _tx_record(station=0, airtime_us=100.0, tx_time_us=80.0, downlink=True,
-               success=True, n_packets=4, payload_bytes=5000):
-    return SimpleNamespace(
-        station=station, airtime_us=airtime_us, tx_time_us=tx_time_us,
-        downlink=downlink, success=success, n_packets=n_packets,
-        payload_bytes=payload_bytes,
-    )
+def _book(ledger, station=0, airtime_us=100.0, tx_us=80.0, down=True,
+          ok=True, n_pkts=4, n_bytes=5000):
+    """Book one transmission in the ledger's medium book, the account."""
+    account = ledger.account
+    account.on_tx(0.0, station, airtime_us, tx_us, down, n_pkts, n_bytes, ok)
+    return account
 
 
 # ----------------------------------------------------------------------
-# Unit: bookkeeping
+# Unit: bookkeeping (the medium book is the run's AirtimeTracker)
 # ----------------------------------------------------------------------
 class TestBookkeeping:
     def test_successful_downlink_splits_tx_and_contention(self):
         ledger = AirtimeLedger()
-        ledger.on_transmission(_tx_record())
-        book = ledger.book(0)
-        assert book.tx_us == 80.0
-        assert book.contention_us == 20.0
-        assert book.retry_us == 0.0
-        assert book.delivered_packets == 4
-        assert book.delivered_bytes == 5000
-        assert book.total_airtime_us == 100.0
+        book = _book(ledger)
+        assert book.tx_us[0] == 80.0
+        assert book.contention_us[0] == 20.0
+        assert book.retry_us.get(0, 0.0) == 0.0
+        assert book.delivered_packets[0] == 4
+        assert book.delivered_bytes[0] == 5000
+        assert ledger.to_dict()["0"]["total_airtime_us"] == 100.0
 
     def test_failed_downlink_books_retry_time(self):
         ledger = AirtimeLedger()
-        ledger.on_transmission(_tx_record(success=False))
-        book = ledger.book(0)
-        assert book.retry_us == 80.0
-        assert book.tx_us == 0.0
-        assert book.delivered_packets == 0
-        assert book.aggs == 1  # the attempt still counts for mean_agg
+        book = _book(ledger, ok=False)
+        assert book.retry_us[0] == 80.0
+        assert book.tx_us.get(0, 0.0) == 0.0
+        assert book.delivered_packets.get(0, 0) == 0
+        assert book.aggs[0] == 1  # the attempt still counts for mean_agg
 
     def test_uplink_books_rx_side(self):
         ledger = AirtimeLedger()
-        ledger.on_transmission(_tx_record(downlink=False))
-        book = ledger.book(0)
-        assert book.rx_us == 80.0
-        assert book.rx_contention_us == 20.0
-        assert book.downlink_airtime_us == 0.0
-        assert book.uplink_airtime_us == 100.0
+        book = _book(ledger, down=False)
+        assert book.rx_us[0] == 80.0
+        assert book.rx_contention_us[0] == 20.0
+        assert book.downlink_airtime_us.get(0, 0.0) == 0.0
+        assert book.uplink_airtime_us[0] == 100.0
 
     def test_shares_sum_to_one(self):
         ledger = AirtimeLedger()
-        ledger.on_transmission(_tx_record(station=0, airtime_us=300.0))
-        ledger.on_transmission(_tx_record(station=1, airtime_us=100.0))
-        shares = ledger.shares()
-        assert shares[0] == pytest.approx(0.75)
+        _book(ledger, station=0, airtime_us=300.0)
+        _book(ledger, station=1, airtime_us=100.0)
+        shares = {station: row["share"]
+                  for station, row in ledger.to_dict().items()}
+        assert shares["0"] == pytest.approx(0.75)
         assert sum(shares.values()) == pytest.approx(1.0)
 
-    def test_reset_clears_books_and_sets_baselines(self):
+    def test_reset_clears_books(self):
         ledger = AirtimeLedger()
-        ledger.on_transmission(_tx_record())
-        ledger.reset(busy_baseline_us=123.0, collision_baseline=2)
-        assert ledger.entries == {}
-        assert ledger.busy_baseline_us == 123.0
-        assert ledger.collision_baseline == 2
+        _book(ledger)
+        ledger.charge_ap_tx(0, 80.0, success=True)
+        ledger.charge_ap_rx(1, 80.0)
+        ledger.reset()
+        assert ledger.ap_tx_us == {} and ledger.ap_rx_us == {}
 
     def test_cross_check_flags_divergent_books(self):
         ledger = AirtimeLedger()
-        ledger.on_transmission(_tx_record())
+        _book(ledger)
         ledger.charge_ap_tx(0, 80.0, success=True)
         assert ledger.cross_check() == []
-        ledger.book(0).ap_tx_us += 1.0
+        ledger.ap_tx_us[0] += 1.0
         errors = ledger.cross_check()
         assert errors and "AP tx book" in errors[0]
 
     def test_mean_aggregation_counts_all_attempts(self):
         ledger = AirtimeLedger()
-        ledger.on_transmission(_tx_record(n_packets=10))
-        ledger.on_transmission(_tx_record(n_packets=2, success=False))
-        assert ledger.book(0).mean_aggregation == 6.0
+        _book(ledger, n_pkts=10)
+        book = _book(ledger, n_pkts=2, ok=False)
+        assert book.mean_aggregation(0) == 6.0
 
 
 # ----------------------------------------------------------------------
@@ -136,14 +132,9 @@ class TestLedgerAudit:
         testbed = _ledgered_run(Scheme.AIRTIME)
         assert testbed.telemetry.ledger.cross_check() == []
 
-    def test_ledger_windows_like_the_tracker(self):
-        """After the warm-up reset the ledger's downlink airtime matches
-        the AirtimeTracker's measurement-window accounting."""
+    def test_medium_book_is_the_testbed_account(self):
         testbed = _ledgered_run(Scheme.FIFO)
-        ledger = testbed.telemetry.ledger
-        for station, airtime in testbed.tracker.airtime_us.items():
-            entry = ledger.entries[station]
-            assert entry.total_airtime_us == pytest.approx(airtime, rel=1e-9)
+        assert testbed.telemetry.ledger.account is testbed.tracker
 
     def test_summary_carries_ledger_and_audit(self):
         testbed = _ledgered_run(Scheme.FQ_MAC)

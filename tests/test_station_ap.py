@@ -168,7 +168,7 @@ class TestRetries:
         downstream(tb, station=0, flow=flow)
         tb.sim.run()
         # More records than packets when retries occurred.
-        assert tb.tracker.records >= 1
+        assert tb.tracker.transmissions[0] >= 1
 
 
 class TestDiagnostics:

@@ -28,7 +28,11 @@ from repro.telemetry.streaming import (
     WindowedJain,
     jain_index,
 )
-from repro.telemetry.summarize import summarize_records
+from repro.telemetry.summarize import (
+    TraceSummary,
+    summarize_file,
+    summarize_records,
+)
 from repro.telemetry.trace import TraceBus, iter_trace_file
 from repro.validation import catalogue
 
@@ -315,7 +319,8 @@ class TestStreamingStatsUnits:
         return bus.channel("tx").emitter("tx", self.TX_FIELDS)
 
     def test_tx_accounting_and_measurement_reset(self):
-        stats = StreamingStats()
+        """Fed from records, the account restarts at the marker."""
+        stats = TraceSummary()
         consume = self._tx(stats)
         # Warm-up traffic, then the measurement marker, then real traffic.
         consume(10.0, 0, 100.0, 90.0, True, 1, 4, 6000, "BE", True, 0)
@@ -323,23 +328,33 @@ class TestStreamingStatsUnits:
         consume(30.0, 0, 200.0, 180.0, True, 2, 8, 12000, "BE", True, 0)
         consume(40.0, 1, 50.0, 45.0, False, 0, 1, 1500, "BE", True, 0)
         assert stats.measurement_start_us == 20.0
-        account = stats.stations[0]
-        assert account.transmissions == 1       # warm-up discarded
-        assert account.airtime_us == 200.0
-        assert account.payload_bytes == 12000
-        assert account.mean_aggregation == 8.0
-        assert stats.stations[1].uplink_airtime_us == 50.0
-        shares = stats.airtime_shares()
+        account = stats.account
+        assert account.transmissions[0] == 1       # warm-up discarded
+        assert account.airtime_us[0] == 200.0
+        assert account.delivered_bytes[0] == 12000
+        assert account.mean_aggregation(0) == 8.0
+        assert account.uplink_airtime_us[1] == 50.0
+        shares = account.airtime_shares()
         assert shares[0] == pytest.approx(0.8)
         assert shares[1] == pytest.approx(0.2)
+        assert stats.records_seen == 3
 
     def test_failed_downlink_carries_airtime_not_bytes(self):
-        stats = StreamingStats()
+        stats = TraceSummary()
         consume = self._tx(stats)
         consume(10.0, 0, 100.0, 90.0, True, 1, 4, 6000, "BE", False, 1)
-        account = stats.stations[0]
-        assert account.airtime_us == 100.0
-        assert account.payload_bytes == 0
+        assert stats.account.airtime_us[0] == 100.0
+        assert stats.account.delivered_bytes.get(0, 0) == 0
+
+    def test_live_tx_taps_leave_the_account_to_the_medium(self):
+        """A live run's account is fed by the medium: the tx tap only
+        counts the record and feeds the Jain series."""
+        stats = StreamingStats()
+        consume = self._tx(stats)
+        consume(10.0, 0, 100.0, 90.0, True, 1, 4, 6000, "BE", True, 0)
+        assert stats.records_seen == 1
+        assert not stats.account.airtime_us
+        assert stats.snapshot()["jain"]["series"] == [[1e6, 1.0]]
 
     def test_drop_and_queue_counters(self):
         stats = StreamingStats()
@@ -374,7 +389,7 @@ class TestStreamingStatsUnits:
         assert not stats.sojourn and not stats.queue_counts
 
     def test_snapshot_and_format_roundtrip(self):
-        stats = StreamingStats()
+        stats = TraceSummary()
         consume = self._tx(stats)
         for i in range(10):
             consume(float(i) * 1e5, i % 2, 100.0, 90.0,
@@ -428,13 +443,14 @@ class TestStreamingDecodeParity:
         assert streamed["airtime_us"] == legacy["airtime_us"]
         assert streamed["drops"] == legacy["drops"]
 
-        decode = summarize_records(records)
+        decode = summarize_records(records).account
         snap = streamed["streaming"]
-        for station, tx in decode.stations.items():
+        assert decode.airtime_us
+        for station in decode.airtime_us:
             account = snap["stations"][str(station)]
-            assert account["transmissions"] == tx.transmissions
-            assert account["airtime_us"] == tx.airtime_us
-            assert account["payload_bytes"] == tx.payload_bytes
+            assert account["transmissions"] == decode.transmissions[station]
+            assert account["airtime_us"] == decode.airtime_us[station]
+            assert account["payload_bytes"] == decode.delivered_bytes[station]
 
     @pytest.mark.parametrize("name,scheme", [
         ("udp", Scheme.AIRTIME),            # mac layer, marker reset
@@ -456,7 +472,8 @@ class TestStreamingDecodeParity:
         live = testbed.finish_telemetry()
         assert "trace_dropped" not in live  # the file is the full trace
 
-        fed = StreamingStats()
+        # The sketches from the handlers, the account from summarize.
+        fed = StreamingStats(account=summarize_file(trace_path).account)
         for record in iter_trace_file(trace_path):
             fed.feed(record)
         assert fed.snapshot() == live["streaming"]

@@ -126,7 +126,7 @@ def test_summarize_records_accepts_a_generator():
     summary = summarize_records(_records(100))
     assert summary.total_records == 300
     assert summary.queues[("mac", 0)].dequeues == 34
-    assert summary.airtime_shares()[2] == pytest.approx(0.33)
+    assert summary.account.airtime_shares()[2] == pytest.approx(0.33)
 
 
 def test_summarize_file_holds_no_record_list(tmp_path):

@@ -52,7 +52,8 @@ class TestWorkloadWiring:
         tb = make_testbed(Scheme.AIRTIME)
         flows = saturating_udp_download(tb)
         assert sorted(flows) == [0, 1, 2]
-        assert len(tb.warmup_resets) == 3
+        resets = {flow.sink.reset_window for flow in flows.values()}
+        assert len(resets) == 3 and resets <= set(tb.warmup_resets)
 
     def test_station_subset_selection(self):
         tb = make_testbed(Scheme.AIRTIME)
@@ -63,7 +64,8 @@ class TestWorkloadWiring:
         tb = make_testbed(Scheme.AIRTIME)
         conns = tcp_download(tb)
         assert len(conns) == 3
-        assert len(tb.warmup_resets) == 3
+        resets = {conn.reset_window for conn in conns.values()}
+        assert len(resets) == 3 and resets <= set(tb.warmup_resets)
 
     def test_tcp_bidir_creates_both_directions(self):
         tb = make_testbed(Scheme.AIRTIME)
