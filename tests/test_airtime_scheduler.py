@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.airtime import AirtimeScheduler
+from repro.core.station_rr import RoundRobinScheduler
 
 
 class Harness:
@@ -127,6 +130,112 @@ class TestDeficitFairness:
         h = Harness(quantum_us=1000.0)
         h.give_backlog(1, 1)
         assert h.scheduler.deficits[1] == 1000.0
+
+
+def backlogged_airtime(h: Harness, charges: Dict[int, Sequence[float]],
+                       steps: int) -> Iterator[Dict[int, float]]:
+    """Every station continuously backlogged: fill the hardware queue,
+    complete its head, charge that station after the transmission
+    (cycling through its charge sizes), and yield each station's
+    cumulative airtime after every completion."""
+    airtime = {station: 0.0 for station in charges}
+    served = {station: 0 for station in charges}
+    for station in charges:
+        h.give_backlog(station, steps + h.hw_depth)
+    for _ in range(steps):
+        h.scheduler.schedule()
+        station = h.hw.pop(0)
+        sizes = charges[station]
+        charge = sizes[served[station] % len(sizes)]
+        served[station] += 1
+        airtime[station] += charge
+        h.scheduler.report_tx_airtime(station, charge)
+        yield airtime
+
+
+def worst_excess(h: Harness, charges: Dict[int, Sequence[float]],
+                 quantum_us: float, steps: int = 200) -> float:
+    """The largest ``|A_i - A_j| - (quantum_us + hw_depth * c_max)`` over
+    every prefix and pair (positive: the bound broke)."""
+    worst = float("-inf")
+    for airtime in backlogged_airtime(h, charges, steps):
+        for i in charges:
+            for j in charges:
+                c_max = max(*charges[i], *charges[j])
+                bound = quantum_us + h.hw_depth * c_max
+                worst = max(worst, abs(airtime[i] - airtime[j]) - bound)
+    return worst
+
+
+class TestFairnessBound:
+    r"""Algorithm 3 keeps continuously backlogged stations within a
+    deficit-round-robin bound (Shreedhar & Varghese, SIGCOMM '95).
+
+    DRR bounds the service gap between two backlogged flows by a quantum
+    plus one maximum packet.  Here the deficit is charged *after* the
+    transmission, so up to ``d = hw_depth`` aggregates are in flight
+    before a charge can end a station's turn.  Derivation, with
+    ``Q = quantum_us``, ``c`` the largest single charge of the pair,
+    ``A_i`` station i's charged airtime and ``D_i`` its deficit:
+
+    1. *Rotation.*  Backlogged stations never leave the lists, so the
+       scheduler visits them in a fixed cyclic order (the new list is
+       the first lap): a visit builds while ``D_i > 0`` and ends, once
+       a charge has left ``D_i <= 0``, with ``D_i += Q`` and a move to
+       the tail.  With ``K_i`` finished visits, the credit
+       granted is ``Q (1 + K_i)`` (the wake grants the first ``Q``), so
+       ``A_i = Q K_i + P_i`` with ``P_i = Q - D_i``, and
+       ``|K_i - K_j| <= 1``.
+    2. *Ceiling.*  ``D_i`` starts at ``Q``, charges only lower it and a
+       top-up needs ``D_i <= 0``: ``D_i <= Q``, so ``P_i >= 0``.
+    3. *Floor.*  Let ``X_i = D_i -`` (i's charges still in flight).  A
+       charge leaves ``X_i`` unchanged; a build needs ``D_i > 0`` with at
+       most ``d`` of i's aggregates in flight, so it leaves
+       ``X_i > -d c``; a top-up raises it.  Hence ``D_i >= X_i > -d c``
+       and ``P_i < Q + d c``.
+    4. *Equal laps* (``K_i = K_j``): ``|A_i - A_j| = |P_i - P_j|
+       < Q + d c`` by 2 and 3.
+    5. *One lap ahead* (``K_i = K_j + 1``): i finished its lap and cannot
+       start the next before j finishes this one, so it builds nothing;
+       its top-up left ``X_i > Q - d c``, so ``D_i >= X_i`` gives
+       ``P_i < d c`` and ``A_i - A_j = Q + P_i - P_j < Q + d c``.
+
+    So ``|A_i - A_j| < Q + d c`` over every prefix: the quantum, the
+    ``d - 1`` aggregates still in flight when a charge ends a turn, and
+    that charge itself.  Round robin gives each station one aggregate per
+    turn whatever it costs, so on mixed charge sizes the gap grows with
+    every round and no such bound holds.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.lists(st.integers(1, 8000).map(float), min_size=1,
+                     max_size=3),
+            min_size=2, max_size=4,
+        ),
+        hw_depth=st.sampled_from([1, 2]),
+        quantum_us=st.integers(50, 4000).map(float),
+    )
+    def test_backlogged_service_gap_stays_within_the_bound(
+            self, sizes, hw_depth, quantum_us):
+        h = Harness(hw_depth=hw_depth, quantum_us=quantum_us)
+        charges = dict(enumerate(sizes))
+        assert worst_excess(h, charges, quantum_us) < 0
+
+    def test_round_robin_breaks_the_bound_on_mixed_charges(self):
+        """The same drive separates the schemes: a slow station's
+        3000 µs turns against a fast one's 100 µs."""
+        charges = {0: [100.0], 1: [3000.0]}
+        airtime = Harness(hw_depth=2, quantum_us=1000.0)
+        assert worst_excess(airtime, charges, 1000.0) < 0
+        rr = Harness(hw_depth=2)
+        rr.scheduler = RoundRobinScheduler(
+            has_backlog=lambda s: rr.backlogs.get(s, 0) > 0,
+            build_aggregate=rr._build,
+            hw_full=lambda: len(rr.hw) >= rr.hw_depth,
+        )
+        assert worst_excess(rr, charges, 1000.0) > 0
 
 
 class TestSparseStationOptimisation:
