@@ -19,6 +19,7 @@ Exposed on the CLI as ``repro trace summarize FILE...`` (or
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import (
     Any,
     Dict,
@@ -30,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.fairness import jain_index
+from repro.analysis.stats import AirtimeTracker
 from repro.telemetry.streaming import StreamingStats
 from repro.telemetry.trace import iter_trace_file
 
@@ -106,6 +107,9 @@ class TraceSummary(StreamingStats):
         #: the measurement window.  Empty for single-BSS traces (their tx
         #: records carry no ``bss`` field).
         self.station_bss: Dict[int, int] = {}
+        #: BSS id -> the account of that cell's transmissions (the live
+        #: run's per-BSS tracker), for multi-BSS traces.
+        self.bss_accounts: Dict[int, AirtimeTracker] = {}
 
     @property
     def queues(self) -> Dict[Tuple[str, Any], _QueueRow]:
@@ -139,14 +143,19 @@ class TraceSummary(StreamingStats):
         super().reset_window(t_us)
         self.account.reset()
         self.station_bss.clear()
+        self.bss_accounts.clear()
 
     def on_tx_record(self, t: float, station: int, airtime_us: float,
                      tx_us: float, down: bool, n_pkts: int, n_bytes: int,
                      ok: bool, bss: Optional[int]) -> None:
-        self.account.on_tx(t, station, airtime_us, tx_us, down, n_pkts,
-                           n_bytes, ok)
+        args = (t, station, airtime_us, tx_us, down, n_pkts, n_bytes, ok)
+        self.account.on_tx(*args)
         if bss is not None:
             self.station_bss[station] = bss
+            account = self.bss_accounts.get(bss)
+            if account is None:
+                account = self.bss_accounts[bss] = AirtimeTracker()
+            account.on_tx(*args)
         self.on_tx(t, station, airtime_us)
 
     def on_queue_drop(self, t: float, layer: str, reason: str,
@@ -250,12 +259,12 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
             lines.append(row)
 
     # Multi-BSS traces (tx records carrying a ``bss`` field) additionally
-    # roll the airtime table up per cell; single-BSS traces never reach
-    # this branch, so their output is unchanged.
-    if summary.station_bss:
-        per_bss: Dict[int, List[int]] = {}
-        for station, bss in summary.station_bss.items():
-            per_bss.setdefault(bss, []).append(station)
+    # roll the airtime table up per cell, each cell from its own account
+    # (a roamer's airtime stays where it was spent; ``stations`` counts
+    # it where it was last seen); single-BSS traces never reach this
+    # branch, so their output is unchanged.
+    if summary.bss_accounts:
+        members = Counter(summary.station_bss.values())
         total_airtime = sum(account.airtime_us.values())
         lines.append("")
         lines.append("Per-BSS rollup (measurement window):")
@@ -263,15 +272,13 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
             f"{'bss':>4} {'stations':>8} {'airtime_ms':>11} "
             f"{'share':>7} {'jain':>7}"
         )
-        for bss in sorted(per_bss):
-            members = sorted(per_bss[bss])
-            airtimes = [account.airtime_us[s] for s in members
-                        if s in account.airtime_us]
-            bss_airtime = sum(airtimes)
+        for bss in sorted(summary.bss_accounts):
+            cell = summary.bss_accounts[bss]
+            bss_airtime = sum(cell.airtime_us.values())
             share = bss_airtime / total_airtime if total_airtime > 0 else 0.0
             lines.append(
-                f"{bss:>4} {len(members):>8} {bss_airtime / 1e3:>11.2f} "
-                f"{share:>7.1%} {jain_index(airtimes):>7.3f}"
+                f"{bss:>4} {members[bss]:>8} {bss_airtime / 1e3:>11.2f} "
+                f"{share:>7.1%} {cell.jain_airtime():>7.3f}"
             )
 
     queues = summary.queues

@@ -598,6 +598,32 @@ class TestBssDimension:
         assert "Per-BSS rollup" in text
         assert "bss=0" in text and "bss=1" in text
 
+    @pytest.mark.parametrize("name", ["campus-2bss-roam/AIRTIME",
+                                      "campus-roam-back/AIRTIME"])
+    def test_rollup_books_a_roamer_where_it_transmitted(self, name,
+                                                        tmp_path):
+        """Each rollup row is its BSS's live tracker: airtime, share and
+        Jain, not the last BSS a roamer was seen in."""
+        from repro.telemetry.summarize import format_summary, summarize_file
+        from repro.validation import catalogue
+
+        campus = catalogue.run_traced(name)
+        path = campus.telemetry.trace.write_jsonl(
+            str(tmp_path / "run.trace.jsonl"))
+        text = format_summary(summarize_file(str(path)))
+        block = text.split("Per-BSS rollup (measurement window):\n")[1]
+        rows = [line.split()
+                for line in block.split("\n\n")[0].splitlines()[1:]]
+        assert len(rows) == len(campus.trackers)
+        total = sum(campus.telemetry.account.airtime_us.values())
+        for (bss, _, airtime_ms, share, jain), (bss_id, tracker) in zip(
+                rows, sorted(campus.trackers.items())):
+            airtime = sum(tracker.airtime_us.values())
+            assert int(bss) == bss_id
+            assert airtime_ms == f"{airtime / 1e3:.2f}"
+            assert share == f"{airtime / total:.1%}"
+            assert jain == f"{tracker.jain_airtime():.3f}"
+
     def test_summarize_legacy_trace_unchanged(self, tmp_path):
         from repro.telemetry.summarize import format_summary, summarize_file
 
