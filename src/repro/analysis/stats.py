@@ -110,7 +110,7 @@ class AirtimeTracker:
     def airtime_shares(self, stations: Optional[Sequence[int]] = None) -> Dict[int, float]:
         """Fraction of the summed airtime used by each of ``stations``
         (default: every station, in order of first transmission)."""
-        keys = list(stations) if stations is not None else list(self.airtime_us)
+        keys = list(self.airtime_us if stations is None else stations)
         total = sum(self.airtime_us.get(k, 0.0) for k in keys)
         if total <= 0:
             return {k: 0.0 for k in keys}

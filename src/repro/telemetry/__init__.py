@@ -126,17 +126,17 @@ class Telemetry:
                      capacity=config.effective_capacity)
             if config.trace_enabled else None
         )
-        #: The drop/marker accounts behind the drops table (the
+        #: The tap-fed drop/marker accounts behind the drops table (the
         #: streaming aggregator carries them when there is one).
-        self.accounts: Optional[RunAccounts] = None
+        self.taps: Optional[RunAccounts] = None
         #: In-run span stitching + latency attribution (``spans=True``).
         self.spans = None
         if self.trace is not None:
             # Taps go on the bus *before* any channel binds, so every
             # prebound emitter tees into them.
-            self.accounts = (self.streaming if self.streaming is not None
-                             else RunAccounts())
-            self.accounts.register(self.trace)
+            self.taps = (self.streaming if self.streaming is not None
+                         else RunAccounts())
+            self.taps.register(self.trace)
             if config.spans:
                 # Lazy import: analysis.attribution imports telemetry.spans,
                 # keeping the package dependency one-way at module load.
@@ -177,12 +177,12 @@ class Telemetry:
         bit-for-bit without re-simulating.
 
         Nothing here reads the trace ring: the airtime table comes from
-        the medium-fed account, the drop table from the tap-fed one, and
-        the span attribution was stitched
-        while the run emitted, so the only decode left is the streamed
-        ``write_jsonl`` when ``trace_path`` asks for a file.  The
-        ``post s`` column of the ``--profile`` run-cost table is what
-        remains; the stitching cost sits in ``sim s``.
+        the medium-fed account, the drop table from the taps, and the
+        span attribution was stitched while the run emitted, so the only
+        decode left is the streamed ``write_jsonl`` when ``trace_path``
+        asks for a file.  The ``post s`` column of the ``--profile``
+        run-cost table is what remains; the stitching cost sits in
+        ``sim s``.
 
         The whole flush is charged to the profiler's *finalize* phase so
         run-cost accounting can split simulation time from post-run
@@ -204,7 +204,7 @@ class Telemetry:
                 summary["streaming"] = self.streaming.snapshot()
             summary["airtime_us"] = dict(
                 sorted(self.account.airtime_us.items()))
-            summary["drops"] = self.accounts.drop_table()
+            summary["drops"] = self.taps.drop_table()
             if self.config.trace_path is not None:
                 summary["trace_path"] = str(
                     self.trace.write_jsonl(self.config.trace_path)
