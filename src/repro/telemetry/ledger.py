@@ -40,7 +40,7 @@ __all__ = ["AirtimeLedger", "LedgerAudit"]
 _BOOKS_EPS_US = 1e-6
 #: Relative tolerance for busy-time conservation vs the medium counter.
 _BUSY_REL_EPS = 1e-9
-#: The account's tables each ledger row carries.
+#: The account's tables each ``to_dict`` row reports.
 _ROW_FIELDS = ("tx_us", "retry_us", "contention_us", "rx_us", "rx_retry_us",
                "rx_contention_us", "aggs", "agg_packets",
                "delivered_packets", "delivered_bytes")
@@ -124,22 +124,21 @@ class AirtimeLedger:
         self.ap_rx_us[station] += duration_us
 
     def _rows(self) -> Dict[int, Dict[str, Any]]:
-        """Station -> its medium-book row, in first-transmission order."""
-        rows = {}
-        for station in self.account.airtime_us:
-            row = self.account.station(station)
-            rows[station] = {name: row[name] for name in _ROW_FIELDS}
-        return rows
+        """Station -> its medium-book entries, in first-transmission order."""
+        account = self.account
+        return {station: account.station(station)
+                for station in account.airtime_us}
 
     def to_dict(self) -> Dict[str, Any]:
         rows = self._rows()
         booked = {station: _booked_us(row) for station, row in rows.items()}
         total = sum(booked.values())
         return {
-            str(station): dict(rows[station],
-                               total_airtime_us=booked[station],
-                               share=(booked[station] / total
-                                      if total > 0 else 0.0))
+            str(station): {
+                **{name: rows[station][name] for name in _ROW_FIELDS},
+                "total_airtime_us": booked[station],
+                "share": booked[station] / total if total > 0 else 0.0,
+            }
             for station in sorted(rows)
         }
 
