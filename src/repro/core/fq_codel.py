@@ -8,8 +8,8 @@ This module provides the two building blocks the paper composes:
   (``new_queues`` / ``old_queues``) plus the TID-specific overflow queue of
   Algorithm 1.
 
-The full per-TID structure (Algorithms 1 and 2, operating over a fixed
-global pool of queues shared by all TIDs) lives in
+The full per-TID structure (Algorithms 1 and 2, operating over a global
+pool of queues shared by all TIDs) lives in
 :mod:`repro.core.mac_fq`; the qdisc-layer FQ-CoDel in
 :mod:`repro.qdisc.fq_codel_qdisc` is the same machinery with a single
 implicit TID, which mirrors how the Linux ``fq_codel`` qdisc relates to the
@@ -59,9 +59,6 @@ class FlowQueue:
         self.codel = CoDelState()
         self.tid: Optional[object] = None
         self.membership: Optional[str] = None
-
-    def __len__(self) -> int:
-        return len(self.pkts)
 
     # -- the _PacketQueue protocol used by codel_dequeue ----------------
     def head(self) -> Optional[Packet]:

@@ -3,9 +3,10 @@
 One :class:`MacFqStructure` instance replaces the qdisc layer and the
 driver's per-TID FIFOs for the FQ-MAC and Airtime configurations (Figure 3):
 
-* a fixed global pool of flow queues is shared by *all* TIDs — a queue is
+* a global pool of flow queues is shared by *all* TIDs — a queue is
   assigned to the TID of the first packet hashed into it and released when
-  it drains (Algorithm 1 lines 5–8, Algorithm 2 line 18);
+  it drains (Algorithm 1 lines 5–8, Algorithm 2 line 18); a bucket's queue
+  is made when its first packet arrives, so an idle bucket costs a slot;
 * hash collisions across TIDs fall back to a TID-specific overflow queue;
 * one global packet limit covers the whole structure, and overflow drops
   from the globally longest queue, which is what keeps a slow station from
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.codel import PerStationCoDelTuner, codel_dequeue
 from repro.core.fq_codel import (
@@ -41,16 +42,21 @@ DEFAULT_NUM_QUEUES = 4096
 DropCallback = Callable[[Packet, str], None]
 
 
-class FirstUse(dict):
-    """``d[key]`` computes ``make(*key)`` the first time ``key`` is used."""
+class TidMap(dict):
+    """``(station, ac) -> TidState``, made the first time a key is used.
 
-    def __init__(self, make: Callable) -> None:
+    A TID's overflow queue comes from ``new_queue``; overflow queues live
+    outside the hashed pool, so they count down from -1 in creation order
+    and can't collide with pool queues.
+    """
+
+    def __init__(self, new_queue: Callable[[int], FlowQueue]) -> None:
         super().__init__()
-        self._make = make
+        self._new_queue = new_queue
 
     def __missing__(self, key):
-        value = self[key] = self._make(*key)
-        return value
+        tid = self[key] = TidState(*key, self._new_queue(-1 - len(self)))
+        return tid
 
 
 class MacFqStructure:
@@ -87,13 +93,14 @@ class MacFqStructure:
         self.codel_tuner = codel_tuner or PerStationCoDelTuner(enabled=False)
         self.on_drop = on_drop
 
-        self._queues = [FlowQueue(i) for i in range(num_queues)]
+        #: Bucket -> FlowQueue, made by the first packet hashed to it
+        #: (``_new_queue``) and kept from then on; ``None`` until then.
+        self._queues: List[Optional[FlowQueue]] = [None] * num_queues
         #: (station, ac) -> TidState, created at the first *use* of the
         #: key: longest-queue ties break by TID creation order, so when a
         #: TID is first asked for decides which packet an overlimit drop
         #: takes.  Never deleted: a station that roams back finds them.
-        self._tids: Dict[tuple, TidState] = FirstUse(self._new_tid)
-        self._overflow_counter = 0
+        self._tids: Dict[tuple, TidState] = TidMap(self._new_queue)
 
         #: Total packets queued across every TID (the "global limit" gauge).
         self.backlog_packets = 0
@@ -156,7 +163,8 @@ class MacFqStructure:
                 ("kind", "s"), ("q", "q"), ("station", "o"),
             ))
         traced = self._em_codel_state is not None
-        for queue in chain(self._queues,
+        made = (queue for queue in self._queues if queue is not None)
+        for queue in chain(made,
                            (tid.overflow_queue for tid in self._tids.values())):
             queue.codel.on_transition = (
                 self._codel_hook(queue) if traced else None
@@ -179,14 +187,11 @@ class MacFqStructure:
         """Return (creating on first use) the TID for ``(station, ac)``."""
         return self._tids[station, ac]
 
-    def _new_tid(self, station: Optional[int], ac: object) -> TidState:
-        # Overflow queues live outside the hashed pool; give them
-        # negative indices so they can't collide with pool queues.
-        self._overflow_counter += 1
-        overflow = FlowQueue(-self._overflow_counter)
+    def _new_queue(self, index: int) -> FlowQueue:
+        queue = FlowQueue(index)
         if self._em_codel_state is not None:
-            overflow.codel.on_transition = self._codel_hook(overflow)
-        return TidState(station, ac, overflow)
+            queue.codel.on_transition = self._codel_hook(queue)
+        return queue
 
     def tids(self) -> Iterable[TidState]:
         return self._tids.values()
@@ -202,8 +207,11 @@ class MacFqStructure:
         # ``hash_flow`` and ``FlowQueue.append`` inline (once per arrival;
         # not memoised per flow: web workloads mint flow ids unboundedly).
         queues = self._queues
-        queue = queues[((pkt.flow_id * HASH_MULT) & 0xFFFFFFFF) % len(queues)]
-        if queue.tid is not None and queue.tid is not tid:
+        index = ((pkt.flow_id * HASH_MULT) & 0xFFFFFFFF) % len(queues)
+        queue = queues[index]
+        if queue is None:
+            queue = queues[index] = self._new_queue(index)
+        elif queue.tid is not None and queue.tid is not tid:
             queue = tid.overflow_queue
         queue.tid = tid
 
@@ -229,16 +237,24 @@ class MacFqStructure:
                                   queue.index)
 
     def _drop_from_longest_queue(self) -> None:
-        """Drop the head packet of the globally longest queue."""
+        """Drop the head packet of the globally longest queue.
+
+        Ties go to the first queue in ``_tids`` order, new list before
+        old.  A TID with no backlog holds only empty queues, so skipping
+        it cannot change the choice.
+        """
         longest: Optional[FlowQueue] = None
+        most = 0
         for tid in self._tids.values():
+            if not tid.backlog:
+                continue
             for queue in tid.new_queues:
-                if longest is None or len(queue) > len(longest):
-                    longest = queue
+                if len(queue.pkts) > most:
+                    longest, most = queue, len(queue.pkts)
             for queue in tid.old_queues:
-                if longest is None or len(queue) > len(longest):
-                    longest = queue
-        if longest is None or not longest.pkts:  # pragma: no cover
+                if len(queue.pkts) > most:
+                    longest, most = queue, len(queue.pkts)
+        if longest is None:  # pragma: no cover
             return
         pkt = longest.pop_head()
         assert pkt is not None

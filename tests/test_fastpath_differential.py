@@ -6,7 +6,8 @@ Hypothesis chooses:
 
 * ``MacFqStructure.enqueue`` / ``dequeue`` against Algorithms 1–2
   spelled out with ``hash_flow``, ``FlowQueue`` / ``TidState`` methods
-  and ``codel_dequeue`` — the single CoDel state machine;
+  and ``codel_dequeue`` — the single CoDel state machine — and the
+  overlimit drop as a scan of every queue of every TID;
 * the access point's fill pass, counted: Algorithm 3 is entered when a
   hardware slot can be filled, not once per arriving packet;
 * ``QuantileSketch.observe_many`` and the station's per-flow burst
@@ -30,7 +31,7 @@ from repro.core.codel import (
     PerStationCoDelTuner,
     codel_dequeue,
 )
-from repro.core.fq_codel import hash_flow
+from repro.core.fq_codel import FlowQueue, hash_flow
 from repro.core.mac_fq import MacFqStructure
 from repro.core.packet import AccessCategory, Packet
 from repro.experiments import workloads
@@ -61,11 +62,26 @@ class _Clock:
         return self.now
 
 
+def _reference_drop_from_longest_queue(fq: MacFqStructure) -> None:
+    """The overlimit drop as a scan of every queue of every TID: the
+    first of the longest, in TID creation order, new list before old."""
+    longest = None
+    for tid in fq.tids():
+        for queue in (*tid.new_queues, *tid.old_queues):
+            if longest is None or len(queue.pkts) > len(longest.pkts):
+                longest = queue
+    pkt = longest.pop_head()
+    fq._account_drop(longest, pkt, "overlimit")
+
+
 def _reference_enqueue(fq: MacFqStructure, pkt: Packet, tid) -> None:
     """Algorithm 1, one small method per line of the paper."""
     if fq.backlog_packets >= fq.limit:
-        fq._drop_from_longest_queue()
-    queue = fq._queues[hash_flow(pkt.flow_id, len(fq._queues))]
+        _reference_drop_from_longest_queue(fq)
+    index = hash_flow(pkt.flow_id, len(fq._queues))
+    if fq._queues[index] is None:
+        fq._queues[index] = FlowQueue(index)
+    queue = fq._queues[index]
     if queue.tid is not None and queue.tid is not tid:
         queue = tid.overflow_queue
     queue.tid = tid
@@ -122,12 +138,21 @@ class _Side:
             on_drop=lambda pkt, reason: self.drops.append(
                 (pkt.pid, pkt.dst_station, reason)),
         )
-        self.tids = {s: self.fq.tid(s, AccessCategory.BE) for s in (0, 1)}
+        # Idle TIDs before and between the two that carry traffic, as
+        # the AP's backlog probes create them: the overlimit drop must
+        # skip them without moving the tie-break.
+        self.tids = {}
+        for station in (0, 1):
+            self.fq.tid(station, AccessCategory.VI)
+            self.tids[station] = self.fq.tid(station, AccessCategory.BE)
         self.delivered: list = []
 
     def state(self) -> tuple:
         fq = self.fq
-        queues = fq._queues + [t.overflow_queue for t in fq.tids()]
+        # A bucket no packet has reached yet reads as a fresh queue.
+        queues = [FlowQueue(i) if q is None else q
+                  for i, q in enumerate(fq._queues)]
+        queues += [t.overflow_queue for t in fq.tids()]
         return (
             fq.backlog_packets, fq.drops_overlimit, fq.drops_codel,
             [(t.backlog, [q.index for q in t.new_queues],
@@ -193,7 +218,7 @@ def _run_both(rounds, n_flows: int, num_queues: int, limit: int) -> _Side:
 @settings(max_examples=150, deadline=None)
 @given(rounds=_ROUNDS, n_flows=st.integers(1, 6),
        num_queues=st.sampled_from((1, 2, 8, 11)),
-       limit=st.sampled_from((6, 24, 1024)))
+       limit=st.sampled_from((2, 6, 24, 1024)))
 def test_mac_fq_matches_the_reference_algorithms(rounds, n_flows, num_queues,
                                                  limit):
     _run_both(rounds, n_flows, num_queues, limit)

@@ -49,7 +49,7 @@ class TestFlowQueue:
         pkt = mkpkt()
         q.append(pkt)
         assert q.head() is pkt
-        assert len(q) == 1
+        assert len(q.pkts) == 1
 
     def test_reset_clears_scheduling_state(self):
         q = FlowQueue(0)

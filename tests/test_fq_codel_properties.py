@@ -145,7 +145,7 @@ def test_hash_collisions_fall_back_to_the_overflow_queue(seed_flows):
         base = len(flows)
         for off, flow_id in enumerate(flows, start=1):
             fq.enqueue(_packet(base + off, flow_id, 1), tid_b)
-        assert len(tid_b.overflow_queue) == len(flows)
+        assert len(tid_b.overflow_queue.pkts) == len(flows)
     delivered = {p.pid for p in _drain(fq)}
     assert fq.backlog_packets == 0
     assert len(delivered) + len(fq.dropped_log) == fq_total_enqueued(fq,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.codel import PerStationCoDelTuner
@@ -196,6 +198,46 @@ class TestHashCollisions:
         fq.enqueue(mkpkt(2), tid_b)
         assert tid_b.overflow_queue.tid is None or tid_b.backlog == 1
         assert fq.dequeue(tid_b).flow_id == 2
+
+
+class TestQueuesMadeOnFirstUse:
+    def test_no_flow_queue_before_the_first_enqueue(self, clock):
+        fq = MacFqStructure(clock, num_queues=4096)
+        fq.tid(0, AccessCategory.BE)
+        assert len(fq._queues) == 4096
+        assert all(queue is None for queue in fq._queues)
+
+    def test_enqueues_make_exactly_their_hashed_buckets(self, clock):
+        fq = MacFqStructure(clock, num_queues=4096)
+        tid = fq.tid(0, AccessCategory.BE)
+        flows = (1, 2, 3, 7, 1000, 1000, 65_537)
+        for flow in flows:
+            fq.enqueue(mkpkt(flow), tid)
+        made = {i for i, queue in enumerate(fq._queues) if queue is not None}
+        assert made == {hash_flow(flow, 4096) for flow in flows}
+        assert all(fq._queues[i].index == i for i in made)
+        # Drained queues return to the idle pool but stay made.
+        while fq.dequeue(tid) is not None:
+            pass
+        assert {i for i, queue in enumerate(fq._queues)
+                if queue is not None} == made
+        assert all(fq._queues[i].tid is None for i in made)
+
+    def test_thirty_station_testbed_builds_in_under_2_mib(self):
+        """An AP's 4096 buckets and every station's 1024 uplink buckets
+        cost a slot each until a packet arrives (34 MiB when every
+        bucket held a ready-made queue)."""
+        from repro.experiments.config import thirty_station_rates
+        from repro.experiments.testbed import Testbed, TestbedOptions
+
+        Testbed(thirty_station_rates(), TestbedOptions())  # warm imports
+        tracemalloc.start()
+        try:
+            Testbed(thirty_station_rates(), TestbedOptions())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestGlobalLimit:
