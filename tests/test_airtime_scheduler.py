@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core.airtime import AirtimeScheduler
 from repro.core.station_rr import RoundRobinScheduler
+from repro.mac.hwqueue import HW_QUEUE_DEPTH
+from repro.validation import catalogue
 
 
 class Harness:
@@ -236,6 +238,61 @@ class TestFairnessBound:
             hw_full=lambda: len(rr.hw) >= rr.hw_depth,
         )
         assert worst_excess(rr, charges, 1000.0) > 0
+
+
+def traced_charges(name: str):
+    """The scheduler's ``deficit_charge`` records of catalogue entry
+    ``name``, its quantum, and each station's largest tx charge."""
+    testbed = catalogue.run_traced(name)
+    records = [r for r in testbed.telemetry.trace.records
+               if r["cat"] == "sched" and r["ev"] == "deficit_charge"]
+    largest: Dict[int, float] = {}
+    for r in records:
+        if r["dir"] == "tx":
+            largest[r["station"]] = max(largest.get(r["station"], 0.0),
+                                        r["us"])
+    return records, testbed.ap.scheduler.quantum_us, largest
+
+
+class TestFairnessBoundOnCatalogueTraces:
+    """Steps 2-3 of :class:`TestFairnessBound` on the access point's own
+    charges: after every tx charge, ``-d c_i < D_i <= Q``.
+
+    At the AP, ``d`` is ``HW_QUEUE_DEPTH + 1``, not ``HW_QUEUE_DEPTH``:
+    the medium pops an aggregate off the hardware queue when it starts
+    transmitting, so the scheduler can refill the queue while that
+    aggregate is still uncharged.  On ``udp/AIRTIME`` the slow station
+    (``c_i`` 3,544 µs) reaches -9,459 µs, below ``-2 c_i`` = -7,087 µs
+    and above ``-3 c_i``.
+
+    On ``tcp/AIRTIME`` the floor does not hold.  Charges for frames the
+    AP *receives* (TCP ACKs and uploads) lower ``D_i`` with no build, so
+    step 3's ``X_i`` has no lower bound: station 1 (``c_i`` 1,854 µs)
+    reads -15,861 µs after a tx charge, below ``-3 c_i`` = -5,561 µs.
+    The ceiling still holds, since every charge only lowers ``D_i``.
+    """
+
+    IN_FLIGHT = HW_QUEUE_DEPTH + 1
+
+    def test_udp_deficits_stay_within_the_derived_band(self):
+        records, quantum_us, largest = traced_charges("udp/AIRTIME")
+        tx = [r for r in records if r["dir"] == "tx"]
+        assert len(tx) > 300 and len(largest) == 3
+        for r in tx:
+            floor = -self.IN_FLIGHT * largest[r["station"]]
+            assert floor < r["deficit"] <= quantum_us, r
+        # The aggregate on the air is needed: HW_QUEUE_DEPTH alone breaks.
+        assert any(r["deficit"] <= -HW_QUEUE_DEPTH * largest[r["station"]]
+                   for r in tx)
+
+    def test_rx_charges_take_tcp_below_the_floor(self):
+        records, quantum_us, largest = traced_charges("tcp/AIRTIME")
+        tx = [r for r in records if r["dir"] == "tx"]
+        assert any(r["dir"] == "rx" for r in records)
+        assert all(r["deficit"] <= quantum_us for r in records)
+        below = [r for r in tx
+                 if r["deficit"] <= -self.IN_FLIGHT * largest[r["station"]]]
+        assert below, "the floor held under rx charges"
 
 
 class TestSparseStationOptimisation:
