@@ -9,11 +9,13 @@ the analytical model of Section 2.2.1 and the full evaluation harness.
 
 Quick start::
 
-    from repro.experiments import run_scheme, Scheme, TrafficMix
+    from repro.experiments import (Scheme, Testbed, TestbedOptions,
+                                   saturating_udp_download, three_station_rates)
 
-    result = run_scheme(Scheme.AIRTIME, TrafficMix.UDP_DOWNLOAD,
-                        duration_s=5.0, seed=1)
-    print(result.airtime_shares())
+    testbed = Testbed(three_station_rates(), TestbedOptions(scheme=Scheme.AIRTIME))
+    saturating_udp_download(testbed)
+    testbed.run(duration_s=5.0, warmup_s=2.0)
+    print(testbed.tracker.airtime_shares([0, 1, 2]))
 
 See ``examples/quickstart.py`` and DESIGN.md for the full tour.
 """

@@ -19,18 +19,6 @@ reports; :mod:`repro.experiments.registry` is the one index of them
 read.
 """
 
-from repro.experiments import (
-    airtime_udp,
-    fairness_index,
-    latency,
-    paper_data,
-    scaling,
-    sparse,
-    table1,
-    tcp_throughput,
-    voip,
-    web,
-)
 from repro.experiments.config import (
     FAST_STATIONS,
     SLOW_STATION,
@@ -56,20 +44,10 @@ __all__ = [
     "Testbed",
     "TestbedOptions",
     "add_pings",
-    "airtime_udp",
-    "fairness_index",
-    "paper_data",
     "four_station_rates",
-    "latency",
     "saturating_udp_download",
-    "scaling",
-    "sparse",
-    "table1",
     "tcp_bidir",
     "tcp_download",
-    "tcp_throughput",
     "thirty_station_rates",
     "three_station_rates",
-    "voip",
-    "web",
 ]

@@ -29,12 +29,8 @@ from typing import Optional
 from repro.experiments import registry
 from repro.faults import FaultSchedule
 from repro.runner import FailedResult, ResultCache, Runner, RunResult, default_jobs
-from repro.telemetry import (
-    TRACE_CATEGORIES,
-    TelemetryConfig,
-    configure_logging,
-    get_logger,
-)
+from repro.telemetry import TRACE_CATEGORIES, TelemetryConfig
+from repro.telemetry.logutil import configure_logging, get_logger
 
 __all__ = ["main", "failure_table", "run_cost_table", "positive_float",
            "positive_int", "non_negative_float"]

@@ -43,7 +43,8 @@ from repro.experiments.cli import run_cost_table, positive_float, positive_int
 from repro.experiments.config import SLOW_STATION
 from repro.mac.ap import Scheme
 from repro.runner import ResultCache, Runner, default_jobs
-from repro.telemetry import TelemetryConfig, configure_logging, get_logger
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.logutil import configure_logging, get_logger
 
 __all__ = ["Claim", "Quantity", "Section", "SECTIONS", "generate_report", "main"]
 

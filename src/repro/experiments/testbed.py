@@ -9,12 +9,14 @@ the five-PC testbed (Section 4) or the 30-client third-party testbed
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.phy.rates import PhyRate
-from repro.runner import RunSpec
 from repro.topology.campus import CampusTestbed, TestbedOptions
 from repro.topology.spec import BssSpec, Topology
+
+if TYPE_CHECKING:  # pragma: no cover - the runner stays off the import path
+    from repro.runner import RunSpec
 
 __all__ = ["Testbed", "TestbedOptions", "scheme_specs"]
 
@@ -43,6 +45,9 @@ def scheme_specs(experiment: str, label: str, schemes, telemetry=None,
     ``telemetry`` is resolved per run (output paths gain the run label)
     and, like every keyword, travels in the spec kwargs and so in the
     cache digest: a traced run never collides with an untraced one."""
+    # Lazy import: building a testbed never loads the runner.
+    from repro.runner import RunSpec
+
     out = []
     for scheme in schemes:
         name = f"{label}/{scheme.value}"

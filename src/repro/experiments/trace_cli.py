@@ -19,12 +19,11 @@ from repro.experiments.cli import non_negative_float, positive_float
 from repro.runner.record import read_manifest
 from repro.telemetry import (
     TraceSummary,
-    configure_logging,
     format_summary,
-    get_logger,
     iter_trace_file,
     summarize_file,
 )
+from repro.telemetry.logutil import configure_logging, get_logger
 
 __all__ = ["main"]
 

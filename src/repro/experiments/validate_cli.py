@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.experiments.cli import failure_table
 from repro.runner import ResultCache, Runner, default_jobs
-from repro.telemetry import configure_logging, get_logger
+from repro.telemetry.logutil import configure_logging, get_logger
 from repro.validation import catalogue
 from repro.validation import matrix as matrix_mod
 from repro.validation import oracles as oracles_mod

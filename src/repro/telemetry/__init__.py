@@ -41,7 +41,6 @@ from repro.telemetry.config import (
     TelemetryConfig,
 )
 from repro.telemetry.ledger import AirtimeLedger, LedgerAudit
-from repro.telemetry.logutil import configure_logging, get_logger
 from repro.telemetry.metrics import PeriodicSampler
 from repro.telemetry.profiling import (
     RunProfiler,
@@ -87,10 +86,8 @@ __all__ = [
     "TraceSummary",
     "WindowedJain",
     "add_finalize_wall",
-    "configure_logging",
     "finalize_wall_total",
     "format_summary",
-    "get_logger",
     "iter_trace_file",
     "jain_index",
     "load_trace",

@@ -8,7 +8,17 @@ from __future__ import annotations
 
 import pytest
 
-import repro.experiments as ex
+from repro.experiments import (
+    airtime_udp,
+    fairness_index,
+    latency,
+    scaling,
+    sparse,
+    table1,
+    tcp_throughput,
+    voip,
+    web,
+)
 from repro.mac.ap import Scheme
 
 DUR = 4.0
@@ -17,7 +27,7 @@ WARM = 2.0
 
 @pytest.fixture(scope="module")
 def udp_results():
-    return {s: ex.airtime_udp.run_scheme(s, DUR, WARM) for s in Scheme}
+    return {s: airtime_udp.run_scheme(s, DUR, WARM) for s in Scheme}
 
 
 class TestAirtimeUdp(object):
@@ -39,41 +49,41 @@ class TestAirtimeUdp(object):
         assert udp_results[Scheme.FQ_MAC].mean_aggregation[0] > 15
 
     def test_format_table_mentions_all_schemes(self, udp_results):
-        text = ex.airtime_udp.format_table(list(udp_results.values()))
+        text = airtime_udp.format_table(list(udp_results.values()))
         for scheme in Scheme:
             assert scheme.value in text
 
 
 class TestTable1:
     def test_model_and_measurement_agree(self):
-        result = ex.table1.run(duration_s=DUR, warmup_s=WARM)
+        result = table1.run(duration_s=DUR, warmup_s=WARM)
         # Fair half: prediction within 15% of measurement per station.
         for pred, meas in zip(result.fair_predictions, result.fair_measured_mbps):
             assert meas == pytest.approx(pred.rate_mbps, rel=0.15)
 
     def test_airtime_shares_reported(self):
-        result = ex.table1.run(duration_s=DUR, warmup_s=WARM)
+        result = table1.run(duration_s=DUR, warmup_s=WARM)
         assert result.baseline_airtime_shares[2] > 0.6
         assert result.fair_airtime_shares[2] == pytest.approx(1 / 3, abs=0.05)
-        assert "Airtime Fairness" in ex.table1.format_table(result)
+        assert "Airtime Fairness" in table1.format_table(result)
 
 
 class TestLatency:
     def test_fifo_vs_fq_mac_order_of_magnitude(self):
         # CUBIC needs several seconds to fill the 1000-packet FIFO, so
         # this test runs longer than the rest of the file.
-        fifo = ex.latency.run_scheme(Scheme.FIFO, 10.0, 5.0)
-        fq_mac = ex.latency.run_scheme(Scheme.FQ_MAC, 10.0, 5.0)
+        fifo = latency.run_scheme(Scheme.FIFO, 10.0, 5.0)
+        fq_mac = latency.run_scheme(Scheme.FQ_MAC, 10.0, 5.0)
         assert fifo.fast_summary().median > 4 * fq_mac.fast_summary().median
 
     def test_format_table(self):
-        results = [ex.latency.run_scheme(Scheme.FQ_MAC, 3.0, 2.0)]
-        assert "median" in ex.latency.format_table(results)
+        results = [latency.run_scheme(Scheme.FQ_MAC, 3.0, 2.0)]
+        assert "median" in latency.format_table(results)
 
 
 class TestFairnessIndex:
     def test_airtime_udp_jain_near_one(self):
-        results = ex.fairness_index.run(
+        results = fairness_index.run(
             schemes=[Scheme.FIFO, Scheme.AIRTIME],
             traffic_types=["udp"], duration_s=DUR, warmup_s=WARM,
         )
@@ -84,12 +94,12 @@ class TestFairnessIndex:
 
 class TestTcpThroughput:
     def test_airtime_beats_fifo_total(self):
-        fifo = ex.tcp_throughput.run_scheme(Scheme.FIFO, 8.0, 4.0)
-        fair = ex.tcp_throughput.run_scheme(Scheme.AIRTIME, 8.0, 4.0)
+        fifo = tcp_throughput.run_scheme(Scheme.FIFO, 8.0, 4.0)
+        fair = tcp_throughput.run_scheme(Scheme.AIRTIME, 8.0, 4.0)
         assert fair.total_mbps > 1.5 * fifo.total_mbps
 
     def test_bidirectional_variant_runs(self):
-        result = ex.tcp_throughput.run_scheme(
+        result = tcp_throughput.run_scheme(
             Scheme.AIRTIME, 5.0, 2.0, bidirectional=True
         )
         assert result.upload_mbps
@@ -97,21 +107,21 @@ class TestTcpThroughput:
 
 class TestSparse:
     def test_optimisation_reduces_median_latency(self):
-        on = ex.sparse.run_case("udp", True, 6.0, 3.0)
-        off = ex.sparse.run_case("udp", False, 6.0, 3.0)
+        on = sparse.run_case("udp", True, 6.0, 3.0)
+        off = sparse.run_case("udp", False, 6.0, 3.0)
         assert on.summary().median < off.summary().median
 
 
 class TestVoip:
     def test_fq_mac_be_beats_fifo_be(self):
-        fifo = ex.voip.run_case(Scheme.FIFO, "BE", 5.0, duration_s=5.0, warmup_s=2.0)
-        fq = ex.voip.run_case(Scheme.FQ_MAC, "BE", 5.0, duration_s=5.0, warmup_s=2.0)
+        fifo = voip.run_case(Scheme.FIFO, "BE", 5.0, duration_s=5.0, warmup_s=2.0)
+        fq = voip.run_case(Scheme.FQ_MAC, "BE", 5.0, duration_s=5.0, warmup_s=2.0)
         assert fq.voip.mos >= fifo.voip.mos
         assert fq.total_throughput_mbps > fifo.total_throughput_mbps
 
     def test_vo_marking_keeps_mos_high_even_under_fifo(self):
-        result = ex.voip.run_case(Scheme.FIFO, "VO", 5.0, duration_s=5.0,
-                                  warmup_s=2.0)
+        result = voip.run_case(Scheme.FIFO, "VO", 5.0, duration_s=5.0,
+                               warmup_s=2.0)
         assert result.voip.mos > 4.0
 
 
@@ -119,22 +129,22 @@ class TestWeb:
     def test_fifo_plt_worst(self):
         from repro.traffic.web import SMALL_PAGE
 
-        fifo = ex.web.run_case(Scheme.FIFO, SMALL_PAGE, duration_s=10.0,
-                               warmup_s=3.0)
-        fair = ex.web.run_case(Scheme.AIRTIME, SMALL_PAGE, duration_s=10.0,
-                               warmup_s=3.0)
+        fifo = web.run_case(Scheme.FIFO, SMALL_PAGE, duration_s=10.0,
+                            warmup_s=3.0)
+        fair = web.run_case(Scheme.AIRTIME, SMALL_PAGE, duration_s=10.0,
+                            warmup_s=3.0)
         assert fifo.mean_plt_s > fair.mean_plt_s
 
 
 @pytest.mark.slow
 class TestScaling:
     def test_airtime_equalises_thirty_stations(self):
-        result = ex.scaling.run_scheme(Scheme.AIRTIME, duration_s=6.0,
-                                       warmup_s=3.0)
+        result = scaling.run_scheme(Scheme.AIRTIME, duration_s=6.0,
+                                    warmup_s=3.0)
         assert result.slow_share < 0.1
         assert max(result.airtime_shares.values()) < 0.1
 
     def test_fq_codel_slow_station_grabs_large_share(self):
-        result = ex.scaling.run_scheme(Scheme.FQ_CODEL, duration_s=6.0,
-                                       warmup_s=3.0)
+        result = scaling.run_scheme(Scheme.FQ_CODEL, duration_s=6.0,
+                                    warmup_s=3.0)
         assert result.slow_share > 0.3

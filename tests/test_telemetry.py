@@ -4,6 +4,10 @@ summaries) and its zero-cost-when-disabled contract."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,55 @@ class TestZeroCostWhenDisabled:
             TestbedOptions(scheme=Scheme.AIRTIME, telemetry=TelemetryConfig()),
         )
         assert testbed.telemetry is None
+
+
+# ----------------------------------------------------------------------
+# Import boundary
+# ----------------------------------------------------------------------
+_BOUNDARY_SCRIPT = """
+import sys
+from repro.experiments.config import three_station_rates
+from repro.experiments.testbed import Testbed, TestbedOptions
+from repro.experiments.workloads import saturating_udp_download
+from repro.telemetry import TelemetryConfig
+
+for config in (None, TelemetryConfig(streaming=True),
+               TelemetryConfig(trace=True, spans=True, ledger=True)):
+    testbed = Testbed(three_station_rates(),
+                      TestbedOptions(seed=1, telemetry=config))
+    saturating_udp_download(testbed)
+    testbed.run(duration_s=0.3, warmup_s=0.1)
+    testbed.finish_telemetry()
+print("\\n".join(sorted(sys.modules)))
+"""
+
+#: What a simulation never calls: the runner and the pinning code, the
+#: CLI / report / registry and the ten experiment modules, the pool
+#: machinery the runner brings, and stdlib ``logging``.
+_OFF_THE_SIMULATION_PATH = (
+    "repro.runner", "repro.validation", "repro.experiments.registry",
+    "repro.experiments.cli", "repro.experiments.report",
+    "repro.experiments.airtime_udp", "repro.experiments.fairness_index",
+    "repro.experiments.latency", "repro.experiments.paper_data",
+    "repro.experiments.scaling", "repro.experiments.sparse",
+    "repro.experiments.table1", "repro.experiments.tcp_throughput",
+    "repro.experiments.voip", "repro.experiments.web",
+    "multiprocessing", "concurrent.futures", "logging",
+)
+
+
+def test_building_and_running_a_testbed_loads_only_the_simulator():
+    """Untraced, streaming and trace + spans + ledger runs, each
+    finished, import none of the modules a simulation never calls."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _BOUNDARY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [name for name in proc.stdout.split()
+              if any(name == off or name.startswith(off + ".")
+                     for off in _OFF_THE_SIMULATION_PATH)]
+    assert loaded == []
 
 
 # ----------------------------------------------------------------------
