@@ -138,25 +138,27 @@ class MacFqStructure:
         self._em_flow_reclaim = self._em_flush = self._em_codel_state = None
         if queue_ch is not None:
             # Record shapes, declared once: ``layer`` is fixed per
-            # structure, ``station`` is None under the qdisc wrapper
-            # (hence 'o'), overflow queues have negative ``q``.
+            # structure; ``station`` is an int column under "mac" and
+            # 'o' under "qdisc", whose wrapper's single TID has station
+            # None; overflow queues have negative ``q``.
             layer_c = ("layer", "c", layer)
+            station = ("station", "q" if layer == "mac" else "o")
             self._em_enqueue = queue_ch.emitter("enqueue", (
-                layer_c, ("station", "o"), ("flow", "q"), ("pid", "q"),
+                layer_c, station, ("flow", "q"), ("pid", "q"),
                 ("q", "q"), ("backlog", "q"),
             ))
             self._em_flow_new = queue_ch.emitter("flow_new", (
-                layer_c, ("station", "o"), ("flow", "q"), ("q", "q"),
+                layer_c, station, ("flow", "q"), ("q", "q"),
             ))
             self._em_dequeue = queue_ch.emitter("dequeue", (
-                layer_c, ("station", "o"), ("pid", "q"), ("q", "q"),
+                layer_c, station, ("pid", "q"), ("q", "q"),
                 ("sojourn_us", "d"),
             ))
             self._em_flow_reclaim = queue_ch.emitter("flow_reclaim", (
-                layer_c, ("station", "o"), ("q", "q"),
+                layer_c, station, ("q", "q"),
             ))
             self._em_flush = queue_ch.emitter("flush", (
-                layer_c, ("station", "o"), ("n_pkts", "q"),
+                layer_c, station, ("n_pkts", "q"),
             ))
         if codel_ch is not None:
             self._em_codel_state = codel_ch.emitter("state", (

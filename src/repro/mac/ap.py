@@ -277,7 +277,7 @@ class AccessPoint:
         if agg_channel is not None:
             # Prebound shapes for the two per-transmission agg records.
             self._em_built = agg_channel.emitter("built", (
-                ("station", "q"), ("ac", "s"), ("agg", "q"), ("pids", "o"),
+                ("station", "q"), ("ac", "s"), ("agg", "q"), ("pids", "l"),
                 ("n_pkts", "q"), ("bytes", "q"), ("airtime_us", "d"),
             ))
             self._em_tx_done = agg_channel.emitter("tx_done", (

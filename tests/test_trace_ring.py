@@ -99,6 +99,44 @@ class TestDecodeEquivalence:
         with pytest.raises(TypeError):
             emit(1.0, 2.5)
 
+    @pytest.mark.parametrize("kind, box", [("q", lambda v: v),
+                                           ("l", lambda v: [0, v])])
+    def test_int_columns_reject_what_int64_cannot_hold(self, kind, box):
+        """A 32-bit column widens to 64 bits, never further; an ``'l'``
+        field's items obey the same rule as an int field."""
+        emit = TraceBus(backend="ring").channel("queue").emitter(
+            "enqueue", (("pid", kind),))
+        emit(1.0, box(2 ** 63 - 1))
+        emit(2.0, box(-2 ** 63))
+        for value in (2 ** 63, -2 ** 63 - 1):
+            with pytest.raises(OverflowError):
+                emit(3.0, box(value))
+        with pytest.raises(TypeError):
+            emit(4.0, box(1.5))
+
+    def test_order_widens_at_the_65537th_shape(self):
+        """Shape ids start in a 16-bit order array; registering shape
+        65,537 converts it once and rebinds every earlier emitter, so
+        records before and after keep their emission order."""
+        bus = TraceBus(backend="ring", capacity=4)
+        channel = bus.channel("queue")
+        first = channel.emitter("first", (("pid", "q"),))
+        first(0.0, 0)
+        ring = bus._store
+        assert ring._order.typecode == "H"
+        for i in range(1, 1 << 16):
+            ring.store("queue", f"e{i}", (("pid", "q"),))
+        last = channel.emitter("last", (("pid", "q"),))
+        assert ring._order.typecode == "I"
+        emitted = [("first", 0)]
+        for i in range(1, 6):
+            first(2.0 * i, i)
+            last(2.0 * i + 1, i)
+            emitted += [("first", i), ("last", i)]
+        assert bus.dropped > 0
+        assert [(r["ev"], r["pid"]) for r in bus.records] == \
+            emitted[bus.dropped:]
+
 
 class TestBoundedRing:
     def test_wraparound_keeps_newest_and_counts_dropped(self):
@@ -143,6 +181,54 @@ class TestBoundedRing:
             TraceBus(backend="tape")
 
 
+class TestBytesPerRecord:
+    """What a traced run's ring costs per record, pinned on the categories
+    of the benchmark's spans workload."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        from repro.experiments import workloads
+        from repro.experiments.config import three_station_rates
+        from repro.experiments.testbed import Testbed, TestbedOptions
+        from repro.mac.ap import Scheme
+        from repro.telemetry import TelemetryConfig
+
+        testbed = Testbed(three_station_rates(), TestbedOptions(
+            scheme=Scheme.AIRTIME, seed=1, telemetry=TelemetryConfig(
+                trace=True,
+                categories=("queue", "agg", "hw", "driver", "tx"))))
+        workloads.saturating_udp_download(testbed)
+        testbed.run(1.0)
+        return testbed.telemetry.trace._store
+
+    def test_per_packet_queue_ints_take_four_bytes(self, ring):
+        shapes = {(s.category, s.event): s for s in ring._shapes}
+        for event in ("enqueue", "dequeue", "flow_new", "flow_reclaim"):
+            shape = shapes["queue", event]
+            ints = [shape.cols[k] for _, kind, k in shape.plan
+                    if kind == "q"]
+            assert ints and all(col.itemsize == 4 for col in ints), event
+        assert len(shapes["queue", "enqueue"].times) > 10_000
+
+    def test_no_column_holds_lists(self, ring):
+        """Lists of pids live in flat int columns; the only object
+        columns left hold a drop's station, which may be None."""
+        objects = [(s.category, s.event, name) for s in ring._shapes
+                   for name, kind, _ in s.plan if kind == "o"]
+        assert objects == [("queue", "drop", "station")]
+        for shape in ring._shapes:
+            for col in shape.cols:
+                assert not any(isinstance(value, list) for value in col)
+
+    def test_at_most_36_bytes_per_record(self, ring):
+        total = ring._order.itemsize * len(ring._order)
+        for shape in ring._shapes:
+            for col in (shape.times, *shape.cols):
+                total += col.itemsize * len(col) if hasattr(
+                    col, "itemsize") else 8 * len(col)
+        assert total / len(ring) <= 36
+
+
 class TestStreamedWrite:
     def test_write_jsonl_matches_dumps(self, tmp_path):
         """Satellite regression: the streaming writer's bytes equal the
@@ -169,7 +255,7 @@ class TestStreamedWrite:
 if HAVE_HYPOTHESIS:
     _VALUES = st.one_of(
         st.booleans(),
-        st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+        st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
         st.floats(allow_nan=False, allow_infinity=False, width=64),
         st.sampled_from(["alpha", "beta", "", "qdisc"]),
         st.none(),
@@ -186,7 +272,12 @@ if HAVE_HYPOTHESIS:
     _PRE1 = st.tuples(st.just("pre1"),
                       st.floats(allow_nan=False, allow_infinity=False),
                       st.sampled_from(["x", "y", "zz"]))
-    _OPS = st.lists(st.one_of(_GENERIC, _PRE0, _PRE1, st.just("decode")),
+    _PRE2 = st.tuples(st.just("pre2"),
+                      st.lists(st.integers(min_value=-(2 ** 63),
+                                           max_value=2 ** 63 - 1),
+                               max_size=4))
+    _OPS = st.lists(st.one_of(_GENERIC, _PRE0, _PRE1, _PRE2,
+                              st.just("decode")),
                     max_size=120)
 
     #: A tap per event: ``wanted`` reads carried fields, the constant
@@ -198,16 +289,30 @@ if HAVE_HYPOTHESIS:
         ("queue", "pulled", {"ok": None, "absent": 7, "station": None}),
         ("tx", "tx", {"name": None, "ac": "VI", "absent": (),
                       "airtime_us": None}),
+        ("agg", "built", {"pids": None, "absent": 0}),
     )
 
     @given(ops=_OPS)
     # 32 = 2 * capacity: the eviction branch runs on every invocation.
     @example(ops=[("generic", "enqueue", {})] * 32)
+    # An int column that widens to 64 bits on its first record...
+    @example(ops=[("generic", "enqueue", {"a": 2 ** 31}),
+                  ("generic", "enqueue", {"a": -1}), "decode"])
+    # ...and one that widens after the bounded ring has evicted.
+    @example(ops=[("generic", "dequeue", {"c": i}) for i in range(40)]
+             + [("generic", "dequeue", {"c": -(2 ** 40)}), "decode",
+                ("generic", "dequeue", {"c": 7})])
+    # An int-list field: empty, widening and mixed lists, through an
+    # eviction of its flat item column.
+    @example(ops=[("pre2", []), ("pre2", [2 ** 40]), "decode",
+                  ("pre2", [1, -(2 ** 63), 2 ** 31 - 1, 0]), ("pre2", [])]
+             + [("pre2", [i, i + 1]) for i in range(30)] + ["decode"])
     def test_interleaved_emit_decode_property(ops):
         """Any interleaving of generic emits, prebound emits, and decode
         checkpoints leaves the ring equal to the dict reference — and a
         bounded ring equal to the newest suffix of it — and calls every
-        backend's taps with the same arguments."""
+        backend's taps with the same arguments.  Ints span int64, so
+        32-bit columns widen wherever a value first needs it."""
         capacity = 16
         ring = TraceBus(backend="ring")
         bounded = TraceBus(backend="ring", capacity=capacity)
@@ -225,6 +330,8 @@ if HAVE_HYPOTHESIS:
         pre1 = [bus.channel("tx").emitter(
             "tx", (("ac", "c", "BE"), ("airtime_us", "d"), ("name", "s")))
             for bus in buses]
+        pre2 = [bus.channel("agg").emitter("built", (("pids", "l"),))
+                for bus in buses]
 
         t = 0.0
         for op in ops:
@@ -240,12 +347,17 @@ if HAVE_HYPOTHESIS:
             elif op[0] == "pre0":
                 for emit in pre0:
                     emit(t, op[1], op[2])
+            elif op[0] == "pre2":
+                for emit in pre2:
+                    emit(t, list(op[1]))
             else:
                 for emit in pre1:
                     emit(t, op[1], op[2])
 
         assert ring.records == legacy.records
         assert ring.dumps() == legacy.dumps()
+        # A tail decodes no prefix: its cursors skip to where it starts.
+        assert ring.tail(5) == legacy.tail(5)
         assert logs[0] == logs[1] == logs[2]
         assert len(logs[2]) == len(legacy.records)  # every event is tapped
         # The constant is resolved from the shape, the absent field
