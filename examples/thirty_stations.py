@@ -11,12 +11,13 @@ Run:  python examples/thirty_stations.py
 """
 
 from repro.experiments import scaling
+from repro.experiments.registry import BY_ID
 from repro.mac.ap import Scheme
 
 
 def main() -> None:
     print("30-station TCP download test (Figures 9-10, §4.1.5)")
-    results = scaling.run(duration_s=15.0, warmup_s=5.0)
+    results = BY_ID["fig09"].run(duration_s=15.0, warmup_s=5.0)
     print()
     print(scaling.format_table(results))
 

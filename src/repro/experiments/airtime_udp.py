@@ -21,10 +21,10 @@ from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import saturating_udp_download
 from repro.faults import ConservationReport, FaultSchedule
 from repro.mac.ap import ALL_SCHEMES, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 from repro.telemetry import TelemetryConfig
 
-__all__ = ["AirtimeUdpResult", "run", "specs", "format_table", "ALL_SCHEMES"]
+__all__ = ["AirtimeUdpResult", "specs", "format_table", "ALL_SCHEMES"]
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ def run_scheme(
 
 def specs(
     schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 10.0,
-    warmup_s: float = 3.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
     telemetry: Optional[TelemetryConfig] = None,
     faults: Optional[FaultSchedule] = None,
@@ -104,22 +105,6 @@ def specs(
         kwargs["strict"] = strict
     return scheme_specs("airtime_udp", "airtime_udp", schemes, telemetry,
                         **kwargs)
-
-
-def run(
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 10.0,
-    warmup_s: float = 3.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-    telemetry: Optional[TelemetryConfig] = None,
-    faults: Optional[FaultSchedule] = None,
-    strict: bool = False,
-) -> List[AirtimeUdpResult]:
-    return execute(
-        specs(schemes, duration_s, warmup_s, seed, telemetry, faults, strict),
-        runner,
-    )
 
 
 def format_table(results: Sequence[AirtimeUdpResult]) -> str:

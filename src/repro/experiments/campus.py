@@ -16,11 +16,11 @@ that this decomposition is exact, not approximate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.faults.schedule import Churn
 from repro.mac.ap import Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 from repro.analysis.fairness import jain_index
 from repro.experiments.workloads import saturating_udp_download
 from repro.telemetry.streaming import QuantileSketch
@@ -34,9 +34,9 @@ from repro.topology import (
 
 __all__ = [
     "campus_metrics",
+    "collect",
     "default_topology",
     "format_table",
-    "run",
     "run_shard",
     "specs",
 ]
@@ -170,8 +170,9 @@ def default_topology() -> Topology:
 def specs(
     topology: Optional[Topology] = None,
     scheme: str = "airtime",
-    duration_s: float = 4.0,
-    warmup_s: float = 1.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
 ) -> List[RunSpec]:
     """One RunSpec per channel shard of ``topology``."""
@@ -191,7 +192,7 @@ def specs(
     return out
 
 
-def _merge(shard_results: List[Dict]) -> Dict:
+def collect(specs: Sequence[RunSpec], shard_results: Sequence[Dict]) -> Dict:
     """Merge shard reports into one campus-wide report.
 
     Quantiles cannot be merged from rounded quantiles, so aggregate
@@ -229,21 +230,6 @@ def _merge(shard_results: List[Dict]) -> Dict:
     merged["roam_flushed"] = flushed
     merged["churn_events"] = churn
     return merged
-
-
-def run(
-    topology: Optional[Topology] = None,
-    scheme: str = "airtime",
-    duration_s: float = 4.0,
-    warmup_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-) -> Dict:
-    """Run a campus scenario, sharded by channel group."""
-    shard_specs = specs(topology, scheme=scheme, duration_s=duration_s,
-                        warmup_s=warmup_s, seed=seed)
-    results = execute(shard_specs, runner)
-    return _merge(list(results))
 
 
 def format_table(merged: Dict) -> str:

@@ -255,14 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     traced = False
     for name in names:
         row = registry.BY_ID[name]
-        kwargs = {
-            "duration_s": (args.duration if args.duration is not None
-                           else row.duration_s),
-            "warmup_s": (args.warmup if args.warmup is not None
-                         else row.warmup_s),
-            "seed": args.seed,
-            "runner": runner,
-        }
+        kwargs = {"duration_s": args.duration, "warmup_s": args.warmup,
+                  "seed": args.seed, "runner": runner}
         if telemetry is not None:
             if row.accepts("telemetry"):
                 kwargs["telemetry"] = telemetry
@@ -281,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.time()
         log.info("=== %s: %s ===", name, row.description)
         try:
-            print(row.module.format_table(row.module.run(**kwargs)))
+            print(row.module.format_table(row.run(**kwargs)))
         except Exception as exc:
             # Keep going: later experiments (and the failure table) still
             # render even if one table cannot cope with missing rows.

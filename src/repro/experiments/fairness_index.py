@@ -11,7 +11,7 @@ because the AP only controls the downlink directly (the uplink is merely
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.fairness import jain_index
 from repro.experiments.config import three_station_rates
@@ -22,9 +22,9 @@ from repro.experiments.workloads import (
     tcp_download,
 )
 from repro.mac.ap import ALL_SCHEMES, APConfig, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 
-__all__ = ["FairnessResult", "run", "run_one", "specs", "format_table",
+__all__ = ["FairnessResult", "run_one", "specs", "collect", "format_table",
            "TRAFFIC_TYPES", "ALL_SCHEMES"]
 
 TRAFFIC_TYPES = ("udp", "tcp_download", "tcp_bidir")
@@ -65,15 +65,12 @@ def run_one(
     )
 
 
-# Backwards-compatible alias for the pre-runner private name.
-_run_one = run_one
-
-
 def specs(
     schemes: Sequence[Scheme] = ALL_SCHEMES,
     traffic_types: Sequence[str] = TRAFFIC_TYPES,
-    duration_s: float = 10.0,
-    warmup_s: float = 3.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
     account_rx: bool = True,
 ) -> List[RunSpec]:
@@ -94,25 +91,15 @@ def specs(
     ]
 
 
-def run(
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    traffic_types: Sequence[str] = TRAFFIC_TYPES,
-    duration_s: float = 10.0,
-    warmup_s: float = 3.0,
-    seed: int = 1,
-    account_rx: bool = True,
-    runner: Optional[Runner] = None,
-) -> List[FairnessResult]:
-    values = execute(
-        specs(schemes, traffic_types, duration_s, warmup_s, seed, account_rx),
-        runner,
-    )
-    cells = iter(values)
-    results = []
-    for scheme in schemes:
-        jain = {traffic: next(cells) for traffic in traffic_types}
-        results.append(FairnessResult(scheme=scheme, jain=jain))
-    return results
+def collect(specs: Sequence[RunSpec],
+            values: Sequence[float]) -> List[FairnessResult]:
+    """One row per scheme of its Jain index per traffic type."""
+    rows: Dict[Scheme, Dict[str, float]] = {}
+    for spec, value in zip(specs, values):
+        kwargs = spec.kwargs_dict
+        rows.setdefault(kwargs["scheme"], {})[kwargs["traffic"]] = value
+    return [FairnessResult(scheme=scheme, jain=jain)
+            for scheme, jain in rows.items()]
 
 
 def format_table(results: Sequence[FairnessResult]) -> str:

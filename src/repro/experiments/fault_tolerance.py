@@ -32,14 +32,13 @@ from repro.faults import (
     RateCrash,
 )
 from repro.mac.ap import ALL_SCHEMES, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 from repro.sim.engine import PeriodicTimer
 from repro.telemetry import TelemetryConfig
 
 __all__ = [
     "FaultToleranceResult",
     "default_schedule",
-    "run",
     "run_scheme",
     "specs",
     "format_table",
@@ -205,8 +204,9 @@ def run_scheme(
 
 def specs(
     schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 10.0,
-    warmup_s: float = 2.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
     faults: Optional[FaultSchedule] = None,
     strict: bool = False,
@@ -221,22 +221,6 @@ def specs(
         kwargs["strict"] = strict
     return scheme_specs("fault_tolerance", "fault_tolerance", schemes,
                         telemetry, **kwargs)
-
-
-def run(
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 10.0,
-    warmup_s: float = 2.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-    faults: Optional[FaultSchedule] = None,
-    strict: bool = False,
-    telemetry: Optional[TelemetryConfig] = None,
-) -> List[FaultToleranceResult]:
-    return execute(
-        specs(schemes, duration_s, warmup_s, seed, faults, strict, telemetry),
-        runner,
-    )
 
 
 def format_table(results: Sequence[FaultToleranceResult]) -> str:

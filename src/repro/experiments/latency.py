@@ -7,7 +7,7 @@ slow station keeps >200 ms from the unmanaged driver queue; FQ-MAC cuts
 both by an order of magnitude; Airtime matches FQ-MAC (and is omitted
 from Figure 4 for readability).
 
-``run`` also supports the bidirectional variant mentioned in
+``specs`` also supports the bidirectional variant mentioned in
 Section 4.1.1 (simultaneous upload and download), where the airtime
 scheduler slightly worsens the slow station's latency because it is
 scheduled less often to pay for its upstream airtime.
@@ -23,10 +23,10 @@ from repro.experiments.config import FAST_STATIONS, SLOW_STATION, three_station_
 from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import add_pings, tcp_bidir, tcp_download
 from repro.mac.ap import ALL_SCHEMES, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 from repro.telemetry import TelemetryConfig
 
-__all__ = ["LatencyResult", "run", "run_scheme", "specs", "format_table",
+__all__ = ["LatencyResult", "run_scheme", "specs", "format_table",
            "ALL_SCHEMES"]
 
 
@@ -82,8 +82,9 @@ def run_scheme(
 
 def specs(
     schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
     bidirectional: bool = False,
     telemetry: Optional[TelemetryConfig] = None,
@@ -91,21 +92,6 @@ def specs(
     return scheme_specs(
         "latency", "latency", schemes, telemetry, duration_s=duration_s,
         warmup_s=warmup_s, seed=seed, bidirectional=bidirectional)
-
-
-def run(
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
-    seed: int = 1,
-    bidirectional: bool = False,
-    runner: Optional[Runner] = None,
-    telemetry: Optional[TelemetryConfig] = None,
-) -> List[LatencyResult]:
-    return execute(
-        specs(schemes, duration_s, warmup_s, seed, bidirectional, telemetry),
-        runner,
-    )
 
 
 def format_table(results: Sequence[LatencyResult]) -> str:

@@ -1,13 +1,15 @@
 """The experiment index: one row per table or figure the harness runs.
 
-This is the only table of experiments.  ``repro <id>`` prints
-``row.module.format_table(row.module.run(...))``, ``repro list`` prints
-the rows, and the report reads its durations from them (times
+This is the only table of experiments and :meth:`Experiment.run` the
+only way to run one.  ``repro <id>`` prints
+``row.module.format_table(row.run(...))``, ``repro list`` prints the
+rows, and the report reads its durations from them (times
 ``--duration-scale``).  Adding an experiment is one module exposing
-``run(duration_s=, warmup_s=, seed=, runner=)`` and ``format_table``,
-plus one row here.  Whether an experiment takes ``telemetry=`` /
-``faults=`` / ``strict=`` is read off ``run``'s signature, not kept in a
-second list.
+``specs(duration_s=, warmup_s=, seed=)`` and ``format_table`` (and
+``collect(specs, values)`` if its table wants the values reshaped), plus
+one row here.  Whether an experiment takes ``telemetry=`` / ``faults=``
+/ ``strict=`` is read off ``specs``'s signature, not kept in a second
+list.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments import (
     airtime_udp,
@@ -30,6 +32,7 @@ from repro.experiments import (
     voip,
     web,
 )
+from repro.runner import Runner, execute
 
 __all__ = ["Experiment", "EXPERIMENTS", "BY_ID"]
 
@@ -44,8 +47,22 @@ class Experiment:
     module: ModuleType
 
     def accepts(self, kwarg: str) -> bool:
-        """Does ``module.run`` take this keyword?"""
-        return kwarg in inspect.signature(self.module.run).parameters
+        """Does ``module.specs`` take this keyword?"""
+        return kwarg in inspect.signature(self.module.specs).parameters
+
+    def run(self, *, duration_s: Optional[float] = None,
+            warmup_s: Optional[float] = None, seed: int = 1,
+            runner: Optional[Runner] = None, **kwargs: Any) -> Any:
+        """Execute ``module.specs`` over the given window (this row's when
+        omitted) and return the values, or ``module.collect``'s reshaping
+        of them."""
+        specs = self.module.specs(
+            duration_s=self.duration_s if duration_s is None else duration_s,
+            warmup_s=self.warmup_s if warmup_s is None else warmup_s,
+            seed=seed, **kwargs)
+        values = execute(specs, runner)
+        collect = getattr(self.module, "collect", None)
+        return values if collect is None else collect(specs, values)
 
 
 EXPERIMENTS: Tuple[Experiment, ...] = (

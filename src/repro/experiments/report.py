@@ -30,6 +30,7 @@ it exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import operator
 import time
@@ -38,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.attribution import Attribution, format_waterfall
 from repro.analysis.stats import mean_interval
-from repro.experiments import airtime_udp, latency, paper_data, registry, table1
+from repro.experiments import paper_data, registry, table1
 from repro.experiments.cli import run_cost_table, positive_float, positive_int
 from repro.experiments.config import SLOW_STATION
 from repro.mac.ap import Scheme
@@ -144,11 +145,14 @@ class Section:
         return "\n".join(lines)
 
 
-def _window(experiment_id: str, scale: float) -> Dict[str, float]:
-    """The registry row's paper-length window, scaled."""
+def _run(experiment_id: str, scale: float, runner: Optional[Runner],
+         seed: int, **kwargs: Any) -> Any:
+    """The registry row's experiment over its paper-length window, scaled,
+    for one seed."""
     row = registry.BY_ID[experiment_id]
-    return {"duration_s": row.duration_s * scale,
-            "warmup_s": row.warmup_s * scale}
+    return row.run(duration_s=row.duration_s * scale,
+                   warmup_s=row.warmup_s * scale, seed=seed, runner=runner,
+                   **kwargs)
 
 
 def _runs(experiment_id: str,
@@ -157,9 +161,7 @@ def _runs(experiment_id: str,
     """A section's run: the registry row's experiment over its scaled
     window for one seed, results keyed by ``key`` (failed runs left out)."""
     def run(scale: float, runner: Optional[Runner], seed: int) -> Dict:
-        results = registry.BY_ID[experiment_id].module.run(
-            **_window(experiment_id, scale), seed=seed, runner=runner,
-            **kwargs)
+        results = _run(experiment_id, scale, runner, seed, **kwargs)
         return {key(r): r for r in results if r is not None}
     return run
 
@@ -208,8 +210,7 @@ def _table1_gain(r) -> float:
 
 TABLE1 = Section(
     "Table 1 — analytical model vs measured UDP throughput",
-    lambda scale, runner, seed: table1.run(
-        **_window("table1", scale), seed=seed, runner=runner),
+    functools.partial(_run, "table1"),
     _table1_body, (
         Claim("FIFO: slow station takes ~79% of airtime",
               lambda r: f"{r.baseline_airtime_shares[2]:.0%}",
@@ -268,11 +269,9 @@ def _waterfall_run(scale: float, runner: Optional[Runner], seed: int) -> Dict:
     Table 1 scenario, the traffic eqs. (1)–(5) actually model."""
     spans = TelemetryConfig(trace=True, spans=True,
                             categories=("queue", "agg", "hw", "driver", "tx"))
-    traced = latency.run(**_window("fig04", scale), seed=seed, runner=runner,
-                         telemetry=spans)
-    ledgered = airtime_udp.run(**_window("fig05", scale), seed=seed,
-                               runner=runner,
-                               telemetry=TelemetryConfig(ledger=True))
+    traced = _run("fig04", scale, runner, seed, telemetry=spans)
+    ledgered = _run("fig05", scale, runner, seed,
+                    telemetry=TelemetryConfig(ledger=True))
     return {
         "spans": {r.scheme: Attribution.from_dict(r.telemetry["spans"])
                   for r in traced if r is not None and r.telemetry is not None},

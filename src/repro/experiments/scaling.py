@@ -15,16 +15,16 @@ bulk TCP downloads alongside the slow station.  Headline results:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.experiments.config import thirty_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import add_pings, tcp_download
 from repro.mac.ap import Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 
-__all__ = ["ScalingResult", "run", "run_scheme", "specs", "format_table",
+__all__ = ["ScalingResult", "run_scheme", "specs", "format_table",
            "SCALING_SCHEMES"]
 
 #: The 30-station test skipped FIFO (as the paper did).
@@ -89,23 +89,14 @@ def run_scheme(
 
 def specs(
     schemes: Sequence[Scheme] = SCALING_SCHEMES,
-    duration_s: float = 20.0,
-    warmup_s: float = 5.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
 ) -> List[RunSpec]:
     """One spec per scheme; each run simulates all 30 stations."""
     return scheme_specs("scaling", "scaling", schemes, duration_s=duration_s,
                         warmup_s=warmup_s, seed=seed)
-
-
-def run(
-    schemes: Sequence[Scheme] = SCALING_SCHEMES,
-    duration_s: float = 20.0,
-    warmup_s: float = 5.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-) -> List[ScalingResult]:
-    return execute(specs(schemes, duration_s, warmup_s, seed), runner)
 
 
 def format_table(results: Sequence[ScalingResult]) -> str:

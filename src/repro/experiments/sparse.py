@@ -11,16 +11,16 @@ variants are measured, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.experiments.config import SPARSE_STATION, four_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import add_pings, saturating_udp_download, tcp_download
 from repro.mac.ap import APConfig, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 
-__all__ = ["SparseResult", "run", "run_case", "specs", "format_table"]
+__all__ = ["SparseResult", "run_case", "specs", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,9 @@ def run_case(
 
 
 def specs(
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
 ) -> List[RunSpec]:
     """One spec per (bulk traffic, optimisation on/off) case."""
@@ -80,15 +81,6 @@ def specs(
         for bulk in ("udp", "tcp")
         for enabled in (True, False)
     ]
-
-
-def run(
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-) -> List[SparseResult]:
-    return execute(specs(duration_s, warmup_s, seed), runner)
 
 
 def format_table(results: Sequence[SparseResult]) -> str:

@@ -11,12 +11,12 @@ levels and throughputs, and evaluate equations (1)–(5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Sequence
 
 from repro.experiments import airtime_udp
-from repro.experiments.airtime_udp import run_scheme  # noqa: F401 (re-export)
+from repro.experiments.airtime_udp import AirtimeUdpResult
 from repro.mac.ap import Scheme
-from repro.runner import Runner, execute
+from repro.runner import RunSpec
 from repro.model.analytical import (
     StationModel,
     StationPrediction,
@@ -26,7 +26,7 @@ from repro.model.analytical import (
 from repro.phy.rates import PhyRate
 from repro.experiments.config import three_station_rates
 
-__all__ = ["Table1Result", "run", "format_table"]
+__all__ = ["Table1Result", "specs", "collect", "format_table"]
 
 PACKET_BYTES = 1500
 
@@ -57,21 +57,20 @@ def _station_models(
     ]
 
 
-def run(
-    duration_s: float = 10.0,
-    warmup_s: float = 3.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-) -> Table1Result:
+def specs(*, duration_s: float, warmup_s: float,
+          seed: int = 1) -> List[RunSpec]:
+    """Figure 5's UDP runs under FIFO and Airtime: Table 1's two halves."""
+    return airtime_udp.specs((Scheme.FIFO, Scheme.AIRTIME),
+                             duration_s=duration_s, warmup_s=warmup_s,
+                             seed=seed)
+
+
+def collect(specs: Sequence[RunSpec],
+            values: Sequence[AirtimeUdpResult]) -> Table1Result:
+    """Feed each half's measured aggregation into the model."""
     rates = three_station_rates()
     stations = list(range(len(rates)))
-
-    fifo, fair = execute(
-        airtime_udp.specs(
-            (Scheme.FIFO, Scheme.AIRTIME), duration_s, warmup_s, seed
-        ),
-        runner,
-    )
+    fifo, fair = values
 
     fifo_models = _station_models(
         [fifo.mean_aggregation[i] for i in stations], rates

@@ -9,15 +9,15 @@ simultaneous uploads (same pattern, higher variance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.config import three_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions, scheme_specs
 from repro.experiments.workloads import tcp_bidir, tcp_download
 from repro.mac.ap import ALL_SCHEMES, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 
-__all__ = ["TcpThroughputResult", "run", "run_scheme", "specs", "format_table",
+__all__ = ["TcpThroughputResult", "run_scheme", "specs", "format_table",
            "ALL_SCHEMES"]
 
 
@@ -76,27 +76,15 @@ def run_scheme(
 
 def specs(
     schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
     bidirectional: bool = False,
 ) -> List[RunSpec]:
     return scheme_specs(
         "tcp_throughput", "tcp", schemes, duration_s=duration_s,
         warmup_s=warmup_s, seed=seed, bidirectional=bidirectional)
-
-
-def run(
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
-    seed: int = 1,
-    bidirectional: bool = False,
-    runner: Optional[Runner] = None,
-) -> List[TcpThroughputResult]:
-    return execute(
-        specs(schemes, duration_s, warmup_s, seed, bidirectional), runner
-    )
 
 
 def format_table(results: Sequence[TcpThroughputResult]) -> str:

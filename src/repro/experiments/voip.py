@@ -15,17 +15,17 @@ applications no longer depend on DiffServ markings surviving the path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.packet import AccessCategory
 from repro.experiments.config import SLOW_STATION, four_station_rates
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import tcp_download
 from repro.mac.ap import ALL_SCHEMES, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 from repro.traffic.voip import VoipFlow, VoipStats
 
-__all__ = ["VoipResult", "run", "run_case", "specs", "format_table",
+__all__ = ["VoipResult", "run_case", "specs", "format_table",
            "ALL_SCHEMES"]
 
 BASE_DELAYS_MS = (5.0, 50.0)
@@ -83,8 +83,9 @@ def run_case(
 def specs(
     schemes: Sequence[Scheme] = ALL_SCHEMES,
     base_delays_ms: Sequence[float] = BASE_DELAYS_MS,
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
 ) -> List[RunSpec]:
     """One spec per (scheme, QoS marking, base delay) cell of Table 2."""
@@ -103,19 +104,6 @@ def specs(
         for qos in ("VO", "BE")
         for delay in base_delays_ms
     ]
-
-
-def run(
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    base_delays_ms: Sequence[float] = BASE_DELAYS_MS,
-    duration_s: float = 15.0,
-    warmup_s: float = 5.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-) -> List[VoipResult]:
-    return execute(
-        specs(schemes, base_delays_ms, duration_s, warmup_s, seed), runner
-    )
 
 
 def format_table(results: Sequence[VoipResult]) -> str:

@@ -20,10 +20,10 @@ from repro.experiments.config import FAST_STATIONS, SLOW_STATION, three_station_
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import tcp_download
 from repro.mac.ap import ALL_SCHEMES, Scheme
-from repro.runner import RunSpec, Runner, execute
+from repro.runner import RunSpec
 from repro.traffic.web import LARGE_PAGE, SMALL_PAGE, WebFetch, WebPage
 
-__all__ = ["WebResult", "run", "run_case", "specs", "format_table",
+__all__ = ["WebResult", "run_case", "specs", "format_table",
            "ALL_SCHEMES"]
 
 
@@ -101,8 +101,9 @@ def specs(
     schemes: Sequence[Scheme] = ALL_SCHEMES,
     pages: Sequence[WebPage] = (SMALL_PAGE, LARGE_PAGE),
     fast_fetcher: bool = True,
-    duration_s: float = 30.0,
-    warmup_s: float = 5.0,
+    *,
+    duration_s: float,
+    warmup_s: float,
     seed: int = 1,
 ) -> List[RunSpec]:
     """One spec per (page, scheme) cell of Figure 11."""
@@ -120,21 +121,6 @@ def specs(
         for page in pages
         for scheme in schemes
     ]
-
-
-def run(
-    schemes: Sequence[Scheme] = ALL_SCHEMES,
-    pages: Sequence[WebPage] = (SMALL_PAGE, LARGE_PAGE),
-    fast_fetcher: bool = True,
-    duration_s: float = 30.0,
-    warmup_s: float = 5.0,
-    seed: int = 1,
-    runner: Optional[Runner] = None,
-) -> List[WebResult]:
-    return execute(
-        specs(schemes, pages, fast_fetcher, duration_s, warmup_s, seed),
-        runner,
-    )
 
 
 def format_table(results: Sequence[WebResult]) -> str:

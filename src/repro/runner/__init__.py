@@ -10,10 +10,10 @@ so regenerating a report only simulates what changed.
 Typical use::
 
     from repro.runner import ResultCache, Runner
-    from repro.experiments import latency
+    from repro.experiments.registry import BY_ID
 
     runner = Runner(jobs=4, cache=ResultCache())
-    results = latency.run(runner=runner)   # 4 schemes, fanned out
+    results = BY_ID["fig04"].run(runner=runner)   # 4 schemes, fanned out
 """
 
 from repro.runner.atomicio import atomic_write_bytes

@@ -685,10 +685,10 @@ class Runner:
 def execute(specs: Iterable[RunSpec], runner: Optional[Runner] = None) -> List[Any]:
     """Run specs through ``runner``, or serially in-process when ``None``.
 
-    This is the compatibility shim the experiment modules call: existing
-    code paths (``module.run()`` with no runner) behave exactly as the
-    old serial loops did — same process, same order, no cache, and an
-    exception propagates instead of becoming a :class:`FailedResult`.
+    ``Experiment.run`` and the validation drivers call it: with no
+    runner, specs run as a plain serial loop — same process, same order,
+    no cache, and an exception propagates instead of becoming a
+    :class:`FailedResult`.
     """
     if runner is None:
         return [_run_spec(spec)[0] for spec in specs]

@@ -10,7 +10,6 @@ import pytest
 
 from repro.experiments import (
     airtime_udp,
-    fairness_index,
     latency,
     scaling,
     sparse,
@@ -19,6 +18,7 @@ from repro.experiments import (
     voip,
     web,
 )
+from repro.experiments.registry import BY_ID
 from repro.mac.ap import Scheme
 
 DUR = 4.0
@@ -56,13 +56,13 @@ class TestAirtimeUdp(object):
 
 class TestTable1:
     def test_model_and_measurement_agree(self):
-        result = table1.run(duration_s=DUR, warmup_s=WARM)
+        result = BY_ID["table1"].run(duration_s=DUR, warmup_s=WARM)
         # Fair half: prediction within 15% of measurement per station.
         for pred, meas in zip(result.fair_predictions, result.fair_measured_mbps):
             assert meas == pytest.approx(pred.rate_mbps, rel=0.15)
 
     def test_airtime_shares_reported(self):
-        result = table1.run(duration_s=DUR, warmup_s=WARM)
+        result = BY_ID["table1"].run(duration_s=DUR, warmup_s=WARM)
         assert result.baseline_airtime_shares[2] > 0.6
         assert result.fair_airtime_shares[2] == pytest.approx(1 / 3, abs=0.05)
         assert "Airtime Fairness" in table1.format_table(result)
@@ -83,7 +83,7 @@ class TestLatency:
 
 class TestFairnessIndex:
     def test_airtime_udp_jain_near_one(self):
-        results = fairness_index.run(
+        results = BY_ID["fig06"].run(
             schemes=[Scheme.FIFO, Scheme.AIRTIME],
             traffic_types=["udp"], duration_s=DUR, warmup_s=WARM,
         )

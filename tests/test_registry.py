@@ -33,7 +33,7 @@ def test_every_experiment_module_is_registered_exactly_once():
     experiment_modules = []
     for info in pkgutil.iter_modules(repro.experiments.__path__):
         module = importlib.import_module(f"repro.experiments.{info.name}")
-        if hasattr(module, "run") and hasattr(module, "format_table"):
+        if hasattr(module, "specs") and hasattr(module, "format_table"):
             experiment_modules.append(module)
     registered = [row.module for row in registry.EXPERIMENTS]
     assert sorted(m.__name__ for m in registered) == sorted(
@@ -44,9 +44,30 @@ def test_every_experiment_module_is_registered_exactly_once():
 
 
 def test_every_run_takes_the_window_the_seed_and_the_runner():
+    """``Experiment.run`` holds the runner; each module's ``specs`` takes
+    the window and the seed, and has no window default of its own."""
+    assert "runner" in inspect.signature(registry.Experiment.run).parameters
     for row in registry.EXPERIMENTS:
-        parameters = inspect.signature(row.module.run).parameters
-        assert {"duration_s", "warmup_s", "seed", "runner"} <= set(parameters), row.id
+        parameters = inspect.signature(row.module.specs).parameters
+        assert {"duration_s", "warmup_s", "seed"} <= set(parameters), row.id
+        for window in ("duration_s", "warmup_s"):
+            assert parameters[window].default is inspect.Parameter.empty, (
+                row.id, window)
+        assert not hasattr(row.module, "run"), row.id
+
+
+def test_an_omitted_window_is_the_rows(monkeypatch):
+    """``repro fig05`` and ``BY_ID["fig05"].run()`` simulate the same
+    20 + 5 s: no module keeps a window default of its own."""
+    asked = []
+
+    def specs(*, duration_s, warmup_s, seed):
+        asked.append((duration_s, warmup_s, seed))
+        return []
+
+    monkeypatch.setattr(registry.BY_ID["fig05"].module, "specs", specs)
+    assert registry.BY_ID["fig05"].run() == []
+    assert asked == [(20, 5, 1)]
 
 
 def test_telemetry_and_fault_awareness_come_from_the_signatures():
@@ -66,13 +87,13 @@ def test_report_reads_its_windows_from_the_registry(monkeypatch):
     asked = {}
 
     def recorder(experiment_id):
-        def run(duration_s, warmup_s, **_):
+        def specs(*, duration_s, warmup_s, **_):
             asked.setdefault(experiment_id, (duration_s, warmup_s))
             raise RuntimeError("window recorded; nothing simulated")
-        return run
+        return specs
 
     for each in registry.EXPERIMENTS:
-        monkeypatch.setattr(each.module, "run", recorder(each.id))
+        monkeypatch.setattr(each.module, "specs", recorder(each.id))
     report.generate_report(duration_scale=0.5)
     expected = {each.id: (each.duration_s * 0.5, each.warmup_s * 0.5)
                 for each in registry.BY_ID.values() if each.id != "campus"}

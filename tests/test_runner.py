@@ -278,9 +278,10 @@ class TestParallelDeterminism:
 
     def test_latency_tables_identical(self, tmp_path):
         from repro.experiments import latency
+        from repro.experiments.registry import BY_ID
 
-        serial = latency.run(duration_s=2.0, warmup_s=1.0, seed=1)
-        parallel = latency.run(
+        serial = BY_ID["fig04"].run(duration_s=2.0, warmup_s=1.0, seed=1)
+        parallel = BY_ID["fig04"].run(
             duration_s=2.0, warmup_s=1.0, seed=1,
             runner=Runner(jobs=2, cache=None),
         )
@@ -289,10 +290,11 @@ class TestParallelDeterminism:
 
     def test_cached_rerun_matches_fresh(self, tmp_path):
         from repro.experiments import airtime_udp
+        from repro.experiments.registry import BY_ID
 
         runner = Runner(jobs=2, cache=ResultCache(tmp_path))
-        fresh = airtime_udp.run(duration_s=1.0, warmup_s=0.5, runner=runner)
-        cached = airtime_udp.run(duration_s=1.0, warmup_s=0.5, runner=runner)
+        fresh = BY_ID["fig05"].run(duration_s=1.0, warmup_s=0.5, runner=runner)
+        cached = BY_ID["fig05"].run(duration_s=1.0, warmup_s=0.5, runner=runner)
         assert airtime_udp.format_table(fresh) == (
             airtime_udp.format_table(cached)
         )

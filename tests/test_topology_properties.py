@@ -152,7 +152,7 @@ def test_seed_ladder_independence_across_cells(stations_per_bss,
 # Determinism of sharded execution
 # ----------------------------------------------------------------------
 def test_serial_vs_pool_campus_runs_identical():
-    from repro.experiments.campus import run
+    from repro.experiments.registry import BY_ID
     from repro.runner import Runner
 
     topology = campus_topology(
@@ -160,8 +160,10 @@ def test_serial_vs_pool_campus_runs_identical():
         churn=(Churn(station=0, detach_s=0.15, reattach_s=0.25,
                      mode="flush"),),
     )
-    serial = run(topology, duration_s=_DURATION_S, warmup_s=_WARMUP_S,
-                 runner=Runner(jobs=1, cache=None))
-    pooled = run(topology, duration_s=_DURATION_S, warmup_s=_WARMUP_S,
-                 runner=Runner(jobs=2, cache=None))
+    serial = BY_ID["campus"].run(topology=topology, duration_s=_DURATION_S,
+                                 warmup_s=_WARMUP_S,
+                                 runner=Runner(jobs=1, cache=None))
+    pooled = BY_ID["campus"].run(topology=topology, duration_s=_DURATION_S,
+                                 warmup_s=_WARMUP_S,
+                                 runner=Runner(jobs=2, cache=None))
     assert serial == pooled
