@@ -110,19 +110,27 @@ class FaultToleranceResult:
 
 
 class _WindowSampler:
-    """Samples windowed Jain fairness and ping RTT in simulation time."""
+    """Samples windowed Jain fairness and ping RTT in simulation time.
+
+    The warm-up reset zeroes the airtime account and clears the RTT
+    lists, so it restarts both baselines too: the first measured window
+    is a delta from the reset, not from the last warm-up sample."""
 
     def __init__(self, testbed: Testbed, pings) -> None:
         self._testbed = testbed
         self._pings = pings
         self._stations = sorted(testbed.stations)
-        self._last_airtime = {i: 0.0 for i in self._stations}
-        self._seen_rtts = {i: 0 for i in self._stations}
+        self._restart()
+        testbed.add_warmup_reset(self._restart)
         self.jain_series: List[Tuple[float, float]] = []
         self.rtt_series: List[Tuple[float, float]] = []
         self._timer = PeriodicTimer(
             testbed.sim, testbed.sim.sec(SAMPLE_WINDOW_S), self._sample
         )
+
+    def _restart(self) -> None:
+        self._last_airtime = {i: 0.0 for i in self._stations}
+        self._seen_rtts = {i: 0 for i in self._pings}
 
     def start(self) -> "_WindowSampler":
         self._timer.start()
@@ -145,7 +153,6 @@ class _WindowSampler:
         for i, flow in self._pings.items():
             samples = flow.rtts_us
             new = samples[self._seen_rtts[i]:]
-            # The warm-up reset clears the list; resync the cursor.
             self._seen_rtts[i] = len(samples)
             window_rtts.extend(new)
         if window_rtts:

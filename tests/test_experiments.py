@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import (
     airtime_udp,
+    fault_tolerance,
     latency,
     scaling,
     sparse,
@@ -134,6 +135,20 @@ class TestWeb:
         fair = web.run_case(Scheme.AIRTIME, SMALL_PAGE, duration_s=10.0,
                             warmup_s=3.0)
         assert fifo.mean_plt_s > fair.mean_plt_s
+
+
+class TestFaultTolerance:
+    def test_first_measured_window_is_measured_from_the_warmup_reset(self):
+        """The warm-up reset zeroes the airtime account and clears the
+        ping RTTs; the sampler's baselines restart with them, so FIFO's
+        first measured window (2.0-2.5 s) reads its unfair split and keeps
+        its pings, not a clipped all-zero 1.0 and no RTT entry."""
+        result = fault_tolerance.run_scheme(Scheme.FIFO, duration_s=3.0,
+                                            warmup_s=2.0)
+        jain = {round(t, 6): j for t, j in result.jain_series}
+        rtt = {round(t, 6): ms for t, ms in result.rtt_series}
+        assert jain[2.5] < 0.9
+        assert 2.5 in rtt
 
 
 @pytest.mark.slow
