@@ -12,7 +12,10 @@ without knowing the "right" numbers:
   link);
 * **cross-scheme dominance** — airtime fairness never yields a lower
   Jain index than FIFO, and the FQ schemes never give sparse (ping)
-  traffic a worse P95 latency than FIFO does.
+  traffic a worse P95 latency than FIFO does;
+* **baseline property** (Tan & Guttag) — under airtime fairness a
+  station in a mixed-rate cell gets the goodput it gets in a cell of the
+  same size where every station runs at its rate.
 
 The pure ``check_*`` functions score metrics that were produced
 elsewhere; the ``*_verdict`` drivers actually run the scenario pairs
@@ -23,6 +26,7 @@ runs short random scenarios with the PR-3 watchdogs armed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,10 +43,12 @@ __all__ = [
     "check_rate_monotonicity",
     "check_jain_dominance",
     "check_latency_dominance",
+    "check_baseline_property",
     "fuzz_verdicts",
     "scale_invariance_verdict",
     "rate_monotonicity_verdict",
     "dominance_verdicts",
+    "baseline_property_verdict",
     "standard_verdicts",
 ]
 
@@ -170,6 +176,34 @@ def check_latency_dominance(
         "latency_dominance", ok,
         f"{scheme_name} sparse P95 {fq_p95_ms:.1f} ms vs "
         f"FIFO {fifo_p95_ms:.1f} ms",
+    )
+
+
+def check_baseline_property(
+    mixed: CellMetrics,
+    homogeneous: Sequence[CellMetrics],
+    band: float = 0.05,
+) -> OracleVerdict:
+    """Each station's goodput in ``mixed`` is within ``1 ± band`` of its
+    goodput in the ``homogeneous`` cell whose stations all run at its MCS.
+
+    Tan & Guttag ("Time-based Fairness Improves Performance in
+    Multi-rate WLANs", USENIX ATC 2004): with equal airtime shares a
+    station's goodput depends only on its own rate, so the expected value
+    comes from a second run, not from a model of this code.  Schemes that
+    share transmission opportunities instead of airtime (FIFO, FQ-MAC)
+    hand the slow station more than its share and break it.
+    """
+    by_mcs = {cell.mcs_indices[0]: cell for cell in homogeneous}
+    ratios = []
+    for station, index in enumerate(mixed.mcs_indices):
+        alone = by_mcs[index].throughput_mbps.get(station, 0.0)
+        got = mixed.throughput_mbps.get(station, 0.0)
+        ratios.append(got / alone if alone else math.inf)
+    return OracleVerdict(
+        "baseline_property", all(abs(r - 1.0) <= band for r in ratios),
+        "mixed/homogeneous goodput per station "
+        + " / ".join(f"{r:.3f}" for r in ratios) + f" (band ±{band:.0%})",
     )
 
 
@@ -334,6 +368,27 @@ def dominance_verdicts(
     return verdicts
 
 
+def baseline_property_verdict(
+    mcs_indices: Sequence[int] = (15, 15, 0),
+    duration_s: float = 1.5,
+    warmup_s: float = 0.5,
+    seed: int = 1,
+    runner: Optional[Runner] = None,
+) -> OracleVerdict:
+    """Run the mixed cell and one homogeneous cell per rate under Airtime."""
+    cells = [tuple(mcs_indices)] + [
+        (index,) * len(mcs_indices) for index in dict.fromkeys(mcs_indices)]
+    metrics = execute(
+        [_cell_spec(cell, Scheme.AIRTIME,
+                    "oracle/baseline/" + "-".join(map(str, cell)),
+                    duration_s, warmup_s, seed) for cell in cells],
+        runner,
+    )
+    if any(m is None for m in metrics):
+        return OracleVerdict("baseline_property", False, "run failed")
+    return check_baseline_property(metrics[0], metrics[1:])
+
+
 def _fast_p95_ms(result) -> float:
     """P95 ping RTT over the fast stations of a latency run."""
     from repro.experiments.config import FAST_STATIONS
@@ -354,4 +409,5 @@ def standard_verdicts(
         rate_monotonicity_verdict(seed=seed, runner=runner),
     ]
     verdicts.extend(dominance_verdicts(seed=seed, runner=runner))
+    verdicts.append(baseline_property_verdict(seed=seed, runner=runner))
     return verdicts

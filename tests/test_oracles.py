@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.mac.ap import Scheme
 from repro.validation.matrix import CellMetrics
 from repro.validation.oracles import (
+    check_baseline_property,
     check_conservation,
     check_jain_dominance,
     check_latency_dominance,
@@ -23,11 +24,11 @@ from repro.validation.oracles import (
 
 
 def _metrics(throughput=None, shares=None, jain=1.0, balance=0,
-             stalls=0) -> CellMetrics:
+             stalls=0, mcs_indices=(15, 0)) -> CellMetrics:
     throughput = throughput if throughput is not None else {0: 40.0, 1: 2.0}
     shares = shares if shares is not None else {0: 0.5, 1: 0.5}
     return CellMetrics(
-        mcs_indices=(15, 0),
+        mcs_indices=mcs_indices,
         scheme_name="AIRTIME",
         throughput_mbps=throughput,
         airtime_shares=shares,
@@ -78,6 +79,29 @@ class TestPureChecks:
     def test_latency_dominance(self):
         assert check_latency_dominance(400.0, 20.0, "FQ-CoDel").ok
         assert not check_latency_dominance(20.0, 400.0, "FQ-CoDel").ok
+
+    def test_baseline_property(self):
+        """Station i is compared with the homogeneous cell at its own MCS,
+        whatever order the homogeneous cells come in."""
+        homogeneous = [
+            _metrics(throughput={0: 2.0, 1: 2.0, 2: 2.0}, mcs_indices=(0,) * 3),
+            _metrics(throughput={0: 40.0, 1: 40.0, 2: 40.0},
+                     mcs_indices=(15,) * 3),
+        ]
+        fair = _metrics(throughput={0: 40.8, 1: 39.0, 2: 1.95},
+                        mcs_indices=(15, 15, 0))
+        verdict = check_baseline_property(fair, homogeneous)
+        assert verdict.ok, verdict.detail
+        assert "1.020 / 0.975 / 0.975" in verdict.detail
+        # The anomaly: the slow station takes the fast stations' airtime.
+        anomaly = _metrics(throughput={0: 11.0, 1: 12.0, 2: 4.6},
+                           mcs_indices=(15, 15, 0))
+        assert not check_baseline_property(anomaly, homogeneous).ok
+        # Just outside the band on one station is a failure.
+        edge = _metrics(throughput={0: 40.0, 1: 40.0, 2: 1.88},
+                        mcs_indices=(15, 15, 0))
+        assert not check_baseline_property(edge, homogeneous).ok
+        assert check_baseline_property(edge, homogeneous, band=0.07).ok
 
 
 @pytest.mark.validation
