@@ -53,7 +53,7 @@ KEPT: Dict[str, str] = {
 }
 
 #: Never-entered lines outside ``KEPT`` on the tree this was recorded on.
-BUDGET_OUTSIDE_KEPT = 707
+BUDGET_OUTSIDE_KEPT = 695
 
 #: Moved under ``tests/`` or deleted; must not come back.  The report is
 #: the one replication path (``--replications``), so no campaign engine.
@@ -95,7 +95,7 @@ def _report() -> None:
 def _validate() -> None:
     _cli("validate", "matrix", "--smoke", "--no-cache", "--jobs", "1", "-q")
     _cli("validate", "oracles", "--no-cache", "--jobs", "1", "-q")
-    _cli("validate", "check", "--jobs", "1", "-q")
+    _cli("validate", "check", "--no-cache", "--jobs", "1", "-q")
 
 
 def _perf_workloads() -> None:

@@ -33,14 +33,13 @@ def main(argv: list[str]) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p: argparse.ArgumentParser, cache: bool = True) -> None:
+    def _common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes (default: $REPRO_JOBS or "
                             "the CPU count)")
-        if cache:  # pins are always re-run: the cache key is not the code
-            p.add_argument("--no-cache", action="store_true",
-                           help="ignore and do not write .repro-cache/")
+        p.add_argument("--no-cache", action="store_true",
+                       help="ignore and do not write .repro-cache/")
         p.add_argument("-v", "--verbose", action="count", default=0)
         p.add_argument("-q", "--quiet", action="count", default=0)
 
@@ -81,15 +80,14 @@ def main(argv: list[str]) -> int:
         pin_p.add_argument("--only", default=None, metavar="CSV",
                            help="comma-separated scenario names "
                                 "(default: all)")
-        _common(pin_p, cache=False)
+        _common(pin_p)
 
     args = parser.parse_args(argv)
     configure_logging(args.verbose - args.quiet)
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     runner = Runner(jobs=jobs,
-                    cache=None if getattr(args, "no_cache", True)
-                    else ResultCache(),
+                    cache=None if args.no_cache else ResultCache(),
                     auto_serial=True)
 
     def _parse_only() -> Optional[list[str]]:
@@ -130,16 +128,17 @@ def main(argv: list[str]) -> int:
             print()
             oracles_ok = _run_oracles()
             print()
-            pin_report = catalogue.check(jobs=jobs, golden_dir=_golden_dir())
+            pin_report = catalogue.check(runner=runner,
+                                         golden_dir=_golden_dir())
             print(pin_report.format())
             breached = not (matrix_ok and oracles_ok and pin_report.clean)
         elif args.command == "check":
-            pin_report = catalogue.check(only=_parse_only(), jobs=jobs,
+            pin_report = catalogue.check(only=_parse_only(), runner=runner,
                                          golden_dir=_golden_dir())
             print(pin_report.format())
             breached = not pin_report.clean
         elif args.command == "refresh":
-            names = catalogue.refresh(only=_parse_only(), jobs=jobs,
+            names = catalogue.refresh(only=_parse_only(), runner=runner,
                                       golden_dir=_golden_dir())
             target = _golden_dir() or catalogue.default_golden_dir()
             print(f"refreshed {len(names)} pin(s) under {target}: "

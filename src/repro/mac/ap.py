@@ -218,7 +218,7 @@ class AccessPoint:
         #: hardware queue; re-woken on the next fill pass.
         self._parked: set[int] = set()
 
-        self._hw.on_ready = medium.attach(self, is_ap=True, bss=bss)
+        medium.attach(self, self._hw, is_ap=True, bss=bss)
 
     # ------------------------------------------------------------------
     # Topology
@@ -384,7 +384,14 @@ class AccessPoint:
         return None
 
     def _station_has_backlog(self, station: int) -> bool:
-        return self._backlogged_ac(station) is not None
+        """``_backlogged_ac(station) is not None``, one frame shorter:
+        the schedulers and every TX completion ask it."""
+        holdback = self._builder._holdback
+        backlog = self.stack.station_backlog
+        for ac in self._DATA_ACS:
+            if (station, ac) in holdback or backlog(station, ac) > 0:
+                return True
+        return False
 
     def _source(self, station: int, ac: AccessCategory) -> Callable:
         key = (station, ac)
@@ -459,17 +466,8 @@ class AccessPoint:
         self.scheduler.schedule()
 
     # ------------------------------------------------------------------
-    # Contender protocol (the AP side of the medium)
+    # Contender protocol (the medium pops ``_hw`` itself)
     # ------------------------------------------------------------------
-    def has_frames_pending(self) -> bool:
-        return self._hw.has_pending()
-
-    def pending_access_category(self) -> Optional[AccessCategory]:
-        return self._hw.head_ac()
-
-    def start_txop(self) -> Optional[Aggregate]:
-        return self._hw.pop()
-
     def txop_complete(self, agg: Aggregate, success: bool) -> None:
         # Charge the airtime actually spent transmitting (including this
         # retry attempt) to the destination station's deficit.
@@ -505,7 +503,7 @@ class AccessPoint:
                 and self._station_has_backlog(agg.station)):
             self.scheduler.wake(agg.station)
         self._fill_hw()
-        self.medium.notify_backlog()
+        # No notify_backlog(): the medium arbitrates once this returns.
 
     @property
     def retry_drop_packets(self) -> int:
@@ -597,7 +595,6 @@ class AccessPoint:
         self.medium.detach(node)
         node.medium = None
         node.ap = None
-        node.detached = False
         return flushed
 
     # ------------------------------------------------------------------

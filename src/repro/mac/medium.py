@@ -8,9 +8,11 @@ much shorter contention window, which in this model translates to
 near-strict priority plus lower access latency — the effect Table 2's VO
 rows depend on.
 
-Only contenders that may have frames are visited: the medium keeps a
-*ready set* in registration order, and a contender re-enters it through
-the hook :meth:`Medium.attach` returns (see :class:`Contender`).
+The medium reads each contender's hardware queue directly: only
+contenders that may have frames are visited (a *ready set* in
+registration order), and a queue going from empty to non-empty puts its
+contender back through the hook :meth:`Medium.attach` installs (see
+:class:`Contender`).
 
 Simplifications, matching the paper's analytical model (Section 2.2.1):
 
@@ -40,6 +42,7 @@ from typing import Callable, List, NamedTuple, Optional, Protocol
 
 from repro.core.packet import AccessCategory
 from repro.mac.aggregation import Aggregate
+from repro.mac.hwqueue import HardwareQueue
 from repro.phy.constants import CW_MAX, CW_MIN, CW_MIN_VO, T_DIFS_US, T_SLOT_US
 from repro.sim.engine import Simulator
 
@@ -50,30 +53,21 @@ __all__ = ["Medium", "Contender", "TransmissionRecord"]
 _DRAW_KEY = itemgetter(0, 1)
 #: Ready-set order: registration order, the order draws are made in.
 _ORDER = attrgetter("order")
+#: ``_randbelow`` bounds of the two fixed windows (collisions off).
+_DRAW_BOUND = CW_MIN + 1
+_VO_DRAW_BOUND = CW_MIN_VO + 1
 
 
 class Contender(Protocol):
-    """What the medium needs from a node that wants to transmit.
+    """What the medium needs from a node that transmits.
 
-    Readiness obligation: :meth:`Medium.attach` returns a hook, and the
-    contender calls it whenever :meth:`has_frames_pending` may have gone
-    from false to true — its hardware queue going from empty to
-    non-empty, a detached station re-attaching with frames queued.  The
-    medium only polls contenders that called it since it last found them
-    idle (and every contender once, at attach); extra calls are free.
+    Its frames are not asked for: :meth:`Medium.attach` takes the node's
+    :class:`~repro.mac.hwqueue.HardwareQueue` with it, reads the queue's
+    head AC at each arbitration and pops the winner's aggregate at the
+    grant.  Readiness rides on the queue too: ``attach`` installs the
+    slot's hook as the queue's ``on_ready``, so the queue going from
+    empty to non-empty puts the node back into the draws.
     """
-
-    def has_frames_pending(self) -> bool:
-        """True if the node would transmit, were it granted the channel."""
-        ...
-
-    def pending_access_category(self) -> Optional[AccessCategory]:
-        """AC of the node's next frame (sets its contention window)."""
-        ...
-
-    def start_txop(self) -> Optional[Aggregate]:
-        """Hand the medium the aggregate to transmit (may be ``None``)."""
-        ...
 
     def txop_complete(self, agg: Aggregate, success: bool) -> None:
         """Called when the transmission finishes (delivery is separate)."""
@@ -114,23 +108,29 @@ Observer = Callable[[TransmissionRecord], None]
 
 
 class _Slot:
-    """One attached contender: its place in registration order and
-    whether it is in the medium's ready set."""
+    """One attached contender: its hardware queue, its place in
+    registration order, whether it is in the medium's ready set, and
+    whether it is detached (station churn: a detached station keeps its
+    slot but leaves the draws until it re-attaches)."""
 
-    __slots__ = ("contender", "is_ap", "bss", "order", "ready", "medium")
+    __slots__ = ("contender", "hw", "is_ap", "bss", "order", "ready",
+                 "detached", "medium")
 
-    def __init__(self, medium: "Medium", contender: Contender, is_ap: bool,
-                 bss: int, order: int) -> None:
+    def __init__(self, medium: "Medium", contender: Contender,
+                 hw: HardwareQueue, is_ap: bool, bss: int,
+                 order: int) -> None:
         self.contender = contender
+        self.hw = hw
         self.is_ap = is_ap
         self.bss = bss
         self.order = order
         self.ready = False
-        #: ``None`` once detached: the hook is then a no-op.
+        self.detached = False
+        #: ``None`` once detached from the medium: the hook is then a no-op.
         self.medium: Optional[Medium] = medium
 
     def mark_ready(self) -> None:
-        """The readiness hook :meth:`Medium.attach` hands out."""
+        """The readiness hook :meth:`Medium.attach` installs on the queue."""
         if not self.ready and self.medium is not None:
             self.ready = True
             self.medium._ready.append(self)
@@ -171,22 +171,24 @@ class Medium:
         self.collision_count = 0
         #: Binary-exponential-backoff state: per-contender current CW.
         self._cw: dict[int, int] = {}
-        #: Aggregates currently on the air, as (agg, is_ap, bss) triples —
-        #: conservation audits must count a mid-flight frame as resident.
-        self._inflight: list[tuple[Aggregate, bool, int]] = []
+        #: Transmissions on the air, as the ``(slot, agg, wait_us)`` tuples
+        #: their completions are scheduled with — conservation audits
+        #: must count a mid-flight frame as resident.
+        self._inflight: List[tuple] = []
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def attach(self, contender: Contender, is_ap: bool,
-               bss: int = 0) -> Callable[[], None]:
-        """Register a transmitter on this channel; returns its readiness
-        hook (the :class:`Contender` obligation).
+    def attach(self, contender: Contender, hw: HardwareQueue, is_ap: bool,
+               bss: int = 0) -> _Slot:
+        """Register a transmitter and the hardware queue it sends from.
 
-        Co-channel BSSes share one medium, so several ``is_ap=True``
-        contenders are legal — but only one per BSS id: two APs claiming
-        the same cell would double-count downlink airtime and break the
-        per-BSS conservation audit.
+        Installs the slot's readiness hook as ``hw.on_ready`` and returns
+        the slot (a station flips its ``detached`` on churn).  Co-channel
+        BSSes share one medium, so several ``is_ap=True`` contenders are
+        legal — but only one per BSS id: two APs claiming the same cell
+        would double-count downlink airtime and break the per-BSS
+        conservation audit.
         """
         for slot in self._contenders:
             if slot.contender is contender:
@@ -195,11 +197,12 @@ class Medium:
                 raise ValueError(
                     f"BSS {bss} already has an AP attached to this medium"
                 )
-        slot = _Slot(self, contender, is_ap, bss, self._next_order)
+        slot = _Slot(self, contender, hw, is_ap, bss, self._next_order)
         self._next_order += 1
         self._contenders.append(slot)
+        hw.on_ready = slot.mark_ready
         slot.mark_ready()
-        return slot.mark_ready
+        return slot
 
     def detach(self, contender: Contender) -> bool:
         """Unregister a transmitter (roaming handoff). Idempotent.
@@ -223,18 +226,6 @@ class Medium:
     def add_observer(self, observer: Observer) -> None:
         self._observers.append(observer)
 
-    # ------------------------------------------------------------------
-    # In-flight accounting
-    # ------------------------------------------------------------------
-    def _track_inflight(self, agg: Aggregate, is_ap: bool, bss: int) -> None:
-        self._inflight.append((agg, is_ap, bss))
-
-    def _untrack_inflight(self, agg: Aggregate) -> None:
-        for i, (candidate, _is_ap, _bss) in enumerate(self._inflight):
-            if candidate is agg:
-                del self._inflight[i]
-                return
-
     def inflight_downlink_packets(self, bss: Optional[int] = None) -> int:
         """Packets inside AP aggregates currently on the air.
 
@@ -242,8 +233,8 @@ class Medium:
         """
         return sum(
             agg.n_packets
-            for agg, is_ap, agg_bss in self._inflight
-            if is_ap and (bss is None or agg_bss == bss)
+            for slot, agg, _wait_us in self._inflight
+            if slot.is_ap and (bss is None or slot.bss == bss)
         )
 
     # ------------------------------------------------------------------
@@ -278,165 +269,126 @@ class Medium:
         # Every contender with frames is in the ready set, visited in
         # registration order, so the draws are those of a poll over every
         # attached contender; an idle one leaves the set (lazy pruning).
+        # The head AC is VO exactly when the VO deque holds a frame, and
+        # ``randint(0, cw)`` returns ``_randbelow(cw + 1)``: the draw is
+        # made here without randint's wrapper frames.
         ready = self._ready
         ready.sort(key=_ORDER)
         rng = self.rng
-        draws: List[tuple[float, float, Contender, bool, int]] = []
+        randbelow = rng._randbelow
+        random = rng.random
+        beb = self.collisions
+        draws: List[tuple[int, float, _Slot]] = []
         pruned = False
         for slot in ready:
-            contender = slot.contender
-            if not contender.has_frames_pending():
+            hw = slot.hw
+            vo = hw._vo_q
+            if slot.detached or not (hw._be_q or vo or hw._vi_q or hw._bk_q):
                 slot.ready = False
                 pruned = True
                 continue
-            ac = contender.pending_access_category()
-            slots = rng.randint(0, self._cw_for(contender, ac))
-            draws.append(
-                (float(slots), rng.random(), contender, slot.is_ap, slot.bss)
-            )
+            if beb:
+                bound = self._cw_for(slot.contender, hw.head_ac()) + 1
+            else:
+                bound = _VO_DRAW_BOUND if vo else _DRAW_BOUND
+            draws.append((randbelow(bound), random(), slot))
         if pruned:
             self._ready = [slot for slot in ready if slot.ready]
         if not draws:
             return
 
         draws.sort(key=_DRAW_KEY)
-        first = draws[0]
-        min_slots = first[0]
+        min_slots, _tiebreak, winner = draws[0]
         wait_us = T_DIFS_US + min_slots * T_SLOT_US
         self._busy = True
-        if self.collisions:
-            tied = [d for d in draws if d[0] == min_slots]
+        if beb:
+            tied = [draw[2] for draw in draws if draw[0] == min_slots]
             if len(tied) > 1:
-                participants = [(d[2], d[3], d[4]) for d in tied]
-                self.sim.schedule(
-                    wait_us, lambda: self._start_collision(participants, wait_us)
-                )
+                self.sim.schedule_call(wait_us, self._start_collision,
+                                       (tied, wait_us))
                 return
-        self.sim.schedule_call(
-            wait_us, self._start_entry, (first[2], first[3], first[4], wait_us)
-        )
+        self.sim.schedule_call(wait_us, self._start, (winner, wait_us))
 
-    def _start_entry(self, args: tuple) -> None:
-        self._start(args[0], args[1], args[2], args[3])
-
-    def _complete_entry(self, args: tuple) -> None:
-        self._complete(args[0], args[1], args[2], args[3], args[4])
-
-    def _start_collision(
-        self, participants: List[tuple[Contender, bool, int]], wait_us: float
-    ) -> None:
-        """Several nodes chose the same slot: all transmissions fail."""
-        started: List[tuple[Contender, bool, int, Aggregate]] = []
-        for contender, is_ap, bss in participants:
-            agg = contender.start_txop()
-            if agg is not None:
-                started.append((contender, is_ap, bss, agg))
-                self._track_inflight(agg, is_ap, bss)
-        if not started:
-            self._busy = False
-            self.notify_backlog()
-            return
-        if len(started) == 1:
-            # Everyone else's frames evaporated: a normal transmission.
-            contender, is_ap, bss, agg = started[0]
-            duration = agg.duration_us
-            self.sim.schedule(
-                duration,
-                lambda: self._complete_started(
-                    contender, is_ap, bss, agg, wait_us
-                ),
-            )
-            return
-        self.collision_count += 1
-        duration = max(agg.duration_us for _, _, _, agg in started)
-        self.sim.schedule(
-            duration, lambda: self._finish_collision(started, wait_us, duration)
-        )
-
-    def _finish_collision(
-        self,
-        started: List[tuple[Contender, bool, int, Aggregate]],
-        wait_us: float,
-        duration: float,
-    ) -> None:
-        self.busy_time_us += duration + wait_us
-        self._busy = False
-        for contender, is_ap, bss, agg in started:
-            self._untrack_inflight(agg)
-            self._beb_on_collision(contender, agg.ac)
-            record = TransmissionRecord(
-                start_us=self.sim.now - duration - wait_us,
-                airtime_us=agg.duration_us + wait_us,
-                tx_time_us=agg.duration_us,
-                station=agg.station,
-                downlink=is_ap,
-                n_packets=agg.n_packets,
-                payload_bytes=agg.payload_bytes,
-                ac=agg.ac,
-                success=False,
-                retries=agg.retries,
-                agg_seq=agg.seq,
-                bss=bss,
-            )
-            contender.txop_complete(agg, False)
-            for observer in self._observers:
-                observer(record)
-        self.notify_backlog()
-
-    def _start(
-        self, winner: Contender, is_ap: bool, bss: int, wait_us: float
-    ) -> None:
-        agg = winner.start_txop()
+    def _start(self, grant: tuple) -> None:
+        slot, wait_us = grant
+        agg = slot.hw.pop()
         if agg is None:
             # The node's pending frames evaporated between arbitration and
-            # grant (e.g. CoDel emptied the queue); release the channel.
+            # grant (e.g. a churn flush emptied the queue); release the
+            # channel.
             self._busy = False
             self.notify_backlog()
             return
-        self._track_inflight(agg, is_ap, bss)
-        duration = agg.duration_us
-        self.sim.schedule_call(
-            duration, self._complete_entry, (winner, is_ap, bss, agg, wait_us)
-        )
+        txop = (slot, agg, wait_us)
+        self._inflight.append(txop)
+        self.sim.schedule_call(agg.duration_us, self._complete, txop)
 
-    def _complete(
-        self,
-        winner: Contender,
-        is_ap: bool,
-        bss: int,
-        agg: Aggregate,
-        wait_us: float,
-    ) -> None:
+    def _complete(self, txop: tuple) -> None:
+        slot, agg, wait_us = txop
         if self.error_prob_fn is not None:
             error_prob = self.error_prob_fn(agg)
         else:
             error_prob = self.error_rate
         success = error_prob == 0.0 or self.rng.random() >= error_prob
         duration = agg.duration_us
+        airtime_us = duration + wait_us
         record = TransmissionRecord(
-            start_us=self.sim.now - duration - wait_us,
-            airtime_us=duration + wait_us,
-            tx_time_us=duration,
-            station=agg.station,
-            downlink=is_ap,
-            n_packets=agg.n_packets,
-            payload_bytes=agg.payload_bytes,
-            ac=agg.ac,
-            success=success,
-            retries=agg.retries,
-            agg_seq=agg.seq,
-            bss=bss,
+            self.sim.now - duration - wait_us, airtime_us, duration,
+            agg.station, slot.is_ap, agg.n_packets, agg.payload_bytes,
+            agg.ac, success, agg.retries, agg.seq, slot.bss,
         )
-        self.busy_time_us += record.airtime_us
+        self.busy_time_us += airtime_us
         self._busy = False
-        self._untrack_inflight(agg)
+        self._inflight.remove(txop)
         if success and self.collisions:
-            self._beb_on_success(winner)
-        winner.txop_complete(agg, success)
+            self._beb_on_success(slot.contender)
+        slot.contender.txop_complete(agg, success)
         for observer in self._observers:
             observer(record)
-        self.notify_backlog()
+        # ``notify_backlog()`` inlined: the channel was just released.
+        if not self._arbitration_scheduled:
+            self._arbitration_scheduled = True
+            self.sim.schedule_call(0.0, self._arbitrate)
 
-    # Collision path resolving to a single transmitter reuses the normal
-    # completion handling.
-    _complete_started = _complete
+    def _start_collision(self, grant: tuple) -> None:
+        """Several nodes chose the same slot: all transmissions fail."""
+        tied, wait_us = grant
+        started: List[tuple] = []
+        for slot in tied:
+            agg = slot.hw.pop()
+            if agg is not None:
+                txop = (slot, agg, wait_us)
+                started.append(txop)
+                self._inflight.append(txop)
+        if not started:
+            self._busy = False
+            self.notify_backlog()
+            return
+        if len(started) == 1:
+            # Everyone else's frames evaporated: a normal transmission.
+            txop = started[0]
+            self.sim.schedule_call(txop[1].duration_us, self._complete, txop)
+            return
+        self.collision_count += 1
+        duration = max(agg.duration_us for _, agg, _ in started)
+        self.sim.schedule_call(duration, self._finish_collision,
+                               (started, wait_us, duration))
+
+    def _finish_collision(self, collision: tuple) -> None:
+        started, wait_us, duration = collision
+        self.busy_time_us += duration + wait_us
+        self._busy = False
+        for txop in started:
+            slot, agg, _ = txop
+            self._inflight.remove(txop)
+            self._beb_on_collision(slot.contender, agg.ac)
+            record = TransmissionRecord(
+                self.sim.now - duration - wait_us, agg.duration_us + wait_us,
+                agg.duration_us, agg.station, slot.is_ap, agg.n_packets,
+                agg.payload_bytes, agg.ac, False, agg.retries, agg.seq,
+                slot.bss,
+            )
+            slot.contender.txop_complete(agg, False)
+            for observer in self._observers:
+                observer(record)
+        self.notify_backlog()

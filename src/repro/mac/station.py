@@ -84,15 +84,14 @@ class ClientStation:
         self._burst_handlers: Dict[int, BurstHandler] = {}
         self.medium: Optional["Medium"] = None
         self.ap: Optional["AccessPoint"] = None
+        #: The medium's slot for this station (set by :meth:`attach`);
+        #: churn flips its ``detached``.
+        self._slot = None
 
         #: Counters for tests and diagnostics.
         self.uplink_drops = 0
         self.tx_packets = 0
         self.rx_packets = 0
-
-        #: Station churn: a detached station neither contends for the
-        #: medium nor is scheduled by the AP; its uplink queues park.
-        self.detached = False
 
     # ------------------------------------------------------------------
     # Wiring
@@ -100,8 +99,8 @@ class ClientStation:
     def attach(self, medium: "Medium", ap: "AccessPoint") -> None:
         self.medium = medium
         self.ap = ap
-        self._hw.on_ready = medium.attach(self, is_ap=False,
-                                          bss=getattr(ap, "bss", 0))
+        self._slot = medium.attach(self, self._hw, is_ap=False,
+                                   bss=getattr(ap, "bss", 0))
 
     def register_handler(self, flow_id: int, handler: PacketHandler,
                          burst: Optional[BurstHandler] = None) -> None:
@@ -133,8 +132,12 @@ class ClientStation:
         ac = pkt.ac if pkt.ac in self._uplink else AccessCategory.BE
         accepted = self._uplink[ac].enqueue(pkt)
         self._fill_hw()
-        assert self.medium is not None, "station not attached"
-        self.medium.notify_backlog()
+        medium = self.medium
+        assert medium is not None, "station not attached"
+        # Inlined ``notify_backlog()`` guard, as in the AP's
+        # ``send_downstream``: mid-run the channel is nearly always busy.
+        if not medium._busy and not medium._arbitration_scheduled:
+            medium.notify_backlog()
         return accepted
 
     def _fill_hw(self) -> None:
@@ -152,26 +155,20 @@ class ClientStation:
                 hw.push(agg)
 
     def set_detached(self, detached: bool) -> None:
-        """Mark the station as (de)tached from the BSS (churn)."""
-        self.detached = detached
+        """Mark the station as (de)tached from the BSS (churn).
+
+        A detached station keeps its medium slot but draws no backoff,
+        and the AP does not schedule it; its uplink queues park."""
+        self._slot.detached = detached
         if not detached:
             self._fill_hw()
-            if self.medium is not None and self._hw.has_pending():
-                self._hw.on_ready()
+            if self._hw.has_pending():
+                self._slot.mark_ready()
                 self.medium.notify_backlog()
 
     # ------------------------------------------------------------------
-    # Contender protocol
+    # Contender protocol (the medium pops ``_hw`` itself)
     # ------------------------------------------------------------------
-    def has_frames_pending(self) -> bool:
-        return not self.detached and self._hw.has_pending()
-
-    def pending_access_category(self) -> Optional[AccessCategory]:
-        return self._hw.head_ac()
-
-    def start_txop(self) -> Optional[Aggregate]:
-        return self._hw.pop()
-
     def txop_complete(self, agg: Aggregate, success: bool) -> None:
         if success:
             if self.ap is not None:
@@ -191,8 +188,6 @@ class ClientStation:
                     if self.ap is not None:
                         self.ap.drops.report(pkt, "client", "retry")
         self._fill_hw()
-        if self.medium is not None:
-            self.medium.notify_backlog()
 
     # ------------------------------------------------------------------
     # Downlink (AP -> client)

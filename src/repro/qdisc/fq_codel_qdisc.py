@@ -57,10 +57,13 @@ class FqCodelQdisc(Qdisc):
         self._drop(pkt, reason)
 
     def enqueue(self, pkt: Packet) -> bool:
-        before = self._fq.total_drops
-        self._fq.enqueue(pkt, self._tid)
-        self.backlog_packets = self._fq.backlog_packets
-        return self._fq.total_drops == before
+        """False when the enqueue dropped a packet at the limit (possibly
+        another flow's head); only the limit drops on enqueue."""
+        fq = self._fq
+        before = fq.drops_overlimit
+        fq.enqueue(pkt, self._tid)
+        self.backlog_packets = fq.backlog_packets
+        return fq.drops_overlimit == before
 
     def dequeue(self) -> Optional[Packet]:
         pkt = self._fq.dequeue(self._tid)

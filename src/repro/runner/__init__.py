@@ -27,7 +27,7 @@ from repro.runner.executor import (
     execute,
 )
 from repro.runner.record import ManifestWriter, read_manifest
-from repro.runner.spec import RunSpec, canonical, spec_digest
+from repro.runner.spec import RunSpec, canonical, code_fingerprint, spec_digest
 
 __all__ = [
     "FailedResult",
@@ -39,6 +39,7 @@ __all__ = [
     "Runner",
     "atomic_write_bytes",
     "canonical",
+    "code_fingerprint",
     "default_cache_dir",
     "default_jobs",
     "execute",

@@ -2,11 +2,10 @@
 
 Results live under ``.repro-cache/`` (overridable via the
 ``REPRO_CACHE_DIR`` environment variable or the constructor), one pickle
-per run, named by the spec digest.  The digest already folds in the
-package version, so bumping ``repro.__version__`` invalidates every
-entry without any cleanup pass; the version is *also* stored inside the
-payload and re-checked on load as a belt-and-braces guard against digest
-scheme changes.
+per run, named by the spec digest, which folds in the code fingerprint
+(:func:`repro.runner.spec.code_fingerprint`): editing any module of the
+package — the digest scheme's own included — invalidates every entry
+without a cleanup pass.
 
 Writes are atomic and durable (tempfile + ``fsync`` + ``os.replace`` +
 directory fsync, via :mod:`repro.runner.atomicio`) so a crashed or
@@ -31,7 +30,6 @@ import pickle
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
-import repro
 from repro.runner.atomicio import atomic_write_bytes
 from repro.runner.spec import RunSpec
 from repro.telemetry.logutil import get_logger
@@ -56,15 +54,16 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Pickle-per-run cache keyed by ``(spec digest, package version)``."""
+    """Pickle-per-run cache keyed by ``RunSpec.digest(code)``; ``code``
+    defaults to this package's fingerprint."""
 
     def __init__(
         self,
         root: Optional[os.PathLike] = None,
-        version: str = repro.__version__,
+        code: Optional[str] = None,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.version = version
+        self.code = code
         self.hits = 0
         self.misses = 0
         #: Entries quarantined after failing their checksum.
@@ -72,7 +71,7 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def path_for(self, spec: RunSpec) -> Path:
-        return self.root / f"{spec.digest(self.version)}.pkl"
+        return self.root / f"{spec.digest(self.code)}.pkl"
 
     def get(self, spec: RunSpec) -> Tuple[bool, Any]:
         """Return ``(hit, payload)``; payload is the stored dict on a hit."""
@@ -99,7 +98,7 @@ class ResultCache:
             # corruption; just a stale entry that put() will rebuild.
             self.misses += 1
             return False, None
-        if not isinstance(payload, dict) or payload.get("version") != self.version:
+        if not isinstance(payload, dict):
             self.misses += 1
             return False, None
         self.hits += 1
@@ -156,7 +155,6 @@ class ResultCache:
     def put(self, spec: RunSpec, value: Any, metrics: Any = None) -> None:
         """Store a result atomically; IO errors are non-fatal (cache only)."""
         payload = {
-            "version": self.version,
             "fn": spec.fn,
             "label": spec.label,
             "value": value,

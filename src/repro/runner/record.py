@@ -26,6 +26,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
+from repro.runner.spec import code_fingerprint
+
 __all__ = ["ManifestWriter", "ProgressLine", "read_manifest", "run_record"]
 
 
@@ -58,7 +60,8 @@ def run_record(result: Any) -> Dict[str, Any]:
 class ManifestWriter:
     """Appends one sweep's run records to a JSONL file.
 
-    First line: a ``sweep`` header (spec count, execution mode).  Then
+    First line: a ``sweep`` header (spec count, execution mode, the code
+    fingerprint the cache keys cover).  Then
     one ``run`` record per spec, flushed as it is appended, so a killed
     sweep keeps the records of the runs that finished.  :meth:`close`
     writes the ``end`` footer with outcome counts — its absence is how
@@ -81,7 +84,7 @@ class ManifestWriter:
         self._interrupted = 0
         self._record({
             "ev": "sweep", "specs": specs, "mode": mode, "jobs": jobs,
-            "unix_time": time.time(),
+            "code": code_fingerprint(), "unix_time": time.time(),
         })
         return self
 

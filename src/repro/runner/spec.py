@@ -8,7 +8,7 @@ identity for the on-disk result cache, so they must be
 * **picklable** (they cross the process boundary),
 * **hashable to a stable digest** (the cache key survives interpreter
   restarts, so ``hash()`` and ``id()`` are useless — we canonicalise the
-  arguments to JSON and digest with SHA-256), and
+  arguments to JSON and SHA-256 them with :func:`code_fingerprint`), and
 * **self-contained** (the target is a dotted ``module:function`` path,
   resolved inside the worker, never a closure).
 """
@@ -17,15 +17,32 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional, Tuple
 
-import repro
+__all__ = ["RunSpec", "canonical", "code_fingerprint", "spec_digest"]
 
-__all__ = ["RunSpec", "canonical", "spec_digest"]
+#: The ``repro`` package directory, whose sources the cache key covers.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint(root: Path = PACKAGE_ROOT) -> str:
+    """SHA-256 over the sorted relative paths and bytes of ``root/**/*.py``:
+    the code half of every cache key, read once per process (per root)
+    on first use, never at import."""
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix()
+                      for path in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def canonical(obj: Any) -> Any:
@@ -62,10 +79,10 @@ def canonical(obj: Any) -> Any:
     )
 
 
-def spec_digest(fn: str, kwargs: Dict[str, Any], version: str) -> str:
-    """SHA-256 digest of ``(fn, kwargs, package version)``."""
+def spec_digest(fn: str, kwargs: Dict[str, Any], code: str) -> str:
+    """SHA-256 digest of ``(fn, kwargs, code fingerprint)``."""
     blob = json.dumps(
-        [fn, canonical(kwargs), version],
+        [fn, canonical(kwargs), code],
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -109,6 +126,8 @@ class RunSpec:
         """Execute the run in the current process."""
         return self.resolve()(**self.kwargs_dict)
 
-    def digest(self, version: str = repro.__version__) -> str:
-        """Stable cache key: SHA-256 over (fn, kwargs, package version)."""
-        return spec_digest(self.fn, self.kwargs_dict, version)
+    def digest(self, code: Optional[str] = None) -> str:
+        """Stable cache key: SHA-256 over (fn, kwargs, code fingerprint);
+        ``code`` defaults to :func:`code_fingerprint` of this package."""
+        return spec_digest(self.fn, self.kwargs_dict,
+                           code if code is not None else code_fingerprint())

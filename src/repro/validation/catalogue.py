@@ -11,9 +11,7 @@ path the others do not, pinned by their digests and their per-station
 ledger shares, delivered packets and drops.
 
 The simulator is deterministic, so ``validate check`` gates on exact
-equality.  Neither it nor ``validate refresh`` reads the result cache:
-its key is the spec and the package version, not the code, so a cached
-result can predate the change the gate is meant to see.
+equality.
 """
 
 from __future__ import annotations
@@ -554,11 +552,12 @@ def _select(only: Optional[Sequence[str]]) -> List[str]:
     return [name for name in names() if only is None or name in only]
 
 
-def _run(selected: List[str], jobs: int) -> Dict[str, Dict[str, Any]]:
+def _run(selected: List[str],
+         runner: Optional[Runner]) -> Dict[str, Dict[str, Any]]:
     specs = [RunSpec.make("repro.validation.catalogue:pin",
                           label=f"pin/{name}", name=name)
              for name in selected]
-    results = execute(specs, Runner(jobs=jobs, cache=None, auto_serial=True))
+    results = execute(specs, runner)
     for name, result in zip(selected, results):
         if result is None:
             raise RuntimeError(f"scenario {name!r} failed to run")
@@ -571,11 +570,12 @@ def load(name: str, golden_dir: Optional[Path] = None) -> Dict[str, Any]:
     return json.loads(path.read_text())
 
 
-def refresh(only: Optional[Sequence[str]] = None, jobs: int = 1,
+def refresh(only: Optional[Sequence[str]] = None,
+            runner: Optional[Runner] = None,
             golden_dir: Optional[Path] = None) -> List[str]:
     """Re-run entries and overwrite their pins; returns the names."""
     golden_dir = golden_dir or default_golden_dir()
-    pins = _run(_select(only), jobs)
+    pins = _run(_select(only), runner)
     for name, value in pins.items():
         path = golden_dir / f"{name}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -583,14 +583,15 @@ def refresh(only: Optional[Sequence[str]] = None, jobs: int = 1,
     return list(pins)
 
 
-def check(only: Optional[Sequence[str]] = None, jobs: int = 1,
+def check(only: Optional[Sequence[str]] = None,
+          runner: Optional[Runner] = None,
           golden_dir: Optional[Path] = None) -> PinReport:
     """Re-run entries and compare them with their pins, exactly."""
     golden_dir = golden_dir or default_golden_dir()
     selected = _select(only)
     missing = [name for name in selected
                if not (golden_dir / f"{name}.json").exists()]
-    pins = _run([name for name in selected if name not in missing], jobs)
+    pins = _run([name for name in selected if name not in missing], runner)
     breaches = [breach for name, actual in pins.items()
                 for breach in diff_pin(name, load(name, golden_dir), actual)]
     return PinReport(checked=list(pins), breaches=breaches, missing=missing)

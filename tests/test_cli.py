@@ -211,8 +211,8 @@ class TestExitCodeContract:
         snap["total_mbps"] = snap["total_mbps"] * 2
         path.write_text(json.dumps(snap))
 
-        # The check re-runs the scenario (pins never read the result
-        # cache), so only the edited pin differs from the refresh.
+        # The check reads the result the refresh cached (same code), so
+        # only the edited pin differs from the refresh.
         proc = _run_cli(["validate", "check", "--only", "udp-airtime",
                          "--golden", str(golden_dir)], tmp_path)
         assert proc.returncode == 4, proc.stderr

@@ -22,7 +22,7 @@ def build_medium(sim, n_nodes, seed=1, collisions=True, frames=50):
     nodes = []
     for i in range(n_nodes):
         node = FakeNode(station=i)
-        medium.attach(node, is_ap=(i == 0))
+        medium.attach(node, node.hw, is_ap=(i == 0))
         node.give(frames)
         nodes.append(node)
     medium.notify_backlog()

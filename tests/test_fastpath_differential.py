@@ -49,6 +49,7 @@ from repro.telemetry import QuantileSketch
 from repro.topology import CampusOptions, CampusTestbed, campus_topology
 from repro.topology.spec import RoamEvent
 from repro.traffic.udp import UdpSink
+from repro.traffic.voip import VoipFlow
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +386,10 @@ def test_built_timing_is_what_the_packets_give(sizes, rate, ac, amsdu):
 # DCF arbitration: the ready set against a poll of every contender
 # ----------------------------------------------------------------------
 class PollEveryContender(Medium):
-    """The arbitration the ready set replaced: every attached contender
-    is asked, in registration order, whether it has frames."""
+    """The arbitration the ready set replaced: every attached slot's
+    hardware queue (and detached flag) is asked, in registration order,
+    whether it has frames, and the backoff is ``randint`` over
+    ``_cw_for`` of the queue's head AC."""
 
     def _arbitrate(self) -> None:
         self._arbitration_scheduled = False
@@ -394,30 +397,24 @@ class PollEveryContender(Medium):
             return
         draws = []
         for slot in self._contenders:
-            contender = slot.contender
-            if not contender.has_frames_pending():
+            if slot.detached or not slot.hw.has_pending():
                 continue
-            ac = contender.pending_access_category()
-            slots = self.rng.randint(0, self._cw_for(contender, ac))
-            draws.append((float(slots), self.rng.random(), contender,
-                          slot.is_ap, slot.bss))
+            ac = slot.hw.head_ac()
+            slots = self.rng.randint(0, self._cw_for(slot.contender, ac))
+            draws.append((float(slots), self.rng.random(), slot))
         if not draws:
             return
         draws.sort(key=lambda draw: (draw[0], draw[1]))
-        first = draws[0]
-        min_slots = first[0]
+        min_slots, _, winner = draws[0]
         wait_us = T_DIFS_US + min_slots * T_SLOT_US
         self._busy = True
         if self.collisions:
-            tied = [d for d in draws if d[0] == min_slots]
+            tied = [d[2] for d in draws if d[0] == min_slots]
             if len(tied) > 1:
-                participants = [(d[2], d[3], d[4]) for d in tied]
-                self.sim.schedule(
-                    wait_us,
-                    lambda: self._start_collision(participants, wait_us))
+                self.sim.schedule_call(wait_us, self._start_collision,
+                                       (tied, wait_us))
                 return
-        self.sim.schedule_call(
-            wait_us, self._start_entry, (first[2], first[3], first[4], wait_us))
+        self.sim.schedule_call(wait_us, self._start, (winner, wait_us))
 
 
 def _tcp_with_pings(testbed) -> None:
@@ -463,6 +460,16 @@ def _thirty_stations():
     return Testbed(thirty_station_rates(), TestbedOptions(seed=5))
 
 
+def _voice():
+    # A VO stream to every station: the AP's queue heads VO often, so
+    # draws come from the VO window (CW_MIN_VO) as well as CW_MIN.
+    testbed = Testbed(three_station_rates(), TestbedOptions(seed=6))
+    for node in testbed.stations.values():
+        VoipFlow(testbed.sim, testbed.server, node, ac=AccessCategory.VO,
+                 interval_us=5_000.0).start(delay_us=float(node.index))
+    return testbed
+
+
 def _observed_run(build, monkeypatch, medium_class, duration_s: float):
     """Build a testbed on ``medium_class``, run it, return what it did."""
     monkeypatch.setattr("repro.topology.campus.Medium", medium_class)
@@ -495,8 +502,9 @@ def _observed_run(build, monkeypatch, medium_class, duration_s: float):
     (_collisions, 0.8),
     (_frame_errors, 0.8),
     (_thirty_stations, 1.0),
+    (_voice, 0.8),
 ], ids=["churn", "cross-channel-roam", "collisions", "frame-errors",
-        "thirty-stations"])
+        "thirty-stations", "voice"])
 def test_ready_set_draws_as_a_poll_of_every_contender(build, duration_s,
                                                       monkeypatch):
     fast = _observed_run(build, monkeypatch, Medium, duration_s)
@@ -512,3 +520,5 @@ def test_ready_set_draws_as_a_poll_of_every_contender(build, duration_s,
         assert collisions[0] > 0
     if build is _frame_errors:
         assert not all(rec.success for rec in records[0])
+    if build is _voice:
+        assert any(rec.ac is AccessCategory.VO for rec in records[0])

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.airtime import AirtimeScheduler
-from repro.experiments import cli
+import repro
 from repro.validation import catalogue
 
 
@@ -94,23 +98,34 @@ class TestRefreshCheckCycle:
         assert "MISSING" in report.format()
 
     def test_a_warm_result_cache_does_not_hide_a_scheduler_change(
-            self, tmp_path, monkeypatch, capsys):
-        """The result cache is keyed by spec and package version, not by
-        code, so a gate that read it would pass a changed scheduler."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        argv = ["validate", "check", "--only", "cell-n5-ladder",
-                "--jobs", "1"]
-        assert cli.main(argv) == 0
+            self, tmp_path):
+        """``validate check`` reads the result cache, whose key covers the
+        code: run it on a copy of the package, warm the cache, edit the
+        scheduler in the copy, and the same cache must not hide it."""
+        src = tmp_path / "src"
+        shutil.copytree(Path(repro.__file__).parent, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        argv = [sys.executable, "-m", "repro.experiments.cli", "validate",
+                "check", "--only", "cell-n5-ladder", "--jobs", "1",
+                "--golden", str(catalogue.default_golden_dir())]
 
-        init = AirtimeScheduler.__init__
+        def check():
+            return subprocess.run(argv, env=env, capture_output=True,
+                                  text=True, timeout=600)
 
-        def coarse_quantum(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            self.quantum_us *= 50
+        assert check().returncode == 0
+        assert list((tmp_path / "cache").glob("*.pkl"))
 
-        monkeypatch.setattr(AirtimeScheduler, "__init__", coarse_quantum)
-        assert cli.main(argv) == 4
-        assert "BREACH cell-n5-ladder: jain_airtime" in capsys.readouterr().out
+        airtime = src / "repro" / "core" / "airtime.py"
+        text = airtime.read_text()
+        assert text.count("self.quantum_us = quantum_us\n") == 1
+        airtime.write_text(text.replace("self.quantum_us = quantum_us\n",
+                                        "self.quantum_us = quantum_us * 50\n"))
+        proc = check()
+        assert proc.returncode == 4, proc.stderr
+        assert "BREACH cell-n5-ladder: jain_airtime" in proc.stdout
 
 
 @pytest.mark.validation

@@ -8,36 +8,30 @@ import pytest
 
 from repro.core.packet import AccessCategory, Packet
 from repro.mac.aggregation import Aggregate
+from repro.mac.hwqueue import HardwareQueue
+from repro.mac import medium as medium_mod
 from repro.mac.medium import Medium, TransmissionRecord
-from repro.phy.constants import T_DIFS_US
+from repro.phy.constants import CW_MAX, CW_MIN, CW_MIN_VO, T_DIFS_US
 from repro.phy.rates import RATE_FAST
 from repro.sim.engine import Simulator
 
 
 class FakeNode:
-    """Scriptable contender."""
+    """Scriptable contender sending from a real hardware queue."""
 
     def __init__(self, station=0, ac=AccessCategory.BE):
         self.station = station
         self.ac = ac
-        self.queue = []
+        # Deep enough that a test can queue every frame up front.
+        self.hw = HardwareQueue(depth=1000)
         self.completions = []
 
     def give(self, n=1, packets=1):
         for _ in range(n):
-            self.queue.append(
+            self.hw.push(
                 Aggregate(self.station, self.ac, RATE_FAST,
                           packets=[Packet(1, 1500) for _ in range(packets)])
             )
-
-    def has_frames_pending(self):
-        return bool(self.queue)
-
-    def pending_access_category(self):
-        return self.ac if self.queue else None
-
-    def start_txop(self):
-        return self.queue.pop(0) if self.queue else None
 
     def txop_complete(self, agg, success):
         self.completions.append((agg, success))
@@ -55,7 +49,7 @@ class TestArbitration:
     def test_single_contender_transmits(self, setup):
         sim, medium, records = setup
         node = FakeNode()
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         node.give(1)
         medium.notify_backlog()
         sim.run()
@@ -65,8 +59,8 @@ class TestArbitration:
     def test_transmissions_serialise(self, setup):
         sim, medium, records = setup
         a, b = FakeNode(station=0), FakeNode(station=1)
-        medium.attach(a, is_ap=True)
-        medium.attach(b, is_ap=False)
+        medium.attach(a, a.hw, is_ap=True)
+        medium.attach(b, b.hw, is_ap=False)
         a.give(3)
         b.give(3)
         medium.notify_backlog()
@@ -80,7 +74,7 @@ class TestArbitration:
     def test_grant_includes_difs_and_backoff(self, setup):
         sim, medium, records = setup
         node = FakeNode()
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         node.give(1)
         medium.notify_backlog()
         sim.run()
@@ -90,8 +84,8 @@ class TestArbitration:
     def test_both_contenders_eventually_served(self, setup):
         sim, medium, records = setup
         a, b = FakeNode(station=0), FakeNode(station=1)
-        medium.attach(a, is_ap=True)
-        medium.attach(b, is_ap=False)
+        medium.attach(a, a.hw, is_ap=True)
+        medium.attach(b, b.hw, is_ap=False)
         a.give(10)
         b.give(10)
         medium.notify_backlog()
@@ -102,7 +96,7 @@ class TestArbitration:
     def test_notify_while_busy_is_deferred(self, setup):
         sim, medium, records = setup
         node = FakeNode()
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         node.give(1)
         medium.notify_backlog()
         medium.notify_backlog()  # duplicate notifications are harmless
@@ -111,18 +105,16 @@ class TestArbitration:
 
     def test_evaporated_backlog_releases_channel(self, setup):
         sim, medium, records = setup
-
-        class Flaky(FakeNode):
-            def start_txop(self):
-                return None  # pending frames vanished before the grant
-
-        flaky = Flaky()
-        medium.attach(flaky, is_ap=True)
-        flaky.queue = [object()]  # report pending
+        node = FakeNode()
+        medium.attach(node, node.hw, is_ap=True)
+        node.give(1)
         medium.notify_backlog()
-        flaky.queue.clear()
+        # The frame leaves the queue between the draw (t=0) and the grant
+        # (DIFS later), as a churn flush would take it.
+        sim.schedule(1.0, lambda: node.hw.flush_station(node.station))
         sim.run()
         assert records == []
+        assert medium._busy is False and medium._inflight == []
 
 
 class TestVoPriority:
@@ -132,8 +124,8 @@ class TestVoPriority:
         medium.add_observer(records.append)
         vo = FakeNode(station=0, ac=AccessCategory.VO)
         be = FakeNode(station=1, ac=AccessCategory.BE)
-        medium.attach(vo, is_ap=False)
-        medium.attach(be, is_ap=False)
+        medium.attach(vo, vo.hw, is_ap=False)
+        medium.attach(be, be.hw, is_ap=False)
         vo.give(50)
         be.give(50)
         medium.notify_backlog()
@@ -148,7 +140,7 @@ class TestErrorModel:
     def test_error_rate_produces_failures(self, sim):
         medium = Medium(sim, random.Random(5), error_rate=0.5)
         node = FakeNode()
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         node.give(100)
         medium.notify_backlog()
         sim.run()
@@ -158,7 +150,7 @@ class TestErrorModel:
     def test_zero_error_rate_never_fails(self, setup):
         sim, medium, records = setup
         node = FakeNode()
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         node.give(20)
         medium.notify_backlog()
         sim.run()
@@ -173,7 +165,7 @@ class TestAccounting:
     def test_record_fields(self, setup):
         sim, medium, records = setup
         node = FakeNode(station=7)
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         node.give(1, packets=4)
         medium.notify_backlog()
         sim.run()
@@ -187,7 +179,7 @@ class TestAccounting:
     def test_busy_time_accumulates(self, setup):
         sim, medium, records = setup
         node = FakeNode()
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         node.give(5)
         medium.notify_backlog()
         sim.run()
@@ -198,8 +190,32 @@ class TestAccounting:
     def test_uplink_marked_not_downlink(self, setup):
         sim, medium, records = setup
         node = FakeNode(station=3)
-        medium.attach(node, is_ap=False)
+        medium.attach(node, node.hw, is_ap=False)
         node.give(1)
         medium.notify_backlog()
         sim.run()
         assert records[0].downlink is False
+
+
+class TestBackoffDraw:
+    def test_every_window_draws_what_randint_draws(self, sim):
+        """``_arbitrate`` draws ``rng._randbelow(cw + 1)`` in place of
+        ``rng.randint(0, cw)``: on one seeded stream the two agree for
+        every window the medium uses — VO, BE and each BEB step to CWmax
+        — draw for draw, with the tiebreak ``random()`` interleaved."""
+        medium = Medium(sim, random.Random(1), collisions=True)
+        node = FakeNode()
+        windows = [CW_MIN_VO, CW_MIN]
+        while windows[-1] < CW_MAX:
+            medium._beb_on_collision(node, AccessCategory.BE)
+            windows.append(medium._cw_for(node, AccessCategory.BE))
+        assert windows == [3, 15, 31, 63, 127, 255, 511, 1023]
+        assert (medium_mod._VO_DRAW_BOUND, medium_mod._DRAW_BOUND) == \
+            (CW_MIN_VO + 1, CW_MIN + 1)
+        for seed, cw in enumerate(windows):
+            ours, reference = random.Random(seed), random.Random(seed)
+            draws = [(ours._randbelow(cw + 1), ours.random())
+                     for _ in range(20_000)]
+            assert draws == [(reference.randint(0, cw), reference.random())
+                             for _ in range(20_000)]
+            assert {slots for slots, _ in draws} == set(range(cw + 1))

@@ -18,7 +18,7 @@ import pytest
 
 from repro.runner import (
     FailedResult, ManifestWriter, ResultCache, RunMetrics, RunResult,
-    RunSpec, Runner, read_manifest,
+    RunSpec, Runner, code_fingerprint, read_manifest,
 )
 from repro.telemetry import flightrec
 
@@ -79,6 +79,8 @@ class TestManifestWriter:
         assert header["ev"] == "sweep"
         assert (header["specs"], header["mode"], header["jobs"]) == \
             (2, "serial", 1)
+        # The code fingerprint every cache key of the sweep covers.
+        assert header["code"] == code_fingerprint()
         assert ok["ev"] == "run" and ok["label"] == "run-ok"
         assert ok["ok"] is True and ok["cached"] is True
         assert ok["finalize_s"] == 0.5

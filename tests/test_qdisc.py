@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.packet import Packet
@@ -97,6 +99,33 @@ class TestFqCodelQdisc:
         q.enqueue(mkpkt(flow_id=2, seq=0))
         assert dropped == [1]
         assert q.overlimit_drops == 1
+
+    def test_enqueue_refuses_exactly_when_the_limit_drops(self):
+        """``enqueue`` returns False iff it made an overlimit drop — also
+        when the drop takes another flow's head and the new packet stays
+        queued — and CoDel drops (made at dequeue) never count against a
+        later enqueue."""
+        q = self.make(limit=4)
+        dropped = []
+        q.on_drop = lambda p, r: dropped.append((p.flow_id, r))
+        assert all(q.enqueue(mkpkt(flow_id=1, seq=i)) for i in range(4))
+        newcomer = mkpkt(flow_id=2, seq=0)
+        assert q.enqueue(newcomer) is False
+        assert dropped == [(1, "overlimit")] and q.backlog_packets == 4
+        drained = [q.dequeue() for _ in range(4)]
+        assert newcomer in drained and q.dequeue() is None
+
+        rng = random.Random(7)
+        q = self.make(limit=8)
+        for step in range(2_000):
+            self.now += rng.choice((0.0, 1_000.0, 40_000.0))
+            if rng.random() < 0.4:
+                q.dequeue()
+                continue
+            before = q.overlimit_drops
+            accepted = q.enqueue(mkpkt(flow_id=rng.randrange(4), seq=step))
+            assert accepted == (q.overlimit_drops == before)
+        assert q.overlimit_drops > 0 and q.codel_drops > 0
 
     def test_codel_drop_counter_exposed(self):
         q = self.make()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import shutil
 
 import pytest
 
@@ -12,9 +13,11 @@ from repro.runner import (
     RunSpec,
     Runner,
     canonical,
+    code_fingerprint,
     execute,
 )
 from repro.runner import executor as executor_mod
+from repro.runner.spec import PACKAGE_ROOT
 
 #: Invocation log for in-process execution tests (reset per test).
 CALLS: list = []
@@ -50,9 +53,45 @@ class TestRunSpec:
         assert base.digest() != RunSpec.make("m:f", scheme=Scheme.AIRTIME,
                                              seed=1).digest()
 
-    def test_digest_changes_with_package_version(self):
+    def test_digest_changes_with_the_code(self):
         spec = RunSpec.make("m:f", x=1)
-        assert spec.digest("1.0.0") != spec.digest("1.0.1")
+        assert spec.digest() == spec.digest(code_fingerprint())
+        assert spec.digest("a" * 64) != spec.digest("b" * 64)
+
+    def test_editing_one_function_changes_every_key(self, tmp_path):
+        """The cache key covers the package's sources: fingerprint a copy
+        of the tree, edit one function in it, and every key moves —
+        for specs of every registered experiment, not just its own."""
+        from repro.experiments.registry import EXPERIMENTS
+
+        tree = tmp_path / "repro"
+        shutil.copytree(PACKAGE_ROOT, tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        fingerprint = code_fingerprint.__wrapped__  # bypass the memo
+        before = fingerprint(tree)
+        assert before == code_fingerprint()  # a copy is the same code
+        specs = [spec_for(3)] + [
+            spec for row in EXPERIMENTS
+            for spec in row.module.specs(duration_s=1.0, warmup_s=0.5,
+                                         seed=1)]
+        keys = [spec.digest(before) for spec in specs]
+
+        # One operator in ``_control_law``: same length, same line count.
+        codel = tree / "core" / "codel.py"
+        text = codel.read_text()
+        law = "return t_us + interval_us / math.sqrt(count)"
+        assert text.count(law) == 1
+        codel.write_text(text.replace(law, law.replace("+", "-")))
+        after = fingerprint(tree)
+        assert after != before
+        moved = [spec.digest(after) for spec in specs]
+        assert not set(keys) & set(moved)
+
+        # A renamed file is a different tree even with the same bytes.
+        codel.write_text(text)
+        assert fingerprint(tree) == before
+        codel.rename(tree / "core" / "codel2.py")
+        assert fingerprint(tree) != before
 
     def test_telemetry_config_changes_digest(self):
         """Cache-key hygiene: a traced run must never be satisfied from an
@@ -128,10 +167,11 @@ class TestResultCache:
         hit, _ = cache.get(spec_for(4))
         assert not hit
 
-    def test_version_change_invalidates(self, tmp_path):
+    def test_code_change_invalidates(self, tmp_path):
         spec = spec_for(3)
-        ResultCache(tmp_path, version="1.0.0").put(spec, 9)
-        hit, _ = ResultCache(tmp_path, version="9.9.9").get(spec)
+        ResultCache(tmp_path, code="a" * 64).put(spec, 9)
+        assert ResultCache(tmp_path, code="a" * 64).get(spec)[0]
+        hit, _ = ResultCache(tmp_path, code="b" * 64).get(spec)
         assert not hit
 
     @pytest.mark.parametrize(

@@ -209,7 +209,7 @@ class TestCacheQuarantine:
     def test_legacy_format_is_plain_miss_without_quarantine(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = _spec("quick", value=7)
-        legacy = {"version": cache.version, "value": 14}
+        legacy = {"version": "1.1.0", "value": 14}
         cache.root.mkdir(parents=True, exist_ok=True)
         cache.path_for(spec).write_bytes(pickle.dumps(legacy))
         hit, _ = cache.get(spec)

@@ -197,14 +197,14 @@ class AccessPointMachine(RuleBasedStateMachine):
         7): whoever has frames must be in it, and only attached
         contenders may be."""
         medium = self.testbed.medium
-        ready = [slot.contender for slot in medium._ready]
-        attached = [slot.contender for slot in medium._contenders]
-        assert len({id(c) for c in ready}) == len(ready)
-        assert all(slot.ready for slot in medium._ready)
-        assert {id(c) for c in ready} <= {id(c) for c in attached}
-        for contender in attached:
-            if contender.has_frames_pending():
-                assert any(c is contender for c in ready), contender
+        ready = medium._ready
+        assert len({id(slot) for slot in ready}) == len(ready)
+        assert all(slot.ready for slot in ready)
+        assert {id(slot) for slot in ready} <= {
+            id(slot) for slot in medium._contenders}
+        for slot in medium._contenders:
+            if not slot.detached and slot.hw.has_pending():
+                assert any(r is slot for r in ready), slot.contender
 
     @invariant()
     def resident_matches_the_containers(self):

@@ -14,12 +14,11 @@ import random
 
 import pytest
 
-from repro.core.packet import AccessCategory, Packet
+from repro.core.packet import Packet
 from repro.faults.schedule import Churn
-from repro.mac.aggregation import Aggregate
 from repro.mac.ap import Scheme
+from repro.mac.hwqueue import HardwareQueue
 from repro.mac.medium import Medium
-from repro.phy.rates import RATE_FAST
 from repro.telemetry.config import TelemetryConfig
 from repro.topology import (
     BssSpec,
@@ -31,6 +30,7 @@ from repro.topology import (
 )
 
 from .conftest import make_testbed
+from .test_medium import FakeNode
 
 
 def livelocked_campus() -> None:
@@ -45,34 +45,6 @@ def livelocked_campus() -> None:
     saturating_udp_download(campus)
     plant_livelock(campus)
     campus.run(0.2)
-
-
-class FakeNode:
-    """Minimal medium contender for attach/detach unit tests."""
-
-    def __init__(self, station=0, ac=AccessCategory.BE):
-        self.station = station
-        self.ac = ac
-        self.queue = []
-
-    def give(self, n=1):
-        for _ in range(n):
-            self.queue.append(
-                Aggregate(self.station, self.ac, RATE_FAST,
-                          packets=[Packet(1, 1500)])
-            )
-
-    def has_frames_pending(self):
-        return bool(self.queue)
-
-    def pending_access_category(self):
-        return self.ac if self.queue else None
-
-    def start_txop(self):
-        return self.queue.pop(0) if self.queue else None
-
-    def txop_complete(self, agg, success):
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -157,39 +129,40 @@ class TestTopologySpec:
 class TestMediumAttach:
     def test_second_ap_on_same_bss_rejected(self, sim):
         medium = Medium(sim, random.Random(1))
-        medium.attach(FakeNode(), is_ap=True, bss=0)
+        medium.attach(FakeNode(), HardwareQueue(), is_ap=True, bss=0)
         with pytest.raises(ValueError, match="BSS 0 already has an AP"):
-            medium.attach(FakeNode(), is_ap=True, bss=0)
+            medium.attach(FakeNode(), HardwareQueue(), is_ap=True, bss=0)
 
     def test_second_ap_on_other_bss_allowed(self, sim):
         medium = Medium(sim, random.Random(1))
-        medium.attach(FakeNode(), is_ap=True, bss=0)
-        medium.attach(FakeNode(), is_ap=True, bss=1)  # co-channel cell
+        medium.attach(FakeNode(), HardwareQueue(), is_ap=True, bss=0)
+        medium.attach(FakeNode(), HardwareQueue(), is_ap=True,
+                      bss=1)  # co-channel cell
 
     def test_duplicate_contender_rejected(self, sim):
         medium = Medium(sim, random.Random(1))
         node = FakeNode()
-        medium.attach(node, is_ap=False)
+        medium.attach(node, node.hw, is_ap=False)
         with pytest.raises(ValueError, match="already attached"):
-            medium.attach(node, is_ap=False)
+            medium.attach(node, node.hw, is_ap=False)
 
     def test_attach_hands_out_a_readiness_hook_detach_kills_it(self, sim):
         medium = Medium(sim, random.Random(1))
         a, b = FakeNode(station=0), FakeNode(station=1)
-        hook_a = medium.attach(a, is_ap=False)
-        hook_b = medium.attach(b, is_ap=False)
+        medium.attach(a, a.hw, is_ap=False)
+        medium.attach(b, b.hw, is_ap=False)
         # Attached contenders start ready; an arbitration prunes idle ones.
         assert [slot.contender for slot in medium._ready] == [a, b]
         medium._arbitrate()
         assert medium._ready == []
+        # The hook is the queue's on_ready: a push marks its contender.
         # Marked out of order, drawn in registration order.
         b.give()
-        hook_b()
         a.give()
-        hook_a()
-        hook_a()  # a second call is free
+        a.hw.on_ready()  # a second call is free
         medium._arbitrate()
         assert [slot.contender for slot in medium._ready] == [a, b]
+        hook_b = b.hw.on_ready
         medium.detach(b)
         hook_b()
         assert [slot.contender for slot in medium._ready] == [a]
@@ -197,11 +170,11 @@ class TestMediumAttach:
     def test_detach_is_idempotent(self, sim):
         medium = Medium(sim, random.Random(1))
         node = FakeNode()
-        medium.attach(node, is_ap=True)
+        medium.attach(node, node.hw, is_ap=True)
         assert medium.detach(node) is True
         assert medium.detach(node) is False
         # The AP slot is free again after detach.
-        medium.attach(FakeNode(), is_ap=True, bss=0)
+        medium.attach(FakeNode(), HardwareQueue(), is_ap=True, bss=0)
 
 
 # ----------------------------------------------------------------------
