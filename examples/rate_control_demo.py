@@ -40,8 +40,10 @@ def run(pinned_mcs=None, rate_control=False, max_reliable=3):
     )
     flow = UdpDownloadFlow(testbed.sim, testbed.server, testbed.stations[0],
                            rate_bps=40e6).start()
-    window_us = testbed.run(duration_s=8.0, warmup_s=2.0)
-    goodput = 8 * flow.sink.rx_bytes / (testbed.sim.now / 1e6) / 1e6
+    # Goodput over the measured window only: Minstrel's learning in the
+    # warm-up does not count.
+    testbed.run(duration_s=8.0, warmup_s=2.0)
+    goodput = flow.sink.window_throughput_bps() / 1e6
     learned = None
     controller = testbed.ap._rate_controllers.get(0)
     if controller is not None:

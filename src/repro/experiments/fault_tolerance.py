@@ -112,23 +112,23 @@ class FaultToleranceResult:
 class _WindowSampler:
     """Samples windowed Jain fairness and ping RTT in simulation time.
 
-    The warm-up reset zeroes the airtime account and clears the RTT
-    lists, so it restarts both baselines too: the first measured window
-    is a delta from the reset, not from the last warm-up sample."""
+    The window start zeroes the airtime account and clears the RTT
+    lists, so it restarts both baselines and both series: every entry is
+    a measured window, the first a delta from the window start."""
 
     def __init__(self, testbed: Testbed, pings) -> None:
         self._testbed = testbed
         self._pings = pings
         self._stations = sorted(testbed.stations)
         self._restart()
-        testbed.add_warmup_reset(self._restart)
-        self.jain_series: List[Tuple[float, float]] = []
-        self.rtt_series: List[Tuple[float, float]] = []
+        testbed.sim.at_window_start(self._restart)
         self._timer = PeriodicTimer(
             testbed.sim, testbed.sim.sec(SAMPLE_WINDOW_S), self._sample
         )
 
     def _restart(self) -> None:
+        self.jain_series: List[Tuple[float, float]] = []
+        self.rtt_series: List[Tuple[float, float]] = []
         self._last_airtime = {i: 0.0 for i in self._stations}
         self._seen_rtts = {i: 0 for i in self._pings}
 

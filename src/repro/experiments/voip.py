@@ -63,7 +63,6 @@ def run_case(
     voice = VoipFlow(
         testbed.sim, testbed.server, testbed.stations[SLOW_STATION], ac=ac
     ).start()
-    testbed.add_warmup_reset(voice.reset_window)
     testbed.run(duration_s, warmup_s)
     # Measure throughput over the loaded window, then stop the voice
     # stream and let in-flight packets drain for two seconds so they are

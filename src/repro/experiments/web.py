@@ -48,6 +48,7 @@ class _RepeatingFetcher:
         self.page = page
         self.plts_s: List[float] = []
         self._current: Optional[WebFetch] = None
+        testbed.sim.at_window_start(self.plts_s.clear)
 
     def start(self, delay_us: float = 0.0) -> "_RepeatingFetcher":
         self.testbed.sim.schedule(delay_us, self._fetch)
@@ -65,9 +66,6 @@ class _RepeatingFetcher:
     def _on_done(self, plt_s: float) -> None:
         self.plts_s.append(plt_s)
         self.testbed.sim.schedule(1_000_000.0, self._fetch)
-
-    def reset_window(self) -> None:
-        self.plts_s.clear()
 
 
 def run_case(
@@ -87,7 +85,6 @@ def run_case(
         bulk_stations = list(FAST_STATIONS)
     tcp_download(testbed, bulk_stations)
     fetcher = _RepeatingFetcher(testbed, fetch_station, page).start(delay_us=10_000.0)
-    testbed.add_warmup_reset(fetcher.reset_window)
     testbed.run(duration_s, warmup_s)
     return WebResult(
         scheme=scheme,

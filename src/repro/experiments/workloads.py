@@ -1,7 +1,7 @@
 """Reusable traffic compositions for the evaluation scenarios.
 
-Each helper attaches flows to a built :class:`Testbed` and registers
-their warm-up resets, returning the flow objects for measurement.
+Each helper attaches flows to a built :class:`Testbed`, returning the
+flow objects for measurement.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ def saturating_udp_download(
             station,
             rate_bps=udp_rate_for(station.rate),
         ).start(delay_us=float(idx))  # tiny stagger avoids phase lock
-        testbed.add_warmup_reset(flow.sink.reset_window)
         flows[idx] = flow
     return flows
 
@@ -65,11 +64,9 @@ def tcp_download(
     targets = stations if stations is not None else sorted(testbed.stations)
     conns: Dict[int, TcpConnection] = {}
     for idx in targets:
-        conn = TcpConnection(
+        conns[idx] = TcpConnection(
             testbed.sim, testbed.server, testbed.stations[idx], direction="down"
         ).start(delay_us=float(idx))
-        testbed.add_warmup_reset(conn.reset_window)
-        conns[idx] = conn
     return conns
 
 
@@ -87,8 +84,6 @@ def tcp_bidir(
         up = TcpConnection(
             testbed.sim, testbed.server, testbed.stations[idx], direction="up"
         ).start(delay_us=500.0 + idx)
-        testbed.add_warmup_reset(down.reset_window)
-        testbed.add_warmup_reset(up.reset_window)
         conns[idx] = {"down": down, "up": up}
     return conns
 
@@ -108,10 +103,8 @@ def add_pings(
     )
     flows: Dict[int, PingFlow] = {}
     for i, idx in enumerate(targets):
-        flow = PingFlow(
+        flows[idx] = PingFlow(
             testbed.sim, testbed.server, testbed.stations[idx],
             interval_us=interval_us, observer=observer,
         ).start(delay_us=1_000.0 * (i + 1))
-        testbed.add_warmup_reset(flow.reset_window)
-        flows[idx] = flow
     return flows

@@ -167,6 +167,9 @@ class AccessPoint:
 
         self._builder = AggregateBuilder(self.config.aggregation)
         self._hw = HardwareQueue()
+        # Bound once: an arrival tests ``be_full()`` inline (as the
+        # station's ``_fill_plan`` does), with no call per packet.
+        self._hw_be, self._hw_depth = self._hw._be_q, self._hw.depth
         self.network: Optional["Network"] = None
 
         self.codel_tuner = PerStationCoDelTuner(
@@ -350,7 +353,7 @@ class AccessPoint:
         # The fill pass can only act on a VO frame, a parked station or
         # a free BE hardware slot (both schedulers loop "while the
         # hardware queue is not full"); txop_complete always runs it.
-        if self._vo_ring or self._parked or not self._hw.be_full():
+        if self._vo_ring or self._parked or len(self._hw_be) < self._hw_depth:
             self._fill_hw()
         # Inlined ``medium.notify_backlog()`` guard: mid-run the channel
         # is nearly always busy, and this path runs once per arrival.

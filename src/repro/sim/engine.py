@@ -173,6 +173,9 @@ class Simulator:
         #: The ``until_us`` of the current/last :meth:`run` call — a
         #: failed run's evidence says how far short of it the clock got.
         self.run_until_us: Optional[float] = None
+        #: When the measurement window opened (:meth:`start_window`).
+        self.window_start_us = 0.0
+        self._window_subscribers: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -247,6 +250,21 @@ class Simulator:
     def call_soon(self, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` at the current time (after pending events)."""
         return self.schedule(0.0, callback)
+
+    # ------------------------------------------------------------------
+    # Measurement window
+    # ------------------------------------------------------------------
+    def at_window_start(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` when the measurement window opens."""
+        self._window_subscribers.append(callback)
+
+    def start_window(self) -> None:
+        """Open the measurement window now and call every subscriber in
+        subscription order (each drops or snapshots its warm-up state).
+        Schedules nothing and draws no random number."""
+        self.window_start_us = self.now
+        for callback in self._window_subscribers:
+            callback()
 
     # ------------------------------------------------------------------
     # Watchdog

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.stats import AirtimeTracker
 from repro.core.packet import reset_packet_counters
@@ -194,11 +194,8 @@ class CampusTestbed:
         # BSS -> the ``on_tx`` of every account its transmissions feed.
         feeds = {bss_id: [tracker.on_tx]
                  for bss_id, tracker in self.trackers.items()}
-        #: Hooks the end of warm-up calls: the accounts' resets, then
-        #: each flow's ``reset_window``.
-        self.warmup_resets: List[Callable[[], None]] = [
-            tracker.reset for tracker in self.trackers.values()
-        ]
+        for tracker in self.trackers.values():
+            self.sim.at_window_start(tracker.reset)
 
         # --- telemetry -------------------------------------------------
         self.telemetry: Optional[Telemetry] = None
@@ -213,7 +210,7 @@ class CampusTestbed:
                 account = AirtimeTracker()
                 for bss_feeds in feeds.values():
                     bss_feeds.append(account.on_tx)
-                self.warmup_resets.append(account.reset)
+                self.sim.at_window_start(account.reset)
             self.telemetry = Telemetry(options.telemetry, account)
             for stack in self.bss.values():
                 stack.ap.set_trace(self.telemetry)
@@ -225,7 +222,13 @@ class CampusTestbed:
             if ledger is not None:
                 ledger.account = self.tracker
                 self.ap.set_ledger(ledger)
-                self.warmup_resets.append(ledger.reset)
+                self.sim.at_window_start(ledger.reset)
+            # Everything after this marker is the measurement window: the
+            # trace summariser resets its account exactly where the live
+            # accounts reset.
+            telemetry = self.telemetry
+            self.sim.at_window_start(
+                lambda: telemetry.mark(self.sim.now, "measurement_start"))
             sampler = self.telemetry.metrics
             if sampler is not None:
                 sampler.add_probe(self._sample_queues)
@@ -240,10 +243,9 @@ class CampusTestbed:
             self.sim.schedule_call(
                 self.sim.sec(event.at_s), self._roam_entry, event
             )
-        #: Channel busy-time and collision-count baselines captured when
-        #: measurement starts.
-        self._busy_baseline: Dict[int, float] = {c: 0.0 for c in self.mediums}
-        self._collision_baseline: Dict[int, int] = {c: 0 for c in self.mediums}
+        #: Each channel's (busy µs, collisions) as the window opened.
+        self._window_baseline = {c: (0.0, 0) for c in self.mediums}
+        self.sim.at_window_start(self._snapshot_mediums)
 
         # --- fault injection + watchdogs -------------------------------
         self.fault_injector: Optional[FaultInjector] = None
@@ -421,11 +423,13 @@ class CampusTestbed:
         }
 
     # ------------------------------------------------------------------
-    def add_warmup_reset(self, reset: Callable[[], None]) -> None:
-        self.warmup_resets.append(reset)
+    def _snapshot_mediums(self) -> None:
+        self._window_baseline = {
+            c: (m.busy_time_us, m.collision_count)
+            for c, m in self.mediums.items()}
 
     def run(self, duration_s: float, warmup_s: float = 0.0) -> float:
-        """Run warm-up then the measurement window.
+        """Run warm-up, open the simulator's measurement window, run it.
 
         Returns the measurement window length in µs (the divisor for
         throughput computations).
@@ -440,19 +444,9 @@ class CampusTestbed:
         strict = self.options.strict
         if warmup_s > 0:
             self.sim.run(until_us=self.sim.sec(warmup_s))
-            for reset in self.warmup_resets:
-                reset()
-        if self.telemetry is not None:
-            # Everything after this marker is the measurement window; the
-            # trace summariser resets its account here, exactly where the
-            # live accounts reset.
-            self.telemetry.mark(self.sim.now, "measurement_start")
-        for channel, medium in self.mediums.items():
-            self._busy_baseline[channel] = medium.busy_time_us
-            self._collision_baseline[channel] = medium.collision_count
-        start = self.sim.now
+        self.sim.start_window()
         self.sim.run(until_us=self.sim.sec(warmup_s + duration_s))
-        window_us = self.sim.now - start
+        window_us = self.sim.now - self.sim.window_start_us
         fault_channel = (
             self.telemetry.channel("fault")
             if self.telemetry is not None else None
@@ -472,14 +466,13 @@ class CampusTestbed:
                 if strict and not report.ok:
                     raise InvariantViolation(f"[{label}] {report.describe()}")
         if ledger is not None:
-            (channel,) = self.mediums
+            ((busy_us, collisions),) = self._window_baseline.values()
             audit = ledger.audit(
                 rates={s: st.rate for s, st in self.stations.items()},
                 airtime_fairness=self.ap.descriptor.airtime_fair,
                 tolerance=self.options.telemetry.ledger_tolerance,
-                busy_us=self.medium.busy_time_us - self._busy_baseline[channel],
-                collisions=(self.medium.collision_count
-                            - self._collision_baseline[channel]),
+                busy_us=self.medium.busy_time_us - busy_us,
+                collisions=self.medium.collision_count - collisions,
             )
             self.telemetry.ledger_audit = audit
             if fault_channel is not None:
@@ -497,7 +490,8 @@ class CampusTestbed:
         """Channel occupancy over the measurement window."""
         if window_us <= 0:
             return 0.0
-        busy = self.mediums[channel].busy_time_us - self._busy_baseline[channel]
+        busy = (self.mediums[channel].busy_time_us
+                - self._window_baseline[channel][0])
         return busy / window_us
 
 

@@ -53,6 +53,7 @@ class PingFlow:
         station.register_handler(self.flow_id, self._on_request_at_station)
         server.register_handler(self.flow_id, self._on_reply_at_server)
         self._timer = PeriodicTimer(sim, interval_us, self._probe)
+        sim.at_window_start(self._on_window_start)
 
     def start(self, delay_us: float = 0.0) -> "PingFlow":
         self._timer.start(first_delay_us=delay_us)
@@ -61,7 +62,7 @@ class PingFlow:
     def stop(self) -> None:
         self._timer.stop()
 
-    def reset_window(self) -> None:
+    def _on_window_start(self) -> None:
         """Discard warm-up samples."""
         self.rtts_us.clear()
         self.lost = 0

@@ -34,6 +34,7 @@ from repro.core.packet import AccessCategory, Packet, flow_id_allocator
 from repro.mac.station import ClientStation
 from repro.net.wire import Server
 from repro.sim.engine import Simulator, Timer
+from repro.traffic.udp import WindowBytes
 
 __all__ = ["TcpConnection", "TCP_MSS", "TCP_SEGMENT_BYTES", "TCP_ACK_BYTES"]
 
@@ -62,7 +63,7 @@ CUBIC_BETA = 0.7
 SackRanges = Tuple[Tuple[int, int], ...]
 
 
-class _Receiver:
+class _Receiver(WindowBytes):
     """Receiver half: cumulative acks, delayed acks, SACK reporting.
 
     Out-of-order data is kept as a sorted list of disjoint ``[start, end)``
@@ -74,15 +75,13 @@ class _Receiver:
         sim: Simulator,
         send_ack: Callable[[int, SackRanges], None],
     ) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self._send_ack = send_ack
         self.rcv_nxt = 0
         self._ooo: List[List[int]] = []  # sorted disjoint [start, end)
         self._pending_acks = 0
         self._delack = Timer(sim, self._delack_fire)
         self.rx_bytes = 0
-        self._window_bytes = 0
-        self._window_start_us = 0.0
 
     # ------------------------------------------------------------------
     def on_data(self, pkt: Packet) -> None:
@@ -148,18 +147,6 @@ class _Receiver:
     def _delack_fire(self) -> None:
         if self._pending_acks > 0:
             self._ack_now()
-
-    # -- measurement ----------------------------------------------------
-    def reset_window(self) -> None:
-        self._window_bytes = 0
-        self._window_start_us = self.sim.now
-
-    def window_throughput_bps(self, end_us: Optional[float] = None) -> float:
-        end = end_us if end_us is not None else self.sim.now
-        elapsed = end - self._window_start_us
-        if elapsed <= 0:
-            return 0.0
-        return 8 * self._window_bytes / (elapsed / 1e6)
 
 
 class _Sender:
@@ -557,9 +544,6 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # Measurement passthroughs
     # ------------------------------------------------------------------
-    def reset_window(self) -> None:
-        self.receiver.reset_window()
-
     def window_throughput_bps(self, end_us: Optional[float] = None) -> float:
         return self.receiver.window_throughput_bps(end_us)
 

@@ -23,7 +23,26 @@ __all__ = ["UdpDownloadFlow", "UdpSink", "DEFAULT_UDP_PACKET"]
 DEFAULT_UDP_PACKET = 1500
 
 
-class UdpSink:
+class WindowBytes:
+    """Bytes received since the simulator's measurement window opened."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._window_bytes = 0
+        sim.at_window_start(self._on_window_start)
+
+    def _on_window_start(self) -> None:
+        self._window_bytes = 0
+
+    def window_throughput_bps(self, end_us: Optional[float] = None) -> float:
+        end = end_us if end_us is not None else self.sim.now
+        elapsed = end - self.sim.window_start_us
+        if elapsed <= 0:
+            return 0.0
+        return 8 * self._window_bytes / (elapsed / 1e6)
+
+
+class UdpSink(WindowBytes):
     """Receives a UDP stream and tracks goodput and one-way delay.
 
     Delay is accumulated in a
@@ -34,13 +53,11 @@ class UdpSink:
     """
 
     def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.rx_bytes = 0
         self.rx_packets = 0
         #: One-way delay sketch (µs), covering the measurement window.
         self.delay = QuantileSketch()
-        self._window_start_us = 0.0
-        self._window_bytes = 0
 
     def on_packet(self, pkt: Packet) -> None:
         self.on_burst((pkt,))
@@ -54,18 +71,9 @@ class UdpSink:
         now = self.sim.now
         self.delay.observe_many([now - pkt.created_us for pkt in packets])
 
-    def reset_window(self) -> None:
-        """Start a fresh measurement window (drops warm-up samples)."""
-        self._window_start_us = self.sim.now
-        self._window_bytes = 0
+    def _on_window_start(self) -> None:
+        super()._on_window_start()
         self.delay = QuantileSketch()
-
-    def window_throughput_bps(self, end_us: Optional[float] = None) -> float:
-        end = end_us if end_us is not None else self.sim.now
-        elapsed = end - self._window_start_us
-        if elapsed <= 0:
-            return 0.0
-        return 8 * self._window_bytes / (elapsed / 1e6)
 
 
 class UdpDownloadFlow:

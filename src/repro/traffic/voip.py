@@ -66,6 +66,7 @@ class VoipFlow:
 
         station.register_handler(self.flow_id, self._on_packet)
         self._timer = PeriodicTimer(sim, interval_us, self._emit)
+        sim.at_window_start(self._on_window_start)
 
     def start(self, delay_us: float = 0.0) -> "VoipFlow":
         self._timer.start(first_delay_us=delay_us)
@@ -74,7 +75,7 @@ class VoipFlow:
     def stop(self) -> None:
         self._timer.stop()
 
-    def reset_window(self) -> None:
+    def _on_window_start(self) -> None:
         """Discard warm-up samples."""
         self.rx_in_window = 0
         self._delay_sum_us = 0.0

@@ -206,12 +206,11 @@ def run_cell(
                        strict=strict),
     )
     for idx, station in sorted(testbed.stations.items()):
-        flow = UdpDownloadFlow(
+        UdpDownloadFlow(
             testbed.sim, testbed.server, station,
             rate_bps=udp_rate_for(station.rate),
             packet_size=payload_bytes,
         ).start(delay_us=float(idx))  # tiny stagger avoids phase lock
-        testbed.add_warmup_reset(flow.sink.reset_window)
     window_us = testbed.run(duration_s, warmup_s)
     conservation = testbed.conservation or audit_conservation(testbed)
     stations = sorted(testbed.stations)

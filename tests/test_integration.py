@@ -129,7 +129,7 @@ class TestLatencyEndToEnd:
                 delay_us=1000.0
             )
             tb.sim.run(until_us=8_000_000.0)
-            ping.reset_window()
+            tb.sim.start_window()
             tb.sim.run(until_us=15_000_000.0)
             return statistics.median(ping.rtts_ms)
 
@@ -142,7 +142,7 @@ class TestLatencyEndToEnd:
         TcpConnection(tb.sim, tb.server, tb.stations[0], direction="down").start()
         ping = PingFlow(tb.sim, tb.server, tb.stations[0]).start(delay_us=500.0)
         tb.sim.run(until_us=8_000_000.0)
-        ping.reset_window()
+        tb.sim.start_window()
         tb.sim.run(until_us=14_000_000.0)
         import statistics
 

@@ -27,7 +27,7 @@ class TestUdpFlow:
         flow = UdpDownloadFlow(tb.sim, tb.server, tb.stations[0],
                                rate_bps=8_000_000.0).start()
         tb.sim.run(until_us=1_000_000.0)
-        flow.sink.reset_window()
+        tb.sim.start_window()
         tb.sim.run(until_us=2_000_000.0)
         measured = flow.sink.window_throughput_bps()
         assert measured == pytest.approx(8_000_000.0, rel=0.05)
@@ -106,7 +106,7 @@ class TestPingFlow:
         tb = make_testbed(Scheme.AIRTIME)
         ping = PingFlow(tb.sim, tb.server, tb.stations[0]).start()
         tb.sim.run(until_us=500_000.0)
-        ping.reset_window()
+        tb.sim.start_window()
         assert ping.rtts_ms == []
 
     def test_custom_interval(self):
@@ -152,7 +152,7 @@ class TestVoipFlow:
         tb = make_testbed(Scheme.AIRTIME)
         voice = VoipFlow(tb.sim, tb.server, tb.stations[0]).start()
         tb.sim.run(until_us=1_000_000.0)
-        voice.reset_window()
+        tb.sim.start_window()
         tb.sim.run(until_us=2_000_000.0)
         stats = voice.stats()
         assert stats.samples == pytest.approx(50, abs=2)

@@ -21,6 +21,8 @@ from repro.experiments.workloads import (
 )
 from repro.mac.ap import Scheme
 from repro.phy.rates import RATE_FAST, RATE_LEGACY_1M, RATE_SLOW
+from repro.traffic.ping import PingFlow
+from repro.traffic.udp import UdpDownloadFlow
 from tests.conftest import make_testbed
 
 
@@ -52,20 +54,42 @@ class TestWorkloadWiring:
         tb = make_testbed(Scheme.AIRTIME)
         flows = saturating_udp_download(tb)
         assert sorted(flows) == [0, 1, 2]
-        resets = {flow.sink.reset_window for flow in flows.values()}
-        assert len(resets) == 3 and resets <= set(tb.warmup_resets)
 
     def test_station_subset_selection(self):
         tb = make_testbed(Scheme.AIRTIME)
         flows = saturating_udp_download(tb, [1])
         assert list(flows) == [1]
 
-    def test_tcp_download_registers_warmup_resets(self):
+    def test_tcp_download_attaches_one_connection_per_station(self):
         tb = make_testbed(Scheme.AIRTIME)
         conns = tcp_download(tb)
-        assert len(conns) == 3
-        resets = {conn.reset_window for conn in conns.values()}
-        assert len(resets) == 3 and resets <= set(tb.warmup_resets)
+        assert sorted(conns) == [0, 1, 2]
+
+    def test_flows_built_without_registration_hold_only_window_samples(self):
+        """A collector subscribes to the measurement window itself: a
+        flow built by hand, with no call to register it, reports only
+        what arrived after the warm-up."""
+        tb = make_testbed(Scheme.FIFO)
+        replies = []
+        ping = PingFlow(tb.sim, tb.server, tb.stations[2],
+                        observer=lambda _, rtt: replies.append(
+                            (tb.sim.now, rtt))).start()
+        flow = UdpDownloadFlow(tb.sim, tb.server, tb.stations[2],
+                               rate_bps=20e6).start()
+        at_start = []
+        tb.sim.at_window_start(lambda: at_start.append(
+            (flow.sink.rx_packets, flow.sink.rx_bytes)))
+        window_us = tb.run(0.5, 0.5)
+        start = tb.sim.window_start_us
+        assert start == 500_000.0 and window_us == 500_000.0
+        warmup = [rtt for t, rtt in replies if t <= start]
+        assert warmup and ping.rtts_us == [rtt for t, rtt in replies
+                                           if t > start]
+        (packets, size), = at_start
+        assert 0 < packets < flow.sink.rx_packets
+        assert flow.sink.delay.count == flow.sink.rx_packets - packets
+        assert flow.sink.window_throughput_bps() == pytest.approx(
+            8 * (flow.sink.rx_bytes - size) / 0.5)
 
     def test_tcp_bidir_creates_both_directions(self):
         tb = make_testbed(Scheme.AIRTIME)
