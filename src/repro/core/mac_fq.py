@@ -39,8 +39,6 @@ DEFAULT_GLOBAL_LIMIT = 8192
 #: Number of flow queues in the shared pool (mac80211 uses 4096).
 DEFAULT_NUM_QUEUES = 4096
 
-DropCallback = Callable[[Packet, str], None]
-
 
 class TidMap(dict):
     """``(station, ac) -> TidState``, made the first time a key is used.
@@ -83,7 +81,7 @@ class MacFqStructure:
         limit: int = DEFAULT_GLOBAL_LIMIT,
         quantum: int = DEFAULT_QUANTUM_BYTES,
         codel_tuner: Optional[PerStationCoDelTuner] = None,
-        on_drop: Optional[DropCallback] = None,
+        on_drop: Optional[Callable[[Packet, str], None]] = None,
     ) -> None:
         if num_queues <= 0 or limit <= 0 or quantum <= 0:
             raise ValueError("num_queues, limit and quantum must be positive")

@@ -30,26 +30,7 @@ from repro.phy.timing import (
     mpdu_length,
 )
 
-__all__ = [
-    "AMSDU_MAX_BYTES",
-    "AMSDU_SUBFRAME_HEADER",
-    "Aggregate",
-    "AggregateBuilder",
-    "AggregationLimits",
-    "amsdu_subframe_length",
-]
-
-
-#: A-MSDU subframe header: DA + SA + length (bytes).
-AMSDU_SUBFRAME_HEADER = 14
-#: Common A-MSDU size limit (bytes); 802.11n allows 3839 or 7935.
-AMSDU_MAX_BYTES = 3839
-
-
-def amsdu_subframe_length(payload_bytes: int) -> int:
-    """One A-MSDU subframe: 14-byte header + payload, padded to 4 bytes."""
-    raw = AMSDU_SUBFRAME_HEADER + payload_bytes
-    return raw + (-raw) % 4
+__all__ = ["Aggregate", "AggregateBuilder", "AggregationLimits"]
 
 
 class _computed:
@@ -58,8 +39,7 @@ class _computed:
     The standard library's cached property minus the lock it takes on
     every first read (through Python 3.11).  :meth:`AggregateBuilder.build`
     stores the values its loop already has, so only aggregates built
-    elsewhere (a VO frame, an A-MSDU, an unaggregated frame) compute
-    them here.
+    elsewhere (an unaggregated VO or legacy-rate frame) compute them here.
     """
 
     def __init__(self, func: Callable) -> None:
@@ -76,22 +56,11 @@ class _computed:
 
 @dataclass(frozen=True)
 class AggregationLimits:
-    """Caps applied to one aggregate.
-
-    ``amsdu_enabled`` turns on two-level aggregation: small packets are
-    first packed into A-MSDUs (up to ``amsdu_max_bytes`` each) and the
-    resulting MSDUs become the MPDU subframes of the A-MPDU.  The paper's
-    analytical model excludes A-MSDU for simplicity (Section 2.2.1
-    footnote, deferring to Kim et al. [16]); the simulator supports it as
-    an extension — it mainly helps small-packet traffic (VoIP, TCP acks)
-    amortise the per-MPDU framing.
-    """
+    """Caps applied to one A-MPDU; each subframe carries one packet."""
 
     max_subframes: int = MAX_AMPDU_SUBFRAMES
     max_bytes: int = MAX_AMPDU_BYTES
     max_txop_us: float = MAX_TXOP_US
-    amsdu_enabled: bool = False
-    amsdu_max_bytes: int = AMSDU_MAX_BYTES
 
 
 @dataclass
@@ -102,10 +71,6 @@ class Aggregate:
     header to the end of the (block) ack — i.e. everything except the
     DIFS+backoff contention overhead, which the medium accounts
     separately.  This is also the airtime the paper's scheduler charges.
-
-    With A-MSDU aggregation the MPDU subframes do not correspond 1:1 to
-    packets; ``mpdu_payload_sizes`` then carries the actual per-MPDU
-    payload lengths (each covering one or more packets).
     """
 
     station: int
@@ -113,18 +78,11 @@ class Aggregate:
     rate: PhyRate
     packets: List[Packet] = field(default_factory=list)
     retries: int = 0
-    mpdu_payload_sizes: Optional[List[int]] = None
     #: Process-unique id joining hw/tx trace records to this aggregate.
     seq: int = field(default_factory=agg_seq_allocator)
 
     @property
     def n_packets(self) -> int:
-        return len(self.packets)
-
-    @property
-    def n_mpdus(self) -> int:
-        if self.mpdu_payload_sizes is not None:
-            return len(self.mpdu_payload_sizes)
         return len(self.packets)
 
     # The byte/time values below are computed once: an aggregate is only
@@ -138,8 +96,6 @@ class Aggregate:
 
     @_computed
     def mpdu_bytes(self) -> int:
-        if self.mpdu_payload_sizes is not None:
-            return sum(mpdu_length(s) for s in self.mpdu_payload_sizes)
         return sum(mpdu_length(p.size) for p in self.packets)
 
     @property
@@ -215,15 +171,6 @@ class AggregateBuilder:
             return agg
 
         limits = self.limits
-        if limits.amsdu_enabled:
-            def next_packet() -> Optional[Packet]:
-                nonlocal held
-                if held is not None:
-                    first, held = held, None
-                    return first
-                return dequeue()
-            return self._build_two_level(agg, key, rate, next_packet)
-
         packets = agg.packets
         holdback = self._holdback
         mpdu_len = mpdu_length
@@ -267,70 +214,4 @@ class AggregateBuilder:
         agg.mpdu_bytes = mpdu_total
         agg.data_time_us = data_time_us
         agg.duration_us = data_time_us + block_ack_time_us(rate)
-        return agg
-
-    # ------------------------------------------------------------------
-    # Two-level (A-MSDU inside A-MPDU) aggregation
-    # ------------------------------------------------------------------
-    def _build_two_level(self, agg, key, rate, next_packet):
-        """Pack packets into A-MSDUs, then A-MSDUs into the A-MPDU.
-
-        A single-packet MSDU is carried without the A-MSDU subframe
-        framing (as real stacks do); grouping only pays its 14-byte
-        per-subframe header when it actually combines packets.
-        """
-        limits = self.limits
-        groups: List[List[Packet]] = []
-        mpdu_total = 0
-
-        def group_payload(group: List[Packet], extra: Optional[Packet] = None) -> int:
-            members = group + ([extra] if extra is not None else [])
-            if len(members) == 1:
-                return members[0].size
-            return sum(amsdu_subframe_length(p.size) for p in members)
-
-        while True:
-            pkt = next_packet()
-            if pkt is None:
-                break
-            placed = False
-            if groups:
-                last = groups[-1]
-                candidate_payload = group_payload(last, pkt)
-                if candidate_payload <= limits.amsdu_max_bytes:
-                    new_total = (
-                        mpdu_total
-                        - mpdu_length(group_payload(last))
-                        + mpdu_length(candidate_payload)
-                    )
-                    data_us = T_PHY_US + 8 * new_total / rate.bps * 1e6
-                    if (
-                        new_total <= limits.max_bytes
-                        and data_us <= limits.max_txop_us
-                    ):
-                        last.append(pkt)
-                        mpdu_total = new_total
-                        placed = True
-            if placed:
-                continue
-
-            # Start a new MPDU subframe with this packet.
-            if len(groups) >= limits.max_subframes:
-                self._holdback[key] = pkt
-                break
-            new_total = mpdu_total + mpdu_length(pkt.size)
-            data_us = T_PHY_US + 8 * new_total / rate.bps * 1e6
-            over = new_total > limits.max_bytes or data_us > limits.max_txop_us
-            if over and groups:
-                self._holdback[key] = pkt
-                break
-            groups.append([pkt])
-            mpdu_total = new_total
-            if over:
-                break  # single oversize packet: send alone
-
-        if not groups:
-            return None
-        agg.packets = [pkt for group in groups for pkt in group]
-        agg.mpdu_payload_sizes = [group_payload(g) for g in groups]
         return agg

@@ -28,7 +28,7 @@ from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.core.airtime import DEFAULT_AIRTIME_QUANTUM_US, AirtimeScheduler
 from repro.core.codel import PerStationCoDelTuner
-from repro.core.drops import DropHook, DropReporter
+from repro.core.drops import DropReporter
 from repro.core.mac_fq import IntegratedStack
 from repro.core.packet import AccessCategory, Packet
 from repro.core.station_rr import RoundRobinScheduler
@@ -254,13 +254,6 @@ class AccessPoint:
         if controller is not None:
             return controller.current_rate()
         return self._rates[station]
-
-    # ------------------------------------------------------------------
-    # Drop reporting
-    # ------------------------------------------------------------------
-    def add_drop_hook(self, hook: DropHook) -> None:
-        """Attach a legacy ``hook(pkt, reason)`` drop consumer."""
-        self.drops.add_hook(hook)
 
     # ------------------------------------------------------------------
     # Telemetry

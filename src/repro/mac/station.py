@@ -114,6 +114,11 @@ class ClientStation:
         if burst is not None:
             self._burst_handlers[flow_id] = burst
 
+    def unregister_handler(self, flow_id: int) -> None:
+        """Forget ``flow_id``: its packets are counted and dropped."""
+        del self._handlers[flow_id]
+        self._burst_handlers.pop(flow_id, None)
+
     def _on_uplink_drop(self, pkt: Packet, reason: str) -> None:
         self.uplink_drops += 1
         # Client drops join the AP's unified funnel (layer 'client') so

@@ -35,6 +35,10 @@ class Server:
     def register_handler(self, flow_id: int, handler: PacketHandler) -> None:
         self._handlers[flow_id] = handler
 
+    def unregister_handler(self, flow_id: int) -> None:
+        """Forget ``flow_id``: its packets are counted and dropped."""
+        del self._handlers[flow_id]
+
     def send(self, pkt: Packet) -> None:
         """Send a packet toward its destination station.
 

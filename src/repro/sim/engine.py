@@ -254,9 +254,12 @@ class Simulator:
     # ------------------------------------------------------------------
     # Measurement window
     # ------------------------------------------------------------------
-    def at_window_start(self, callback: Callable[[], None]) -> None:
-        """Call ``callback()`` when the measurement window opens."""
-        self._window_subscribers.append(callback)
+    def at_window_start(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """Call ``callback()`` when the measurement window opens; the
+        returned call unsubscribes it (a flow that finishes early)."""
+        subscribers = self._window_subscribers
+        subscribers.append(callback)
+        return lambda: subscribers.remove(callback)
 
     def start_window(self) -> None:
         """Open the measurement window now and call every subscriber in

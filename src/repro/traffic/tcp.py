@@ -529,6 +529,12 @@ class TcpConnection:
             self.sender.try_send()
         return self
 
+    def close(self) -> None:
+        """Release a finished flow: endpoints drop its packets."""
+        self.server.unregister_handler(self.flow_id)
+        self.station.unregister_handler(self.flow_id)
+        self.receiver.leave_window()
+
     # ------------------------------------------------------------------
     # Positional Packet calls (dst_station, src_station, ac, proto, seq,
     # created_us, meta): one per segment and one per ack.

@@ -29,7 +29,8 @@ class WindowBytes:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._window_bytes = 0
-        sim.at_window_start(self._on_window_start)
+        #: Unsubscribes from the window (a finished flow).
+        self.leave_window = sim.at_window_start(self._on_window_start)
 
     def _on_window_start(self) -> None:
         self._window_bytes = 0

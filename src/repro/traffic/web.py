@@ -188,5 +188,15 @@ class WebFetch:
         if self._outstanding == 0 and not any(self._queues):
             assert self._start_us is not None
             self.plt_s = (self.sim.now - self._start_us) / 1e6
+            self._release()
             if self.on_complete is not None:
                 self.on_complete(self.plt_s)
+
+    def _release(self) -> None:
+        """Unregister the finished fetch's flows; late packets drop."""
+        self.station.unregister_handler(self._dns_flow)
+        self.server.unregister_handler(self._dns_flow)
+        for ctrl in self._ctrl_flows:
+            self.server.unregister_handler(ctrl)
+        for conn in self._conns:
+            conn.close()

@@ -1,19 +1,16 @@
-"""Tests for the two-level (A-MSDU) aggregation extension."""
+"""Aggregate builder caps at the edges: the TXOP limit at a slow rate,
+holdback when a packet overflows the byte cap, and arrival order kept
+across a run of small aggregates.  Every aggregate carries one packet per
+subframe."""
 
 from __future__ import annotations
 
 from collections import deque
 
-import pytest
-
 from repro.core.packet import AccessCategory, Packet
-from repro.mac.aggregation import (
-    AMSDU_MAX_BYTES,
-    AggregateBuilder,
-    AggregationLimits,
-    amsdu_subframe_length,
-)
+from repro.mac.aggregation import AggregateBuilder, AggregationLimits
 from repro.phy.rates import RATE_FAST, RATE_SLOW
+from repro.phy.timing import mpdu_length
 
 
 def queue_of(n, size=172, flow=1):
@@ -21,131 +18,39 @@ def queue_of(n, size=172, flow=1):
     return pkts, lambda: pkts.popleft() if pkts else None
 
 
-def make_builder(**limit_kwargs):
-    defaults = dict(amsdu_enabled=True)
-    defaults.update(limit_kwargs)
-    return AggregateBuilder(AggregationLimits(**defaults))
-
-
-class TestSubframeLength:
-    def test_header_plus_padding(self):
-        # 14 + 172 = 186, padded to 188.
-        assert amsdu_subframe_length(172) == 188
-
-    def test_aligned_needs_no_padding(self):
-        assert amsdu_subframe_length(174) == 188  # 188 already aligned
-
-    @pytest.mark.parametrize("size", [1, 100, 1500])
-    def test_multiple_of_four(self, size):
-        assert amsdu_subframe_length(size) % 4 == 0
-
-
 class TestTwoLevelBuilding:
-    def test_small_packets_grouped_into_msdus(self):
-        builder = make_builder()
-        _, dequeue = queue_of(40, size=172)
-        agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
-        assert agg.n_packets == 40
-        # 40 * 188B subframes fit in ~2 MSDUs of 3839B: far fewer MPDUs
-        # than packets.
-        assert agg.n_mpdus < 10
-
-    def test_msdu_respects_size_cap(self):
-        builder = make_builder()
-        _, dequeue = queue_of(60, size=1400)
-        agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
-        assert agg.mpdu_payload_sizes is not None
-        for payload in agg.mpdu_payload_sizes:
-            assert payload <= AMSDU_MAX_BYTES
-
-    def test_single_packet_msdu_carries_no_amsdu_header(self):
-        builder = make_builder(amsdu_max_bytes=200)  # nothing can combine
-        _, dequeue = queue_of(3, size=172)
-        agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
-        assert agg.mpdu_payload_sizes == [172, 172, 172]
-
-    def test_two_level_beats_single_level_airtime_for_small_packets(self):
-        """The point of A-MSDU: less framing per small packet."""
-        single = AggregateBuilder(AggregationLimits())
-        double = make_builder()
-        _, dq1 = queue_of(64, size=172)
-        _, dq2 = queue_of(64, size=172)
-        agg1 = single.build(0, AccessCategory.BE, RATE_FAST, dq1)
-        agg2 = double.build(0, AccessCategory.BE, RATE_FAST, dq2)
-        # Same packet count, but the two-level aggregate is shorter on air.
-        assert agg2.n_packets == agg1.n_packets == 64
-        assert agg2.duration_us < agg1.duration_us
-
-    def test_subframe_cap_applies_to_mpdus_not_packets(self):
-        builder = make_builder(max_subframes=2)
-        _, dequeue = queue_of(50, size=172)
-        agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
-        assert agg.n_mpdus <= 2
-        assert agg.n_packets > 2  # many packets inside two A-MSDUs
-
     def test_txop_cap_respected(self):
-        builder = make_builder()
+        builder = AggregateBuilder()
         _, dequeue = queue_of(30, size=1500)
         agg = builder.build(0, AccessCategory.BE, RATE_SLOW, dequeue)
+        assert agg.n_packets > 1
         assert agg.data_time_us <= AggregationLimits().max_txop_us
-
-    def test_holdback_on_overflow(self):
-        builder = make_builder(max_subframes=1, amsdu_max_bytes=400)
-        _, dequeue = queue_of(5, size=172)
-        agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
-        assert agg.n_mpdus == 1
+        # The packet that would have crossed the cap waits for the next
+        # aggregate instead of going back to the queue.
         assert builder.holdback_backlog(0, AccessCategory.BE) == 1
 
+    def test_holdback_on_overflow(self):
+        # Room for two 172 B subframes but not a third.
+        cap = 2 * mpdu_length(172) + mpdu_length(172) // 2
+        builder = AggregateBuilder(AggregationLimits(max_bytes=cap))
+        pkts, dequeue = queue_of(5, size=172)
+        agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
+        assert agg.n_packets == 2
+        assert agg.mpdu_bytes <= cap
+        assert builder.holdback_backlog(0, AccessCategory.BE) == 1
+        assert len(pkts) == 2
+
     def test_order_preserved_across_aggregates(self):
-        builder = make_builder(max_subframes=2, amsdu_max_bytes=400)
+        cap = 2 * mpdu_length(172) + mpdu_length(172) // 2
+        builder = AggregateBuilder(AggregationLimits(max_subframes=3,
+                                                     max_bytes=cap))
         _, dequeue = queue_of(20, size=172)
         seqs = []
         while True:
             agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
             if agg is None:
                 break
+            assert agg.n_packets <= 2
             seqs.extend(p.seq for p in agg.packets)
         assert seqs == list(range(20))
-
-    def test_disabled_amsdu_keeps_one_packet_per_mpdu(self):
-        builder = AggregateBuilder(AggregationLimits(amsdu_enabled=False))
-        _, dequeue = queue_of(10, size=172)
-        agg = builder.build(0, AccessCategory.BE, RATE_FAST, dequeue)
-        assert agg.mpdu_payload_sizes is None
-        assert agg.n_mpdus == agg.n_packets
-
-
-class TestEndToEndWithAmsdu:
-    def test_ap_delivers_with_amsdu_enabled(self):
-        from repro.core.packet import flow_id_allocator
-        from repro.mac.ap import APConfig, Scheme
-        from tests.conftest import make_testbed
-
-        config = APConfig(aggregation=AggregationLimits(amsdu_enabled=True))
-        tb = make_testbed(Scheme.AIRTIME, ap_config=config)
-        received = []
-        flow = flow_id_allocator()
-        tb.stations[0].register_handler(flow, lambda p: received.append(p.seq))
-        for i in range(100):
-            tb.server.send(Packet(flow, 172, dst_station=0, seq=i))
-        tb.sim.run()
-        assert received == list(range(100))
-
-    def test_amsdu_improves_small_packet_goodput(self):
-        from repro.mac.ap import APConfig, Scheme
-        from repro.traffic.udp import UdpDownloadFlow
-        from tests.conftest import make_testbed
-
-        def goodput(amsdu):
-            config = APConfig(
-                aggregation=AggregationLimits(amsdu_enabled=amsdu)
-            )
-            tb = make_testbed(Scheme.AIRTIME, ap_config=config)
-            # Saturating: above the single-level capacity for 200 B
-            # packets (~110 Mbps) so framing efficiency is the limiter.
-            flow = UdpDownloadFlow(tb.sim, tb.server, tb.stations[0],
-                                   rate_bps=160e6, packet_size=200).start()
-            tb.sim.run(until_us=2_000_000.0)
-            return flow.sink.rx_bytes
-
-        assert goodput(True) > goodput(False) * 1.2
+        assert builder.holdback_total() == 0

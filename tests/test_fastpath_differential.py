@@ -42,7 +42,13 @@ from repro.mac.aggregation import Aggregate, AggregateBuilder, AggregationLimits
 from repro.mac.ap import Scheme
 from repro.mac.medium import Medium
 from repro.mac.station import ClientStation
-from repro.phy.constants import T_DIFS_US, T_SLOT_US
+from repro.phy.constants import (
+    MAX_AMPDU_BYTES,
+    MAX_AMPDU_SUBFRAMES,
+    MAX_TXOP_US,
+    T_DIFS_US,
+    T_SLOT_US,
+)
 from repro.phy.rates import HT20_MCS_TABLE, RATE_LEGACY_1M
 from repro.sim.engine import Simulator
 from repro.telemetry import QuantileSketch
@@ -361,25 +367,34 @@ def test_burst_delivery_leaves_the_sinks_as_per_packet_delivery(aggregates):
 @given(sizes=st.lists(st.integers(40, 1500), min_size=1, max_size=80),
        rate=st.sampled_from((*HT20_MCS_TABLE.values(), RATE_LEGACY_1M)),
        ac=st.sampled_from(tuple(AccessCategory)),
-       amsdu=st.booleans())
-def test_built_timing_is_what_the_packets_give(sizes, rate, ac, amsdu):
-    """Whatever path built it, an aggregate reports the bytes and times
-    a fresh aggregate of the same packets computes, to the last bit."""
-    queue = [Packet(1, size) for size in sizes]
-    builder = AggregateBuilder(AggregationLimits(amsdu_enabled=amsdu))
-    built = 0
+       limits=st.builds(AggregationLimits,
+                        max_subframes=st.integers(1, MAX_AMPDU_SUBFRAMES),
+                        max_bytes=st.integers(1, MAX_AMPDU_BYTES),
+                        max_txop_us=st.floats(1.0, MAX_TXOP_US)))
+def test_built_timing_is_what_the_packets_give(sizes, rate, ac, limits):
+    """Under any caps, an aggregate reports the bytes and times a fresh
+    aggregate of the same packets computes, to the last bit; it keeps
+    every cap unless it is one oversize packet; and packets leave in
+    arrival order across holdbacks."""
+    arrivals = [Packet(1, size) for size in sizes]
+    queue = list(arrivals)
+    builder = AggregateBuilder(limits)
+    sent = []
     while True:
         agg = builder.build(0, ac, rate,
                             lambda: queue.pop(0) if queue else None)
         if agg is None:
             break
-        built += agg.n_packets
-        fresh = Aggregate(0, ac, rate, list(agg.packets),
-                          mpdu_payload_sizes=agg.mpdu_payload_sizes)
+        sent.extend(agg.packets)
+        fresh = Aggregate(0, ac, rate, list(agg.packets))
         assert (agg.payload_bytes, agg.mpdu_bytes, agg.data_time_us,
                 agg.duration_us) == (fresh.payload_bytes, fresh.mpdu_bytes,
                                      fresh.data_time_us, fresh.duration_us)
-    assert built == len(sizes)
+        assert agg.n_packets <= limits.max_subframes
+        assert agg.n_packets == 1 or (
+            agg.mpdu_bytes <= limits.max_bytes
+            and agg.data_time_us <= limits.max_txop_us)
+    assert [p.pid for p in sent] == [p.pid for p in arrivals]
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ class TestConservation:
         """tx = delivered + queued + dropped, per flow."""
         tb = make_testbed(scheme)
         dropped = []
-        tb.ap.add_drop_hook(lambda p, r: dropped.append(p.pid))
+        tb.ap.drops.add_observer(lambda p, layer, r: dropped.append(p.pid))
         flow = UdpDownloadFlow(tb.sim, tb.server, tb.stations[2],
                                rate_bps=30e6).start()
         tb.sim.run(until_us=2_000_000.0)
@@ -176,8 +176,8 @@ class TestAblations:
                 ap_config=APConfig(codel_lowrate_tuning=enabled),
             )
             drops = []
-            tb.ap.add_drop_hook(
-                lambda p, r: drops.append(p) if r == "codel" else None
+            tb.ap.drops.add_observer(
+                lambda p, layer, r: drops.append(p) if r == "codel" else None
             )
             UdpDownloadFlow(tb.sim, tb.server, tb.stations[2],
                             rate_bps=3e6).start()

@@ -80,3 +80,29 @@ class TestFetch:
             return plts[0]
 
         assert fetch(True) > fetch(False)
+
+
+class TestFinishedFetches:
+    def test_finished_fetches_release_their_flows(self):
+        """A Fig. 11 cell keeps at most one live fetch's handlers and
+        window subscribers, however many fetches have finished."""
+        from repro.experiments.config import SLOW_STATION, three_station_rates
+        from repro.experiments.testbed import Testbed, TestbedOptions
+        from repro.experiments.web import _RepeatingFetcher
+        from repro.experiments.workloads import tcp_download
+        from repro.traffic.web import PARALLEL_CONNECTIONS
+
+        tb = Testbed(three_station_rates(),
+                     TestbedOptions(scheme=Scheme.AIRTIME, seed=1))
+        tcp_download(tb, [SLOW_STATION])
+        fetcher = _RepeatingFetcher(tb, 0, SMALL_PAGE).start(delay_us=10_000.0)
+        handlers = len(tb.server._handlers)
+        subscribers = len(tb.sim._window_subscribers)
+        tb.run(20.0, 5.0)
+        assert len(fetcher.plts_s) >= 10
+        # One live fetch: a DNS flow, and per connection a control flow
+        # and a data flow (whose receiver subscribes to the window).
+        assert len(tb.server._handlers) <= \
+            handlers + 1 + 2 * PARALLEL_CONNECTIONS
+        assert len(tb.sim._window_subscribers) <= \
+            subscribers + PARALLEL_CONNECTIONS
