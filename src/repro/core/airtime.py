@@ -48,6 +48,9 @@ class AirtimeScheduler:
     account_rx:
         Charge received (uplink) airtime to the sending station's deficit;
         disable for the bidirectional-fairness ablation.
+    trace, clock:
+        A trace bus for the ``sched`` records, stamped by ``clock`` (the
+        simulated time in µs).
     """
 
     def __init__(
@@ -58,6 +61,8 @@ class AirtimeScheduler:
         quantum_us: float = DEFAULT_AIRTIME_QUANTUM_US,
         sparse_enabled: bool = True,
         account_rx: bool = True,
+        trace=None,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self._has_backlog = has_backlog
         self._build_aggregate = build_aggregate
@@ -74,24 +79,12 @@ class AirtimeScheduler:
         self.listed: Dict[int, str] = {}
         self.deficits: Dict[int, float] = {}
 
-        # Prebound trace emitters (see set_trace); None when disabled
-        # (one identity test per site).
-        self._em_enter = None
-        self._em_drop = None
-        self._em_charge_tx = None
-        self._em_charge_rx = None
-        self._now: Callable[[], float] = lambda: 0.0
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def set_trace(self, trace,
-                  now_fn: Optional[Callable[[], float]] = None) -> None:
-        """Attach a trace bus (``None`` detaches); ``now_fn`` supplies
-        emit timestamps."""
-        channel = trace.channel("sched") if trace is not None else None
+        # Prebound trace emitters; None when untraced (one identity test
+        # per site).
+        self._now = clock
         self._em_enter = self._em_drop = None
         self._em_charge_tx = self._em_charge_rx = None
+        channel = trace.channel("sched") if trace is not None else None
         if channel is not None:
             self._em_enter = channel.emitter("station_enter", (
                 ("station", "q"), ("list", "s"),
@@ -104,8 +97,6 @@ class AirtimeScheduler:
                 "deficit_charge", charge + (("dir", "c", "tx"),))
             self._em_charge_rx = channel.emitter(
                 "deficit_charge", charge + (("dir", "c", "rx"),))
-        if now_fn is not None:
-            self._now = now_fn
 
     def deficit_snapshot(self) -> Dict[int, float]:
         """Current per-station deficits (sampler probe input)."""

@@ -19,7 +19,6 @@ driver's per-TID FIFOs for the FQ-MAC and Airtime configurations (Figure 3):
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.codel import PerStationCoDelTuner, codel_dequeue
@@ -72,6 +71,11 @@ class MacFqStructure:
     on_drop:
         Called for every dropped packet with a reason ('overlimit' or
         'codel'), so experiments and transports can observe losses.
+    trace, layer:
+        A trace bus for the queue/codel records, stamped by ``now_fn``
+        and labelled ``layer`` ('mac' for the integrated structure,
+        'qdisc' when wrapped by
+        :class:`repro.qdisc.fq_codel_qdisc.FqCodelQdisc`).
     """
 
     def __init__(
@@ -82,6 +86,8 @@ class MacFqStructure:
         quantum: int = DEFAULT_QUANTUM_BYTES,
         codel_tuner: Optional[PerStationCoDelTuner] = None,
         on_drop: Optional[Callable[[Packet, str], None]] = None,
+        trace=None,
+        layer: str = "mac",
     ) -> None:
         if num_queues <= 0 or limit <= 0 or quantum <= 0:
             raise ValueError("num_queues, limit and quantum must be positive")
@@ -108,32 +114,12 @@ class MacFqStructure:
         #: Packets discarded by an explicit flush (station churn).
         self.drops_flushed = 0
 
-        # Prebound trace emitters (see set_trace); None when tracing is
-        # off, so every emit site is a single identity test.
-        self._em_enqueue = None
-        self._em_flow_new = None
-        self._em_dequeue = None
-        self._em_flow_reclaim = None
-        self._em_flush = None
-        self._em_codel_state = None
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def set_trace(self, trace, layer: str = "mac", now_fn=None) -> None:
-        """Attach a trace bus to this structure.
-
-        ``layer`` labels the emitted records ('mac' for the integrated
-        structure, 'qdisc' when wrapped by
-        :class:`repro.qdisc.fq_codel_qdisc.FqCodelQdisc`).  ``trace=None``
-        detaches: every emitter and CoDel hook is reset.
-        ``now_fn`` is ignored (the structure has its clock already); it is
-        accepted so every queue stack under the AP takes the same call.
-        """
-        queue_ch = trace.channel("queue") if trace is not None else None
-        codel_ch = trace.channel("codel") if trace is not None else None
+        # Prebound trace emitters; None when tracing is off, so every
+        # emit site is a single identity test.
         self._em_enqueue = self._em_flow_new = self._em_dequeue = None
         self._em_flow_reclaim = self._em_flush = self._em_codel_state = None
+        queue_ch = trace.channel("queue") if trace is not None else None
+        codel_ch = trace.channel("codel") if trace is not None else None
         if queue_ch is not None:
             # Record shapes, declared once: ``layer`` is fixed per
             # structure; ``station`` is an int column under "mac" and
@@ -159,17 +145,15 @@ class MacFqStructure:
                 layer_c, station, ("n_pkts", "q"),
             ))
         if codel_ch is not None:
+            # Every queue, pool or overflow, gets its CoDel hook when
+            # ``_new_queue`` makes it.
             self._em_codel_state = codel_ch.emitter("state", (
                 ("kind", "s"), ("q", "q"), ("station", "o"),
             ))
-        traced = self._em_codel_state is not None
-        made = (queue for queue in self._queues if queue is not None)
-        for queue in chain(made,
-                           (tid.overflow_queue for tid in self._tids.values())):
-            queue.codel.on_transition = (
-                self._codel_hook(queue) if traced else None
-            )
 
+    # ------------------------------------------------------------------
+    # Telemetry
+    # ------------------------------------------------------------------
     def _codel_hook(self, queue: FlowQueue):
         emit = self._em_codel_state
 
@@ -407,10 +391,10 @@ class IntegratedStack(MacFqStructure):
     #: Nothing above the TIDs for :meth:`refill` to pull from.
     hungry = False
 
-    def __init__(self, sim, config, drops, codel_tuner) -> None:
+    def __init__(self, sim, config, drops, codel_tuner, trace) -> None:
         super().__init__(partial(getattr, sim, "now"),  # C-level: no frame
                          limit=config.mac_fq_limit, codel_tuner=codel_tuner,
-                         on_drop=drops.callback("mac"))
+                         on_drop=drops.callback("mac"), trace=trace)
 
     def enqueue_for(self, station: int, ac: object) -> Callable:
         # Not partial(self.enqueue, tid=...): binding a keyword costs

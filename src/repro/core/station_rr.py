@@ -61,11 +61,6 @@ class RoundRobinScheduler:
     def report_rx_airtime(self, station: int, airtime_us: float) -> None:
         return None
 
-    # Telemetry: nothing scheduler-specific to trace, but the access point
-    # calls set_trace on whichever scheduler it holds.
-    def set_trace(self, trace, now_fn=None) -> None:
-        return None
-
     def deficit_snapshot(self) -> Dict[int, float]:
         return {}
 

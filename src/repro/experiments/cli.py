@@ -246,7 +246,6 @@ def main(argv: list[str] | None = None) -> int:
                            else ResultCache()),
                     profile=args.profile,
                     timeout_s=args.run_timeout,
-                    auto_serial=True,
                     progress=args.progress,
                     manifest_path=args.manifest_out,
                     graceful_signals=True)

@@ -726,7 +726,7 @@ def main(argv: list[str] | None = None) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
     cache = None if args.no_cache else ResultCache()
     runner = Runner(jobs=jobs, cache=cache, profile=args.profile,
-                    timeout_s=args.run_timeout, auto_serial=True)
+                    timeout_s=args.run_timeout)
     report, failed_sections = generate_report(
         args.duration_scale, runner=runner, include_run_costs=args.profile,
         replications=args.replications)

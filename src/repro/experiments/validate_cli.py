@@ -87,8 +87,7 @@ def main(argv: list[str]) -> int:
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     runner = Runner(jobs=jobs,
-                    cache=None if args.no_cache else ResultCache(),
-                    auto_serial=True)
+                    cache=None if args.no_cache else ResultCache())
 
     def _parse_only() -> Optional[list[str]]:
         only = getattr(args, "only", None)

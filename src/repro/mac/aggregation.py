@@ -2,7 +2,7 @@
 
 Aggregate size is *emergent* in this simulator — the builder takes packets
 from whatever queue feeds it until it runs out of backlog or hits a limit
-(64 subframes, 64 KiB, 4 ms TXOP).  The paper's key observations about
+(64 subframes, 32,767 bytes, 4 ms TXOP).  The paper's key observations about
 aggregation (the FIFO configuration starving fast stations down to ~4.5
 packet aggregates while FQ-MAC reaches ~18; Table 1 and Section 4.1.2)
 come out of this emergence, not out of a configured aggregation level.

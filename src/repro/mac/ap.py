@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.core.airtime import DEFAULT_AIRTIME_QUANTUM_US, AirtimeScheduler
@@ -63,8 +64,9 @@ ALL_SCHEMES = tuple(Scheme)
 class SchemeDescriptor:
     """A scheme is a row: (queue stack, scheduler, airtime_fair).
 
-    ``stack(sim, config, drops, codel_tuner)`` builds the queues under
-    the AP, which asks of them only this (VO is an AC like any other):
+    ``stack(sim, config, drops, codel_tuner, trace)`` builds the queues
+    under the AP (``trace``: the run's bus or ``None``), which asks of
+    them only this (VO is an AC like any other):
 
     * ``enqueue_for(station, ac)`` / ``dequeue_for(station, ac)`` — the
       packet sink and the aggregate builder's packet source, bound once
@@ -78,12 +80,11 @@ class SchemeDescriptor:
     * ``flush_station(station)`` — drop what is held for it through the
       funnel (reason ``detach``), now (returns how many) and until
       ``admit_station(station)``;
-    * ``resident()``, ``samples(prefix, by_station=False)`` and
-      ``set_trace(trace, now_fn=None)``.
+    * ``resident()`` and ``samples(prefix, by_station=False)``.
 
-    ``scheduler(config, has_backlog=, build_aggregate=, hw_full=)`` builds
-    the station scheduler; ``airtime_fair``: whether the ledger audit
-    holds the run to equal airtime shares.
+    ``scheduler(sim, config, trace, has_backlog=, build_aggregate=,
+    hw_full=)`` builds the station scheduler; ``airtime_fair``: whether
+    the ledger audit holds the run to equal airtime shares.
     """
 
     stack: Callable
@@ -91,15 +92,19 @@ class SchemeDescriptor:
     airtime_fair: bool = False
 
 
-def round_robin(config: "APConfig", **hooks) -> RoundRobinScheduler:
+def round_robin(sim: Simulator, config: "APConfig", trace,
+                **hooks) -> RoundRobinScheduler:
     return RoundRobinScheduler(**hooks)
 
 
-def airtime_drr(config: "APConfig", **hooks) -> AirtimeScheduler:
+def airtime_drr(sim: Simulator, config: "APConfig", trace,
+                **hooks) -> AirtimeScheduler:
     return AirtimeScheduler(
         quantum_us=config.airtime_quantum_us,
         sparse_enabled=config.sparse_enabled,
         account_rx=config.account_rx_airtime,
+        trace=trace,
+        clock=partial(getattr, sim, "now"),
         **hooks,
     )
 
@@ -145,7 +150,15 @@ class APConfig:
 
 
 class AccessPoint:
-    """The Linux access point under one of the four configurations."""
+    """The Linux access point under one of the four configurations.
+
+    ``trace`` (a :class:`repro.telemetry.trace.TraceBus`) is handed to
+    every component of the scheme's stack as it is built; ``None`` keeps
+    each on its zero-cost path.  ``ledger`` (an
+    :class:`repro.telemetry.ledger.AirtimeLedger`) is charged with the
+    AP's own TX/RX completions, so its books can be cross-checked
+    against the medium's (double-entry accounting).
+    """
 
     def __init__(
         self,
@@ -153,6 +166,8 @@ class AccessPoint:
         medium: Medium,
         config: Optional[APConfig] = None,
         bss: int = 0,
+        trace=None,
+        ledger=None,
     ) -> None:
         self.sim = sim
         self.medium = medium
@@ -166,7 +181,8 @@ class AccessPoint:
         self._rates: Dict[int, object] = {}
 
         self._builder = AggregateBuilder(self.config.aggregation)
-        self._hw = HardwareQueue()
+        self._hw = HardwareQueue(trace=trace,
+                                 clock=partial(getattr, sim, "now"))
         # Bound once: an arrival tests ``be_full()`` inline (as the
         # station's ``_fill_plan`` does), with no call per packet.
         self._hw_be, self._hw_depth = self._hw._be_q, self._hw.depth
@@ -183,7 +199,7 @@ class AccessPoint:
         # --- the scheme's row: queue stack + station scheduler --------
         self.descriptor = SCHEMES[self.scheme]
         self.stack = self.descriptor.stack(
-            sim, self.config, self.drops, self.codel_tuner)
+            sim, self.config, self.drops, self.codel_tuner, trace)
         #: (station, ac) -> the stack's packet sink / the builder's packet
         #: source, bound at the first use of the key (which the stack can
         #: see: ``MacFqStructure._tids``) and kept across remove_station,
@@ -191,7 +207,7 @@ class AccessPoint:
         self._sinks: Dict[tuple, Callable] = {}
         self._sources: Dict[tuple, Callable] = {}
         self.scheduler = self.descriptor.scheduler(
-            self.config,
+            sim, self.config, trace,
             has_backlog=self._station_has_backlog,
             build_aggregate=self._build_aggregate_for,
             hw_full=self._hw.be_full,
@@ -210,10 +226,32 @@ class AccessPoint:
         #: enqueued == delivered + dropped + resident).
         self.downlink_enqueued = 0
 
-        # Telemetry (None when disabled; see set_trace).
+        # Telemetry (None when disabled).
+        self._ledger = ledger
         self._em_built = self._em_tx_done = None
-        #: Airtime ledger (None when disabled; see set_ledger).
-        self._ledger = None
+        agg_channel = trace.channel("agg") if trace is not None else None
+        if agg_channel is not None:
+            # Prebound shapes for the two per-transmission agg records.
+            self._em_built = agg_channel.emitter("built", (
+                ("station", "q"), ("ac", "s"), ("agg", "q"), ("pids", "l"),
+                ("n_pkts", "q"), ("bytes", "q"), ("airtime_us", "d"),
+            ))
+            self._em_tx_done = agg_channel.emitter("tx_done", (
+                ("station", "q"), ("ac", "s"), ("agg", "q"),
+                ("n_pkts", "q"), ("ok", "b"), ("retries", "q"),
+            ))
+        queue_channel = trace.channel("queue") if trace is not None else None
+        if queue_channel is not None:
+            em_drop = queue_channel.emitter("drop", (
+                ("layer", "s"), ("reason", "s"), ("station", "o"),
+                ("flow", "q"), ("pid", "q"),
+            ))
+
+            def on_drop(pkt: Packet, layer: str, reason: str) -> None:
+                station = (pkt.dst_station if pkt.dst_station is not None
+                           else pkt.src_station)
+                em_drop(sim.now, layer, reason, station, pkt.flow_id, pkt.pid)
+            self.drops.add_observer(on_drop)
 
         #: Per-station Minstrel controllers (rate-control extension).
         self._rate_controllers: Dict[int, object] = {}
@@ -254,57 +292,6 @@ class AccessPoint:
         if controller is not None:
             return controller.current_rate()
         return self._rates[station]
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def set_trace(self, telemetry) -> None:
-        """Attach a :class:`repro.telemetry.Telemetry` context to the AP.
-
-        Fans the trace bus out to every component of the scheme's stack;
-        with ``telemetry=None`` (or tracing disabled) everything stays on
-        its zero-cost path.
-        """
-        trace = telemetry.trace if telemetry is not None else None
-        now_fn = lambda: self.sim.now
-
-        agg_channel = trace.channel("agg") if trace is not None else None
-        self._em_built = self._em_tx_done = None
-        if agg_channel is not None:
-            # Prebound shapes for the two per-transmission agg records.
-            self._em_built = agg_channel.emitter("built", (
-                ("station", "q"), ("ac", "s"), ("agg", "q"), ("pids", "l"),
-                ("n_pkts", "q"), ("bytes", "q"), ("airtime_us", "d"),
-            ))
-            self._em_tx_done = agg_channel.emitter("tx_done", (
-                ("station", "q"), ("ac", "s"), ("agg", "q"),
-                ("n_pkts", "q"), ("ok", "b"), ("retries", "q"),
-            ))
-        self.stack.set_trace(trace, now_fn=now_fn)
-        self.scheduler.set_trace(trace, now_fn=now_fn)
-        self._hw.set_trace(trace, now_fn=now_fn)
-        queue_channel = trace.channel("queue") if trace is not None else None
-        if queue_channel is not None:
-            em_drop = queue_channel.emitter("drop", (
-                ("layer", "s"), ("reason", "s"), ("station", "o"),
-                ("flow", "q"), ("pid", "q"),
-            ))
-
-            def on_drop(pkt: Packet, layer: str, reason: str) -> None:
-                station = (pkt.dst_station if pkt.dst_station is not None
-                           else pkt.src_station)
-                em_drop(self.sim.now, layer, reason, station,
-                        pkt.flow_id, pkt.pid)
-            self.drops.add_observer(on_drop)
-
-    def set_ledger(self, ledger) -> None:
-        """Attach an :class:`repro.telemetry.ledger.AirtimeLedger`.
-
-        The ledger's medium book is the run's airtime account; the AP
-        charges its own TX/RX completions so the two books can be
-        cross-checked (double-entry accounting).
-        """
-        self._ledger = ledger
 
     # ------------------------------------------------------------------
     # Downstream entry (from the wired network)

@@ -38,10 +38,15 @@ DEFAULT_DRIVER_LIMIT = 32
 
 
 class LegacyDriver:
-    """Per-TID FIFOs with a shared frame limit, fed by a qdisc."""
+    """Per-TID FIFOs with a shared frame limit, fed by a qdisc.
+
+    With a ``trace`` bus, pull and dequeue records are stamped by
+    ``clock`` (the simulated time in µs).
+    """
 
     def __init__(self, qdisc: Qdisc, limit: int = DEFAULT_DRIVER_LIMIT,
-                 on_drop: Optional[DropCallback] = None) -> None:
+                 on_drop: Optional[DropCallback] = None, trace=None,
+                 clock: Optional[Callable[[], float]] = None) -> None:
         if limit <= 0:
             raise ValueError("limit must be positive")
         self.qdisc = qdisc
@@ -57,15 +62,9 @@ class LegacyDriver:
         self._gone: Set[int] = set()
 
         # Telemetry (None when disabled).
-        self._now = None
+        self._now = clock
         self._em_pull = self._em_dequeue = None
-
-    # ------------------------------------------------------------------
-    def set_trace(self, trace, now_fn=None) -> None:
-        """Attach a trace bus; ``now_fn`` supplies emit timestamps."""
         channel = trace.channel("driver") if trace is not None else None
-        self._now = now_fn
-        self._em_pull = self._em_dequeue = None
         if channel is not None:
             self._em_pull = channel.emitter("pull", (
                 ("pulled", "q"), ("backlog", "q"),
@@ -110,8 +109,7 @@ class LegacyDriver:
         self.backlog = backlog
         self.hungry = backlog < limit
         if pulled and self._em_pull is not None:
-            self._em_pull(self._now() if self._now is not None else 0.0,
-                          pulled, backlog)
+            self._em_pull(self._now(), pulled, backlog)
         return woken
 
     def dequeue(self, station: int, ac: AccessCategory) -> Optional[Packet]:
@@ -124,8 +122,7 @@ class LegacyDriver:
         if self._em_dequeue is not None:
             # Per-packet record: span reconstruction measures the driver
             # FIFO wait as t(driver dequeue) - t(qdisc dequeue).
-            self._em_dequeue(self._now() if self._now is not None else 0.0,
-                             station, pkt.pid)
+            self._em_dequeue(self._now(), station, pkt.pid)
         return pkt
 
     def station_backlog(self, station: int, ac: AccessCategory) -> int:
@@ -173,29 +170,14 @@ class QdiscStack(LegacyDriver):
     short unmanaged per-station queues.
     """
 
-    def __init__(self, sim, qdisc: Qdisc, config, drops) -> None:
+    def __init__(self, sim, qdisc: Qdisc, config, drops, trace) -> None:
         super().__init__(qdisc, config.driver_limit,
-                         on_drop=drops.callback("mac"))
+                         on_drop=drops.callback("mac"), trace=trace,
+                         clock=partial(getattr, sim, "now"))
         self._sim = sim
         self._vo: Dict[int, Deque[Packet]] = defaultdict(deque)
         self._em_vo_enqueue = self._em_vo_dequeue = None
-
-    @classmethod
-    def pfifo(cls, sim, config, drops, codel_tuner) -> "QdiscStack":
-        qdisc = PfifoQdisc(config.txqueuelen, on_drop=drops.callback("qdisc"))
-        return cls(sim, qdisc, config, drops)
-
-    @classmethod
-    def fq_codel(cls, sim, config, drops, codel_tuner) -> "QdiscStack":
-        qdisc = FqCodelQdisc(partial(getattr, sim, "now"),
-                             on_drop=drops.callback("qdisc"))
-        return cls(sim, qdisc, config, drops)
-
-    def set_trace(self, trace, now_fn=None) -> None:
-        self.qdisc.set_trace(trace, now_fn=now_fn)
-        super().set_trace(trace, now_fn=now_fn)
         channel = trace.channel("queue") if trace is not None else None
-        self._em_vo_enqueue = self._em_vo_dequeue = None
         if channel is not None:
             self._em_vo_enqueue = channel.emitter("enqueue", (
                 ("layer", "c", "vo"), ("station", "q"), ("flow", "q"),
@@ -205,6 +187,18 @@ class QdiscStack(LegacyDriver):
                 ("layer", "c", "vo"), ("station", "q"), ("pid", "q"),
                 ("sojourn_us", "d"),
             ))
+
+    @classmethod
+    def pfifo(cls, sim, config, drops, codel_tuner, trace) -> "QdiscStack":
+        qdisc = PfifoQdisc(config.txqueuelen, on_drop=drops.callback("qdisc"),
+                           trace=trace, clock=partial(getattr, sim, "now"))
+        return cls(sim, qdisc, config, drops, trace)
+
+    @classmethod
+    def fq_codel(cls, sim, config, drops, codel_tuner, trace) -> "QdiscStack":
+        qdisc = FqCodelQdisc(partial(getattr, sim, "now"),
+                             on_drop=drops.callback("qdisc"), trace=trace)
+        return cls(sim, qdisc, config, drops, trace)
 
     # ------------------------------------------------------------------
     def enqueue_for(self, station: int, ac: AccessCategory) -> Callable:

@@ -31,9 +31,14 @@ MAX_RETRIES = 10
 
 
 class HardwareQueue:
-    """Per-AC FIFOs of built aggregates with strict VO-first service."""
+    """Per-AC FIFOs of built aggregates with strict VO-first service.
 
-    def __init__(self, depth: int = HW_QUEUE_DEPTH) -> None:
+    With a ``trace`` bus, push and pop records are stamped by ``clock``
+    (the simulated time in µs).
+    """
+
+    def __init__(self, depth: int = HW_QUEUE_DEPTH, trace=None,
+                 clock: Optional[Callable[[], float]] = None) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
         self.depth = depth
@@ -60,15 +65,9 @@ class HardwareQueue:
         self.on_ready: Optional[Callable[[], None]] = None
 
         # Telemetry (None when disabled).
-        self._now = None
-        self._em_push = None
-        self._em_pop = None
-
-    # ------------------------------------------------------------------
-    def set_trace(self, trace, now_fn=None) -> None:
-        """Attach a trace bus; ``now_fn`` supplies emit timestamps."""
+        self._now = clock
+        self._em_push = self._em_pop = None
         channel = trace.channel("hw") if trace is not None else None
-        self._now = now_fn
         if channel is not None:
             self._em_push = channel.emitter("push", (
                 ("ac", "s"), ("station", "q"), ("agg", "q"),
@@ -77,9 +76,6 @@ class HardwareQueue:
             self._em_pop = channel.emitter("pop", (
                 ("ac", "s"), ("station", "q"), ("agg", "q"), ("depth", "q"),
             ))
-        else:
-            self._em_push = None
-            self._em_pop = None
 
     def occupancy(self) -> int:
         """Aggregates currently queued across all ACs (sampler probe)."""
@@ -129,8 +125,7 @@ class HardwareQueue:
         if idle and self.on_ready is not None:
             self.on_ready()
         if self._em_push is not None:
-            self._em_push(self._now() if self._now is not None else 0.0,
-                          agg.ac.name, agg.station, agg.seq,
+            self._em_push(self._now(), agg.ac.name, agg.station, agg.seq,
                           len(agg.packets), len(queue))
 
     def requeue_retry(self, agg: Aggregate) -> bool:
@@ -156,8 +151,8 @@ class HardwareQueue:
             if queue:
                 agg = queue.popleft()
                 if self._em_pop is not None:
-                    self._em_pop(self._now() if self._now is not None else 0.0,
-                                 ac.name, agg.station, agg.seq, len(queue))
+                    self._em_pop(self._now(), ac.name, agg.station, agg.seq,
+                                 len(queue))
                 return agg
         return None
 

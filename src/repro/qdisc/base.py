@@ -30,17 +30,6 @@ class Qdisc(abc.ABC):
         self.backlog_packets = 0
         self.drops = 0
 
-        # Telemetry (None when disabled).
-        self._tr_queue = None
-        self._trace_now: Callable[[], float] = lambda: 0.0
-
-    def set_trace(self, trace,
-                  now_fn: Optional[Callable[[], float]] = None) -> None:
-        """Attach a trace bus; emitted records carry ``layer='qdisc'``."""
-        self._tr_queue = trace.channel("queue") if trace is not None else None
-        if now_fn is not None:
-            self._trace_now = now_fn
-
     @abc.abstractmethod
     def enqueue(self, pkt: Packet) -> bool:
         """Queue ``pkt``; returns False if it was dropped instead."""

@@ -35,23 +35,21 @@ class FqCodelQdisc(Qdisc):
         limit: int = FQ_CODEL_DEFAULT_LIMIT,
         flows: int = FQ_CODEL_DEFAULT_FLOWS,
         on_drop: Optional[DropCallback] = None,
+        trace=None,
     ) -> None:
         super().__init__(on_drop)
+        # The wrapped structure emits the queue/codel records of a
+        # ``trace`` bus itself, labelled with the qdisc layer.
         self._fq = MacFqStructure(
             now_fn,
             num_queues=flows,
             limit=limit,
             codel_tuner=PerStationCoDelTuner(enabled=False),
             on_drop=self._on_fq_drop,
+            trace=trace,
+            layer="qdisc",
         )
         self._tid = self._fq.tid(None, "qdisc")
-
-    def set_trace(self, trace,
-                  now_fn: Callable[[], float] | None = None) -> None:
-        # The wrapped structure emits the queue/codel records itself,
-        # labelled with the qdisc layer; the base-class channel stays off
-        # so drops are not double-counted.
-        self._fq.set_trace(trace, layer="qdisc")
 
     def _on_fq_drop(self, pkt: Packet, reason: str) -> None:
         self._drop(pkt, reason)

@@ -9,7 +9,7 @@ a single tail-drop FIFO models it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from repro.core.packet import Packet
 from repro.qdisc.base import DropCallback, Qdisc
@@ -21,28 +21,31 @@ DEFAULT_TXQUEUELEN = 1000
 
 
 class PfifoQdisc(Qdisc):
-    """Tail-drop FIFO with a packet-count limit."""
+    """Tail-drop FIFO with a packet-count limit.
+
+    With a ``trace`` bus, enqueue and dequeue records are stamped by
+    ``clock`` (the simulated time in µs).
+    """
 
     def __init__(
         self,
         limit: int = DEFAULT_TXQUEUELEN,
         on_drop: Optional[DropCallback] = None,
+        trace=None,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         super().__init__(on_drop)
         if limit <= 0:
             raise ValueError("limit must be positive")
         self.limit = limit
         self._pkts: Deque[Packet] = deque()
-        # Prebound trace emitters (None when untraced); see set_trace.
-        self._em_enqueue = None
-        self._em_dequeue = None
-
-    def set_trace(self, trace, now_fn=None) -> None:
-        super().set_trace(trace, now_fn=now_fn)
-        channel = self._tr_queue
+        self._now = clock
+        # Prebound trace emitters, None when untraced: monomorphic record
+        # shapes, registered once, so the enqueue and dequeue paths pay
+        # positional appends instead of kwargs.
+        self._em_enqueue = self._em_dequeue = None
+        channel = trace.channel("queue") if trace is not None else None
         if channel is not None:
-            # Monomorphic record shapes, registered once: the enqueue and
-            # dequeue paths then pay positional appends instead of kwargs.
             self._em_enqueue = channel.emitter("enqueue", (
                 ("layer", "c", "qdisc"), ("station", "o"), ("flow", "q"),
                 ("pid", "q"), ("backlog", "q"),
@@ -51,9 +54,6 @@ class PfifoQdisc(Qdisc):
                 ("layer", "c", "qdisc"), ("station", "o"), ("pid", "q"),
                 ("sojourn_us", "d"),
             ))
-        else:
-            self._em_enqueue = None
-            self._em_dequeue = None
 
     def enqueue(self, pkt: Packet) -> bool:
         if self.backlog_packets >= self.limit:
@@ -67,7 +67,7 @@ class PfifoQdisc(Qdisc):
         self._pkts.append(pkt)
         self.backlog_packets += 1
         if self._em_enqueue is not None:
-            self._em_enqueue(self._trace_now(), pkt.dst_station, pkt.flow_id,
+            self._em_enqueue(self._now(), pkt.dst_station, pkt.flow_id,
                              pkt.pid, self.backlog_packets)
         return True
 
@@ -77,7 +77,7 @@ class PfifoQdisc(Qdisc):
         self.backlog_packets -= 1
         pkt = self._pkts.popleft()
         if self._em_dequeue is not None:
-            now = self._trace_now()
+            now = self._now()
             self._em_dequeue(now, pkt.dst_station, pkt.pid,
                              now - pkt.enqueue_us)
         return pkt

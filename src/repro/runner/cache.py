@@ -85,8 +85,7 @@ class ResultCache:
 
         blob = self._verified_blob(raw)
         if blob is None:
-            if not self._is_legacy_entry(raw):
-                self._quarantine(path)
+            self._quarantine(path)
             self.misses += 1
             return False, None
 
@@ -125,19 +124,6 @@ class ResultCache:
         if hashlib.sha256(blob).hexdigest() != envelope.get("sha256"):
             return None
         return blob
-
-    @staticmethod
-    def _is_legacy_entry(raw: bytes) -> bool:
-        """True for intact pre-checksum entries (format 1: a bare dict).
-
-        Those are a plain miss — ``put()`` rewrites them in the new
-        format — not corruption, so they are not quarantined.
-        """
-        try:
-            payload = pickle.loads(raw)
-        except Exception:
-            return False
-        return isinstance(payload, dict) and "format" not in payload
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside so it is inspectable but never reused."""

@@ -259,14 +259,14 @@ class Runner:
         How many times a timed-out or crashed run is retried (in a
         fresh pool) before its :class:`FailedResult` is final.  Runs
         that *raise* are never retried — same seed, same exception.
-    auto_serial:
-        When True and ``jobs`` exceeds the machine's CPU count, fall
-        back to serial in-process execution instead of oversubscribing:
-        on a CPU-bound workload extra workers only add pool overhead
-        (a scaled-down report ran at 0.88x with jobs=2 on one core).  The
-        fallback is skipped when ``timeout_s`` is set, because only the
-        pool path can enforce the budget.  The original request stays
-        visible as :attr:`requested_jobs`.
+
+    When ``jobs`` exceeds the machine's CPU count the runner falls back
+    to serial in-process execution instead of oversubscribing: on a
+    CPU-bound workload extra workers only add pool overhead (a
+    scaled-down report ran at 0.88x with jobs=2 on one core).  The
+    fallback is skipped when ``timeout_s`` is set, because only the pool
+    path can enforce the budget.  The original request stays visible as
+    :attr:`requested_jobs`.
     """
 
     jobs: Optional[int] = None
@@ -275,7 +275,6 @@ class Runner:
     profile: bool = False
     timeout_s: Optional[float] = None
     retries: int = 1
-    auto_serial: bool = False
     #: Graceful SIGINT/SIGTERM: instead of an uncaught KeyboardInterrupt
     #: tearing through mid-batch, the runner cancels queued work, puts
     #: down in-flight workers, marks unfinished runs with phase
@@ -309,8 +308,7 @@ class Runner:
         self.retries = max(0, int(self.retries))
         self.requested_jobs = self.jobs
         cpus = os.cpu_count() or 1
-        if (self.auto_serial and self.jobs > cpus
-                and self.timeout_s is None):
+        if self.jobs > cpus and self.timeout_s is None:
             log.warning(
                 "jobs=%d exceeds the %d available CPU(s); "
                 "oversubscribed pools run slower than serial on this "

@@ -11,8 +11,7 @@ simulator honest about it with double-entry bookkeeping:
   (downlink and uplink separately);
 * the **AP book** — :meth:`AccessPoint.txop_complete` /
   :meth:`~repro.mac.ap.AccessPoint.receive_uplink` charge the same
-  completions from the AP's side (via
-  :meth:`~repro.mac.ap.AccessPoint.set_ledger`).
+  completions from the AP's side (the AP is built with the ledger).
 
 At teardown :meth:`AirtimeLedger.audit` cross-checks the two books
 (they see the identical floats, so they must agree exactly), checks

@@ -178,9 +178,9 @@ _STORES = {"ring": TraceRing, "dict": RecordList}
 class TraceChannel:
     """A category-bound emitter handed to one instrumentation site.
 
-    Components cache one per category (``self._tr_queue =
-    bus.channel("queue")``) and either bind a positional emitter per
-    shape once (:meth:`emitter`, the per-packet sites) or call
+    Components take one per category (``bus.channel("queue")``) and
+    either bind a positional emitter per shape once (:meth:`emitter`,
+    the per-packet sites) or call
     :meth:`emit` with keyword fields (markers and other rare records).
     """
 

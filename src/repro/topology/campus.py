@@ -153,6 +153,33 @@ class CampusTestbed:
             for channel in topology.channels()
         }
 
+        # --- airtime accounting, one account per BSS ------------------
+        self.trackers: Dict[int, AirtimeTracker] = {
+            spec.bss_id: AirtimeTracker() for spec in topology.bsses
+        }
+        # BSS -> the ``on_tx`` of every account its transmissions feed.
+        feeds = {bss_id: [tracker.on_tx]
+                 for bss_id, tracker in self.trackers.items()}
+        for tracker in self.trackers.values():
+            self.sim.at_window_start(tracker.reset)
+
+        # --- telemetry, before the APs that bind to it ----------------
+        self.telemetry: Optional[Telemetry] = None
+        if options.telemetry is not None and options.telemetry.active:
+            # The run's account: the tracker on one cell.  A multi-cell
+            # traced run keeps an unfiltered one beside the per-BSS
+            # trackers, since a roamer's whole-run total is its
+            # interleaved sum, not the sum of its per-BSS totals.
+            account = self.tracker if single else None
+            if not single and options.telemetry.trace_enabled:
+                account = AirtimeTracker()
+                for bss_feeds in feeds.values():
+                    bss_feeds.append(account.on_tx)
+                self.sim.at_window_start(account.reset)
+            self.telemetry = Telemetry(options.telemetry, account)
+        trace = self.telemetry.trace if self.telemetry is not None else None
+        ledger = self._audited_ledger()
+
         # --- per-BSS stacks, declaration order ------------------------
         if options.ap_config is not None:
             config = replace(options.ap_config, scheme=options.scheme)
@@ -164,7 +191,7 @@ class CampusTestbed:
         self.serving: Dict[int, int] = {}
         for spec in topology.bsses:
             ap = AccessPoint(self.sim, self.mediums[spec.channel], config,
-                             bss=spec.bss_id)
+                             bss=spec.bss_id, trace=trace, ledger=ledger)
             stack = BssStack(spec.bss_id, spec.channel, ap)
             for index, rate in spec.station_rates():
                 if rates is not None:
@@ -187,41 +214,14 @@ class CampusTestbed:
             delay_us=options.wire_delay_us,
         )
 
-        # --- airtime accounting, one account per BSS ------------------
-        self.trackers: Dict[int, AirtimeTracker] = {
-            spec.bss_id: AirtimeTracker() for spec in topology.bsses
-        }
-        # BSS -> the ``on_tx`` of every account its transmissions feed.
-        feeds = {bss_id: [tracker.on_tx]
-                 for bss_id, tracker in self.trackers.items()}
-        for tracker in self.trackers.values():
-            self.sim.at_window_start(tracker.reset)
-
-        # --- telemetry -------------------------------------------------
-        self.telemetry: Optional[Telemetry] = None
         emit_tx = None
-        if options.telemetry is not None and options.telemetry.active:
-            # The run's account: the tracker on one cell.  A multi-cell
-            # traced run keeps an unfiltered one beside the per-BSS
-            # trackers, since a roamer's whole-run total is its
-            # interleaved sum, not the sum of its per-BSS totals.
-            account = self.tracker if single else None
-            if not single and options.telemetry.trace_enabled:
-                account = AirtimeTracker()
-                for bss_feeds in feeds.values():
-                    bss_feeds.append(account.on_tx)
-                self.sim.at_window_start(account.reset)
-            self.telemetry = Telemetry(options.telemetry, account)
-            for stack in self.bss.values():
-                stack.ap.set_trace(self.telemetry)
+        if self.telemetry is not None:
             tx_channel = self.telemetry.channel("tx")
             if tx_channel is not None:
                 emit_tx = tx_channel.emitter(
                     "tx", _TX_SHAPE if single else _TX_SHAPE + (("bss", "q"),))
-            ledger = self._audited_ledger()
             if ledger is not None:
                 ledger.account = self.tracker
-                self.ap.set_ledger(ledger)
                 self.sim.at_window_start(ledger.reset)
             # Everything after this marker is the measurement window: the
             # trace summariser resets its account exactly where the live

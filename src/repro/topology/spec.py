@@ -138,12 +138,6 @@ class Topology:
     def single_bss(self) -> bool:
         return len(self.bsses) == 1
 
-    def bss(self, bss_id: int) -> BssSpec:
-        for spec in self.bsses:
-            if spec.bss_id == bss_id:
-                return spec
-        raise KeyError(bss_id)
-
     def channels(self) -> Tuple[int, ...]:
         return tuple(sorted({spec.channel for spec in self.bsses}))
 

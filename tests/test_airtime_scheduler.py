@@ -366,25 +366,17 @@ class TestRobustness:
         assert 1 not in sched.old_stations
 
 
-class TestTraceDetach:
-    def test_set_trace_none_fully_detaches(self):
+class TestTraceBinding:
+    def test_records_are_stamped_by_the_given_clock(self):
         from repro.telemetry import TraceBus
 
-        h = Harness()
         bus = TraceBus()
-        h.scheduler.set_trace(bus, now_fn=lambda: 1.0)
+        h = Harness(trace=bus, clock=lambda: 1.0)
         h.scheduler.wake(1)
         h.scheduler.report_tx_airtime(1, 100.0)
         h.scheduler.report_rx_airtime(1, 50.0)
         h.scheduler.drop(1)
-        assert [(r["ev"], r.get("dir")) for r in bus.records] == [
-            ("station_enter", None), ("deficit_charge", "tx"),
-            ("deficit_charge", "rx"), ("station_drop", None),
+        assert [(r["t"], r["ev"], r.get("dir")) for r in bus.records] == [
+            (1.0, "station_enter", None), (1.0, "deficit_charge", "tx"),
+            (1.0, "deficit_charge", "rx"), (1.0, "station_drop", None),
         ]
-
-        h.scheduler.set_trace(None)
-        h.scheduler.wake(1)
-        h.scheduler.report_tx_airtime(1, 100.0)
-        h.scheduler.report_rx_airtime(1, 50.0)
-        h.scheduler.drop(1)
-        assert len(bus) == 4

@@ -108,7 +108,8 @@ class TestManifestWriter:
 # ----------------------------------------------------------------------
 class TestRunRecord:
     @pytest.mark.slow
-    def test_evidence_crosses_the_pool_boundary(self, tmp_path):
+    def test_evidence_crosses_the_pool_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # reach the pool
         path = tmp_path / "manifest.jsonl"
         runner = Runner(jobs=2, manifest_path=str(path))
         results = runner.map([_livelock(), _quick(3)])
@@ -133,7 +134,8 @@ class TestRunRecord:
         assert evidence["streaming"]["records_seen"] > 0
         assert "stall_violations" in evidence["watchdog"]
 
-    def test_crash_record_has_phase_and_attempts(self, tmp_path):
+    def test_crash_record_has_phase_and_attempts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # reach the pool
         path = tmp_path / "manifest.jsonl"
         runner = Runner(jobs=2, retries=0, manifest_path=str(path))
         runner.map([RunSpec.make("tests.test_runner_faults:die",

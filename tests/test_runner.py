@@ -256,6 +256,8 @@ class TestRunnerExecution:
             raise OSError("no process pools in this sandbox")
 
         monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", broken_pool)
+        # Enough CPUs that the runner reaches for the (broken) pool.
+        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 8)
         runner = Runner(jobs=4, cache=None)
         assert runner.run_values([spec_for(x) for x in (1, 2, 3)]) == [1, 4, 9]
         assert not runner.used_pool
@@ -272,7 +274,7 @@ class TestAutoSerial:
 
     def test_falls_back_when_jobs_exceed_cpus(self, monkeypatch):
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 2)
-        runner = Runner(jobs=8, cache=None, auto_serial=True)
+        runner = Runner(jobs=8, cache=None)
         assert runner.jobs == 1
         assert runner.requested_jobs == 8
         assert runner.execution_mode == "serial (auto)"
@@ -281,21 +283,16 @@ class TestAutoSerial:
 
     def test_no_fallback_within_cpu_budget(self, monkeypatch):
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 8)
-        runner = Runner(jobs=4, cache=None, auto_serial=True)
+        runner = Runner(jobs=4, cache=None)
         assert runner.jobs == 4
         assert runner.requested_jobs == 4
         assert runner.execution_mode == "parallel"
-
-    def test_no_fallback_without_opt_in(self, monkeypatch):
-        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
-        runner = Runner(jobs=4, cache=None)
-        assert runner.jobs == 4
 
     def test_timeout_keeps_the_pool(self, monkeypatch):
         """Only the pool path can enforce timeout_s, so the fallback
         must not demote a runner that needs the budget."""
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
-        runner = Runner(jobs=4, cache=None, auto_serial=True, timeout_s=30.0)
+        runner = Runner(jobs=4, cache=None, timeout_s=30.0)
         assert runner.jobs == 4
         assert runner.execution_mode == "parallel"
 
@@ -307,7 +304,7 @@ class TestAutoSerial:
             Runner(jobs=2, cache=None, timeout_s=timeout_s)
 
     def test_serial_request_stays_serial(self):
-        runner = Runner(jobs=1, cache=None, auto_serial=True)
+        runner = Runner(jobs=1, cache=None)
         assert runner.execution_mode == "serial"
         assert runner.requested_jobs == 1
 

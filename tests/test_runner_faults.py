@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.runner import FailedResult, ResultCache, RunSpec, Runner
 from repro.runner import executor as executor_mod
 
@@ -48,6 +50,13 @@ def touch_then_sleep(sentinel: str = "", seconds: float = 60.0) -> str:
 
 def _spec(fn: str, **kwargs) -> RunSpec:
     return RunSpec.make(f"tests.test_runner_faults:{fn}", **kwargs)
+
+
+@pytest.fixture(autouse=True)
+def _two_cpus(monkeypatch):
+    """A ``jobs=2`` runner here must reach the pool: on one CPU it would
+    run serially, and a crashing spec would take pytest down with it."""
+    monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 2)
 
 
 # ----------------------------------------------------------------------
@@ -194,28 +203,31 @@ class TestCacheQuarantine:
         assert quarantined.exists()
         assert any("checksum" in r.message for r in caplog.records)
 
-    def test_quarantined_entry_never_reloads_and_put_recovers(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    @staticmethod
+    def _assert_quarantined_then_recovers(root, raw: bytes) -> None:
+        cache = ResultCache(root)
         spec = _spec("quick", value=7)
         cache.put(spec, 14)
-        cache.path_for(spec).write_bytes(b"\x80\x04garbage")
+        path = cache.path_for(spec)
+        path.write_bytes(raw)
         hit, _ = cache.get(spec)
         assert not hit
-        # A rewrite restores normal service alongside the quarantined file.
+        assert cache.quarantined == 1
+        assert path.with_suffix(path.suffix + ".corrupt").exists()
+        # A rewrite restores normal service beside the quarantined file.
         cache.put(spec, 14)
         hit, payload = cache.get(spec)
         assert hit and payload["value"] == 14
 
-    def test_legacy_format_is_plain_miss_without_quarantine(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = _spec("quick", value=7)
-        legacy = {"version": "1.1.0", "value": 14}
-        cache.root.mkdir(parents=True, exist_ok=True)
-        cache.path_for(spec).write_bytes(pickle.dumps(legacy))
-        hit, _ = cache.get(spec)
-        assert not hit
-        assert cache.quarantined == 0
-        assert cache.path_for(spec).exists()  # left in place for put()
+    def test_quarantined_entry_never_reloads_and_put_recovers(self, tmp_path):
+        self._assert_quarantined_then_recovers(tmp_path, b"\x80\x04garbage")
+
+    def test_bare_dict_entry_is_quarantined(self, tmp_path):
+        # Every cache key hashes the code fingerprint, so a bare pickled
+        # dict at a current digest is not a valid old-format entry: like
+        # any other non-envelope bytes it is quarantined.
+        bare = pickle.dumps({"version": "1.1.0", "value": 14})
+        self._assert_quarantined_then_recovers(tmp_path, bare)
 
     def test_checksum_survives_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -181,7 +181,7 @@ class TestZeroCostWhenDisabled:
         fq = MacFqStructure(lambda: 0.0)
         assert fq._em_enqueue is None and fq._em_codel_state is None
         qdisc = PfifoQdisc()
-        assert qdisc._tr_queue is None and qdisc._em_dequeue is None
+        assert qdisc._em_enqueue is None and qdisc._em_dequeue is None
 
     def test_untraced_testbed_has_no_telemetry(self):
         testbed = Testbed(three_station_rates(),
