@@ -53,11 +53,12 @@ KEPT: Dict[str, str] = {
 }
 
 #: Never-entered lines outside ``KEPT`` on the tree this was recorded on.
-BUDGET_OUTSIDE_KEPT = 607
+BUDGET_OUTSIDE_KEPT = 586
 
 #: Moved under ``tests/`` or deleted; must not come back.  The report is
 #: the one replication path (``--replications``), so no campaign engine.
-GONE = ("campaign", "experiments/campaign_cli.py", "experiments/export.py")
+GONE = ("campaign", "experiments/campaign_cli.py", "experiments/export.py",
+        "sim/batch.py")
 
 _seen: Set = set()
 

@@ -51,9 +51,7 @@ TUNE_HYSTERESIS_US = 2_000_000.0
 
 
 class _PacketQueue(Protocol):
-    """What CoDel needs from a queue: peek/pop head packets."""
-
-    def head(self) -> Optional[Packet]: ...
+    """What CoDel needs from a queue: pop its head packet."""
 
     def pop_head(self) -> Optional[Packet]: ...
 

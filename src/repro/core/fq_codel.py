@@ -61,9 +61,6 @@ class FlowQueue:
         self.membership: Optional[str] = None
 
     # -- the _PacketQueue protocol used by codel_dequeue ----------------
-    def head(self) -> Optional[Packet]:
-        return self.pkts[0] if self.pkts else None
-
     def pop_head(self) -> Optional[Packet]:
         if not self.pkts:
             return None
@@ -93,7 +90,7 @@ class TidState:
     """
 
     __slots__ = ("station", "ac", "new_queues", "old_queues",
-                 "overflow_queue", "backlog")
+                 "overflow_queue", "backlog", "activated")
 
     def __init__(self, station: Optional[int], ac: object,
                  overflow_queue: FlowQueue) -> None:
@@ -103,9 +100,8 @@ class TidState:
         self.old_queues: Deque[FlowQueue] = deque()
         self.overflow_queue = overflow_queue
         self.backlog = 0
-
-    def has_backlog(self) -> bool:
-        return self.backlog > 0
+        #: Set by the first queue that joins ``new_queues``.
+        self.activated = False
 
     def schedulable_queue(self) -> Optional[FlowQueue]:
         """First queue per Algorithm 2 lines 2–7 (new before old)."""

@@ -18,6 +18,7 @@ driver's per-TID FIFOs for the FQ-MAC and Airtime configurations (Figure 3):
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -106,6 +107,11 @@ class MacFqStructure:
         #: takes.  Never deleted: a station that roams back finds them.
         self._tids: Dict[tuple, TidState] = TidMap(self._new_queue)
 
+        #: The TIDs that ever activated a queue, in creation order: the
+        #: overlimit drop's candidates (a TID only a backlog probe made
+        #: holds nothing).
+        self._activated: List[TidState] = []
+
         #: Total packets queued across every TID (the "global limit" gauge).
         self.backlog_packets = 0
         #: Drop counters by reason.
@@ -183,10 +189,41 @@ class MacFqStructure:
     # ------------------------------------------------------------------
     # Algorithm 1: enqueue
     # ------------------------------------------------------------------
-    def enqueue(self, pkt: Packet, tid: TidState) -> None:
+    def enqueue(self, tid: TidState, pkt: Packet) -> None:
         """Enqueue ``pkt`` for ``tid`` (Algorithm 1)."""
         if self.backlog_packets >= self.limit:
-            self._drop_from_longest_queue()
+            # Drop the head of the globally longest queue: the first of
+            # the longest in TID creation order, new list before old.
+            # Only TIDs that ever activated a queue can hold packets, and
+            # none of a TID's queues can beat ``most`` unless its backlog
+            # does.
+            longest = None
+            most = 0
+            for other in self._activated:
+                if other.backlog <= most:
+                    continue
+                for queue in other.new_queues:
+                    if len(queue.pkts) > most:
+                        longest, most = queue, len(queue.pkts)
+                for queue in other.old_queues:
+                    if len(queue.pkts) > most:
+                        longest, most = queue, len(queue.pkts)
+            if longest is None:
+                backlogs = [(t.station, t.ac, t.backlog)
+                            for t in self._tids.values()]
+                raise RuntimeError(
+                    f"backlog_packets={self.backlog_packets} >= limit="
+                    f"{self.limit} but no queue holds a packet; TID "
+                    f"backlogs: {backlogs}")
+            # ``pop_head`` and ``_account_drop`` inline: most arrivals of
+            # a saturated structure take this path.
+            victim = longest.pkts.popleft()
+            longest.byte_backlog -= victim.size
+            longest.tid.backlog -= 1
+            self.backlog_packets -= 1
+            self.drops_overlimit += 1
+            if self.on_drop is not None:
+                self.on_drop(victim, "overlimit")
 
         # ``hash_flow`` and ``FlowQueue.append`` inline (once per arrival;
         # not memoised per flow: web workloads mint flow ids unboundedly).
@@ -216,33 +253,14 @@ class MacFqStructure:
             # top-up loop before the queue is ever served.
             queue.deficit = self.quantum
             tid.add_new(queue)
+            if not tid.activated:
+                # Overflow indices count down in creation order.
+                tid.activated = True
+                insort(self._activated, tid,
+                       key=lambda t: -t.overflow_queue.index)
             if self._em_flow_new is not None:
                 self._em_flow_new(pkt.enqueue_us, tid.station, pkt.flow_id,
                                   queue.index)
-
-    def _drop_from_longest_queue(self) -> None:
-        """Drop the head packet of the globally longest queue.
-
-        Ties go to the first queue in ``_tids`` order, new list before
-        old.  A TID with no backlog holds only empty queues, so skipping
-        it cannot change the choice.
-        """
-        longest: Optional[FlowQueue] = None
-        most = 0
-        for tid in self._tids.values():
-            if not tid.backlog:
-                continue
-            for queue in tid.new_queues:
-                if len(queue.pkts) > most:
-                    longest, most = queue, len(queue.pkts)
-            for queue in tid.old_queues:
-                if len(queue.pkts) > most:
-                    longest, most = queue, len(queue.pkts)
-        if longest is None:  # pragma: no cover
-            return
-        pkt = longest.pop_head()
-        assert pkt is not None
-        self._account_drop(longest, pkt, "overlimit")
 
     def _account_drop(self, queue: FlowQueue, pkt: Packet, reason: str) -> None:
         tid = queue.tid
@@ -397,11 +415,7 @@ class IntegratedStack(MacFqStructure):
                          on_drop=drops.callback("mac"), trace=trace)
 
     def enqueue_for(self, station: int, ac: object) -> Callable:
-        # Not partial(self.enqueue, tid=...): binding a keyword costs
-        # ~300 ns a call, this frame with two defaults ~30.
-        def sink(pkt, enqueue=self.enqueue, tid=self._tids[station, ac]):
-            enqueue(pkt, tid)
-        return sink
+        return partial(self.enqueue, self._tids[station, ac])
 
     def dequeue_for(self, station: int, ac: object) -> Callable:
         return partial(self.dequeue, self._tids[station, ac])

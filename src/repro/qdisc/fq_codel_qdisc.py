@@ -59,7 +59,7 @@ class FqCodelQdisc(Qdisc):
         another flow's head); only the limit drops on enqueue."""
         fq = self._fq
         before = fq.drops_overlimit
-        fq.enqueue(pkt, self._tid)
+        fq.enqueue(self._tid, pkt)
         self.backlog_packets = fq.backlog_packets
         return fq.drops_overlimit == before
 

@@ -1,6 +1,5 @@
 """Discrete-event simulation substrate (event loop, clock, RNG streams)."""
 
-from repro.sim.batch import BatchSource
 from repro.sim.engine import (
     US_PER_MS,
     US_PER_SEC,
@@ -13,7 +12,6 @@ from repro.sim.engine import (
 from repro.sim.rng import RngFactory
 
 __all__ = [
-    "BatchSource",
     "PeriodicTimer",
     "RngFactory",
     "SimulationError",

@@ -229,8 +229,8 @@ class Simulator:
 
         The entry carries ``time_us`` verbatim — no ``now + delay``
         round-trip — so sources replaying a precomputed timestamp array
-        (:class:`repro.sim.batch.BatchSource`) hit the exact same floats
-        a repeated ``now + interval`` chain would produce.
+        (:class:`repro.traffic.udp.UdpDownloadFlow`) hit the exact same
+        floats a repeated ``now + interval`` chain would produce.
         """
         if time_us < self.now:
             raise SimulationError(f"cannot schedule t={time_us}us in the past")

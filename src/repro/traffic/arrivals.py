@@ -1,11 +1,10 @@
 """Chunked arrival-timestamp generation for batched traffic sources.
 
-This generator is the traffic-side half of batched arrival generation
-(:class:`repro.sim.batch.BatchSource` is the engine-side half).  It
-yields *chunks* — plain lists of absolute simulation times (µs) — that a
-``BatchSource`` replays one wake-up at a time; generation is amortised
-over ``chunk_size`` arrivals, one C-level ``itertools.accumulate`` per
-chunk instead of a Python float add per packet.
+It yields *chunks* — plain lists of absolute simulation times (µs) —
+that :class:`repro.traffic.udp.UdpDownloadFlow` replays one wake-up at a
+time; generation is amortised over ``chunk_size`` arrivals, one C-level
+``itertools.accumulate`` per chunk instead of a Python float add per
+packet.
 
 Bit-equivalence contract: a legacy ``PeriodicTimer`` produces the
 timestamp chain ``t0, t0 + i, (t0 + i) + i, ...`` — a *left fold* of

@@ -7,12 +7,13 @@ station's achievable share so the AP queues are always backlogged.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 from repro.core.packet import AccessCategory, Packet, flow_id_allocator
 from repro.mac.station import ClientStation
 from repro.net.wire import Server
-from repro.sim.batch import BatchSource
 from repro.sim.engine import Simulator
 from repro.telemetry.streaming import QuantileSketch
 from repro.traffic.arrivals import cbr_chunks
@@ -78,7 +79,18 @@ class UdpSink(WindowBytes):
 
 
 class UdpDownloadFlow:
-    """Server -> station CBR UDP flow."""
+    """Server -> station CBR UDP flow.
+
+    Arrivals replay ``cbr_chunks`` timestamps through the engine's
+    ``schedule_call_at``, one heap entry live at a time: the packet sent
+    at ``t`` is built and handed to the network's AP-side delivery
+    target at ``t + delay`` (nothing can observe it on the wire), then
+    the next arrival is armed.  That is a ``PeriodicTimer``'s
+    fire-then-re-arm order, so tie-break sequence numbers are consumed
+    identically.  :meth:`stop` records an instant instead of cancelling:
+    packets sent before it still arrive, and the first one stamped at or
+    after it pops inert and ends the chain.
+    """
 
     def __init__(
         self,
@@ -103,10 +115,17 @@ class UdpDownloadFlow:
         station.register_handler(self.flow_id, self.sink.on_packet,
                                  burst=self.sink.on_burst)
         self.interval_us = 8 * packet_size / rate_bps * 1e6
-        self._source: Optional[BatchSource] = None
         self._dst = station.index
-        #: The network's AP-side delivery target, bound by start().
+        #: Bound by start(): the network's AP-side delivery target, the
+        #: wire delay, the send instants still to come and the next one.
         self._deliver = None
+        self._latency_us = 0.0
+        self._stamps: Iterator[float] = iter(())
+        self._next_us = 0.0
+        #: Only packets sent before this arrive: +inf while running, the
+        #: stop instant after :meth:`stop`, -inf before :meth:`start`.
+        self._stop_at = -math.inf
+        self._schedule_at = sim.schedule_call_at
 
     @property
     def tx_packets(self) -> int:
@@ -117,24 +136,25 @@ class UdpDownloadFlow:
         network = self.server.network
         if network is None:
             raise RuntimeError("server not attached to a network")
-        # Arrivals replay the exact timestamp chain a PeriodicTimer with
-        # the same first delay and interval would walk (left-fold float
-        # adds), precomputed in chunks instead of one add per packet.
-        # Nothing can observe a packet on the wire, so the source fires
-        # once per arrival: when the packet sent at ``t`` leaves it.
+        # The timestamps a PeriodicTimer with the same first delay and
+        # interval would walk (left-fold float adds), in chunks.
         self._deliver = network._deliver_down
-        chunks = cbr_chunks(self.sim.now + delay_us, self.interval_us)
-        self._source = BatchSource(
-            self.sim, chunks, self._emit, latency_us=network.delay_us
-        ).start()
+        self._latency_us = network.delay_us
+        self._stamps = chain.from_iterable(
+            cbr_chunks(self.sim.now + delay_us, self.interval_us))
+        self._next_us = next(self._stamps)
+        self._stop_at = math.inf
+        self._schedule_at(self._next_us + self._latency_us, self._fire)
         return self
 
     def stop(self) -> None:
         """Send nothing more; packets already on the wire still arrive."""
-        if self._source is not None:
-            self._source.stop()
+        self._stop_at = min(self._stop_at, self.sim.now)
 
-    def _emit(self, sent_us: float) -> None:
+    def _fire(self) -> None:
+        sent_us = self._next_us
+        if sent_us >= self._stop_at:
+            return
         seq = self._seq + 1
         self._seq = seq
         # Positional Packet call (dst_station, src_station, ac, proto,
@@ -144,3 +164,5 @@ class UdpDownloadFlow:
             self.flow_id, self.packet_size,
             self._dst, None, self.ac, "udp", seq, sent_us,
         ))
+        self._next_us = next_us = next(self._stamps)
+        self._schedule_at(next_us + self._latency_us, self._fire)

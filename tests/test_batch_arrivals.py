@@ -1,24 +1,27 @@
-"""Batched arrival generation: chunk generators and the BatchSource.
+"""Batched arrival generation: chunk generators and the UDP flow.
 
 The contract under test is *bit-equivalence to the legacy path*: a
-``BatchSource`` replaying ``cbr_chunks`` timestamps must fire at exactly
-the floats a ``PeriodicTimer``'s repeated ``now + interval`` left fold
-produces, chunking must never change the chain, and the engine's
-``schedule_call`` fast path must share ordering semantics (tie-break
-sequence numbers included) with the Event-based ``schedule``.
+``UdpDownloadFlow`` replaying ``cbr_chunks`` timestamps must fire at
+exactly the floats a ``PeriodicTimer``'s repeated ``now + interval``
+left fold produces, chunking must never change the chain, and the
+engine's ``schedule_call`` fast path must share ordering semantics
+(tie-break sequence numbers included) with the Event-based ``schedule``.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.batch import BatchSource
+from repro.mac.station import ClientStation
+from repro.phy.rates import HT20_MCS_TABLE
 from repro.sim.engine import PeriodicTimer, SimulationError, Simulator
 from repro.traffic.arrivals import cbr_chunks
+from repro.traffic.udp import UdpDownloadFlow
 
 
 def _take(iterator, n_chunks):
@@ -75,97 +78,108 @@ class TestCbrChunks:
             next(cbr_chunks(0.0, 1.0, chunk_size=0))
 
 
+class _Wire:
+    """The network as a flow sees it: an AP-side target and a delay."""
+
+    def __init__(self, sim, delay_us=0.0, on_arrival=None):
+        self.sim = sim
+        self.delay_us = delay_us
+        self.on_arrival = on_arrival
+        #: (created_us, arrival time) per delivered packet.
+        self.arrivals = []
+
+    def _deliver_down(self, pkt):
+        self.arrivals.append((pkt.created_us, self.sim.now))
+        if self.on_arrival is not None:
+            self.on_arrival()
+
+
+def _flow(sim, wire, interval_us=1.0):
+    """A UDP flow of 1-byte packets every ``interval_us`` into ``wire``."""
+    station = ClientStation(0, HT20_MCS_TABLE[7], sim)
+    server = SimpleNamespace(network=wire)
+    flow = UdpDownloadFlow(sim, server, station, rate_bps=8e6 / interval_us,
+                           packet_size=1)
+    assert flow.interval_us == interval_us
+    return flow
+
+
 class TestBatchSource:
+    """``UdpDownloadFlow`` as a batched source: it replays ``cbr_chunks``
+    timestamps one heap entry at a time, the packet sent at ``t``
+    arriving at ``t`` plus the wire delay."""
+
     def test_fires_at_exact_timestamps(self, sim):
-        times = [[1.0, 2.5, 4.0], [5.5, 9.0]]
-        fired = []
-        source = BatchSource(sim, iter(times), lambda t: fired.append(sim.now))
-        source.start()
-        sim.run()
-        assert fired == [1.0, 2.5, 4.0, 5.5, 9.0]
-        assert source.fired == 5
-        assert not source.active
+        wire = _Wire(sim)
+        flow = _flow(sim, wire, interval_us=1.5).start(delay_us=1.0)
+        sim.run(until_us=9.0)
+        assert [now for _, now in wire.arrivals] == [1.0, 2.5, 4.0, 5.5,
+                                                     7.0, 8.5]
+        assert flow.tx_packets == 6
 
     def test_one_live_heap_entry_per_source(self, sim):
-        source = BatchSource(sim, iter([[1.0, 2.0, 3.0]]), lambda t: None)
-        source.start()
+        _flow(sim, _Wire(sim)).start(delay_us=1.0)
         assert sim.pending_events == 1  # only the next arrival is armed
         sim.run(until_us=1.5)
         assert sim.pending_events == 1
 
     def test_stop_makes_pending_fire_inert(self, sim):
-        fired = []
-        source = BatchSource(
-            sim, cbr_chunks(1.0, 1.0), lambda t: fired.append(sim.now)
-        ).start()
+        wire = _Wire(sim)
+        flow = _flow(sim, wire).start(delay_us=1.0)
         sim.run(until_us=3.5)
-        source.stop()
+        flow.stop()
         sim.run(until_us=10.0)
-        assert fired == [1.0, 2.0, 3.0]
-        assert source.fired == 3
-
-    def test_stop_from_within_callback(self, sim):
-        source = BatchSource(sim, cbr_chunks(1.0, 1.0), lambda t: source.stop())
-        source = source.start()
-        sim.run(until_us=10.0)
-        assert source.fired == 1
-
-    def test_empty_iterator_is_inert(self, sim):
-        source = BatchSource(sim, iter([]), lambda t: None).start()
-        assert not source.active
-        sim.run()
-        assert source.fired == 0
-
-    def test_empty_chunk_raises(self, sim):
-        source = BatchSource(sim, iter([[]]), lambda t: None)
-        with pytest.raises(ValueError):
-            source.start()
-
-    def test_fired_counts_across_chunk_boundaries(self, sim):
-        source = BatchSource(
-            sim, cbr_chunks(1.0, 1.0, chunk_size=4), lambda t: None
-        ).start()
-        sim.run(until_us=10.5)
-        assert source.fired == 10
-
-    def test_latency_fires_late_and_reports_the_stamp(self, sim):
-        seen = []
-        source = BatchSource(
-            sim, iter([[1.0, 2.5], [4.0]]),
-            lambda t: seen.append((t, sim.now)), latency_us=0.75,
-        ).start()
-        assert sim.pending_events == 1  # still one entry per source
-        sim.run()
-        assert seen == [(1.0, 1.75), (2.5, 3.25), (4.0, 4.75)]
-        assert source.fired == 3 and not source.active
-
-    def test_stop_lets_arrivals_already_under_way_fire(self, sim):
-        """Stamps before the stop instant fire even when their latency
-        carries them past it; stamps at or after it never do."""
-        seen = []
-        source = BatchSource(
-            sim, cbr_chunks(1.0, 1.0), seen.append, latency_us=2.5,
-        ).start()
-        sim.run(until_us=4.0)       # 1.0 fired at 3.5; 2.0 and 3.0 in flight
-        source.stop()
-        assert not source.active
-        sim.run(until_us=20.0)
-        assert seen == [1.0, 2.0, 3.0]
+        assert [now for _, now in wire.arrivals] == [1.0, 2.0, 3.0]
+        assert flow.tx_packets == 3
         assert sim.pending_events == 0
 
-    def test_negative_latency_raises(self, sim):
-        with pytest.raises(ValueError):
-            BatchSource(sim, iter([[1.0]]), lambda t: None, latency_us=-1.0)
+    def test_stop_from_within_callback(self, sim):
+        wire = _Wire(sim, on_arrival=lambda: flow.stop())
+        flow = _flow(sim, wire).start(delay_us=1.0)
+        sim.run(until_us=10.0)
+        assert flow.tx_packets == 1
+
+    def test_fired_counts_across_chunk_boundaries(self, sim):
+        """10,000 arrivals cross two 4096-stamp chunks without a gap or
+        a repeat: every stamp is the next step of the left fold."""
+        wire = _Wire(sim)
+        flow = _flow(sim, wire, interval_us=10.0 / 3.0).start(
+            delay_us=10.0 / 3.0)
+        sim.run(until_us=10_000 * 10.0 / 3.0 + 1.0)
+        chain = [10.0 / 3.0]
+        while len(chain) < 10_000:
+            chain.append(chain[-1] + 10.0 / 3.0)
+        assert flow.tx_packets == 10_000
+        assert [sent for sent, _ in wire.arrivals] == chain
+
+    def test_latency_fires_late_and_reports_the_stamp(self, sim):
+        wire = _Wire(sim, delay_us=0.75)
+        flow = _flow(sim, wire, interval_us=1.5).start(delay_us=1.0)
+        assert sim.pending_events == 1  # still one entry per source
+        sim.run(until_us=5.0)
+        assert wire.arrivals == [(1.0, 1.75), (2.5, 3.25), (4.0, 4.75)]
+        assert flow.tx_packets == 3
+
+    def test_stop_lets_arrivals_already_under_way_fire(self, sim):
+        """Stamps before the stop instant arrive even when the wire
+        carries them past it; stamps at or after it never do."""
+        wire = _Wire(sim, delay_us=2.5)
+        flow = _flow(sim, wire).start(delay_us=1.0)
+        sim.run(until_us=4.0)       # 1.0 arrived at 3.5; 2.0 and 3.0 in flight
+        flow.stop()
+        sim.run(until_us=20.0)
+        assert [sent for sent, _ in wire.arrivals] == [1.0, 2.0, 3.0]
+        assert sim.pending_events == 0
 
     def test_equivalent_to_periodic_timer_interleaving(self):
-        """A BatchSource and a PeriodicTimer driving the same interval
+        """A flow and a PeriodicTimer driving the same interval
         interleave identically with a competing event stream — the
         fire-then-re-arm order consumes tie-break seqs the same way."""
         def drive(make_source):
             sim = Simulator()
             log = []
-            source = make_source(sim, lambda: log.append(("arrival", sim.now)))
-            source.start()
+            source = make_source(sim, lambda: log.append(("arrival",
+                                                          sim.now)))
 
             def competing():
                 log.append(("other", sim.now))
@@ -175,10 +189,13 @@ class TestBatchSource:
             source.stop()
             return log
 
-        batch_log = drive(lambda sim, cb: BatchSource(
-            sim, cbr_chunks(1.0, 1.0), lambda t: cb()))
-        timer_log = drive(lambda sim, cb: PeriodicTimer(sim, 1.0, cb))
-        assert batch_log == timer_log
+        def flow(sim, on_arrival):
+            return _flow(sim, _Wire(sim, on_arrival=on_arrival)).start(
+                delay_us=1.0)
+
+        flow_log = drive(flow)
+        timer_log = drive(lambda sim, cb: PeriodicTimer(sim, 1.0, cb).start())
+        assert flow_log == timer_log
 
 
 class TestScheduleCallFastPath:

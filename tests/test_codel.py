@@ -26,9 +26,6 @@ class FakeQueue:
     def push(self, pkt):
         self.pkts.append(pkt)
 
-    def head(self):
-        return self.pkts[0] if self.pkts else None
-
     def pop_head(self):
         return self.pkts.popleft() if self.pkts else None
 

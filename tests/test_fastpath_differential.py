@@ -145,13 +145,14 @@ class _Side:
             on_drop=lambda pkt, reason: self.drops.append(
                 (pkt.pid, pkt.dst_station, reason)),
         )
-        # Idle TIDs before and between the two that carry traffic, as
-        # the AP's backlog probes create them: the overlimit drop must
-        # skip them without moving the tie-break.
+        # A VI TID before each BE TID, as the AP's backlog probes create
+        # them: idle until a round first enqueues to it, so TIDs activate
+        # in another order than they were created, and the overlimit
+        # drop's tie-break must still follow creation.
         self.tids = {}
         for station in (0, 1):
-            self.fq.tid(station, AccessCategory.VI)
-            self.tids[station] = self.fq.tid(station, AccessCategory.BE)
+            for ac in (AccessCategory.VI, AccessCategory.BE):
+                self.tids[station, ac] = self.fq.tid(station, ac)
         self.delivered: list = []
 
     def state(self) -> tuple:
@@ -174,11 +175,13 @@ class _Side:
 
 
 # One round: a burst into one flow, a clock advance, a few dequeues from
-# one station.  Arrivals outpace departures on average and the advances
-# straddle target (5 / 50 ms) and interval (100 / 300 ms), so queues
-# stand above target long enough to enter, hold and leave the dropping
-# state -- with both parameter sets (flow % 2 picks the station, so a
-# station has up to three queues on its DRR lists).
+# one station's TID of the same AC, now and then after flushing that TID.
+# Arrivals outpace departures on average and the advances straddle target
+# (5 / 50 ms) and interval (100 / 300 ms), so queues stand above target
+# long enough to enter, hold and leave the dropping state -- with both
+# parameter sets (flow % 2 picks the station, so a station has up to
+# three queues on its DRR lists).
+_BE, _VI = AccessCategory.BE, AccessCategory.VI
 _ROUNDS = st.lists(
     st.tuples(
         st.integers(1, 6),                      # flow
@@ -188,6 +191,8 @@ _ROUNDS = st.lists(
                          120_000.0, 350_000.0)),
         st.integers(0, 1),                      # station dequeued from
         st.integers(0, 5),                      # dequeue attempts
+        st.sampled_from((_BE, _BE, _VI)),       # AC of both
+        st.integers(0, 9).map(lambda k: k == 0),  # flush the TID first
     ),
     min_size=1, max_size=80,
 )
@@ -198,22 +203,26 @@ def _run_both(rounds, n_flows: int, num_queues: int, limit: int) -> _Side:
     observable must agree after every round."""
     fast, ref = _Side(num_queues, limit), _Side(num_queues, limit)
     pid = 0
-    for flow, n_enq, size, advance_us, station, n_deq in rounds:
+    for flow, n_enq, size, advance_us, station, n_deq, ac, flush in rounds:
         flow = 1 + (flow - 1) % n_flows
         for _ in range(n_enq):
             pid += 1
             for side in (fast, ref):
-                pkt = Packet(flow, size, dst_station=flow % 2)
+                pkt = Packet(flow, size, dst_station=flow % 2, ac=ac)
                 pkt.pid = pid
+                tid = side.tids[flow % 2, ac]
                 if side is fast:
-                    side.fq.enqueue(pkt, side.tids[flow % 2])
+                    side.fq.enqueue(tid, pkt)
                 else:
-                    _reference_enqueue(side.fq, pkt, side.tids[flow % 2])
+                    _reference_enqueue(side.fq, pkt, tid)
         fast.clock.now += advance_us
         ref.clock.now += advance_us
+        if flush:
+            for side in (fast, ref):
+                side.fq.flush_tid(side.tids[station, ac])
         for _ in range(n_deq):
-            got = fast.fq.dequeue(fast.tids[station])
-            want = _reference_dequeue(ref.fq, ref.tids[station])
+            got = fast.fq.dequeue(fast.tids[station, ac])
+            want = _reference_dequeue(ref.fq, ref.tids[station, ac])
             fast.delivered.append(got and got.pid)
             ref.delivered.append(want and want.pid)
         assert fast.delivered == ref.delivered
@@ -238,9 +247,9 @@ def test_mac_fq_matches_the_reference_on_a_standing_queue():
     drops.  Then arrivals slow to a trickle and the queues drain, so a
     fresh head turns up while its queue is still in the dropping state."""
     flows = (1, 2, 3, 4, 5, 6)
-    build_up = [(flow, 2, 1500, 1_000.0, flow % 2, 1)
+    build_up = [(flow, 2, 1500, 1_000.0, flow % 2, 1, _BE, False)
                 for _ in range(170) for flow in flows]
-    drain = [(flow, 1, 1500, 1_000.0, flow % 2, 4)
+    drain = [(flow, 1, 1500, 1_000.0, flow % 2, 4, _BE, False)
              for _ in range(120) for flow in flows]
     fast = _run_both(build_up + drain, n_flows=6, num_queues=8, limit=4096)
     by_station = {0: 0, 1: 0}

@@ -44,13 +44,6 @@ class TestFlowQueue:
         q.pop_head()
         assert q.byte_backlog == 200
 
-    def test_head_peeks_without_removing(self):
-        q = FlowQueue(0)
-        pkt = mkpkt()
-        q.append(pkt)
-        assert q.head() is pkt
-        assert len(q.pkts) == 1
-
     def test_reset_clears_scheduling_state(self):
         q = FlowQueue(0)
         q.tid = object()
@@ -96,9 +89,3 @@ class TestTidState:
         assert q.membership is None
         assert q.tid is None
         assert tid.schedulable_queue() is None
-
-    def test_backlog_flag(self):
-        tid = self.make_tid()
-        assert not tid.has_backlog()
-        tid.backlog = 3
-        assert tid.has_backlog()

@@ -87,7 +87,7 @@ def test_no_packet_is_lost_or_duplicated(ops, num_queues, limit):
             _, flow_id, size = op
             pid += 1
             station = flow_id % 2
-            fq.enqueue(_packet(pid, flow_id, station, size), tids[station])
+            fq.enqueue(tids[station], _packet(pid, flow_id, station, size))
             enqueued.append(pid)
         else:
             pkt = fq.dequeue(tids[op[1]])
@@ -121,7 +121,7 @@ def test_single_queue_pool_preserves_fifo_order(flows):
     fq = _make(num_queues=1, limit=1024)
     tid = fq.tid(0, AccessCategory.BE)
     for pid, flow_id in enumerate(flows, start=1):
-        fq.enqueue(_packet(pid, flow_id, 0), tid)
+        fq.enqueue(tid, _packet(pid, flow_id, 0))
     delivered = [p.pid for p in _drain(fq)]
     assert delivered == list(range(1, len(flows) + 1))
 
@@ -137,14 +137,14 @@ def test_hash_collisions_fall_back_to_the_overflow_queue(seed_flows):
     flows = sorted(seed_flows)
     # Station 0 claims both pool buckets first.
     for pid, flow_id in enumerate(flows, start=1):
-        fq.enqueue(_packet(pid, flow_id, 0), tid_a)
+        fq.enqueue(tid_a, _packet(pid, flow_id, 0))
     # Station 1's packets must all land in its overflow queue (negative
     # index), because every pool bucket belongs to tid_a.
     claimed = {hash_flow(f, 2) for f in flows}
     if claimed == {0, 1}:
         base = len(flows)
         for off, flow_id in enumerate(flows, start=1):
-            fq.enqueue(_packet(base + off, flow_id, 1), tid_b)
+            fq.enqueue(tid_b, _packet(base + off, flow_id, 1))
         assert len(tid_b.overflow_queue.pkts) == len(flows)
     delivered = {p.pid for p in _drain(fq)}
     assert fq.backlog_packets == 0
@@ -163,7 +163,7 @@ def test_new_queue_is_served_before_old_backlog():
     tid = fq.tid(0, AccessCategory.BE)
     bulk_flow = 1
     for pid in range(1, 6):
-        fq.enqueue(_packet(pid, bulk_flow, 0), tid)
+        fq.enqueue(tid, _packet(pid, bulk_flow, 0))
     # Exhaust the bulk queue's quantum (two 1500 B packets > 1514 B) so
     # its next scheduling pass rotates it onto the old list.
     assert fq.dequeue(tid).pid == 1
@@ -172,7 +172,7 @@ def test_new_queue_is_served_before_old_backlog():
         f for f in range(2, 50)
         if hash_flow(f, 8) != hash_flow(bulk_flow, 8)
     )
-    fq.enqueue(_packet(100, sparse_flow, 0), tid)
+    fq.enqueue(tid, _packet(100, sparse_flow, 0))
     nxt = fq.dequeue(tid)
     assert nxt is not None and nxt.pid == 100
 
@@ -186,8 +186,8 @@ def test_overlimit_drops_come_from_the_longest_queue():
         if hash_flow(f, 8) != hash_flow(long_flow, 8)
     )
     for pid in range(1, 5):
-        fq.enqueue(_packet(pid, long_flow, 0), tid)
-    fq.enqueue(_packet(10, short_flow, 0), tid)
+        fq.enqueue(tid, _packet(pid, long_flow, 0))
+    fq.enqueue(tid, _packet(10, short_flow, 0))
     assert fq.drops_overlimit == 1
     dropped_pid, reason = fq.dropped_log[0]
     assert reason == "overlimit"

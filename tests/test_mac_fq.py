@@ -38,7 +38,7 @@ class TestEnqueueDequeue:
     def test_fifo_within_one_flow(self, fq):
         tid = fq.tid(0, AccessCategory.BE)
         for i in range(5):
-            fq.enqueue(mkpkt(1, seq=i), tid)
+            fq.enqueue(tid, mkpkt(1, seq=i))
         seqs = [fq.dequeue(tid).seq for _ in range(5)]
         assert seqs == list(range(5))
 
@@ -49,7 +49,7 @@ class TestEnqueueDequeue:
     def test_backlog_accounting(self, fq):
         tid = fq.tid(0, AccessCategory.BE)
         for i in range(3):
-            fq.enqueue(mkpkt(1, seq=i), tid)
+            fq.enqueue(tid, mkpkt(1, seq=i))
         assert fq.backlog_packets == 3
         assert tid.backlog == 3
         fq.dequeue(tid)
@@ -60,7 +60,7 @@ class TestEnqueueDequeue:
         tid = fq.tid(0, AccessCategory.BE)
         clock.now = 123.0
         pkt = mkpkt(1)
-        fq.enqueue(pkt, tid)
+        fq.enqueue(tid, pkt)
         assert pkt.enqueue_us == 123.0
 
     def test_tids_are_cached_per_station_ac(self, fq):
@@ -82,8 +82,8 @@ class TestDrrFairness:
         while hash_flow(f1, 64) == hash_flow(f2, 64):
             f2 += 1
         for i in range(4):
-            fq.enqueue(mkpkt(f1, seq=i), tid)
-            fq.enqueue(mkpkt(f2, seq=i), tid)
+            fq.enqueue(tid, mkpkt(f1, seq=i))
+            fq.enqueue(tid, mkpkt(f2, seq=i))
         flows = [fq.dequeue(tid).flow_id for _ in range(8)]
         # Counts must balance within any prefix of 2k dequeues.
         assert flows.count(f1) == flows.count(f2) == 4
@@ -98,9 +98,9 @@ class TestDrrFairness:
         while hash_flow(f_small, 64) == hash_flow(f_big, 64):
             f_big += 1
         for i in range(12):
-            fq.enqueue(mkpkt(f_small, size=100, seq=i), tid)
+            fq.enqueue(tid, mkpkt(f_small, size=100, seq=i))
         for i in range(12):
-            fq.enqueue(mkpkt(f_big, size=1500, seq=i), tid)
+            fq.enqueue(tid, mkpkt(f_big, size=1500, seq=i))
         first_rounds = [fq.dequeue(tid).flow_id for _ in range(12)]
         assert first_rounds.count(f_small) > first_rounds.count(f_big)
 
@@ -112,11 +112,11 @@ class TestSparseFlowOptimisation:
         while hash_flow(f_bulk, 64) == hash_flow(f_sparse, 64):
             f_sparse += 1
         for i in range(10):
-            fq.enqueue(mkpkt(f_bulk, seq=i), tid)
+            fq.enqueue(tid, mkpkt(f_bulk, seq=i))
         # Drain a couple so the bulk queue sits on the old list.
         fq.dequeue(tid)
         fq.dequeue(tid)
-        fq.enqueue(mkpkt(f_sparse, seq=99), tid)
+        fq.enqueue(tid, mkpkt(f_sparse, seq=99))
         nxt = fq.dequeue(tid)
         assert nxt.flow_id == f_sparse
 
@@ -129,10 +129,10 @@ class TestSparseFlowOptimisation:
         while hash_flow(f_bulk, 64) == hash_flow(f_sparse, 64):
             f_sparse += 1
         for i in range(10):
-            fq.enqueue(mkpkt(f_bulk, seq=i), tid)
+            fq.enqueue(tid, mkpkt(f_bulk, seq=i))
         fq.dequeue(tid)
         fq.dequeue(tid)  # bulk exhausts its quantum, moves to the old list
-        fq.enqueue(mkpkt(f_sparse, seq=0), tid)
+        fq.enqueue(tid, mkpkt(f_sparse, seq=0))
         got = fq.dequeue(tid)
         assert got.flow_id == f_sparse
         # The next dequeue finds the sparse queue empty: it is rotated to
@@ -142,7 +142,7 @@ class TestSparseFlowOptimisation:
         assert sparse_queue.membership == "old"
         # Refill the sparse flow: it stays on the old list (no new-list
         # rejoin, no fresh quantum) — the anti-gaming rule.
-        fq.enqueue(mkpkt(f_sparse, seq=1), tid)
+        fq.enqueue(tid, mkpkt(f_sparse, seq=1))
         assert sparse_queue.membership == "old"
         assert sparse_queue.deficit <= fq.quantum
 
@@ -154,14 +154,14 @@ class TestSparseFlowOptimisation:
         while hash_flow(f_bulk, 64) == hash_flow(f_sparse, 64):
             f_sparse += 1
         for i in range(10):
-            fq.enqueue(mkpkt(f_bulk, seq=i), tid)
+            fq.enqueue(tid, mkpkt(f_bulk, seq=i))
         fq.dequeue(tid)
         fq.dequeue(tid)  # bulk exhausts its quantum, moves to the old list
         # Keep the sparse queue topped up: it may take its quantum's worth
         # (one 1500B packet) ahead of bulk, but not a second full packet.
-        fq.enqueue(mkpkt(f_sparse, seq=0), tid)
-        fq.enqueue(mkpkt(f_sparse, seq=1), tid)
-        fq.enqueue(mkpkt(f_sparse, seq=2), tid)
+        fq.enqueue(tid, mkpkt(f_sparse, seq=0))
+        fq.enqueue(tid, mkpkt(f_sparse, seq=1))
+        fq.enqueue(tid, mkpkt(f_sparse, seq=2))
         served = [fq.dequeue(tid).flow_id for _ in range(3)]
         assert served[0] == f_sparse
         assert f_bulk in served
@@ -172,8 +172,8 @@ class TestHashCollisions:
         fq = MacFqStructure(clock, num_queues=1, limit=100)
         tid_a = fq.tid(0, AccessCategory.BE)
         tid_b = fq.tid(1, AccessCategory.BE)
-        fq.enqueue(mkpkt(1), tid_a)  # claims the only queue for tid_a
-        fq.enqueue(mkpkt(2), tid_b)  # must go to tid_b's overflow queue
+        fq.enqueue(tid_a, mkpkt(1))  # claims the only queue for tid_a
+        fq.enqueue(tid_b, mkpkt(2))  # must go to tid_b's overflow queue
         assert tid_b.backlog == 1
         pkt = fq.dequeue(tid_b)
         assert pkt is not None and pkt.flow_id == 2
@@ -181,8 +181,8 @@ class TestHashCollisions:
     def test_same_tid_collision_shares_the_queue(self, clock):
         fq = MacFqStructure(clock, num_queues=1, limit=100)
         tid = fq.tid(0, AccessCategory.BE)
-        fq.enqueue(mkpkt(1, seq=0), tid)
-        fq.enqueue(mkpkt(2, seq=1), tid)
+        fq.enqueue(tid, mkpkt(1, seq=0))
+        fq.enqueue(tid, mkpkt(2, seq=1))
         assert tid.backlog == 2
         assert fq.dequeue(tid).seq == 0
         assert fq.dequeue(tid).seq == 1
@@ -191,11 +191,11 @@ class TestHashCollisions:
         fq = MacFqStructure(clock, num_queues=1, limit=100)
         tid_a = fq.tid(0, AccessCategory.BE)
         tid_b = fq.tid(1, AccessCategory.BE)
-        fq.enqueue(mkpkt(1), tid_a)
+        fq.enqueue(tid_a, mkpkt(1))
         assert fq.dequeue(tid_a) is not None
         assert fq.dequeue(tid_a) is None  # queue empties and is released
         # tid_b can now claim the hashed queue directly.
-        fq.enqueue(mkpkt(2), tid_b)
+        fq.enqueue(tid_b, mkpkt(2))
         assert tid_b.overflow_queue.tid is None or tid_b.backlog == 1
         assert fq.dequeue(tid_b).flow_id == 2
 
@@ -212,7 +212,7 @@ class TestQueuesMadeOnFirstUse:
         tid = fq.tid(0, AccessCategory.BE)
         flows = (1, 2, 3, 7, 1000, 1000, 65_537)
         for flow in flows:
-            fq.enqueue(mkpkt(flow), tid)
+            fq.enqueue(tid, mkpkt(flow))
         made = {i for i, queue in enumerate(fq._queues) if queue is not None}
         assert made == {hash_flow(flow, 4096) for flow in flows}
         assert all(fq._queues[i].index == i for i in made)
@@ -248,13 +248,13 @@ class TestGlobalLimit:
         while hash_flow(f_big, 64) == hash_flow(f_small, 64):
             f_small += 1
         for i in range(9):
-            fq.enqueue(mkpkt(f_big, seq=i), tid)
-        fq.enqueue(mkpkt(f_small, seq=0), tid)
+            fq.enqueue(tid, mkpkt(f_big, seq=i))
+        fq.enqueue(tid, mkpkt(f_small, seq=0))
         # Next enqueue breaches the limit: the head of the *long* queue
         # is dropped, not the arriving packet.
         dropped = []
         fq.on_drop = lambda pkt, reason: dropped.append((pkt.flow_id, reason))
-        fq.enqueue(mkpkt(f_small, seq=1), tid)
+        fq.enqueue(tid, mkpkt(f_small, seq=1))
         assert dropped == [(f_big, "overlimit")]
         assert fq.backlog_packets == 10
 
@@ -264,8 +264,8 @@ class TestGlobalLimit:
         fq = MacFqStructure(clock, num_queues=64, limit=8)
         tid = fq.tid(0, AccessCategory.BE)
         for i in range(20):
-            fq.enqueue(mkpkt(1, seq=i), tid)
-        fq.enqueue(mkpkt(2, seq=0), tid)
+            fq.enqueue(tid, mkpkt(1, seq=i))
+        fq.enqueue(tid, mkpkt(2, seq=0))
         flows = set()
         while True:
             pkt = fq.dequeue(tid)
@@ -278,10 +278,47 @@ class TestGlobalLimit:
         fq = MacFqStructure(clock, num_queues=64, limit=4)
         tid = fq.tid(0, AccessCategory.BE)
         for i in range(6):
-            fq.enqueue(mkpkt(1, seq=i), tid)
+            fq.enqueue(tid, mkpkt(1, seq=i))
         assert fq.drops_overlimit == 2
         assert fq.total_drops == 2
         assert fq.backlog_packets == 4
+
+    def test_tie_goes_to_the_tid_created_first_not_activated_first(
+            self, clock):
+        """A VI TID a backlog probe made before the BE TID, but first
+        enqueued to after it, still wins a tie between equally long
+        queues: the drop follows creation order, not activation."""
+        fq = MacFqStructure(clock, num_queues=64, limit=4)
+        vi = fq.tid(0, AccessCategory.VI)
+        be = fq.tid(0, AccessCategory.BE)
+        f_be, f_vi = 1, 2
+        while hash_flow(f_be, 64) == hash_flow(f_vi, 64):
+            f_vi += 1
+        for i in range(2):
+            fq.enqueue(be, mkpkt(f_be, seq=i))
+        for i in range(2):
+            fq.enqueue(vi, mkpkt(f_vi, seq=i))
+        dropped = []
+        fq.on_drop = lambda pkt, reason: dropped.append((pkt.flow_id,
+                                                         pkt.seq))
+        fq.enqueue(be, mkpkt(f_be, seq=2))
+        assert dropped == [(f_vi, 0)]
+        assert (vi.backlog, be.backlog) == (1, 3)
+
+    def test_overrun_limit_with_nothing_queued_raises(self, clock):
+        """A gauge that says "full" while no queue holds a packet is a
+        corrupted structure: enqueue names it instead of growing past
+        the limit."""
+        fq = MacFqStructure(clock, num_queues=64, limit=4)
+        tid = fq.tid(3, AccessCategory.BE)
+        fq.enqueue(tid, mkpkt(1))
+        assert fq.dequeue(tid) is not None
+        fq.backlog_packets = fq.limit
+        with pytest.raises(RuntimeError) as error:
+            fq.enqueue(tid, mkpkt(1, seq=1))
+        message = str(error.value)
+        assert "backlog_packets=4" in message and "limit=4" in message
+        assert f"(3, {AccessCategory.BE!r}, 0)" in message
 
 
 class TestCoDelIntegration:
@@ -290,7 +327,7 @@ class TestCoDelIntegration:
         fq = MacFqStructure(clock, num_queues=64, limit=1000, codel_tuner=tuner)
         tid = fq.tid(0, AccessCategory.BE)
         for i in range(100):
-            fq.enqueue(mkpkt(1, seq=i), tid)
+            fq.enqueue(tid, mkpkt(1, seq=i))
         clock.now = 10_000.0
         fq.dequeue(tid)  # starts the above-target clock
         clock.now = 120_000.0
@@ -308,7 +345,7 @@ class TestCoDelIntegration:
         fq = MacFqStructure(clock, num_queues=64, limit=1000, codel_tuner=tuner)
         slow_tid = fq.tid(7, AccessCategory.BE)
         for i in range(50):
-            fq.enqueue(mkpkt(1, seq=i), slow_tid)
+            fq.enqueue(slow_tid, mkpkt(1, seq=i))
         # Sojourn 20ms: above the 5ms default, below the 50ms slow target.
         clock.now = 20_000.0
         fq.dequeue(slow_tid)
@@ -326,7 +363,7 @@ class TestConservation:
         tids = [fq.tid(i, AccessCategory.BE) for i in range(4)]
         total_in = 0
         for i in range(200):
-            fq.enqueue(mkpkt(i % 7 + 1, seq=i), tids[i % 4])
+            fq.enqueue(tids[i % 4], mkpkt(i % 7 + 1, seq=i))
             total_in += 1
         total_out = 0
         for tid in tids:
@@ -348,7 +385,7 @@ class TestTraceBinding:
         start = clock.now
         for tid in tids:
             for i in range(6):
-                fq.enqueue(mkpkt(1, seq=i), tid)
+                fq.enqueue(tid, mkpkt(1, seq=i))
         # Dequeue across more than one CoDel interval: every queue
         # enters and leaves the dropping state.
         for tid in tids:

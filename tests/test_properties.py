@@ -120,7 +120,7 @@ def test_mac_fq_conservation_and_limit(ops, limit):
     tids = [fq.tid(i, AccessCategory.BE) for i in range(4)]
     enqueued = 0
     for flow, tid_idx, size in ops:
-        fq.enqueue(Packet(flow, size), tids[tid_idx])
+        fq.enqueue(tids[tid_idx], Packet(flow, size))
         enqueued += 1
         assert fq.backlog_packets <= limit
     dequeued = 0
@@ -150,7 +150,7 @@ def test_mac_fq_per_flow_order_preserved(ops):
     for flow, size in ops:
         seq = seq_per_flow.get(flow, 0)
         seq_per_flow[flow] = seq + 1
-        fq.enqueue(Packet(flow, size, seq=seq), tid)
+        fq.enqueue(tid, Packet(flow, size, seq=seq))
     seen: dict[int, int] = {}
     while True:
         pkt = fq.dequeue(tid)
