@@ -53,7 +53,7 @@ KEPT: Dict[str, str] = {
 }
 
 #: Never-entered lines outside ``KEPT`` on the tree this was recorded on.
-BUDGET_OUTSIDE_KEPT = 586
+BUDGET_OUTSIDE_KEPT = 536
 
 #: Moved under ``tests/`` or deleted; must not come back.  The report is
 #: the one replication path (``--replications``), so no campaign engine.

@@ -4,13 +4,12 @@ Runs every experiment, places its measurements next to the paper's
 values (:mod:`repro.experiments.paper_data`), and judges the *claims* —
 the qualitative shapes each table or figure shows.
 
-A claim is a row of data: its text, a formatter for the measured cell,
-and the named quantities it reads off one run of its section, each with
-the side of a threshold it must fall on.  ``--replications N`` runs
-every section over seeds 1..N and renders the tables from seed 1.  At
-N=1 a claim is judged on its point values; at N≥2 the measured cell
-adds ``n=N`` and each quantity's mean ± 95% Student-t half-width, and
-the claim holds only if every interval lies on its passing side.
+A claim (:mod:`repro.validation.verdict`) is a row of data: its text, a
+formatter for the measured cell, and the named quantities it reads off
+one run of its section, each with the side of a threshold it must fall
+on.  ``--replications N`` runs every section over seeds 1..N and renders
+the tables from seed 1; each claim is judged on the 95% t-interval of
+its quantities over the N runs.
 
 Runs go through :mod:`repro.runner`: ``--jobs N`` worker processes,
 and a cache under ``.repro-cache/``, so a re-run — or a killed report
@@ -35,10 +34,9 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.attribution import Attribution, format_waterfall
-from repro.analysis.stats import mean_interval
 from repro.experiments import paper_data, registry, table1
 from repro.experiments.cli import run_cost_table, positive_float, positive_int
 from repro.experiments.config import SLOW_STATION
@@ -46,79 +44,14 @@ from repro.mac.ap import Scheme
 from repro.runner import ResultCache, Runner, default_jobs
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.logutil import configure_logging, get_logger
+from repro.validation.verdict import Claim, NoSamples, Quantity, table
 
-__all__ = ["Claim", "Quantity", "Section", "SECTIONS", "generate_report", "main"]
+__all__ = ["Section", "SECTIONS", "generate_report", "main"]
 
 log = get_logger("repro.report")
 
 FIFO, FQ_CODEL, FQ_MAC, AIRTIME = (
     Scheme.FIFO, Scheme.FQ_CODEL, Scheme.FQ_MAC, Scheme.AIRTIME)
-
-#: The passing side of a threshold.
-_SIDES = {">": operator.gt, ">=": operator.ge,
-          "<": operator.lt, "<=": operator.le}
-
-
-class NoSamples(Exception):
-    """A quantity has nothing to read in some seed's run: its claim is ✗
-    with this message instead of a verdict on a NaN."""
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A number read off one run, and the side of ``threshold`` it must
-    fall on for its claim to hold."""
-
-    name: str
-    read: Callable[[Any], float]
-    side: str
-    threshold: float
-
-    def holds(self, lo: float, hi: float) -> bool:
-        """Does all of ``[lo, hi]`` lie on the passing side?"""
-        edge = lo if self.side.startswith(">") else hi
-        return _SIDES[self.side](edge, self.threshold)
-
-
-class Claim:
-    """One qualitative claim of the paper: ✓ when every quantity holds.
-
-    ``detail`` formats the measured cell from seed 1's run; ``applies``
-    (on seed 1's run) leaves the claim out altogether.
-    """
-
-    def __init__(self, text: str, detail: Callable[[Any], str],
-                 *quantities: Quantity,
-                 applies: Callable[[Any], bool] = lambda run: True) -> None:
-        self.text, self.detail = text, detail
-        self.quantities, self.applies = quantities, applies
-
-    def judge(self, runs: Sequence[Any]) -> Tuple[bool, str]:
-        """The verdict and the measured cell, over one run per seed."""
-        try:
-            columns = [[q.read(run) for run in runs] for q in self.quantities]
-        except NoSamples as missing:
-            return False, str(missing)
-        intervals = [_t_interval(column) for column in columns]
-        passed = all(q.holds(mean - half, mean + half)
-                     for q, (mean, half) in zip(self.quantities, intervals))
-        detail = self.detail(runs[0])
-        if len(runs) == 1:
-            return passed, detail
-        shown: Dict[str, str] = {}
-        for q, (mean, half) in zip(self.quantities, intervals):
-            shown.setdefault(q.name, f"{q.name} {mean:.3g} ± {half:.3g}")
-        return passed, f"{detail}; n={len(runs)}: {', '.join(shown.values())}"
-
-
-def _t_interval(values: Sequence[float]) -> Tuple[float, float]:
-    """Mean and 95% Student-t half-width (0 for a single value)."""
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, mean_interval(n, mean, variance).half_width
 
 
 @dataclass(frozen=True)
@@ -135,14 +68,10 @@ class Section:
                replications: int = 1) -> str:
         runs = [self.run(scale, runner, seed)
                 for seed in range(1, replications + 1)]
-        lines = [f"## {self.title}", "", self.body(runs[0]), "",
-                 "|  | claim (paper) | measured |", "|---|---|---|"]
-        for claim in self.claims:
-            if claim.applies(runs[0]):
-                passed, detail = claim.judge(runs)
-                lines.append(f"| {'✓' if passed else '✗'} | {claim.text} "
-                             f"| {detail} |")
-        return "\n".join(lines)
+        verdicts = [claim.judge(runs) for claim in self.claims
+                    if claim.applies(runs[0])]
+        return "\n".join([f"## {self.title}", "", self.body(runs[0]), "",
+                          table("claim (paper)", verdicts)])
 
 
 def _run(experiment_id: str, scale: float, runner: Optional[Runner],

@@ -10,19 +10,19 @@ not just at the Table-1 point, so this module sweeps a grid of scenarios
 each cell under the airtime-fair scheme, and scores it against the model
 within explicit tolerance bands.
 
-The output is a machine-readable :class:`ConformanceReport` with per-cell
-pass/fail, the worst-case relative error, and any waived cells — the CI
+Each cell is one :class:`~repro.validation.verdict.Claim` judged on its
+one run; the gate is the share of non-waived cells that pass.  The
+verdicts, written as JSON by ``validate matrix --report``, are the CI
 artifact that turns "the simulator matches the model" from a spot check
 into a sweep.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.fairness import jain_index
 from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import udp_rate_for
 from repro.faults import audit_conservation
@@ -32,20 +32,24 @@ from repro.model.analytical import StationModel, predict
 from repro.phy.rates import mcs
 from repro.runner import RunSpec, Runner, execute
 from repro.traffic.udp import UdpDownloadFlow
+from repro.validation.verdict import Claim, NoSamples, Quantity, Verdict
 
 __all__ = [
     "CellMetrics",
-    "CellOutcome",
     "CellSpec",
-    "ConformanceReport",
-    "Tolerance",
+    "GATE",
+    "RATE_BAND",
     "RATE_MIXES",
+    "SHARE_BAND",
     "WAIVED_CELLS",
+    "cell_claim",
+    "cell_runspec",
     "default_grid",
-    "smoke_grid",
-    "evaluate_cell",
+    "judge_cell",
+    "pass_fraction",
     "run_cell",
     "run_matrix",
+    "smoke_grid",
 ]
 
 #: Named rate mixes: mix name -> per-station MCS indices for ``n`` stations.
@@ -57,6 +61,20 @@ RATE_MIXES: Dict[str, callable] = {
     "fast_slow": lambda n: tuple([15] * (n - 1) + [0]),
     "ladder": lambda n: tuple([2, 4, 7, 9, 12, 15][i % 6] for i in range(n)),
 }
+
+#: Bands within which a cell conforms to the analytical model.
+#: ``SHARE_BAND`` bounds the absolute deviation of each station's airtime
+#: share from the predicted ``1/N``: airtime is what the scheduler
+#: controls directly, so the band is tight.  ``RATE_BAND`` bounds the
+#: relative error of measured throughput against ``share × R(n, l, r)``;
+#: it is looser because throughput inherits both the share error and the
+#: discreteness of aggregate sizes (the model uses the *mean* aggregation
+#: level, the simulator transmits integer aggregates).
+SHARE_BAND = 0.05
+RATE_BAND = 0.10
+
+#: The share of non-waived cells that must conform.
+GATE = 0.95
 
 #: Cells expected to sit outside the tolerance band, with the reason.
 #: Waived cells are still run and reported (so a fix is noticed), but they
@@ -125,23 +143,6 @@ class CellMetrics:
     window_us: float
     conservation_balance: int
     stall_violations: int = 0
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Bands within which a cell conforms to the analytical model.
-
-    ``share_abs`` bounds the absolute deviation of each station's airtime
-    share from the predicted ``1/N`` — airtime is what the scheduler
-    controls directly, so the band is tight.  ``rate_rel`` bounds the
-    relative error of measured throughput against ``share × R(n, l, r)``;
-    it is looser because throughput inherits both the share error and the
-    discreteness of aggregate sizes (the model uses the *mean* aggregation
-    level, the simulator transmits integer aggregates).
-    """
-
-    share_abs: float = 0.05
-    rate_rel: float = 0.10
 
 
 def default_grid(
@@ -235,214 +236,94 @@ def run_cell(
     )
 
 
-def cell_spec_to_runspec(spec: CellSpec) -> RunSpec:
-    """Wrap a grid cell as a :class:`RunSpec` for the parallel runner."""
-    return RunSpec.make(
-        "repro.validation.matrix:run_cell",
-        label=f"matrix/{spec.name}",
-        mcs_indices=spec.mcs_indices(),
-        payload_bytes=spec.payload_bytes,
-        max_subframes=spec.max_subframes,
-        duration_s=spec.duration_s,
-        warmup_s=spec.warmup_s,
-        seed=spec.seed,
-    )
+def cell_runspec(label: str, mcs_indices: Sequence[int],
+                 **kwargs: Any) -> RunSpec:
+    """Wrap one :func:`run_cell` call as a :class:`RunSpec` for the
+    parallel runner (the matrix's cells and the oracles' runs alike)."""
+    return RunSpec.make("repro.validation.matrix:run_cell", label=label,
+                        mcs_indices=tuple(mcs_indices), **kwargs)
 
 
 # ----------------------------------------------------------------------
 # Scoring against the analytical model
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CellOutcome:
-    """One scored cell of the conformance report."""
-
-    name: str
-    passed: bool
-    waived: bool
-    share_err: float
-    rate_err_rel: float
-    conservation_ok: bool
-    detail: str = ""
-    predicted_mbps: Dict[int, float] = field(default_factory=dict)
-    measured_mbps: Dict[int, float] = field(default_factory=dict)
-
-
-def evaluate_cell(
-    spec: CellSpec,
-    metrics: Optional[CellMetrics],
-    tolerance: Tolerance = Tolerance(),
-) -> CellOutcome:
-    """Score one cell's measurements against the analytical model.
-
-    The model is fed the *measured* mean aggregation level per station
-    (the paper's methodology for Table 1); the cell passes when every
-    station's airtime share is within ``share_abs`` of ``1/N``, every
-    station's throughput is within ``rate_rel`` of ``share × R(n, l, r)``,
-    and downlink packet conservation balanced exactly.
-    """
-    waived = spec.name in WAIVED_CELLS
-    if metrics is None:
-        return CellOutcome(
-            name=spec.name, passed=False, waived=waived,
-            share_err=float("inf"), rate_err_rel=float("inf"),
-            conservation_ok=False, detail="run failed (no metrics)",
-        )
-    indices = metrics.mcs_indices
+def _model_errors(spec: CellSpec, metrics: CellMetrics) -> Tuple[float, float]:
+    """The largest airtime-share error from the model's ``1/N`` and the
+    largest relative rate error against ``share × R(n, l, r)``, fed the
+    *measured* mean aggregation level per station (the paper's
+    methodology for Table 1).  A zero predicted rate is an infinite
+    error."""
     stations = sorted(metrics.throughput_mbps)
-    problems: List[str] = []
-
     models = []
-    for idx, mcs_index in zip(stations, indices):
+    for idx, mcs_index in zip(stations, metrics.mcs_indices):
         agg = metrics.mean_aggregation.get(idx, 0.0)
         if agg <= 0:
-            problems.append(f"station {idx} never transmitted")
-            agg = 1.0
+            raise NoSamples(f"station {idx} never transmitted")
         models.append(
             StationModel(agg, spec.payload_bytes, mcs(mcs_index), str(idx))
         )
-    predictions = predict(models, airtime_fairness=True)
-
-    share_err = 0.0
-    rate_err = 0.0
-    predicted = {}
-    for idx, pred in zip(stations, predictions):
-        predicted[idx] = pred.rate_mbps
+    share_err = rate_err = 0.0
+    for idx, pred in zip(stations, predict(models, airtime_fairness=True)):
         share_err = max(
             share_err,
             abs(metrics.airtime_shares.get(idx, 0.0) - pred.airtime_share),
         )
-        if pred.rate_mbps > 0:
-            rate_err = max(
-                rate_err,
-                abs(metrics.throughput_mbps[idx] - pred.rate_mbps)
-                / pred.rate_mbps,
-            )
-        else:
-            problems.append(f"station {idx}: model predicts zero rate")
+        rate_err = max(rate_err, (
+            abs(metrics.throughput_mbps[idx] - pred.rate_mbps)
+            / pred.rate_mbps if pred.rate_mbps > 0 else math.inf))
+    return share_err, rate_err
 
-    if share_err > tolerance.share_abs:
-        problems.append(
-            f"airtime share off by {share_err:.3f} "
-            f"(> {tolerance.share_abs:.3f})"
-        )
-    if rate_err > tolerance.rate_rel:
-        problems.append(
-            f"throughput off by {rate_err:.1%} (> {tolerance.rate_rel:.0%})"
-        )
-    conservation_ok = metrics.conservation_balance == 0
-    if not conservation_ok:
-        problems.append(
-            f"conservation balance {metrics.conservation_balance} != 0"
-        )
-    if metrics.stall_violations:
-        problems.append(f"{metrics.stall_violations} stall violation(s)")
-    if waived and problems:
-        problems.append(f"waived: {WAIVED_CELLS[spec.name]}")
-    return CellOutcome(
-        name=spec.name,
-        passed=not problems,
-        waived=waived,
-        share_err=share_err,
-        rate_err_rel=rate_err,
-        conservation_ok=conservation_ok,
-        detail="; ".join(problems),
-        predicted_mbps=predicted,
-        measured_mbps=dict(metrics.throughput_mbps),
+
+def cell_claim(spec: CellSpec) -> Claim:
+    """One cell as a claim on its run: every station's airtime share within
+    ``SHARE_BAND`` of ``1/N``, every station's throughput within
+    ``RATE_BAND`` of ``share × R(n, l, r)``, downlink packet conservation
+    balanced exactly and no stall."""
+    def detail(metrics: CellMetrics) -> str:
+        share_err, rate_err = _model_errors(spec, metrics)
+        return (f"share err {share_err:.3f}, rate err {rate_err:.1%}, "
+                f"balance {metrics.conservation_balance}, "
+                f"stalls {metrics.stall_violations}")
+
+    return Claim(
+        spec.name, detail,
+        Quantity("max share error", lambda m: _model_errors(spec, m)[0],
+                 "<=", SHARE_BAND),
+        Quantity("max rate error", lambda m: _model_errors(spec, m)[1],
+                 "<=", RATE_BAND),
+        Quantity("|conservation balance|",
+                 lambda m: abs(m.conservation_balance), "<=", 0),
+        Quantity("stall violations", lambda m: m.stall_violations, "<=", 0),
     )
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
-    """Machine-readable result of one matrix sweep."""
-
-    cells: List[CellOutcome]
-    tolerance: Tolerance
-
-    @property
-    def gated_cells(self) -> List[CellOutcome]:
-        """Cells that count toward the conformance gate (non-waived)."""
-        return [c for c in self.cells if not c.waived]
-
-    @property
-    def pass_fraction(self) -> float:
-        gated = self.gated_cells
-        if not gated:
-            return 1.0
-        return sum(1 for c in gated if c.passed) / len(gated)
-
-    @property
-    def worst_rate_err(self) -> float:
-        finite = [c.rate_err_rel for c in self.cells
-                  if c.rate_err_rel != float("inf")]
-        return max(finite, default=0.0)
-
-    def conforms(self, threshold: float = 0.95) -> bool:
-        return self.pass_fraction >= threshold
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tolerance": asdict(self.tolerance),
-                "pass_fraction": round(self.pass_fraction, 4),
-                "worst_rate_err": round(self.worst_rate_err, 4),
-                "waived": {
-                    c.name: WAIVED_CELLS.get(c.name, "")
-                    for c in self.cells if c.waived
-                },
-                "cells": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "waived": c.waived,
-                        "share_err": round(c.share_err, 4),
-                        "rate_err_rel": round(c.rate_err_rel, 4),
-                        "conservation_ok": c.conservation_ok,
-                        "detail": c.detail,
-                    }
-                    for c in self.cells
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def format_table(self) -> str:
-        lines = [
-            "Model cross-validation matrix "
-            f"(share ±{self.tolerance.share_abs:.2f} abs, "
-            f"rate ±{self.tolerance.rate_rel:.0%} rel)"
-        ]
-        lines.append(f"{'cell':<26} {'share err':>9} {'rate err':>9} "
-                     f"{'conserved':>9}  status")
-        for cell in self.cells:
-            status = "pass" if cell.passed else (
-                "WAIVED" if cell.waived else "FAIL"
-            )
-            detail = f"  {cell.detail}" if cell.detail and not cell.passed else ""
-            lines.append(
-                f"{cell.name:<26} {cell.share_err:9.3f} "
-                f"{cell.rate_err_rel:9.1%} "
-                f"{'yes' if cell.conservation_ok else 'NO':>9}  "
-                f"{status}{detail}"
-            )
-        lines.append(
-            f"{len(self.cells)} cells, "
-            f"{self.pass_fraction:.1%} of gated cells within tolerance, "
-            f"worst rate error {self.worst_rate_err:.1%}"
-        )
-        return "\n".join(lines)
+def judge_cell(spec: CellSpec, metrics: Optional[CellMetrics]) -> Verdict:
+    """The cell's verdict on its one run (``None``: the run failed); a
+    waived cell's detail ends in its reason."""
+    verdict = cell_claim(spec).judge([metrics])
+    if spec.name in WAIVED_CELLS:
+        return replace(verdict, detail=f"{verdict.detail}; "
+                                       f"waived: {WAIVED_CELLS[spec.name]}")
+    return verdict
 
 
-def run_matrix(
-    cells: Optional[Sequence[CellSpec]] = None,
-    runner: Optional[Runner] = None,
-    tolerance: Tolerance = Tolerance(),
-) -> ConformanceReport:
-    """Run a grid of cells (via the parallel runner) and score each one."""
+def pass_fraction(verdicts: Sequence[Verdict]) -> float:
+    """The share of non-waived cells that pass (1.0 when none is gated);
+    the grid conforms when it is at least ``GATE``."""
+    gated = [v for v in verdicts if v.text not in WAIVED_CELLS]
+    if not gated:
+        return 1.0
+    return sum(v.passed for v in gated) / len(gated)
+
+
+def run_matrix(cells: Optional[Sequence[CellSpec]] = None,
+               runner: Optional[Runner] = None) -> List[Verdict]:
+    """Run a grid of cells (via the parallel runner) and judge each one."""
     specs = list(cells) if cells is not None else default_grid()
-    values = execute([cell_spec_to_runspec(s) for s in specs], runner)
-    outcomes = [
-        evaluate_cell(spec, value, tolerance)
-        for spec, value in zip(specs, values)
-    ]
-    return ConformanceReport(cells=outcomes, tolerance=tolerance)
+    values = execute([
+        cell_runspec(f"matrix/{s.name}", s.mcs_indices(),
+                     payload_bytes=s.payload_bytes,
+                     max_subframes=s.max_subframes, duration_s=s.duration_s,
+                     warmup_s=s.warmup_s, seed=s.seed)
+        for s in specs], runner)
+    return [judge_cell(spec, value) for spec, value in zip(specs, values)]

@@ -33,9 +33,7 @@ from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import saturating_udp_download
 from repro.mac.ap import Scheme
 from repro.phy.rates import PhyRate, mcs
-from repro.validation.matrix import Tolerance
-
-BAND = Tolerance()
+from repro.validation.matrix import RATE_BAND, SHARE_BAND
 BUSY = (0, 1, 2)
 
 
@@ -57,7 +55,7 @@ def test_an_idle_station_costs_nothing_under_any_scheme(scheme):
     shares, mbps = _cell(fig5, scheme)
     with_idle_shares, with_idle_mbps = _cell([*fig5, mcs(15)], scheme)
     for i in BUSY:
-        assert abs(with_idle_shares[i] - shares[i]) <= BAND.share_abs, (
+        assert abs(with_idle_shares[i] - shares[i]) <= SHARE_BAND, (
             i, shares, with_idle_shares)
         assert with_idle_mbps[i] == pytest.approx(
-            mbps[i], rel=BAND.rate_rel), (i, mbps, with_idle_mbps)
+            mbps[i], rel=RATE_BAND), (i, mbps, with_idle_mbps)

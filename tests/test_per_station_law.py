@@ -33,9 +33,7 @@ from repro.experiments.testbed import Testbed, TestbedOptions
 from repro.experiments.workloads import udp_rate_for
 from repro.mac.ap import Scheme
 from repro.traffic.udp import UdpDownloadFlow
-from repro.validation.matrix import Tolerance
-
-BAND = Tolerance()
+from repro.validation.matrix import SHARE_BAND
 SLOW = 2
 
 
@@ -59,4 +57,4 @@ def test_splitting_a_station_into_flows_keeps_its_airtime_share(k):
     one, split = _shares(1), _shares(k)
     assert one[SLOW] > 0.3  # Airtime's equal split of the Fig. 5 cell
     for i in one:
-        assert abs(split[i] - one[i]) <= BAND.share_abs, (i, one, split)
+        assert abs(split[i] - one[i]) <= SHARE_BAND, (i, one, split)

@@ -23,9 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.mac.ap import ALL_SCHEMES
-from repro.validation.matrix import Tolerance, run_cell
-
-BAND = Tolerance()
+from repro.validation.matrix import SHARE_BAND, run_cell
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
@@ -33,5 +31,5 @@ def test_reversing_the_stations_reverses_their_shares(scheme):
     forward = run_cell((15, 15, 0), seed=1, scheme=scheme).airtime_shares
     reverse = run_cell((0, 15, 15), seed=1, scheme=scheme).airtime_shares
     for i in range(3):
-        assert abs(forward[i] - reverse[2 - i]) <= BAND.share_abs, (
+        assert abs(forward[i] - reverse[2 - i]) <= SHARE_BAND, (
             i, forward, reverse)

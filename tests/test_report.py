@@ -14,8 +14,9 @@ import pytest
 
 from repro.experiments import paper_data, report, scaling, web
 from repro.experiments.latency import LatencyResult
-from repro.experiments.report import Claim, Quantity, Section
+from repro.experiments.report import Section
 from repro.mac.ap import Scheme
+from repro.validation.verdict import Claim, Quantity, Reading
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,19 +82,28 @@ class TestShapeChecks:
         """The first quantity the claim reads with no samples names it."""
         claim = report.LATENCY.claims[3]  # FQ-CoDel slow vs FQ-MAC slow
         run = _latency_run(FQ_CODEL=([10.0], [80.0]), FQ_MAC=([10.0], []))
-        assert claim.judge([run]) == (
+        verdict = claim.judge([run])
+        assert (verdict.passed, verdict.detail) == (
             False, "no slow-station ping completed under FQ-MAC")
+        assert verdict.readings == ()
         # A seed that completed no ping fails the claim at any N.
         full = _latency_run(FQ_CODEL=([10.0], [80.0]), FQ_MAC=([9.0], [9.0]))
-        assert claim.judge([full, run])[0] is False
+        assert claim.judge([full, run]).passed is False
 
     def test_claim_with_all_samples_is_unchanged(self):
         """At one seed the verdict and the cell are the point values'."""
         claim = report.LATENCY.claims[1]  # FIFO → FQ-MAC, > 5x
         run = _latency_run(FIFO=([106.2], [200.0]), FQ_MAC=([15.9], [16.0]))
-        assert claim.judge([run]) == (True, "106 ms → 15.9 ms (7x)")
+        verdict = claim.judge([run])
+        assert (verdict.passed, verdict.detail) == (
+            True, "106 ms → 15.9 ms (7x)")
+        assert verdict.value("FIFO/FQ-MAC") == pytest.approx(106.2 / 15.9)
         run = _latency_run(FIFO=([60.0], [200.0]), FQ_MAC=([15.0], [16.0]))
-        assert claim.judge([run]) == (False, "60 ms → 15.0 ms (4x)")
+        verdict = claim.judge([run])
+        assert (verdict.passed, verdict.detail) == (
+            False, "60 ms → 15.0 ms (4x)")
+        assert verdict.row() == "| ✗ | order-of-magnitude reduction FIFO → " \
+                                "FQ-MAC | 60 ms → 15.0 ms (4x) |"
 
 
 class TestReplications:
@@ -102,30 +112,38 @@ class TestReplications:
 
     def test_the_interval_must_clear_the_threshold(self):
         claim = Claim("c", lambda r: "seed 1", Quantity("x", float, ">", 1))
-        assert claim.judge([1.5]) == (True, "seed 1")
+        verdict = claim.judge([1.5])
+        assert (verdict.passed, verdict.detail) == (True, "seed 1")
+        assert verdict.readings == (Reading("x", 1.5, 0.0),)
         # Mean 2, half-width t(0.975, 1) * 0.5 = 6.35: straddles 1.
-        passed, detail = claim.judge([1.5, 2.5])
-        assert not passed
-        assert detail == "seed 1; n=2: x 2 ± 6.35"
-        assert claim.judge([2.0, 2.0, 2.0]) == (True, "seed 1; n=3: x 2 ± 0")
+        verdict = claim.judge([1.5, 2.5])
+        assert not verdict.passed
+        assert verdict.detail == "seed 1; n=2: x 2 ± 6.35"
+        assert verdict.value("x") == 2.0
+        assert verdict.readings[0].half_width == pytest.approx(6.353, abs=1e-3)
+        verdict = claim.judge([2.0, 2.0, 2.0])
+        assert (verdict.passed, verdict.detail) == (
+            True, "seed 1; n=3: x 2 ± 0")
 
     @pytest.mark.parametrize("side, passes", [
         (">", False), (">=", True), ("<", False), ("<=", True)])
     def test_a_zero_width_interval_on_the_threshold(self, side, passes):
         claim = Claim("c", str, Quantity("x", float, side, 3.0))
-        assert claim.judge([3.0, 3.0])[0] is passes
+        assert claim.judge([3.0, 3.0]).passed is passes
 
     def test_upper_bounds_read_the_top_of_the_interval(self):
         claim = Claim("c", str, Quantity("x", float, "<", 10.0))
-        assert claim.judge([9.0, 9.5])[0] is False      # 9.25 ± 3.18
-        assert claim.judge([9.0, 9.0001, 9.0])[0] is True
+        assert claim.judge([9.0, 9.5]).passed is False      # 9.25 ± 3.18
+        assert claim.judge([9.0, 9.0001, 9.0]).passed is True
 
     def test_a_quantity_bounded_twice_is_shown_once(self):
         claim = Claim("c", str, Quantity("share", float, ">", 0.38),
                       Quantity("share", float, "<", 0.6))
-        passed, detail = claim.judge([0.5, 0.5])
-        assert passed and detail.endswith("; n=2: share 0.5 ± 0")
-        assert not claim.judge([0.7, 0.7])[0]
+        verdict = claim.judge([0.5, 0.5])
+        assert verdict.passed
+        assert verdict.detail.endswith("; n=2: share 0.5 ± 0")
+        assert verdict.readings == (Reading("share", 0.5, 0.0),)
+        assert not claim.judge([0.7, 0.7]).passed
 
     def test_every_section_runs_seeds_one_to_n(self, monkeypatch):
         asked = []

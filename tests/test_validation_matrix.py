@@ -3,25 +3,28 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.mac.ap import Scheme
+from repro.experiments import validate_cli
 from repro.model.analytical import StationModel, predict
 from repro.phy.rates import mcs
+from repro.validation import matrix
 from repro.validation.matrix import (
+    GATE,
     CellMetrics,
     CellSpec,
-    ConformanceReport,
-    Tolerance,
     WAIVED_CELLS,
-    cell_spec_to_runspec,
+    cell_runspec,
     default_grid,
-    evaluate_cell,
+    judge_cell,
+    pass_fraction,
     run_cell,
     run_matrix,
     smoke_grid,
 )
+from repro.validation.verdict import Reading, Verdict
 
 
 def _model_perfect_metrics(spec: CellSpec,
@@ -72,21 +75,20 @@ class TestGrids:
             assert waived in names
 
     def test_runspec_digest_is_stable_per_cell(self):
-        spec = CellSpec(3, "fast_slow", 64, 1500)
-        assert (cell_spec_to_runspec(spec).digest()
-                == cell_spec_to_runspec(spec).digest())
-        other = CellSpec(3, "fast_slow", 8, 1500)
-        assert (cell_spec_to_runspec(spec).digest()
-                != cell_spec_to_runspec(other).digest())
+        indices = CellSpec(3, "fast_slow", 64, 1500).mcs_indices()
+        assert (cell_runspec("a", indices, max_subframes=64).digest()
+                == cell_runspec("b", list(indices), max_subframes=64).digest())
+        assert (cell_runspec("a", indices, max_subframes=64).digest()
+                != cell_runspec("a", indices, max_subframes=8).digest())
 
 
 class TestEvaluateCell:
     def test_model_perfect_metrics_pass(self):
         spec = CellSpec(3, "fast_slow", 64, 1500)
-        outcome = evaluate_cell(spec, _model_perfect_metrics(spec))
-        assert outcome.passed
-        assert outcome.share_err < 1e-9
-        assert outcome.rate_err_rel < 1e-9
+        verdict = judge_cell(spec, _model_perfect_metrics(spec))
+        assert verdict.passed
+        assert verdict.value("max share error") < 1e-9
+        assert verdict.value("max rate error") < 1e-9
 
     def test_share_deviation_fails_the_cell(self):
         spec = CellSpec(3, "all_fast", 64, 1500)
@@ -94,92 +96,104 @@ class TestEvaluateCell:
         shares = dict(metrics.airtime_shares)
         shares[0] += 0.10
         shares[1] -= 0.10
-        skewed = CellMetrics(
-            mcs_indices=metrics.mcs_indices,
-            scheme_name=metrics.scheme_name,
-            throughput_mbps=metrics.throughput_mbps,
-            airtime_shares=shares,
-            mean_aggregation=metrics.mean_aggregation,
-            jain_airtime=metrics.jain_airtime,
-            window_us=metrics.window_us,
-            conservation_balance=0,
-        )
-        outcome = evaluate_cell(spec, skewed)
-        assert not outcome.passed
-        assert "share" in outcome.detail
+        verdict = judge_cell(spec, replace(metrics, airtime_shares=shares))
+        assert not verdict.passed
+        assert verdict.value("max share error") == pytest.approx(0.10)
+        assert "share err 0.100" in verdict.detail
+
+    def test_share_band_edges(self):
+        spec = CellSpec(2, "all_fast", 64, 1500)
+        metrics = _model_perfect_metrics(spec)
+        for delta, passes in ((0.049, True), (0.051, False)):
+            shares = {0: 0.5 + delta, 1: 0.5 - delta}
+            verdict = judge_cell(spec, replace(metrics, airtime_shares=shares))
+            assert verdict.passed is passes, delta
+
+    def test_rate_deviation_fails_the_cell(self):
+        spec = CellSpec(3, "all_fast", 64, 1500)
+        metrics = _model_perfect_metrics(spec)
+        slow = {i: v * 0.85 for i, v in metrics.throughput_mbps.items()}
+        verdict = judge_cell(spec, replace(metrics, throughput_mbps=slow))
+        assert not verdict.passed
+        assert verdict.value("max rate error") == pytest.approx(0.15)
+        assert "rate err 15.0%" in verdict.detail
 
     def test_conservation_imbalance_fails_the_cell(self):
         spec = CellSpec(3, "all_fast", 64, 1500)
         metrics = _model_perfect_metrics(spec)
-        broken = CellMetrics(
-            mcs_indices=metrics.mcs_indices,
-            scheme_name=metrics.scheme_name,
-            throughput_mbps=metrics.throughput_mbps,
-            airtime_shares=metrics.airtime_shares,
-            mean_aggregation=metrics.mean_aggregation,
-            jain_airtime=metrics.jain_airtime,
-            window_us=metrics.window_us,
-            conservation_balance=7,
-        )
-        outcome = evaluate_cell(spec, broken)
-        assert not outcome.passed
-        assert not outcome.conservation_ok
+        verdict = judge_cell(spec, replace(metrics, conservation_balance=-7))
+        assert not verdict.passed
+        assert verdict.value("|conservation balance|") == 7
+
+    def test_stall_fails_the_cell(self):
+        spec = CellSpec(3, "all_fast", 64, 1500)
+        metrics = _model_perfect_metrics(spec)
+        verdict = judge_cell(spec, replace(metrics, stall_violations=1))
+        assert not verdict.passed
+        assert verdict.value("stall violations") == 1
+
+    def test_a_silent_station_fails_the_cell(self):
+        spec = CellSpec(3, "all_fast", 64, 1500)
+        metrics = _model_perfect_metrics(spec)
+        aggregation = dict(metrics.mean_aggregation)
+        aggregation[1] = 0.0
+        verdict = judge_cell(spec,
+                             replace(metrics, mean_aggregation=aggregation))
+        assert not verdict.passed
+        assert verdict.detail == "station 1 never transmitted"
 
     def test_failed_run_scores_as_failure(self):
         spec = CellSpec(3, "all_fast", 64, 1500)
-        outcome = evaluate_cell(spec, None)
-        assert not outcome.passed
-        assert "failed" in outcome.detail
+        verdict = judge_cell(spec, None)
+        assert not verdict.passed
+        assert verdict.detail == "run failed"
+        assert verdict.readings == ()
 
     def test_waived_cell_is_marked(self):
         spec = CellSpec(2, "fast_slow", 64, 1500)
         assert spec.name in WAIVED_CELLS
-        outcome = evaluate_cell(spec, None)
-        assert outcome.waived
+        verdict = judge_cell(spec, None)
+        assert verdict.text == spec.name
+        assert verdict.detail.endswith(f"waived: {WAIVED_CELLS[spec.name]}")
 
 
-class TestConformanceReport:
-    def _outcome(self, spec, passed, waived=False):
+class TestGate:
+    def _verdict(self, spec, passed):
         metrics = _model_perfect_metrics(spec) if passed else None
-        outcome = evaluate_cell(spec, metrics)
-        assert outcome.passed == passed
-        return outcome
+        verdict = judge_cell(spec, metrics)
+        assert verdict.passed == passed
+        return verdict
 
     def test_waived_cells_do_not_gate(self):
-        passing = self._outcome(CellSpec(3, "all_fast", 64, 1500), True)
-        waived = self._outcome(CellSpec(2, "fast_slow", 64, 1500), False)
-        assert waived.waived
-        report = ConformanceReport(cells=[passing, waived],
-                                   tolerance=Tolerance())
-        assert report.pass_fraction == 1.0
-        assert report.conforms()
+        passing = self._verdict(CellSpec(3, "all_fast", 64, 1500), True)
+        waived = self._verdict(CellSpec(2, "fast_slow", 64, 1500), False)
+        assert pass_fraction([passing, waived]) == 1.0 >= GATE
 
     def test_gated_failure_lowers_the_fraction(self):
-        passing = self._outcome(CellSpec(3, "all_fast", 64, 1500), True)
-        failing = self._outcome(CellSpec(5, "all_fast", 64, 1500), False)
-        report = ConformanceReport(cells=[passing, failing],
-                                   tolerance=Tolerance())
-        assert report.pass_fraction == 0.5
-        assert not report.conforms()
+        passing = self._verdict(CellSpec(3, "all_fast", 64, 1500), True)
+        failing = self._verdict(CellSpec(5, "all_fast", 64, 1500), False)
+        assert pass_fraction([passing, failing]) == 0.5 < GATE
 
-    def test_json_report_round_trips(self):
-        spec = CellSpec(3, "all_fast", 64, 1500)
-        report = ConformanceReport(
-            cells=[evaluate_cell(spec, _model_perfect_metrics(spec))],
-            tolerance=Tolerance(),
-        )
-        data = json.loads(report.to_json())
-        assert data["pass_fraction"] == 1.0
-        assert data["cells"][0]["name"] == spec.name
-        assert "tolerance" in data
+    def test_an_empty_gate_conforms(self):
+        assert pass_fraction([]) == 1.0
 
-    def test_format_table_mentions_every_cell(self):
-        spec = CellSpec(3, "all_fast", 64, 1500)
-        report = ConformanceReport(
-            cells=[evaluate_cell(spec, _model_perfect_metrics(spec))],
-            tolerance=Tolerance(),
-        )
-        assert spec.name in report.format_table()
+    def test_json_report_round_trips(self, tmp_path, monkeypatch):
+        """``validate matrix --report`` writes every verdict with its
+        readings, and reading the file back gives the same verdicts."""
+        passing = CellSpec(3, "all_fast", 64, 1500)
+        verdicts = [judge_cell(passing, _model_perfect_metrics(passing)),
+                    judge_cell(CellSpec(2, "fast_slow", 64, 1500), None)]
+        monkeypatch.setattr(matrix, "run_matrix",
+                            lambda cells, runner: verdicts)
+        path = tmp_path / "conformance.json"
+        assert validate_cli.main(["matrix", "--smoke", "--no-cache", "-q",
+                                  "--report", str(path)]) == 0
+        data = json.loads(path.read_text())
+        assert data["gate"] == GATE and data["pass_fraction"] == 1.0
+        assert [c.pop("waived") for c in data["cells"]] == [False, True]
+        assert [Verdict(**dict(c, readings=tuple(
+            Reading(**r) for r in c["readings"]))) for c in data["cells"]] \
+            == verdicts
 
 
 @pytest.mark.validation
@@ -208,7 +222,6 @@ def test_run_matrix_scores_every_cell():
                       warmup_s=0.2),
              CellSpec(3, "fast_slow", 64, 1500, duration_s=0.8,
                       warmup_s=0.2)]
-    report = run_matrix(cells, runner=None)
-    assert len(report.cells) == 2
-    assert {c.name for c in report.cells} == {c.name for c in cells}
-    json.loads(report.to_json())
+    verdicts = run_matrix(cells, runner=None)
+    assert [v.text for v in verdicts] == [c.name for c in cells]
+    assert all(len(v.readings) == 4 for v in verdicts), verdicts
